@@ -2,17 +2,15 @@
 
 Runs the scenarios of :mod:`repro.sim.bench` under both kernels, writes the
 machine-readable BENCH json (``benchmarks/out/kernel.json``, uploaded as a
-CI artifact) and enforces ``benchmarks/baseline/kernel.json``:
-
-* the absolute >30% regression gate compares the wheel kernel's lifecycle
-  ops/sec per scenario against the committed baseline, scaled by the ratio
-  of the committed calibration-loop time to this machine's;
-* the wheel-vs-heap speedup gates are *same-run ratios* -- both kernels run
-  on the same interpreter moments apart -- so machine speed cancels.  The
-  headline contract of the timer-wheel PR is the ``cancel_heavy`` drain:
-  with 90% of a deep timer population cancelled before firing, the wheel's
-  true removal drains the survivors at >=3x the heap kernel, which must
-  sift every tombstone to the top of the heap before it can drop it.
+CI artifact) and gates the wheel-vs-heap speedups.  These are *same-run
+ratios* -- both kernels run on the same interpreter moments apart -- so
+machine speed cancels; absolute speed is owned by ``norm_cpu_ms_per_req`` in
+``BENCHMARK.json``, and ``benchmarks/baseline/kernel.json`` supplies the
+operation count plus the reference figures to read a fresh run against.  The
+headline contract of the timer-wheel PR is the ``cancel_heavy`` drain: with
+90% of a deep timer population cancelled before firing, the wheel's true
+removal drains the survivors at >=3x the heap kernel, which must sift every
+tombstone to the top of the heap before it can drop it.
 """
 
 import json
@@ -37,17 +35,6 @@ def test_bench_kernel_json_and_regression_gate():
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"BENCH json written to {path}")
-
-    # Absolute gate, machine-normalised: >30% below the committed wheel
-    # lifecycle figure fails the build.
-    machine_factor = baseline["calibration_seconds"] / payload["calibration_seconds"]
-    for scenario in bench.SCENARIOS:
-        committed = baseline["ops_per_second"]["wheel"][scenario]["lifecycle"]
-        measured = payload["ops_per_second"]["wheel"][scenario]["lifecycle"]
-        assert measured >= 0.7 * committed * machine_factor, (
-            f"{scenario}: wheel lifecycle ops/sec regressed >30%: "
-            f"{measured:,.0f} vs normalised baseline "
-            f"{committed * machine_factor:,.0f}")
 
     # Ratio gates (machine independent).  The tentpole claim: a cancel-heavy
     # queue drains at >=3x the heap kernel (committed reference: ~9x).

@@ -8,9 +8,10 @@ have a recorded baseline to beat.
 ``test_bench_traffic_json_and_regression_gate`` measures the open-loop bench
 under the three trace retention policies, writes the machine-readable BENCH
 json (``benchmarks/out/traffic.json``, uploaded as a CI artifact) and
-enforces the committed baseline (``benchmarks/baseline/traffic.json``): a
->30% events/sec regression fails the build, and ``trace=off`` must sustain
-at least 2x the pre-event-bus (PR 3) kernel speed.
+enforces the one machine-independent contract of the committed baseline
+(``benchmarks/baseline/traffic.json``): ``trace=off`` must sustain at least
+2x the pre-event-bus (PR 3) kernel speed, checked as a same-run ratio.
+Absolute speed is owned by ``norm_cpu_ms_per_req`` in ``BENCHMARK.json``.
 """
 
 import json
@@ -110,30 +111,14 @@ def _measure_events_per_second(dsn: str, requests: int, reps: int = 3) -> float:
     return best
 
 
-def _calibration_seconds() -> float:
-    """Fixed CPU-bound loop used to normalise machine speed (best of 3)."""
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        x = 0
-        for i in range(2_000_000):
-            x = (x * 31 + i) % 1000003
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_bench_traffic_json_and_regression_gate():
-    """Measure full/ring/off retention, emit traffic.json, gate regressions.
+    """Measure full/ring/off retention, emit traffic.json, gate the ratio.
 
     The committed baseline numbers were all measured on one reference
-    machine, so two normalisations make the gates portable:
-
-    * the absolute >30% regression gate scales the committed ``trace=full``
-      figure by the ratio of the committed calibration-loop time to this
-      machine's;
-    * the 2x contract of ``trace=off`` versus the pre-event-bus (PR 3)
-      kernel is a pure ratio -- ``off/full`` on this machine against
-      ``2 * pr3/full`` on the reference machine -- so machine speed cancels.
+    machine, so the 2x contract of ``trace=off`` versus the pre-event-bus
+    (PR 3) kernel is checked as a pure ratio -- ``off/full`` on this machine
+    against ``2 * pr3/full`` on the reference machine -- and machine speed
+    cancels.
     """
     with open(BASELINE_PATH, encoding="utf-8") as handle:
         baseline = json.load(handle)
@@ -143,14 +128,11 @@ def test_bench_traffic_json_and_regression_gate():
     full = _measure_events_per_second(dsn, requests)
     ring = _measure_events_per_second(f"{dsn}&trace=ring:1000", requests)
     off = _measure_events_per_second(f"{dsn}&trace=off", requests)
-    machine_factor = baseline["calibration_seconds"] / _calibration_seconds()
-    expected_full = baseline["events_per_second_full"] * machine_factor
-    expected_off = baseline["events_per_second_off"] * machine_factor
     required_off_ratio = 2.0 * baseline["pr3_events_per_second_full"] \
         / baseline["events_per_second_full"]
     print(f"\n[traffic] events/sec full={full:,.0f} ring:1000={ring:,.0f} "
-          f"off={off:,.0f} (machine factor {machine_factor:.2f}, "
-          f"off/full={off / full:.2f}, needed {required_off_ratio:.2f})")
+          f"off={off:,.0f} "
+          f"(off/full={off / full:.2f}, needed {required_off_ratio:.2f})")
 
     out_dir = os.environ.get("BENCH_OUT", os.path.join("benchmarks", "out"))
     os.makedirs(out_dir, exist_ok=True)
@@ -159,7 +141,6 @@ def test_bench_traffic_json_and_regression_gate():
         "requests_per_client": requests,
         "events_per_second": {"full": round(full), "ring:1000": round(ring),
                               "off": round(off)},
-        "machine_factor_vs_baseline": round(machine_factor, 3),
         "speedup_off_vs_pr3": round(
             (off / full) * baseline["events_per_second_full"]
             / baseline["pr3_events_per_second_full"], 2),
@@ -169,16 +150,6 @@ def test_bench_traffic_json_and_regression_gate():
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"BENCH json written to {path}")
 
-    # Regression gate: >30% below the machine-normalised committed baseline
-    # fails the build.
-    assert full >= 0.7 * expected_full, (
-        f"events/sec regressed >30%: full={full:,.0f} vs normalised "
-        f"baseline {expected_full:,.0f}")
-    # Same gate for the slimmed trace=off hot path: it carries the
-    # allocation-slim PR's gains and must not quietly give them back.
-    assert off >= 0.7 * expected_off, (
-        f"trace=off events/sec regressed >30%: off={off:,.0f} vs normalised "
-        f"baseline {expected_off:,.0f}")
     # The headline contract of the event-bus refactor: with the trace store
     # off, the kernel runs at least twice as fast as the PR 3 baseline.
     assert off >= required_off_ratio * full, (

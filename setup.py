@@ -1,10 +1,24 @@
-"""Setuptools entry point.
+"""Setuptools entry point (the only packaging metadata; there is no
+``pyproject.toml``).
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in fully
-offline environments (no ``wheel`` package available for PEP 517 editable
-builds): pip falls back to the legacy ``setup.py develop`` code path.
+Plain ``setup.py`` keeps ``pip install .`` and ``pip install -e .`` working
+in fully offline environments: without a ``[build-system]`` table pip uses
+the setuptools already installed instead of downloading a build backend.
 """
 
-from setuptools import setup
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_version: dict = {}
+exec((Path(__file__).parent / "src" / "repro" / "version.py").read_text(), _version)
+
+setup(
+    name="repro",
+    version=_version["__version__"],
+    description="Reproduction of 'Implementing e-Transactions with "
+                "Asynchronous Replication' (Frolund & Guerraoui, DSN 2000)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

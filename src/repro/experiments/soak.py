@@ -72,7 +72,6 @@ class SoakReport:
     trace_retention: str = "off"
     trace_stored_final: int = 0
     samples: list[SoakSample] = field(default_factory=list)
-    parallel: Optional[dict] = None  # round-engine counters (jobs>0 runs)
 
     @property
     def trace_bounded(self) -> bool:
@@ -136,7 +135,6 @@ class SoakReport:
                                     default=0),
             "max_mailbox_backlog": max((s.mailbox_backlog for s in self.samples),
                                        default=0),
-            "parallel": self.parallel,
             "samples": [
                 {"t_virtual_ms": round(s.time, 1),
                  "events": s.events_processed,
@@ -167,12 +165,6 @@ class SoakReport:
             f"{max((s.mailbox_backlog for s in self.samples), default=0)}",
             f"spec       {self.spec_summary}",
         ]
-        if self.parallel:
-            par = self.parallel
-            lines.append(
-                f"parallel   {par['jobs']} job(s), {par['workers']} worker(s)"
-                f"   {par['rounds']} rounds ({par['stalled_windows']} stalled)"
-                f"   balance {par['balance']:.2f}")
         return "\n".join(lines)
 
 
@@ -250,5 +242,4 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
         trace_retention=scenario.trace,
         trace_stored_final=len(trace),
         samples=samples,
-        parallel=statistics.parallel,
     )

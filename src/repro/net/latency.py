@@ -45,11 +45,8 @@ class LatencyModel:
         """A hard lower bound on :meth:`sample` for the given link.
 
         No sample for ``(source, destination)`` may ever come in below this
-        value.  The conservative parallel kernel
-        (:mod:`repro.sim.parallel`) uses the minimum over all cross-shard
-        links as its lookahead: a shard may run ``min_latency`` ahead of its
-        peers because no message from them can arrive sooner.  Also usable
-        standalone for analytic best-case step-count estimates.
+        value, which makes it usable for analytic best-case step-count
+        estimates.
         """
         raise NotImplementedError
 
@@ -158,36 +155,6 @@ def three_tier_latency(client_names: Sequence[str], app_server_names: Sequence[s
             latency.set_link(app, db, FixedLatency(app_db_latency))
             latency.set_link(db, app, FixedLatency(app_db_latency))
     return latency
-
-
-def min_cross_latency(model: LatencyModel,
-                      shards: Sequence[Sequence[str]]) -> float:
-    """The conservative lookahead of a sharded run: the smallest
-    :meth:`LatencyModel.min_latency` over every directed link whose endpoints
-    live in *different* shards.
-
-    Each shard of a parallel simulation may safely run this far ahead of the
-    global event horizon -- no cross-shard message can arrive sooner.  A
-    cross-shard link with a zero lower bound is rejected: its lookahead
-    window would be empty and the conservative rounds could never advance.
-    """
-    bound = float("inf")
-    worst: Optional[tuple[str, str]] = None
-    for i, shard in enumerate(shards):
-        others = [name for j, other in enumerate(shards) if j != i
-                  for name in other]
-        for source in shard:
-            for destination in others:
-                link = model.min_latency(source, destination)
-                if link < bound:
-                    bound = link
-                    worst = (source, destination)
-    if worst is not None and bound <= 0:
-        raise ValueError(
-            f"cross-shard link {worst[0]!r} -> {worst[1]!r} has a zero-or-"
-            f"negative latency lower bound ({bound}); conservative parallel "
-            "simulation needs every cross-shard link to have min_latency > 0")
-    return bound
 
 
 class PerLinkLatency(LatencyModel):

@@ -15,7 +15,6 @@ from repro.net.latency import FixedLatency, LatencyModel, Sampler
 from repro.net.message import Message
 from repro.runtime.base import Kernel
 from repro.sim.process import Process
-from repro.sim.scheduler import MSG_ID_STRIDE
 
 
 class NetworkStats:
@@ -69,9 +68,7 @@ class Network:
         # Loss and latency draws come from a per-source RNG stream and message
         # ids from a per-source counter: a source's draws then depend only on
         # its *own* send history, never on how sends from different processes
-        # interleave globally.  That is what lets a sharded run (one kernel
-        # per shard, sources split across them) reproduce a serial run's
-        # draws and ids exactly.
+        # interleave globally.
         self._source_rngs: dict[str, Any] = {}
         self._source_index: dict[str, int] = {}
         self._source_msg_counts: dict[str, int] = {}
@@ -100,7 +97,7 @@ class Network:
         self.processes[process.name] = process
         # Registration order fixes the per-source id namespace; deployments
         # register the full process set in one deterministic order, so the
-        # index is stable across runs (and across shards of one run).
+        # index is stable across runs.
         self._source_index[process.name] = len(self._source_index)
         process.attach_transport(self)
         return process
@@ -121,9 +118,8 @@ class Network:
 
     #: Per-source message-id stride: ``msg_id = index * STRIDE + n`` keeps ids
     #: globally unique while making each one a pure function of (source,
-    #: per-source send count).  The canonical constant lives in the scheduler
-    #: (the shard-mode context ordering decodes sender bands from it).
-    MSG_ID_STRIDE = MSG_ID_STRIDE
+    #: per-source send count).
+    MSG_ID_STRIDE = 1_000_000_000
 
     def _next_msg_id(self, source: str) -> int:
         count = self._source_msg_counts.get(source, 0) + 1

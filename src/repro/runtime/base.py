@@ -4,9 +4,9 @@
 :class:`repro.sim.process.Thread`, the network/transport layer and the
 workload generators consume: a clock (``now``), one-shot timers
 (``schedule``/``schedule_at``/``call_soon``), run loops (``run``/``run_until``),
-deterministic per-stream RNGs (``rng``), the shared trace bus (``trace``) and
-scoped id counters.  Protocol generators never see anything below this
-surface, which is what lets the *same* generator code run on either backend:
+deterministic per-stream RNGs (``rng``) and the shared trace bus
+(``trace``).  Protocol generators never see anything below this surface,
+which is what lets the *same* generator code run on either backend:
 
 * :class:`repro.sim.scheduler.Simulator` -- virtual time, deterministic
   discrete-event execution (``realtime = False``);
@@ -57,8 +57,8 @@ class Kernel:
     Subclasses must provide ``now`` (a float attribute or property, in
     virtual milliseconds), ``schedule``, ``schedule_at``, ``call_soon``,
     ``run``, ``run_until``, ``pending_events`` and ``events_processed``.
-    The id-counter and RNG plumbing is shared here so both backends draw
-    identical deterministic streams for a given seed.
+    The RNG plumbing is shared here so both backends draw identical
+    deterministic streams for a given seed.
     """
 
     #: Whether time advances on its own (wall clock) or only when the kernel
@@ -77,26 +77,6 @@ class Kernel:
         self.trace = trace if trace is not None else TraceRecorder(clock=clock)
         self.trace.bind_clock(clock)
         self._rng_streams: dict[str, random.Random] = {}
-        self._thread_ids = 0
-        self._message_ids = 0
-
-    # ------------------------------------------------------------ id counters
-
-    def next_thread_id(self) -> int:
-        """Next process-thread identifier, scoped to this kernel.
-
-        Scoping the counters to the kernel (rather than module globals)
-        keeps back-to-back runs in one interpreter byte-identical: run N+1
-        starts from the same identifiers as run N did, regardless of what ran
-        before it.
-        """
-        self._thread_ids += 1
-        return self._thread_ids
-
-    def next_message_id(self) -> int:
-        """Next network-message identifier, scoped to this kernel."""
-        self._message_ids += 1
-        return self._message_ids
 
     # ------------------------------------------------------------------ RNG
 
@@ -206,6 +186,10 @@ class RuntimeSpec:
             raise ValueError(f"port must be in [0, {MAX_PORT}], got {self.port}")
         if self.pace <= 0:
             raise ValueError(f"pace must be > 0, got {self.pace}")
+        if self.only and self.kind == RUNTIME_SIM:
+            # The simulated fabric hosts every process in one kernel; a
+            # subset would silently lose messages to the unhosted rest.
+            raise ValueError("only= needs runtime=asyncio")
 
     @property
     def distributed(self) -> bool:
@@ -254,15 +238,6 @@ def create_network(spec: RuntimeSpec, kernel: Kernel, *, latency: Any = None,
     TCP backend (deployment order); it is ignored by the simulator backend.
     """
     if spec.kind == RUNTIME_SIM:
-        if spec.only:
-            # A simulated deployment restricted to a subset of its processes
-            # is one shard of a parallel run: remote sends park in an outbox
-            # for the round loop instead of being delivered in-kernel.
-            from repro.sim.parallel import ShardNetwork
-
-            return ShardNetwork(kernel, latency=latency,
-                                loss_probability=loss_probability,
-                                local_names=set(spec.only))
         from repro.net.network import Network
 
         return Network(kernel, latency=latency, loss_probability=loss_probability)

@@ -21,7 +21,8 @@ nothing but scheduler traffic:
   merge.  This is the one shape where a one-element binary heap is close
   to optimal, so it bounds the wheel's constant-factor overhead.
 
-Two figures are reported per scenario and kernel:
+Two figures are reported per scenario and kernel (seconds are process CPU
+seconds, see ``_clock``):
 
 * ``lifecycle`` -- scheduler operations per second with *everything* in
   the timed region: scheduling, cancelling and draining.  Neither kernel
@@ -36,20 +37,14 @@ Two figures are reported per scenario and kernel:
   heap must sift each tombstone to the top before it can drop it.
 
 ``python -m repro kernelbench`` runs everything and writes the BENCH json
-consumed by ``benchmarks/test_bench_kernel.py``, which gates regressions
-against ``benchmarks/baseline/kernel.json``.
-
-One end-to-end scenario rides along: :func:`run_parallel_bench` times the
-8-shard soak shape under the serial kernel, the in-process sharded kernel
-(``jobs=8``) and the forked-worker kernel (``jobs=8&workers=4``) --
-``python -m repro kernelbench --parallel`` and
-``benchmarks/test_bench_parallel.py`` gate its ratios.
+consumed by ``benchmarks/test_bench_kernel.py``, which gates the
+wheel-vs-heap ratios.
 """
 
 from __future__ import annotations
 
-import os
 import time
+from statistics import median
 from typing import Callable, Dict, Tuple
 
 #: Scenario name -> relative weight of the default operation count.
@@ -80,10 +75,16 @@ def make_kernel(kind: str, seed: int = 0):
 # the whole call for the lifecycle figure and uses the run() seconds with
 # sim.events_processed for the drain figure.
 
+#: The benches are single-threaded and CPU-bound, so they are timed in
+#: process CPU seconds: a rate per CPU second does not move when another
+#: process takes the core mid-measurement, a rate per wall second does.
+_clock = time.process_time
+
+
 def _run_timed(sim) -> float:
-    start = time.perf_counter()
+    start = _clock()
     sim.run()
-    return time.perf_counter() - start
+    return _clock() - start
 
 
 def _scenario_timer_fire(sim, ops: int) -> Tuple[int, float]:
@@ -153,124 +154,44 @@ _SCENARIO_FNS: Dict[str, Callable] = {
 }
 
 
-def run_scenario(kernel: str, scenario: str, ops: int = DEFAULT_OPS,
-                 repeats: int = 3) -> Dict[str, float]:
-    """Best-of-``repeats`` rates: ``lifecycle`` ops/s and ``drain`` events/s."""
-    fn = _SCENARIO_FNS[scenario]
-    lifecycle = 0.0
-    drain = 0.0
-    for _ in range(repeats):
-        sim = make_kernel(kernel)
-        start = time.perf_counter()
-        performed, drain_wall = fn(sim, ops)
-        wall = time.perf_counter() - start
-        if wall > 0:
-            lifecycle = max(lifecycle, performed / wall)
-        if drain_wall > 0:
-            drain = max(drain, sim.events_processed / drain_wall)
-    return {"lifecycle": lifecycle, "drain": drain}
-
-
-def calibration_seconds() -> float:
-    """Fixed CPU-bound loop used to normalise machine speed (best of 3).
-
-    The same loop as the traffic bench, so one committed calibration figure
-    transfers between the two baselines.
-    """
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        x = 0
-        for i in range(2_000_000):
-            x = (x * 31 + i) % 1000003
-        best = min(best, time.perf_counter() - start)
-    return best
+def run_scenario(kernel: str, scenario: str, ops: int = DEFAULT_OPS) -> Dict[str, float]:
+    """One timed run on a fresh kernel: ``lifecycle`` ops/s and ``drain`` events/s."""
+    sim = make_kernel(kernel)
+    start = _clock()
+    performed, drain_cpu = _SCENARIO_FNS[scenario](sim, ops)
+    cpu = _clock() - start
+    return {"lifecycle": performed / cpu,
+            "drain": sim.events_processed / drain_cpu}
 
 
 def run_kernel_bench(ops: int = DEFAULT_OPS, repeats: int = 3) -> dict:
     """Run every scenario under both kernels; return the BENCH payload.
 
-    The payload carries absolute ops/sec per kernel and scenario (machine
-    dependent; normalised via ``calibration_seconds`` when gated) and the
-    wheel/heap speedup ratios (machine independent: both kernels ran on the
-    same interpreter moments apart).
+    The payload carries absolute ops/sec per kernel and scenario (best of
+    ``repeats``; machine dependent, informational) and the wheel/heap
+    speedup ratios.  Each repeat times the two kernels back to back and
+    the speedup is the median of the per-pair ratios: host-speed drift
+    between repeats cancels inside a pair, and one pair hit by a noisy
+    neighbour cannot move the median.
     """
     kernels: dict = {"wheel": {}, "heap": {}}
+    speedup: dict = {}
     for scenario in SCENARIOS:
-        # Interleave kernels per scenario so thermal/background drift hits
-        # both sides roughly equally.
-        for kind in ("heap", "wheel"):
-            rates = run_scenario(kind, scenario, ops, repeats)
-            kernels[kind][scenario] = {metric: round(rate)
-                                       for metric, rate in rates.items()}
-    speedup = {
-        scenario: {
-            metric: round(kernels["wheel"][scenario][metric]
-                          / kernels["heap"][scenario][metric], 2)
-            for metric in ("lifecycle", "drain")
-        }
-        for scenario in SCENARIOS
-    }
+        pairs = [{kind: run_scenario(kind, scenario, ops)
+                  for kind in ("heap", "wheel")}
+                 for _ in range(repeats)]
+        for kind in kernels:
+            kernels[kind][scenario] = {
+                metric: round(max(pair[kind][metric] for pair in pairs))
+                for metric in ("lifecycle", "drain")}
+        speedup[scenario] = {
+            metric: round(median(pair["wheel"][metric] / pair["heap"][metric]
+                                 for pair in pairs), 2)
+            for metric in ("lifecycle", "drain")}
     return {
         "ops_per_scenario": ops,
         "ops_per_second": kernels,
         "speedup_wheel_vs_heap": speedup,
-        "calibration_seconds": round(calibration_seconds(), 3),
-    }
-
-
-#: The scaled-down 8-shard soak shape the parallel bench times (open loop,
-#: hash placement, 10% cross-shard transactions, no stored trace -- the
-#: single-run workload the sharded kernel exists for).
-PARALLEL_BENCH_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
-                      "&workload=bank&placement=hash&xshard=0.1&trace=off")
-
-
-def run_parallel_bench(requests: int = 2000, jobs: int = 8,
-                       workers: int = 4,
-                       dsn: str = PARALLEL_BENCH_DSN) -> dict:
-    """Time one soak shape serial vs sharded vs forked workers.
-
-    Returns a BENCH payload with wall seconds and events/sec per mode plus
-    the two machine-independent same-run ratios the CI gate enforces:
-
-    * ``inprocess_overhead`` -- sharded ``workers=0`` wall time over serial
-      wall time.  The round engine's bookkeeping (context chains, seq
-      marks, barrier merging) costs real time and buys nothing without OS
-      processes, so this is a regression canary, not a speedup.
-    * ``worker_speedup`` -- serial wall time over ``workers=N`` wall time.
-      Only meaningful with at least ``workers`` idle cores; the gate skips
-      it on smaller machines (``cpu_count`` is recorded in the payload).
-    """
-    from repro.experiments import soak
-
-    def measure(extra: str) -> dict:
-        report = soak.run(dsn + extra, requests=requests, checkpoints=2,
-                          settle=2000.0)
-        return {
-            "wall_seconds": round(report.wall_seconds, 3),
-            "events_processed": report.events_processed,
-            "events_per_second": round(report.events_per_second),
-            "delivered": report.delivered,
-            "spec_ok": report.spec_ok,
-        }
-
-    serial = measure("")
-    sharded = measure(f"&jobs={jobs}")
-    forked = measure(f"&jobs={jobs}&workers={workers}")
-    return {
-        "dsn": dsn,
-        "requests": requests,
-        "jobs": jobs,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial": serial,
-        "sharded": sharded,
-        "forked": forked,
-        "inprocess_overhead": round(
-            sharded["wall_seconds"] / serial["wall_seconds"], 2),
-        "worker_speedup": round(
-            serial["wall_seconds"] / forked["wall_seconds"], 2),
     }
 
 
@@ -280,8 +201,10 @@ def run_parallel_bench(requests: int = 2000, jobs: int = 8,
 #: The closed-loop traffic shape of ``benchmarks/test_bench_traffic.py``.
 ALLOC_TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
 
-#: The serial soak shape (same scenario the parallel bench times).
-ALLOC_SOAK_DSN = PARALLEL_BENCH_DSN
+#: The scaled-down 8-shard soak shape (open loop, hash placement, 10%
+#: cross-shard transactions, no stored trace).
+ALLOC_SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
+                  "&workload=bank&placement=hash&xshard=0.1&trace=off")
 
 
 def _stepped_alloc_blocks(sim, is_done: Callable[[], bool],
@@ -423,7 +346,6 @@ def run_alloc_bench(traffic_requests: int = 20, soak_requests: int = 400,
         "method": "positive per-step deltas of sys.getallocatedblocks(), gc off",
         "traffic": traffic,
         "soak": soak,
-        "calibration_seconds": round(calibration_seconds(), 3),
     }
 
 
@@ -439,29 +361,9 @@ def format_alloc_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def format_parallel_report(payload: dict) -> str:
-    """Human-readable table of a :func:`run_parallel_bench` payload."""
-    lines = [f"parallel bench: {payload['requests']} requests on "
-             f"{payload['dsn']}  (cpu_count {payload['cpu_count']})"]
-    for mode, label in (("serial", "serial"),
-                        ("sharded", f"jobs={payload['jobs']}"),
-                        ("forked", f"jobs={payload['jobs']} "
-                                   f"workers={payload['workers']}")):
-        figures = payload[mode]
-        lines.append(
-            f"  {label:<18} wall {figures['wall_seconds']:>8.3f}s  "
-            f"{figures['events_per_second']:>10,} events/s  "
-            f"delivered {figures['delivered']}  spec_ok {figures['spec_ok']}")
-    lines.append(
-        f"  in-process overhead {payload['inprocess_overhead']:.2f}x serial"
-        f"   worker speedup {payload['worker_speedup']:.2f}x serial")
-    return "\n".join(lines)
-
-
 def format_report(payload: dict) -> str:
     """Human-readable table of a :func:`run_kernel_bench` payload."""
-    lines = [f"kernel bench: {payload['ops_per_scenario']} ops/scenario "
-             f"(calibration {payload['calibration_seconds']:.3f}s)"]
+    lines = [f"kernel bench: {payload['ops_per_scenario']} ops/scenario"]
     rates = payload["ops_per_second"]
     speedup = payload["speedup_wheel_vs_heap"]
     for scenario in SCENARIOS:

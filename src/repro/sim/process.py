@@ -44,9 +44,7 @@ class Thread:
     def __init__(self, process: "Process", generator: ProtocolGenerator, name: str):
         # Thread ids are scoped to the hosting process: waiter ordering only
         # ever compares threads of one process, and a process-local counter
-        # keeps the ids independent of what other processes did first -- which
-        # is what lets a sharded run (one kernel per shard) hand out exactly
-        # the ids a serial run would.
+        # keeps the ids independent of what other processes did first.
         self.id = process._next_thread_id()
         self.process = process
         self.generator = generator

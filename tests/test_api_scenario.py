@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.api.scenario import FaultSpec, Scenario, ScenarioError
+from repro.runtime.base import RuntimeSpec
 
 
 # ------------------------------------------------------------- round-trip
@@ -35,7 +36,6 @@ ROUND_TRIP_SCENARIOS = [
              faults=(FaultSpec("reshard", 5000.0, from_shards=4, to_shards=8),)),
     Scenario(protocol="etx", runtime="asyncio", host="localhost", port=7450,
              pace=0.05),
-    Scenario(protocol="etx", num_db_servers=3, jobs=4, workers=2, rate=20.0),
 ]
 
 
@@ -106,6 +106,8 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://x3", "bad host token"),
     ("etx://a3.a4", "given twice"),
     ("etx://a3?warp=9", "unknown DSN parameter"),
+    ("etx://a3.d2.c2?jobs=2", "unknown DSN parameter 'jobs'"),
+    ("etx://a3.d2.c2?workers=2", "unknown DSN parameter 'workers'"),
     ("etx://a3?seed=1&seed=2", "ambiguous"),
     ("etx://a3?seed=1&seed=1", "ambiguous"),
     ("etx://a3?seed=banana", "bad value for 'seed'"),
@@ -279,6 +281,9 @@ def test_endpoint_params_meaningless_under_the_simulator():
     for dsn in ("etx://?host=10.0.0.5", "etx://?port=7000", "etx://?pace=0.2"):
         with pytest.raises(ScenarioError, match="runtime=asyncio"):
             Scenario.from_dsn(dsn)
+    # Same for a local subset: the simulated fabric hosts every process.
+    with pytest.raises(ValueError, match="runtime=asyncio"):
+        RuntimeSpec(kind="sim", only=("a1",))
 
 
 def test_host_env_and_port_file_resolve_indirectly(monkeypatch, tmp_path):
@@ -402,12 +407,6 @@ def _scenarios(draw):
         kwargs["port"] = draw(st.sampled_from([0, 7450, 60000]))
         kwargs["pace"] = draw(st.floats(min_value=0.01, max_value=10.0,
                                         allow_nan=False))
-    elif not kwargs["use_reliable_channels"] and draw(st.booleans()):
-        jobs = draw(st.integers(min_value=0, max_value=apps + dbs))
-        kwargs["jobs"] = jobs
-        if jobs:
-            kwargs["workers"] = draw(st.integers(min_value=0, max_value=jobs))
-        allow_reshard = allow_reshard and jobs == 0
     names = ([f"a{i + 1}" for i in range(apps)]
              + [f"d{i + 1}" for i in range(dbs)]
              + [f"c{i + 1}" for i in range(clients)])

@@ -90,6 +90,25 @@ def test_run_command_rejects_unknown_schemes(capsys):
     assert "unknown scenario scheme" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "etx://a3.d2.c2?jobs=2"],
+    ["soak", "etx://a3.d2.c2?rate=5&workers=2"],
+    ["sweep", "etx://d2?jobs=2", "--axis", "clients=1", "--serial"],
+])
+def test_removed_sharding_params_are_unknown_dsn_parameters(argv, capsys):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert "error: unknown DSN parameter" in captured.err
+
+
+def test_removed_jobs_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "etx://a3.d1.c1", "--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_run_command_applies_the_global_seed(capsys):
     status = main(["--seed", "5", "run", "etx://a3.d1.c1"])
     captured = capsys.readouterr().out

@@ -1,7 +1,6 @@
 """Smoke tests: every shipped example runs to completion on the public API."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

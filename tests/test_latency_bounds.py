@@ -1,10 +1,6 @@
-"""Unit tests for latency lower bounds and the conservative lookahead.
+"""Unit tests for latency lower bounds.
 
-``LatencyModel.min_latency`` promises a hard per-link floor on ``sample``;
-``min_cross_latency`` turns those floors into the lookahead window of a
-sharded run (the smallest bound over all directed cross-shard links).  The
-parallel kernel's determinism rests on these contracts, so they get direct
-tests here in addition to the end-to-end trace-equivalence suite.
+``LatencyModel.min_latency`` promises a hard per-link floor on ``sample``.
 """
 
 import random
@@ -16,8 +12,6 @@ from repro.net.latency import (
     FixedLatency,
     PerLinkLatency,
     UniformLatency,
-    min_cross_latency,
-    three_tier_latency,
 )
 
 
@@ -50,43 +44,3 @@ def test_min_latency_is_a_hard_floor_on_samples(model):
     floor = model.min_latency("x", "y")
     for _ in range(2000):
         assert model.sample(rng, "x", "y") >= floor
-
-
-def test_min_cross_latency_ignores_intra_shard_links():
-    model = PerLinkLatency(FixedLatency(5.0))
-    # A fast link *inside* shard 0 must not shrink the lookahead.
-    model.set_link("a1", "a2", FixedLatency(0.001))
-    model.set_link("a2", "a1", FixedLatency(0.001))
-    assert min_cross_latency(model, [["a1", "a2"], ["d1"]]) == 5.0
-
-
-def test_min_cross_latency_takes_smallest_directed_cross_link():
-    model = PerLinkLatency(FixedLatency(5.0))
-    model.set_link("d1", "a1", FixedLatency(1.25))  # one direction only
-    assert min_cross_latency(model, [["a1"], ["d1"]]) == 1.25
-
-
-def test_min_cross_latency_rejects_zero_bound_cross_link():
-    model = PerLinkLatency(FixedLatency(5.0))
-    model.set_link("a1", "d1", FixedLatency(0.0))
-    with pytest.raises(ValueError, match="a1.*d1.*min_latency > 0"):
-        min_cross_latency(model, [["a1"], ["d1"]])
-
-
-def test_min_cross_latency_empty_or_single_shard_is_unbounded():
-    model = FixedLatency(1.0)
-    assert min_cross_latency(model, []) == float("inf")
-    assert min_cross_latency(model, [["a1", "d1"]]) == float("inf")
-
-
-def test_three_tier_lookahead_is_cheapest_tier_crossing():
-    model = three_tier_latency(
-        ["c1"], ["a1", "a2"], ["d1", "d2"],
-        client_app_latency=7.5, app_app_latency=1.75, app_db_latency=0.5)
-    # Clients vs servers: client<->db links have no override, so the
-    # app-to-app default is the floor even though no protocol uses them.
-    shards = [["c1"], ["a1", "a2", "d1", "d2"]]
-    assert min_cross_latency(model, shards) == 1.75
-    # Split the server tiers too and the app<->db floor takes over.
-    shards = [["c1"], ["a1", "a2"], ["d1", "d2"]]
-    assert min_cross_latency(model, shards) == 0.5

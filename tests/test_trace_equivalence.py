@@ -1,22 +1,15 @@
-"""Trace equivalence: serial kernels and the sharded parallel kernel.
+"""Trace equivalence: the timer-wheel kernel against the frozen heap kernel.
 
-The regression oracle for the timer-wheel rebuild and the conservative
-parallel kernel: every execution strategy must produce *byte-identical*
-traces -- same events, same timestamps, same payloads.  Three sweeps
-enforce it:
+The regression oracle for the timer-wheel rebuild: the two serial kernels
+must produce *byte-identical* traces -- same events, same order, same
+timestamps, same payloads.  Two sweeps enforce it:
 
 * every committed corpus artifact (``tests/corpus/``) replayed with the
   exact evaluation parameters recorded in the artifact -- faulted
   schedules exercise cancellation, crash timers and recovery paths that
-  clean runs never reach -- under both serial kernels and under
-  ``jobs=2`` sharding;
+  clean runs never reach;
 * a seed sweep across all four protocol schemes, so the FIFO-within-
-  timestamp contract is pinned for each protocol's own scheduling mix;
-* the same seed sweep against the sharded kernel (``jobs=`` > 0,
-  in-process and forked-worker modes), canonicalized by a stable sort on
-  ``(time, process)``: the round engine commits whole timestamps at
-  barriers, so cross-process order *within* one instant is the one
-  representational difference allowed.
+  timestamp contract is pinned for each protocol's own scheduling mix.
 
 Kernel selection happens inside :func:`repro.runtime.base.create_kernel`
 at build time, so the tests toggle the ``REPRO_KERNEL`` environment
@@ -66,19 +59,6 @@ def _fingerprint(system) -> list[tuple]:
          tuple(sorted((key, repr(value)) for key, value in event.data.items())))
         for event in system.trace
     ]
-
-
-def _canonical(trace: list[tuple]) -> list[tuple]:
-    """Stable-sort a fingerprint by ``(time, process)``.
-
-    The parallel round engine merges per-shard traces at barriers: within
-    one timestamp, events of *different* processes may commit in a
-    different relative order than the serial dispatch interleaving.
-    Per-process order and every field are still exact, so sorting both
-    sides by ``(time, process)`` (stable, preserving per-process order)
-    is a lossless canonical form.
-    """
-    return sorted(trace, key=lambda row: (row[0], row[2]))
 
 
 def _scenario_trace(dsn: str, requests: int = 2) -> list[tuple]:
@@ -137,87 +117,3 @@ def test_seed_sweep_is_byte_identical_across_kernels(scheme):
 def test_corpus_is_present():
     """The equivalence suite must never silently run over an empty corpus."""
     assert len(CORPUS) >= 8
-
-
-# --------------------------------------------------- parallel (sharded) runs
-
-#: Shard counts per scheme, bounded by each scheme's server count
-#: (``jobs <= app_servers + db_servers``).
-PARALLEL_JOBS = {
-    "etx": (2, 4),
-    "2pc": (2,),
-    "pb": (3,),
-    "baseline": (2,),
-}
-
-
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_seed_sweep_is_byte_identical_under_sharding(scheme):
-    """20 seeds per scheme: in-process sharded traces match serial exactly."""
-    template = SCHEMES[scheme]
-    for seed in SEEDS:
-        dsn = template.format(seed=seed)
-        serial = _canonical(_scenario_trace(dsn))
-        for jobs in PARALLEL_JOBS[scheme]:
-            sharded = _canonical(_scenario_trace(f"{dsn}&jobs={jobs}"))
-            assert sharded == serial, \
-                f"trace divergence for {dsn} at jobs={jobs}"
-
-
-@pytest.mark.parametrize("scheme,jobs,workers", [
-    ("etx", 2, 2),
-    ("etx", 4, 2),
-    ("pb", 3, 3),
-    ("2pc", 2, 1),
-])
-def test_worker_processes_are_byte_identical(scheme, jobs, workers):
-    """Forked-worker runs produce the same merged trace as serial runs.
-
-    A few seeds only: each comparison forks ``workers`` OS processes, so
-    this pins the wire codec and pipe protocol rather than re-proving the
-    ordering theory (the in-process sweep above covers that breadth).
-    """
-    template = SCHEMES[scheme]
-    for seed in (0, 1, 2):
-        dsn = template.format(seed=seed)
-        serial = _canonical(_scenario_trace(dsn))
-        sharded = _canonical(
-            _scenario_trace(f"{dsn}&jobs={jobs}&workers={workers}"))
-        assert sharded == serial, \
-            f"trace divergence for {dsn} at jobs={jobs}&workers={workers}"
-
-
-def _parallel_replay_trace(path: str):
-    """Replay a corpus artifact under ``jobs=2`` sharding (when eligible)."""
-    artifact = Counterexample.load(path)
-    scenario = artifact.scenario(os.path.dirname(os.path.abspath(path)))
-    if scenario.runtime != "sim" or scenario.use_reliable_channels:
-        pytest.skip("scenario not eligible for sharding")
-    jobs = min(2, scenario.num_app_servers + scenario.num_db_servers)
-    scenario = scenario.with_(jobs=jobs)
-    reset_request_counter()
-    system = api.build(scenario)
-    generator = load_generator_for(scenario, horizon_per_request=artifact.horizon)
-    generator.run(system, artifact.requests)
-    if artifact.settle > 0:
-        system.run(until=system.sim.now + artifact.settle)
-    report = system.check_spec(check_termination=True)
-    fingerprint = _fingerprint(system)
-    system.close()
-    return fingerprint, tuple(str(v) for v in report.violations)
-
-
-@pytest.mark.parametrize(
-    "path", CORPUS, ids=[os.path.basename(path) for path in CORPUS])
-def test_corpus_replay_is_byte_identical_under_sharding(path):
-    """Faulted corpus schedules replay identically on the sharded kernel.
-
-    Crashes, recoveries and partitions of server processes are mirrored
-    into every shard (shadow faults), so the same message drops and
-    retries happen at the same virtual times.
-    """
-    with _kernel("wheel"):
-        serial_trace, serial_violations = _replay_trace(path)
-        sharded_trace, sharded_violations = _parallel_replay_trace(path)
-    assert sharded_violations == serial_violations
-    assert _canonical(sharded_trace) == _canonical(serial_trace)
