@@ -17,28 +17,26 @@ from typing import Any, Callable, Iterator, Optional
 from repro.api.scenario import Scenario, ScenarioError, register_scheme
 from repro.api.workloads import ShardContext, WorkloadBinding, bind_workload
 from repro.baselines.baseline import BaselineDeployment
-from repro.baselines.common import BaselineConfig
 from repro.baselines.primary_backup import PrimaryBackupDeployment
 from repro.baselines.twopc import TwoPCDeployment
-from repro.core.client import IssuedRequest
-from repro.core.deployment import DeploymentConfig, EtxDeployment
-from repro.core.spec import SpecReport
+from repro.core.deployment import DeploymentConfig, EtxDeployment, ThreeTierDeployment
 from repro.core.timing import DatabaseTiming, ProtocolTiming
 from repro.core.types import Request
-from repro.failure.injection import FaultSchedule
 from repro.runtime.base import RuntimeSpec
 
 
 class RunningSystem:
     """A built protocol stack behind one protocol-agnostic facade.
 
-    Wraps the underlying deployment (``EtxDeployment`` or one of the baseline
-    deployments) and exposes the uniform run surface; every other attribute
-    (``sim``, ``trace``, ``network``, ``db_servers``, ...) is delegated to the
-    wrapped deployment, so existing idioms keep working.
+    Pairs the :class:`~repro.core.deployment.ThreeTierDeployment` with the
+    scenario and workload it was built from.  The run surface (``issue`` /
+    ``run`` / ``run_request`` / ``apply_faults`` / ``check_spec`` /
+    ``close``) and every other attribute (``sim``, ``trace``, ``network``,
+    ``db_servers``, ...) are the wrapped deployment's own, reached by
+    delegation; the facade adds ``stats`` and ``standard_request``.
     """
 
-    def __init__(self, scenario: Scenario, deployment: Any,
+    def __init__(self, scenario: Scenario, deployment: ThreeTierDeployment,
                  workload: WorkloadBinding, db_timing: DatabaseTiming):
         self.scenario = scenario
         self.deployment = deployment
@@ -53,29 +51,6 @@ class RunningSystem:
     def __repr__(self) -> str:
         return f"RunningSystem({self.scenario.to_dsn()!r})"
 
-    # ------------------------------------------------------- uniform surface
-
-    def issue(self, request: Request, client: Optional[str] = None) -> IssuedRequest:
-        """Issue a request from the named (or first) client."""
-        return self.deployment.issue(request, client)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Advance the simulation (until the queue drains or ``until``)."""
-        return self.deployment.run(until=until)
-
-    def run_request(self, request: Request, client: Optional[str] = None,
-                    horizon: float = 1_000_000.0) -> IssuedRequest:
-        """Issue ``request`` and run until its result is delivered."""
-        return self.deployment.run_request(request, client, horizon=horizon)
-
-    def apply_faults(self, schedule: FaultSchedule) -> None:
-        """Schedule a fault-injection plan against the deployment."""
-        self.deployment.apply_faults(schedule)
-
-    def check_spec(self, check_termination: bool = True) -> SpecReport:
-        """Check the e-Transaction properties over the current trace."""
-        return self.deployment.check_spec(check_termination=check_termination)
-
     @property
     def stats(self):
         """Network traffic statistics of the run."""
@@ -85,43 +60,75 @@ class RunningSystem:
         """A fresh instance of the scenario workload's standard request."""
         return self.workload.make_request()
 
-    def close(self) -> None:
-        """Release the deployment's runtime resources (sockets, event loop).
 
-        A no-op for simulator-backed systems; asyncio-backed systems close
-        their TCP servers, connections and event loop.  Idempotent.
-        """
-        self.deployment.close()
+# DeploymentConfig field -> the Scenario field it is copied from.
+_CONFIG_FROM_SCENARIO = {
+    **{name: name for name in (
+        "num_app_servers", "num_db_servers", "num_clients", "register_mode",
+        "seed", "loss_probability", "use_reliable_channels", "detection_delay",
+        "failure_detector", "heartbeat_interval", "heartbeat_timeout",
+        "client_app_latency", "app_app_latency", "app_db_latency",
+        "coordinator_log_latency", "placement")},
+    "trace_retention": "trace",
+    "mailbox_limit": "mailbox",
+}
+
+
+def deployment_config(scenario: Scenario, **objects: Any) -> DeploymentConfig:
+    """The one bridge from a :class:`Scenario` to a :class:`DeploymentConfig`.
+
+    ``objects`` are the config fields a DSN cannot carry (``business_logic``,
+    ``initial_data``, ``db_timing``, ``protocol_timing``, ``runtime``), which
+    :func:`build` resolves; the reshard switches derive from the fault list.
+    """
+    copied = {config_field: getattr(scenario, scenario_field)
+              for config_field, scenario_field in _CONFIG_FROM_SCENARIO.items()}
+    return DeploymentConfig(
+        **copied, **objects,
+        enable_reshard=any(fault.kind == "reshard" for fault in scenario.faults),
+        num_standby_db_servers=len(scenario.standby_db_server_names))
+
+
+# The comparison stacks have no register mode, tunable failure detector,
+# reliable-channel layer or admission control -- those are e-Transaction
+# machinery -- so the corresponding scenario fields are rejected instead of
+# ignored.  The same goes for the faults that ride on it: online resharding
+# needs the epoch directory, an injected false suspicion the oracle detector.
+_ETX_ONLY_FIELDS = ("register_mode", "failure_detector", "use_reliable_channels",
+                    "detection_delay", "heartbeat_interval", "heartbeat_timeout",
+                    "mailbox")
+_ETX_ONLY_FAULTS = {"reshard": "online resharding",
+                    "false_suspicion": "injected false suspicions"}
 
 
 class ProtocolDriver:
     """Build recipe for one protocol; subclass and register.
 
+    A protocol is its middle tier: ``deployment_class`` is the
+    :class:`~repro.core.deployment.ThreeTierDeployment` subclass that builds
+    it (and carries its default and minimum middle-tier size).
     ``ignored_fields`` names the :class:`Scenario` fields this protocol does
-    not consume; a scenario that sets one of them away from its default is
-    rejected rather than silently mis-describing the run.
+    not consume and ``unsupported_faults`` the fault kinds it cannot inject;
+    a scenario that sets one of them is rejected rather than silently
+    mis-describing the run.
     """
 
     name: str = ""
     aliases: tuple[str, ...] = ()
-    default_app_servers: int = 1
-    min_app_servers: int = 1
+    deployment_class: type[ThreeTierDeployment] = ThreeTierDeployment
     ignored_fields: tuple[str, ...] = ()
+    unsupported_faults: dict[str, str] = {}  # fault kind -> what it needs
 
-    def build(self, scenario: Scenario, *,
-              business_logic: Callable[[Request], Callable[[Any], Any]],
-              initial_data: dict[str, Any],
-              db_timing: DatabaseTiming,
-              protocol_timing: ProtocolTiming,
-              runtime: RuntimeSpec) -> Any:
+    def build(self, scenario: Scenario, **objects: Any) -> ThreeTierDeployment:
         """Return a fully wired deployment for ``scenario``."""
-        raise NotImplementedError
+        return self.deployment_class(deployment_config(scenario, **objects))
 
     def validate(self, scenario: Scenario) -> None:
         """Reject scenarios this protocol cannot run (or cannot honour)."""
-        if scenario.num_app_servers < self.min_app_servers:
+        minimum = self.deployment_class.min_app_servers
+        if scenario.num_app_servers < minimum:
             raise ScenarioError(
-                f"protocol {self.name!r} needs at least {self.min_app_servers} "
+                f"protocol {self.name!r} needs at least {minimum} "
                 f"application server(s), got {scenario.num_app_servers}")
         defaults = {f.name: f.default for f in dataclass_fields(scenario)}
         for field_name in self.ignored_fields:
@@ -129,6 +136,12 @@ class ProtocolDriver:
                 raise ScenarioError(
                     f"protocol {self.name!r} does not support "
                     f"{field_name!r}; remove it from the scenario")
+        for fault in scenario.faults:
+            if fault.kind in self.unsupported_faults:
+                raise ScenarioError(
+                    f"protocol {self.name!r} does not support "
+                    f"{self.unsupported_faults[fault.kind]}; remove the {fault.kind} "
+                    f"fault from the scenario")
 
 
 _REGISTRY: dict[str, ProtocolDriver] = {}
@@ -138,7 +151,7 @@ def register_protocol(name: str, driver: ProtocolDriver,
                       aliases: tuple[str, ...] = ()) -> None:
     """Register ``driver`` under ``name`` (and DSN scheme aliases)."""
     register_scheme(name, *aliases,
-                    default_app_servers=driver.default_app_servers)
+                    default_app_servers=driver.deployment_class.default_app_servers)
     _REGISTRY[name] = driver
 
 
@@ -163,130 +176,46 @@ def iter_drivers() -> Iterator[tuple[str, ProtocolDriver]]:
 
 # ------------------------------------------------------- built-in drivers
 
-
 class EtxDriver(ProtocolDriver):
     """The paper's asynchronous-replication (e-Transaction) protocol."""
 
     name = "etx"
     aliases = ("ar",)
-    default_app_servers = 3
+    deployment_class = EtxDeployment
     ignored_fields = ("coordinator_log_latency",)
 
-    def build(self, scenario, *, business_logic, initial_data, db_timing,
-              protocol_timing, runtime):
-        has_reshards = any(fault.kind == "reshard" for fault in scenario.faults)
-        config = DeploymentConfig(
-            runtime=runtime,
-            num_app_servers=scenario.num_app_servers,
-            num_db_servers=scenario.num_db_servers,
-            num_clients=scenario.num_clients,
-            register_mode=scenario.register_mode,
-            seed=scenario.seed,
-            loss_probability=scenario.loss_probability,
-            use_reliable_channels=scenario.use_reliable_channels,
-            detection_delay=scenario.detection_delay,
-            failure_detector=scenario.failure_detector,
-            heartbeat_interval=scenario.heartbeat_interval,
-            heartbeat_timeout=scenario.heartbeat_timeout,
-            client_app_latency=scenario.client_app_latency,
-            app_app_latency=scenario.app_app_latency,
-            app_db_latency=scenario.app_db_latency,
-            db_timing=db_timing,
-            protocol_timing=protocol_timing,
-            initial_data=initial_data,
-            business_logic=business_logic,
-            placement=scenario.placement,
-            trace_retention=scenario.trace,
-            enable_reshard=has_reshards,
-            num_standby_db_servers=len(scenario.standby_db_server_names),
-            mailbox_limit=scenario.mailbox,
-        )
-        return EtxDeployment(config)
 
-
-class _BaselineFamilyDriver(ProtocolDriver):
-    """Shared config assembly for the three comparison protocols.
-
-    The comparison stacks have no register mode, tunable failure detector or
-    reliable-channel layer -- those are e-Transaction machinery -- so the
-    corresponding scenario fields are rejected instead of ignored.
-    """
-
-    deployment_class: type = BaselineDeployment
-    ignored_fields = ("register_mode", "failure_detector", "use_reliable_channels",
-                      "detection_delay", "heartbeat_interval", "heartbeat_timeout",
-                      "mailbox")
-
-    def validate(self, scenario: Scenario) -> None:
-        super().validate(scenario)
-        # Online resharding is e-Transaction machinery: it rides on the epoch
-        # directory the comparison stacks do not have.
-        if any(fault.kind == "reshard" for fault in scenario.faults):
-            raise ScenarioError(
-                f"protocol {self.name!r} does not support online resharding; "
-                f"remove the reshard fault from the scenario")
-
-    def _config(self, scenario, *, business_logic, initial_data, db_timing,
-                protocol_timing, runtime) -> BaselineConfig:
-        return BaselineConfig(
-            runtime=runtime,
-            num_app_servers=scenario.num_app_servers,
-            num_db_servers=scenario.num_db_servers,
-            num_clients=scenario.num_clients,
-            seed=scenario.seed,
-            loss_probability=scenario.loss_probability,
-            client_app_latency=scenario.client_app_latency,
-            app_app_latency=scenario.app_app_latency,
-            app_db_latency=scenario.app_db_latency,
-            db_timing=db_timing,
-            protocol_timing=protocol_timing,
-            coordinator_log_latency=scenario.coordinator_log_latency,
-            initial_data=initial_data,
-            business_logic=business_logic,
-            placement=scenario.placement,
-            trace_retention=scenario.trace,
-        )
-
-    def build(self, scenario, *, business_logic, initial_data, db_timing,
-              protocol_timing, runtime):
-        config = self._config(scenario, business_logic=business_logic,
-                              initial_data=initial_data, db_timing=db_timing,
-                              protocol_timing=protocol_timing, runtime=runtime)
-        return self.deployment_class(config)
-
-
-class BaselineDriver(_BaselineFamilyDriver):
+class BaselineDriver(ProtocolDriver):
     """Unreliable baseline (Figure 7a): one-phase commit, no reliability."""
 
     name = "baseline"
     deployment_class = BaselineDeployment
-    ignored_fields = _BaselineFamilyDriver.ignored_fields + ("coordinator_log_latency",)
+    ignored_fields = _ETX_ONLY_FIELDS + ("coordinator_log_latency",)
+    unsupported_faults = _ETX_ONLY_FAULTS
 
 
-class TwoPCDriver(_BaselineFamilyDriver):
+class TwoPCDriver(ProtocolDriver):
     """Presumed-nothing two-phase commit (Figure 7b)."""
 
     name = "2pc"
     aliases = ("twopc",)
     deployment_class = TwoPCDeployment
+    ignored_fields = _ETX_ONLY_FIELDS
+    unsupported_faults = _ETX_ONLY_FAULTS
 
 
-class PrimaryBackupDriver(_BaselineFamilyDriver):
+class PrimaryBackupDriver(ProtocolDriver):
     """Primary-backup replication (Figure 7c)."""
 
     name = "pb"
     aliases = ("primary-backup",)
-    default_app_servers = 2
-    min_app_servers = 2
     deployment_class = PrimaryBackupDeployment
-    ignored_fields = _BaselineFamilyDriver.ignored_fields + ("coordinator_log_latency",)
+    ignored_fields = _ETX_ONLY_FIELDS + ("coordinator_log_latency",)
+    unsupported_faults = _ETX_ONLY_FAULTS
 
 
-register_protocol(EtxDriver.name, EtxDriver(), aliases=EtxDriver.aliases)
-register_protocol(TwoPCDriver.name, TwoPCDriver(), aliases=TwoPCDriver.aliases)
-register_protocol(PrimaryBackupDriver.name, PrimaryBackupDriver(),
-                  aliases=PrimaryBackupDriver.aliases)
-register_protocol(BaselineDriver.name, BaselineDriver())
+for _driver in (EtxDriver(), TwoPCDriver(), PrimaryBackupDriver(), BaselineDriver()):
+    register_protocol(_driver.name, _driver, aliases=_driver.aliases)
 
 
 # ----------------------------------------------------------------- facade

@@ -160,11 +160,10 @@ def run_scenario(scenario: Union[Scenario, str], requests: int = 1,
         # here (and ``trace=ring:N``/``off`` scenarios still get a breakdown).
         breakdown = breakdown_from_run(
             protocol=scenario.protocol,
-            trace=system.trace,
+            components=system.latency_components,
             timing=system.db_timing,
             mean_latency=statistics.mean_service_latency,
             samples=statistics.count,
-            components=getattr(system, "latency_components", None),
         )
         return ScenarioResult(
             scenario=scenario,

@@ -37,8 +37,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Optional, Sequence
 from urllib.parse import parse_qsl
 
-from repro.baselines.common import BaselineConfig
-from repro.core.deployment import DeploymentConfig
+from repro.core.deployment import (
+    FD_HEARTBEAT,
+    FD_ORACLE,
+    REGISTER_CONSENSUS,
+    REGISTER_LOCAL,
+    DeploymentConfig,
+)
 from repro.core.sharding import KNOWN_PLACEMENTS, PLACEMENT_REPLICATE, Sharding
 from repro.core.timing import ProtocolTiming
 from repro.failure import injection
@@ -56,11 +61,6 @@ from repro.runtime.base import (
     RuntimeSpec,
 )
 from repro.sim.tracing import parse_retention
-
-REGISTER_CONSENSUS = "consensus"
-REGISTER_LOCAL = "local"
-FD_ORACLE = "oracle"
-FD_HEARTBEAT = "heartbeat"
 
 TIMING_DEFAULT = "default"
 TIMING_PAPER = "paper"
@@ -446,7 +446,7 @@ class Scenario:
     middle-tier size (3 for ``etx``, 2 for ``pb``, 1 otherwise).
     """
 
-    # Numeric defaults are taken from the config dataclasses the drivers fill
+    # Numeric defaults are taken from the config dataclass the drivers fill
     # in, so the DSN form and the direct-config form of "the same" deployment
     # cannot drift apart.
     protocol: str = "etx"
@@ -464,7 +464,7 @@ class Scenario:
     client_app_latency: float = DeploymentConfig.client_app_latency
     app_app_latency: float = DeploymentConfig.app_app_latency
     app_db_latency: float = DeploymentConfig.app_db_latency
-    coordinator_log_latency: float = BaselineConfig.coordinator_log_latency
+    coordinator_log_latency: float = DeploymentConfig.coordinator_log_latency
     client_backoff: float = ProtocolTiming.client_backoff
     workload: str = "default"
     timing: str = TIMING_DEFAULT

@@ -4,8 +4,6 @@ from repro.baselines.baseline import BaselineAppServer, BaselineDeployment
 from repro.baselines.common import (
     ACK_COMMIT,
     COMMIT_ONE_PHASE,
-    BaseThreeTierDeployment,
-    BaselineConfig,
     OnePhaseDatabaseServer,
 )
 from repro.baselines.primary_backup import (
@@ -16,8 +14,6 @@ from repro.baselines.primary_backup import (
 from repro.baselines.twopc import TwoPCCoordinator, TwoPCDeployment
 
 __all__ = [
-    "BaselineConfig",
-    "BaseThreeTierDeployment",
     "OnePhaseDatabaseServer",
     "COMMIT_ONE_PHASE",
     "ACK_COMMIT",

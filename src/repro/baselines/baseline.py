@@ -13,12 +13,12 @@ from __future__ import annotations
 from repro.baselines.common import (
     ACK_COMMIT,
     COMMIT_ONE_PHASE,
-    BaseThreeTierDeployment,
     OnePhaseDatabaseServer,
     ParticipantRouting,
     RequestDeduplication,
 )
 from repro.core import messages as msg
+from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, Decision, Request, Result
 from repro.net.message import Message, is_type, is_type_with
 from repro.sim.process import Process
@@ -84,7 +84,7 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
         return True
 
 
-class BaselineDeployment(BaseThreeTierDeployment):
+class BaselineDeployment(ThreeTierDeployment):
     """Three-tier deployment running the unreliable baseline protocol."""
 
     db_server_class = OnePhaseDatabaseServer

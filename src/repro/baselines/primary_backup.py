@@ -19,12 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.baselines.common import (
-    BaseThreeTierDeployment,
-    ParticipantRouting,
-    RequestDeduplication,
-)
+from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
+from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, Decision, Request, Result, VOTE_YES
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message, is_type, is_type_with
@@ -193,43 +190,29 @@ class BackupServer(Process):
         self.send(client, msg.result_message(key[1], decision))
 
 
-class PrimaryBackupDeployment(BaseThreeTierDeployment):
+class PrimaryBackupDeployment(ThreeTierDeployment):
     """Three-tier deployment running the primary-backup comparator.
 
     The first application server is the primary, the second is the backup.
-    ``failure_detector_override`` lets experiments replace the (correct)
-    perfect failure detector with an unreliable one to reproduce the paper's
-    inconsistency warning.
+    The backup consults the deployment's (correct) perfect failure detector;
+    experiments assign ``backup.failure_detector`` an unreliable one to
+    reproduce the paper's inconsistency warning.
     """
 
-    def __init__(self, config=None, failure_detector_override=None, **overrides):
-        if config is None and "num_app_servers" not in overrides:
-            overrides["num_app_servers"] = 2
-        self._fd_override = failure_detector_override
-        super().__init__(config, **overrides)
+    default_app_servers = 2
+    min_app_servers = 2
 
     def _build_app_servers(self) -> None:
-        names = self.config.app_server_names
-        if len(names) < 2:
-            raise ValueError("primary-backup needs at least two application servers")
-        primary_name, backup_name = names[0], names[1]
-        primary = PrimaryServer(self.sim, primary_name, backup_name,
-                                self.config.db_server_names)
-        self.network.register(primary)
-        self.app_servers[primary_name] = primary
-        backup = BackupServer(self.sim, backup_name, primary_name,
-                              self.config.db_server_names,
-                              failure_detector=None)
-        self.network.register(backup)
-        self.app_servers[backup_name] = backup
-        self._backup = backup
+        primary_name, backup_name = self.config.app_server_names[:2]
+        db_names = self.config.db_server_names
+        for server in (PrimaryServer(self.sim, primary_name, backup_name, db_names),
+                       BackupServer(self.sim, backup_name, primary_name, db_names)):
+            self.network.register(server)
+            self.app_servers[server.name] = server
 
-    def _start_all(self) -> None:
-        # The perfect failure detector needs the network fully populated; give
-        # the backup its detector (or the experiment's override) before starting.
-        self._backup.failure_detector = (self._fd_override if self._fd_override is not None
-                                         else self.failure_detector)
-        super()._start_all()
+    def _build_failure_detector(self) -> FailureDetector:
+        self.backup.failure_detector = super()._build_failure_detector()
+        return self.backup.failure_detector
 
     @property
     def primary(self) -> PrimaryServer:
@@ -239,4 +222,4 @@ class PrimaryBackupDeployment(BaseThreeTierDeployment):
     @property
     def backup(self) -> BackupServer:
         """The backup application server."""
-        return self._backup
+        return self.app_servers[self.config.app_server_names[1]]  # type: ignore[return-value]

@@ -13,12 +13,9 @@ the client.  This gives at-most-once semantics, but
 
 from __future__ import annotations
 
-from repro.baselines.common import (
-    BaseThreeTierDeployment,
-    ParticipantRouting,
-    RequestDeduplication,
-)
+from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
+from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, Decision, Request, Result, VOTE_YES
 from repro.net.message import is_type, is_type_with
 from repro.sim.process import Process
@@ -113,7 +110,7 @@ class TwoPCCoordinator(RequestDeduplication, ParticipantRouting, Process):
         self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)
 
 
-class TwoPCDeployment(BaseThreeTierDeployment):
+class TwoPCDeployment(ThreeTierDeployment):
     """Three-tier deployment running presumed-nothing 2PC."""
 
     def _build_app_servers(self) -> None:

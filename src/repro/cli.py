@@ -72,6 +72,17 @@ def _profiled(profile_arg, label: str, call):
               f"(inspect with: python -m pstats {path})")
 
 
+def _write_bench_json(path: str, payload) -> None:
+    """Write a machine-readable BENCH payload, creating its directory."""
+    import json
+    import os
+
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+    print(f"BENCH json written to {path}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = api.Scenario.from_dsn(args.dsn)
@@ -309,11 +320,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         return 2
     print(report.summary())
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-        print(f"BENCH json written to {args.json}")
+        _write_bench_json(args.json, report.to_json())
     return 0 if report.ok else 1
 
 
@@ -334,13 +341,7 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
         return 2
     print(report.summary())
     if args.json:
-        import json
-        import os
-
-        os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-        print(f"BENCH json written to {args.json}")
+        _write_bench_json(args.json, report.to_json())
     return 0 if report.ok else 1
 
 
@@ -424,13 +425,7 @@ def _cmd_kernelbench(args: argparse.Namespace) -> int:
         payload["alloc"] = alloc
         print(bench.format_alloc_report(alloc))
     if args.out:
-        import json
-        import os
-
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"BENCH json written to {args.out}")
+        _write_bench_json(args.out, payload)
     return 0
 
 

@@ -2,12 +2,17 @@
 
 This package is the paper's primary contribution.  Typical use::
 
-    from repro.core import DeploymentConfig, EtxDeployment, Request
+    from repro.core import EtxDeployment, Request
 
-    deployment = EtxDeployment(DeploymentConfig(num_app_servers=3, num_db_servers=1))
+    deployment = EtxDeployment(num_db_servers=1)   # three application servers
     issued = deployment.run_request(Request("payment", {"amount": 10}))
     assert issued.delivered
     assert deployment.check_spec().ok
+
+:class:`EtxDeployment` is one of four :class:`ThreeTierDeployment` subclasses
+(the other three are the comparison protocols in :mod:`repro.baselines`); all
+of them are built from the same :class:`DeploymentConfig`, given whole or as
+keyword overrides.
 """
 
 from repro.core.appserver import ApplicationServer, RegisterPair
@@ -20,6 +25,7 @@ from repro.core.deployment import (
     REGISTER_LOCAL,
     DeploymentConfig,
     EtxDeployment,
+    ThreeTierDeployment,
     default_business_logic,
 )
 from repro.core.sharding import (
@@ -51,6 +57,7 @@ __all__ = [
     "DatabaseServer",
     "DeploymentConfig",
     "EtxDeployment",
+    "ThreeTierDeployment",
     "default_business_logic",
     "REGISTER_CONSENSUS",
     "REGISTER_LOCAL",

@@ -300,8 +300,11 @@ class ApplicationServer(Process):
             from_senders(participants, is_type(msg.READY)),
         )
         while pending:
-            for db_name in pending:
-                self.send(db_name, msg.execute_message(key, request))
+            # Fan out in participant (shard) order, never in set order: send
+            # order fixes message ids, so it must not depend on string hashes.
+            for db_name in participants:
+                if db_name in pending:
+                    self.send(db_name, msg.execute_message(key, request))
             remaining = set(pending)
             while remaining:
                 reply = yield self.receive(deadline_matcher, timeout=self.timing.execute_retry)
@@ -342,8 +345,9 @@ class ApplicationServer(Process):
         matcher = any_of(is_type_with(msg.VOTE, j=key),
                          from_senders(participants, is_type(msg.READY)))
         while pending:
-            for db_name in pending:
-                self.send(db_name, msg.prepare_message(key, tuple(participants)))
+            for db_name in participants:
+                if db_name in pending:
+                    self.send(db_name, msg.prepare_message(key, tuple(participants)))
             remaining = set(pending)
             while remaining:
                 reply = yield self.receive(matcher, timeout=self.timing.prepare_retry)
@@ -376,9 +380,10 @@ class ApplicationServer(Process):
         matcher = any_of(is_type_with(msg.ACK_DECIDE, j=key),
                          from_senders(participants, is_type(msg.READY)))
         while acked != set(participants):
-            for db_name in set(participants) - acked:
-                self.send(db_name, msg.decide_message(key, decision.outcome,
-                                                      tuple(participants)))
+            for db_name in participants:
+                if db_name not in acked:
+                    self.send(db_name, msg.decide_message(key, decision.outcome,
+                                                          tuple(participants)))
             remaining = set(participants) - acked
             while remaining:
                 reply = yield self.receive(matcher, timeout=self.timing.decide_retry)

@@ -1,10 +1,14 @@
 """Deployment builder: assemble a complete three-tier system in one call.
 
-:class:`EtxDeployment` wires together everything a run needs -- simulator,
-network with the three-tier latency topology, failure detector, consensus
-hosts and wo-registers, application servers, database servers and clients --
-from a single :class:`DeploymentConfig`.  The experiment harnesses, examples
-and most integration tests go through this builder.
+The paper's comparison holds the client and database tiers fixed and swaps
+only the middle tier, and so does this module: :class:`ThreeTierDeployment`
+wires everything the four protocols share -- kernel, trace retention, the
+streaming observers, the three-tier network, database servers, clients and
+the run surface -- from a single :class:`DeploymentConfig`, and each protocol
+subclasses it with its own application servers.  :class:`EtxDeployment` is
+the e-Transaction middle tier (consensus hosts and wo-registers, failure
+detectors, optional reliable channels, online resharding); the comparison
+protocols live in :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from repro.core.sharding import (
     Sharding,
     validate_participants,
 )
-from repro.core.spec import SpecificationChecker, SpecMonitor, SpecReport
+from repro.core.spec import SpecMonitor, SpecReport
 from repro.core.timing import DatabaseTiming, ProtocolTiming
 from repro.core.types import Request
 from repro.failure.detectors import (
     EventuallyPerfectFailureDetector,
+    FailureDetector,
     HeartbeatFailureDetector,
+    PerfectFailureDetector,
 )
 from repro.failure.injection import FaultSchedule
 from repro.metrics.latency import LatencyComponentStream
@@ -39,6 +45,7 @@ from repro.net.reliable import ReliableChannelLayer
 from repro.registers.consensus_backed import ConsensusRegisterArray
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
 from repro.runtime.base import RuntimeSpec, create_kernel, create_network
+from repro.sim.process import Process
 from repro.sim.tracing import parse_retention
 
 REGISTER_CONSENSUS = "consensus"
@@ -67,9 +74,16 @@ def default_business_logic(request: Request) -> Callable[[Any], Any]:
 
 @dataclass
 class DeploymentConfig:
-    """Knobs of a three-tier deployment."""
+    """Knobs of a three-tier deployment, whichever protocol runs its middle tier.
 
-    num_app_servers: int = 3
+    The register, failure-detector, reliable-channel, reshard and mailbox
+    knobs are consumed by the e-Transaction middle tier only,
+    ``coordinator_log_latency`` by the 2PC coordinator only.
+    """
+
+    # 0 = the middle-tier size the deployment class runs by default (3 for
+    # etx, 2 for primary-backup, 1 otherwise); resolved when it is built.
+    num_app_servers: int = 0
     num_db_servers: int = 1
     num_clients: int = 1
     register_mode: str = REGISTER_CONSENSUS
@@ -85,6 +99,7 @@ class DeploymentConfig:
     app_db_latency: float = 0.5
     db_timing: DatabaseTiming = field(default_factory=DatabaseTiming)
     protocol_timing: ProtocolTiming = field(default_factory=ProtocolTiming)
+    coordinator_log_latency: float = 12.5
     initial_data: dict[str, Any] = field(default_factory=dict)
     business_logic: Callable[[Request], Callable[[Any], Any]] = default_business_logic
     placement: str = PLACEMENT_REPLICATE
@@ -105,7 +120,7 @@ class DeploymentConfig:
     mailbox_limit: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_app_servers < 1 or self.num_db_servers < 1 or self.num_clients < 1:
+        if self.num_app_servers < 0 or self.num_db_servers < 1 or self.num_clients < 1:
             raise ValueError("a deployment needs at least one process per tier")
         if self.register_mode not in (REGISTER_CONSENSUS, REGISTER_LOCAL):
             raise ValueError(f"unknown register mode {self.register_mode!r}")
@@ -152,161 +167,108 @@ class DeploymentConfig:
                 range(self.num_db_servers + self.num_standby_db_servers)]
 
 
-class EtxDeployment:
-    """A fully wired three-tier system running the e-Transaction protocol."""
+class ThreeTierDeployment:
+    """A fully wired client / application-server / database system.
+
+    Owns everything the protocols have in common; a subclass provides the
+    middle tier by overriding :meth:`_build_app_servers` (and whatever else
+    of the build differs for it).
+    """
+
+    #: Middle-tier size when the config leaves ``num_app_servers`` at 0, and
+    #: the smallest one the protocol can run with.
+    default_app_servers = 1
+    min_app_servers = 1
+    db_server_class: type[DatabaseServer] = DatabaseServer
+    # Online reconfiguration is e-Transaction machinery: only EtxDeployment
+    # ever sets these, the shared code below just honours them.
+    directory: Optional[ShardDirectory] = None
+    reshard_coordinator: Optional[ReshardCoordinator] = None
 
     def __init__(self, config: Optional[DeploymentConfig] = None, **overrides: Any):
         if config is None:
             config = DeploymentConfig(**overrides)
         elif overrides:
             config = replace(config, **overrides)
+        if config.num_app_servers == 0:
+            config = replace(config, num_app_servers=self.default_app_servers)
+        if config.num_app_servers < self.min_app_servers:
+            raise ValueError(f"{type(self).__name__} needs at least "
+                             f"{self.min_app_servers} application server(s), "
+                             f"got {config.num_app_servers}")
         self.config = config
         self.sharding = config.sharding
-        # Online reconfiguration state: the shared directory and coordinator
-        # exist only when the scenario asked for resharding, so static runs
-        # keep byte-identical process registration and thread structure.
-        self.directory: Optional[ShardDirectory] = (
-            ShardDirectory(self.sharding) if config.enable_reshard else None)
-        self._spec_db_names = (config.all_db_server_names if config.enable_reshard
-                               else config.db_server_names)
         self.sim = create_kernel(config.runtime, seed=config.seed)
         self.sim.trace.set_retention(config.trace_retention)
         # Streaming observers subscribe before any process runs, so they see
         # the complete event stream regardless of the retention policy.
         self.spec_monitor = SpecMonitor.attach(
-            self.sim.trace, self._spec_db_names, config.client_names)
+            self.sim.trace, config.all_db_server_names, config.client_names)
         self.db_outcomes = DatabaseOutcomeStream(
-            self.sim.trace, self._spec_db_names)
+            self.sim.trace, config.all_db_server_names)
         self.latency_components = LatencyComponentStream(self.sim.trace)
-        process_names = (config.app_server_names + self._spec_db_names
-                         + config.client_names)
-        if config.enable_reshard:
-            process_names = process_names + [RESHARD_COORDINATOR]
         self.network = create_network(
             config.runtime, self.sim, latency=self._build_latency(),
             loss_probability=config.loss_probability,
-            process_names=process_names)
-        self.clients: dict[str, Client] = {}
-        self.app_servers: dict[str, ApplicationServer] = {}
+            process_names=self._process_names())
         self.db_servers: dict[str, DatabaseServer] = {}
-        self.reshard_coordinator: Optional[ReshardCoordinator] = None
-        self._local_stores: dict[str, LocalRegisterStore] = {}
+        self.app_servers: dict[str, Process] = {}
+        self.clients: dict[str, Client] = {}
         self._build_processes()
-        # The oracle (eventually perfect) detector always exists: it is what the
-        # fault-injection schedules use to inject false suspicions.
-        self.failure_detector = EventuallyPerfectFailureDetector(
-            self.network, detection_delay=config.detection_delay)
-        self.heartbeat_detector: Optional[HeartbeatFailureDetector] = None
-        if config.failure_detector == FD_HEARTBEAT:
-            # A genuinely message-based detector: heartbeats between the
-            # application servers, adaptive time-outs on missed ones.
-            self.heartbeat_detector = HeartbeatFailureDetector(
-                self.network, config.app_server_names,
-                heartbeat_interval=config.heartbeat_interval,
-                initial_timeout=config.heartbeat_timeout,
-                install_on=[name for name in config.app_server_names
-                            if self.network.hosts(name)])
-        self._attach_failure_detector()
-        if config.use_reliable_channels:
-            self.reliable_channels: Optional[ReliableChannelLayer] = ReliableChannelLayer(
-                self.network)
-        else:
-            self.reliable_channels = None
+        # Detectors come last: they hook (or spawn threads on) the registered
+        # processes, and must do so before anything starts.
+        self.failure_detector = self._build_failure_detector()
         self._start_all()
 
     # ------------------------------------------------------------------- build
 
+    def _process_names(self) -> list[str]:
+        """Every process of the run, in TCP port-assignment order."""
+        config = self.config
+        return (config.app_server_names + config.all_db_server_names
+                + config.client_names)
+
     def _build_latency(self) -> PerLinkLatency:
         config = self.config
-        latency = three_tier_latency(config.client_names, config.app_server_names,
-                                     self._spec_db_names,
-                                     client_app_latency=config.client_app_latency,
-                                     app_app_latency=config.app_app_latency,
-                                     app_db_latency=config.app_db_latency)
-        if config.enable_reshard:
-            # The coordinator lives in the cluster next to the app tier, so
-            # its migration traffic crosses the app<->db hop.
-            for db_name in self._spec_db_names:
-                latency.set_link(RESHARD_COORDINATOR, db_name,
-                                 FixedLatency(config.app_db_latency))
-                latency.set_link(db_name, RESHARD_COORDINATOR,
-                                 FixedLatency(config.app_db_latency))
-        return latency
+        return three_tier_latency(config.client_names, config.app_server_names,
+                                  config.all_db_server_names,
+                                  client_app_latency=config.client_app_latency,
+                                  app_app_latency=config.app_app_latency,
+                                  app_db_latency=config.app_db_latency)
 
     def _build_processes(self) -> None:
+        """Create and register every process; registration order fixes the
+        per-source message-id namespace, so it is the same for all protocols:
+        databases, application servers, clients."""
         config = self.config
         app_names = config.app_server_names
-        db_names = self._spec_db_names
-        active_db_names = set(config.db_server_names)
-        default_primary = app_names[0]
-        if config.register_mode == REGISTER_LOCAL:
-            self._local_stores = {
-                "regA": LocalRegisterStore(self.sim, "regA",
-                                           operation_latency=config.protocol_timing.fast_write_latency),
-                "regD": LocalRegisterStore(self.sim, "regD",
-                                           operation_latency=config.protocol_timing.fast_write_latency),
-            }
-        for name in db_names:
+        active = set(config.db_server_names)
+        placement = self.directory if self.directory is not None else self.sharding
+        for name in config.all_db_server_names:
             # Standby shards start empty; they receive keys through migration.
             initial = (self.sharding.shard_data(name, config.initial_data)
-                       if name in active_db_names else {})
-            owns_key = (self.directory.owner_predicate(name)
-                        if self.directory is not None
-                        else self.sharding.owner_predicate(name))
-            server = DatabaseServer(self.sim, name, app_names,
-                                    business_logic=config.business_logic,
-                                    timing=config.db_timing,
-                                    initial_data=initial,
-                                    owns_key=owns_key,
-                                    directory=self.directory)
+                       if name in active else {})
+            server = self.db_server_class(
+                self.sim, name, app_names,
+                business_logic=config.business_logic, timing=config.db_timing,
+                initial_data=initial, owns_key=placement.owner_predicate(name),
+                directory=self.directory)
             self.network.register(server)
             self.db_servers[name] = server
-        for name in app_names:
-            consensus_host = None
-            if config.register_mode == REGISTER_CONSENSUS:
-                process = ApplicationServer(
-                    self.sim, name, app_names, db_names,
-                    registers=RegisterPair(None, None),  # type: ignore[arg-type]
-                    failure_detector=None,  # type: ignore[arg-type]
-                    timing=config.protocol_timing,
-                    directory=self.directory)
-                self.network.register(process)
-                consensus_host = ConsensusHost(process, app_names,
-                                               fast_path_owner=default_primary)
-                process.consensus_host = consensus_host
-                process.registers = RegisterPair(
-                    ConsensusRegisterArray(consensus_host, "regA"),
-                    ConsensusRegisterArray(consensus_host, "regD"),
-                )
-            else:
-                process = ApplicationServer(
-                    self.sim, name, app_names, db_names,
-                    registers=RegisterPair(
-                        LocalRegisterArray(self._local_stores["regA"], owner=name),
-                        LocalRegisterArray(self._local_stores["regD"], owner=name),
-                    ),
-                    failure_detector=None,  # type: ignore[arg-type]
-                    timing=config.protocol_timing,
-                    directory=self.directory)
-                self.network.register(process)
-            process.mailbox_limit = config.mailbox_limit
-            self.app_servers[name] = process
+        self._build_app_servers()
         for name in config.client_names:
             client = Client(self.sim, name, app_names, timing=config.protocol_timing,
-                            default_primary=default_primary)
+                            default_primary=app_names[0])
             self.network.register(client)
             self.clients[name] = client
-        if self.directory is not None:
-            self.reshard_coordinator = ReshardCoordinator(
-                self.sim, self.directory, db_names,
-                retry_interval=config.protocol_timing.execute_retry)
-            self.network.register(self.reshard_coordinator)
 
-    def _attach_failure_detector(self) -> None:
-        detector = self.heartbeat_detector if self.heartbeat_detector is not None \
-            else self.failure_detector
-        for server in self.app_servers.values():
-            server.failure_detector = detector
+    def _build_app_servers(self) -> None:
+        """Create, register and file under ``app_servers`` the middle tier."""
+        raise NotImplementedError
+
+    def _build_failure_detector(self) -> FailureDetector:
+        """The detector of the run (what ``apply_faults`` hands to schedules)."""
+        return PerfectFailureDetector(self.network)
 
     def _start_all(self) -> None:
         # In a distributed asyncio run (``serve --only``) every process object
@@ -316,13 +278,6 @@ class EtxDeployment:
             for process in group.values():
                 if self.network.hosts(process.name):
                     process.start()
-        if self.reshard_coordinator is not None:
-            self.reshard_coordinator.start()
-            # Anchor the epoch ledger: the spec checkers learn each epoch's
-            # shard universe from ``reshard`` events, including the initial one.
-            self.trace.record("reshard", self.reshard_coordinator.name,
-                              stage="init", epoch=0,
-                              shards=list(self.sharding.shards))
 
     # --------------------------------------------------------------- shortcuts
 
@@ -330,11 +285,6 @@ class EtxDeployment:
     def client(self) -> Client:
         """The first (often only) client."""
         return self.clients[self.config.client_names[0]]
-
-    @property
-    def default_primary(self) -> ApplicationServer:
-        """The default primary application server (``a1``)."""
-        return self.app_servers[self.config.app_server_names[0]]
 
     @property
     def trace(self):
@@ -378,7 +328,7 @@ class EtxDeployment:
 
     def issue(self, request: Request, client: Optional[str] = None) -> IssuedRequest:
         """Issue a request from the named (or first) client."""
-        validate_participants(request, self._spec_db_names)
+        validate_participants(request, self.config.all_db_server_names)
         target = self.clients[client] if client is not None else self.client
         return target.issue(request)
 
@@ -386,27 +336,12 @@ class EtxDeployment:
         """Run the simulation (until the event queue drains or ``until``)."""
         return self.sim.run(until=until)
 
-    def run_until_delivered(self, issued: IssuedRequest, horizon: float = 1_000_000.0) -> bool:
-        """Run until ``issued`` delivers its committed result (or the horizon)."""
-        return self.sim.run_until(lambda: issued.delivered, until=horizon)
-
     def run_request(self, request: Request, client: Optional[str] = None,
                     horizon: float = 1_000_000.0) -> IssuedRequest:
-        """Issue ``request`` and run until its result is delivered."""
+        """Issue ``request`` and run until its result is delivered (or the horizon)."""
         issued = self.issue(request, client)
-        self.run_until_delivered(issued, horizon=horizon)
+        self.sim.run_until(lambda: issued.delivered, until=horizon)
         return issued
-
-    # -------------------------------------------------------------------- spec
-
-    def spec_checker(self) -> SpecificationChecker:
-        """A post-hoc specification checker bound to this run's stored trace.
-
-        Needs ``full`` retention; prefer :attr:`spec_monitor` (the online
-        checker), which works under any retention policy.
-        """
-        return SpecificationChecker(self.trace, self._spec_db_names,
-                                    self.config.client_names)
 
     def check_spec(self, check_termination: bool = True) -> SpecReport:
         """Check the e-Transaction properties of the run so far.
@@ -415,7 +350,10 @@ class EtxDeployment:
         has been folding the event stream in since the deployment was built
         -- byte-identical to replaying the full trace through
         :func:`~repro.core.spec.check_run`, but independent of trace
-        retention and O(transactions) instead of O(events squared).
+        retention and O(transactions) instead of O(events squared).  The
+        comparison protocols are *not expected* to satisfy every property
+        under faults -- that is the paper's argument; the report quantifies
+        which ones break and when.
 
         A distributed run observes only the trace slice of its locally
         hosted processes; the safety properties quantify over events (votes,
@@ -428,3 +366,107 @@ class EtxDeployment:
         if self.config.runtime.distributed:
             return SpecReport(checked_properties=[])
         return self.spec_monitor.report(check_termination=check_termination)
+
+
+class EtxDeployment(ThreeTierDeployment):
+    """Three-tier deployment running the e-Transaction protocol."""
+
+    default_app_servers = 3
+
+    # ------------------------------------------------------------------- build
+
+    def _process_names(self) -> list[str]:
+        names = super()._process_names()
+        return names + [RESHARD_COORDINATOR] if self.config.enable_reshard else names
+
+    def _build_latency(self) -> PerLinkLatency:
+        config = self.config
+        latency = super()._build_latency()
+        if config.enable_reshard:
+            # The coordinator lives in the cluster next to the app tier, so
+            # its migration traffic crosses the app<->db hop.
+            for db_name in config.all_db_server_names:
+                latency.set_link(RESHARD_COORDINATOR, db_name,
+                                 FixedLatency(config.app_db_latency))
+                latency.set_link(db_name, RESHARD_COORDINATOR,
+                                 FixedLatency(config.app_db_latency))
+        return latency
+
+    def _build_processes(self) -> None:
+        # The shared directory and coordinator exist only when the scenario
+        # asked for resharding, so static runs keep byte-identical process
+        # registration and thread structure.
+        if self.config.enable_reshard:
+            self.directory = ShardDirectory(self.sharding)
+        super()._build_processes()
+        if self.directory is not None:
+            self.reshard_coordinator = ReshardCoordinator(
+                self.sim, self.directory, self.config.all_db_server_names,
+                retry_interval=self.config.protocol_timing.execute_retry)
+            self.network.register(self.reshard_coordinator)
+
+    def _build_app_servers(self) -> None:
+        config = self.config
+        app_names = config.app_server_names
+        db_names = config.all_db_server_names
+        if config.register_mode == REGISTER_LOCAL:
+            latency = config.protocol_timing.fast_write_latency
+            stores = {name: LocalRegisterStore(self.sim, name, operation_latency=latency)
+                      for name in ("regA", "regD")}
+        for name in app_names:
+            # Registers and detector are wired once the process (and, for the
+            # consensus-backed registers, its consensus host) exists.
+            process = ApplicationServer(
+                self.sim, name, app_names, db_names,
+                registers=RegisterPair(None, None),  # type: ignore[arg-type]
+                failure_detector=None,  # type: ignore[arg-type]
+                timing=config.protocol_timing,
+                directory=self.directory)
+            self.network.register(process)
+            if config.register_mode == REGISTER_CONSENSUS:
+                host = ConsensusHost(process, app_names, fast_path_owner=app_names[0])
+                process.consensus_host = host
+                process.registers = RegisterPair(ConsensusRegisterArray(host, "regA"),
+                                                 ConsensusRegisterArray(host, "regD"))
+            else:
+                process.registers = RegisterPair(
+                    LocalRegisterArray(stores["regA"], owner=name),
+                    LocalRegisterArray(stores["regD"], owner=name))
+            process.mailbox_limit = config.mailbox_limit
+            self.app_servers[name] = process
+
+    def _build_failure_detector(self) -> FailureDetector:
+        config = self.config
+        # The oracle (eventually perfect) detector always exists: it is what the
+        # fault-injection schedules use to inject false suspicions.
+        oracle = detector = EventuallyPerfectFailureDetector(
+            self.network, detection_delay=config.detection_delay)
+        if config.failure_detector == FD_HEARTBEAT:
+            # A genuinely message-based detector: heartbeats between the
+            # application servers, adaptive time-outs on missed ones.
+            detector = HeartbeatFailureDetector(
+                self.network, config.app_server_names,
+                heartbeat_interval=config.heartbeat_interval,
+                initial_timeout=config.heartbeat_timeout,
+                install_on=[name for name in config.app_server_names
+                            if self.network.hosts(name)])
+        for server in self.app_servers.values():
+            server.failure_detector = detector
+        if config.use_reliable_channels:
+            ReliableChannelLayer(self.network)  # interposes itself on every process
+        return oracle
+
+    def _start_all(self) -> None:
+        super()._start_all()
+        if self.reshard_coordinator is not None:
+            self.reshard_coordinator.start()
+            # Anchor the epoch ledger: the spec checkers learn each epoch's
+            # shard universe from ``reshard`` events, including the initial one.
+            self.trace.record("reshard", self.reshard_coordinator.name,
+                              stage="init", epoch=0,
+                              shards=list(self.sharding.shards))
+
+    @property
+    def default_primary(self) -> ApplicationServer:
+        """The default primary application server (``a1``)."""
+        return self.app_servers[self.config.app_server_names[0]]  # type: ignore[return-value]

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.failure.detectors import EventuallyPerfectFailureDetector
+from repro.failure.detectors import EventuallyPerfectFailureDetector, FailureDetector
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 
@@ -240,7 +240,7 @@ class FaultSchedule:
     # ----------------------------------------------------------------- apply
 
     def apply(self, sim: Simulator, network: Network,
-              failure_detector: Optional[EventuallyPerfectFailureDetector] = None,
+              failure_detector: Optional[FailureDetector] = None,
               reshard: Optional[Any] = None) -> None:
         """Schedule every action on ``sim`` against ``network``'s processes.
 
@@ -253,7 +253,7 @@ class FaultSchedule:
             self._apply_one(action, sim, network, failure_detector, reshard)
 
     def _apply_one(self, action: FaultAction, sim: Simulator, network: Network,
-                   fd: Optional[EventuallyPerfectFailureDetector],
+                   fd: Optional[FailureDetector],
                    reshard: Optional[Any] = None) -> None:
         if action.kind == CRASH:
             target = network.processes[action.target]
@@ -273,7 +273,7 @@ class FaultSchedule:
         elif action.kind == HEAL:
             sim.schedule_at(action.time, network.heal_partition, name="fault:heal")
         elif action.kind == FALSE_SUSPICION:
-            if fd is None:
+            if not isinstance(fd, EventuallyPerfectFailureDetector):
                 raise ValueError("false_suspicion requires an EventuallyPerfectFailureDetector")
             fd.inject_false_suspicion(action.params["observer"], action.target,
                                       action.time, action.params["duration"])

@@ -58,10 +58,9 @@ class LatencyComponentStream:
     """Streaming accumulator of the trace-derived latency components.
 
     Subscribes to ``as_prepare``/``as_phase``/``tm_log`` and maintains the
-    running mean durations :func:`breakdown_from_run` otherwise re-scans the
-    stored trace for.  Attach at build time (the deployments do) and pass to
-    ``breakdown_from_run(..., components=stream)``; works under any trace
-    retention policy.
+    running mean durations :func:`breakdown_from_run` reads.  Attach at build
+    time (every deployment does), before the events of interest are
+    recorded; works under any trace retention policy.
     """
 
     _PHASES = ("regA_write", "regD_write")
@@ -106,20 +105,19 @@ class LatencyComponentStream:
         self._unsubscribers.clear()
 
 
-def breakdown_from_run(protocol: str, trace: TraceRecorder, timing: DatabaseTiming,
-                       mean_latency: float, samples: int,
-                       committed_requests: Optional[int] = None,
-                       components: Optional[LatencyComponentStream] = None
-                       ) -> LatencyBreakdown:
+def breakdown_from_run(protocol: str, components: LatencyComponentStream,
+                       timing: DatabaseTiming, mean_latency: float, samples: int,
+                       committed_requests: Optional[int] = None) -> LatencyBreakdown:
     """Build a :class:`LatencyBreakdown` for one protocol run.
 
     Parameters
     ----------
     protocol:
         Label: ``"baseline"``, ``"AR"``, ``"2PC"`` or ``"PB"``.
-    trace:
-        The run's trace (used for the replication/log components when no
-        streaming accumulator is supplied; requires ``full`` retention then).
+    components:
+        The :class:`LatencyComponentStream` that was subscribed to the run's
+        trace from the start (every deployment attaches one); source of the
+        replication/log components.
     timing:
         The database timing configuration used by the run.
     mean_latency:
@@ -129,46 +127,24 @@ def breakdown_from_run(protocol: str, trace: TraceRecorder, timing: DatabaseTimi
     committed_requests:
         Denominator for per-request averaging of trace durations; defaults to
         ``samples``.
-    components:
-        Optional :class:`LatencyComponentStream` subscribed at build time;
-        when given, the trace is not scanned at all.
     """
     denominator = committed_requests if committed_requests else max(samples, 1)
+    reg_a = components.mean("phase:regA_write")
+    reg_d = components.mean("phase:regD_write")
     breakdown_components = {
         "start": timing.start,
         "end": timing.end,
         "commit": timing.commit_cpu + timing.forced_write,
         "SQL": timing.sql,
+        "prepare": (timing.prepare_cpu + timing.forced_write)
+        if components.prepare_events > 0 else 0.0,
+        "log-start": reg_a if reg_a > 0 else components.mean("log:start"),
+        "log-outcome": reg_d if reg_d > 0 else components.mean("log:outcome"),
     }
-    if components is not None:
-        prepared = components.prepare_events > 0
-        reg_a = components.mean("phase:regA_write")
-        reg_d = components.mean("phase:regD_write")
-        log_start = components.mean("log:start")
-        log_outcome = components.mean("log:outcome")
-    else:
-        prepared = bool(trace.first("as_prepare"))
-        reg_a = _mean_duration(trace, "as_phase", phase="regA_write")
-        reg_d = _mean_duration(trace, "as_phase", phase="regD_write")
-        log_start = _mean_duration(trace, "tm_log", which="start")
-        log_outcome = _mean_duration(trace, "tm_log", which="outcome")
-    breakdown_components["prepare"] = \
-        (timing.prepare_cpu + timing.forced_write) if prepared else 0.0
-    breakdown_components["log-start"] = reg_a if reg_a > 0 else log_start
-    breakdown_components["log-outcome"] = reg_d if reg_d > 0 else log_outcome
-
     named = sum(breakdown_components.values())
     breakdown_components["other"] = max(mean_latency - named, 0.0)
     return LatencyBreakdown(protocol=protocol, components=breakdown_components,
                             total=mean_latency, samples=denominator)
-
-
-def _mean_duration(trace: TraceRecorder, category: str, **filters) -> float:
-    total = count = 0
-    for event in trace.select(category, **filters):
-        total += event.get("duration", 0.0)
-        count += 1
-    return total / count if count else 0.0
 
 
 @dataclass

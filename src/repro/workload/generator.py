@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.core.types import ABORT, COMMIT, Request
+from repro.core.types import Request
 from repro.metrics.percentiles import percentile as _interpolated_percentile
 
 ARRIVAL_POISSON = "poisson"
@@ -88,8 +88,7 @@ class RunStatistics:
     by_database: dict[str, DatabaseStatistics] = field(default_factory=dict)
     #: Admission-control counters of the application tier: ``shed_messages``
     #: (messages refused at a full mailbox) and ``mailbox_peak`` (highest
-    #: backlog any one server reached).  Zeros when no bound is configured
-    #: or the deployment has no admission control.
+    #: backlog any one server reached).  Zeros when no bound is configured.
     saturation: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -158,9 +157,10 @@ class RunStatistics:
 class LoadGenerator:
     """Base class of the traffic shapes.
 
-    A generator drives a deployment (anything exposing ``sim``, ``clients``
-    and ``issue``, i.e. :class:`~repro.api.drivers.RunningSystem` or a raw
-    deployment) and collects a :class:`RunStatistics`.
+    A generator drives a deployment (a
+    :class:`~repro.core.deployment.ThreeTierDeployment`, bare or behind its
+    :class:`~repro.api.drivers.RunningSystem` facade) and collects a
+    :class:`RunStatistics`.
 
     Parameters
     ----------
@@ -253,52 +253,15 @@ class LoadGenerator:
             # crashed mid-run) still count as undelivered offered load.
             leaf.undelivered += planned_by_client[client] - len(issued_list)
             stats.merge(client, leaf)
-        self._collect_databases(deployment, stats)
-        inner = getattr(deployment, "deployment", deployment)
-        saturation = getattr(inner, "saturation_stats", None)
-        stats.saturation = (saturation() if callable(saturation)
-                            else {"shed_messages": 0, "mailbox_peak": 0})
-        return stats
-
-    @staticmethod
-    def _collect_databases(deployment: Any, stats: RunStatistics) -> None:
-        """Fill the per-database commit/abort/in-doubt counters from the run.
-
-        Counts distinct *transactions*, not ``Decide`` applications: a lost
-        acknowledgement or a database recovery makes the protocol re-send the
-        same decision, and each re-application records another ``db_decide``
-        event.  A transaction that was first refused (abort) and later, after
-        re-execution, committed counts once, as a commit.
-
-        Deployments that attached a
-        :class:`~repro.metrics.stream.DatabaseOutcomeStream` at build time
-        (all the built-in ones do) are read from that streaming accumulator;
-        otherwise the counters fall back to scanning the stored trace, which
-        requires ``full`` retention.
-        """
-        db_servers = getattr(deployment, "db_servers", None)
-        if not db_servers:
-            return
-        outcomes = getattr(deployment, "db_outcomes", None)
-        if outcomes is not None:
-            for name, server in db_servers.items():
-                stats.by_database[name] = DatabaseStatistics(
-                    commits=outcomes.commits(name),
-                    aborts=outcomes.aborts(name),
-                    in_doubt=len(server.in_doubt()))
-            return
-        trace = getattr(deployment, "trace", None)
-        if trace is None:
-            return
-        for name, server in db_servers.items():
-            committed = {e.get("j") for e in trace.select("db_decide", name,
-                                                          outcome=COMMIT)}
-            aborted = {e.get("j") for e in trace.select("db_decide", name,
-                                                        outcome=ABORT)}
+        # Distinct transactions per database, as counted since build time by
+        # the deployment's DatabaseOutcomeStream (no trace scan).
+        for name, server in deployment.db_servers.items():
             stats.by_database[name] = DatabaseStatistics(
-                commits=len(committed),
-                aborts=len(aborted - committed),
+                commits=deployment.db_outcomes.commits(name),
+                aborts=deployment.db_outcomes.aborts(name),
                 in_doubt=len(server.in_doubt()))
+        stats.saturation = deployment.saturation_stats()
+        return stats
 
     def _latency_of(self, issued: Any) -> Optional[float]:
         """Which latency a delivered request contributes (shape-specific)."""

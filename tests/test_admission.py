@@ -78,7 +78,7 @@ def test_mailbox_bound_sheds_under_load_but_stays_spec_clean():
 
     # This scenario is tuned to actually overflow the bound: sheds happened,
     # and every one of them is a traced overload event, never silent.
-    saturation = system.deployment.saturation_stats()
+    saturation = system.saturation_stats()
     assert saturation["shed_messages"] > 0
     assert saturation["mailbox_peak"] == 2
     overloads = system.trace.select("overload")

@@ -37,18 +37,18 @@ def test_unknown_protocol_is_rejected_with_known_names():
 
 
 def test_custom_protocols_can_be_registered():
+    from repro.core import EtxDeployment
+
     class EtxTwin(api.ProtocolDriver):
         name = "etx-twin"
-        default_app_servers = 3
-
-        def build(self, scenario, **kwargs):
-            return api.get_protocol("etx").build(scenario, **kwargs)
+        deployment_class = EtxDeployment
 
     api.register_protocol("etx-twin", EtxTwin())
     try:
         assert "etx-twin" in api.registered_protocols()
-        result = api.run_scenario("etx-twin://a3.d1.c1")
+        result = api.run_scenario("etx-twin://d1.c1")
         assert result.ok
+        assert result.scenario.num_app_servers == 3  # the deployment class's default
     finally:
         from repro.api import drivers, scenario
         drivers._REGISTRY.pop("etx-twin", None)
@@ -123,6 +123,18 @@ def test_protocols_reject_parameters_they_do_not_consume():
     # ... but the parameter is fine on a protocol that consumes it
     assert api.build(api.Scenario.from_dsn("2pc://?log=25"))
     assert api.build(api.Scenario.from_dsn("etx://?fd=heartbeat"))
+
+
+@pytest.mark.parametrize("protocol", ["2pc", "pb", "baseline"])
+def test_comparison_protocols_reject_etx_only_faults(protocol):
+    """A fault that rides on e-Transaction machinery is a scenario error at
+    build time, not a ValueError out of ``FaultSchedule.apply``."""
+    with pytest.raises(api.ScenarioError, match="injected false suspicions"):
+        api.build(api.Scenario.from_dsn(
+            f"{protocol}://a2.d1.c1?fault=false_suspicion@15:a2:a1:200"))
+    # ... while the protocol with an oracle detector takes it
+    assert api.build(api.Scenario.from_dsn(
+        "etx://a3.d1.c1?fault=false_suspicion@15:a2:a1:200"))
 
 
 def test_explicit_zero_backoff_is_honoured():

@@ -179,8 +179,7 @@ def test_faults_naming_unknown_processes_are_rejected():
     assert Scenario.from_dsn("etx://a3.d2?fault=crash_for@10:d2:50")
 
 
-def test_scenario_defaults_track_the_config_dataclasses():
-    from repro.baselines.common import BaselineConfig
+def test_scenario_defaults_track_the_config_dataclass():
     from repro.core.deployment import DeploymentConfig
     from repro.core.timing import ProtocolTiming
 
@@ -190,7 +189,7 @@ def test_scenario_defaults_track_the_config_dataclasses():
     assert scenario.client_app_latency == config.client_app_latency
     assert scenario.app_app_latency == config.app_app_latency
     assert scenario.app_db_latency == config.app_db_latency
-    assert scenario.coordinator_log_latency == BaselineConfig().coordinator_log_latency
+    assert scenario.coordinator_log_latency == config.coordinator_log_latency
     assert scenario.client_backoff == ProtocolTiming().client_backoff
 
 

@@ -15,11 +15,11 @@ tests reproduce the paper's *qualitative* claims about them:
 import pytest
 
 from repro.baselines import (
-    BaselineConfig,
     BaselineDeployment,
     PrimaryBackupDeployment,
     TwoPCDeployment,
 )
+from repro.core import DeploymentConfig
 from repro.failure.detectors import EventuallyPerfectFailureDetector
 from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
@@ -31,7 +31,7 @@ def config(**overrides):
     defaults = dict(num_db_servers=1, business_logic=BANK.business_logic,
                     initial_data=BANK.initial_data())
     defaults.update(overrides)
-    return BaselineConfig(**defaults)
+    return DeploymentConfig(**defaults)
 
 
 # ------------------------------------------------------------------- baseline
@@ -178,7 +178,7 @@ def test_primary_backup_false_suspicion_breaks_agreement():
     decision cannot be produced in the first place.)
     """
     base = config(num_app_servers=2)
-    deployment = PrimaryBackupDeployment(base, failure_detector_override=None)
+    deployment = PrimaryBackupDeployment(base)
     # Replace the perfect detector with an eventually-perfect one and inject a
     # false suspicion covering the window between the database's yes vote and
     # the primary's commit decision.
@@ -206,12 +206,26 @@ def test_primary_backup_requires_two_app_servers():
 # ----------------------------------------------------------------- validation
 
 
-def test_baseline_config_validation():
+def test_config_validation():
     with pytest.raises(ValueError):
-        BaselineConfig(num_app_servers=0)
+        DeploymentConfig(num_app_servers=-1)
+    with pytest.raises(ValueError):
+        DeploymentConfig(num_db_servers=0)
 
 
-def test_baseline_config_overrides_derive_a_new_config():
-    deployment = BaselineDeployment(BaselineConfig(), num_db_servers=2)
+def test_config_overrides_derive_a_new_config():
+    deployment = BaselineDeployment(DeploymentConfig(), num_db_servers=2)
     assert deployment.config.num_db_servers == 2
     assert len(deployment.db_servers) == 2
+
+
+def test_unset_middle_tier_size_resolves_to_the_protocol_default():
+    """One config for all four protocols: ``num_app_servers=0`` means "the
+    size this protocol runs by default", as in :class:`repro.api.Scenario`."""
+    from repro.core import EtxDeployment
+
+    sizes = {cls: len(cls(config()).app_servers)
+             for cls in (EtxDeployment, BaselineDeployment, TwoPCDeployment,
+                         PrimaryBackupDeployment)}
+    assert list(sizes.values()) == [3, 1, 1, 2]
+    assert len(TwoPCDeployment(config(num_app_servers=2)).app_servers) == 2

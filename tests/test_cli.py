@@ -90,6 +90,26 @@ def test_run_command_rejects_unknown_schemes(capsys):
     assert "unknown scenario scheme" in captured.err
 
 
+def test_run_command_rejects_false_suspicion_on_a_comparison_protocol(capsys):
+    """The comparison stacks have no detector to inject a mistake into."""
+    status = main(["run", "pb://a2.d1.c1?fault=false_suspicion@15:a2:a1:200"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert "error: protocol 'pb' does not support injected false suspicions" \
+        in captured.err
+
+
+def test_soak_json_creates_the_missing_directory(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "no" / "such" / "dir" / "soak.json"
+    status = main(["soak", "etx://a3.d1.c2?rate=20&trace=off", "--requests", "8",
+                   "--checkpoints", "1", "--json", str(path)])
+    assert status == 0
+    assert f"BENCH json written to {path}" in capsys.readouterr().out
+    assert json.loads(path.read_text())["delivered"] == 8
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "etx://a3.d2.c2?jobs=2"],
     ["soak", "etx://a3.d2.c2?rate=5&workers=2"],

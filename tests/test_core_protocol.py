@@ -214,7 +214,9 @@ def test_message_loss_with_reliable_channels_still_commits():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DeploymentConfig(num_app_servers=0)
+        DeploymentConfig(num_app_servers=-1)
+    with pytest.raises(ValueError):
+        DeploymentConfig(num_clients=0)
     with pytest.raises(ValueError):
         DeploymentConfig(register_mode="shared-memory")
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.timing import DatabaseTiming
-from repro.metrics.latency import LatencyBreakdown, LatencyTable, breakdown_from_run
+from repro.metrics.latency import (
+    LatencyBreakdown,
+    LatencyComponentStream,
+    LatencyTable,
+    breakdown_from_run,
+)
 from repro.metrics.steps import (
     CommunicationProfile,
     Step,
@@ -22,8 +27,9 @@ def timing():
 
 
 def test_breakdown_baseline_has_no_prepare_or_log_components():
-    trace = TraceRecorder()  # no as_prepare, no register writes, no tm_log
-    breakdown = breakdown_from_run("baseline", trace, timing(), mean_latency=219.4, samples=3)
+    # no as_prepare, no register writes, no tm_log
+    components = LatencyComponentStream(TraceRecorder())
+    breakdown = breakdown_from_run("baseline", components, timing(), mean_latency=219.4, samples=3)
     assert breakdown.component("prepare") == 0.0
     assert breakdown.component("log-start") == 0.0
     assert breakdown.component("SQL") == pytest.approx(187.0)
@@ -34,10 +40,11 @@ def test_breakdown_baseline_has_no_prepare_or_log_components():
 
 def test_breakdown_ar_uses_register_write_durations():
     trace = TraceRecorder()
+    components = LatencyComponentStream(trace)
     trace.record("as_prepare", "a1", outcome="commit")
     trace.record("as_phase", "a1", phase="regA_write", duration=4.5)
     trace.record("as_phase", "a1", phase="regD_write", duration=4.7)
-    breakdown = breakdown_from_run("AR", trace, timing(), mean_latency=252.3, samples=1)
+    breakdown = breakdown_from_run("AR", components, timing(), mean_latency=252.3, samples=1)
     assert breakdown.component("prepare") == pytest.approx(19.0)
     assert breakdown.component("log-start") == pytest.approx(4.5)
     assert breakdown.component("log-outcome") == pytest.approx(4.7)
@@ -45,17 +52,19 @@ def test_breakdown_ar_uses_register_write_durations():
 
 def test_breakdown_twopc_uses_forced_log_durations():
     trace = TraceRecorder()
+    components = LatencyComponentStream(trace)
     trace.record("as_prepare", "a1", outcome="commit")
     trace.record("tm_log", "a1", which="start", duration=12.5)
     trace.record("tm_log", "a1", which="outcome", duration=12.5)
-    breakdown = breakdown_from_run("2PC", trace, timing(), mean_latency=266.5, samples=1)
+    breakdown = breakdown_from_run("2PC", components, timing(), mean_latency=266.5, samples=1)
     assert breakdown.component("log-start") == pytest.approx(12.5)
     assert breakdown.component("log-outcome") == pytest.approx(12.5)
 
 
 def test_breakdown_other_never_negative():
-    trace = TraceRecorder()
-    breakdown = breakdown_from_run("baseline", trace, timing(), mean_latency=100.0, samples=1)
+    components = LatencyComponentStream(TraceRecorder())
+    breakdown = breakdown_from_run("baseline", components, timing(),
+                                   mean_latency=100.0, samples=1)
     assert breakdown.component("other") == 0.0
 
 

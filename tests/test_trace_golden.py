@@ -1,0 +1,101 @@
+"""Cross-commit trace oracle: committed fingerprints of whole traces.
+
+``test_trace_equivalence`` compares the two kernels *inside* one commit; this
+module pins the traces themselves, so a refactor that is meant to leave
+behaviour alone can prove it did.  ``tests/golden/trace_fingerprints.json``
+holds the sha256 of the full trace (the ``_fingerprint`` form of
+``test_trace_equivalence``: every event, every field) for
+
+* the four protocol ``SCHEMES`` of the equivalence suite, seeds 0-4,
+* one sharded open-loop shape with cross-shard transactions, and
+* the replay of every committed corpus artifact.
+
+A change that *intends* to alter traces regenerates the file and says so::
+
+    PYTHONPATH=src python tests/test_trace_golden.py
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro import api
+from repro.api.runner import load_generator_for
+from repro.core.types import reset_request_counter
+from test_trace_equivalence import (
+    CORPUS,
+    SCHEMES,
+    _fingerprint,
+    _replay_trace,
+    _scenario_trace,
+)
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS_DIR, "golden", "trace_fingerprints.json")
+SEEDS = range(5)
+OPEN_LOOP = "etx://a3.d8.c16?rate=24&placement=hash&xshard=0.1&workload=bank"
+
+
+def _digest(trace: list[tuple]) -> str:
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+def _open_loop_trace(dsn: str, requests: int = 2) -> list[tuple]:
+    scenario = api.Scenario.from_dsn(dsn)
+    reset_request_counter()
+    system = api.build(scenario)
+    load_generator_for(scenario).run(system, requests)
+    trace = _fingerprint(system)
+    system.close()
+    return trace
+
+
+def fingerprints() -> dict[str, str]:
+    """Digest of every pinned trace, keyed by a readable name."""
+    digests = {}
+    for scheme in sorted(SCHEMES):
+        for seed in SEEDS:
+            dsn = SCHEMES[scheme].format(seed=seed)
+            digests[dsn] = _digest(_scenario_trace(dsn))
+    digests[OPEN_LOOP] = _digest(_open_loop_trace(OPEN_LOOP))
+    for path in CORPUS:
+        digests[f"corpus/{os.path.basename(path)}"] = _digest(_replay_trace(path)[0])
+    return digests
+
+
+def _golden() -> dict[str, str]:
+    with open(GOLDEN, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _changed(actual: dict[str, str], golden: dict[str, str]) -> list[str]:
+    return sorted(name for name in actual.keys() | golden.keys()
+                  if actual.get(name) != golden.get(name))
+
+
+def test_traces_match_the_committed_fingerprints():
+    assert _changed(fingerprints(), _golden()) == []
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_traces_do_not_depend_on_the_string_hash_seed(hash_seed):
+    """Set iteration order must never reach the wire or the trace."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(sys.path))  # child imports what we import
+    script = ("import json, test_trace_golden as golden; "
+              "print(json.dumps(golden.fingerprints()))")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=600, check=True)
+    assert _changed(json.loads(result.stdout), _golden()) == []
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(fingerprints(), handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {GOLDEN}")
