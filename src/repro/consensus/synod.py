@@ -11,6 +11,11 @@ roles for every consensus *instance* (one instance per wo-register cell):
   proposers; decisions are disseminated with a ``decide`` broadcast and served
   to late askers.
 
+Messages reach the host through a synchronous handler (``Process.on_message``),
+not a thread, and the roles of one host talk by a call: a proposer is one of
+its own acceptors and never mails itself, so a fast-path write in a group of
+three costs 2 ``accept`` + 2 ``accepted`` + 2 ``decide`` messages.
+
 Fast path.  The paper's analytic evaluation assumes that "in a nice run, it
 takes only a round trip message for the first primary to write into the
 register" (Appendix 3).  We reproduce that with a reserved ballot 0 that only
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.consensus.interfaces import ConsensusProtocol, InstanceId
-from repro.net.message import Message, is_type
+from repro.net.message import Message
 from repro.sim.process import Process
 from repro.sim.scheduler import ScheduledEvent
 from repro.sim.waits import SimFuture
@@ -106,6 +111,7 @@ class ConsensusHost(ConsensusProtocol):
         self.retry_backoff = retry_backoff
         self.attempt_timeout = attempt_timeout
         self._index = self.members.index(process.name)
+        self._peers = [member for member in self.members if member != process.name]
         self._rng = process.rng(f"consensus:{process.name}")
         # Durable (survives crashes -- conceptually stable storage).
         self._acceptors: dict[InstanceId, AcceptorState] = {}
@@ -118,8 +124,8 @@ class ConsensusHost(ConsensusProtocol):
     # ------------------------------------------------------------------ setup
 
     def install(self) -> None:
-        """Spawn the message-dispatcher thread (call from ``on_start``)."""
-        self.process.spawn(self._dispatcher(), name="consensus-dispatcher")
+        """Register the ``Consensus`` message handler (call from ``on_start``)."""
+        self.process.on_message(self.MSG_TYPE, self._handle)
 
     def on_crash(self) -> None:
         """Drop volatile proposer state (call from the process's crash hook)."""
@@ -166,7 +172,7 @@ class ConsensusHost(ConsensusProtocol):
         """
         if instance in self._decisions:
             return
-        self._broadcast({"instance": instance, "kind": "query"})
+        self._send_peers({"instance": instance, "kind": "query"})
 
     # -------------------------------------------------------------- proposer
 
@@ -182,9 +188,14 @@ class ConsensusHost(ConsensusProtocol):
         attempt = _ProposalAttempt(instance=instance, value=value, ballot=ballot,
                                    attempt_number=counter)
         self._attempts[instance] = attempt
-        self.process.trace.record("consensus_propose", self.process.name,
-                                  instance=_printable(instance), ballot=ballot,
-                                  fast_path=use_fast_path)
+        trace = self.process.trace
+        if trace.wants("consensus_propose"):
+            trace.record("consensus_propose", self.process.name,
+                         instance=_printable(instance), ballot=ballot,
+                         fast_path=use_fast_path)
+        # Armed before the broadcast: the host's own acceptor answers inside
+        # it and may already decide (a group of one) or refuse the attempt.
+        self._arm_attempt_timeout(attempt)
         if use_fast_path:
             attempt.phase = "accept"
             attempt.chosen_value = value
@@ -193,7 +204,6 @@ class ConsensusHost(ConsensusProtocol):
         else:
             attempt.phase = "prepare"
             self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
-        self._arm_attempt_timeout(attempt)
 
     def _arm_attempt_timeout(self, attempt: _ProposalAttempt) -> None:
         instance = attempt.instance
@@ -230,27 +240,24 @@ class ConsensusHost(ConsensusProtocol):
                                        attempt_number=counter)
             self._attempts[instance] = attempt
             attempt.phase = "prepare"
-            self.process.trace.record("consensus_retry", self.process.name,
-                                      instance=_printable(instance), ballot=ballot)
-            self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
+            trace = self.process.trace
+            if trace.wants("consensus_retry"):
+                trace.record("consensus_retry", self.process.name,
+                             instance=_printable(instance), ballot=ballot)
             self._arm_attempt_timeout(attempt)
+            self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
 
         self.process.sim.schedule(delay, launch, name=f"consensus-retry:{self.process.name}")
 
     # ------------------------------------------------------------ dispatcher
 
-    def _dispatcher(self):
-        while True:
-            message = yield self.process.receive(is_type(self.MSG_TYPE))
-            self._handle(message)
-
     def _handle(self, message: Message) -> None:
-        if not self.process.up:
-            return
-        payload = message._payload
+        self._step(message.sender, message._payload)
+
+    def _step(self, sender: str, payload: dict) -> None:
+        """One role's step on a payload, off the network or from this host."""
         kind = payload["kind"]
         instance = payload["instance"]
-        sender = message.sender
         if kind == "prepare":
             self._on_prepare(instance, sender, tuple(payload["ballot"]))
         elif kind == "accept":
@@ -347,7 +354,7 @@ class ConsensusHost(ConsensusProtocol):
         attempt.accepted_from.add(sender)
         if len(attempt.accepted_from) < self.quorum:
             return
-        self._broadcast({"instance": instance, "kind": "decide", "value": attempt.chosen_value})
+        self._send_peers({"instance": instance, "kind": "decide", "value": attempt.chosen_value})
         self._learn(instance, attempt.chosen_value)
 
     def _on_nack(self, instance: InstanceId, ballot: Ballot, promised: Ballot) -> None:
@@ -362,8 +369,10 @@ class ConsensusHost(ConsensusProtocol):
     def _learn(self, instance: InstanceId, value: Any) -> None:
         if instance not in self._decisions:
             self._decisions[instance] = value
-            self.process.trace.record("consensus_decide", self.process.name,
-                                      instance=_printable(instance), value=_printable(value))
+            trace = self.process.trace
+            if trace.wants("consensus_decide"):
+                trace.record("consensus_decide", self.process.name,
+                             instance=_printable(instance), value=_printable(value))
         attempt = self._attempts.pop(instance, None)
         if attempt is not None and attempt.retry_timer is not None:
             attempt.retry_timer.cancel()
@@ -382,16 +391,24 @@ class ConsensusHost(ConsensusProtocol):
     def _send(self, destination: str, payload: dict) -> None:
         # Takes ownership of ``payload``: every call site passes a freshly
         # built dict, so there is nothing to defensively copy.
-        self.process.send(destination, Message(self.MSG_TYPE, payload=payload))
+        if destination == self.process.name:
+            self._step(destination, payload)  # own co-located role: a call, no message
+        else:
+            self.process.send(destination, Message(self.MSG_TYPE, payload=payload))
 
-    def _broadcast(self, payload: dict) -> None:
-        # One template message, copy-on-write siblings per member: the
+    def _send_peers(self, payload: dict) -> None:
+        # One template message, copy-on-write siblings per peer: the
         # payload dict is shared (nobody mutates consensus payloads) instead
         # of duplicated per destination.
         template = Message(self.MSG_TYPE, payload=payload)
         send = self.process.send
-        for member in self.members:
-            send(member, template.copy())
+        for peer in self._peers:
+            send(peer, template.copy())
+
+    def _broadcast(self, payload: dict) -> None:
+        """To the whole group: the peers first, then this host's own step."""
+        self._send_peers(payload)
+        self._step(self.process.name, payload)
 
 
 def _printable(value: Any) -> Any:

@@ -32,9 +32,10 @@ failure detection for correctness.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional
 
-from repro.net.message import Message, is_type
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.process import Process
 
@@ -135,11 +136,11 @@ class HeartbeatFailureDetector(FailureDetector):
     """Message-based adaptive ◇P detector.
 
     Every monitored process runs a heartbeat thread broadcasting ``Heartbeat``
-    messages every ``heartbeat_interval``; every observer runs a monitor thread
-    that suspects a peer whose last heartbeat is older than that peer's current
-    time-out and raises the time-out by ``timeout_increment`` when a suspicion
-    is contradicted by a later heartbeat (eventual accuracy under bounded but
-    unknown message delay).
+    messages every ``heartbeat_interval``; every observer records arrivals in a
+    message handler and runs a monitor thread that suspects a peer whose last
+    heartbeat is older than that peer's current time-out.  A heartbeat that
+    contradicts a suspicion raises the time-out by ``timeout_increment``
+    (eventual accuracy under bounded but unknown message delay).
     """
 
     HEARTBEAT = "Heartbeat"
@@ -171,23 +172,17 @@ class HeartbeatFailureDetector(FailureDetector):
             self._last_heard[name] = {peer: 0.0 for peer in self.members if peer != name}
             self._timeouts[name] = {peer: initial_timeout for peer in self.members if peer != name}
             self._suspected[name] = set()
-        self._install_threads()
+        for name in self.install_on:
+            self.reinstall(name)
 
     # ------------------------------------------------------------------ setup
 
-    def _install_threads(self) -> None:
-        for name in self.install_on:
-            process = self.network.processes[name]
-            process.spawn(self._heartbeat_thread(process), name="fd-heartbeat")
-            process.spawn(self._monitor_thread(process), name="fd-monitor")
-            process.spawn(self._listen_thread(process), name="fd-listen")
-
     def reinstall(self, name: str) -> None:
-        """Re-spawn detector threads after ``name`` recovers from a crash."""
+        """(Re-)install the detector on ``name``: at start, and after a recovery."""
         process = self.network.processes[name]
+        process.on_message(self.HEARTBEAT, partial(self._heard, name))
         process.spawn(self._heartbeat_thread(process), name="fd-heartbeat")
         process.spawn(self._monitor_thread(process), name="fd-monitor")
-        process.spawn(self._listen_thread(process), name="fd-listen")
 
     # ---------------------------------------------------------------- threads
 
@@ -198,17 +193,15 @@ class HeartbeatFailureDetector(FailureDetector):
                 process.send(peer, Message(self.HEARTBEAT, payload={"origin": process.name}))
             yield process.sleep(self.heartbeat_interval)
 
-    def _listen_thread(self, process: Process):
-        while True:
-            message = yield process.receive(is_type(self.HEARTBEAT))
-            origin = message["origin"]
-            self._last_heard[process.name][origin] = self.sim.now
-            if origin in self._suspected[process.name]:
-                # False suspicion detected: trust again and adapt the timeout.
-                self._suspected[process.name].discard(origin)
-                self._timeouts[process.name][origin] += self.timeout_increment
-                self.sim.trace.record("fd_trust", process.name, target=origin,
-                                      new_timeout=self._timeouts[process.name][origin])
+    def _heard(self, observer: str, message: Message) -> None:
+        origin = message["origin"]
+        self._last_heard[observer][origin] = self.sim.now
+        if origin in self._suspected[observer]:
+            # False suspicion detected: trust again and adapt the timeout.
+            self._suspected[observer].discard(origin)
+            self._timeouts[observer][origin] += self.timeout_increment
+            self.sim.trace.record("fd_trust", observer, target=origin,
+                                  new_timeout=self._timeouts[observer][origin])
 
     def _monitor_thread(self, process: Process):
         while True:

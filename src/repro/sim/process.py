@@ -5,6 +5,8 @@ application server or a database server).  Processes
 
 * host any number of generator-coroutine *threads* (the paper's ``cobegin``
   branches, e.g. the application server's computation and cleaning threads),
+* run synchronous per-type *message handlers* (:meth:`Process.on_message`)
+  for traffic that needs no blocking wait -- consensus, heartbeats,
 * exchange messages through a transport installed by ``repro.net``,
 * crash (losing all volatile state: mailbox, threads, local variables) and
   recover (restarting their entry point with ``recovery=True``), exactly as in
@@ -270,6 +272,8 @@ class Process:
         self._kv_waiters: dict[tuple, dict[int, Thread]] = {}
         self._typed_waiters: dict[str, dict[int, Thread]] = {}
         self._wildcard_waiters: dict[int, Thread] = {}
+        # Synchronous handlers by message type (``on_message``); volatile.
+        self._handlers: dict[str, Callable[[Any], None]] = {}
         self._thread_names: dict[str, tuple[str, str, str]] = {}
         self._finished_threads = 0
         self._thread_ids = 0
@@ -330,6 +334,21 @@ class Process:
         self._threads.append(thread)
         thread.start()
         return thread
+
+    def on_message(self, msg_type: str, handler: Callable[[Any], None]) -> None:
+        """Run ``handler(message)`` inside :meth:`deliver` for every ``msg_type``.
+
+        For traffic whose processing never blocks: no pump thread to resume
+        and re-index per message.  A handled type is never buffered and never
+        offered to ``receive`` waiters.  Handlers are volatile like threads (a
+        crash drops them, ``on_start`` registers them again) and an exception
+        they raise propagates out of ``deliver``.
+        """
+        if not self.up:
+            raise ProcessNotRunning(f"cannot register handler on crashed process {self.name!r}")
+        if msg_type in self._handlers:
+            raise ValueError(f"{self.name!r} already handles {msg_type!r} messages")
+        self._handlers[msg_type] = handler
 
     # Wait-constructor helpers so protocol code reads naturally -------------
 
@@ -455,7 +474,8 @@ class Process:
     def deliver(self, message: Any) -> None:
         """Deliver a message to this process (called by the network).
 
-        Messages arriving at a crashed process are dropped; otherwise the
+        Messages arriving at a crashed process are dropped and a type with a
+        handler (:meth:`on_message`) goes to it alone; otherwise the
         message either resumes a thread blocked on a matching receive or is
         buffered in the mailbox.  Only waiters indexed under the message's
         type (plus wildcard waiters) are consulted; ties between threads are
@@ -464,6 +484,10 @@ class Process:
         if not self.up:
             return
         msg_type = getattr(message, "msg_type", None)
+        handler = self._handlers.get(msg_type)
+        if handler is not None:
+            handler(message)
+            return
         # Read the payload dict without touching ``Message.payload``: the
         # property would materialize a private copy of a COW-shared dict,
         # defeating the whole point of copy-on-write multicast.
@@ -682,6 +706,7 @@ class Process:
         self._kv_waiters.clear()
         self._typed_waiters.clear()
         self._wildcard_waiters.clear()
+        self._handlers.clear()
         self._finished_threads = 0
         self._mailbox.clear()
         self._mailbox_count = 0

@@ -47,6 +47,54 @@ def test_fast_path_takes_one_round_trip():
     assert sim.now == pytest.approx(3.5, abs=0.2)
 
 
+def test_fast_path_message_budget():
+    """The proposer's own acceptor and learner cost no message: 2 ``accept``
+    out, 2 ``accepted`` back, 2 ``decide`` out, and nobody mails itself."""
+    sim, network, hosts = build_group()
+    kinds = []
+    real_send = network.send
+
+    def spy(source, destination, message):
+        assert source != destination
+        kinds.append(message["kind"])
+        real_send(source, destination, message)
+
+    network.send = spy
+    hosts["a1"].propose("x", 42)
+    sim.run(until=200.0)
+    assert sorted(kinds) == ["accept"] * 2 + ["accepted"] * 2 + ["decide"] * 2
+    assert network.stats.by_type_sent == {"Consensus": 6}
+    assert {host.decision("x") for host in hosts.values()} == {42}
+
+
+def test_single_member_group_decides_inside_propose():
+    """A group of one is its own quorum: decided synchronously, no message,
+    and no attempt timeout left ticking behind the decision."""
+    sim, network, hosts = build_group(n=1)
+    future = hosts["a1"].propose("x", "solo")
+    assert future.resolved and future.value == "solo"
+    assert hosts["a1"].decision("x") == "solo"
+    assert network.stats.sent == 0
+    assert sim.pending_events == 0
+    # The slow (prepare) path of a non-owner is just as synchronous.
+    sim, network, hosts = build_group(n=1, fast_path_owner=None)
+    future = hosts["a1"].propose("y", "solo")
+    assert future.resolved and future.value == "solo"
+    assert network.stats.sent == 0 and sim.pending_events == 0
+
+
+def test_nack_from_own_acceptor_cancels_the_attempt_timeout():
+    """The owner's acceptor has promised a higher ballot, so its fast-path
+    ``accept`` is refused in process -- inside ``_start_attempt``.  The retry
+    must own the only live timer; the refused attempt's timeout is cancelled."""
+    sim, network, hosts = build_group()
+    network.partition(["a1"], ["a2", "a3"])
+    hosts["a1"]._acceptor("inst").promised = (3, 1)
+    hosts["a1"].propose("inst", "v")
+    assert sim.pending_events == 1  # the scheduled retry, not the timeout too
+    assert hosts["a1"]._attempts["inst"].retry_timer.cancelled
+
+
 def test_non_owner_proposer_uses_prepare_phase_and_decides():
     sim, network, hosts = build_group()
     future = hosts["a2"].propose("y", "from-a2")

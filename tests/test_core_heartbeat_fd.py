@@ -64,3 +64,38 @@ def test_heartbeat_mode_latency_unchanged_in_failure_free_runs():
 def test_invalid_failure_detector_mode_rejected():
     with pytest.raises(ValueError):
         DeploymentConfig(failure_detector="telepathy")
+
+
+def test_heartbeat_detector_across_crash_and_reinstall():
+    """Suspicion, trust and the adapted time-out through a crash, a recovery
+    and ``reinstall`` -- the values below were recorded with the detector's
+    old listen *thread* and must not move now that arrivals are handled in
+    ``Process.deliver``."""
+    deployment = make_deployment()
+    detector = deployment.app_servers["a1"].failure_detector
+    sim, a3 = deployment.sim, deployment.app_servers["a3"]
+    sim.schedule(30.0, a3.crash)
+    sim.schedule(90.0, a3.recover)
+    sim.schedule(90.0, lambda: detector.reinstall("a3"))
+    sim.run(until=80.0)
+    assert detector.suspect("a1", "a3") and detector.suspect("a2", "a3")
+    assert not detector.suspect("a1", "a2")
+    sim.run(until=200.0)
+    names = ("a1", "a2", "a3")
+    assert not any(detector.suspect(o, t) for o in names for t in names if o != t)
+
+    def events(category):
+        return [(e.time, e.process, e.data) for e in deployment.trace.select(category)]
+
+    assert events("fd_suspect") == [(50.0, "a1", {"target": "a3"}),
+                                    (50.0, "a2", {"target": "a3"})]
+    assert events("fd_trust") == [
+        (92.25, "a1", {"target": "a3", "new_timeout": 25.0}),
+        (92.25, "a2", {"target": "a3", "new_timeout": 25.0})]
+    assert detector._timeouts["a3"] == {"a1": 20.0, "a2": 20.0}
+    # Heartbeats are handled, never buffered -- on the reinstalled server too.
+    assert all(server.mailbox_size == 0 for server in deployment.app_servers.values())
+    threads = len(a3.threads)
+    with pytest.raises(ValueError):
+        detector.reinstall("a3")  # already installed: refused, no thread doubled
+    assert len(a3.threads) == threads

@@ -197,6 +197,98 @@ def test_spawn_on_crashed_process_raises(sim):
         process.spawn(iter(()), name="t")
 
 
+# ------------------------------------------------------- message handlers
+
+
+def test_handler_runs_synchronously_at_delivery_time(sim):
+    network, a, b = make_pair(sim)
+    seen = []
+    b.on_message("Ping", lambda message: seen.append((message.sender, sim.now)))
+    a.send("b", Message("Ping"))
+    assert seen == []  # still on the wire
+    sim.run()
+    assert seen == [("a", sim.now)] and sim.now > 0.0  # at the delivery event
+    b.deliver(Message("Ping", sender="x"))
+    assert [sender for sender, _ in seen] == ["a", "x"]  # no kernel event between
+
+
+def test_handled_type_never_enters_the_mailbox_or_wakes_a_receive(sim):
+    process = Process(sim, "p")
+    process.mailbox_limit = 1
+    handled, woken = [], []
+
+    def waiter(matcher, label):
+        message = yield process.receive(matcher)
+        woken.append((label, message.msg_type))
+
+    process.spawn(waiter(is_type("Ping"), "typed"))
+    process.spawn(waiter(None, "wildcard"))
+    process.on_message("Ping", handled.append)
+    for _ in range(5):
+        process.deliver(Message("Ping"))
+    sim.run()
+    assert len(handled) == 5 and woken == []
+    assert process.mailbox_size == 0 and process.mailbox_peak == 0
+    assert process.shed_messages == 0
+    process.deliver(Message("Pong"))  # an unhandled type still takes the old road
+    sim.run()
+    assert woken == [("wildcard", "Pong")]
+
+
+def test_crash_drops_handlers_and_on_start_registers_them_again(sim):
+    class Counting(Process):
+        def __init__(self, sim, name):
+            super().__init__(sim, name)
+            self.pings = 0
+
+        def on_start(self, recovery):
+            self.on_message("Ping", self._count)
+
+        def _count(self, message):
+            self.pings += 1
+
+    p = Counting(sim, "p")
+    p.start()
+    p.deliver(Message("Ping"))
+    p.crash()
+    p.deliver(Message("Ping"))  # down: dropped, handler not called
+    assert p.pings == 1
+    with pytest.raises(ProcessNotRunning):
+        p.on_message("Pong", p._count)
+    p.recover()  # would raise "already handles" had the crash kept the handler
+    p.deliver(Message("Ping"))
+    assert p.pings == 2 and p.mailbox_size == 0
+
+
+def test_crash_without_reregistration_falls_back_to_the_mailbox(sim):
+    process = Process(sim, "p")
+    process.on_message("Ping", lambda message: None)
+    process.crash()
+    process.recover()
+    process.deliver(Message("Ping"))
+    assert process.mailbox_size == 1
+
+
+def test_second_handler_for_a_type_is_rejected(sim):
+    process = Process(sim, "p")
+    process.on_message("Ping", lambda message: None)
+    with pytest.raises(ValueError):
+        process.on_message("Ping", lambda message: None)
+    process.on_message("Pong", lambda message: None)  # other types are free
+
+
+def test_raising_handler_propagates_out_of_the_run(sim):
+    network, a, b = make_pair(sim)
+
+    def boom(message):
+        raise RuntimeError("boom")
+
+    b.on_message("Ping", boom)
+    a.send("b", Message("Ping"))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+
+
 def test_thread_exception_is_wrapped_and_traced(sim):
     process = Process(sim, "p")
 

@@ -10,6 +10,13 @@ holds the sha256 of the full trace (the ``_fingerprint`` form of
 * one sharded open-loop shape with cross-shard transactions, and
 * the replay of every committed corpus artifact.
 
+Each trace is pinned twice: ``full`` is the digest of every event, and
+``protocol`` the digest of the *protocol projection* -- every event that is
+not a transport event (``msg_send`` / ``msg_deliver`` / ``msg_drop``), all
+fields and times included.  A change to who mails whom moves ``full`` only; a
+change to what any process decided, logged, suspected or answered, or *when*,
+moves ``protocol`` too.
+
 A change that *intends* to alter traces regenerates the file and says so::
 
     PYTHONPATH=src python tests/test_trace_golden.py
@@ -40,8 +47,13 @@ SEEDS = range(5)
 OPEN_LOOP = "etx://a3.d8.c16?rate=24&placement=hash&xshard=0.1&workload=bank"
 
 
-def _digest(trace: list[tuple]) -> str:
-    return hashlib.sha256(repr(trace).encode()).hexdigest()
+TRANSPORT = frozenset(("msg_send", "msg_deliver", "msg_drop"))
+
+
+def _digest(trace: list[tuple]) -> dict[str, str]:
+    protocol = [event for event in trace if event[1] not in TRANSPORT]
+    return {"full": hashlib.sha256(repr(trace).encode()).hexdigest(),
+            "protocol": hashlib.sha256(repr(protocol).encode()).hexdigest()}
 
 
 def _open_loop_trace(dsn: str, requests: int = 2) -> list[tuple]:
@@ -54,8 +66,8 @@ def _open_loop_trace(dsn: str, requests: int = 2) -> list[tuple]:
     return trace
 
 
-def fingerprints() -> dict[str, str]:
-    """Digest of every pinned trace, keyed by a readable name."""
+def fingerprints() -> dict[str, dict[str, str]]:
+    """Both digests of every pinned trace, keyed by a readable name."""
     digests = {}
     for scheme in sorted(SCHEMES):
         for seed in SEEDS:
@@ -67,14 +79,16 @@ def fingerprints() -> dict[str, str]:
     return digests
 
 
-def _golden() -> dict[str, str]:
+def _golden() -> dict[str, dict[str, str]]:
     with open(GOLDEN, encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def _changed(actual: dict[str, str], golden: dict[str, str]) -> list[str]:
-    return sorted(name for name in actual.keys() | golden.keys()
-                  if actual.get(name) != golden.get(name))
+def _changed(actual: dict, golden: dict) -> list[str]:
+    """``name:digest`` of every digest that differs, is missing or is extra."""
+    return sorted(f"{name}:{kind}" for name in actual.keys() | golden.keys()
+                  for kind in ("full", "protocol")
+                  if actual.get(name, {}).get(kind) != golden.get(name, {}).get(kind))
 
 
 def test_traces_match_the_committed_fingerprints():
