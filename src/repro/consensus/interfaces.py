@@ -35,6 +35,6 @@ class ConsensusProtocol:
         """The locally-known decision for ``instance``, or ``None``."""
         raise NotImplementedError
 
-    def decided_instances(self) -> list[InstanceId]:
-        """Instances whose decision this host already knows."""
+    def learned_since(self, cursor: int) -> list[InstanceId]:
+        """Instances decided and learned here after the first ``cursor``, in learn order."""
         raise NotImplementedError

@@ -116,6 +116,7 @@ class ConsensusHost(ConsensusProtocol):
         # Durable (survives crashes -- conceptually stable storage).
         self._acceptors: dict[InstanceId, AcceptorState] = {}
         self._decisions: dict[InstanceId, Any] = {}
+        self._learned: list[InstanceId] = []  # the keys of _decisions, sliceable
         # Volatile.
         self._attempts: dict[InstanceId, _ProposalAttempt] = {}
         self._futures: dict[InstanceId, SimFuture] = {}
@@ -161,8 +162,8 @@ class ConsensusHost(ConsensusProtocol):
     def decision(self, instance: InstanceId) -> Optional[Any]:
         return self._decisions.get(instance)
 
-    def decided_instances(self) -> list[InstanceId]:
-        return list(self._decisions)
+    def learned_since(self, cursor: int) -> list[InstanceId]:
+        return self._learned[cursor:]
 
     def request_decision(self, instance: InstanceId) -> None:
         """Ask the other members whether the instance is already decided.
@@ -369,6 +370,7 @@ class ConsensusHost(ConsensusProtocol):
     def _learn(self, instance: InstanceId, value: Any) -> None:
         if instance not in self._decisions:
             self._decisions[instance] = value
+            self._learned.append(instance)
             trace = self.process.trace
             if trace.wants("consensus_decide"):
                 trace.record("consensus_decide", self.process.name,

@@ -76,18 +76,10 @@ def claim_entry(server: str, participants: Sequence[str]) -> tuple[str, tuple[st
     return (server, tuple(participants))
 
 
-def claim_parts(entry: Any, all_databases: Sequence[str]) -> tuple[Optional[str], tuple[str, ...]]:
-    """Split a ``regA`` entry into (claimant, participants).
-
-    Tolerates legacy entries that are a bare server name (participants then
-    default to every database).
-    """
-    if isinstance(entry, tuple) and len(entry) == 2:
-        claimant, participants = entry
-        return claimant, tuple(participants) if participants else tuple(all_databases)
-    if isinstance(entry, str):
-        return entry, tuple(all_databases)
-    return None, tuple(all_databases)
+def claim_parts(entry: tuple, all_databases: Sequence[str]) -> tuple[str, tuple[str, ...]]:
+    """Split a ``regA`` entry into (claimant, participants); none recorded = every database."""
+    claimant, participants = entry
+    return claimant, tuple(participants) if participants else tuple(all_databases)
 
 
 class ApplicationServer(Process):
@@ -133,7 +125,6 @@ class ApplicationServer(Process):
         self.directory = directory
         # Volatile caches (lost on crash, rebuilt from the registers if needed).
         self._known_commits: dict[ResultKey, Decision] = {}
-        self._cleaned: set[ResultKey] = set()
         self._inflight: set[ResultKey] = set()
         self._terminated: set[ResultKey] = set()
 
@@ -147,7 +138,6 @@ class ApplicationServer(Process):
 
     def on_crash(self) -> None:
         self._known_commits = {}
-        self._cleaned = set()
         self._inflight = set()
         self._terminated = set()
         if self.consensus_host is not None:
@@ -414,28 +404,33 @@ class ApplicationServer(Process):
     # --------------------------------------------------------- cleaning thread
 
     def _cleaning_thread(self):
-        """Figure 6: terminate results initiated by suspected servers."""
+        """Figure 6: terminate results initiated by suspected servers.
+
+        Follows ``regA`` as a feed and files every claim it has not terminated
+        itself under its claimant: a sweep costs what there is to clean, not
+        what was ever decided.  Cursor and index die with the thread; a
+        recovered server reads the durable feed from the start, cleans again.
+        """
+        cursor = 0
+        pending: dict[str, dict[ResultKey, tuple[str, ...]]] = {
+            peer: {} for peer in self.app_server_names if peer != self.name}
         while True:
             yield self.sleep(self.timing.clean_interval)
-            for suspected in self.app_server_names:
-                if suspected == self.name:
-                    continue
+            for suspected, claims in pending.items():
                 if not self.failure_detector.suspect(self.name, suspected):
                     continue
-                for key in self.registers.reg_a.known_indices():
-                    if key in self._cleaned:
-                        continue
-                    claimant, participants = claim_parts(
-                        self.registers.reg_a.read(key), self.db_server_names)
-                    if claimant != suspected:
-                        continue
+                # Catch up per suspected peer: claims learned while the
+                # previous peer's cleaning yielded count.
+                entries, cursor = self.registers.reg_a.learned_since(cursor)
+                for key, entry in entries:
+                    claimant, participants = claim_parts(entry, self.db_server_names)
+                    if claimant != self.name:
+                        pending[claimant][key] = participants
+                for key, participants in sorted(claims.items()):  # keys are unique
                     client, j = key
                     self.trace.record("as_clean", self.name, suspected=suspected,
-                                      client=client, j=j,
-                                      participants=list(participants))
+                                      client=client, j=j, participants=list(participants))
                     decision = yield self.wait_for(
-                        self.registers.reg_d.write(key, ABORT_DECISION)
-                    )
-                    yield from self._terminate(key, decision, client,
-                                               list(participants))
-                    self._cleaned.add(key)
+                        self.registers.reg_d.write(key, ABORT_DECISION))
+                    yield from self._terminate(key, decision, client, list(participants))
+                    del claims[key]

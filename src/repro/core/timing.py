@@ -70,8 +70,8 @@ class ProtocolTiming:
     very large to match the paper's pseudo-code literally."""
 
     clean_interval: float = 25.0
-    """Pacing of the cleaning thread's scan loop (Figure 6 loops continuously;
-    we pace it to keep simulations cheap)."""
+    """Tick of the cleaning thread (Figure 6 loops continuously; we pace it): asks
+    the failure detector about every peer, cleans the pending claims of a suspected one."""
 
     decide_retry: float = 250.0
     """Retransmission interval of ``Decide`` while waiting for ``AckDecide``

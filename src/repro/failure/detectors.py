@@ -217,4 +217,4 @@ class HeartbeatFailureDetector(FailureDetector):
     # ------------------------------------------------------------------ query
 
     def suspect(self, observer: str, target: str) -> bool:
-        return target in self._suspected.get(observer, set())
+        return target in self._suspected.get(observer, ())

@@ -64,8 +64,9 @@ class WriteOnceRegisterArray:
         """Return the value of register ``index`` or :data:`BOTTOM`."""
         raise NotImplementedError
 
-    def known_indices(self) -> list[int]:
-        """Indices whose value is locally known (written and learned)."""
+    def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
+        """The array as a feed: ``(index, value)`` of every register learned locally after
+        ``cursor`` (0 = from the start), in learn order, and the next cursor.  O(new entries)."""
         raise NotImplementedError
 
     def is_written(self, index: int) -> bool:

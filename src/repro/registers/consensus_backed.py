@@ -39,9 +39,9 @@ class ConsensusRegisterArray(WriteOnceRegisterArray):
         """Ask peers for a possibly missed decision (helps recovered servers)."""
         self.host.request_decision(self._instance(index))
 
-    def known_indices(self) -> list[int]:
-        indices = []
-        for instance in self.host.decided_instances():
-            if isinstance(instance, tuple) and len(instance) == 2 and instance[0] == self.array_name:
-                indices.append(instance[1])
-        return sorted(indices)
+    def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
+        instances = self.host.learned_since(cursor)  # the host's cursor: other arrays count
+        mine, decision = self.array_name, self.host.decision
+        return ([(i[1], decision(i)) for i in instances
+                 if isinstance(i, tuple) and len(i) == 2 and i[0] == mine],
+                cursor + len(instances))

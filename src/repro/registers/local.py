@@ -37,6 +37,7 @@ class LocalRegisterStore:
         self.name = name
         self.operation_latency = operation_latency
         self._cells: dict[int, Any] = {}
+        self._log: list[tuple[int, Any]] = []  # the items of _cells, sliceable
         self.write_attempts = 0
         self.lost_writes = 0
 
@@ -48,6 +49,7 @@ class LocalRegisterStore:
         def apply() -> None:
             if index not in self._cells:
                 self._cells[index] = value
+                self._log.append((index, value))
             else:
                 self.lost_writes += 1
             self.sim.trace.record("woregister_write", "", register=self.name, index=index,
@@ -63,8 +65,8 @@ class LocalRegisterStore:
     def read(self, index: int) -> Any:
         return self._cells.get(index, BOTTOM)
 
-    def known_indices(self) -> list[int]:
-        return sorted(self._cells)
+    def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
+        return self._log[cursor:], len(self._log)
 
 
 class LocalRegisterArray(WriteOnceRegisterArray):
@@ -80,8 +82,8 @@ class LocalRegisterArray(WriteOnceRegisterArray):
     def read(self, index: int) -> Any:
         return self.store.read(index)
 
-    def known_indices(self) -> list[int]:
-        return self.store.known_indices()
+    def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
+        return self.store.learned_since(cursor)
 
 
 def _short(value: Any) -> Any:

@@ -212,9 +212,16 @@ def test_host_must_be_member():
         ConsensusHost(process, ["a1", "a2"])
 
 
-def test_decided_instances_listing():
+def test_learned_since_lists_decisions_in_learn_order():
     sim, network, hosts = build_group()
     hosts["a1"].propose(("regA", 1), "a1")
     hosts["a1"].propose(("regD", 1), ("result", "commit"))
     sim.run(until=1_000.0)
-    assert set(hosts["a2"].decided_instances()) == {("regA", 1), ("regD", 1)}
+    for host in hosts.values():
+        assert host.learned_since(0) == [("regA", 1), ("regD", 1)]
+        assert host.learned_since(1) == [("regD", 1)]
+        assert host.learned_since(2) == []
+    hosts["a2"].propose(("regA", 1), "too late")  # a decided instance is not learned twice
+    hosts["a3"].propose("x", "v")
+    sim.run(until=2_000.0)
+    assert hosts["a1"].learned_since(2) == ["x"]

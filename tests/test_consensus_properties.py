@@ -83,7 +83,7 @@ def test_local_register_first_write_wins(operations):
     sim.run()
     for index, value in expected.items():
         assert view.read(index) == value
-    assert view.known_indices() == sorted(expected)
+    assert view.learned_since(0) == (list(expected.items()), len(expected))
 
 
 @given(

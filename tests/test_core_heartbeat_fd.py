@@ -66,6 +66,27 @@ def test_invalid_failure_detector_mode_rejected():
         DeploymentConfig(failure_detector="telepathy")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ApplicationServer.on_start(recovery=True) never calls "
+    "HeartbeatFailureDetector.reinstall: a recovered server neither sends nor "
+    "handles heartbeats, so its peers suspect it for the rest of the run, its "
+    "mailbox fills with their Heartbeats (30 052 of failover_hb's 30 172 "
+    "sim.process.mailbox_peak are a2's) and it keeps its crash-time suspicions. "
+    "The fix adds ~65 msgs/request to failover_hb, so it waits for a PR that "
+    "re-baselines the benchmark."))
+def test_heartbeat_detector_survives_app_server_recovery():
+    deployment = make_deployment()
+    a2 = deployment.app_servers["a2"]
+    detector = a2.failure_detector
+    deployment.apply_faults(FaultSchedule().crash_for(30.0, "a2", 60.0))
+    deployment.run(until=60.0)
+    assert detector.suspect("a1", "a2") and detector.suspect("a3", "a2")
+    deployment.run(until=400.0)
+    # Back for 310 vms: a2 is heard and trusted again, and handles what it hears.
+    assert not detector.suspect("a1", "a2") and not detector.suspect("a3", "a2")
+    assert a2.mailbox_size == 0
+
+
 def test_heartbeat_detector_across_crash_and_reinstall():
     """Suspicion, trust and the adapted time-out through a crash, a recovery
     and ``reinstall`` -- the values below were recorded with the detector's

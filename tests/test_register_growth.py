@@ -22,8 +22,8 @@ def make_deployment(**overrides):
 
 def register_cells(deployment):
     server = deployment.default_primary
-    return (len(server.registers.reg_a.known_indices()),
-            len(server.registers.reg_d.known_indices()))
+    return (len(server.registers.reg_a.learned_since(0)[0]),
+            len(server.registers.reg_d.learned_since(0)[0]))
 
 
 def test_one_register_cell_pair_per_committed_result():
@@ -44,7 +44,7 @@ def test_aborted_intermediate_results_also_occupy_cells():
     assert issued.aborted_results  # at least one aborted intermediate result
     survivor = deployment.app_servers["a2"]
     total_results = issued.attempts
-    assert len(survivor.registers.reg_d.known_indices()) == total_results
+    assert len(survivor.registers.reg_d.learned_since(0)[0]) == total_results
 
 
 def test_growth_is_linear_not_quadratic():

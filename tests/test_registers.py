@@ -20,7 +20,7 @@ def test_local_register_initially_bottom():
     view = LocalRegisterArray(store)
     assert view.read(1) is BOTTOM
     assert not view.is_written(1)
-    assert view.known_indices() == []
+    assert view.learned_since(0) == ([], 0)
 
 
 def test_local_register_write_once_semantics():
@@ -47,7 +47,21 @@ def test_local_register_independent_indices():
     sim.run()
     assert view.read(1) == ("r1", "commit")
     assert view.read(2) == ("r2", "abort")
-    assert view.known_indices() == [1, 2]
+    assert view.learned_since(0) == ([(1, ("r1", "commit")), (2, ("r2", "abort"))], 2)
+
+
+def test_local_register_feed_is_in_first_write_order_and_resumable():
+    sim = Simulator()
+    store = LocalRegisterStore(sim, "regA")
+    view = LocalRegisterArray(store)
+    view.write(7, "late index, first write")
+    view.write(7, "lost")
+    view.write(3, "second")
+    entries, cursor = view.learned_since(0)
+    assert entries == [(7, "late index, first write"), (3, "second")]
+    assert view.learned_since(cursor) == ([], cursor)
+    view.write(5, "third")
+    assert LocalRegisterArray(store).learned_since(cursor) == ([(5, "third")], cursor + 1)
 
 
 def test_local_register_operation_latency():
@@ -120,8 +134,26 @@ def test_consensus_register_arrays_are_namespaced():
     sim.run(until=1_000.0)
     assert arrays["a2"]["regA"].read(1) == "owner"
     assert arrays["a2"]["regD"].read(1) == ("res", "commit")
-    assert arrays["a2"]["regA"].known_indices() == [1]
-    assert arrays["a2"]["regD"].known_indices() == [1]
+    assert arrays["a2"]["regA"].learned_since(0)[0] == [(1, "owner")]
+    assert arrays["a2"]["regD"].learned_since(0)[0] == [(1, ("res", "commit"))]
+
+
+def test_consensus_register_feed_is_in_learn_order_and_resumable():
+    sim, network, arrays = build_consensus_registers()
+    reg_a, reg_d = arrays["a3"]["regA"], arrays["a3"]["regD"]
+    arrays["a1"]["regA"].write(("c2", 1), "first")
+    arrays["a1"]["regD"].write(("c2", 1), "not regA's business")
+    arrays["a1"]["regA"].write(("c1", 1), "second")
+    sim.run(until=1_000.0)
+    entries, cursor = reg_a.learned_since(0)
+    assert entries == [(("c2", 1), "first"), (("c1", 1), "second")]
+    assert reg_a.learned_since(cursor) == ([], cursor)
+    assert reg_d.learned_since(cursor) == ([], cursor)
+    arrays["a2"]["regA"].write(("c1", 2), "third")
+    sim.run(until=2_000.0)
+    entries, after = reg_a.learned_since(cursor)
+    assert entries == [(("c1", 2), "third")] and after > cursor
+    assert reg_d.learned_since(0)[0] == [(("c2", 1), "not regA's business")]
 
 
 def test_consensus_register_unwritten_reads_bottom():

@@ -7,7 +7,12 @@ holds the sha256 of the full trace (the ``_fingerprint`` form of
 ``test_trace_equivalence``: every event, every field) for
 
 * the four protocol ``SCHEMES`` of the equivalence suite, seeds 0-4,
-* one sharded open-loop shape with cross-shard transactions, and
+* one sharded open-loop shape with cross-shard transactions,
+* one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
+  partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
+  a fresh volatile state -- and a permanent crash of ``a1``): the only pinned
+  trace in which the Figure 6 cleaning thread works, 357 results cleaned by
+  two different cleaners, and
 * the replay of every committed corpus artifact.
 
 Each trace is pinned twice: ``full`` is the digest of every event, and
@@ -45,6 +50,10 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(TESTS_DIR, "golden", "trace_fingerprints.json")
 SEEDS = range(5)
 OPEN_LOOP = "etx://a3.d8.c16?rate=24&placement=hash&xshard=0.1&workload=bank"
+FAILOVER = ("etx://a3.d2.c4?rate=4&arrival=uniform&fd=heartbeat&workload=bank"
+            "&placement=hash&xshard=0.2&faults=crash_for@1000:d1:500,"
+            "partition@2500:a1|a2~a3~d1~d2,crash_for@2800:a2:800,heal@3200,"
+            "crash@7000:a1&seed=5")
 
 
 TRANSPORT = frozenset(("msg_send", "msg_deliver", "msg_drop"))
@@ -74,6 +83,7 @@ def fingerprints() -> dict[str, dict[str, str]]:
             dsn = SCHEMES[scheme].format(seed=seed)
             digests[dsn] = _digest(_scenario_trace(dsn))
     digests[OPEN_LOOP] = _digest(_open_loop_trace(OPEN_LOOP))
+    digests[FAILOVER] = _digest(_open_loop_trace(FAILOVER, requests=10))
     for path in CORPUS:
         digests[f"corpus/{os.path.basename(path)}"] = _digest(_replay_trace(path)[0])
     return digests
