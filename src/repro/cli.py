@@ -587,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     kbench.add_argument("--out", default=None, metavar="PATH",
                         help="also write the machine-readable BENCH json here")
     kbench.add_argument("--alloc", action="store_true",
-                        help="also measure allocated-blocks-per-event on the "
+                        help="also measure allocated-blocks-per-request on the "
                              "traffic and soak shapes (sys.getallocatedblocks "
                              "deltas, gc disabled)")
     kbench.add_argument("--alloc-only", action="store_true",

@@ -39,7 +39,7 @@ middle tier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.consensus.interfaces import ConsensusProtocol, InstanceId
 from repro.net.message import Message
@@ -118,6 +118,7 @@ class ConsensusHost(ConsensusProtocol):
         self._decisions: dict[InstanceId, Any] = {}
         self._learned: list[InstanceId] = []  # the keys of _decisions, sliceable
         # Volatile.
+        self.on_learn: Optional[Callable[[], None]] = None  # armed while ``_learned`` is followed
         self._attempts: dict[InstanceId, _ProposalAttempt] = {}
         self._futures: dict[InstanceId, SimFuture] = {}
         self._attempt_counters: dict[InstanceId, int] = {}
@@ -368,7 +369,8 @@ class ConsensusHost(ConsensusProtocol):
     # ---------------------------------------------------------------- learner
 
     def _learn(self, instance: InstanceId, value: Any) -> None:
-        if instance not in self._decisions:
+        grew = instance not in self._decisions
+        if grew:
             self._decisions[instance] = value
             self._learned.append(instance)
             trace = self.process.trace
@@ -387,6 +389,8 @@ class ConsensusHost(ConsensusProtocol):
         # few objects per instance for the rest of the run.
         self._acceptors.pop(instance, None)
         self._attempt_counters.pop(instance, None)
+        if grew and self.on_learn is not None:
+            self.on_learn()  # last: the follower may call back into this host
 
     # -------------------------------------------------------------- messaging
 

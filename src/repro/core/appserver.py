@@ -54,7 +54,7 @@ from repro.net.message import any_of, from_senders, is_type, is_type_with
 from repro.registers.base import BOTTOM, WriteOnceRegisterArray
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
-from repro.sim.waits import TIMEOUT
+from repro.sim.waits import TIMEOUT, SimFuture
 
 
 class RegisterPair:
@@ -96,7 +96,7 @@ class ApplicationServer(Process):
     failure_detector:
         The (eventually perfect) failure detector used by the cleaning thread.
     timing:
-        Protocol-level intervals (retry, cleaning pace).
+        Protocol-level retransmission intervals.
     consensus_host:
         Optional consensus endpoint backing the registers; when present it is
         (re)installed on start and reset on crash.
@@ -410,15 +410,18 @@ class ApplicationServer(Process):
         itself under its claimant: a sweep costs what there is to clean, not
         what was ever decided.  Cursor and index die with the thread; a
         recovered server reads the durable feed from the start, cleans again.
+        No clock: it sweeps as it starts, then when its detector starts
+        suspecting someone and, while it suspects anybody, when ``regA`` grows.
         """
         cursor = 0
         pending: dict[str, dict[ResultKey, tuple[str, ...]]] = {
             peer: {} for peer in self.app_server_names if peer != self.name}
         while True:
-            yield self.sleep(self.timing.clean_interval)
+            suspecting = cleaned = False
             for suspected, claims in pending.items():
                 if not self.failure_detector.suspect(self.name, suspected):
                     continue
+                suspecting = True
                 # Catch up per suspected peer: claims learned while the
                 # previous peer's cleaning yielded count.
                 entries, cursor = self.registers.reg_a.learned_since(cursor)
@@ -434,3 +437,9 @@ class ApplicationServer(Process):
                         self.registers.reg_d.write(key, ABORT_DECISION))
                     yield from self._terminate(key, decision, client, list(participants))
                     del claims[key]
+                    cleaned = True
+            if not cleaned:  # such a pass never yielded: no edge can have slipped by unseen
+                wake = SimFuture()
+                self.failure_detector.on_suspicion(self.name, wake.resolve)
+                self.registers.reg_a.on_learn(wake.resolve if suspecting else None)
+                yield self.wait_for(wake)

@@ -8,9 +8,9 @@ Two groups of knobs:
   Figure 8 comes out of the simulator: start 3.4 ms, SQL 187 ms, commit
   18.6 ms (6.1 ms CPU + one 12.5 ms forced log write), end 3.4 ms.
 * :class:`ProtocolTiming` -- protocol-level delays: the client's back-off
-  period before re-sending a request to all application servers, the cleaning
-  thread's scan interval, and the retransmission intervals used while waiting
-  for database votes and acknowledgements.
+  period before re-sending a request to all application servers and the
+  retransmission intervals used while waiting for database votes and
+  acknowledgements (the cleaning thread has none: a suspicion or a claim wakes it).
 
 All values are virtual milliseconds.
 """
@@ -68,10 +68,6 @@ class ProtocolTiming:
     """Interval at which an already-broadcast request is re-sent while the
     client is still waiting.  Keeps the client live under message loss; set
     very large to match the paper's pseudo-code literally."""
-
-    clean_interval: float = 25.0
-    """Tick of the cleaning thread (Figure 6 loops continuously; we pace it): asks
-    the failure detector about every peer, cleans the pending claims of a suspected one."""
 
     decide_retry: float = 250.0
     """Retransmission interval of ``Decide`` while waiting for ``AckDecide``

@@ -22,8 +22,9 @@ This module provides scheme (1) in two flavours:
   failure detection" behaviour of the protocol.
 * :class:`HeartbeatFailureDetector` -- a genuine message-based implementation:
   monitored processes periodically send heartbeats; an observer suspects a
-  peer whose heartbeat is overdue and increases that peer's time-out whenever
-  a suspicion turns out to be false (the classic adaptive ◇P construction).
+  peer at the instant its heartbeat is overdue (one timer at its earliest
+  deadline, no polling) and increases that peer's time-out whenever a
+  suspicion turns out to be false (the classic adaptive ◇P construction).
 
 :class:`PerfectFailureDetector` (immediate, never wrong) is used by the
 primary-backup baseline, which -- as the paper notes -- *requires* perfect
@@ -33,11 +34,12 @@ failure detection for correctness.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.sim.process import Process
+from repro.sim.process import Process, Thread
+from repro.sim.waits import SimFuture
 
 
 class FailureDetector:
@@ -47,9 +49,15 @@ class FailureDetector:
         """Whether ``observer`` currently suspects ``target`` to have crashed."""
         raise NotImplementedError
 
-    def suspected_by(self, observer: str, candidates: Iterable[str]) -> list[str]:
-        """Subset of ``candidates`` currently suspected by ``observer``."""
-        return [name for name in candidates if self.suspect(observer, name)]
+    def on_suspicion(self, observer: str, wake: Callable[[], None]) -> None:
+        """Arm ``wake()`` for when ``observer`` starts suspecting someone: one slot per
+        observer; it may fire spuriously (ask :meth:`suspect` again), never fail to fire."""
+        self._wakes[observer] = wake
+
+    def _wake(self, *observers: str) -> None:
+        for name in observers or list(self._wakes):  # nobody named: everybody
+            if name in self._wakes:
+                self._wakes[name]()
 
 
 class PerfectFailureDetector(FailureDetector):
@@ -82,6 +90,7 @@ class EventuallyPerfectFailureDetector(FailureDetector):
         self._recover_times: dict[str, float] = {}
         # (observer, target) -> list of (start, end) false-suspicion windows
         self._false_windows: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
+        self._wakes: dict[str, Callable[[], None]] = {}
         self._hook_processes()
 
     def _hook_processes(self) -> None:
@@ -98,6 +107,7 @@ class EventuallyPerfectFailureDetector(FailureDetector):
             original_crash()
             if was_up:
                 detector._crash_times[process.name] = detector.sim.now
+                detector.sim.schedule(detector.detection_delay, detector._wake)
 
         def recover_hook() -> None:
             was_down = not process.up
@@ -115,8 +125,11 @@ class EventuallyPerfectFailureDetector(FailureDetector):
     def inject_false_suspicion(self, observer: str, target: str, start: float,
                                duration: float) -> None:
         """Make ``observer`` wrongly suspect ``target`` during ``[start, start+duration)``."""
-        key = (observer, target)
-        self._false_windows.setdefault(key, []).append((target, start, start + duration))
+        key, delay = (observer, target), max(0.0, start - self.sim.now)
+        # Opens as its wake-up fires: the kernel's ``now + delay`` may be an ulp below ``start``.
+        opens = min(start, self.sim.now + delay)
+        self._false_windows.setdefault(key, []).append((target, opens, start + duration))
+        self.sim.schedule(delay, partial(self._wake, observer))
 
     def suspect(self, observer: str, target: str) -> bool:
         now = self.sim.now
@@ -137,9 +150,10 @@ class HeartbeatFailureDetector(FailureDetector):
 
     Every monitored process runs a heartbeat thread broadcasting ``Heartbeat``
     messages every ``heartbeat_interval``; every observer records arrivals in a
-    message handler and runs a monitor thread that suspects a peer whose last
-    heartbeat is older than that peer's current time-out.  A heartbeat that
-    contradicts a suspicion raises the time-out by ``timeout_increment``
+    message handler and runs a monitor thread that sleeps to the earliest
+    ``last heartbeat + time-out`` among the peers it trusts and suspects whoever
+    is overdue then -- no timer at all while it suspects everybody.  A heartbeat
+    that contradicts a suspicion raises the time-out by ``timeout_increment``
     (eventual accuracy under bounded but unknown message delay).
     """
 
@@ -147,8 +161,7 @@ class HeartbeatFailureDetector(FailureDetector):
 
     def __init__(self, network: Network, members: Iterable[str],
                  heartbeat_interval: float = 5.0, initial_timeout: float = 15.0,
-                 timeout_increment: float = 5.0, check_interval: Optional[float] = None,
-                 install_on: Optional[Iterable[str]] = None):
+                 timeout_increment: float = 5.0, install_on: Optional[Iterable[str]] = None):
         if heartbeat_interval <= 0 or initial_timeout <= 0:
             raise ValueError("intervals must be positive")
         self.network = network
@@ -161,15 +174,15 @@ class HeartbeatFailureDetector(FailureDetector):
         self.heartbeat_interval = heartbeat_interval
         self.initial_timeout = initial_timeout
         self.timeout_increment = timeout_increment
-        self.check_interval = check_interval if check_interval is not None else heartbeat_interval
         # observer -> target -> last heartbeat time
         self._last_heard: dict[str, dict[str, float]] = {}
         # observer -> target -> current timeout
         self._timeouts: dict[str, dict[str, float]] = {}
         # observer -> set of currently suspected targets
         self._suspected: dict[str, set[str]] = {}
+        self._monitors: dict[str, Thread] = {}  # observer -> its monitor thread
+        self._wakes: dict[str, Callable[[], None]] = {}
         for name in self.members:
-            self._last_heard[name] = {peer: 0.0 for peer in self.members if peer != name}
             self._timeouts[name] = {peer: initial_timeout for peer in self.members if peer != name}
             self._suspected[name] = set()
         for name in self.install_on:
@@ -178,11 +191,13 @@ class HeartbeatFailureDetector(FailureDetector):
     # ------------------------------------------------------------------ setup
 
     def reinstall(self, name: str) -> None:
-        """(Re-)install the detector on ``name``: at start, and after a recovery."""
+        """(Re-)install the detector on ``name``: at start, and after a recovery.  Every
+        peer's clock starts now -- nobody is overdue for what ``name`` missed while down."""
         process = self.network.processes[name]
         process.on_message(self.HEARTBEAT, partial(self._heard, name))
+        self._last_heard[name] = dict.fromkeys(self._timeouts[name], self.sim.now)
         process.spawn(self._heartbeat_thread(process), name="fd-heartbeat")
-        process.spawn(self._monitor_thread(process), name="fd-monitor")
+        self._monitors[name] = process.spawn(self._monitor_thread(process), name="fd-monitor")
 
     # ---------------------------------------------------------------- threads
 
@@ -202,17 +217,25 @@ class HeartbeatFailureDetector(FailureDetector):
             self._timeouts[observer][origin] += self.timeout_increment
             self.sim.trace.record("fd_trust", observer, target=origin,
                                   new_timeout=self._timeouts[observer][origin])
+            self._monitors[observer].resume(None)  # a deadline its timer does not cover
 
     def _monitor_thread(self, process: Process):
+        observer, suspected = process.name, self._suspected[process.name]
+        last_heard, timeouts = self._last_heard[observer], self._timeouts[observer]
         while True:
-            yield process.sleep(self.check_interval)
-            observer = process.name
-            for peer, last in self._last_heard[observer].items():
-                timeout = self._timeouts[observer][peer]
-                overdue = self.sim.now - last > timeout
-                if overdue and peer not in self._suspected[observer]:
-                    self._suspected[observer].add(peer)
+            now, deadline, before = self.sim.now, None, len(suspected)
+            for peer, timeout in timeouts.items():
+                due = last_heard[peer] + timeout  # one expression: the test and the deadline
+                if peer not in suspected and now >= due:
+                    suspected.add(peer)
                     self.sim.trace.record("fd_suspect", observer, target=peer)
+                if peer not in suspected and (deadline is None or due < deadline):
+                    deadline = due  # the earliest among the peers still trusted
+            if len(suspected) > before:
+                self._wake(observer)
+            # Heartbeats move ``last_heard`` alone; a trust edge resumes this thread.
+            yield (process.sleep(deadline - now) if deadline is not None
+                   else process.wait_for(SimFuture()))
 
     # ------------------------------------------------------------------ query
 

@@ -23,7 +23,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.waits import SimFuture
 
@@ -67,6 +67,10 @@ class WriteOnceRegisterArray:
     def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
         """The array as a feed: ``(index, value)`` of every register learned locally after
         ``cursor`` (0 = from the start), in learn order, and the next cursor.  O(new entries)."""
+        raise NotImplementedError
+
+    def on_learn(self, wake: Optional[Callable[[], None]]) -> None:
+        """Arm ``wake()`` for whenever the feed grows (``None`` disarms); one slot per view."""
         raise NotImplementedError
 
     def is_written(self, index: int) -> bool:

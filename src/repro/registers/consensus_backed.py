@@ -11,7 +11,7 @@ reads at a correct server eventually return it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.consensus.synod import ConsensusHost
 from repro.registers.base import BOTTOM, WriteOnceRegisterArray
@@ -45,3 +45,6 @@ class ConsensusRegisterArray(WriteOnceRegisterArray):
         return ([(i[1], decision(i)) for i in instances
                  if isinstance(i, tuple) and len(i) == 2 and i[0] == mine],
                 cursor + len(instances))
+
+    def on_learn(self, wake: Optional[Callable[[], None]]) -> None:
+        self.host.on_learn = wake  # the host's slot: decisions of other arrays wake too

@@ -16,7 +16,7 @@ want to charge a register-access cost without running consensus.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.registers.base import BOTTOM, WriteOnceRegisterArray
 from repro.sim.scheduler import Simulator
@@ -38,6 +38,7 @@ class LocalRegisterStore:
         self.operation_latency = operation_latency
         self._cells: dict[int, Any] = {}
         self._log: list[tuple[int, Any]] = []  # the items of _cells, sliceable
+        self.wakes: dict[Any, Optional[Callable[[], None]]] = {}  # view -> armed wake-up
         self.write_attempts = 0
         self.lost_writes = 0
 
@@ -47,7 +48,8 @@ class LocalRegisterStore:
         self.write_attempts += 1
 
         def apply() -> None:
-            if index not in self._cells:
+            grew = index not in self._cells
+            if grew:
                 self._cells[index] = value
                 self._log.append((index, value))
             else:
@@ -55,6 +57,8 @@ class LocalRegisterStore:
             self.sim.trace.record("woregister_write", "", register=self.name, index=index,
                                   requested=_short(value), stored=_short(self._cells[index]))
             future.resolve(self._cells[index])
+            for wake in filter(None, list(self.wakes.values()) if grew else ()):
+                wake()
 
         if self.operation_latency > 0:
             self.sim.schedule(self.operation_latency, apply, name=f"{self.name}[{index}].write")
@@ -84,6 +88,9 @@ class LocalRegisterArray(WriteOnceRegisterArray):
 
     def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
         return self.store.learned_since(cursor)
+
+    def on_learn(self, wake: Optional[Callable[[], None]]) -> None:
+        self.store.wakes[self] = wake
 
 
 def _short(value: Any) -> Any:

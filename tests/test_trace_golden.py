@@ -11,8 +11,9 @@ holds the sha256 of the full trace (the ``_fingerprint`` form of
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
   a fresh volatile state -- and a permanent crash of ``a1``): the only pinned
-  trace in which the Figure 6 cleaning thread works, 357 results cleaned by
-  two different cleaners, and
+  trace in which the Figure 6 cleaning thread works, 553 results cleaned by
+  two different cleaners (the recovered ``a2`` never stops suspecting the live
+  ``a1``, ROADMAP 1(c), and aborts each of its claims as it learns it), and
 * the replay of every committed corpus artifact.
 
 Each trace is pinned twice: ``full`` is the digest of every event, and
