@@ -232,7 +232,7 @@ class Message:
             )
         except KeyError as exc:
             raise WireFormatError(f"wire envelope missing field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, AttributeError) as exc:  # e.g. a payload that is no object
             raise WireFormatError(f"malformed wire envelope field: {exc}") from None
 
     def __getitem__(self, key: str) -> Any:

@@ -26,6 +26,7 @@ class NetworkStats:
         self.dropped_loss = 0
         self.dropped_partition = 0
         self.dropped_dest_down = 0
+        self.dropped_overload = 0   # shed by a full link (TCP transport only)
         self.by_type_sent: dict[str, int] = {}
         self.by_type_delivered: dict[str, int] = {}
 
@@ -37,6 +38,7 @@ class NetworkStats:
             "dropped_loss": self.dropped_loss,
             "dropped_partition": self.dropped_partition,
             "dropped_dest_down": self.dropped_dest_down,
+            "dropped_overload": self.dropped_overload,
         }
 
 

@@ -9,13 +9,16 @@ asyncio event loop advance the wall clock and maps the seam onto it:
 * ``schedule`` becomes ``loop.call_later``; cancelling a protocol timer
   cancels the underlying loop timer;
 * ``run``/``run_until`` drive the loop with ``run_until_complete`` around a
-  sleep or a predicate poller, so the workload generators' blocking call
-  sites work unchanged.
+  sleep or a parked future, so the workload generators' blocking call sites
+  work unchanged.  Nothing polls: the predicate of ``run_until`` is checked
+  where protocol state can change -- after each kernel timer callback and,
+  through :meth:`AsyncioKernel.notify`, after each batch of frames a
+  transport delivered.
 
 Protocol generators stay exactly what they are under the simulator --
-generator coroutines resumed by callbacks.  The only native asyncio tasks
-are infrastructure pumps (TCP readers/writers) spawned via
-:meth:`AsyncioKernel.spawn_task`.
+generator coroutines resumed by callbacks.  The only native asyncio task is
+a transport's attempt to connect a link that is down
+(:meth:`AsyncioKernel.spawn_task`); steady state runs none.
 
 A wall-clock budget (``max_wall`` seconds per ``run``/``run_until`` call,
 default 120) turns a hung loop into a loud :class:`SimulationLimitExceeded`
@@ -25,13 +28,47 @@ instead of a stalled CI job.
 from __future__ import annotations
 
 import asyncio
+import select
+import selectors
 from typing import Callable, Coroutine, Optional
 
 from repro.runtime.base import Kernel
 from repro.sim.errors import InvalidScheduling, SimulationLimitExceeded
 
-#: Wall-clock seconds between predicate polls in :meth:`AsyncioKernel.run_until`.
-_POLL_INTERVAL = 0.002
+#: ``select.select`` rejects descriptors from here on (``FD_SETSIZE``).
+_FD_SETSIZE = 1024
+
+if hasattr(selectors, "EpollSelector"):
+
+    class _PunctualSelector(selectors.EpollSelector):
+        """``EpollSelector`` whose timeouts end on time, not a millisecond late.
+
+        ``epoll`` sleeps in whole milliseconds and CPython rounds a timeout
+        *up* to the next one: at ``pace=0.05`` every protocol timer fires up
+        to 20 virtual ms late.  This one sleeps the whole milliseconds in
+        ``epoll`` and the rest in a ``select`` (microsecond timeouts) on the
+        epoll descriptor itself, which turns readable when a socket is ready.
+        """
+
+        def select(self, timeout=None):
+            if timeout is None or timeout <= 0 or self.fileno() >= _FD_SETSIZE:
+                return super().select(timeout)
+            whole_ms = int(timeout * 1e3)
+            if whole_ms:
+                # Half a millisecond less, so that the base class's ceil lands
+                # on ``whole_ms`` whatever the float product rounds to.
+                ready = super().select((whole_ms - 0.5) * 1e-3)
+                if ready:
+                    return ready
+            rest = timeout - whole_ms * 1e-3
+            if select.select((self.fileno(),), (), (), rest)[0]:
+                return super().select(0)
+            return []
+
+    def _new_event_loop() -> asyncio.AbstractEventLoop:
+        return asyncio.SelectorEventLoop(_PunctualSelector())
+else:  # kqueue and friends already sleep with sub-millisecond resolution
+    _new_event_loop = asyncio.new_event_loop
 
 
 class WallEvent:
@@ -83,11 +120,13 @@ class AsyncioKernel(Kernel):
         #: Wall-clock budget (seconds) for a single run()/run_until() call;
         #: ``None`` disables the guard (used by long-lived ``serve``).
         self.max_wall = max_wall
-        self._loop = asyncio.new_event_loop()
+        self._loop = _new_event_loop()
         self._epoch = self._loop.time()
         self._events_processed = 0
         self._pending = 0
         self._tasks: set[asyncio.Task] = set()
+        #: The ``(predicate, future)`` a ``run_until`` call is parked on.
+        self._parked: Optional[tuple[Callable[[], bool], asyncio.Future]] = None
         self._bootstraps: list[Callable[[], Coroutine]] = []
         self._closers: list[Callable[[], None]] = []
         self._closed = False
@@ -128,6 +167,7 @@ class AsyncioKernel(Kernel):
                 return
             self._events_processed += 1
             callback()
+            self.notify()
 
         self._pending += 1
         handle = self._loop.call_later(self._wall_delay(delay), fire)
@@ -151,7 +191,7 @@ class AsyncioKernel(Kernel):
     # ----------------------------------------------------- native-task support
 
     def spawn_task(self, coro: Coroutine) -> asyncio.Task:
-        """Run a native asyncio coroutine (transport pumps); tracked for close()."""
+        """Run a native asyncio coroutine (a link's connect); tracked for close()."""
         task = self._loop.create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -192,29 +232,45 @@ class AsyncioKernel(Kernel):
             self._loop.run_until_complete(asyncio.sleep(remaining))
         return self.now
 
+    def notify(self) -> None:
+        """Protocol state may have changed: end a parked ``run_until`` if it holds now."""
+        if self._parked is not None:
+            predicate, parked = self._parked
+            if not parked.done() and predicate():
+                parked.set_result(True)
+
     def run_until(self, predicate: Callable[[], bool], *, until: Optional[float] = None,
                   max_events: int = 5_000_000) -> bool:
-        """Poll ``predicate`` while the loop runs; stop at ``until`` or budget."""
+        """Run the loop until ``predicate`` holds; stop at ``until`` or budget."""
         self._ensure_bootstrapped()
         if predicate():
             return True
-        budget_deadline = (self._loop.time() + self.max_wall
-                           if self.max_wall is not None else None)
+        parked = self._loop.create_future()
 
-        async def wait() -> bool:
-            while True:
-                if predicate():
-                    return True
-                if until is not None and self.now >= until:
-                    return predicate()
-                if budget_deadline is not None and self._loop.time() >= budget_deadline:
-                    raise SimulationLimitExceeded(
-                        f"run_until exceeded the {self.max_wall:.0f}s wall-clock budget "
-                        "(possible hang; lower pace or raise max_wall)"
-                    )
-                await asyncio.sleep(_POLL_INTERVAL)
+        def at_horizon() -> None:
+            if not parked.done():
+                parked.set_result(predicate())
 
-        return self._loop.run_until_complete(wait())
+        def over_budget() -> None:
+            if not parked.done():
+                parked.set_exception(SimulationLimitExceeded(
+                    f"run_until exceeded the {self.max_wall:.0f}s wall-clock budget "
+                    "(possible hang; lower pace or raise max_wall)"
+                ))
+
+        timers = []
+        if until is not None:
+            timers.append(self._loop.call_later(
+                self._wall_delay(until - self.now), at_horizon))
+        if self.max_wall is not None:
+            timers.append(self._loop.call_later(self.max_wall, over_budget))
+        self._parked = (predicate, parked)
+        try:
+            return self._loop.run_until_complete(parked)
+        finally:
+            self._parked = None
+            for timer in timers:
+                timer.cancel()
 
     # ---------------------------------------------------------------- closing
 

@@ -8,18 +8,27 @@ same thing in both backends.
 
 Topology: every *local* process gets its own ``asyncio`` TCP server (bound
 from the deterministic :class:`~repro.runtime.endpoints.EndpointMap`), and
-each destination gets one pooled outbound connection fed by a writer pump
-task.  Frames are 4-byte big-endian length prefixes followed by
-:meth:`Message.to_wire` JSON bodies.  All traffic -- including between
-processes in the same OS process -- goes through real sockets; that is the
-point of this backend.
+each destination gets one pooled outbound connection.  Frames are 4-byte
+big-endian length prefixes followed by :meth:`Message.to_wire` JSON bodies.
+All traffic -- including between processes in the same OS process -- goes
+through real sockets; that is the point of this backend.
+
+A message costs the loop exactly the work it is.  ``_transmit`` writes the
+frame straight to the destination's connected transport (``transport.write``
+never blocks), and the receiving :class:`_Receiver` cuts complete frames out
+of what ``data_received`` hands it and delivers them synchronously: no reader
+task, no writer pump, no queue hop.  The only native task is the connect
+attempt of a link that is down; frames sent meanwhile wait in ``link.pending``.
 
 Failure semantics mirror the paper's fair-lossy channels: a frame that
-cannot be written (peer not yet listening, connection reset, crashed
+cannot be written (peer never listening, connection reset, crashed
 destination) is *dropped*, never buffered indefinitely -- recovering the
 message is the job of the protocol's retransmission logic, exactly as under
-simulated loss.  A process crash closes its live connections (the TCP
-analogue of losing volatile state); reconnection is lazy on the next send.
+simulated loss.  For the same reason a link is bounded: a frame that would
+take the bytes waiting for one peer past ``_LINK_LIMIT`` is shed with the
+``overload`` event a full mailbox records.  A process crash closes its live
+connections (the TCP analogue of losing volatile state); reconnection is
+lazy on the next send.
 """
 
 from __future__ import annotations
@@ -40,17 +49,65 @@ _MAX_FRAME = 16 * 1024 * 1024
 _RECONNECT_INTERVAL = 0.05
 #: Wall-clock seconds to keep retrying a connection before dropping frames.
 _CONNECT_TIMEOUT = 10.0
+#: Bytes that may wait for one peer (while connecting, or in the write buffer
+#: of a connection whose peer does not read) before further frames are shed.
+_LINK_LIMIT = 4 * 1024 * 1024
 
 
 class _Link:
-    """One pooled outbound connection: a frame queue and its pump task."""
+    """One pooled outbound connection, or the frames waiting for it to open."""
 
-    __slots__ = ("queue", "writer", "task")
+    __slots__ = ("transport", "pending", "waiting", "task")
 
     def __init__(self) -> None:
-        self.queue: asyncio.Queue[bytes] = asyncio.Queue()
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.transport: Optional[asyncio.Transport] = None
+        self.pending = bytearray()      # frames sent while ``task`` connects
+        self.waiting = 0                # how many frames ``pending`` holds
         self.task: Optional[asyncio.Task] = None
+
+
+class _Receiver(asyncio.Protocol):
+    """One accepted connection: cuts frames out of the byte stream, delivers them."""
+
+    def __init__(self, net: "TcpTransport", name: str):
+        self._net = net
+        self._peers = net._inbound.setdefault(name, set())
+        self._buffer = bytearray()
+        self._transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._peers.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._peers.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        transport = self._transport
+        if transport.is_closing():
+            return
+        net = self._net
+        buffer = self._buffer
+        buffer += data
+        start, size = 0, len(buffer)
+        try:
+            while size - start >= _FRAME_HEADER.size:
+                (length,) = _FRAME_HEADER.unpack_from(buffer, start)
+                if length > _MAX_FRAME:     # refused before any body is buffered
+                    raise WireFormatError(f"frame of {length} bytes exceeds the limit")
+                body = start + _FRAME_HEADER.size
+                if body + length > size:
+                    break
+                message = Message.from_wire(bytes(buffer[body:body + length]))
+                start = body + length
+                # A frame for a process another host runs is misrouted; drop.
+                if net.hosts(message.destination):
+                    net._deliver(message)
+        except WireFormatError:
+            transport.close()
+            start = size
+        del buffer[:start]
+        net.kernel.notify()
 
 
 class TcpTransport(Network):
@@ -65,7 +122,7 @@ class TcpTransport(Network):
         self._local_names = local_names
         self._servers: dict[str, asyncio.base_events.Server] = {}
         self._links: dict[str, _Link] = {}
-        self._inbound: dict[str, set[asyncio.StreamWriter]] = {}
+        self._inbound: dict[str, set[asyncio.Transport]] = {}
         self._closed = False
         kernel.add_bootstrap(self._start_serving)
         kernel.add_closer(self.close)
@@ -82,112 +139,97 @@ class TcpTransport(Network):
             if not self.hosts(name) or name in self._servers:
                 continue
             host, port = self.endpoints.get(name)
-            server = await asyncio.start_server(
-                lambda reader, writer, name=name: self._accept(name, reader, writer),
-                host, port)
+            server = await self.kernel._loop.create_server(
+                lambda name=name: _Receiver(self, name), host, port)
             # An ephemeral bind (port 0) fixes the real port only now; record
-            # it so local pumps can connect.
+            # it so local links can connect.
             actual_port = server.sockets[0].getsockname()[1]
             self.endpoints.assign(name, host, actual_port)
             self._servers[name] = server
 
-    def _accept(self, name: str, reader: asyncio.StreamReader,
-                writer: asyncio.StreamWriter) -> None:
-        self.kernel.spawn_task(self._read_frames(name, reader, writer))
-
-    async def _read_frames(self, name: str, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._inbound.setdefault(name, set()).add(writer)
-        try:
-            while True:
-                header = await reader.readexactly(_FRAME_HEADER.size)
-                (length,) = _FRAME_HEADER.unpack(header)
-                if length > _MAX_FRAME:
-                    raise WireFormatError(f"frame of {length} bytes exceeds the limit")
-                body = await reader.readexactly(length)
-                message = Message.from_wire(body)
-                destination = message.destination
-                if not self.hosts(destination):
-                    # Misrouted frame for a process another host runs; drop.
-                    continue
-                self._deliver(message)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError, WireFormatError):
-            pass
-        finally:
-            self._inbound.get(name, set()).discard(writer)
-            writer.close()
-
     # --------------------------------------------------------------- sending
 
     def _transmit(self, message: Message, destination: str, tracing: bool) -> None:
-        """Frame the message and hand it to the destination's writer pump.
+        """Frame the message and write it to the destination's connection.
 
         The latency model is unused here: the real network provides the
         latency.  Loss and partitions were already applied by ``send``.
         """
-        frame = message.to_wire()
+        body = message.to_wire()
+        frame = _FRAME_HEADER.pack(len(body)) + body
         link = self._links.get(destination)
         if link is None:
             link = self._links[destination] = _Link()
-            link.task = self.kernel.spawn_task(self._pump(destination, link))
-        link.queue.put_nowait(_FRAME_HEADER.pack(len(frame)) + frame)
+        transport = link.transport
+        if transport is not None and transport.is_closing():
+            # Closed by a crash hook, the peer or an error: reconnect lazily.
+            transport = link.transport = None
+        backlog = (len(link.pending) if transport is None
+                   else transport.get_write_buffer_size())
+        if backlog + len(frame) > _LINK_LIMIT:
+            self.stats.dropped_overload += 1
+            trace = self.sim.trace
+            if trace.wants("overload"):
+                trace.record("overload", message.sender, msg_type=message.msg_type,
+                             destination=destination, backlog=backlog)
+        elif transport is not None:
+            transport.write(frame)
+        else:
+            link.pending += frame
+            link.waiting += 1
+            if link.task is None:
+                link.task = self.kernel.spawn_task(self._connect(destination, link))
 
-    async def _pump(self, destination: str, link: _Link) -> None:
-        while True:
-            frame = await link.queue.get()
-            if link.writer is None:
-                link.writer = await self._connect(destination)
-                if link.writer is None:
-                    self.stats.dropped_dest_down += 1
-                    continue
-            try:
-                link.writer.write(frame)
-                await link.writer.drain()
-            except (ConnectionError, OSError):
-                # Fair-lossy: the frame is lost, the connection is re-opened
-                # lazily for the next one (retransmission recovers the data).
-                link.writer = None
-                self.stats.dropped_dest_down += 1
-
-    async def _connect(self, destination: str) -> Optional[asyncio.StreamWriter]:
-        deadline = self.kernel._loop.time() + _CONNECT_TIMEOUT
-        while True:
-            host, port = self.endpoints.get(destination)
-            if port:
-                try:
-                    _, writer = await asyncio.open_connection(host, port)
-                    return writer
-                except (ConnectionError, OSError):
-                    pass
-            # Peer not bound yet (startup race, recovery, port still
-            # ephemeral-unknown): retry until the timeout, then give up.
-            if self.kernel._loop.time() >= deadline:
-                return None
-            await asyncio.sleep(_RECONNECT_INTERVAL)
+    async def _connect(self, destination: str, link: _Link) -> None:
+        """Open ``link`` and flush what waited for it, or give up and drop that."""
+        loop = self.kernel._loop
+        deadline = loop.time() + _CONNECT_TIMEOUT
+        try:
+            while True:
+                host, port = self.endpoints.get(destination)
+                if port:
+                    try:
+                        transport, _ = await loop.create_connection(
+                            asyncio.Protocol, host, port)
+                    except OSError:
+                        pass
+                    else:
+                        transport.write(bytes(link.pending))
+                        link.transport = transport
+                        return
+                # Peer not bound yet (startup race, recovery, port still
+                # ephemeral-unknown): retry until the timeout, then give up.
+                if loop.time() >= deadline:
+                    self.stats.dropped_dest_down += link.waiting
+                    return
+                await asyncio.sleep(_RECONNECT_INTERVAL)
+        finally:
+            link.pending = bytearray()
+            link.waiting = 0
+            link.task = None
 
     # ------------------------------------------------------------ crash hooks
 
     def on_process_crash(self, name: str) -> None:
         """Drop the crashed process's live connections (volatile-state loss)."""
-        for writer in list(self._inbound.get(name, ())):
-            writer.close()
+        for transport in list(self._inbound.get(name, ())):
+            transport.close()
         link = self._links.get(name)
-        if link is not None and link.writer is not None:
-            link.writer.close()
-            link.writer = None
+        if link is not None and link.transport is not None:
+            link.transport.abort()      # unsent frames are volatile state too
 
     # ---------------------------------------------------------------- closing
 
     def close(self) -> None:
-        """Close servers and connections; pump/reader tasks die with the kernel."""
+        """Close servers and connections; a connect task dies with the kernel."""
         if self._closed:
             return
         self._closed = True
         for server in self._servers.values():
             server.close()
         for link in self._links.values():
-            if link.writer is not None:
-                link.writer.close()
-        for writers in self._inbound.values():
-            for writer in list(writers):
-                writer.close()
+            if link.transport is not None:
+                link.transport.abort()
+        for transports in self._inbound.values():
+            for transport in list(transports):
+                transport.close()
