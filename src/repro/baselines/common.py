@@ -17,10 +17,12 @@ from repro.core import messages as msg
 from repro.core.dataserver import DatabaseServer
 from repro.core.sharding import merge_participant_values, request_participants
 from repro.core.types import VOTE_YES, Decision, Request
-from repro.net.message import Message, is_type
+from repro.net.message import IDS, Message, declare_message, is_type
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
+declare_message(COMMIT_ONE_PHASE, j=IDS)
+declare_message(ACK_COMMIT, j=IDS)
 
 
 class RequestDeduplication:

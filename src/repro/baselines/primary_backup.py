@@ -22,15 +22,20 @@ from typing import Any, Optional
 from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
-from repro.core.types import ABORT, COMMIT, Decision, Request, Result, VOTE_YES
+from repro.core.types import (ABORT, COMMIT, REQUEST_REC, RESULT_REC, VOTE_YES, Decision, Request,
+                              Result)
 from repro.failure.detectors import FailureDetector
-from repro.net.message import Message, is_type, is_type_with
+from repro.net.message import IDS, STR, Message, declare_message, is_type, is_type_with
 from repro.sim.process import Process
 
 PB_START = "PBStart"
 PB_START_ACK = "PBStartAck"
 PB_OUTCOME = "PBOutcome"
 PB_OUTCOME_ACK = "PBOutcomeAck"
+declare_message(PB_START, j=IDS, request=REQUEST_REC, client=STR)
+declare_message(PB_START_ACK, j=IDS)
+declare_message(PB_OUTCOME, j=IDS, outcome=STR, result=RESULT_REC, client=STR)
+declare_message(PB_OUTCOME_ACK, j=IDS)
 
 
 class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):

@@ -39,10 +39,11 @@ middle tier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.consensus.interfaces import ConsensusProtocol, InstanceId
-from repro.net.message import Message
+from repro.net.message import IDS, IDS_OR_RECORD, Message, declare_message
 from repro.sim.process import Process
 from repro.sim.scheduler import ScheduledEvent
 from repro.sim.waits import SimFuture
@@ -415,6 +416,18 @@ class ConsensusHost(ConsensusProtocol):
         """To the whole group: the peers first, then this host's own step."""
         self._send_peers(payload)
         self._step(self.process.name, payload)
+
+
+# What each kind of consensus message carries besides its instance (``_step`` reads them).
+_kind = partial(declare_message, ConsensusHost.MSG_TYPE, instance=IDS)
+_kind(kind="prepare", ballot=IDS)
+_kind(kind="promise", ballot=IDS, accepted_ballot=IDS, accepted_value=IDS_OR_RECORD)
+_kind(kind="accept", ballot=IDS, value=IDS_OR_RECORD)
+_kind(kind="accepted", ballot=IDS)
+_kind(kind="decide", value=IDS_OR_RECORD)
+_kind(kind="query")
+_kind(kind="nack_prepare", ballot=IDS, promised=IDS)
+_kind(kind="nack_accept", ballot=IDS, promised=IDS)
 
 
 def _printable(value: Any) -> Any:

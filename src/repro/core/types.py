@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.net.message import STR, STRS, VALUE, declare_record, optional
+
 COMMIT = "commit"
 ABORT = "abort"
 
@@ -71,6 +73,10 @@ class Request:
         return f"{self.operation}({self.request_id})"
 
 
+REQUEST_REC = declare_record(Request, operation=STR, params=VALUE, request_id=STR,
+                             participants=STRS, keys=STRS)
+
+
 @dataclass(frozen=True)
 class Result:
     """A result computed by an application server for one request.
@@ -85,6 +91,9 @@ class Result:
 
     def __repr__(self) -> str:
         return f"Result({self.value!r}, request={self.request_id}, by={self.computed_by})"
+
+
+RESULT_REC = declare_record(Result, value=VALUE, request_id=STR, computed_by=STR)
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,8 @@ class Decision:
         """Whether this decision commits its result."""
         return self.outcome == COMMIT
 
+
+DECISION_REC = declare_record(Decision, result=optional(RESULT_REC), outcome=STR)
 
 ABORT_DECISION = Decision(result=None, outcome=ABORT)
 """The decision written by the cleaning thread (the paper's ``(nil, abort)``)."""

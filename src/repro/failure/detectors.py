@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from repro.net.message import Message
+from repro.net.message import STR, Message, declare_message
 from repro.net.network import Network
 from repro.sim.process import Process, Thread
 from repro.sim.waits import SimFuture
@@ -158,6 +158,7 @@ class HeartbeatFailureDetector(FailureDetector):
     """
 
     HEARTBEAT = "Heartbeat"
+    declare_message(HEARTBEAT, origin=STR)
 
     def __init__(self, network: Network, members: Iterable[str],
                  heartbeat_interval: float = 5.0, initial_timeout: float = 15.0,

@@ -13,10 +13,12 @@ message ends up with depends only on its sender's own send history.
 from __future__ import annotations
 
 import json
+from math import isfinite
+from operator import attrgetter
 from sys import intern as _intern
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 """Current version of the :meth:`Message.to_wire` encoding."""
 
 
@@ -24,69 +26,190 @@ class WireFormatError(ValueError):
     """A value cannot be encoded for / decoded from the wire."""
 
 
-# The wire encoding must restore payload values *exactly*: protocol code uses
-# tuples from payloads as dict keys (consensus instance ids, result keys), so
-# the JSON tuple->list collapse would break it.  Every container is therefore
-# written as a tagged object ({"k": <kind>, ...}); plain JSON arrays carry
-# lists and scalars travel as themselves, so there is nothing to escape.
+# The wire codec knows the vocabulary.  Every message type that may cross a
+# socket is declared (:func:`declare_message`, beside its constructor) as a row
+# of named fields, each with a :class:`Shape`, and both directions are derived
+# from the row.  A frame is one positional JSON array
+# ``[WIRE_VERSION, tag, sender, destination, msg_id, send_time, field...]``:
+# nothing names its fields or tags its containers, and decoding checks arity
+# and every field's shape *while it builds the payload*, so what comes out is a
+# well-typed message of a declared type or a WireFormatError.  Only free-form
+# business data (``Request.params``, result values) goes through a tagged walker.
 
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, str)):
+
+class Shape(NamedTuple):
+    """How one kind of field travels: ``encode`` is ``None`` where JSON carries it as is."""
+
+    name: str
+    encode: Optional[Callable[[Any], Any]]
+    decode: Callable[[Any], Any]
+
+
+def _brief(value: Any) -> str:
+    """``value`` for an error message; never the repr of a container (it may be 900 deep)."""
+    return type(value).__name__ if type(value) in (list, dict) else repr(value)[:40]
+
+
+def _refuse(value: Any, expected: str) -> WireFormatError:
+    return WireFormatError(f"expected {expected}, got {_brief(value)}")
+
+
+def _scalar(expected: type) -> Callable[[Any], Any]:
+    def decode(value: Any) -> Any:
+        if type(value) is not expected:     # exact: JSON ``true`` is no int
+            raise _refuse(value, expected.__name__)
         return value
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise WireFormatError(f"non-finite float {value!r} is not wire-encodable")
+    return decode
+
+
+def _ids(value: Any, depth: int = 4) -> Any:
+    """Scalars and nested tuples of them, e.g. the instance ``("regA", ("c1", 3))``."""
+    kind = type(value)
+    if kind is list and depth:      # JSON carried the tuple as an array
+        return tuple([item if type(item) is str or type(item) is int
+                      else _ids(item, depth - 1) for item in value])
+    if (kind is str or kind is int or value is None or kind is bool
+            or kind is float and isfinite(value)):
         return value
-    if isinstance(value, list):
-        return [_encode_value(item) for item in value]
-    if isinstance(value, tuple):
-        return {"k": "tuple", "v": [_encode_value(item) for item in value]}
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            return {"k": "map", "v": {key: _encode_value(item) for key, item in value.items()}}
-        return {"k": "imap",
-                "v": [[_encode_value(key), _encode_value(item)] for key, item in value.items()]}
-    # Lazy imports: repro.core imports this module at package-init time.
-    from repro.core.types import Decision, Request, Result
-
-    if isinstance(value, Request):
-        return {"k": "request", "op": value.operation, "params": _encode_value(value.params),
-                "id": value.request_id, "parts": [_encode_value(p) for p in value.participants]}
-    if isinstance(value, Decision):
-        return {"k": "decision", "outcome": value.outcome,
-                "result": _encode_value(value.result)}
-    if isinstance(value, Result):
-        return {"k": "result", "value": _encode_value(value.value),
-                "request_id": value.request_id, "by": value.computed_by}
-    raise WireFormatError(f"type {type(value).__name__!r} is not wire-encodable")
+    raise _refuse(value, "a scalar or a tuple of bounded depth")
 
 
-def _decode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
+def _strs(value: Any) -> tuple[str, ...]:
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise _refuse(value, "a tuple of str")
+    return tuple(value)
+
+
+def _pack(value: Any, depth: int = 16) -> Any:
+    """Free-form data, containers tagged so that tuples and non-str keys survive JSON."""
+    kind = type(value)
+    if kind is str or kind is int or value is None or kind is bool or kind is float:
+        return value    # a non-finite float is refused by the encoder itself
+    if kind is list and depth:
+        return [_pack(item, depth - 1) for item in value]
+    if kind is tuple and depth:
+        return {"t": [_pack(item, depth - 1) for item in value]}
+    if kind is dict and depth:
+        if all(type(key) is str for key in value):
+            return {"m": {key: _pack(item, depth - 1) for key, item in value.items()}}
+        return {"i": [[key, _pack(item, depth - 1)] for key, item in value.items()]}
+    raise WireFormatError(f"a {kind.__name__} (or nesting this deep) is not wire-encodable")
+
+
+def _unpack(value: Any, depth: int = 16) -> Any:
+    kind = type(value)
+    if (kind is str or kind is int or value is None or kind is bool
+            or kind is float and isfinite(value)):
         return value
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    if isinstance(value, dict):
-        kind = value.get("k")
-        if kind == "tuple":
-            return tuple(_decode_value(item) for item in value["v"])
-        if kind == "map":
-            return {key: _decode_value(item) for key, item in value["v"].items()}
-        if kind == "imap":
-            return {_decode_value(key): _decode_value(item) for key, item in value["v"]}
-        from repro.core.types import Decision, Request, Result
+    if kind is list and depth:
+        return [_unpack(item, depth - 1) for item in value]
+    if kind is dict and depth and len(value) == 1:
+        (tag, body), = value.items()
+        if tag == "t" and type(body) is list:
+            return tuple([_unpack(item, depth - 1) for item in body])
+        if tag == "m" and type(body) is dict:
+            return {key: _unpack(item, depth - 1) for key, item in body.items()}
+        if tag == "i" and type(body) is list and all(
+                type(pair) is list and len(pair) == 2 for pair in body):
+            return {_ids(key): _unpack(item, depth - 1) for key, item in body}
+    raise _refuse(value, "a tagged value of bounded depth")
 
-        if kind == "request":
-            return Request(operation=value["op"], params=_decode_value(value["params"]),
-                           request_id=value["id"],
-                           participants=tuple(_decode_value(p) for p in value["parts"]))
-        if kind == "decision":
-            return Decision(result=_decode_value(value["result"]), outcome=value["outcome"])
-        if kind == "result":
-            return Result(value=_decode_value(value["value"]),
-                          request_id=value["request_id"], computed_by=value["by"])
-        raise WireFormatError(f"unknown wire value kind {kind!r}")
-    raise WireFormatError(f"cannot decode wire value {value!r}")
+
+IDS = Shape("ids", None, _ids)
+STR = Shape("str", None, _scalar(str))
+INT = Shape("int", None, _scalar(int))
+BOOL = Shape("bool", None, _scalar(bool))
+STRS = Shape("strs", None, _strs)
+VALUE = Shape("value", _pack, _unpack)
+MESSAGE = Shape("Message", lambda message: message._frame(),
+                lambda frame: Message._from_frame(frame, nested=True))
+
+_RECORDS: dict[Any, Shape] = {}     # record class, and its name on the wire -> shape
+
+
+def optional(shape: Shape) -> Shape:
+    """``None``, or what ``shape`` describes (which must have an encoder)."""
+    return Shape(f"{shape.name}?", lambda value: None if value is None else shape.encode(value),
+                 lambda value: None if value is None else shape.decode(value))
+
+
+def declare_record(cls: type, /, **fields: Shape) -> Shape:
+    """The shape of a dataclass that travels as the positional array of ``fields``.
+
+    ``fields`` are the constructor's parameters, in order.  The record also
+    joins the :data:`IDS_OR_RECORD` union under its class name.
+    """
+    read, shapes = attrgetter(*fields), tuple(fields.values())
+
+    def encode(record: Any) -> list:
+        return [value if shape.encode is None else shape.encode(value)
+                for shape, value in zip(shapes, read(record))]
+
+    def decode(value: Any) -> Any:
+        if type(value) is not list or len(value) != len(shapes):
+            raise _refuse(value, f"the {len(shapes)} fields of a {cls.__name__}")
+        try:
+            return cls(*[shape.decode(item) for shape, item in zip(shapes, value)])
+        except ValueError as exc:   # the record's own validation, e.g. an unknown outcome
+            raise WireFormatError(str(exc)) from None
+
+    shape = _RECORDS[cls] = _RECORDS[cls.__name__] = Shape(cls.__name__, encode, decode)
+    return shape
+
+
+def _pack_either(value: Any) -> Any:
+    shape = _RECORDS.get(type(value))   # inside an object, so that it is no tuple
+    return value if shape is None else {shape.name: shape.encode(value)}
+
+
+def _unpack_either(value: Any) -> Any:
+    if type(value) is not dict:
+        return _ids(value)
+    shape = _RECORDS.get(next(iter(value))) if len(value) == 1 else None
+    if shape is None:
+        raise _refuse(value, "a declared record")
+    return shape.decode(value[shape.name])
+
+
+IDS_OR_RECORD = Shape("ids or record", _pack_either, _unpack_either)
+"""What a wo-register holds: identifiers (a ``regA`` claim) or a record (a ``regD`` decision)."""
+
+
+class WireSchema(NamedTuple):
+    """One row of the vocabulary: a message type, or one ``kind`` of it, and its fields."""
+
+    msg_type: str
+    kind: Optional[str]
+    fields: tuple[tuple[str, Shape], ...]   # in wire order
+
+
+WIRE_SCHEMAS: dict[str, WireSchema] = {}
+"""Wire tag -> row; the tag is the message type, or ``type:kind``."""
+
+
+def declare_message(msg_type: str, /, kind: Optional[str] = None,
+                    **fields: Shape) -> Callable[[Any], Any]:
+    """Declare the payload of ``msg_type``: ``name=Shape`` per field, in wire order.
+
+    With ``kind``, the row describes only the messages whose payload says so
+    under ``"kind"`` (the synod's ``prepare``, ``promise``, ...), and the type
+    is declared once per kind.  Returns the identity, so that a declaration
+    can sit on the type's constructor as a decorator.
+    """
+    tag = msg_type if kind is None else f"{msg_type}:{kind}"
+    if tag in WIRE_SCHEMAS:
+        raise ValueError(f"{tag!r} already has a wire schema")
+    WIRE_SCHEMAS[tag] = WireSchema(msg_type, kind, tuple(fields.items()))
+    return lambda constructor: constructor
+
+
+def _reject_constant(name: str) -> None:
+    raise WireFormatError(f"non-finite number {name}")
+
+
+_UNSUPPORTED = f"unsupported wire version %s (this build speaks {WIRE_VERSION})"
+_ENCODE = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
+_DECODE = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 
 
 class Message:
@@ -182,58 +305,83 @@ class Message:
 
     # ------------------------------------------------------------ wire codec
 
+    def _frame(self) -> list:
+        payload = self._payload
+        tag = self.msg_type
+        row = WIRE_SCHEMAS.get(tag)
+        if row is None:     # undeclared, or declared kind by kind
+            tag = f"{tag}:{payload.get('kind')}"
+            row = WIRE_SCHEMAS.get(tag)
+        if row is None or len(payload) != len(row.fields) + (row.kind is not None):
+            raise WireFormatError(
+                f"{self.msg_type!r} with fields {sorted(payload)} fits no declared wire schema")
+        try:
+            return [WIRE_VERSION, tag, self.sender, self.destination, self.msg_id,
+                    self.send_time] + [
+                payload[name] if shape.encode is None else shape.encode(payload[name])
+                for name, shape in row.fields]
+        except (KeyError, AttributeError) as exc:   # a field missing, a record of another type
+            raise WireFormatError(f"{tag!r} does not fit its wire schema: {exc!r}") from None
+
     def to_wire(self) -> bytes:
         """Stable, versioned serialization of this message (UTF-8 JSON).
 
-        The encoding round-trips everything protocol payloads contain --
-        tuples (restored as tuples, not lists), dicts with non-string keys,
-        and the :mod:`repro.core.types` dataclasses.  Used by the TCP
-        transport (inside length-prefixed frames) and usable for trace
-        artifacts.  Raises :class:`WireFormatError` on unsupported values.
+        The positional array laid out by the type's :func:`declare_message`
+        row, so tuples, the :mod:`repro.core.types` records and a nested
+        message come back exactly as sent.  Used by the TCP transport (inside
+        length-prefixed frames).  Raises :class:`WireFormatError` for an
+        undeclared type or a payload that does not fit its row.
         """
-        envelope = {
-            "v": WIRE_VERSION,
-            "t": self.msg_type,
-            "s": self.sender,
-            "d": self.destination,
-            "id": self.msg_id,
-            "ts": self.send_time,
-            "p": {key: _encode_value(value) for key, value in self._payload.items()},
-        }
-        return json.dumps(envelope, separators=(",", ":"), allow_nan=False).encode("utf-8")
+        frame = self._frame()
+        try:
+            return _ENCODE(frame).encode("ascii")
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise WireFormatError(f"{self.msg_type!r} is not wire-encodable: {exc}") from None
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
-        """Decode a :meth:`to_wire` frame; rejects unknown wire versions."""
+        """Decode a :meth:`to_wire` frame into a message of a declared type.
+
+        Anything else -- another wire version, an unknown type or kind, wrong
+        arity, a field of the wrong shape, a non-finite number, nesting beyond
+        a shape's depth -- raises :class:`WireFormatError`.
+        """
         try:
-            envelope = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            text = data.decode("utf-8")
+            frame, end = _DECODE(text)
+        except (ValueError, RecursionError) as exc:
             raise WireFormatError(f"undecodable wire frame: {exc}") from None
-        if not isinstance(envelope, dict):
-            raise WireFormatError(f"wire frame is not an envelope: {envelope!r}")
-        version = envelope.get("v")
+        if end != len(text):
+            raise WireFormatError("bytes after the end of the wire frame")
+        return cls._from_frame(frame)
+
+    @classmethod
+    def _from_frame(cls, frame: Any, nested: bool = False) -> "Message":
+        if type(frame) is dict:     # how version 1 framed a message
+            raise WireFormatError(_UNSUPPORTED % _brief(frame.get("v")))
+        if type(frame) is not list or len(frame) < 6:
+            raise WireFormatError("a wire frame is an array of at least six elements")
+        version, tag, sender, destination, msg_id, send_time, *values = frame
         if version != WIRE_VERSION:
-            raise WireFormatError(
-                f"unsupported wire version {version!r} (this build speaks {WIRE_VERSION})"
-            )
-        try:
-            # Interning collapses the handful of hot strings (message tags,
-            # payload keys, process names) that every decoded frame repeats,
-            # so long TCP runs do not accumulate duplicate immortal strings
-            # and type/key comparisons hit the pointer fast path.
-            return cls(
-                msg_type=_intern(envelope["t"]),
-                sender=_intern(envelope["s"]),
-                destination=_intern(envelope["d"]),
-                payload={_intern(key): _decode_value(value)
-                         for key, value in envelope["p"].items()},
-                msg_id=envelope["id"],
-                send_time=envelope["ts"],
-            )
-        except KeyError as exc:
-            raise WireFormatError(f"wire envelope missing field {exc}") from None
-        except (TypeError, AttributeError) as exc:  # e.g. a payload that is no object
-            raise WireFormatError(f"malformed wire envelope field: {exc}") from None
+            raise WireFormatError(_UNSUPPORTED % _brief(version))
+        row = WIRE_SCHEMAS.get(tag) if type(tag) is str else None
+        if row is None:
+            raise WireFormatError(f"unknown message type {_brief(tag)}")
+        fields = row.fields
+        if len(values) != len(fields):
+            raise WireFormatError(f"{tag!r} takes {len(fields)} fields, got {len(values)}")
+        timed = type(send_time) is float and isfinite(send_time) or type(send_time) is int
+        if (type(sender) is not str or type(destination) is not str or type(msg_id) is not int
+                or not timed):
+            raise WireFormatError(f"malformed routing fields in a {tag!r} frame")
+        if nested and any(shape is MESSAGE for _, shape in fields):
+            raise WireFormatError("a nested message may not nest another")
+        payload = {name: shape.decode(value) for (name, shape), value in zip(fields, values)}
+        if row.kind is not None:
+            payload["kind"] = row.kind
+        # Interning collapses the process names every decoded frame repeats
+        # (the type and the payload keys are the row's own strings already).
+        return cls(row.msg_type, _intern(sender), _intern(destination), payload, msg_id, send_time)
 
     def __getitem__(self, key: str) -> Any:
         return self._payload[key]

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.message import Message
+from repro.net.message import INT, MESSAGE, STR, Message, declare_message
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import ScheduledEvent
 
 DATA_TYPE = "_rc_data"
 ACK_TYPE = "_rc_ack"
+declare_message(DATA_TYPE, seq=INT, inner=MESSAGE, origin=STR)
+declare_message(ACK_TYPE, seq=INT, acker=STR)
 
 
 class _PendingTransmission:

@@ -71,6 +71,7 @@ class _Receiver(asyncio.Protocol):
 
     def __init__(self, net: "TcpTransport", name: str):
         self._net = net
+        self._name = name
         self._peers = net._inbound.setdefault(name, set())
         self._buffer = bytearray()
         self._transport: Optional[asyncio.Transport] = None
@@ -103,9 +104,12 @@ class _Receiver(asyncio.Protocol):
                 # A frame for a process another host runs is misrouted; drop.
                 if net.hosts(message.destination):
                     net._deliver(message)
-        except WireFormatError:
+        except WireFormatError as refusal:
             transport.close()
             start = size
+            trace = net.sim.trace
+            if trace.wants("wire_reject"):
+                trace.record("wire_reject", self._name, reason=str(refusal))
         del buffer[:start]
         net.kernel.notify()
 
@@ -155,6 +159,8 @@ class TcpTransport(Network):
         The latency model is unused here: the real network provides the
         latency.  Loss and partitions were already applied by ``send``.
         """
+        if self._closed:    # a timer that fires during teardown: nowhere to send, nothing to spawn
+            return
         body = message.to_wire()
         frame = _FRAME_HEADER.pack(len(body)) + body
         link = self._links.get(destination)

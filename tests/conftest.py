@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.message import INT, STR, declare_message
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
+
+# The ad-hoc traffic of the runtime tests crosses real sockets, so it declares
+# its wire rows like any protocol message (once: a type has one schema).
+declare_message("Ping", n=INT)
+declare_message("Pong", n=INT)
+declare_message("Gossip", n=INT)
+declare_message("Blob", blob=STR)
 
 
 @pytest.fixture

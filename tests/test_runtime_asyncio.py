@@ -13,6 +13,7 @@ a few wall seconds while virtual timers keep their paper-true ratios.
 """
 
 import asyncio
+import gc
 import select
 import socket
 from dataclasses import fields
@@ -20,7 +21,7 @@ from dataclasses import fields
 import pytest
 
 from repro import api
-from repro.net.message import Message
+from repro.net.message import Message, WireFormatError
 from repro.runtime import loop as loop_module, tcp
 from repro.runtime.endpoints import EndpointMap
 from repro.runtime.loop import AsyncioKernel
@@ -78,6 +79,17 @@ def test_middle_tier_crash_survived_over_tcp():
     assert result.spec.ok, result.spec.summary()
 
 
+def test_reliable_channels_run_over_real_tcp():
+    # The reliable layer wraps every message in an ``_rc_data`` envelope; the
+    # envelope's row carries the inner message as a nested frame (the tagged
+    # walker died on it: "type 'Message' is not wire-encodable").
+    result = api.run_scenario(asyncio_dsn("etx://a3.d1.c1?seed=7&reliable=1"),
+                              requests=1, settle=SETTLE)
+    assert result.delivered == result.requested == 1
+    assert result.spec.ok, result.spec.summary()
+    assert set(result.message_counts) == {"_rc_data", "_rc_ack"}
+
+
 def test_2pc_baseline_runs_under_asyncio_too():
     # The runtime seam is protocol-agnostic: the comparison baselines run
     # over TCP through the very same deployment scaffolding.
@@ -118,6 +130,40 @@ def test_closing_is_idempotent_and_frees_the_port():
     system = api.build(scenario)
     system.close()
     system.close()  # second close must be a no-op, not an error
+
+
+def test_a_send_during_teardown_spawns_nothing(capfd):
+    # Heartbeat timers keep firing inside ``AsyncioKernel.close()``'s own loop
+    # turns, after the transport closed and the kernel snapshot its tasks; a
+    # connect task spawned then was destroyed pending, with a warning each.
+    system = api.build(api.Scenario.from_dsn(asyncio_dsn("etx://a3.d1.c1?seed=7&fd=heartbeat")))
+    try:
+        assert system.run_request(system.standard_request(), horizon=60_000.0).delivered
+    finally:
+        system.close()
+    kernel, network = system.sim, system.network
+    assert all(task.done() for task in kernel._tasks)
+    assert all(link.task is None for link in network._links.values())
+    sent = network.stats.sent
+    network.send("a1", "a2", Message("Ping", payload={"n": 1}))   # counted, then dropped
+    assert network.stats.sent == sent + 1
+    assert all(link.task is None and not link.pending for link in network._links.values())
+    del system, kernel, network
+    gc.collect()
+    assert "Task was destroyed" not in capfd.readouterr().err
+
+
+def test_an_undeclared_type_fails_at_the_sender():
+    listener = listening_socket()
+    kernel, network, source = lone_sender(listener.getsockname()[1])
+    try:
+        with pytest.raises(WireFormatError, match="fits no declared wire schema"):
+            source.send("peer", Message("Teapot", payload={"n": 1}))
+        assert not network._links    # nothing was framed, queued or connected
+    finally:
+        network.close()
+        kernel.close()
+        listener.close()
 
 
 def test_runs_on_the_same_loop_after_an_earlier_system_closed():
