@@ -15,8 +15,6 @@ Usage (any of)::
     python -m repro ablations
     python -m repro fault-sweep --runs 20
     python -m repro soak --requests 100000
-    python -m repro kernelbench --out benchmarks/out/kernel.json
-    python -m repro kernelbench --alloc-only --out benchmarks/out/alloc.json
     python -m repro run "etx://a3.d1.c4?rate=40&workload=bank" --profile
     python -m repro quickstart
 
@@ -412,23 +410,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if result.matches else 1
 
 
-def _cmd_kernelbench(args: argparse.Namespace) -> int:
-    from repro.sim import bench
-
-    if args.alloc_only:
-        payload = {}
-    else:
-        payload = bench.run_kernel_bench(ops=args.ops, repeats=args.repeats)
-        print(bench.format_report(payload))
-    if args.alloc or args.alloc_only:
-        alloc = bench.run_alloc_bench()
-        payload["alloc"] = alloc
-        print(bench.format_alloc_report(alloc))
-    if args.out:
-        _write_bench_json(args.out, payload)
-    return 0
-
-
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     result = fault_sweep.run(num_runs=args.runs, seed=_seed(args),
                              allow_client_crash=args.client_crashes)
@@ -576,24 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     reshard_cmd.add_argument("--json", default=None, metavar="PATH",
                              help="also write the machine-readable report here")
     reshard_cmd.set_defaults(func=_cmd_reshard)
-
-    kbench = sub.add_parser(
-        "kernelbench", help="event-queue microbenchmarks: timer-wheel kernel "
-                            "vs the frozen heap kernel")
-    kbench.add_argument("--ops", type=int, default=200_000,
-                        help="scheduler operations per scenario (default 200000)")
-    kbench.add_argument("--repeats", type=int, default=3,
-                        help="measurements per scenario, best kept (default 3)")
-    kbench.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the machine-readable BENCH json here")
-    kbench.add_argument("--alloc", action="store_true",
-                        help="also measure allocated-blocks-per-request on the "
-                             "traffic and soak shapes (sys.getallocatedblocks "
-                             "deltas, gc disabled)")
-    kbench.add_argument("--alloc-only", action="store_true",
-                        help="measure only the allocation benchmark (skip "
-                             "the scheduler microbenchmarks)")
-    kbench.set_defaults(func=_cmd_kernelbench)
 
     sweep = sub.add_parser("fault-sweep", help="random fault schedules, spec-checked")
     sweep.add_argument("--runs", type=int, default=10)

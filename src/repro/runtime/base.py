@@ -21,7 +21,6 @@ factories deployments use to build the matching kernel + transport pair.
 
 from __future__ import annotations
 
-import os
 import random
 import zlib
 from dataclasses import dataclass
@@ -202,25 +201,8 @@ class RuntimeSpec:
 
 
 def create_kernel(spec: RuntimeSpec, seed: int = 0) -> Kernel:
-    """Build the kernel for ``spec`` (a :class:`Simulator` or an asyncio loop).
-
-    For the ``sim`` backend, the ``REPRO_KERNEL`` environment variable picks
-    the event-queue implementation: ``wheel`` (default) is the timer-wheel
-    kernel, ``heap`` is the frozen pre-wheel binary-heap kernel kept in
-    :mod:`repro.sim.legacy` as the trace-equivalence oracle and benchmark
-    baseline.  Both honour the same seam contract, so every scenario is
-    byte-identical under either value.
-    """
+    """Build the kernel for ``spec`` (a :class:`Simulator` or an asyncio loop)."""
     if spec.kind == RUNTIME_SIM:
-        kind = os.environ.get("REPRO_KERNEL", "wheel")
-        if kind == "heap":
-            from repro.sim.legacy import HeapSimulator
-
-            return HeapSimulator(seed=seed)
-        if kind != "wheel":
-            raise ValueError(
-                f"unknown REPRO_KERNEL {kind!r} (expected 'wheel' or 'heap')"
-            )
         from repro.sim.scheduler import Simulator
 
         return Simulator(seed=seed)

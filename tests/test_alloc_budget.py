@@ -1,0 +1,117 @@
+"""Allocation budget: the hot path must stay allocation-slim.
+
+Counts allocator blocks per delivered request on the closed-loop traffic
+shape and the sharded open-loop soak shape.  Pure-stdlib CPython exposes no
+cumulative allocation counter (``tracemalloc`` and the gc stats are net
+figures), so the kernel is single-stepped and each event is charged the
+growth of ``sys.getallocatedblocks()`` it caused: an event that allocates five
+blocks and frees five *older* ones scores zero net but its churn still
+surfaces, because allocation and release of one object almost never land in
+the same step.  With the GC disabled and the workload deterministic the
+figure is reproducible to a fraction of a percent and, being a count, needs
+no machine-speed calibration.
+
+It is per request, not per event: deleting the cheapest events (an idle tick
+allocates nothing) lowers the total and *raises* blocks/event, which must not
+read as a regression.  The exact dispatched-event counts are pinned too: the
+scenarios are deterministic, so any drift means behaviour changed and the
+block figures are incomparable -- re-pin both only for an intended change.
+"""
+
+import gc
+import sys
+
+from repro import api
+
+TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
+SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
+            "&workload=bank&placement=hash&xshard=0.1&trace=off")
+
+#: More than 30 % above the pinned blocks/request (measured when the binary
+#: heap became the event queue: 120.1 traffic, 137.2 soak) fails.
+HEADROOM = 1.3
+
+
+def _stepped_alloc_blocks(sim, is_done) -> tuple[int, int]:
+    """(sum of positive per-event block deltas, events fired) until ``is_done``."""
+    blocks = sys.getallocatedblocks
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    grown = 0
+    fired_before = sim.events_processed
+    try:
+        before = blocks()
+        while not is_done() and sim.step():
+            after = blocks()
+            if after > before:
+                grown += after - before
+            before = after
+    finally:
+        if was_enabled:
+            gc.enable()
+    return grown, sim.events_processed - fired_before
+
+
+def _closed_loop(dsn: str, requests_per_client: int) -> tuple[float, int]:
+    """``ClosedLoop``'s shape, stepped: each client keeps one request in flight."""
+    system = api.build(api.Scenario.from_dsn(dsn))
+    clients = list(system.clients)
+    remaining = dict.fromkeys(clients, requests_per_client)
+    total = requests_per_client * len(clients)
+    done = [0]
+
+    def issue_next(client: str) -> None:
+        if remaining[client] <= 0:
+            return
+        remaining[client] -= 1
+        issued = system.issue(system.standard_request(), client)
+
+        def on_delivered(_result) -> None:
+            done[0] += 1
+            issue_next(client)
+
+        issued.future.on_resolve(on_delivered)
+
+    for client in clients:
+        issue_next(client)
+    grown, events = _stepped_alloc_blocks(system.sim, lambda: done[0] >= total)
+    assert done[0] == total
+    return grown / total, events
+
+
+def _open_loop(dsn: str, total: int, rate: float) -> tuple[float, int]:
+    """``OpenLoop``'s shape, stepped: the arrival schedule is laid out up front
+    (outside the sampled region), then the kernel runs to the last delivery."""
+    system = api.build(api.Scenario.from_dsn(dsn))
+    sim = system.sim
+    clients = list(system.clients)
+    done = [0]
+    rng = sim.rng("load.arrivals")
+    clock = 0.0
+
+    def inject(client: str) -> None:
+        issued = system.issue(system.standard_request(), client)
+        issued.future.on_resolve(lambda _result: done.__setitem__(0, done[0] + 1))
+
+    for index in range(total):
+        client = clients[index % len(clients)]
+        clock += rng.expovariate(rate / 1000.0)
+        sim.schedule(clock, lambda c=client: inject(c), name="arrival")
+    grown, events = _stepped_alloc_blocks(sim, lambda: done[0] >= total)
+    assert done[0] == total
+    return grown / total, events
+
+
+def test_traffic_shape_events_and_blocks_per_request():
+    blocks_per_request, events = _closed_loop(TRAFFIC_DSN, requests_per_client=20)
+    print(f"\ntraffic: {blocks_per_request:.1f} blocks/request, {events} events")
+    assert events == 2231
+    assert blocks_per_request <= HEADROOM * 120.1
+
+
+def test_soak_shape_events_and_blocks_per_request():
+    blocks_per_request, events = _open_loop(SOAK_DSN, total=400, rate=32.0)
+    print(f"\nsoak: {blocks_per_request:.1f} blocks/request, {events} events")
+    assert events == 10972
+    assert blocks_per_request <= HEADROOM * 137.2

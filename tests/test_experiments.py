@@ -8,7 +8,8 @@ Figure 1 executions, and the qualitative trends of the ablations.
 
 import pytest
 
-from repro.experiments import calibration, fault_sweep, figure1, figure7, figure8
+from repro.experiments import (calibration, fault_sweep, figure1, figure7,
+                               figure8, scaleout)
 from repro.experiments.ablations import asynchrony_sweep, log_cost_sweep, scaling_sweep
 
 
@@ -193,6 +194,12 @@ def test_fault_sweep_all_safe():
     assert "6 runs" in result.summary()
 
 
+def test_fault_sweep_with_client_crashes_all_safe():
+    """The client itself may crash: at-most-once must still hold."""
+    result = fault_sweep.run(num_runs=6, seed=9, allow_client_crash=True)
+    assert result.all_safe, result.violations
+
+
 def test_figure8_percentile_summary(figure8_report):
     summary = figure8_report.percentile_summary()
     for protocol in ("baseline", "AR", "2PC"):
@@ -209,3 +216,28 @@ def test_fault_sweep_parallel_workers_match_serial():
     serial = fault_sweep.run(num_runs=4, seed=2, workers=1)
     parallel = fault_sweep.run(num_runs=4, seed=2, workers=4)
     assert serial == parallel
+
+
+# -------------------------------------------------------------------- scale-out
+
+
+def test_scaleout_partitioned_tier_scales_and_cross_shard_costs():
+    """Committed throughput at a fixed offered load while the data tier grows."""
+    db_counts = (1, 2, 4)
+    report = scaleout.run(db_counts=db_counts, xshard_fractions=(0.0, 0.25),
+                          rate=16.0, clients=12, requests=4, seed=0, workers=1)
+    assert report.ok, "some grid point lost requests or violated the spec"
+    assert report.speedup(0.0)[4] >= 2.5
+    # The cross-shard curve sits at or below the single-shard curve: every
+    # cross-shard transaction occupies two shards.
+    for d in db_counts[1:]:
+        single = [p for p in report.curve(0.0) if p.db_servers == d][0]
+        crossed = [p for p in report.curve(0.25) if p.db_servers == d][0]
+        assert crossed.throughput <= single.throughput * 1.05
+
+
+def test_scaleout_parallel_workers_match_serial():
+    grid = dict(db_counts=(1, 2), xshard_fractions=(0.0, 0.25),
+                rate=16.0, clients=8, requests=2, seed=5)
+    assert scaleout.run(workers=4, **grid).to_json() == \
+        scaleout.run(workers=1, **grid).to_json()

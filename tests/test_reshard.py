@@ -13,6 +13,7 @@ from repro import api
 from repro.api.runner import load_generator_for
 from repro.api.scenario import ScenarioError
 from repro.core.types import reset_request_counter
+from repro.experiments import reshard
 
 RESHARD_DSN = ("etx://a3.d4.c2?rate=40&workload=bank&placement=hash"
                "&seed=3&faults=reshard@300:d4->d8")
@@ -56,6 +57,24 @@ def test_reshard_grows_tier_online_and_stays_spec_clean():
     report = system.check_spec(check_termination=True)
     assert report.ok, "\n".join(str(v) for v in report.violations)
     assert "S.1" in report.checked_properties
+
+
+def test_reshard_is_invisible_to_clients_and_its_window_survives_faults():
+    """The growth scenario against its fault-free twin (same seed), then fault
+    schedules aimed at the reconfiguration window."""
+    report = reshard.run(requests=15, window_ms=2000.0)
+    assert report.undelivered == 0
+    assert report.spec_ok, report.spec_summary
+    assert report.final_epoch >= 1
+    assert len(report.final_shards) == 8, report.final_shards
+    assert 0 < report.reshard_commit - report.reshard_begin <= 5000.0
+    # Elasticity: throughput with the migration in the middle stays close to
+    # the flat run's.
+    assert report.throughput_ratio >= 0.85
+    report.campaign = reshard.run_campaign(runs=12, seed=0)
+    assert report.campaign.runs == 12
+    assert report.campaign.clean, report.campaign.summary()
+    assert report.ok
 
 
 def test_reshard_run_is_deterministic():

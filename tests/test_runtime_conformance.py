@@ -5,10 +5,16 @@ waits to whatever :class:`repro.runtime.base.Kernel` the deployment chose.
 These tests run the same behavioural scenarios against the deterministic
 simulator and the wall-clock asyncio kernel and assert the *semantics*
 agree -- wake-up ordering, receive matchers, timer cancellation on kill,
-multicast fan-out.  Assertions about exact virtual timestamps only run
-where they are meaningful, i.e. on kernels with ``realtime == False``; a
-wall clock keeps moving between statements, so under asyncio the same
-checks degrade to ordering and lower-bound facts.
+multicast fan-out.
+
+The asyncio leg crosses the real loop (``call_later``, ``_run_once``) but not
+the real clock: nothing here opens a socket, so the fixture makes loop time
+a counter that ticks a nanosecond per reading and jumps by exactly the timeout
+whenever the loop would have slept.  An order that depends on which of two
+timers is due first must not depend on how long the host took between arming
+them; real time stays covered by ``tests/test_runtime_asyncio.py`` over TCP.
+The ticks remain, so assertions about exact virtual timestamps run on kernels
+with ``realtime == False`` only.
 """
 
 import pytest
@@ -19,11 +25,34 @@ from repro.runtime.base import RUNTIME_ASYNCIO, RUNTIME_SIM
 from repro.sim.process import Process
 from repro.sim.waits import TIMEOUT
 
-# Virtual milliseconds are cheap on the simulator and cost
-# ``delay * PACE / 1000`` wall seconds on asyncio: with PACE = 0.002 a
-# 100 ms virtual sleep takes 0.2 ms of real time, so the whole module
-# stays fast while still crossing the real event loop.
 PACE = 0.002
+
+
+class SteppedClock:
+    """Loop time as a counter: it moves when read and where the loop would sleep.
+
+    No two readings are equal, as on a real monotonic clock -- asyncio orders
+    timers by deadline alone, so FIFO among timers armed for the same delay
+    rests on the later one having read a later clock.
+    """
+
+    TICK = 1e-9
+
+    def __init__(self, loop, start):
+        self.now = start
+        self._poll = loop._selector.select
+        loop.time = self.read
+        loop._selector.select = self.sleep
+
+    def read(self):
+        self.now += self.TICK
+        return self.now
+
+    def sleep(self, timeout=None):
+        # ``None`` cannot happen: a parked run_until always holds its
+        # ``max_wall`` timer, which ends a run nothing else will end.
+        self.now += timeout
+        return self._poll(0)
 
 
 @pytest.fixture(params=[RUNTIME_SIM, RUNTIME_ASYNCIO])
@@ -36,6 +65,7 @@ def kernel(request):
         from repro.runtime.loop import AsyncioKernel
 
         kernel = AsyncioKernel(seed=7, pace=PACE)
+        SteppedClock(kernel._loop, kernel._epoch)
     yield kernel
     kernel.close()
 
@@ -75,8 +105,7 @@ def test_sleeps_wake_in_delay_order(kernel):
     if not kernel.realtime:
         assert kernel.now == 120.0
     else:
-        # A wall clock can overshoot but never undershoot a timer.
-        assert kernel.now >= 120.0
+        assert 120.0 <= kernel.now < 121.0
 
 
 def test_zero_delay_runs_before_any_timer(kernel):
@@ -85,9 +114,6 @@ def test_zero_delay_runs_before_any_timer(kernel):
     order: list[str] = []
 
     def timed():
-        # Generous delay: under a wall clock the time between the two
-        # spawn() calls below is real, so the timer must dwarf it for the
-        # ordering claim to be about semantics rather than racing epsilons.
         yield process.sleep(5_000.0)
         order.append("timer")
 
@@ -116,8 +142,7 @@ def test_same_timestamp_events_dispatch_in_schedule_order(kernel):
 
 def test_cancel_inside_callback_stops_later_event(kernel):
     """A callback may cancel an event scheduled for the same timestamp after
-    it; the cancelled callback must not run on either kernel.  Exercises the
-    wheel kernel's cancelled-in-place skip inside an already-drained batch."""
+    it; the cancelled callback must not run on either kernel."""
     order: list[str] = []
 
     def killer():
@@ -126,7 +151,7 @@ def test_cancel_inside_callback_stops_later_event(kernel):
         assert victim.cancel() is False  # second cancel: documented no-op
 
     # Killer first, victim second: FIFO puts the killer earlier in the
-    # same-time batch, so the victim is cancelled after it was drained.
+    # same-time batch, so the victim is cancelled while it is next in line.
     kernel.schedule(40.0, killer)
     victim = kernel.schedule(40.0, lambda: order.append("victim"))
     kernel.schedule(200.0, lambda: order.append("tail"))

@@ -1,12 +1,12 @@
 """Cross-commit trace oracle: committed fingerprints of whole traces.
 
-``test_trace_equivalence`` compares the two kernels *inside* one commit; this
-module pins the traces themselves, so a refactor that is meant to leave
-behaviour alone can prove it did.  ``tests/golden/trace_fingerprints.json``
-holds the sha256 of the full trace (the ``_fingerprint`` form of
-``test_trace_equivalence``: every event, every field) for
+This module pins the traces themselves, so a refactor that is meant to leave
+behaviour alone -- a new event queue included -- can prove it did.
+``tests/golden/trace_fingerprints.json`` holds the sha256 of the full trace
+(the ``_fingerprint`` form: every event, every field) for
 
-* the four protocol ``SCHEMES`` of the equivalence suite, seeds 0-4,
+* the four protocol ``SCHEMES``, seeds 0-19, so the FIFO-within-timestamp
+  contract is pinned for each protocol's own scheduling mix,
 * one sharded open-loop shape with cross-shard transactions,
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
@@ -14,7 +14,10 @@ holds the sha256 of the full trace (the ``_fingerprint`` form of
   trace in which the Figure 6 cleaning thread works, 553 results cleaned by
   two different cleaners (the recovered ``a2`` never stops suspecting the live
   ``a1``, ROADMAP 1(c), and aborts each of its claims as it learns it), and
-* the replay of every committed corpus artifact.
+* the replay of every committed corpus artifact (``tests/corpus/``) with the
+  exact evaluation parameters recorded in the artifact -- faulted schedules
+  exercise cancellation, crash timers and recovery paths that clean runs
+  never reach.
 
 Each trace is pinned twice: ``full`` is the digest of every event, and
 ``protocol`` the digest of the *protocol projection* -- every event that is
@@ -28,6 +31,7 @@ A change that *intends* to alter traces regenerates the file and says so::
     PYTHONPATH=src python tests/test_trace_golden.py
 """
 
+import glob
 import hashlib
 import json
 import os
@@ -38,18 +42,20 @@ import pytest
 
 from repro import api
 from repro.api.runner import load_generator_for
+from repro.campaign.artifacts import Counterexample
 from repro.core.types import reset_request_counter
-from test_trace_equivalence import (
-    CORPUS,
-    SCHEMES,
-    _fingerprint,
-    _replay_trace,
-    _scenario_trace,
-)
+from repro.workload.generator import ClosedLoop
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(TESTS_DIR, "golden", "trace_fingerprints.json")
-SEEDS = range(5)
+CORPUS = sorted(glob.glob(os.path.join(TESTS_DIR, "corpus", "*.json")))
+SEEDS = range(20)
+SCHEMES = {
+    "etx": "etx://a3.d2.c2?workload=bank&placement=mod&xshard=0.5&seed={seed}",
+    "2pc": "2pc://a1.d1.c1?workload=travel&seed={seed}",
+    "pb": "pb://a2.d1.c1?workload=bank&timing=paper&seed={seed}",
+    "baseline": "baseline://a1.d1.c1?workload=bank&timing=paper&seed={seed}",
+}
 OPEN_LOOP = "etx://a3.d8.c16?rate=24&placement=hash&xshard=0.1&workload=bank"
 FAILOVER = ("etx://a3.d2.c4?rate=4&arrival=uniform&fd=heartbeat&workload=bank"
             "&placement=hash&xshard=0.2&faults=crash_for@1000:d1:500,"
@@ -64,6 +70,38 @@ def _digest(trace: list[tuple]) -> dict[str, str]:
     protocol = [event for event in trace if event[1] not in TRANSPORT]
     return {"full": hashlib.sha256(repr(trace).encode()).hexdigest(),
             "protocol": hashlib.sha256(repr(protocol).encode()).hexdigest()}
+
+
+def _fingerprint(system) -> list[tuple]:
+    """The full trace as comparable plain data (every field, repr'd)."""
+    return [
+        (event.time, event.category, event.process,
+         tuple(sorted((key, repr(value)) for key, value in event.data.items())))
+        for event in system.trace
+    ]
+
+
+def _scenario_trace(dsn: str, requests: int = 2) -> list[tuple]:
+    reset_request_counter()
+    system = api.build(api.Scenario.from_dsn(dsn))
+    ClosedLoop().run(system, requests)
+    fingerprint = _fingerprint(system)
+    system.close()
+    return fingerprint
+
+
+def _replay_trace(path: str) -> list[tuple]:
+    """Replay a corpus artifact with the steps of
+    :func:`repro.campaign.runner.evaluate_schedule`, keeping the full trace."""
+    artifact = Counterexample.load(path)
+    scenario = artifact.scenario(os.path.dirname(os.path.abspath(path)))
+    reset_request_counter()
+    system = api.build(scenario)
+    generator = load_generator_for(scenario, horizon_per_request=artifact.horizon)
+    generator.run(system, artifact.requests)
+    if artifact.settle > 0:
+        system.run(until=system.sim.now + artifact.settle)
+    return _fingerprint(system)
 
 
 def _open_loop_trace(dsn: str, requests: int = 2) -> list[tuple]:
@@ -86,7 +124,7 @@ def fingerprints() -> dict[str, dict[str, str]]:
     digests[OPEN_LOOP] = _digest(_open_loop_trace(OPEN_LOOP))
     digests[FAILOVER] = _digest(_open_loop_trace(FAILOVER, requests=10))
     for path in CORPUS:
-        digests[f"corpus/{os.path.basename(path)}"] = _digest(_replay_trace(path)[0])
+        digests[f"corpus/{os.path.basename(path)}"] = _digest(_replay_trace(path))
     return digests
 
 
@@ -100,6 +138,11 @@ def _changed(actual: dict, golden: dict) -> list[str]:
     return sorted(f"{name}:{kind}" for name in actual.keys() | golden.keys()
                   for kind in ("full", "protocol")
                   if actual.get(name, {}).get(kind) != golden.get(name, {}).get(kind))
+
+
+def test_corpus_is_present():
+    """The oracle must never silently run over an empty corpus."""
+    assert len(CORPUS) >= 8
 
 
 def test_traces_match_the_committed_fingerprints():
