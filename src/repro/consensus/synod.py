@@ -8,13 +8,32 @@ roles for every consensus *instance* (one instance per wo-register cell):
 * **proposer** -- drives an instance to a decision when the local server calls
   :meth:`ConsensusHost.propose`,
 * **learner** -- records decisions and resolves the futures returned to
-  proposers; decisions are disseminated with a ``decide`` broadcast and served
-  to late askers.
+  proposers; decisions are learned on ``accept`` where the group allows it
+  (below), sent as ``decide`` where it does not, and served to late askers.
 
 Messages reach the host through a synchronous handler (``Process.on_message``),
 not a thread, and the roles of one host talk by a call: a proposer is one of
 its own acceptors and never mails itself, so a fast-path write in a group of
-three costs 2 ``accept`` + 2 ``accepted`` + 2 ``decide`` messages.
+three costs 2 ``accept`` + 2 ``accepted`` messages and no ``decide``.
+
+Learning on accept.  An ``accept`` leaves a proposer only after the proposer's
+own acceptor has taken it.  In a group of at most three (``quorum <= 2``) the
+proposer and any one peer are a majority, so a peer that takes a peer's
+``accept`` for (ballot, value) knows a majority accepted that pair -- the value
+is chosen -- and learns it on the spot.  The proposer learns at its quorum of
+``accepted`` and sends ``decide`` only to the peers that answered
+``nack_accept``, the only ones that cannot have learned alone (a nack that
+arrives once the proposer has moved on to a later ballot is dropped like a
+lost ``decide``; ``query`` serves such a peer).  A larger group broadcasts
+``decide`` at the quorum, as the read is not safe there.
+
+Safety rests on one value per (instance, ballot): ballot ``(n, i)`` belongs to
+proposer ``i`` alone, which sends one ``accept`` per attempt and never reuses
+a round -- ballot 0 included, because ``_attempt_counters`` survives crashes.
+Then, by the classic argument, every ``accept`` above a chosen pair's ballot
+carries the chosen value (its prepare quorum meets the accepting majority and
+adopts the highest accepted ballot), so whatever is learned -- on ``accept``,
+at a quorum or by ``decide`` -- is the one chosen value.
 
 Fast path.  The paper's analytic evaluation assumes that "in a nice run, it
 takes only a round trip message for the first primary to write into the
@@ -30,10 +49,10 @@ with a majority of application servers up, some proposal eventually goes
 uncontested and decides.  This matches the paper's assumption set: a majority
 of correct application servers and finitely many false suspicions.
 
-Acceptor promises and learned decisions are kept in the host object across
-crashes (conceptually on stable storage); in-flight proposer attempts are
-volatile and die with the process, as in the paper's crash-stop model for the
-middle tier.
+Acceptor promises, learned decisions and the proposer's round counters are
+kept in the host object across crashes (conceptually on stable storage);
+in-flight proposer attempts are volatile and die with the process, as in the
+paper's crash-stop model for the middle tier.
 """
 
 from __future__ import annotations
@@ -77,6 +96,7 @@ class _ProposalAttempt:
     retry_timer: Optional[ScheduledEvent] = None
     attempt_number: int = 0
     highest_rejection: int = 0
+    refused_by: tuple[str, ...] = ()  # peers that answered this ballot's accept with a nack
 
 
 class ConsensusHost(ConsensusProtocol):
@@ -118,11 +138,14 @@ class ConsensusHost(ConsensusProtocol):
         self._acceptors: dict[InstanceId, AcceptorState] = {}
         self._decisions: dict[InstanceId, Any] = {}
         self._learned: list[InstanceId] = []  # the keys of _decisions, sliceable
+        # The highest round this host has proposed in: a recovered fast-path
+        # owner must not reuse ballot 0 with another value (learning on accept
+        # rests on one value per ballot).
+        self._attempt_counters: dict[InstanceId, int] = {}
         # Volatile.
         self.on_learn: Optional[Callable[[], None]] = None  # armed while ``_learned`` is followed
         self._attempts: dict[InstanceId, _ProposalAttempt] = {}
         self._futures: dict[InstanceId, SimFuture] = {}
-        self._attempt_counters: dict[InstanceId, int] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -170,8 +193,8 @@ class ConsensusHost(ConsensusProtocol):
     def request_decision(self, instance: InstanceId) -> None:
         """Ask the other members whether the instance is already decided.
 
-        Used by learners that may have missed the ``decide`` broadcast (for
-        example after a recovery).  Harmless if nobody knows.
+        Used by learners that may have missed the decision (for example
+        while down or partitioned).  Harmless if nobody knows.
         """
         if instance in self._decisions:
             return
@@ -200,10 +223,8 @@ class ConsensusHost(ConsensusProtocol):
         # it and may already decide (a group of one) or refuse the attempt.
         self._arm_attempt_timeout(attempt)
         if use_fast_path:
-            attempt.phase = "accept"
             attempt.chosen_value = value
-            self._broadcast({"instance": instance, "kind": "accept",
-                             "ballot": ballot, "value": value})
+            self._send_accept(attempt)
         else:
             attempt.phase = "prepare"
             self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
@@ -270,13 +291,13 @@ class ConsensusHost(ConsensusProtocol):
         elif kind == "accepted":
             self._on_accepted(instance, sender, tuple(payload["ballot"]))
         elif kind in ("nack_prepare", "nack_accept"):
-            self._on_nack(instance, tuple(payload["ballot"]), tuple(payload["promised"]))
+            self._on_nack(instance, sender, kind, tuple(payload["ballot"]),
+                          tuple(payload["promised"]))
         elif kind == "decide":
             self._learn(instance, payload["value"])
         elif kind == "query":
             if instance in self._decisions:
-                self._send(sender, {"instance": instance, "kind": "decide",
-                                    "value": self._decisions[instance]})
+                self._send_decision(sender, instance)
 
     # --------------------------------------------------------------- acceptor
 
@@ -289,8 +310,7 @@ class ConsensusHost(ConsensusProtocol):
 
     def _on_prepare(self, instance: InstanceId, sender: str, ballot: Ballot) -> None:
         if instance in self._decisions:
-            self._send(sender, {"instance": instance, "kind": "decide",
-                                "value": self._decisions[instance]})
+            self._send_decision(sender, instance)
             return
         state = self._acceptor(instance)
         if ballot > state.promised:
@@ -306,8 +326,7 @@ class ConsensusHost(ConsensusProtocol):
 
     def _on_accept(self, instance: InstanceId, sender: str, ballot: Ballot, value: Any) -> None:
         if instance in self._decisions:
-            self._send(sender, {"instance": instance, "kind": "decide",
-                                "value": self._decisions[instance]})
+            self._send_decision(sender, instance)
             return
         state = self._acceptor(instance)
         if ballot >= state.promised:
@@ -315,6 +334,10 @@ class ConsensusHost(ConsensusProtocol):
             state.accepted_ballot = ballot
             state.accepted_value = value
             self._send(sender, {"instance": instance, "kind": "accepted", "ballot": ballot})
+            if sender != self.process.name and self.quorum <= 2:
+                # The sender's own acceptor took this (ballot, value) before
+                # sending it: with this host that is a majority, so it is chosen.
+                self._learn(instance, value)
         else:
             self._send(sender, {"instance": instance, "kind": "nack_accept",
                                 "ballot": ballot, "promised": state.promised})
@@ -344,11 +367,19 @@ class ConsensusHost(ConsensusProtocol):
             if prior_ballot is not None and (best_ballot is None or prior_ballot > best_ballot):
                 best_ballot = prior_ballot
                 chosen = prior_value
-        attempt.phase = "accept"
         attempt.chosen_value = chosen
         attempt.accepted_from.clear()
-        self._broadcast({"instance": instance, "kind": "accept",
-                         "ballot": attempt.ballot, "value": chosen})
+        self._send_accept(attempt)
+
+    def _send_accept(self, attempt: _ProposalAttempt) -> None:
+        """Phase 2: this host's own acceptor first, the peers only if it took
+        the ballot (a refusal has already retried inside the step)."""
+        attempt.phase = "accept"
+        payload = {"instance": attempt.instance, "kind": "accept",
+                   "ballot": attempt.ballot, "value": attempt.chosen_value}
+        self._step(self.process.name, payload)
+        if self.process.name in attempt.accepted_from:
+            self._send_peers(payload)
 
     def _on_accepted(self, instance: InstanceId, sender: str, ballot: Ballot) -> None:
         attempt = self._current_attempt(instance, ballot)
@@ -357,13 +388,23 @@ class ConsensusHost(ConsensusProtocol):
         attempt.accepted_from.add(sender)
         if len(attempt.accepted_from) < self.quorum:
             return
-        self._send_peers({"instance": instance, "kind": "decide", "value": attempt.chosen_value})
-        self._learn(instance, attempt.chosen_value)
+        value = attempt.chosen_value
+        if self.quorum > 2:  # proposer + one acceptor is no majority: nobody learned alone
+            self._send_peers({"instance": instance, "kind": "decide", "value": value})
+        else:
+            for peer in attempt.refused_by:  # every other peer learned as it accepted
+                self._send(peer, {"instance": instance, "kind": "decide", "value": value})
+        self._learn(instance, value)
 
-    def _on_nack(self, instance: InstanceId, ballot: Ballot, promised: Ballot) -> None:
+    def _on_nack(self, instance: InstanceId, sender: str, kind: str, ballot: Ballot,
+                 promised: Ballot) -> None:
         attempt = self._current_attempt(instance, ballot)
         if attempt is None:
+            if kind == "nack_accept" and self.quorum <= 2 and instance in self._decisions:
+                self._send_decision(sender, instance)  # refused after the decision
             return
+        if kind == "nack_accept":
+            attempt.refused_by += (sender,)
         attempt.highest_rejection = max(attempt.highest_rejection, promised[0])
         self._retry(instance, attempt)
 
@@ -403,6 +444,10 @@ class ConsensusHost(ConsensusProtocol):
         else:
             self.process.send(destination, Message(self.MSG_TYPE, payload=payload))
 
+    def _send_decision(self, destination: str, instance: InstanceId) -> None:
+        self._send(destination, {"instance": instance, "kind": "decide",
+                                 "value": self._decisions[instance]})
+
     def _send_peers(self, payload: dict) -> None:
         # One template message, copy-on-write siblings per peer: the
         # payload dict is shared (nobody mutates consensus payloads) instead
@@ -413,7 +458,7 @@ class ConsensusHost(ConsensusProtocol):
             send(peer, template.copy())
 
     def _broadcast(self, payload: dict) -> None:
-        """To the whole group: the peers first, then this host's own step."""
+        """A ``prepare`` to the whole group: the peers first, then this host's own step."""
         self._send_peers(payload)
         self._step(self.process.name, payload)
 

@@ -4,9 +4,11 @@ Every application server holds a :class:`ConsensusRegisterArray` per logical
 register array (``regA``, ``regD``).  Writing cell ``j`` proposes the value in
 consensus instance ``(array_name, j)`` among the application servers; the
 decided value is the register's content.  Reading returns the locally learned
-decision or ⊥ -- with the guarantee (inherited from the ``decide`` broadcast
-and the optional :meth:`refresh` query) that once a value is written, repeated
-reads at a correct server eventually return it.
+decision or ⊥.  A server learns a decision when it takes the winning
+``accept`` (groups of up to three), when a ``decide`` reaches it (larger
+groups, or a server that refused that ``accept``), or by asking with
+:meth:`refresh`; so once a value is written, repeated reads at a correct
+server that was reachable, or that refreshes, eventually return it.
 """
 
 from __future__ import annotations

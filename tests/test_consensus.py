@@ -3,15 +3,16 @@
 import pytest
 
 from repro.consensus.synod import ConsensusHost
+from repro.net.latency import FixedLatency, PerLinkLatency
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 
 
-def build_group(n=3, seed=0, fast_path_owner="a1", loss=0.0):
+def build_group(n=3, seed=0, fast_path_owner="a1", loss=0.0, latency=None):
     """Create ``n`` application-server processes each hosting consensus."""
     sim = Simulator(seed=seed)
-    network = Network(sim, loss_probability=loss)
+    network = Network(sim, latency=latency, loss_probability=loss)
     names = [f"a{i + 1}" for i in range(n)]
     hosts = {}
     for name in names:
@@ -47,10 +48,8 @@ def test_fast_path_takes_one_round_trip():
     assert sim.now == pytest.approx(3.5, abs=0.2)
 
 
-def test_fast_path_message_budget():
-    """The proposer's own acceptor and learner cost no message: 2 ``accept``
-    out, 2 ``accepted`` back, 2 ``decide`` out, and nobody mails itself."""
-    sim, network, hosts = build_group()
+def spy_kinds(network):
+    """Record the ``kind`` of every consensus message put on the wire."""
     kinds = []
     real_send = network.send
 
@@ -60,11 +59,98 @@ def test_fast_path_message_budget():
         real_send(source, destination, message)
 
     network.send = spy
+    return kinds
+
+
+def test_fast_path_message_budget():
+    """The proposer's own acceptor and learner cost no message, and the peers
+    learn from the ``accept`` itself: 2 ``accept`` out, 2 ``accepted`` back,
+    no ``decide``, and nobody mails itself."""
+    sim, network, hosts = build_group()
+    kinds = spy_kinds(network)
     hosts["a1"].propose("x", 42)
     sim.run(until=200.0)
-    assert sorted(kinds) == ["accept"] * 2 + ["accepted"] * 2 + ["decide"] * 2
-    assert network.stats.by_type_sent == {"Consensus": 6}
+    assert sorted(kinds) == ["accept"] * 2 + ["accepted"] * 2
+    assert network.stats.by_type_sent == {"Consensus": 4}
     assert {host.decision("x") for host in hosts.values()} == {42}
+
+
+def test_peer_learns_as_the_accept_arrives():
+    """One hop: a peer that takes the owner's ``accept`` has decided, a hop
+    before the proposer hears ``accepted``."""
+    sim, network, hosts = build_group()
+    future = hosts["a1"].propose("x", 42)
+    sim.run_until(lambda: hosts["a2"].decision("x") == hosts["a3"].decision("x") == 42,
+                  until=100.0)
+    assert sim.now == pytest.approx(1.75)
+    assert not future.resolved and hosts["a1"].decision("x") is None
+    sim.run_until(lambda: future.resolved, until=100.0)
+    assert sim.now == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("nack_delay", [0.5, 10.0])
+def test_refusing_peer_is_sent_decide(nack_delay):
+    """``a3`` has promised a higher ballot, so it refuses the owner's ballot-0
+    ``accept`` and cannot learn alone; the proposer sends it ``decide``
+    whether the nack lands before the decision (recorded on the attempt) or
+    after it (answered on arrival)."""
+    latency = PerLinkLatency(FixedLatency(1.75), {("a3", "a1"): FixedLatency(nack_delay)})
+    sim, network, hosts = build_group(latency=latency)
+    hosts["a3"]._acceptor("x").promised = (5, 2)
+    kinds = spy_kinds(network)
+    future = hosts["a1"].propose("x", 42)
+    sim.run(until=200.0)
+    assert future.value == 42
+    assert {host.decision("x") for host in hosts.values()} == {42}
+    assert sorted(kinds) == ["accept"] * 2 + ["accepted", "decide", "nack_accept"]
+
+
+def test_own_acceptor_refusal_puts_no_accept_on_the_wire():
+    """Peers hear an ``accept`` only after the proposer's own acceptor took
+    it, which is what lets them learn on arrival."""
+    sim, network, hosts = build_group()
+    hosts["a1"]._acceptor("x").promised = (3, 1)
+    kinds = spy_kinds(network)
+    hosts["a1"].propose("x", 42)
+    assert kinds == []
+    sim.run(until=5_000.0)  # the retry's prepare adopts nothing and decides 42
+    assert {host.decision("x") for host in hosts.values()} == {42}
+    assert "accept" in kinds and kinds.index("prepare") < kinds.index("accept")
+
+
+@pytest.mark.parametrize("n, decides", [(1, 0), (2, 0), (3, 0), (4, 3), (5, 4)])
+def test_decide_broadcast_only_where_proposer_and_one_acceptor_are_no_majority(n, decides):
+    sim, network, hosts = build_group(n=n)
+    kinds = spy_kinds(network)
+    hosts["a1"].propose("x", 42)
+    sim.run(until=200.0)
+    assert kinds.count("decide") == decides
+    assert {host.decision("x") for host in hosts.values()} == {42}
+
+
+def test_recovered_owner_never_reuses_ballot_zero():
+    """The owner's ballot-0 ``accept`` reaches ``a2`` only, which learns it;
+    the owner crashes before the ``accepted`` and, recovered, proposes another
+    value.  Its round counter is durable, so it takes ballot 1 or higher,
+    finds its own accepted value in the promises and decides the first value
+    everywhere."""
+    sim, network, hosts = build_group()
+    network.partition(["a1", "a2"], ["a3"])
+    hosts["a1"].propose("x", "first")
+    sim.run(until=2.0)  # the accept has arrived, the accepted is on its way
+    assert hosts["a2"].decision("x") == "first"
+    owner = hosts["a1"]
+    owner.process.crash()
+    owner.on_crash()  # what the application server's crash hook does
+    owner.process.recover()
+    owner.install()
+    network.partition(["a1", "a3"], ["a2"])
+    second = owner.propose("x", "second")
+    sim.run_until(lambda: second.resolved, until=5_000.0)
+    ballots = [event.get("ballot") for event in sim.trace.select("consensus_propose", "a1")]
+    assert ballots[0] == (0, 0) and ballots[1] >= (1, 0)
+    assert second.value == "first"
+    assert {host.decision("x") for host in hosts.values()} == {"first"}
 
 
 def test_single_member_group_decides_inside_propose():

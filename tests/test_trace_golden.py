@@ -11,7 +11,7 @@ behaviour alone -- a new event queue included -- can prove it did.
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
   a fresh volatile state -- and a permanent crash of ``a1``): the only pinned
-  trace in which the Figure 6 cleaning thread works, 553 results cleaned by
+  trace in which the Figure 6 cleaning thread works, 563 results cleaned by
   two different cleaners (the recovered ``a2`` never stops suspecting the live
   ``a1``, ROADMAP 1(c), and aborts each of its claims as it learns it), and
 * the replay of every committed corpus artifact (``tests/corpus/``) with the
@@ -31,6 +31,7 @@ A change that *intends* to alter traces regenerates the file and says so::
     PYTHONPATH=src python tests/test_trace_golden.py
 """
 
+import collections
 import glob
 import hashlib
 import json
@@ -143,6 +144,29 @@ def _changed(actual: dict, golden: dict) -> list[str]:
 def test_corpus_is_present():
     """The oracle must never silently run over an empty corpus."""
     assert len(CORPUS) >= 8
+
+
+def test_open_loop_register_write_costs_one_round_trip():
+    """Acceptors learn on ``accept``: no ``decide`` on the wire, and a register
+    write costs at most the fast path's 2 ``accept`` + 2 ``accepted``."""
+    scenario = api.Scenario.from_dsn(OPEN_LOOP)
+    reset_request_counter()
+    system = api.build(scenario)
+    kinds = collections.Counter()
+    network = system.network
+    real_send = network.send
+
+    def spy(source, destination, message):
+        if message.msg_type == "Consensus":
+            kinds[message["kind"]] += 1
+        real_send(source, destination, message)
+
+    network.send = spy
+    load_generator_for(scenario).run(system, 20)
+    writes = {event.get("instance") for event in system.trace.select("consensus_decide")}
+    system.close()
+    assert kinds["decide"] == 0
+    assert len(writes) >= 40 and sum(kinds.values()) <= 4 * len(writes)
 
 
 def test_traces_match_the_committed_fingerprints():
