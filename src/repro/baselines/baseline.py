@@ -59,19 +59,6 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
             self.trace.record("as_result_sent", self.name, client=client, j=j, outcome=outcome)
             self.send(client, msg.result_message(j, decision))
 
-    def _execute(self, key, request: Request, participants):
-        """Run the business logic on every participant (no retries, no recovery)."""
-        values = {}
-        for db_name in participants:
-            self.send(db_name, msg.execute_message(key, request))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.EXECUTE_RESULT, j=key))
-            if reply.sender in pending:
-                values[reply.sender] = reply["value"]
-                pending.discard(reply.sender)
-        return self.merge_values(values, participants)
-
     def _commit(self, key, participants):
         """One-phase commit on every participant; returns overall success."""
         for db_name in participants:

@@ -16,8 +16,8 @@ from typing import Any
 from repro.core import messages as msg
 from repro.core.dataserver import DatabaseServer
 from repro.core.sharding import merge_participant_values, request_participants
-from repro.core.types import VOTE_YES, Decision, Request
-from repro.net.message import IDS, Message, declare_message, is_type
+from repro.core.types import ABORT, COMMIT, VOTE_YES, Decision, Request
+from repro.net.message import IDS, Message, declare_message, is_type_with
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
@@ -68,7 +68,8 @@ class ParticipantRouting:
     (:attr:`repro.core.types.Request.participants`, empty = every database),
     so partitioned-tier comparisons between the four protocols stay
     apples-to-apples.  Mix into a :class:`~repro.sim.process.Process` with a
-    ``db_server_names`` attribute.
+    ``db_server_names`` attribute.  The fan-out loops wait for every
+    participant's answer, with no retries and no recovery.
     """
 
     def participants_of(self, request: Request) -> list[str]:
@@ -80,6 +81,44 @@ class ParticipantRouting:
         """One business value out of the per-participant answers."""
         return merge_participant_values(values, participants)
 
+    def _execute(self, key, request: Request, participants):
+        """Run the business logic on every participant."""
+        values = {}
+        for db_name in participants:
+            self.send(db_name, msg.execute_message(key, request))
+        pending = set(participants)
+        while pending:
+            reply = yield self.receive(is_type_with(msg.EXECUTE_RESULT, j=key))
+            if reply.sender in pending:
+                values[reply.sender] = reply["value"]
+                pending.discard(reply.sender)
+        return self.merge_values(values, participants)
+
+    def _prepare(self, key, participants):
+        votes = {}
+        for db_name in participants:
+            self.send(db_name, msg.prepare_message(key, tuple(participants)))
+        pending = set(participants)
+        while pending:
+            reply = yield self.receive(is_type_with(msg.VOTE, j=key))
+            if reply.sender in pending:
+                votes[reply.sender] = reply["vote"]
+                pending.discard(reply.sender)
+        outcome = COMMIT if all(v == VOTE_YES for v in votes.values()) else ABORT
+        self.trace.record("as_prepare", self.name, client=key[0], j=key[1],
+                          outcome=outcome, votes=dict(votes))
+        return outcome
+
+    def _decide(self, key, outcome, participants):
+        for db_name in participants:
+            self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
+        pending = set(participants)
+        while pending:
+            reply = yield self.receive(is_type_with(msg.ACK_DECIDE, j=key))
+            if reply.sender in pending:
+                pending.discard(reply.sender)
+        self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)
+
 
 class OnePhaseDatabaseServer(DatabaseServer):
     """A database server that additionally accepts one-phase commits.
@@ -90,26 +129,24 @@ class OnePhaseDatabaseServer(DatabaseServer):
 
     def on_start(self, recovery: bool) -> None:
         super().on_start(recovery)
-        self.spawn(self._serve_one_phase_commit(), name="db-commit-1p")
+        self.serve(COMMIT_ONE_PHASE, self._serve_one_phase_commit)
 
-    def _serve_one_phase_commit(self):
-        while True:
-            message = yield self.receive(is_type(COMMIT_ONE_PHASE))
-            key = message["j"]
-            try:
-                io_cost = self.resource.commit_one_phase(key)
-                outcome = "commit"
-            except Exception:
-                io_cost = 0.0
-                outcome = "abort"
-            if io_cost > 0:
-                yield self.sleep(self.timing.commit_cpu + io_cost + self.timing.end)
-            if outcome == "commit":
-                # A one-phase commit fuses the vote and the decision: record
-                # the implicit yes-vote so the spec checker sees a database
-                # never commits a result it did not (implicitly) vote for.
-                self.trace.record("db_vote", self.name, j=key, vote=VOTE_YES,
-                                  one_phase=True)
-            self.trace.record("db_decide", self.name, j=key, outcome=outcome,
-                              requested="commit", one_phase=True)
-            self.send(message.sender, Message(ACK_COMMIT, payload={"j": key}))
+    def _serve_one_phase_commit(self, message):
+        key = message["j"]
+        try:
+            io_cost = self.resource.commit_one_phase(key)
+            outcome = "commit"
+        except Exception:
+            io_cost = 0.0
+            outcome = "abort"
+        if io_cost > 0:
+            yield self.sleep(self.timing.commit_cpu + io_cost + self.timing.end)
+        if outcome == "commit":
+            # A one-phase commit fuses the vote and the decision: record
+            # the implicit yes-vote so the spec checker sees a database
+            # never commits a result it did not (implicitly) vote for.
+            self.trace.record("db_vote", self.name, j=key, vote=VOTE_YES,
+                              one_phase=True)
+        self.trace.record("db_decide", self.name, j=key, outcome=outcome,
+                          requested="commit", one_phase=True)
+        self.send(message.sender, Message(ACK_COMMIT, payload={"j": key}))

@@ -22,8 +22,7 @@ from typing import Any, Optional
 from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
-from repro.core.types import (ABORT, COMMIT, REQUEST_REC, RESULT_REC, VOTE_YES, Decision, Request,
-                              Result)
+from repro.core.types import ABORT, COMMIT, REQUEST_REC, RESULT_REC, Decision, Request, Result
 from repro.failure.detectors import FailureDetector
 from repro.net.message import IDS, STR, Message, declare_message, is_type, is_type_with
 from repro.sim.process import Process
@@ -82,43 +81,6 @@ class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
             self.trace.record("as_result_sent", self.name, client=client, j=j, outcome=outcome)
             self.send(client, msg.result_message(j, decision))
 
-    def _execute(self, key, request: Request, participants):
-        values = {}
-        for db_name in participants:
-            self.send(db_name, msg.execute_message(key, request))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.EXECUTE_RESULT, j=key))
-            if reply.sender in pending:
-                values[reply.sender] = reply["value"]
-                pending.discard(reply.sender)
-        return self.merge_values(values, participants)
-
-    def _prepare(self, key, participants):
-        votes = {}
-        for db_name in participants:
-            self.send(db_name, msg.prepare_message(key, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.VOTE, j=key))
-            if reply.sender in pending:
-                votes[reply.sender] = reply["vote"]
-                pending.discard(reply.sender)
-        outcome = COMMIT if all(v == VOTE_YES for v in votes.values()) else ABORT
-        self.trace.record("as_prepare", self.name, client=key[0], j=key[1], outcome=outcome,
-                          votes=dict(votes))
-        return outcome
-
-    def _decide(self, key, outcome, participants):
-        for db_name in participants:
-            self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.ACK_DECIDE, j=key))
-            if reply.sender in pending:
-                pending.discard(reply.sender)
-        self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)
-
 
 class BackupServer(Process):
     """The backup: mirrors the primary's state and takes over on suspicion."""
@@ -136,22 +98,21 @@ class BackupServer(Process):
         self._taken_over: set[Any] = set()
 
     def on_start(self, recovery: bool) -> None:
-        self.spawn(self._mirror(), name="pb-backup-mirror")
+        self.on_message(PB_START, self._mirror)
+        self.on_message(PB_OUTCOME, self._mirror)
         self.spawn(self._monitor(), name="pb-backup-monitor")
 
-    def _mirror(self):
-        while True:
-            message = yield self.receive(is_type(PB_START, PB_OUTCOME))
-            key = message["j"]
-            if message.msg_type == PB_START:
-                self._state[key] = {"request": message["request"],
-                                    "client": message["client"]}
-                self.send(message.sender, Message(PB_START_ACK, payload={"j": key}))
-            else:
-                entry = self._state.setdefault(key, {"client": message["client"]})
-                entry["outcome"] = message["outcome"]
-                entry["result"] = message["result"]
-                self.send(message.sender, Message(PB_OUTCOME_ACK, payload={"j": key}))
+    def _mirror(self, message):
+        key = message["j"]
+        if message.msg_type == PB_START:
+            self._state[key] = {"request": message["request"],
+                                "client": message["client"]}
+            self.send(message.sender, Message(PB_START_ACK, payload={"j": key}))
+        else:
+            entry = self._state.setdefault(key, {"client": message["client"]})
+            entry["outcome"] = message["outcome"]
+            entry["result"] = message["result"]
+            self.send(message.sender, Message(PB_OUTCOME_ACK, payload={"j": key}))
 
     def _monitor(self):
         while True:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
-from repro.core.types import ABORT, COMMIT, Decision, Request, Result, VOTE_YES
-from repro.net.message import is_type, is_type_with
+from repro.core.types import COMMIT, Decision, Request, Result
+from repro.net.message import is_type
 from repro.sim.process import Process
 from repro.storage.stable import StableStorage
 from repro.storage.wal import WriteAheadLog
@@ -71,43 +71,6 @@ class TwoPCCoordinator(RequestDeduplication, ParticipantRouting, Process):
             self._record_decision(key, decision)
             self.trace.record("as_result_sent", self.name, client=client, j=j, outcome=outcome)
             self.send(client, msg.result_message(j, decision))
-
-    def _execute(self, key, request: Request, participants):
-        values = {}
-        for db_name in participants:
-            self.send(db_name, msg.execute_message(key, request))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.EXECUTE_RESULT, j=key))
-            if reply.sender in pending:
-                values[reply.sender] = reply["value"]
-                pending.discard(reply.sender)
-        return self.merge_values(values, participants)
-
-    def _prepare(self, key, participants):
-        votes = {}
-        for db_name in participants:
-            self.send(db_name, msg.prepare_message(key, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.VOTE, j=key))
-            if reply.sender in pending:
-                votes[reply.sender] = reply["vote"]
-                pending.discard(reply.sender)
-        outcome = COMMIT if all(v == VOTE_YES for v in votes.values()) else ABORT
-        self.trace.record("as_prepare", self.name, client=key[0], j=key[1],
-                          outcome=outcome, votes=dict(votes))
-        return outcome
-
-    def _decide(self, key, outcome, participants):
-        for db_name in participants:
-            self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive(is_type_with(msg.ACK_DECIDE, j=key))
-            if reply.sender in pending:
-                pending.discard(reply.sender)
-        self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)
 
 
 class TwoPCDeployment(ThreeTierDeployment):

@@ -3,10 +3,11 @@
 Each application server is stateless with respect to requests: everything it
 needs to terminate a result lives either in the back-end databases or in the
 replicated wo-registers (``regA`` -- who executes result ``j``; ``regD`` --
-the decision for result ``j``).  The server runs two protocol threads:
+the decision for result ``j``).  The server runs the paper's two protocol
+threads:
 
-* the **computation thread** (Figure 5): waits for client requests and, for
-  each new result, spawns a per-request handler that claims the result by
+* the **computation thread** (Figure 5), here a ``Request`` handler that never
+  blocks, so it needs no thread: for each new result it spawns a per-request handler that claims the result by
   writing ``(its identity, participant set)`` into ``regA[j]``, computes the
   result by driving the business logic on the *participant* databases, runs
   the voting phase, writes the decision into ``regD[j]`` and terminates the
@@ -133,7 +134,7 @@ class ApplicationServer(Process):
     def on_start(self, recovery: bool) -> None:
         if self.consensus_host is not None:
             self.consensus_host.install()
-        self.spawn(self._computation_thread(), name="as-compute")
+        self.on_message(msg.REQUEST, self._on_request)
         self.spawn(self._cleaning_thread(), name="as-clean")
 
     def on_crash(self) -> None:
@@ -167,38 +168,36 @@ class ApplicationServer(Process):
         """The database servers taking part in this request's transaction."""
         return request_participants(request, self.db_server_names)
 
-    # ------------------------------------------------------ computation thread
+    # ----------------------------------------------------- computation handler
 
-    def _computation_thread(self):
+    def _on_request(self, message: Any) -> None:
         """Figure 5: dispatch client requests to per-result handlers."""
-        while True:
-            message = yield self.receive(is_type(msg.REQUEST))
-            client = message.sender
-            j: int = message["j"]
-            request: Request = message["request"]
-            key: ResultKey = (client, j)
-            self.trace.record("as_request", self.name, client=client, j=j,
-                              request_id=request.request_id)
-            if key in self._inflight:
-                # A retransmission of a result we are already working on; the
-                # in-flight handler will answer the client.
-                continue
-            known = self._known_commits.get(key)
-            decided = self.registers.reg_d.read(key)
-            if known is None and decided is not BOTTOM and decided.outcome == COMMIT:
-                known = decided
-            if known is not None:
-                # Figure 5, lines 3-4: the result is already committed; resend it.
-                self.send(client, msg.result_message(j, known))
-                continue
-            if decided is not BOTTOM:
-                # The result was already aborted (a retransmitted request for a
-                # terminated intermediate result): just remind the client.
-                self.send(client, msg.result_message(j, decided))
-                continue
-            self._inflight.add(key)
-            self.spawn(self._handle_request(key, request, client),
-                       name=f"as-handle:{client}:{j}")
+        client = message.sender
+        j: int = message["j"]
+        request: Request = message["request"]
+        key: ResultKey = (client, j)
+        self.trace.record("as_request", self.name, client=client, j=j,
+                          request_id=request.request_id)
+        if key in self._inflight:
+            # A retransmission of a result we are already working on; the
+            # in-flight handler will answer the client.
+            return
+        known = self._known_commits.get(key)
+        decided = self.registers.reg_d.read(key)
+        if known is None and decided is not BOTTOM and decided.outcome == COMMIT:
+            known = decided
+        if known is not None:
+            # Figure 5, lines 3-4: the result is already committed; resend it.
+            self.send(client, msg.result_message(j, known))
+            return
+        if decided is not BOTTOM:
+            # The result was already aborted (a retransmitted request for a
+            # terminated intermediate result): just remind the client.
+            self.send(client, msg.result_message(j, decided))
+            return
+        self._inflight.add(key)
+        self.spawn(self._handle_request(key, request, client),
+                   name=f"as-handle:{client}:{j}")
 
     def _handle_request(self, key: ResultKey, request: Request, client: str):
         """One result's life from claim to termination (Figure 5, lines 5-12)."""

@@ -4,9 +4,13 @@ A :class:`Process` models one node of the three-tier system (a client, an
 application server or a database server).  Processes
 
 * host any number of generator-coroutine *threads* (the paper's ``cobegin``
-  branches, e.g. the application server's computation and cleaning threads),
+  branches, e.g. the application server's per-request and cleaning threads),
 * run synchronous per-type *message handlers* (:meth:`Process.on_message`)
-  for traffic that needs no blocking wait -- consensus, heartbeats,
+  for traffic that needs no blocking wait -- consensus, heartbeats, the
+  application server's request dispatch, the primary-backup mirror,
+* run serial FIFO *servers* (:meth:`Process.serve`) for traffic whose
+  processing only sleeps: one step per message, the next message queued
+  until the step ends -- the database tier's execute/prepare/decide/migrate,
 * exchange messages through a transport installed by ``repro.net``,
 * crash (losing all volatile state: mailbox, threads, local variables) and
   recover (restarting their entry point with ``recovery=True``), exactly as in
@@ -39,9 +43,8 @@ class Thread:
 
     __slots__ = ("id", "process", "generator", "name", "alive", "finished",
                  "_pending_timer", "_pending_receive", "_pending_future",
-                 "_pending_future_callback", "_wait_token", "_armed_token",
-                 "_armed_result", "_fire_cb", "_future_cb", "_timer_name",
-                 "_mailbox_name", "_future_name")
+                 "_wait_token", "_armed_token", "_armed_result", "_fire_cb",
+                 "_future_cb", "_timer_name", "_mailbox_name", "_future_name")
 
     def __init__(self, process: "Process", generator: ProtocolGenerator, name: str):
         # Thread ids are scoped to the hosting process: waiter ordering only
@@ -58,7 +61,6 @@ class Thread:
         self._pending_timer: Optional[Any] = None
         self._pending_receive: Optional[Receive] = None
         self._pending_future: Optional[SimFuture] = None
-        self._pending_future_callback: Optional[Callable[[Any], None]] = None
         self._wait_token = 0
         # Timer/mailbox wake-ups reuse one prebound callback plus these two
         # slots instead of allocating a capturing closure per wait: a thread
@@ -87,11 +89,6 @@ class Thread:
 
     # ----------------------------------------------------------------- state
 
-    @property
-    def waiting_on_receive(self) -> Optional[Receive]:
-        """The receive wait this thread is currently blocked on, if any."""
-        return self._pending_receive
-
     def kill(self) -> None:
         """Terminate the thread, cancelling any pending timer or wait."""
         if not self.alive:
@@ -109,10 +106,9 @@ class Thread:
         if self._pending_receive is not None:
             self.process._unregister_waiter(self, self._pending_receive)
             self._pending_receive = None
-        if self._pending_future is not None and self._pending_future_callback is not None:
-            self._pending_future.discard_callback(self._pending_future_callback)
-        self._pending_future = None
-        self._pending_future_callback = None
+        if self._pending_future is not None:
+            self._pending_future.discard_callback(self._future_cb)
+            self._pending_future = None
 
     # ------------------------------------------------------------- stepping
 
@@ -133,12 +129,12 @@ class Thread:
         except StopIteration:
             self.finished = True
             self.alive = False
-            self.process._note_thread_finished()
+            self.process._finished_threads += 1
             return
         except Exception as exc:  # surface protocol bugs loudly
             self.finished = True
             self.alive = False
-            self.process._note_thread_finished()
+            self.process._finished_threads += 1
             self.process.trace.record(
                 "thread_error", self.process.name, thread=self.name, error=repr(exc)
             )
@@ -146,21 +142,15 @@ class Thread:
         self._handle_wait(wait)
 
     def _handle_wait(self, wait: Wait) -> None:
-        # Exact-type dispatch: the three wait classes are final in practice,
-        # and ``type is`` is measurably cheaper than an isinstance chain on
-        # the per-event hot path.  Subclasses still land in the fallback.
+        # Exact-type dispatch: the three wait classes are final, and ``type
+        # is`` is measurably cheaper than an isinstance chain on the per-event
+        # hot path.
         cls = wait.__class__
         if cls is Receive:
             self._handle_receive(wait)
         elif cls is Sleep:
             self._arm_timer(wait.delay, result=None)
         elif cls is WaitFuture:
-            self._handle_future(wait)
-        elif isinstance(wait, Sleep):
-            self._arm_timer(wait.delay, result=None)
-        elif isinstance(wait, Receive):
-            self._handle_receive(wait)
-        elif isinstance(wait, WaitFuture):
             self._handle_future(wait)
         else:
             raise ThreadError(
@@ -222,7 +212,6 @@ class Thread:
             return
         self._armed_token = self._wait_token
         self._pending_future = wait.future
-        self._pending_future_callback = self._future_cb
         wait.future.on_resolve(self._future_cb)
         if wait.timeout is not None:
             self._arm_timer(wait.timeout, result=TIMEOUT)
@@ -232,12 +221,69 @@ class Thread:
         return f"<Thread {self.process.name}/{self.name} ({state})>"
 
 
+class _Server:
+    """A serial FIFO server (:meth:`Process.serve`).
+
+    It schedules exactly the events of a thread looping on ``receive``: each
+    sleep is one timer, and a step that ends with messages queued starts the
+    next one from a ``call_soon`` hop, the thread's mailbox-hit wake-up.
+    """
+
+    __slots__ = ("process", "step", "name", "queue", "running", "timer", "_resume_cb")
+
+    def __init__(self, process: "Process", step: Callable[[Any], ProtocolGenerator]):
+        self.process, self.step, self.queue = process, step, deque()
+        self.name = f"{process.name}/{step.__name__}"
+        self.running: Optional[ProtocolGenerator] = None  # started or hopped to
+        self.timer: Optional[Any] = None  # pooled: dropped as it fires
+        self._resume_cb = self._resume
+
+    def offer(self, message: Any) -> None:
+        if self.running is None:
+            self.running = self.step(message)
+            self._resume()
+        elif self.process._admit(message.msg_type):
+            self.queue.append(message)
+
+    def _resume(self, _arg: Any = None) -> None:
+        self.timer = None
+        process = self.process
+        try:
+            wait = self.running.send(None)
+            if wait.__class__ is not Sleep:
+                raise TypeError(f"a served step may only sleep, got {wait!r}")
+        except StopIteration:
+            self.running = None
+            if self.queue:
+                process._mailbox_count -= 1
+                self.running = self.step(self.queue.popleft())
+                self.timer = process.sim.call_soon_call(self._resume_cb, None, name=self.name)
+            return
+        except Exception as exc:  # as loud as a failing thread
+            self.running = None
+            process.trace.record("thread_error", process.name, thread=self.step.__name__,
+                                 error=repr(exc))
+            raise ThreadError(f"step {self.name!r} failed") from exc
+        self.timer = process.sim.schedule_call(wait.delay, self._resume_cb, None, name=self.name)
+
+    def stop(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+        if self.running is not None:
+            self.running.close()
+
+
 class Process:
     """A simulated node that can crash and recover.
 
     Subclasses override :meth:`on_start` to spawn their protocol threads, and
     may override :meth:`on_crash` to drop additional volatile state.
     """
+
+    #: A pure server hosts no thread, so nothing could ever ``receive`` a
+    #: message its handlers do not take: such a message is dropped, traced
+    #: as ``unhandled`` and counted instead of buffered for ever.
+    pure_server = False
 
     def __init__(self, sim: Kernel, name: str):
         self.sim = sim
@@ -263,6 +309,7 @@ class Process:
         self.mailbox_limit = 0
         self.shed_messages = 0
         self.mailbox_peak = 0
+        self.unhandled_messages = 0
         self._threads: list[Thread] = []
         # Threads blocked on a receive, indexed by what their matcher could
         # accept: by (message type, correlation id) when the matcher pins a
@@ -274,11 +321,11 @@ class Process:
         self._wildcard_waiters: dict[int, Thread] = {}
         # Synchronous handlers by message type (``on_message``); volatile.
         self._handlers: dict[str, Callable[[Any], None]] = {}
+        self._servers: list[_Server] = []
         self._thread_names: dict[str, tuple[str, str, str]] = {}
         self._finished_threads = 0
         self._thread_ids = 0
         self._transport: Optional[Any] = None  # installed by repro.net.Network
-        self._started = False
 
     def _next_thread_id(self) -> int:
         self._thread_ids += 1
@@ -304,7 +351,8 @@ class Process:
 
     @property
     def mailbox_size(self) -> int:
-        """Number of buffered, not-yet-consumed messages."""
+        """Number of buffered, not-yet-consumed messages (queued at a
+        :meth:`serve` server included)."""
         return self._mailbox_count
 
     def rng(self, stream: Optional[str] = None):
@@ -315,7 +363,6 @@ class Process:
 
     def start(self) -> None:
         """Start the process for the first time (calls :meth:`on_start`)."""
-        self._started = True
         self.on_start(recovery=False)
 
     def on_start(self, recovery: bool) -> None:
@@ -349,6 +396,20 @@ class Process:
         if msg_type in self._handlers:
             raise ValueError(f"{self.name!r} already handles {msg_type!r} messages")
         self._handlers[msg_type] = handler
+
+    def serve(self, msg_types: str | Iterable[str],
+              step: Callable[[Any], ProtocolGenerator]) -> None:
+        """Serve ``msg_types`` one message at a time, in arrival order.
+
+        ``step(message)`` is a generator that may only ``yield self.sleep(d)``
+        -- a receive-and-reply loop without the thread.  Messages arriving
+        while a step runs queue (they count in :attr:`mailbox_size`); a crash
+        drops the step and the queue, and ``on_start`` serves again.
+        """
+        server = _Server(self, step)
+        for msg_type in (msg_types,) if isinstance(msg_types, str) else msg_types:
+            self.on_message(msg_type, server.offer)
+        self._servers.append(server)
 
     # Wait-constructor helpers so protocol code reads naturally -------------
 
@@ -467,15 +528,12 @@ class Process:
             else:
                 container.pop(thread_id, None)
 
-    def _note_thread_finished(self) -> None:
-        """Called by a thread whose coroutine ran to completion."""
-        self._finished_threads += 1
-
     def deliver(self, message: Any) -> None:
         """Deliver a message to this process (called by the network).
 
         Messages arriving at a crashed process are dropped and a type with a
-        handler (:meth:`on_message`) goes to it alone; otherwise the
+        handler (:meth:`on_message`, :meth:`serve`) goes to it alone; a
+        :attr:`pure_server` drops any other type; otherwise the
         message either resumes a thread blocked on a matching receive or is
         buffered in the mailbox.  Only waiters indexed under the message's
         type (plus wildcard waiters) are consulted; ties between threads are
@@ -487,6 +545,10 @@ class Process:
         handler = self._handlers.get(msg_type)
         if handler is not None:
             handler(message)
+            return
+        if self.pure_server:
+            self.unhandled_messages += 1
+            self.sim.trace.record("unhandled", self.name, msg_type=msg_type)
             return
         # Read the payload dict without touching ``Message.payload``: the
         # property would materialize a private copy of a COW-shared dict,
@@ -552,13 +614,7 @@ class Process:
                 self._finished_threads > len(self._threads) // 2:
             self._threads = [t for t in self._threads if t.alive or not t.finished]
             self._finished_threads = 0
-        limit = self.mailbox_limit
-        if limit and self._mailbox_count >= limit:
-            self.shed_messages += 1
-            trace = self.sim.trace
-            if trace.wants("overload"):
-                trace.record("overload", self.name, msg_type=msg_type,
-                             backlog=self._mailbox_count)
+        if not self._admit(msg_type):
             return
         self._mailbox_seq += 1
         correlation = payload.get("j") if payload is not None else _UNKEYED
@@ -571,9 +627,21 @@ class Process:
         if bucket is None:
             bucket = by_corr[correlation] = deque()
         bucket.append((self._mailbox_seq, message))
-        self._mailbox_count += 1
-        if self._mailbox_count > self.mailbox_peak:
-            self.mailbox_peak = self._mailbox_count
+
+    def _admit(self, msg_type: Any) -> bool:
+        """Count one more buffered message, or shed it at ``mailbox_limit``."""
+        count = self._mailbox_count
+        limit = self.mailbox_limit
+        if limit and count >= limit:
+            self.shed_messages += 1
+            trace = self.sim.trace
+            if trace.wants("overload"):
+                trace.record("overload", self.name, msg_type=msg_type, backlog=count)
+            return False
+        self._mailbox_count = count = count + 1
+        if count > self.mailbox_peak:
+            self.mailbox_peak = count
+        return True
 
     def _mailbox_buckets(self, wait: Receive) -> list[tuple[dict, Any, deque]]:
         """The non-empty mailbox buckets ``wait`` could take a message from.
@@ -707,6 +775,9 @@ class Process:
         self._typed_waiters.clear()
         self._wildcard_waiters.clear()
         self._handlers.clear()
+        for server in self._servers:
+            server.stop()
+        self._servers.clear()
         self._finished_threads = 0
         self._mailbox.clear()
         self._mailbox_count = 0

@@ -27,9 +27,9 @@ TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
 SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
             "&workload=bank&placement=hash&xshard=0.1&trace=off")
 
-#: More than 30 % above the pinned blocks/request (measured when acceptors
-#: began to learn on ``accept`` and the ``decide`` broadcast went: 103.5
-#: traffic, 121.0 soak) fails.
+#: More than 30 % above the pinned blocks/request (measured when the data
+#: tier's receive loops became served steps: 101.6 traffic, 119.4 soak;
+#: 103.5 and 121.0 with the loops) fails.
 HEADROOM = 1.3
 
 
@@ -108,11 +108,11 @@ def test_traffic_shape_events_and_blocks_per_request():
     blocks_per_request, events = _closed_loop(TRAFFIC_DSN, requests_per_client=20)
     print(f"\ntraffic: {blocks_per_request:.1f} blocks/request, {events} events")
     assert events == 1911
-    assert blocks_per_request <= HEADROOM * 103.5
+    assert blocks_per_request <= HEADROOM * 101.6
 
 
 def test_soak_shape_events_and_blocks_per_request():
     blocks_per_request, events = _open_loop(SOAK_DSN, total=400, rate=32.0)
     print(f"\nsoak: {blocks_per_request:.1f} blocks/request, {events} events")
     assert events == 9360
-    assert blocks_per_request <= HEADROOM * 121.0
+    assert blocks_per_request <= HEADROOM * 119.4

@@ -11,7 +11,8 @@ from repro.core import messages as msg
 from repro.core.dataserver import DatabaseServer
 from repro.core.timing import DatabaseTiming
 from repro.core.types import ABORT, COMMIT, Request
-from repro.net.message import is_type
+from repro.failure.detectors import HeartbeatFailureDetector
+from repro.net.message import Message, is_type
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -214,6 +215,31 @@ def test_recovery_sends_ready_and_restores_in_doubt():
     sim.run(until=20_000.0)
     assert ("ready", "d1") in observed
     assert db.committed_value("balance") == 70
+
+
+def test_a_busy_database_counts_the_queued_execute_in_its_mailbox():
+    """The served steps' queue is the backlog the mailbox used to hold."""
+    sim, network, driver, db = build(timing=DatabaseTiming(start=3.4, sql=187.0))
+    for j in (1, 2):
+        driver.send("d1", msg.execute_message(("c1", j), Request("pay", {"amount": 1})))
+    sim.run(until=100.0)  # both delivered; the first still executes
+    assert db.mailbox_size == 1 and db.mailbox_peak == 1
+    sim.run()
+    assert db.mailbox_size == 0
+    assert [event.get("j") for event in sim.trace.select("db_execute", "d1")] == [
+        ("c1", 1), ("c1", 2)]
+    assert driver.mailbox_size == 2  # both answered
+
+
+def test_a_type_no_step_serves_is_a_traced_counted_drop():
+    """A database hosts no thread that could ever receive a stray message."""
+    sim, network, driver, db = build()
+    driver.send("d1", Message(HeartbeatFailureDetector.HEARTBEAT, payload={"origin": "a1"}))
+    sim.run()
+    assert db.mailbox_size == 0 and db.mailbox_peak == 0
+    assert db.unhandled_messages == 1
+    assert [event.get("msg_type") for event in sim.trace.select("unhandled", "d1")] == [
+        "Heartbeat"]
 
 
 def test_crash_loses_unprepared_transaction():

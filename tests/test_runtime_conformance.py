@@ -249,6 +249,138 @@ def test_crash_kills_threads_and_recovery_restarts(kernel):
     assert process.up
 
 
+# ------------------------------------------------------------- served steps
+
+
+class Echo(Process):
+    """Serves ``Job`` after a 20 ms sleep, answering ``Done``; serves again on
+    every start, as a database server does."""
+
+    def on_start(self, recovery):
+        self.serve("Job", self._job)
+
+    def _job(self, message):
+        yield self.sleep(20.0)
+        self.send(message.sender, Message("Done", payload={"n": message["n"]}))
+
+
+def collect(process, msg_type, into):
+    def listener():
+        while True:
+            message = yield process.receive(is_type(msg_type))
+            into.append(message["n"])
+
+    process.spawn(listener(), name="listener")
+
+
+def test_serve_runs_one_step_at_a_time_in_arrival_order(kernel):
+    network = make_network(kernel)
+    sender = network.register(Process(kernel, "s"))
+    server = network.register(Process(kernel, "r"))
+    log: list[tuple[str, int]] = []
+    backlog: list[int] = []
+
+    def step(message):
+        log.append(("start", message["n"]))
+        backlog.append(server.mailbox_size)
+        yield server.sleep(10.0)
+        log.append(("end", message["n"]))
+
+    server.serve("Job", step)
+    for n in (1, 2, 3):
+        sender.send("r", Message("Job", payload={"n": n}))
+    assert run_until(kernel, lambda: len(log) == 6)
+    assert log == [("start", 1), ("end", 1), ("start", 2), ("end", 2),
+                   ("start", 3), ("end", 3)]
+    # Job 1 starts on an empty queue; 2 and 3 wait in it, counted as backlog.
+    assert backlog == [0, 1, 0] and server.mailbox_peak == 2
+    if not kernel.realtime:
+        assert kernel.now == 31.0
+
+
+def test_two_servers_on_one_process_interleave(kernel):
+    network = make_network(kernel)
+    sender = network.register(Process(kernel, "s"))
+    server = network.register(Process(kernel, "r"))
+    log: list[tuple[str, int]] = []
+
+    def worker(delay):
+        def step(message):
+            log.append((message.msg_type, message["n"]))
+            yield server.sleep(delay)
+            log.append((message.msg_type + " done", message["n"]))
+
+        return step
+
+    server.serve("Slow", worker(30.0))
+    server.serve("Fast", worker(10.0))
+    sender.send("r", Message("Slow", payload={"n": 1}))
+    sender.send("r", Message("Fast", payload={"n": 1}))
+    sender.send("r", Message("Fast", payload={"n": 2}))
+    assert run_until(kernel, lambda: len(log) == 6)
+    # The slow step does not hold up the other server's queue.
+    assert log == [("Slow", 1), ("Fast", 1), ("Fast done", 1), ("Fast", 2),
+                   ("Fast done", 2), ("Slow done", 1)]
+
+
+def test_a_step_that_never_sleeps_answers_inside_delivery(kernel):
+    network = make_network(kernel)
+    client = network.register(Process(kernel, "c"))
+    server = network.register(Process(kernel, "r"))
+    served: list[int] = []
+    answers: list[int] = []
+
+    def step(message):
+        served.append(message["n"])
+        server.send(message.sender, Message("Done", payload={"n": message["n"]}))
+        return
+        yield  # a generator that never sleeps
+
+    server.serve("Job", step)
+    collect(client, "Done", answers)
+    server.deliver(Message("Job", payload={"n": 7}, sender="c"))
+    assert served == [7] and server.mailbox_size == 0  # no kernel event between
+    assert run_until(kernel, lambda: answers)
+    assert answers == [7]
+
+
+def test_crash_mid_sleep_drops_the_step_and_its_queue(kernel):
+    network = make_network(kernel)
+    client = network.register(Process(kernel, "c"))
+    server = network.register(Echo(kernel, "r"))
+    server.start()
+    answers: list[int] = []
+    backlog: list[int] = []
+    collect(client, "Done", answers)
+    for n in (1, 2):
+        client.send("r", Message("Job", payload={"n": n}))
+    # Job 1 sleeps until ~21 and job 2 waits behind it when the server dies.
+    kernel.schedule(5.0, lambda: backlog.append(server.mailbox_size))
+    kernel.schedule(6.0, lambda: server.crash_for(4.0))
+    kernel.schedule(11.0, lambda: backlog.append(server.mailbox_size))
+    kernel.schedule(50.0, lambda: client.send("r", Message("Job", payload={"n": 3})))
+    assert run_until(kernel, lambda: answers)
+    assert answers == [3] and backlog == [1, 0]
+    if not kernel.realtime:
+        assert kernel.now == 72.0
+        assert kernel.pending_events == 0
+
+
+def test_serve_is_registered_again_on_recovery(kernel):
+    network = make_network(kernel)
+    client = network.register(Process(kernel, "c"))
+    server = network.register(Echo(kernel, "r"))
+    server.start()
+    answers: list[int] = []
+    collect(client, "Done", answers)
+    for _ in range(2):
+        server.crash()
+        server.recover()  # on_start serves "Job" again: no "already handles"
+    client.send("r", Message("Job", payload={"n": 1}))
+    assert run_until(kernel, lambda: answers)
+    assert answers == [1] and server.mailbox_size == 0
+
+
 # ------------------------------------------------------------------ multicast
 
 

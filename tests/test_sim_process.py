@@ -302,6 +302,32 @@ def test_thread_exception_is_wrapped_and_traced(sim):
     assert sim.trace.count("thread_error", "p") == 1
 
 
+def test_served_step_exception_is_wrapped_and_traced(sim):
+    process = Process(sim, "p")
+
+    def step(message):
+        yield process.sleep(1.0)
+        raise RuntimeError("boom")
+
+    process.serve("Ping", step)
+    process.deliver(Message("Ping"))
+    with pytest.raises(ThreadError):
+        sim.run()
+    assert sim.trace.count("thread_error", "p") == 1
+
+
+def test_served_step_may_only_sleep(sim):
+    process = Process(sim, "p")
+
+    def step(message):
+        yield process.receive(is_type("Pong"))
+
+    process.serve("Ping", step)
+    with pytest.raises(ThreadError):
+        process.deliver(Message("Ping"))
+    assert sim.trace.count("thread_error", "p") == 1
+
+
 def test_wait_for_future_resolution(sim):
     process = Process(sim, "p")
     future = SimFuture()
