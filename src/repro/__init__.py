@@ -7,11 +7,12 @@ depends on:
 
 * ``repro.sim`` -- discrete-event simulation kernel (virtual time, processes,
   crash/recovery, coroutine threads, tracing).
-* ``repro.net`` -- message-passing network with latency, loss, partitions and
-  the reliable-channel abstraction (retransmission + duplicate suppression).
+* ``repro.net`` -- message-passing network with latency, loss and partitions,
+  and the versioned wire codec of the real runtime.
 * ``repro.failure`` -- failure detectors (perfect, eventually perfect,
   timeout-based) and fault-injection schedules.
-* ``repro.consensus`` -- Chandra-Toueg rotating-coordinator consensus.
+* ``repro.consensus`` -- single-decree quorum consensus with a one-round-trip
+  fast path for the default primary.
 * ``repro.registers`` -- write-once registers built on consensus.
 * ``repro.storage`` -- stable storage, write-ahead log, lock manager,
   transactional key-value store and an XA-style resource manager.

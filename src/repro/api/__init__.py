@@ -37,7 +37,6 @@ from repro.api.drivers import (
     RunningSystem,
     build,
     get_protocol,
-    iter_drivers,
     register_protocol,
     registered_protocols,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "register_protocol",
     "registered_protocols",
     "get_protocol",
-    "iter_drivers",
     "build",
     "ScenarioResult",
     "run_scenario",

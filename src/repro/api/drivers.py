@@ -12,7 +12,7 @@ and every consumer (experiments, examples, CLI, tests) sees the same uniform
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.api.scenario import Scenario, ScenarioError, register_scheme
 from repro.api.workloads import ShardContext, WorkloadBinding, bind_workload
@@ -65,8 +65,8 @@ class RunningSystem:
 _CONFIG_FROM_SCENARIO = {
     **{name: name for name in (
         "num_app_servers", "num_db_servers", "num_clients", "register_mode",
-        "seed", "loss_probability", "use_reliable_channels", "detection_delay",
-        "failure_detector", "heartbeat_interval", "heartbeat_timeout",
+        "seed", "loss_probability", "detection_delay", "failure_detector",
+        "heartbeat_interval", "heartbeat_timeout",
         "client_app_latency", "app_app_latency", "app_db_latency",
         "coordinator_log_latency", "placement")},
     "trace_retention": "trace",
@@ -89,14 +89,12 @@ def deployment_config(scenario: Scenario, **objects: Any) -> DeploymentConfig:
         num_standby_db_servers=len(scenario.standby_db_server_names))
 
 
-# The comparison stacks have no register mode, tunable failure detector,
-# reliable-channel layer or admission control -- those are e-Transaction
-# machinery -- so the corresponding scenario fields are rejected instead of
-# ignored.  The same goes for the faults that ride on it: online resharding
+# The comparison stacks have no register mode, tunable failure detector or
+# admission control -- those are e-Transaction machinery -- so the
+# corresponding scenario fields are rejected instead of ignored.  The same goes for the faults that ride on it: online resharding
 # needs the epoch directory, an injected false suspicion the oracle detector.
-_ETX_ONLY_FIELDS = ("register_mode", "failure_detector", "use_reliable_channels",
-                    "detection_delay", "heartbeat_interval", "heartbeat_timeout",
-                    "mailbox")
+_ETX_ONLY_FIELDS = ("register_mode", "failure_detector", "detection_delay",
+                    "heartbeat_interval", "heartbeat_timeout", "mailbox")
 _ETX_ONLY_FAULTS = {"reshard": "online resharding",
                     "false_suspicion": "injected false suspicions"}
 
@@ -167,11 +165,6 @@ def get_protocol(name: str) -> ProtocolDriver:
 def registered_protocols() -> list[str]:
     """Canonical names of every registered protocol."""
     return sorted(_REGISTRY)
-
-
-def iter_drivers() -> Iterator[tuple[str, ProtocolDriver]]:
-    """(name, driver) pairs, sorted by name."""
-    return iter(sorted(_REGISTRY.items()))
 
 
 # ------------------------------------------------------- built-in drivers

@@ -53,11 +53,6 @@ class ScenarioResult:
         return self.statistics.count
 
     @property
-    def throughput(self) -> float:
-        """Delivered requests per second of virtual time."""
-        return self.statistics.throughput
-
-    @property
     def ok(self) -> bool:
         """Every request delivered and every checked property holds."""
         return self.delivered == self.requested and self.spec.ok

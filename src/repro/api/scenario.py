@@ -358,19 +358,6 @@ def load_fault_sidecar(path: str) -> tuple[FaultSpec, ...]:
 # to the single ``faults=`` list parameter.
 _FAULT_LIST_THRESHOLD = 3
 
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in _TRUE_WORDS:
-        return True
-    if lowered in _FALSE_WORDS:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # query parameter -> (Scenario field, parser).  Order doubles as the canonical
 # serialisation order of ``to_dsn``.  ``clients`` is an alternative spelling
 # of the host's ``c<N>`` token (never serialised -- the host carries it).
@@ -383,7 +370,6 @@ _QUERY_PARAMS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "fd": ("failure_detector", str),
     "register": ("register_mode", str),
     "loss": ("loss_probability", float),
-    "reliable": ("use_reliable_channels", _parse_bool),
     "detect": ("detection_delay", float),
     "hb_interval": ("heartbeat_interval", float),
     "hb_timeout": ("heartbeat_timeout", float),
@@ -457,7 +443,6 @@ class Scenario:
     failure_detector: str = FD_ORACLE
     register_mode: str = REGISTER_CONSENSUS
     loss_probability: float = 0.0
-    use_reliable_channels: bool = False
     detection_delay: float = DeploymentConfig.detection_delay
     heartbeat_interval: float = DeploymentConfig.heartbeat_interval
     heartbeat_timeout: float = DeploymentConfig.heartbeat_timeout
@@ -599,10 +584,6 @@ class Scenario:
                                 "replication there is nothing to move")
         if self.runtime != RUNTIME_SIM:
             raise ScenarioError("reshard currently requires runtime=sim")
-        if self.use_reliable_channels:
-            raise ScenarioError("reshard does not support reliable=true: the "
-                                "reconfiguration coordinator carries its own "
-                                "retransmission")
         count = self.num_db_servers
         for fault in reshards:
             if fault.from_shards != count:
@@ -707,9 +688,7 @@ class Scenario:
             value = getattr(self, field_name)
             if value == defaults[field_name]:
                 continue
-            if isinstance(value, bool):
-                text = "1" if value else "0"
-            elif isinstance(value, float):
+            if isinstance(value, float):
                 text = _format_number(value)
             else:
                 text = str(value)
@@ -776,21 +755,3 @@ class Scenario:
     def process_names(self) -> list[str]:
         """All process names in deployment (and TCP port-assignment) order."""
         return self.app_server_names + self.db_server_names + self.client_names
-
-    @property
-    def load_shape(self) -> str:
-        """One word for the traffic shape this scenario asks for."""
-        return "open" if self.rate > 0 else "closed"
-
-    def describe(self) -> str:
-        """One human-readable line."""
-        if self.rate > 0:
-            load = f"open loop @ {_format_number(self.rate)}/s ({self.arrival})"
-        elif self.think_time > 0:
-            load = f"closed loop, think {_format_number(self.think_time)} ms"
-        else:
-            load = "closed loop"
-        return (f"{self.protocol} scenario: {self.num_app_servers} app / "
-                f"{self.num_db_servers} db / {self.num_clients} client(s), "
-                f"{load}, workload={self.workload}, fd={self.failure_detector}, "
-                f"seed={self.seed}, faults={len(self.faults)}")

@@ -21,7 +21,6 @@ the ``Optional[ShardContext]`` (``None`` for unpartitioned runs).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -109,9 +108,6 @@ def _bind_object(workload: Any, name: str = "",
         make_request = lambda: workload.debit(0, 10)  # noqa: E731
     elif hasattr(workload, "book"):
         make_request = lambda: workload.book(workload.destinations[0])  # noqa: E731
-    elif hasattr(workload, "random_request"):
-        rng = random.Random(0)
-        make_request = lambda: workload.random_request(rng)  # noqa: E731
     else:
         make_request = _ping
     return WorkloadBinding(

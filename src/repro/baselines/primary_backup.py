@@ -181,11 +181,6 @@ class PrimaryBackupDeployment(ThreeTierDeployment):
         return self.backup.failure_detector
 
     @property
-    def primary(self) -> PrimaryServer:
-        """The primary application server."""
-        return self.app_servers[self.config.app_server_names[0]]  # type: ignore[return-value]
-
-    @property
     def backup(self) -> BackupServer:
         """The backup application server."""
         return self.app_servers[self.config.app_server_names[1]]  # type: ignore[return-value]

@@ -9,7 +9,8 @@ roles for every consensus *instance* (one instance per wo-register cell):
   :meth:`ConsensusHost.propose`,
 * **learner** -- records decisions and resolves the futures returned to
   proposers; decisions are learned on ``accept`` where the group allows it
-  (below), sent as ``decide`` where it does not, and served to late askers.
+  (below), sent as ``decide`` where it does not, and sent again to a peer
+  that proposes on an instance already decided.
 
 Messages reach the host through a synchronous handler (``Process.on_message``),
 not a thread, and the roles of one host talk by a call: a proposer is one of
@@ -24,8 +25,11 @@ is chosen -- and learns it on the spot.  The proposer learns at its quorum of
 ``accepted`` and sends ``decide`` only to the peers that answered
 ``nack_accept``, the only ones that cannot have learned alone (a nack that
 arrives once the proposer has moved on to a later ballot is dropped like a
-lost ``decide``; ``query`` serves such a peer).  A larger group broadcasts
-``decide`` at the quorum, as the read is not safe there.
+lost ``decide``).  Such a peer -- or one that was down or partitioned away --
+learns the value when it next proposes on the instance: an acceptor that knows
+the decision answers ``prepare`` or ``accept`` with ``decide``
+(``_send_decision``).  A larger group broadcasts ``decide`` at the quorum, as
+the read is not safe there.
 
 Safety rests on one value per (instance, ballot): ballot ``(n, i)`` belongs to
 proposer ``i`` alone, which sends one ``accept`` per attempt and never reuses
@@ -190,16 +194,6 @@ class ConsensusHost(ConsensusProtocol):
     def learned_since(self, cursor: int) -> list[InstanceId]:
         return self._learned[cursor:]
 
-    def request_decision(self, instance: InstanceId) -> None:
-        """Ask the other members whether the instance is already decided.
-
-        Used by learners that may have missed the decision (for example
-        while down or partitioned).  Harmless if nobody knows.
-        """
-        if instance in self._decisions:
-            return
-        self._send_peers({"instance": instance, "kind": "query"})
-
     # -------------------------------------------------------------- proposer
 
     def _start_attempt(self, instance: InstanceId, value: Any) -> None:
@@ -295,9 +289,6 @@ class ConsensusHost(ConsensusProtocol):
                           tuple(payload["promised"]))
         elif kind == "decide":
             self._learn(instance, payload["value"])
-        elif kind == "query":
-            if instance in self._decisions:
-                self._send_decision(sender, instance)
 
     # --------------------------------------------------------------- acceptor
 
@@ -470,7 +461,6 @@ _kind(kind="promise", ballot=IDS, accepted_ballot=IDS, accepted_value=IDS_OR_REC
 _kind(kind="accept", ballot=IDS, value=IDS_OR_RECORD)
 _kind(kind="accepted", ballot=IDS)
 _kind(kind="decide", value=IDS_OR_RECORD)
-_kind(kind="query")
 _kind(kind="nack_prepare", ballot=IDS, promised=IDS)
 _kind(kind="nack_accept", ballot=IDS, promised=IDS)
 

@@ -35,7 +35,7 @@ from repro.core.sharding import (
     PLACEMENT_REPLICATE,
     Sharding,
 )
-from repro.core.spec import PropertyViolation, SpecificationChecker, SpecReport
+from repro.core.spec import PropertyViolation, SpecReport
 from repro.core.timing import DatabaseTiming, ProtocolTiming
 from repro.core.types import (
     ABORT,
@@ -68,7 +68,6 @@ __all__ = [
     "PLACEMENT_REPLICATE",
     "PLACEMENT_HASH",
     "PLACEMENT_MOD",
-    "SpecificationChecker",
     "SpecReport",
     "PropertyViolation",
     "DatabaseTiming",

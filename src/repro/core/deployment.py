@@ -7,8 +7,8 @@ streaming observers, the three-tier network, database servers, clients and
 the run surface -- from a single :class:`DeploymentConfig`, and each protocol
 subclasses it with its own application servers.  :class:`EtxDeployment` is
 the e-Transaction middle tier (consensus hosts and wo-registers, failure
-detectors, optional reliable channels, online resharding); the comparison
-protocols live in :mod:`repro.baselines`.
+detectors, online resharding); the comparison protocols live in
+:mod:`repro.baselines`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.failure.injection import FaultSchedule
 from repro.metrics.latency import LatencyComponentStream
 from repro.metrics.stream import DatabaseOutcomeStream
 from repro.net.latency import FixedLatency, PerLinkLatency, three_tier_latency
-from repro.net.reliable import ReliableChannelLayer
 from repro.registers.consensus_backed import ConsensusRegisterArray
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
 from repro.runtime.base import RuntimeSpec, create_kernel, create_network
@@ -76,9 +75,9 @@ def default_business_logic(request: Request) -> Callable[[Any], Any]:
 class DeploymentConfig:
     """Knobs of a three-tier deployment, whichever protocol runs its middle tier.
 
-    The register, failure-detector, reliable-channel, reshard and mailbox
-    knobs are consumed by the e-Transaction middle tier only,
-    ``coordinator_log_latency`` by the 2PC coordinator only.
+    The register, failure-detector, reshard and mailbox knobs are consumed
+    by the e-Transaction middle tier only, ``coordinator_log_latency`` by the
+    2PC coordinator only.
     """
 
     # 0 = the middle-tier size the deployment class runs by default (3 for
@@ -89,7 +88,6 @@ class DeploymentConfig:
     register_mode: str = REGISTER_CONSENSUS
     seed: int = 0
     loss_probability: float = 0.0
-    use_reliable_channels: bool = False
     detection_delay: float = 5.0
     failure_detector: str = FD_ORACLE
     heartbeat_interval: float = 5.0
@@ -348,9 +346,9 @@ class ThreeTierDeployment:
 
         Answered by the online :class:`~repro.core.spec.SpecMonitor`, which
         has been folding the event stream in since the deployment was built
-        -- byte-identical to replaying the full trace through
-        :func:`~repro.core.spec.check_run`, but independent of trace
-        retention and O(transactions) instead of O(events squared).  The
+        -- byte-identical to replaying the full trace through the post-hoc
+        checker, but independent of trace retention and O(transactions)
+        instead of O(events squared).  The
         comparison protocols are *not expected* to satisfy every property
         under faults -- that is the paper's argument; the report quantifies
         which ones break and when.
@@ -452,8 +450,6 @@ class EtxDeployment(ThreeTierDeployment):
                             if self.network.hosts(name)])
         for server in self.app_servers.values():
             server.failure_detector = detector
-        if config.use_reliable_channels:
-            ReliableChannelLayer(self.network)  # interposes itself on every process
         return oracle
 
     def _start_all(self) -> None:
@@ -465,8 +461,3 @@ class EtxDeployment(ThreeTierDeployment):
             self.trace.record("reshard", self.reshard_coordinator.name,
                               stage="init", epoch=0,
                               shards=list(self.sharding.shards))
-
-    @property
-    def default_primary(self) -> ApplicationServer:
-        """The default primary application server (``a1``)."""
-        return self.app_servers[self.config.app_server_names[0]]  # type: ignore[return-value]

@@ -261,11 +261,6 @@ class ShardDirectory:
         """The epoch traffic currently routes against."""
         return self.current.epoch
 
-    @property
-    def reconfiguring(self) -> bool:
-        """Whether a reconfiguration window is open."""
-        return self.pending is not None
-
     def participants(self, keys: Iterable[str]) -> tuple[str, ...]:
         """Participant set of ``keys`` under the current epoch."""
         return self.current.participants(keys)

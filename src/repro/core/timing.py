@@ -32,29 +32,6 @@ class DatabaseTiming:
     abort_cpu: float = 1.0
     forced_write: float = 12.5
 
-    def scaled(self, factor: float) -> "DatabaseTiming":
-        """A copy with every cost multiplied by ``factor`` (used by sweeps)."""
-        return DatabaseTiming(
-            start=self.start * factor,
-            sql=self.sql * factor,
-            end=self.end * factor,
-            prepare_cpu=self.prepare_cpu * factor,
-            commit_cpu=self.commit_cpu * factor,
-            abort_cpu=self.abort_cpu * factor,
-            forced_write=self.forced_write * factor,
-        )
-
-    @property
-    def commit_total(self) -> float:
-        """Total commit-phase cost (CPU plus the forced commit-record write)."""
-        return self.commit_cpu + self.forced_write
-
-    @property
-    def prepare_total(self) -> float:
-        """Total prepare-phase cost (CPU plus the forced prepare-record write)."""
-        return self.prepare_cpu + self.forced_write
-
-
 @dataclass
 class ProtocolTiming:
     """Protocol-level timeouts and intervals."""

@@ -68,11 +68,6 @@ class Request:
         object.__setattr__(self, "participants", tuple(self.participants))
         object.__setattr__(self, "keys", tuple(self.keys))
 
-    def describe(self) -> str:
-        """Short human-readable form used in traces and reports."""
-        return f"{self.operation}({self.request_id})"
-
-
 REQUEST_REC = declare_record(Request, operation=STR, params=VALUE, request_id=STR,
                              participants=STRS, keys=STRS)
 
@@ -106,12 +101,6 @@ class Decision:
     def __post_init__(self) -> None:
         if self.outcome not in (COMMIT, ABORT):
             raise ValueError(f"invalid outcome {self.outcome!r}")
-
-    @property
-    def committed(self) -> bool:
-        """Whether this decision commits its result."""
-        return self.outcome == COMMIT
-
 
 DECISION_REC = declare_record(Decision, result=optional(RESULT_REC), outcome=STR)
 

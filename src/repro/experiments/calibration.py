@@ -1,21 +1,18 @@
 """Calibration data: the paper's measured numbers and our standard scenarios.
 
 ``PAPER_FIGURE8`` is the table of Appendix 3 (Figure 8) verbatim, in
-milliseconds.  The deployment helpers below build the protocol stacks through
-the unified scenario API (:mod:`repro.api`) with identical database timing and
-network topology, so that the *only* differences between the measured columns
-are the protocols themselves -- exactly the paper's methodology (same SQL
-work, same machines, same network).
+milliseconds.  :func:`paper_scenario` describes every protocol stack with
+identical database timing and network topology, so that the *only*
+differences between the measured columns are the protocols themselves --
+exactly the paper's methodology (same SQL work, same machines, same network).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro import api
-from repro.core.timing import DatabaseTiming, ProtocolTiming
-from repro.core.types import Request
-from repro.workload.bank import BankWorkload
+from repro.core.timing import DatabaseTiming
 
 PAPER_FIGURE8: dict[str, dict[str, float]] = {
     "baseline": {"start": 3.4, "end": 3.4, "commit": 18.6, "prepare": 0.0, "SQL": 187.0,
@@ -37,17 +34,6 @@ def paper_database_timing() -> DatabaseTiming:
                           commit_cpu=6.1, abort_cpu=1.0, forced_write=12.5)
 
 
-def default_workload() -> BankWorkload:
-    """The measured workload: update a bank account on a single database."""
-    return api.bind_workload("bank").instance
-
-
-def standard_request(workload: Optional[BankWorkload] = None) -> Request:
-    """The repeated transaction of the measurement: a small debit."""
-    workload = workload or default_workload()
-    return workload.debit(0, 10)
-
-
 def paper_scenario(protocol: str, seed: int = 0, num_app_servers: int = 0,
                    num_db_servers: int = 1, **fields: Any) -> api.Scenario:
     """A paper-calibrated scenario for ``protocol`` (bank workload, Figure 8
@@ -56,51 +42,3 @@ def paper_scenario(protocol: str, seed: int = 0, num_app_servers: int = 0,
                         num_app_servers=num_app_servers,
                         num_db_servers=num_db_servers,
                         workload="bank", timing="paper", **fields)
-
-
-def build_ar_deployment(seed: int = 0, num_app_servers: int = 3, num_db_servers: int = 1,
-                        workload: Optional[BankWorkload] = None,
-                        db_timing: Optional[DatabaseTiming] = None,
-                        register_mode: str = "consensus",
-                        protocol_timing: Optional[ProtocolTiming] = None
-                        ) -> api.RunningSystem:
-    """The asynchronous-replication (e-Transaction) stack, paper-calibrated."""
-    scenario = paper_scenario("etx", seed=seed, num_app_servers=num_app_servers,
-                              num_db_servers=num_db_servers,
-                              register_mode=register_mode)
-    return api.build(scenario, workload=workload, db_timing=db_timing,
-                     protocol_timing=protocol_timing)
-
-
-def build_baseline_deployment(seed: int = 0, num_db_servers: int = 1,
-                              workload: Optional[BankWorkload] = None,
-                              db_timing: Optional[DatabaseTiming] = None
-                              ) -> api.RunningSystem:
-    """The unreliable baseline stack (Figure 7a)."""
-    scenario = paper_scenario("baseline", seed=seed, num_db_servers=num_db_servers)
-    return api.build(scenario, workload=workload, db_timing=db_timing)
-
-
-def build_twopc_deployment(seed: int = 0, num_db_servers: int = 1,
-                           workload: Optional[BankWorkload] = None,
-                           db_timing: Optional[DatabaseTiming] = None,
-                           log_latency: float = 12.5) -> api.RunningSystem:
-    """The presumed-nothing 2PC stack (Figure 7b)."""
-    scenario = paper_scenario("2pc", seed=seed, num_db_servers=num_db_servers,
-                              coordinator_log_latency=log_latency)
-    return api.build(scenario, workload=workload, db_timing=db_timing)
-
-
-def build_primary_backup_deployment(seed: int = 0, num_db_servers: int = 1,
-                                    workload: Optional[BankWorkload] = None,
-                                    db_timing: Optional[DatabaseTiming] = None,
-                                    failure_detector_override: Any = None
-                                    ) -> api.RunningSystem:
-    """The primary-backup stack (Figure 7c)."""
-    scenario = paper_scenario("pb", seed=seed, num_db_servers=num_db_servers)
-    system = api.build(scenario, workload=workload, db_timing=db_timing)
-    if failure_detector_override is not None:
-        # Reproduce the paper's warning: give the backup an unreliable
-        # detector instead of the perfect one.
-        system.deployment.backup.failure_detector = failure_detector_override
-    return system

@@ -45,7 +45,8 @@ class FaultSweepResult:
 
     def summary(self) -> str:
         """One-paragraph summary."""
-        return (f"{self.runs} runs, {self.delivered} delivered, "
+        return (f"{self.runs} runs, {self.delivered} delivered "
+                f"({self.delivery_rate:.0%} of runs with a live client), "
                 f"{self.total_aborted_results} aborted intermediate results, "
                 f"{len(self.violations)} property violations")
 

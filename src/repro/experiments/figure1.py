@@ -55,10 +55,6 @@ class Figure1Report:
 
     scenarios: dict[str, ScenarioResult] = field(default_factory=dict)
 
-    def scenario(self, name: str) -> ScenarioResult:
-        """Look up one scenario by its Figure 1 label ('a', 'b', 'c', 'd')."""
-        return self.scenarios[name]
-
     def all_spec_ok(self) -> bool:
         """Whether every scenario satisfied the e-Transaction specification."""
         return all(result.spec_ok for result in self.scenarios.values())

@@ -30,10 +30,6 @@ class Figure7Report:
         """The message profile of one protocol."""
         return self.comparison.profiles[protocol]
 
-    def message_counts(self) -> dict[str, int]:
-        """Total protocol messages per protocol (excluding consensus internals)."""
-        return self.comparison.message_counts()
-
     def to_table(self) -> str:
         """Per-protocol message counts by type."""
         return self.comparison.to_table()

@@ -80,12 +80,6 @@ class ScaleoutReport:
             return {}
         return {p.db_servers: p.throughput / base for p in curve}
 
-    def scaling_holds(self, at_db_servers: int = 4, min_speedup: float = 2.5,
-                      xshard: float = 0.0) -> bool:
-        """The headline claim: ``d`` shards sustain >= ``min_speedup`` x the
-        ``d=1`` committed throughput at the same offered load."""
-        return self.speedup(xshard).get(at_db_servers, 0.0) >= min_speedup
-
     def to_table(self) -> str:
         """Fixed-width text table: one row per d, one column per xshard."""
         fractions = self.xshard_values()

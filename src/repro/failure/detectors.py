@@ -118,10 +118,6 @@ class EventuallyPerfectFailureDetector(FailureDetector):
         process.crash = crash_hook  # type: ignore[method-assign]
         process.recover = recover_hook  # type: ignore[method-assign]
 
-    def register_process(self, process: Process) -> None:
-        """Instrument a process registered after the detector was created."""
-        self._instrument(process)
-
     def inject_false_suspicion(self, observer: str, target: str, start: float,
                                duration: float) -> None:
         """Make ``observer`` wrongly suspect ``target`` during ``[start, start+duration)``."""

@@ -70,11 +70,9 @@ class LatencyComponentStream:
         self.prepare_events = 0
         self._sums: dict[str, float] = {}
         self._counts: dict[str, int] = {}
-        self._unsubscribers = [
-            trace.subscribe("as_prepare", self._on_prepare),
-            trace.subscribe("as_phase", self._on_phase),
-            trace.subscribe("tm_log", self._on_log),
-        ]
+        trace.subscribe("as_prepare", self._on_prepare)
+        trace.subscribe("as_phase", self._on_phase)
+        trace.subscribe("tm_log", self._on_log)
 
     def _on_prepare(self, event) -> None:
         self.prepare_events += 1
@@ -97,13 +95,6 @@ class LatencyComponentStream:
         """Mean duration of one accumulator bucket (0 when empty)."""
         count = self._counts.get(bucket, 0)
         return self._sums.get(bucket, 0.0) / count if count else 0.0
-
-    def detach(self) -> None:
-        """Stop consuming events (the accumulated means stay readable)."""
-        for unsubscribe in self._unsubscribers:
-            unsubscribe()
-        self._unsubscribers.clear()
-
 
 def breakdown_from_run(protocol: str, components: LatencyComponentStream,
                        timing: DatabaseTiming, mean_latency: float, samples: int,

@@ -27,7 +27,7 @@ class DatabaseOutcomeStream:
     def __init__(self, trace: TraceRecorder, db_server_names: list[str]):
         self._committed: dict[str, set] = {name: set() for name in db_server_names}
         self._aborted: dict[str, set] = {name: set() for name in db_server_names}
-        self._unsubscribe = trace.subscribe("db_decide", self._on_decide)
+        trace.subscribe("db_decide", self._on_decide)
 
     def _on_decide(self, event) -> None:
         committed = self._committed.get(event.process)
@@ -47,7 +47,3 @@ class DatabaseOutcomeStream:
     def aborts(self, db: str) -> int:
         """Distinct transactions that ended aborted (and never committed)."""
         return len(self._aborted.get(db, set()) - self._committed.get(db, set()))
-
-    def detach(self) -> None:
-        """Stop consuming events (the accumulated sets stay readable)."""
-        self._unsubscribe()

@@ -1,7 +1,6 @@
-"""Message-passing network: latency models, loss, partitions, reliable channels."""
+"""Message-passing network: latency models, loss, partitions."""
 
 from repro.net.latency import (
-    ExponentialLatency,
     FixedLatency,
     LatencyModel,
     PerLinkLatency,
@@ -9,7 +8,6 @@ from repro.net.latency import (
 )
 from repro.net.message import Message, any_of, from_senders, is_type, is_type_with
 from repro.net.network import Network, NetworkStats
-from repro.net.reliable import ReliableChannelLayer
 
 __all__ = [
     "Message",
@@ -19,10 +17,8 @@ __all__ = [
     "from_senders",
     "Network",
     "NetworkStats",
-    "ReliableChannelLayer",
     "LatencyModel",
     "FixedLatency",
     "UniformLatency",
-    "ExponentialLatency",
     "PerLinkLatency",
 ]

@@ -18,36 +18,23 @@ Sampler = Callable[[], float]
 
 
 class LatencyModel:
-    """Base class: returns a one-way latency sample per message."""
-
-    def sample(self, rng: random.Random, source: str, destination: str) -> float:
-        """Latency (virtual-time units, milliseconds by convention) for one message."""
-        raise NotImplementedError
+    """Base class: draws a one-way latency per message."""
 
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         """A zero-argument sampler bound to one directed link and one RNG.
 
         The network resolves this once per link instead of re-resolving the
-        model and re-binding the RNG on every message.  Implementations must
-        consume ``rng`` exactly as :meth:`sample` would, in the same order,
-        so a run using bound samplers draws identical latencies (this is
-        load-bearing for byte-identical traces).  The default wraps
-        :meth:`sample`; subclasses pre-bind their RNG primitive so the
-        per-message call does no attribute lookups at all.
+        model and re-binding the RNG on every message; each call is the
+        latency (virtual-time units, milliseconds by convention) of one
+        message.  Implementations pre-bind their RNG primitive so the
+        per-message call does no attribute lookups at all, and draw from
+        ``rng`` in message order only (load-bearing for byte-identical
+        traces).
         """
-        return lambda: self.sample(rng, source, destination)
-
-    def mean(self) -> float:
-        """Expected latency; used by analytic step-count estimates."""
         raise NotImplementedError
 
     def min_latency(self, source: str, destination: str) -> float:
-        """A hard lower bound on :meth:`sample` for the given link.
-
-        No sample for ``(source, destination)`` may ever come in below this
-        value, which makes it usable for analytic best-case step-count
-        estimates.
-        """
+        """A hard lower bound on every latency :meth:`sampler` draws for the link."""
         raise NotImplementedError
 
 
@@ -59,15 +46,9 @@ class FixedLatency(LatencyModel):
             raise ValueError("latency must be non-negative")
         self.value = value
 
-    def sample(self, rng: random.Random, source: str, destination: str) -> float:
-        return self.value
-
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         value = self.value  # no RNG draw, no lookup: the link is constant
         return lambda: value
-
-    def mean(self) -> float:
-        return self.value
 
     def min_latency(self, source: str, destination: str) -> float:
         return self.value
@@ -85,53 +66,17 @@ class UniformLatency(LatencyModel):
         self.low = low
         self.high = high
 
-    def sample(self, rng: random.Random, source: str, destination: str) -> float:
-        return rng.uniform(self.low, self.high)
-
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         # Identical arithmetic to random.Random.uniform (a + (b-a)*random()),
         # with the method resolution hoisted out of the per-message path.
         low, span, draw = self.low, self.high - self.low, rng.random
         return lambda: low + span * draw()
 
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
     def min_latency(self, source: str, destination: str) -> float:
         return self.low
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
-
-
-class ExponentialLatency(LatencyModel):
-    """Latency of ``base + Exp(mean=tail_mean)``; models occasional slow links."""
-
-    def __init__(self, base: float, tail_mean: float):
-        if base < 0 or tail_mean < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self.base = base
-        self.tail_mean = tail_mean
-
-    def sample(self, rng: random.Random, source: str, destination: str) -> float:
-        tail = rng.expovariate(1.0 / self.tail_mean) if self.tail_mean > 0 else 0.0
-        return self.base + tail
-
-    def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
-        base = self.base
-        if self.tail_mean <= 0:
-            return lambda: base
-        draw, lambd = rng.expovariate, 1.0 / self.tail_mean
-        return lambda: base + draw(lambd)
-
-    def mean(self) -> float:
-        return self.base + self.tail_mean
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self.base
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency(base={self.base}, tail_mean={self.tail_mean})"
 
 
 def three_tier_latency(client_names: Sequence[str], app_server_names: Sequence[str],
@@ -176,15 +121,9 @@ class PerLinkLatency(LatencyModel):
     def _resolve(self, source: str, destination: str) -> LatencyModel:
         return self.overrides.get((source, destination), self.default)
 
-    def sample(self, rng: random.Random, source: str, destination: str) -> float:
-        return self._resolve(source, destination).sample(rng, source, destination)
-
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         # Resolving the per-link override happens once here, not per message.
         return self._resolve(source, destination).sampler(rng, source, destination)
-
-    def mean(self) -> float:
-        return self.default.mean()
 
     def min_latency(self, source: str, destination: str) -> float:
         return self._resolve(source, destination).min_latency(source, destination)

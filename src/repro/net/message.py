@@ -121,8 +121,6 @@ INT = Shape("int", None, _scalar(int))
 BOOL = Shape("bool", None, _scalar(bool))
 STRS = Shape("strs", None, _strs)
 VALUE = Shape("value", _pack, _unpack)
-MESSAGE = Shape("Message", lambda message: message._frame(),
-                lambda frame: Message._from_frame(frame, nested=True))
 
 _RECORDS: dict[Any, Shape] = {}     # record class, and its name on the wire -> shape
 
@@ -305,7 +303,15 @@ class Message:
 
     # ------------------------------------------------------------ wire codec
 
-    def _frame(self) -> list:
+    def to_wire(self) -> bytes:
+        """Stable, versioned serialization of this message (UTF-8 JSON).
+
+        The positional array laid out by the type's :func:`declare_message`
+        row, so tuples and the :mod:`repro.core.types` records come back
+        exactly as sent.  Used by the TCP transport (inside
+        length-prefixed frames).  Raises :class:`WireFormatError` for an
+        undeclared type or a payload that does not fit its row.
+        """
         payload = self._payload
         tag = self.msg_type
         row = WIRE_SCHEMAS.get(tag)
@@ -316,23 +322,12 @@ class Message:
             raise WireFormatError(
                 f"{self.msg_type!r} with fields {sorted(payload)} fits no declared wire schema")
         try:
-            return [WIRE_VERSION, tag, self.sender, self.destination, self.msg_id,
-                    self.send_time] + [
+            frame = [WIRE_VERSION, tag, self.sender, self.destination, self.msg_id,
+                     self.send_time] + [
                 payload[name] if shape.encode is None else shape.encode(payload[name])
                 for name, shape in row.fields]
         except (KeyError, AttributeError) as exc:   # a field missing, a record of another type
             raise WireFormatError(f"{tag!r} does not fit its wire schema: {exc!r}") from None
-
-    def to_wire(self) -> bytes:
-        """Stable, versioned serialization of this message (UTF-8 JSON).
-
-        The positional array laid out by the type's :func:`declare_message`
-        row, so tuples, the :mod:`repro.core.types` records and a nested
-        message come back exactly as sent.  Used by the TCP transport (inside
-        length-prefixed frames).  Raises :class:`WireFormatError` for an
-        undeclared type or a payload that does not fit its row.
-        """
-        frame = self._frame()
         try:
             return _ENCODE(frame).encode("ascii")
         except (TypeError, ValueError, RecursionError) as exc:
@@ -353,10 +348,6 @@ class Message:
             raise WireFormatError(f"undecodable wire frame: {exc}") from None
         if end != len(text):
             raise WireFormatError("bytes after the end of the wire frame")
-        return cls._from_frame(frame)
-
-    @classmethod
-    def _from_frame(cls, frame: Any, nested: bool = False) -> "Message":
         if type(frame) is dict:     # how version 1 framed a message
             raise WireFormatError(_UNSUPPORTED % _brief(frame.get("v")))
         if type(frame) is not list or len(frame) < 6:
@@ -374,8 +365,6 @@ class Message:
         if (type(sender) is not str or type(destination) is not str or type(msg_id) is not int
                 or not timed):
             raise WireFormatError(f"malformed routing fields in a {tag!r} frame")
-        if nested and any(shape is MESSAGE for _, shape in fields):
-            raise WireFormatError("a nested message may not nest another")
         payload = {name: shape.decode(value) for (name, shape), value in zip(fields, values)}
         if row.kind is not None:
             payload["kind"] = row.kind

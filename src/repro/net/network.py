@@ -30,18 +30,6 @@ class NetworkStats:
         self.by_type_sent: dict[str, int] = {}
         self.by_type_delivered: dict[str, int] = {}
 
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict view of the counters (for reports and tests)."""
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "dropped_loss": self.dropped_loss,
-            "dropped_partition": self.dropped_partition,
-            "dropped_dest_down": self.dropped_dest_down,
-            "dropped_overload": self.dropped_overload,
-        }
-
-
 class Network:
     """Point-to-point message network with latency, loss and partitions.
 
@@ -103,14 +91,6 @@ class Network:
         self._source_index[process.name] = len(self._source_index)
         process.attach_transport(self)
         return process
-
-    def process(self, name: str) -> Process:
-        """Look up a registered process by name."""
-        return self.processes[name]
-
-    def names(self) -> list[str]:
-        """Names of all registered processes."""
-        return list(self.processes)
 
     def hosts(self, name: str) -> bool:
         """Whether ``name`` executes in this OS process (always, in-memory)."""

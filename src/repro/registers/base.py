@@ -72,7 +72,3 @@ class WriteOnceRegisterArray:
     def on_learn(self, wake: Optional[Callable[[], None]]) -> None:
         """Arm ``wake()`` for whenever the feed grows (``None`` disarms); one slot per view."""
         raise NotImplementedError
-
-    def is_written(self, index: int) -> bool:
-        """Whether register ``index`` holds a (locally known) value."""
-        return self.read(index) is not BOTTOM

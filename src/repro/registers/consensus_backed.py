@@ -5,10 +5,10 @@ register array (``regA``, ``regD``).  Writing cell ``j`` proposes the value in
 consensus instance ``(array_name, j)`` among the application servers; the
 decided value is the register's content.  Reading returns the locally learned
 decision or ⊥.  A server learns a decision when it takes the winning
-``accept`` (groups of up to three), when a ``decide`` reaches it (larger
-groups, or a server that refused that ``accept``), or by asking with
-:meth:`refresh`; so once a value is written, repeated reads at a correct
-server that was reachable, or that refreshes, eventually return it.
+``accept`` (groups of up to three), or when a ``decide`` reaches it (larger
+groups, a server that refused that ``accept``, or one that writes the cell
+after missing its decision); so once a value is written, repeated reads at a
+correct server that was reachable, or that writes, eventually return it.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class ConsensusRegisterArray(WriteOnceRegisterArray):
     def read(self, index: int) -> Any:
         decision = self.host.decision(self._instance(index))
         return BOTTOM if decision is None else decision
-
-    def refresh(self, index: int) -> None:
-        """Ask peers for a possibly missed decision (helps recovered servers)."""
-        self.host.request_decision(self._instance(index))
 
     def learned_since(self, cursor: int) -> tuple[list[tuple[Any, Any]], int]:
         instances = self.host.learned_since(cursor)  # the host's cursor: other arrays count

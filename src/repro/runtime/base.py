@@ -195,11 +195,6 @@ class RuntimeSpec:
         """Whether this OS process hosts only a subset of the deployment."""
         return bool(self.only)
 
-    def hosts(self, name: str) -> bool:
-        """Whether the process named ``name`` runs in this OS process."""
-        return not self.only or name in self.only
-
-
 def create_kernel(spec: RuntimeSpec, seed: int = 0) -> Kernel:
     """Build the kernel for ``spec`` (a :class:`Simulator` or an asyncio loop)."""
     if spec.kind == RUNTIME_SIM:

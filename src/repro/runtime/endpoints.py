@@ -43,10 +43,6 @@ class EndpointMap:
         """Record the actual endpoint once an ephemeral listener is bound."""
         self._assignments[name] = (host, port)
 
-    def names(self) -> list[str]:
-        """All mapped process names, in deployment order."""
-        return list(self._assignments)
-
     def table(self) -> list[tuple[str, str, int]]:
         """``(name, host, port)`` rows for operator-facing output."""
         return [(name, host, port) for name, (host, port) in self._assignments.items()]

@@ -150,10 +150,6 @@ class TraceRecorder:
 
         return unsubscribe
 
-    def subscribed_categories(self) -> set[str]:
-        """Categories with at least one live subscriber."""
-        return set(self._subscribers)
-
     def wants(self, category: str) -> bool:
         """Whether recording ``category`` has any effect (stored or consumed).
 
@@ -189,11 +185,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    @property
-    def events(self) -> Union[list[TraceEvent], deque[TraceEvent]]:
-        """The stored events (do not mutate; a ring stores only a suffix)."""
-        return self._events
 
     @staticmethod
     def _matches(event: TraceEvent, category: Optional[str], process: Optional[str],

@@ -33,10 +33,6 @@ class _TimeoutSentinel:
     def __repr__(self) -> str:
         return "TIMEOUT"
 
-    def __bool__(self) -> bool:
-        return False
-
-
 TIMEOUT = _TimeoutSentinel()
 """Sentinel value a coroutine receives when a timed wait expires."""
 

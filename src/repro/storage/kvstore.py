@@ -95,10 +95,6 @@ class TransactionalKVStore:
         self._transactions[transaction_id] = transaction
         return transaction
 
-    def transaction(self, transaction_id: TransactionId) -> Optional[Transaction]:
-        """The descriptor for ``transaction_id``, or ``None``."""
-        return self._transactions.get(transaction_id)
-
     def status(self, transaction_id: TransactionId) -> Optional[str]:
         """Status string of the transaction, or ``None`` if unknown."""
         transaction = self._transactions.get(transaction_id)

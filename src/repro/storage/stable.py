@@ -26,16 +26,6 @@ class StorageStats:
         self.reads = 0
         self.total_write_cost = 0.0
 
-    def snapshot(self) -> dict[str, float]:
-        """Plain-dict view (for reports and tests)."""
-        return {
-            "forced_writes": self.forced_writes,
-            "lazy_writes": self.lazy_writes,
-            "reads": self.reads,
-            "total_write_cost": self.total_write_cost,
-        }
-
-
 class StableStorage:
     """A durable key/value device with forced and lazy writes.
 

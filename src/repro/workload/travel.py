@@ -112,12 +112,6 @@ class TravelWorkload:
         return Request(BOOK_TOUR, {"cities": tuple(cities), "traveller": traveller},
                        participants=participants)
 
-    def random_request(self, rng: random.Random) -> Request:
-        """A booking to a random destination for a random traveller."""
-        destination = rng.choice(self.destinations)
-        traveller = f"traveller-{rng.randint(1, 999)}"
-        return self.book(destination, traveller, need_car=rng.random() < 0.7)
-
     def sharded_requests(self, sharding: Sharding, cross_shard_fraction: float = 0.0,
                          seed: int = 0) -> Callable[[], Request]:
         """A deterministic factory mixing single-city bookings and tours.

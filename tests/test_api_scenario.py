@@ -1,5 +1,8 @@
 """Tests for the scenario DSN parser/serializer of :mod:`repro.api`."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import api
@@ -19,8 +22,7 @@ ROUND_TRIP_SCENARIOS = [
              failure_detector="heartbeat", register_mode="local",
              detection_delay=10.0, heartbeat_interval=2.5, heartbeat_timeout=40.0,
              client_app_latency=12.0, app_app_latency=1.0, app_db_latency=0.25,
-             client_backoff=40.0, use_reliable_channels=True,
-             workload="bank", timing="paper"),
+             client_backoff=40.0, workload="bank", timing="paper"),
     Scenario(protocol="etx", faults=(
         FaultSpec("crash", 244.0, "a1"),
         FaultSpec("recover", 500.0, "a1"),
@@ -108,6 +110,7 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://a3?warp=9", "unknown DSN parameter"),
     ("etx://a3.d2.c2?jobs=2", "unknown DSN parameter 'jobs'"),
     ("etx://a3.d2.c2?workers=2", "unknown DSN parameter 'workers'"),
+    ("etx://a3.d1.c1?reliable=1", "unknown DSN parameter 'reliable'"),
     ("etx://a3?seed=1&seed=2", "ambiguous"),
     ("etx://a3?seed=1&seed=1", "ambiguous"),
     ("etx://a3?seed=banana", "bad value for 'seed'"),
@@ -121,6 +124,20 @@ def test_clear_errors_on_bad_dsns(dsn, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         Scenario.from_dsn(dsn)
     assert fragment in str(excinfo.value)
+
+
+def test_the_readme_documents_exactly_the_dsn_parameters():
+    # The README's parameter table names every spelling the parser accepts
+    # (first column), and nothing else: a deleted key leaves no stale row.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("**Query parameters**", 1)[1].split("\n\n", 2)[1]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        documented.update(re.findall(r"`([a-z_]+)`", row.split("|")[1]))
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario.from_dsn("etx://?no_such_parameter=1")
+    accepted = set(str(excinfo.value).split("known parameters: ", 1)[1].split(", "))
+    assert documented == accepted
 
 
 def test_scenario_error_is_a_value_error():
@@ -228,14 +245,17 @@ def test_load_shape_validation():
         Scenario(think_time=-2.0)
     with pytest.raises(ScenarioError, match="closed-loop"):
         Scenario(rate=5.0, think_time=10.0)
-    assert Scenario(rate=5.0).load_shape == "open"
-    assert Scenario().load_shape == "closed"
 
 
 def test_describe_mentions_the_load_shape():
-    assert "open loop @ 50/s (poisson)" in Scenario(rate=50.0).describe()
-    assert "closed loop" in Scenario().describe()
-    assert "think 250 ms" in Scenario(think_time=250.0).describe()
+    # The run summary is where a scenario's traffic shape is described.
+    def load_line(dsn):
+        summary = api.run_scenario(dsn, settle=0.0).summary()
+        return next(line for line in summary.splitlines() if line.startswith("load"))
+
+    assert "open loop @ 50/s poisson" in load_line("etx://a3.d1.c1?rate=50")
+    assert "closed loop" in load_line("etx://a3.d1.c1")
+    assert "think 250 ms" in load_line("etx://a3.d1.c1?think=250")
 
 
 # ----------------------------------------------------------- runtime backend
@@ -382,7 +402,6 @@ def _scenarios(draw):
         "trace": draw(st.sampled_from(["full", "off"])
                       | st.integers(min_value=1, max_value=10**6)
                         .map(lambda n: f"ring:{n}")),
-        "use_reliable_channels": draw(st.booleans()),
     }
     rate = draw(st.floats(min_value=0.0, max_value=5000.0, allow_nan=False))
     kwargs["rate"] = rate
@@ -398,8 +417,7 @@ def _scenarios(draw):
                                           allow_nan=False))
     runtime = draw(st.sampled_from(["sim", "asyncio"]))
     kwargs["runtime"] = runtime
-    allow_reshard = placement != "replicate" and runtime == "sim" \
-        and not kwargs["use_reliable_channels"]
+    allow_reshard = placement != "replicate" and runtime == "sim"
     if runtime == "asyncio":
         kwargs["host"] = draw(st.sampled_from(
             ["", "localhost", "127.0.0.1", "db-0.example.com"]))

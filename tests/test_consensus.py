@@ -271,17 +271,23 @@ def test_consensus_over_lossy_network_with_reliable_retries():
     assert len({f.value for f in futures}) == 1
 
 
-def test_request_decision_lets_laggard_learn():
+def test_laggard_learns_the_decision_when_it_proposes():
+    """``a3`` is partitioned away while the instance is decided.  After the
+    heal its own proposal resolves to the decided value: the peers answer its
+    ``prepare`` on a decided instance with ``decide`` (``_send_decision``), and
+    nothing is accepted at its ballot."""
     sim, network, hosts = build_group()
-    # a3 is partitioned away while the decision is made.
     network.partition(["a1", "a2"], ["a3"])
     future = hosts["a1"].propose("inst", "v")
     sim.run_until(lambda: future.resolved, until=5_000.0)
     assert hosts["a3"].decision("inst") is None
     network.heal_partition()
-    hosts["a3"].request_decision("inst")
-    sim.run(until=sim.now + 100.0)
-    assert hosts["a3"].decision("inst") == "v"
+    kinds = spy_kinds(network)
+    late = hosts["a3"].propose("inst", "w")
+    assert sim.run_until(lambda: late.resolved, until=sim.now + 100.0)
+    assert late.value == "v" and hosts["a3"].decision("inst") == "v"
+    assert sorted(kinds) == ["decide", "decide", "prepare", "prepare"]
+    assert {host.decision("inst") for host in hosts.values()} == {"v"}
 
 
 def test_quorum_size():

@@ -201,14 +201,6 @@ def test_crash_of_minority_of_app_servers_after_claim_still_terminates():
     assert deployment.check_spec().ok
 
 
-def test_message_loss_with_reliable_channels_still_commits():
-    deployment = make_deployment(loss_probability=0.05, use_reliable_channels=True, seed=13)
-    issued = deployment.run_request(Request("pay", {"amount": 10}), horizon=2_000_000.0)
-    assert issued.delivered
-    assert deployment.db_servers["d1"].committed_value("balance") == 90
-    assert deployment.check_spec().ok
-
-
 # ------------------------------------------------------------------ validation
 
 
@@ -236,5 +228,5 @@ def test_deployment_exposes_trace_and_names():
     assert config.client_names == ["c1"]
     assert config.app_server_names == ["a1", "a2", "a3"]
     assert config.db_server_names == ["d1"]
-    assert deployment.default_primary.name == "a1"
+    assert deployment.client.default_primary == "a1"
     assert deployment.trace is deployment.sim.trace

@@ -2,8 +2,8 @@
 
 These complement ``test_core_protocol.py`` with conditions the paper discusses
 in its model section but does not draw in Figure 1: a client that crashes and
-recovers, a temporary partition of the middle tier, and lossy links underneath
-the reliable-channel layer.
+recovers, a temporary partition of the middle tier, and lossy links with no
+retransmission layer underneath: the protocol's own retries carry delivery.
 """
 
 
@@ -78,8 +78,8 @@ def test_partition_isolating_the_primary_triggers_failover():
 
 
 def test_lossy_network_without_reliable_channels_still_safe():
-    # Without the reliable-channel layer the client's periodic rebroadcast and
-    # the application server's retransmission loops provide the retries.
+    # No layer retransmits underneath the protocol: the client's periodic
+    # rebroadcast and the application server's retry loops carry delivery.
     timing = ProtocolTiming(client_backoff=500.0, client_rebroadcast=500.0,
                             decide_retry=100.0, prepare_retry=100.0, execute_retry=100.0)
     deployment = make_deployment(loss_probability=0.03, seed=21, protocol_timing=timing)

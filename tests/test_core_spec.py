@@ -1,17 +1,18 @@
-"""Tests that the specification checker actually detects violations.
+"""Tests that the specification checkers actually detect violations.
 
 The integration tests establish that real runs satisfy the spec; these tests
-feed synthetic traces to the checker to make sure each property check can
-fail when it should (a checker that always passes is worthless).
+feed synthetic traces to the post-hoc oracle and to the online monitor, and
+require identical verdicts, to make sure each property check can fail when it
+should (a checker that always passes is worthless).
 """
 
-from repro.core.spec import SpecificationChecker
+from spec_oracle import DifferentialChecker
 from repro.core.types import ABORT, COMMIT
 from repro.sim.tracing import TraceRecorder
 
 
 def make_checker(trace, dbs=("d1", "d2"), clients=("c1",)):
-    return SpecificationChecker(trace, list(dbs), list(clients))
+    return DifferentialChecker(trace, list(dbs), list(clients))
 
 
 def base_commit_trace(dbs=("d1", "d2")):

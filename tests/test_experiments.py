@@ -24,8 +24,9 @@ def test_paper_figure8_numbers_are_internally_consistent():
 
 def test_calibrated_database_timing_reproduces_baseline_components():
     timing = calibration.paper_database_timing()
-    assert timing.commit_total == pytest.approx(18.6)
-    assert timing.prepare_total == pytest.approx(19.0)
+    # Figure 8's commit and prepare columns: CPU plus one forced log write.
+    assert timing.commit_cpu + timing.forced_write == pytest.approx(18.6)
+    assert timing.prepare_cpu + timing.forced_write == pytest.approx(19.0)
     assert timing.sql == pytest.approx(187.0)
 
 
@@ -87,7 +88,7 @@ def test_figure7_structure_matches_paper(figure7_report):
 
 
 def test_figure7_message_counts(figure7_report):
-    counts = figure7_report.message_counts()
+    counts = figure7_report.comparison.message_counts()
     # The baseline exchanges the fewest protocol messages; every reliable
     # protocol adds the voting round; primary-backup adds the replication
     # round-trips on top.
@@ -116,11 +117,11 @@ def figure1_report():
 def test_figure1_all_scenarios_safe_and_delivered(figure1_report):
     assert figure1_report.all_spec_ok()
     for name in "abcd":
-        assert figure1_report.scenario(name).delivered, name
+        assert figure1_report.scenarios[name].delivered, name
 
 
 def test_figure1_scenario_a_failure_free_commit(figure1_report):
-    scenario = figure1_report.scenario("a")
+    scenario = figure1_report.scenarios["a"]
     assert scenario.attempts == 1
     assert scenario.aborted_results == []
     assert scenario.answered_by == {"a1"}
@@ -128,14 +129,14 @@ def test_figure1_scenario_a_failure_free_commit(figure1_report):
 
 
 def test_figure1_scenario_b_failure_free_abort_then_retry(figure1_report):
-    scenario = figure1_report.scenario("b")
+    scenario = figure1_report.scenarios["b"]
     assert scenario.aborted_results, "the first intermediate result must abort"
     assert scenario.attempts >= 2
     assert scenario.committed_balance == 100_000 - 10  # exactly-once despite the abort
 
 
 def test_figure1_scenario_c_failover_with_commit(figure1_report):
-    scenario = figure1_report.scenario("c")
+    scenario = figure1_report.scenarios["c"]
     assert scenario.attempts == 1          # the crashed primary's result is committed
     assert scenario.aborted_results == []
     assert scenario.answered_by - {"a1"}, "a backup must answer the client"
@@ -143,7 +144,7 @@ def test_figure1_scenario_c_failover_with_commit(figure1_report):
 
 
 def test_figure1_scenario_d_failover_with_abort(figure1_report):
-    scenario = figure1_report.scenario("d")
+    scenario = figure1_report.scenarios["d"]
     assert scenario.aborted_results, "the orphaned result must be aborted by a cleaner"
     assert scenario.answered_by - {"a1"}
     assert scenario.committed_balance == 100_000 - 10  # the retry commits exactly once

@@ -1,18 +1,14 @@
 """Unit tests for latency lower bounds.
 
-``LatencyModel.min_latency`` promises a hard per-link floor on ``sample``.
+``LatencyModel.min_latency`` promises a hard per-link floor on what the
+link's ``sampler`` draws.
 """
 
 import random
 
 import pytest
 
-from repro.net.latency import (
-    ExponentialLatency,
-    FixedLatency,
-    PerLinkLatency,
-    UniformLatency,
-)
+from repro.net.latency import FixedLatency, PerLinkLatency, UniformLatency
 
 
 def test_fixed_latency_min_is_value():
@@ -21,10 +17,6 @@ def test_fixed_latency_min_is_value():
 
 def test_uniform_latency_min_is_low_bound():
     assert UniformLatency(1.0, 3.0).min_latency("a", "b") == 1.0
-
-
-def test_exponential_latency_min_is_base():
-    assert ExponentialLatency(base=0.75, tail_mean=4.0).min_latency("a", "b") == 0.75
 
 
 def test_per_link_latency_min_resolves_overrides():
@@ -37,10 +29,10 @@ def test_per_link_latency_min_resolves_overrides():
 @pytest.mark.parametrize("model", [
     FixedLatency(1.75),
     UniformLatency(0.5, 2.0),
-    ExponentialLatency(base=0.25, tail_mean=1.0),
+    PerLinkLatency(FixedLatency(0.25), {("x", "y"): UniformLatency(1.0, 3.0)}),
 ])
 def test_min_latency_is_a_hard_floor_on_samples(model):
-    rng = random.Random(42)
+    draw = model.sampler(random.Random(42), "x", "y")
     floor = model.min_latency("x", "y")
     for _ in range(2000):
-        assert model.sample(rng, "x", "y") >= floor
+        assert draw() >= floor

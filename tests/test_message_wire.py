@@ -65,8 +65,7 @@ BY_SHAPE = {
 def messages_of(tag: str):
     """Messages of one declared type, every field drawn from its shape."""
     row = WIRE_SCHEMAS[tag]
-    fields = {name: (flat_messages if shape is wire.MESSAGE else BY_SHAPE[shape.name])
-              for name, shape in row.fields}
+    fields = {name: BY_SHAPE[shape.name] for name, shape in row.fields}
     if row.kind is not None:
         fields["kind"] = st.just(row.kind)
     return st.builds(Message, msg_type=st.just(row.msg_type), sender=names, destination=names,
@@ -74,9 +73,6 @@ def messages_of(tag: str):
                      send_time=st.floats(0, 1e9))
 
 
-FLAT_TAGS = [tag for tag in TAGS
-             if all(shape is not wire.MESSAGE for _, shape in WIRE_SCHEMAS[tag].fields)]
-flat_messages = st.sampled_from(FLAT_TAGS).flatmap(messages_of)
 any_message = st.sampled_from(TAGS).flatmap(messages_of)
 
 
@@ -100,14 +96,17 @@ def same_types(a, b) -> bool:
 
 
 def test_the_table_covers_the_vocabulary():
-    kinds = {"prepare", "promise", "accept", "accepted", "decide", "query",
-             "nack_prepare", "nack_accept"}
-    assert {f"Consensus:{kind}" for kind in kinds} <= set(TAGS)
+    kinds = {"prepare", "promise", "accept", "accepted", "decide", "nack_prepare",
+             "nack_accept"}
+    assert {tag for tag in TAGS if tag.startswith("Consensus:")} == {
+        f"Consensus:{kind}" for kind in kinds}
     assert {"Request", "Result", "Prepare", "Vote", "Decide", "AckDecide", "Ready", "Execute",
             "ExecuteResult", "MigrateSnapshot", "MigrateSnapshotReply", "MigrateInstall",
-            "MigrateRelease", "MigrateAck", "Heartbeat", "_rc_data", "_rc_ack",
-            "CommitOnePhase", "AckCommit", "PBStart", "PBStartAck", "PBOutcome",
-            "PBOutcomeAck"} <= set(TAGS)
+            "MigrateRelease", "MigrateAck", "Heartbeat", "CommitOnePhase", "AckCommit",
+            "PBStart", "PBStartAck", "PBOutcome", "PBOutcomeAck"} <= set(TAGS)
+    # Every field is flat data: no row nests another frame.
+    assert {shape.name for row in WIRE_SCHEMAS.values() for _, shape in row.fields} <= set(
+        BY_SHAPE)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -147,17 +146,6 @@ def test_consensus_payloads_stay_usable_as_keys():
     decided = Message("Consensus", "a1", "a2", {"instance": ("regD", ("c1", 4)),
                                                 "kind": "decide", "value": decision})
     assert Message.from_wire(decided.to_wire())["value"] == decision
-
-
-def test_a_reliable_channel_envelope_carries_its_inner_message():
-    inner = msg.prepare_message(("c1", 3), ("d1",))
-    envelope = Message("_rc_data", "a1", "d1", {"seq": 4, "inner": inner, "origin": "a1"}, 9, 2.5)
-    decoded = Message.from_wire(envelope.to_wire())
-    assert decoded == envelope and isinstance(decoded["inner"], Message)
-    # ...but one level only: an envelope inside an envelope is no frame of ours.
-    doubled = Message("_rc_data", "a1", "d1", {"seq": 5, "inner": envelope, "origin": "a1"})
-    with pytest.raises(WireFormatError, match="may not nest"):
-        Message.from_wire(doubled.to_wire())
 
 
 # ------------------------------------------------------------------ stability
@@ -223,7 +211,6 @@ def test_a_type_has_one_schema():
 
 SCHEME_RUNS = {
     "etx://a3.d1.c1?fd=heartbeat&seed=7": {"Consensus", "Heartbeat", "Execute", "Result"},
-    "etx://a3.d1.c1?reliable=1&seed=7": {"_rc_data", "_rc_ack"},
     "2pc://a1.d2.c1?seed=7": {"Prepare", "Vote", "Decide", "AckDecide"},
     "pb://a2.d1.c1?seed=7": {"PBStart", "PBStartAck", "PBOutcome", "PBOutcomeAck"},
     "baseline://a1.d1.c1?seed=7": {"CommitOnePhase", "AckCommit"},

@@ -34,7 +34,7 @@ def test_closed_loop_drives_every_client_concurrently(protocol):
         assert all(latency > 0 for latency in leaf.latencies), name
     assert result.statistics.count == sum(
         leaf.count for leaf in result.statistics.by_client.values())
-    assert result.throughput > 0
+    assert result.statistics.throughput > 0
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)

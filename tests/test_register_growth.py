@@ -21,7 +21,7 @@ def make_deployment(**overrides):
 
 
 def register_cells(deployment):
-    server = deployment.default_primary
+    server = deployment.app_servers["a1"]  # the default primary
     return (len(server.registers.reg_a.learned_since(0)[0]),
             len(server.registers.reg_d.learned_since(0)[0]))
 

@@ -19,7 +19,6 @@ def test_local_register_initially_bottom():
     store = LocalRegisterStore(sim, "regA")
     view = LocalRegisterArray(store)
     assert view.read(1) is BOTTOM
-    assert not view.is_written(1)
     assert view.learned_since(0) == ([], 0)
 
 
@@ -161,13 +160,13 @@ def test_consensus_register_unwritten_reads_bottom():
     assert arrays["a1"]["regA"].read(99) is BOTTOM
 
 
-def test_consensus_register_refresh_after_partition():
+def test_consensus_register_write_after_partition_learns_the_written_value():
     sim, network, arrays = build_consensus_registers()
     network.partition(["a1", "a2"], ["a3"])
     future = arrays["a1"]["regA"].write(1, "a1")
     sim.run_until(lambda: future.resolved, until=1_000.0)
     assert arrays["a3"]["regA"].read(1) is BOTTOM
     network.heal_partition()
-    arrays["a3"]["regA"].refresh(1)
-    sim.run(until=sim.now + 100.0)
-    assert arrays["a3"]["regA"].read(1) == "a1"
+    late = arrays["a3"]["regA"].write(1, "a3")
+    assert sim.run_until(lambda: late.resolved, until=sim.now + 100.0)
+    assert late.value == "a1" and arrays["a3"]["regA"].read(1) == "a1"

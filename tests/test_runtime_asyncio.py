@@ -79,17 +79,6 @@ def test_middle_tier_crash_survived_over_tcp():
     assert result.spec.ok, result.spec.summary()
 
 
-def test_reliable_channels_run_over_real_tcp():
-    # The reliable layer wraps every message in an ``_rc_data`` envelope; the
-    # envelope's row carries the inner message as a nested frame (the tagged
-    # walker died on it: "type 'Message' is not wire-encodable").
-    result = api.run_scenario(asyncio_dsn("etx://a3.d1.c1?seed=7&reliable=1"),
-                              requests=1, settle=SETTLE)
-    assert result.delivered == result.requested == 1
-    assert result.spec.ok, result.spec.summary()
-    assert set(result.message_counts) == {"_rc_data", "_rc_ack"}
-
-
 def test_2pc_baseline_runs_under_asyncio_too():
     # The runtime seam is protocol-agnostic: the comparison baselines run
     # over TCP through the very same deployment scaffolding.
@@ -411,7 +400,6 @@ def test_a_peer_that_never_reads_is_shed_not_buffered():
         assert kernel.run_until(lambda: rounds[0] == 8, until=kernel.now + 200_000.0)
         assert network.stats.dropped_overload > shed_connecting
         assert link_peak[0] <= tcp._LINK_LIMIT
-        assert network.stats.snapshot()["dropped_overload"] == network.stats.dropped_overload
         shed = kernel.trace.select("overload", process="src")
         assert len(shed) == network.stats.dropped_overload
         assert shed[-1].data["destination"] == "peer"

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import api  # noqa: F401  (importing the protocols declares their wire rows)
-from repro.net.message import Message
+from repro.net.message import Message, WireFormatError
 from repro.sim.tracing import TraceRecorder
 from repro.runtime import tcp
 from repro.runtime.tcp import _FRAME_HEADER, _Receiver
@@ -190,10 +190,27 @@ BAD_BODIES = {
         b'[2,"AckDecide","d1","a1",7,1.5,' + b"[" * DEEP + b"]" * DEEP + b"]",
     "a value 40 deep": body(("c1", 1), json.loads("[" * 40 + "]" * 40), True,
                             tag="ExecuteResult"),
+    # Retired vocabulary: nothing in this build declares a reliable-channel
+    # envelope (one level or nested) or a consensus ``query``, so a peer that
+    # still speaks them is refused like any unknown type.
+    "a reliable-channel envelope": body(
+        1, [2, "Ready", "d1", "a1", 1, 0.0], "a2", tag="_rc_data"),
     "an envelope in an envelope": body(
         1, [2, "_rc_data", "a2", "a1", 1, 0.0, 1, [2, "Ready", "d1", "a1", 1, 0.0], "a2"], "a2",
         tag="_rc_data"),
+    "a reliable-channel ack": body(1, "a2", tag="_rc_ack"),
+    "a consensus query": body(["regD", ["c1", 1]], tag="Consensus:query"),
 }
+
+
+@pytest.mark.parametrize("tag, fields", [
+    ("_rc_data", (1, [2, "Ready", "d1", "a1", 1, 0.0], "a2")),
+    ("_rc_ack", (1, "a2")),
+    ("Consensus:query", (["regD", ["c1", 1]],)),
+])
+def test_retired_message_types_are_unknown_to_the_codec(tag, fields):
+    with pytest.raises(WireFormatError, match="unknown message type"):
+        Message.from_wire(body(*fields, tag=tag))
 
 
 @pytest.mark.parametrize("bad", BAD_BODIES.values(), ids=BAD_BODIES.keys())

@@ -202,23 +202,22 @@ def test_cross_shard_requests_commit_atomically(protocol):
 
 def test_spec_flags_commits_outside_the_participant_set():
     """S.1: an execution or commit at a non-participant is a violation."""
-    from repro.core.spec import SpecificationChecker
+    from repro.core.spec import SpecMonitor
     from repro.sim.tracing import TraceRecorder
 
     trace = TraceRecorder()
+    monitor = SpecMonitor.attach(trace, ["d1", "d2"], ["c1"])
     trace.record("as_compute", "a1", client="c1", j=1, request_id="req-1",
                  result="x", participants=["d1"])
     trace.record("db_vote", "d1", j=("c1", 1), vote="yes")
     trace.record("db_decide", "d1", j=("c1", 1), outcome="commit")
-    clean = SpecificationChecker(trace, ["d1", "d2"], ["c1"]).check(
-        check_termination=False)
+    clean = monitor.report(check_termination=False)
     assert clean.ok, clean.summary()
     # Now forge the same result leaking onto d2, outside its participant set.
     trace.record("db_execute", "d2", j=("c1", 1), request_id="req-1", ok=True)
     trace.record("db_vote", "d2", j=("c1", 1), vote="yes")
     trace.record("db_decide", "d2", j=("c1", 1), outcome="commit")
-    leaked = SpecificationChecker(trace, ["d1", "d2"], ["c1"]).check(
-        check_termination=False)
+    leaked = monitor.report(check_termination=False)
     assert not leaked.ok
     assert leaked.violated("S.1")
 

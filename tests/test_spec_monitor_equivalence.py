@@ -1,7 +1,7 @@
 """Online/post-hoc equivalence: SpecMonitor verdicts == check_run verdicts.
 
 The online :class:`~repro.core.spec.SpecMonitor` (fed by the trace event bus)
-must reproduce the post-hoc :func:`~repro.core.spec.check_run` verdict
+must reproduce the verdict of the post-hoc oracle :func:`spec_oracle.check_run`
 byte-for-byte -- the same checked properties, the same violations, in the
 same order -- across the random-fault-plan property corpus of all four
 protocols.  The runs here keep ``full`` retention so the post-hoc reference
@@ -11,11 +11,11 @@ exercise the violation-reporting paths, not just the clean ones.
 """
 
 from hypothesis import given, settings, strategies as st
+from spec_oracle import check_run
 
 from repro import api
 from repro.core import DeploymentConfig, EtxDeployment, Request
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
-from repro.core.spec import check_run
 from repro.failure.injection import RandomFaultPlan
 from repro.workload.generator import ClosedLoop
 
