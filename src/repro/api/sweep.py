@@ -106,12 +106,6 @@ class Sweep:
         """A copy with one more axis appended."""
         return Sweep.over(self.base, **dict(self.axes), **{name: values})
 
-    def __len__(self) -> int:
-        size = 1
-        for _, values in self.axes:
-            size *= len(values)
-        return size
-
     def expand(self) -> list[Scenario]:
         """One concrete scenario per grid point, in deterministic grid order."""
         scenarios: list[Scenario] = []

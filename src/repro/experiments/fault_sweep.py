@@ -37,16 +37,9 @@ class FaultSweepResult:
         """No property violations anywhere in the sweep."""
         return not self.violations
 
-    @property
-    def delivery_rate(self) -> float:
-        """Fraction of runs (with a live client) that delivered a result."""
-        live_runs = self.runs - self.client_crash_runs
-        return self.delivered / live_runs if live_runs else 1.0
-
     def summary(self) -> str:
         """One-paragraph summary."""
-        return (f"{self.runs} runs, {self.delivered} delivered "
-                f"({self.delivery_rate:.0%} of runs with a live client), "
+        return (f"{self.runs} runs, {self.delivered} delivered, "
                 f"{self.total_aborted_results} aborted intermediate results, "
                 f"{len(self.violations)} property violations")
 

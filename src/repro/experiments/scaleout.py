@@ -20,7 +20,7 @@ is byte-identical to a serial one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api.runner import ScenarioResult
 from repro.api.scenario import Scenario
@@ -94,34 +94,6 @@ class ScaleoutReport:
                              else " " * 16)
             lines.append(f"{d:>3} " + " ".join(cells))
         return "\n".join(lines)
-
-    def to_json(self) -> dict[str, Any]:
-        """JSON-serialisable form (the BENCH artifact schema)."""
-        return {
-            "benchmark": "scaleout",
-            "offered_rate_per_s": self.rate,
-            "clients": self.clients,
-            "requests_per_client": self.requests_per_client,
-            "seed": self.seed,
-            "points": [
-                {
-                    "dsn": p.dsn,
-                    "db_servers": p.db_servers,
-                    "xshard": p.xshard,
-                    "throughput_per_s": round(p.throughput, 4),
-                    "delivered": p.delivered,
-                    "requested": p.requested,
-                    "mean_latency_ms": round(p.mean_latency, 3),
-                    "p95_latency_ms": round(p.p95_latency, 3),
-                    "spec_ok": p.spec_ok,
-                    "commits_by_database": p.commits_by_database,
-                }
-                for p in self.points
-            ],
-            "speedup_vs_d1_at_xshard0": {
-                str(d): round(s, 4) for d, s in self.speedup(0.0).items()
-            },
-        }
 
 
 def _point(row: ScenarioResult) -> ScaleoutPoint:

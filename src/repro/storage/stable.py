@@ -84,16 +84,9 @@ class StableStorage:
         self.stats.reads += 1
         return self._data.get(key, default)
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is present."""
-        return key in self._data
-
     def keys(self) -> Iterator[str]:
         """Iterate over stored keys."""
         return iter(list(self._data))
-
-    def __len__(self) -> int:
-        return len(self._data)
 
     # -------------------------------------------------------------- lifecycle
 

@@ -101,9 +101,6 @@ class WriteAheadLog:
         """All records in append order."""
         return list(self.storage.get(self.LOG_KEY, []))
 
-    def __len__(self) -> int:
-        return len(self.storage.get(self.LOG_KEY, []))
-
     def replay(self) -> ReplayResult:
         """Rebuild committed state and in-doubt transactions from the log."""
         committed_state: dict[str, Any] = {}

@@ -13,8 +13,7 @@ def test_put_get_roundtrip():
     storage = StableStorage("disk")
     storage.put("k", {"a": 1})
     assert storage.get("k") == {"a": 1}
-    assert storage.contains("k")
-    assert len(storage) == 1
+    assert list(storage.keys()) == ["k"]
 
 
 def test_get_missing_returns_default():
@@ -47,9 +46,9 @@ def test_delete_and_keys_and_wipe():
     storage.put("b", 2)
     assert sorted(storage.keys()) == ["a", "b"]
     storage.delete("a")
-    assert not storage.contains("a")
+    assert list(storage.keys()) == ["b"]
     storage.wipe()
-    assert len(storage) == 0
+    assert list(storage.keys()) == []
 
 
 def test_negative_latency_rejected():
@@ -72,7 +71,6 @@ def test_wal_append_and_records_order():
     wal.append_abort(2)
     kinds = [r.kind for r in wal.records()]
     assert kinds == [PREPARE, COMMIT, ABORT]
-    assert len(wal) == 3
 
 
 def test_wal_prepare_is_forced_and_abort_is_lazy_by_default():

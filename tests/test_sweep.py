@@ -12,7 +12,7 @@ from repro.api.sweep import Sweep, default_workers, map_jobs, resolve_axis_field
 def test_expand_takes_the_cartesian_product_in_order():
     sweep = Sweep.over("etx://d1", seed=[1, 2], clients=[1, 3])
     scenarios = sweep.expand()
-    assert len(sweep) == len(scenarios) == 4
+    assert len(scenarios) == 4
     assert [(s.seed, s.num_clients) for s in scenarios] == \
         [(1, 1), (1, 3), (2, 1), (2, 3)]
 
@@ -43,7 +43,7 @@ def test_empty_axis_is_rejected():
 
 def test_with_axis_appends():
     sweep = Sweep.over("etx://d1", seed=[1]).with_axis("clients", [1, 2])
-    assert len(sweep) == 2
+    assert [s.num_clients for s in sweep.expand()] == [1, 2]
 
 
 def test_fault_axes_expand_fault_schedules():

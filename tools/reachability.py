@@ -5,20 +5,23 @@ treats as real: the golden traces and corpus replays, the end-to-end
 benchmark workloads, the paper-figure experiments and the other CLI
 commands CI runs (TCP steps included), the shipped examples, and the CLI's
 refusals of bad input.  This script installs a call tracer *before*
-``repro`` is imported, runs all of them at small sizes, and writes the
-sorted list of ``src/repro`` defs none of them entered::
+``repro`` is imported, runs all of them at small sizes, and rewrites
+``tools/reachability.txt`` with the sorted ``src/repro`` defs none of them
+entered::
 
-    python tools/reachability.py            # rewrite tools/reachability.txt
-    python tools/reachability.py --check    # exit 1 if the report would change
+    python tools/reachability.py
 
-Every function in the report must be on :data:`ALLOWLIST` with a one-line
-reason -- a reference implementation tests compare against, a debug repr, a
-monitor verdict for a violation no scenario commits, a guard that fires only
-on a bug or a hang, or a function only tests call from a test about it -- and
-every allowlist entry must still be unreached.  Anything else fails the run:
-an unreached function is deleted, or given a scenario that needs it.  A def
-whose body only declares an interface (``raise NotImplementedError``) is not
-counted.
+That file is the allowlist: each line is one unreached def and, after
+``#``, the one-line reason it stays -- a reference implementation tests
+compare against, a debug repr, a monitor verdict for a violation no
+scenario commits, a guard that fires only on a bug or a hang, or a function
+only tests call from a test about it.  A rewrite keeps the reasons of the
+defs still unreached, drops the entries a scenario now reaches (or whose def
+is gone), and adds a newly unreached def with no reason.  The run exits 1
+when it dropped an entry or when an entry has no reason: an unreached
+function is deleted, given a scenario that needs it, or given a reason.  A
+def whose body only declares an interface (``raise NotImplementedError``)
+is not counted.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,100 +44,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 REPORT = Path(__file__).resolve().with_suffix(".txt")
-
-# Unreached on purpose.  Keys are ``path::qualname`` as the report prints
-# them; each value is the one-line reason the function stays.
-REFERENCE = "reference implementation: tests run the protocol on it and compare"
-REPR = "debug repr: printed by a failing assertion or a debugger, never by a run"
-VERDICT = ("the monitor's verdict for a violation no scenario commits; "
-           "tests/test_core_spec.py feeds it one")
-
-
-def pinned(test: str) -> str:
-    """Only tests call it, and ``test`` is about it: it goes together with that test."""
-    return f"only tests call it; {test} tests it directly"
-
-
-_SRC = "src/repro/"
-ALLOWLIST: dict[str, str] = {
-    # The ideal wo-register (``register=local``) and the bank's conservation law.
-    **{_SRC + "registers/local.py::" + name: REFERENCE for name in (
-        "LocalRegisterArray.__init__", "LocalRegisterArray.learned_since",
-        "LocalRegisterArray.on_learn", "LocalRegisterArray.read", "LocalRegisterArray.write",
-        "LocalRegisterStore.__init__", "LocalRegisterStore.learned_since",
-        "LocalRegisterStore.read", "LocalRegisterStore.write",
-        "LocalRegisterStore.write.apply", "_short")},
-    _SRC + "workload/bank.py::BankWorkload.total_money":
-        "reference invariant: tests check that a run's committed balances conserve money",
-    # Verdicts of the online monitor that only a violating run reaches.
-    **{_SRC + "core/spec.py::" + name: VERDICT for name in (
-        "_a1_violation", "_a2_violation", "_a3_violation", "_v1_unissued_violation",
-        "_v2_violation", "_s1_executed_violation", "_s1_committed_violation",
-        "_s1_epoch_violation")},
-    # Guards that fire only on a bug or a hang.
-    _SRC + "storage/kvstore.py::ShardOwnershipError.__init__":
-        "raised only when routing sends a key to a shard that does not own it",
-    _SRC + "runtime/loop.py::AsyncioKernel.run_until.over_budget":
-        "the real runtime's wall-clock hang budget; fires only on a hang",
-    _SRC + "runtime/loop.py::AsyncioKernel.run_until.at_horizon":
-        "a real-runtime wait that reaches its horizon first; no scenario times out",
-    # Debug representations.
-    **{_SRC + name: REPR for name in (
-        "api/drivers.py::RunningSystem.__repr__", "net/latency.py::FixedLatency.__repr__",
-        "net/latency.py::PerLinkLatency.__repr__", "net/latency.py::UniformLatency.__repr__",
-        "net/message.py::Message.__repr__", "registers/base.py::_Bottom.__repr__",
-        "runtime/loop.py::WallEvent.__repr__", "sim/process.py::Process.__repr__",
-        "sim/process.py::Thread.__repr__", "sim/scheduler.py::ScheduledEvent.__repr__",
-        "sim/waits.py::Receive.__repr__", "sim/waits.py::Sleep.__repr__",
-        "sim/waits.py::WaitFuture.__repr__", "sim/waits.py::_TimeoutSentinel.__repr__",
-        "storage/stable.py::StableStorage.__repr__")},
-    # The jittered links of the consensus property suite.
-    **{_SRC + "net/latency.py::UniformLatency." + name:
-       "the jittered links tests/test_consensus_properties.py draws"
-       for name in ("__init__", "sampler")},
-    # Only tests call these, each from a test about it.  The next deletion
-    # pass removes function and test together.
-    _SRC + "api/drivers.py::registered_protocols": pinned("tests/test_api_drivers.py"),
-    _SRC + "api/sweep.py::Sweep.__len__": pinned("tests/test_sweep.py"),
-    _SRC + "api/sweep.py::Sweep.with_axis": pinned("tests/test_sweep.py"),
-    **{_SRC + "campaign/windows.py::FaultWindowObserver." + name: pinned("tests/test_campaign.py")
-       for name in ("completed", "in_flight", "phase_of")},
-    _SRC + "core/client.py::Client.pending_requests": pinned("tests/test_core_client.py"),
-    _SRC + "core/spec.py::SpecReport.violated": pinned("tests/test_core_spec.py"),
-    _SRC + "experiments/figure8.py::Figure8Report.percentile_summary":
-        pinned("tests/test_experiments.py"),
-    _SRC + "experiments/scaleout.py::ScaleoutReport.to_json": pinned("tests/test_experiments.py"),
-    _SRC + "failure/injection.py::FaultSchedule.__eq__": pinned("tests/test_faults_dsn.py"),
-    _SRC + "failure/injection.py::FaultSchedule.describe": pinned("tests/test_failure_injection.py"),
-    _SRC + "failure/injection.py::FaultSchedule.extend": pinned("tests/test_failure_injection.py"),
-    _SRC + "metrics/latency.py::LatencyBreakdown.as_row": pinned("tests/test_metrics.py"),
-    _SRC + "metrics/percentiles.py::summarise": pinned("tests/test_metrics.py"),
-    _SRC + "metrics/steps.py::CommunicationProfile.client_visible_steps":
-        pinned("tests/test_metrics.py"),
-    _SRC + "metrics/steps.py::CommunicationProfile.message_types": pinned("tests/test_metrics.py"),
-    _SRC + "metrics/steps.py::StepComparison.message_counts": pinned("tests/test_metrics.py"),
-    **{_SRC + "net/latency.py::" + name: pinned("tests/test_latency_bounds.py") for name in (
-        "FixedLatency.min_latency", "PerLinkLatency.min_latency", "UniformLatency.min_latency")},
-    _SRC + "net/message.py::Message.__eq__": pinned("tests/test_message_wire.py"),
-    _SRC + "net/message.py::Message.payload": pinned("tests/test_message_wire.py"),
-    _SRC + "registers/base.py::_Bottom.__bool__": pinned("tests/test_registers.py"),
-    _SRC + "runtime/loop.py::AsyncioKernel.pending_events":
-        pinned("tests/test_runtime_conformance.py"),
-    _SRC + "sim/process.py::Process.threads": pinned("tests/test_sim_process.py"),
-    **{_SRC + "sim/scheduler.py::" + name: pinned("tests/test_sim_scheduler.py") for name in (
-        "Simulator.call_soon", "Simulator.pending_events", "Simulator.step",
-        "_after_one_event")},
-    **{_SRC + "sim/tracing.py::TraceRecorder." + name: pinned("tests/test_sim_tracing.py")
-       for name in ("between", "categories", "clear", "extend", "first", "last", "summary")},
-    **{_SRC + "storage/locks.py::LockManager." + name: pinned("tests/test_storage_locks.py")
-       for name in ("acquire_or_raise", "locked_keys", "locks_held")},
-    **{_SRC + "storage/stable.py::StableStorage." + name: pinned("tests/test_storage_stable_wal.py")
-       for name in ("__len__", "contains", "delete", "keys", "wipe")},
-    _SRC + "storage/wal.py::WriteAheadLog.__len__": pinned("tests/test_storage_stable_wal.py"),
-    _SRC + "workload/bank.py::BankWorkload.random_request": pinned("tests/test_workloads.py"),
-    **{_SRC + "workload/generator.py::RequestStream." + name: pinned("tests/test_workloads.py")
-       for name in ("__iter__", "__post_init__", "take")},
-}
+HEADER = """\
+# The src/repro functions no real scenario reaches, each with the reason it
+# stays.  python tools/reachability.py rewrites this file; see its docstring.
+"""
 
 _seen: set = set()
 
@@ -348,7 +262,7 @@ def tcp_steps(out: str) -> None:
     seen_file = os.path.join(out, "serve.json")
     server = subprocess.Popen(
         [sys.executable, __file__, "--child", seen_file, "--",
-         "serve", PAIR_DSN, "--only", "a1,a2,d1", "--for", "8"],
+         "serve", PAIR_DSN, "--only", "a1,a2,d1"],
         stdout=subprocess.PIPE, text=True)
     try:
         for line in server.stdout:
@@ -358,6 +272,7 @@ def tcp_steps(out: str) -> None:
                 0, "run --only c1")
         for body in HOSTILE_FRAMES:
             _send_frame(port, body)     # a1 listens on the base port
+        server.send_signal(signal.SIGINT)   # serve runs until interrupted
         server.stdout.read()
         _expect(server.wait(timeout=60), 0, "serve --only")
     finally:
@@ -395,25 +310,36 @@ SCENARIOS = (golden_traces, benchmark_workloads, experiments, examples, refusals
 # ---------------------------------------------------------------- report
 
 
-def report_lines(unreached: list[str]) -> list[str]:
+def read_allowlist() -> dict[str, str]:
+    """The committed report as ``{key: reason}`` (a reason may be empty)."""
+    allowlist: dict[str, str] = {}
+    for line in REPORT.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            key, _, reason = line.partition(" # ")
+            allowlist[key.strip()] = reason.strip()
+    return allowlist
+
+
+def report_text(unreached: list[str], allowlist: dict[str, str]) -> str:
     width = max((len(key) for key in unreached), default=0)
-    return [f"{key:<{width}}  # {ALLOWLIST.get(key, 'NOT ON THE ALLOWLIST')}"
-            for key in unreached]
+    lines = [f"{key:<{width}}  # {allowlist[key]}" if allowlist.get(key) else key
+             for key in unreached]
+    return HEADER + "".join(line + "\n" for line in lines)
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="write nothing; exit 1 if the committed report differs")
     parser.add_argument("--child", metavar="OUT", help=argparse.SUPPRESS)
     parser.add_argument("cli", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     _install()
     sys.path.insert(0, str(SRC))
     if args.child:
-        # One CLI command in this process; the reached (file, line) pairs go to OUT.
+        # One CLI command in this process; the reached (file, line) pairs go
+        # to OUT.  SIGINT stops it even when started with SIGINT ignored.
         from repro import cli
 
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         status = cli.main(args.cli)
         sys.settrace(None)
         with open(args.child, "w", encoding="utf-8") as handle:
@@ -430,20 +356,13 @@ def main(argv: list[str]) -> int:
     defs = _defs()
     reached = {defs[key] for key in _entered() | _child_seen if key in defs}
     unreached = sorted(set(defs.values()) - reached)
-    lines = [f"# {len(unreached)} of {len(defs)} defs under src/repro are reached by no "
-             "scenario (python tools/reachability.py; interface declarations not counted)"]
-    lines += report_lines(unreached)
-    text = "\n".join(lines) + "\n"
-    problems = [f"unreached and not allowlisted: {key}" for key in unreached
-                if key not in ALLOWLIST]
-    problems += [f"allowlisted but reached (or gone): {key}" for key in ALLOWLIST
-                 if key not in unreached]
-    if args.check:
-        if REPORT.read_text(encoding="utf-8") != text:
-            problems.append(f"{REPORT.relative_to(ROOT)} is stale: rerun "
-                            "python tools/reachability.py and commit the result")
-    else:
-        REPORT.write_text(text, encoding="utf-8")
+    allowlist = read_allowlist()
+    REPORT.write_text(report_text(unreached, allowlist), encoding="utf-8")
+    print(f"{len(unreached)} of {len(defs)} defs unreached", file=sys.stderr)
+    problems = [f"reached now (or gone), entry dropped: {key}" for key in allowlist
+                if key not in unreached]
+    problems += [f"unreached, with no reason to stay: {key}" for key in unreached
+                 if not allowlist.get(key)]
     for problem in problems:
         print(f"reachability: {problem}", file=sys.stderr)
     return 1 if problems else 0
