@@ -101,16 +101,16 @@ class FaultWindowObserver:
         ``as_compute``/``as_terminate`` carry ``client`` and the inner ``j``
         separately.
         """
-        j = event.get("j")
+        j = event.data.get("j")
         if isinstance(j, (list, tuple)):
             return tuple(j)
-        return (event.get("client"), j)
+        return (event.data.get("client"), j)
 
     def _request_id_of(self, event: TraceEvent) -> Any:
-        request_id = event.get("request_id")
+        request_id = event.data.get("request_id")
         if request_id is not None:
             return request_id
-        if event.get("j") is None:
+        if event.data.get("j") is None:
             return None
         key = self._result_key(event)
         return self._request_of_result.get(key, key)
@@ -122,7 +122,7 @@ class FaultWindowObserver:
             # scoped: record them directly (begin/commit of each epoch) so a
             # campaign can aim faults into the migration window.
             self.transitions.append(PhaseTransition(
-                time=event.time, request_id=("reshard", event.get("epoch")),
+                time=event.time, request_id=("reshard", event.data.get("epoch")),
                 phase=phase, process=event.process, event=event.category))
             return
         request_id = self._request_id_of(event)
@@ -135,7 +135,7 @@ class FaultWindowObserver:
             # delivery) still label with the right request -- the observer
             # is a probe/diagnostic tool over bounded runs, not a soak
             # component.
-            self._request_of_result[self._result_key(event)] = event.get("request_id")
+            self._request_of_result[self._result_key(event)] = event.data.get("request_id")
         if request_id in self._done:
             # Still a protocol instant worth targeting (cleanup traffic), but
             # it must not resurrect a retired transaction's live phase.

@@ -176,8 +176,9 @@ class ApplicationServer(Process):
         j: int = message["j"]
         request: Request = message["request"]
         key: ResultKey = (client, j)
-        self.trace.record("as_request", self.name, client=client, j=j,
-                          request_id=request.request_id)
+        if self.trace.wants("as_request"):
+            self.trace.record("as_request", self.name, client=client, j=j,
+                              request_id=request.request_id)
         if key in self._inflight:
             # A retransmission of a result we are already working on; the
             # in-flight handler will answer the client.
@@ -246,9 +247,10 @@ class ApplicationServer(Process):
                 # crashes the cleaning thread will take over.
                 return
             participants = list(claimed_participants)
-            self.trace.record("as_claim", self.name, client=client, j=j,
-                              request_id=request.request_id,
-                              participants=list(participants))
+            if self.trace.wants("as_claim"):
+                self.trace.record("as_claim", self.name, client=client, j=j,
+                                  request_id=request.request_id,
+                                  participants=list(participants))
             result = yield from self._compute(key, request, participants, epoch)
             outcome = yield from self._prepare(key, participants)
             proposed = Decision(result=result, outcome=outcome)
@@ -386,13 +388,15 @@ class ApplicationServer(Process):
                     remaining.discard(reply.sender)
         if decision.outcome == COMMIT:
             self._known_commits[key] = decision
-        self.trace.record("as_terminate", self.name, client=client, j=j,
-                          outcome=decision.outcome)
+        if self.trace.wants("as_terminate"):
+            self.trace.record("as_terminate", self.name, client=client, j=j,
+                              outcome=decision.outcome)
         self.trace.record("as_phase", self.name, phase="terminate", j=j, client=client,
                           duration=self.now - phase_start)
         self.send(client, msg.result_message(j, decision))
-        self.trace.record("as_result_sent", self.name, client=client, j=j,
-                          outcome=decision.outcome)
+        if self.trace.wants("as_result_sent"):
+            self.trace.record("as_result_sent", self.name, client=client, j=j,
+                              outcome=decision.outcome)
         # The result is terminated: any retransmitted votes / execute results /
         # acknowledgements still buffered under its key are dead weight now
         # (client requests are keyed by the bare ``j``, so they are untouched),

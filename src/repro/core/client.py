@@ -151,15 +151,17 @@ class Client(Process):
             j = self._next_j
             self._next_j += 1
             issued.attempts += 1
-            self.trace.record("client_send", self.name, j=j, request_id=request.request_id,
-                              broadcast=False)
+            if self.trace.wants("client_send"):
+                self.trace.record("client_send", self.name, j=j,
+                                  request_id=request.request_id, broadcast=False)
             self.send(self.default_primary, msg.request_message(request, j))
             matcher = is_type_with(msg.RESULT, j=j)
             reply = yield self.receive(matcher, timeout=self.timing.client_backoff)
             if reply is TIMEOUT:
                 # Figure 2, lines 5-7: back-off expired, send to all servers.
-                self.trace.record("client_send", self.name, j=j,
-                                  request_id=request.request_id, broadcast=True)
+                if self.trace.wants("client_send"):
+                    self.trace.record("client_send", self.name, j=j,
+                                      request_id=request.request_id, broadcast=True)
                 self.multicast(self.app_server_names, msg.request_message(request, j))
                 reply = yield self.receive(matcher, timeout=self.timing.client_rebroadcast)
                 while reply is TIMEOUT:

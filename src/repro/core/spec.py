@@ -320,22 +320,22 @@ class SpecMonitor:
     def _on_client_issue(self, event: TraceEvent) -> None:
         issued = self._issued.get(event.process)
         if issued is not None:
-            issued.add(event.get("request_id"))
+            issued.add(event.data.get("request_id"))
 
     def _on_client_deliver(self, event: TraceEvent) -> None:
         client = event.process
         if client not in self._delivered_ids:
             return
-        self._delivered_ids[client].add(event.get("request_id"))
-        result_request = event.get("result_request_id")
-        self._deliveries[client].append((event.get("j"), result_request))
+        self._delivered_ids[client].add(event.data.get("request_id"))
+        result_request = event.data.get("result_request_id")
+        self._deliveries[client].append((event.data.get("j"), result_request))
         # V.1, eagerly certain: computation always precedes delivery.
         if result_request not in self._computed:
             self._emit(_v1_uncomputed_violation(client, result_request))
         if result_request not in self._issued[client]:
             self._emit(_v1_unissued_violation(client, result_request))
         # Arm A.1: the delivery is only safe once every participant committed.
-        key = (client, event.get("j"))
+        key = (client, event.data.get("j"))
         missing = {db for db in self.participants_of(key)
                    if COMMIT not in self._decide_outcomes.get(db, {}).get(key, ())}
         if missing:
@@ -344,19 +344,19 @@ class SpecMonitor:
             self._retire(key)
 
     def _on_reshard(self, event: TraceEvent) -> None:
-        if event.get("stage") in ("init", "commit"):
-            self._epoch_universes[event.get("epoch")] = \
-                tuple(event.get("shards") or ())
+        if event.data.get("stage") in ("init", "commit"):
+            self._epoch_universes[event.data.get("epoch")] = \
+                tuple(event.data.get("shards") or ())
 
     def _on_as_compute(self, event: TraceEvent) -> None:
-        self._computed.add(event.get("request_id"))
-        key = (event.get("client"), event.get("j"))
-        recorded = event.get("participants")
+        self._computed.add(event.data.get("request_id"))
+        key = (event.data.get("client"), event.data.get("j"))
+        recorded = event.data.get("participants")
         if recorded:
             self._participants[key] = tuple(recorded)
-        self._result_request.setdefault(key, event.get("request_id"))
+        self._result_request.setdefault(key, event.data.get("request_id"))
         self._pending_decides.setdefault(key, set()).update(self.participants_of(key))
-        epoch = event.get("epoch")
+        epoch = event.data.get("epoch")
         if epoch is not None:
             participants = tuple(recorded or ())
             self._epoch_stamps.append((key, epoch, participants))
@@ -367,17 +367,17 @@ class SpecMonitor:
                 self._emit(_s1_epoch_violation(key, epoch, participants, universe))
 
     def _on_db_vote(self, event: TraceEvent) -> None:
-        if event.get("vote") != VOTE_YES:
+        if event.data.get("vote") != VOTE_YES:
             return
         voted = self._voted_yes.get(event.process)
         if voted is not None:
-            voted.add(_key_of_value(event.get("j")))
+            voted.add(_key_of_value(event.data.get("j")))
 
     def _on_db_execute(self, event: TraceEvent) -> None:
         db = event.process
         if db not in self._executes:
             return
-        key = _key_of_value(event.get("j"))
+        key = _key_of_value(event.data.get("j"))
         self._executes[db].append(key)
         participants = self.participants_of(key)
         if key in self._participants and db not in participants:
@@ -387,8 +387,8 @@ class SpecMonitor:
         db = event.process
         if db not in self._decided:
             return
-        key = _key_of_value(event.get("j"))
-        outcome = event.get("outcome")
+        key = _key_of_value(event.data.get("j"))
+        outcome = event.data.get("outcome")
         self._decided[db].add(key)
         self._decide_outcomes[db].setdefault(key, set()).add(outcome)
         pending = self._pending_decides.get(key)

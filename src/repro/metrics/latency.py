@@ -78,16 +78,16 @@ class LatencyComponentStream:
         self.prepare_events += 1
 
     def _accumulate(self, bucket: str, event) -> None:
-        self._sums[bucket] = self._sums.get(bucket, 0.0) + event.get("duration", 0.0)
+        self._sums[bucket] = self._sums.get(bucket, 0.0) + event.data.get("duration", 0.0)
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
 
     def _on_phase(self, event) -> None:
-        phase = event.get("phase")
+        phase = event.data.get("phase")
         if phase in self._PHASES:
             self._accumulate(f"phase:{phase}", event)
 
     def _on_log(self, event) -> None:
-        which = event.get("which")
+        which = event.data.get("which")
         if which in self._LOGS:
             self._accumulate(f"log:{which}", event)
 

@@ -110,19 +110,19 @@ def profile_from_trace(trace: TraceRecorder, label: str,
             continue
         if event.time < start:
             continue
-        msg_type = event.get("msg_type")
+        msg_type = event.data.get("msg_type")
         profile.total_messages += 1
         if msg_type == "Consensus":
             profile.consensus_messages += 1
         if msg_type not in allowed:
             continue
         profile.steps.append(Step(time=event.time, sender=event.process,
-                                  receiver=event.get("destination", "?"),
+                                  receiver=event.data.get("destination", "?"),
                                   msg_type=msg_type))
     for event in trace.select("consensus_decide"):
         if end is not None and event.time > end:
             continue
-        instance = event.get("instance")
+        instance = event.data.get("instance")
         if isinstance(instance, tuple) and len(instance) == 2:
             profile.register_writes.append((event.time, event.process, f"{instance[0]}[{instance[1]}]"))
     profile.steps.sort(key=lambda step: step.time)
@@ -149,18 +149,18 @@ class StreamingProfile:
         ]
 
     def _on_send(self, event) -> None:
-        msg_type = event.get("msg_type")
+        msg_type = event.data.get("msg_type")
         profile = self.profile
         profile.total_messages += 1
         if msg_type == "Consensus":
             profile.consensus_messages += 1
         if msg_type in self._allowed:
             profile.steps.append(Step(time=event.time, sender=event.process,
-                                      receiver=event.get("destination", "?"),
+                                      receiver=event.data.get("destination", "?"),
                                       msg_type=msg_type))
 
     def _on_consensus_decide(self, event) -> None:
-        instance = event.get("instance")
+        instance = event.data.get("instance")
         if isinstance(instance, tuple) and len(instance) == 2:
             self.profile.register_writes.append(
                 (event.time, event.process, f"{instance[0]}[{instance[1]}]"))

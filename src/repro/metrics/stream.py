@@ -33,8 +33,8 @@ class DatabaseOutcomeStream:
         committed = self._committed.get(event.process)
         if committed is None:
             return
-        outcome = event.get("outcome")
-        key = event.get("j")
+        outcome = event.data.get("outcome")
+        key = event.data.get("j")
         if outcome == COMMIT:
             committed.add(key)
         elif outcome == ABORT:

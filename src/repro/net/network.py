@@ -62,10 +62,8 @@ class Network:
         self._source_rngs: dict[str, Any] = {}
         self._source_index: dict[str, int] = {}
         self._source_msg_counts: dict[str, int] = {}
-        self.trace_messages = True
         # Bound once and reused: scheduling a delivery per message must not
-        # re-create the bound method (and, when message tracing is off, not
-        # render a per-message f-string event name either).
+        # re-create the bound method.
         self._deliver_bound = self._deliver
         # Per-link latency samplers and per-source loss draws, bound on first
         # use: resolving the latency model (a PerLinkLatency dict probe plus
@@ -226,10 +224,8 @@ class Network:
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
         trace = self.sim.trace
         # One bus probe gates everything message tracing would pay for:
-        # building the sorted payload-key list, the event objects, and the
-        # per-message f-string event names below.
-        tracing = self.trace_messages and trace.wants("msg_send")
-        if tracing:
+        # building the sorted payload-key list and the event object.
+        if trace.wants("msg_send"):
             trace.record(
                 "msg_send", source,
                 msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
@@ -237,7 +233,7 @@ class Network:
             )
         if self._partitioned(source, destination):
             self.stats.dropped_partition += 1
-            if self.trace_messages and trace.wants("msg_drop"):
+            if trace.wants("msg_drop"):
                 trace.record(
                     "msg_drop", source, reason="partition",
                     msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
@@ -250,15 +246,15 @@ class Network:
                 draw = self._loss_draws[source] = self._rng_for(source).random
             if draw() < loss:
                 stats.dropped_loss += 1
-                if self.trace_messages and trace.wants("msg_drop"):
+                if trace.wants("msg_drop"):
                     trace.record(
                         "msg_drop", source, reason="loss",
                         msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
                     )
                 return
-        self._transmit(message, destination, tracing)
+        self._transmit(message, destination)
 
-    def _transmit(self, message: Message, destination: str, tracing: bool):
+    def _transmit(self, message: Message, destination: str):
         """Carry an accepted message to its destination.
 
         The base network samples a latency and schedules an in-memory
@@ -274,9 +270,8 @@ class Network:
         if sampler is None:
             sampler = self._samplers[link] = self.latency.sampler(
                 self._rng_for(source), source, destination)
-        name = f"deliver:{message.msg_type}->{destination}" if tracing else "deliver"
         return self.sim.schedule_call(sampler(), self._deliver_bound, message,
-                                      name=name)
+                                      name="deliver")
 
     def _deliver(self, message: Message) -> None:
         destination_name = message.destination
@@ -284,7 +279,7 @@ class Network:
         destination = self.processes.get(destination_name)
         if destination is None or not destination.up:
             self.stats.dropped_dest_down += 1
-            if self.trace_messages and trace.wants("msg_drop"):
+            if trace.wants("msg_drop"):
                 trace.record(
                     "msg_drop", destination_name, reason="destination_down",
                     msg_type=message.msg_type, msg_id=message.msg_id, sender=message.sender,
@@ -294,7 +289,7 @@ class Network:
         stats.delivered += 1
         by_type = stats.by_type_delivered
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
-        if self.trace_messages and trace.wants("msg_deliver"):
+        if trace.wants("msg_deliver"):
             trace.record(
                 "msg_deliver", destination_name,
                 msg_type=message.msg_type, sender=message.sender, msg_id=message.msg_id,

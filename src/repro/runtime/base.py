@@ -68,13 +68,11 @@ class Kernel:
     seed: int
     trace: "TraceRecorder"
 
-    def _init_kernel(self, seed: int, trace: "Optional[TraceRecorder]",
-                     clock: Callable[[], float]) -> None:
+    def _init_kernel(self, seed: int) -> None:
         from repro.sim.tracing import TraceRecorder
 
         self.seed = seed
-        self.trace = trace if trace is not None else TraceRecorder(clock=clock)
-        self.trace.bind_clock(clock)
+        self.trace = TraceRecorder(self)
         self._rng_streams: dict[str, random.Random] = {}
 
     # ------------------------------------------------------------------ RNG

@@ -130,7 +130,7 @@ class AsyncioKernel(Kernel):
         self._bootstraps: list[Callable[[], Coroutine]] = []
         self._closers: list[Callable[[], None]] = []
         self._closed = False
-        self._init_kernel(seed, None, lambda: self.now)
+        self._init_kernel(seed)
 
     # ------------------------------------------------------------------ clock
 

@@ -153,7 +153,7 @@ class TcpTransport(Network):
 
     # --------------------------------------------------------------- sending
 
-    def _transmit(self, message: Message, destination: str, tracing: bool) -> None:
+    def _transmit(self, message: Message, destination: str) -> None:
         """Frame the message and write it to the destination's connection.
 
         The latency model is unused here: the real network provides the

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 from repro.runtime.base import Kernel, stream_seed  # noqa: F401  (re-exported)
 from repro.sim.errors import InvalidScheduling, SimulationLimitExceeded
-from repro.sim.tracing import TraceRecorder
 
 _NO_ARG = object()
 """Sentinel in :attr:`ScheduledEvent.arg` marking a plain zero-argument
@@ -92,14 +91,11 @@ class Simulator(Kernel):
         Seed for the deterministic random source.  Every component obtains its
         own :class:`random.Random` stream via :meth:`rng`, so adding a new
         component does not perturb the draws seen by existing ones.
-    trace:
-        Optional externally-created :class:`TraceRecorder`; a fresh one is
-        created when omitted.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[TraceRecorder] = None):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
-        self._init_kernel(seed, trace, lambda: self.now)
+        self._init_kernel(seed)
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._events_processed = 0

@@ -19,15 +19,20 @@ vote, decision, result delivery, disk write -- is recorded as a
   - ``off`` -- store nothing; :meth:`record` is a near-no-op for categories
     nobody subscribed to (the event object is not even constructed).
 
-Hot paths ask :meth:`wants` before assembling expensive event payloads, so a
-category that is neither stored nor subscribed costs one dictionary probe.
+A record costs one slotted :class:`TraceEvent`, stamped with the owning
+kernel's ``now`` read directly (an attribute on the simulator, a property on
+the asyncio kernel).  Call sites ask ``wants(category)`` before assembling a
+payload -- or before calling :meth:`record` at all, for a per-request
+category nobody may consume: at ``off`` that question is a dictionary
+membership test that runs no Python frame, so an unwatched category costs
+neither an event nor a call into this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 RETENTION_FULL = "full"
@@ -56,9 +61,12 @@ def parse_retention(policy: str) -> tuple[str, Optional[int]]:
                      "(expected 'full', 'off' or 'ring:N')")
 
 
-@dataclass(frozen=True)
 class TraceEvent:
     """One recorded event.
+
+    A plain ``__slots__`` class: :meth:`TraceRecorder.record` builds one per
+    event, and a slotted ``__init__`` is the cheapest way to do it.  Events
+    compare equal by their four fields and are unhashable (``data`` is a dict).
 
     Attributes
     ----------
@@ -73,10 +81,25 @@ class TraceEvent:
         Free-form payload describing the event.
     """
 
-    time: float
-    category: str
-    process: str
-    data: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "category", "process", "data")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, time: float, category: str, process: str,
+                 data: Optional[dict[str, Any]] = None):
+        self.time = time
+        self.category = category
+        self.process = process
+        self.data = {} if data is None else data
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time, self.category, self.process, self.data) == \
+            (other.time, other.category, other.process, other.data)  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (f"TraceEvent(time={self.time!r}, category={self.category!r}, "
+                f"process={self.process!r}, data={self.data!r})")
 
     def get(self, key: str, default: Any = None) -> Any:
         """Shorthand for ``event.data.get(key, default)``."""
@@ -87,27 +110,29 @@ Subscriber = Callable[[TraceEvent], None]
 
 
 class TraceRecorder:
-    """Event bus plus (retention-bounded) store of :class:`TraceEvent` objects."""
+    """Event bus plus (retention-bounded) store of :class:`TraceEvent` objects.
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 retention: str = RETENTION_FULL):
-        self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
+    ``clock`` is any object with a ``now`` attribute or property in virtual
+    milliseconds -- the kernel that owns the recorder; without one every
+    event is stamped 0.0.
+    """
+
+    #: ``wants(category)``: whether recording ``category`` has any effect
+    #: (stored or consumed).  Hot paths ask before building a payload.  At
+    #: ``off`` it is the subscriber table's own ``__contains__``, so asking
+    #: runs no Python frame; storing, it is ``bool``, true for every
+    #: (non-empty) category.
+    wants: Callable[[str], bool]
+
+    def __init__(self, clock: Any = None, retention: str = RETENTION_FULL):
+        self._clock = clock if clock is not None else SimpleNamespace(now=0.0)
         self._events: Union[list[TraceEvent], deque[TraceEvent]] = []
         self._subscribers: dict[str, list[Subscriber]] = {}
         # record() stamps a monotone virtual clock, so the store is normally
         # time-ordered; extend() may break that, which downgrades between()
         # from bisect to a linear scan.
         self._time_ordered = True
-        self.enabled = True
-        self._store = True
-        self._retention = RETENTION_FULL
-        self._capacity: Optional[int] = None
-        if retention != RETENTION_FULL:
-            self.set_retention(retention)
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach (or re-attach) the virtual-clock accessor used for timestamps."""
-        self._clock = clock
+        self.set_retention(retention)
 
     # ------------------------------------------------------------- retention
 
@@ -126,10 +151,12 @@ class TraceRecorder:
         self._capacity = capacity
         if mode == RETENTION_RING:
             self._events = deque(self._events, maxlen=capacity)
-            self._store = True
         else:
             self._events = list(self._events)
-            self._store = mode == RETENTION_FULL
+        self._store = mode != RETENTION_OFF
+        # The bound __contains__ stays current: subscribe() and unsubscribe
+        # mutate this one table and nothing replaces it.
+        self.wants = bool if self._store else self._subscribers.__contains__
 
     # ----------------------------------------------------------------- bus
 
@@ -150,13 +177,6 @@ class TraceRecorder:
 
         return unsubscribe
 
-    def wants(self, category: str) -> bool:
-        """Whether recording ``category`` has any effect (stored or consumed).
-
-        Hot paths check this before building expensive event payloads.
-        """
-        return self.enabled and (self._store or category in self._subscribers)
-
     # --------------------------------------------------------------- record
 
     def record(self, category: str, process: str = "", **data: Any) -> Optional[TraceEvent]:
@@ -165,12 +185,10 @@ class TraceRecorder:
         With retention ``off`` and no subscriber for ``category`` this is a
         near-no-op: no :class:`TraceEvent` is constructed.
         """
-        if not self.enabled:
-            return None
         subscribers = self._subscribers.get(category)
-        if not self._store and subscribers is None:
+        if subscribers is None and not self._store:
             return None
-        event = TraceEvent(time=self._clock(), category=category, process=process, data=data)
+        event = TraceEvent(self._clock.now, category, process, data)
         if self._store:
             self._events.append(event)
         if subscribers is not None:

@@ -10,6 +10,7 @@ and feed the oracle synthetic violating traces (``test_core_spec``).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from repro.core.spec import (
@@ -272,11 +273,11 @@ def check_run(trace: TraceRecorder, db_server_names: list[str],
 def monitor_verdict(trace: TraceRecorder, db_server_names: list[str],
                     client_names: list[str], check_termination: bool = True) -> SpecReport:
     """What a fresh :class:`SpecMonitor` reports once ``trace`` is replayed into it."""
-    now = [0.0]
-    bus = TraceRecorder(clock=lambda: now[0], retention="off")
+    clock = SimpleNamespace(now=0.0)
+    bus = TraceRecorder(clock, retention="off")
     monitor = SpecMonitor.attach(bus, db_server_names, client_names)
     for event in trace:
-        now[0] = event.time
+        clock.now = event.time
         bus.record(event.category, event.process, **event.data)
     return monitor.report(check_termination=check_termination)
 

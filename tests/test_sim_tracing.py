@@ -1,5 +1,7 @@
 """Unit tests for the trace recorder."""
 
+import pytest
+
 from repro.sim.scheduler import Simulator
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
@@ -54,16 +56,6 @@ def test_between_filters_time_window():
     assert len(sim.trace.between(2.0, 8.0)) == 1
 
 
-def test_disable_stops_recording():
-    trace = TraceRecorder()
-    trace.enabled = False
-    assert trace.record("x") is None
-    assert len(trace) == 0
-    trace.enabled = True
-    trace.record("x")
-    assert len(trace) == 1
-
-
 def test_extend_and_clear():
     trace = TraceRecorder()
     trace.extend([TraceEvent(1.0, "a", "p"), TraceEvent(2.0, "b", "q")])
@@ -76,3 +68,18 @@ def test_event_get_helper():
     event = TraceEvent(0.0, "cat", "p", {"k": "v"})
     assert event.get("k") == "v"
     assert event.get("missing", 7) == 7
+
+
+def test_event_is_a_slotted_value():
+    positional = TraceEvent(1.5, "cat", "p", {"k": 1})
+    keyword = TraceEvent(time=1.5, category="cat", process="p", data={"k": 1})
+    assert positional == keyword
+    assert positional != TraceEvent(1.5, "cat", "q", {"k": 1})
+    assert positional != (1.5, "cat", "p", {"k": 1})
+    first, second = TraceEvent(0.0, "a", "p"), TraceEvent(0.0, "a", "p")
+    assert first.data == {} and first.data is not second.data
+    with pytest.raises(TypeError):
+        hash(positional)
+    assert not hasattr(positional, "__dict__")
+    assert repr(positional) == \
+        "TraceEvent(time=1.5, category='cat', process='p', data={'k': 1})"

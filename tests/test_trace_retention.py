@@ -61,14 +61,20 @@ def test_subscribers_see_events_under_any_retention():
 
 def test_wants_reflects_storage_and_subscription():
     trace = TraceRecorder(retention="off")
-    assert not trace.wants("msg_send")
+    for retention, stored in (("off", False), ("ring:3", True), ("off", False),
+                              ("full", True)):
+        trace.set_retention(retention)
+        assert trace.wants("msg_send") is stored, retention
+        unsubscribe = trace.subscribe("msg_send", lambda e: None)
+        assert trace.wants("msg_send"), retention
+        assert trace.wants("msg_deliver") is stored, retention
+        unsubscribe()
+        assert trace.wants("msg_send") is stored, retention
+    # A subscription made before the switch to ``off`` still counts after it.
     unsubscribe = trace.subscribe("msg_send", lambda e: None)
-    assert trace.wants("msg_send")
+    trace.set_retention("off")
+    assert trace.wants("msg_send") and not trace.wants("msg_deliver")
     unsubscribe()
-    assert not trace.wants("msg_send")
-    trace.set_retention("full")
-    assert trace.wants("msg_send")  # stored now
-    trace.enabled = False
     assert not trace.wants("msg_send")
 
 
