@@ -1,14 +1,15 @@
 """Structured event tracing: a publish/subscribe event bus with retention.
 
 Every significant action in a run -- message send/delivery, crash, recovery,
-vote, decision, result delivery, disk write -- is recorded as a
-:class:`TraceEvent`.  Consumers attach in two ways:
+vote, decision, result delivery, disk write -- is recorded as an event:
+a virtual time, a category, a process and a data dict.  Consumers attach in
+two ways:
 
 * **streaming** -- ``trace.subscribe(category, callback)`` delivers each event
-  of that category as it is recorded.  The online specification monitor
-  (:class:`repro.core.spec.SpecMonitor`) and the streaming metrics
-  accumulators work this way, so they see every event even when the recorder
-  stores nothing;
+  of that category, as a :class:`TraceEvent`, as it is recorded.  The online
+  specification monitor (:class:`repro.core.spec.SpecMonitor`) and the
+  streaming metrics accumulators work this way, so they see every event even
+  when the recorder stores nothing;
 * **post-hoc** -- the query helpers (``select``/``count``/``first``/``last``/
   ``between``) read back the *stored* events.  How many events are stored is
   the recorder's **retention policy**:
@@ -16,28 +17,52 @@ vote, decision, result delivery, disk write -- is recorded as a
   - ``full`` (default) -- keep everything; all queries see the whole history.
   - ``ring:N`` -- keep only the most recent ``N`` events (a flight recorder);
     memory is bounded, queries see a suffix of the history.
-  - ``off`` -- store nothing; :meth:`record` is a near-no-op for categories
-    nobody subscribed to (the event object is not even constructed).
+  - ``off`` -- store nothing.
 
-A record costs one slotted :class:`TraceEvent`, stamped with the owning
-kernel's ``now`` read directly (an attribute on the simulator, a property on
-the asyncio kernel).  Call sites ask ``wants(category)`` before assembling a
-payload -- or before calling :meth:`record` at all, for a per-request
-category nobody may consume: at ``off`` that question is a dictionary
-membership test that runs no Python frame, so an unwatched category costs
-neither an event nor a call into this module.
+The store holds rows, ``(time, category, process, data)`` tuples, never
+:class:`TraceEvent` objects.  What a stored event costs per retention mode:
+
+* ``full`` -- a row in a live list until :data:`BLOCK_ROWS` rows have
+  gathered; then the list is sealed into one :func:`marshal.dumps` bytes
+  block, about 60 bytes per event.  The cyclic garbage collector never walks
+  bytes, so a sealed event costs it nothing; only the live list's rows (a
+  tuple and a data dict each) are tracked objects.
+* ``ring:N`` -- a row in a ``deque(maxlen=N)``: tracked, but at most ``N``.
+* ``off`` -- nothing; a category nobody subscribed to is not even stamped.
+
+A :class:`TraceEvent` is built only where one is consumed: once per record
+for the category's subscribers, and on read, where the queries decode sealed
+blocks and test a row's category and process before building an event.
+Events are stamped with the owning kernel's ``now`` read directly (an
+attribute on the simulator, a property on the asyncio kernel).  Call sites ask
+``wants(category)`` before assembling a payload -- or before calling
+:meth:`TraceRecorder.record` at all, for a per-request category nobody may
+consume: at ``off`` that question is a dictionary membership test that runs no
+Python frame, so an unwatched category costs neither an event nor a call into
+this module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import deque
+import marshal
+import sys
+from collections import Counter, deque
+from itertools import chain, starmap
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 RETENTION_FULL = "full"
 RETENTION_OFF = "off"
 RETENTION_RING = "ring"
+
+#: Rows a ``full`` trace gathers before sealing them into one bytes block.
+#: Small enough that most rows are sealed before the collector promotes them
+#: to its oldest generation, whose growth is what triggers full collections
+#: (4 096 rows left as many full collections as storing events did).
+BLOCK_ROWS = 256
+
+#: A stored event: ``(time, category, process, data)``.
+Row = tuple[float, str, str, dict[str, Any]]
 
 
 def parse_retention(policy: str) -> tuple[str, Optional[int]]:
@@ -62,11 +87,11 @@ def parse_retention(policy: str) -> tuple[str, Optional[int]]:
 
 
 class TraceEvent:
-    """One recorded event.
+    """One recorded event, as a subscriber or a query sees it.
 
-    A plain ``__slots__`` class: :meth:`TraceRecorder.record` builds one per
-    event, and a slotted ``__init__`` is the cheapest way to do it.  Events
-    compare equal by their four fields and are unhashable (``data`` is a dict).
+    A plain ``__slots__`` class, the cheapest object to build per consumed
+    event.  Events compare equal by their four fields and are unhashable
+    (``data`` is a dict).
 
     Attributes
     ----------
@@ -110,7 +135,7 @@ Subscriber = Callable[[TraceEvent], None]
 
 
 class TraceRecorder:
-    """Event bus plus (retention-bounded) store of :class:`TraceEvent` objects.
+    """Event bus plus (retention-bounded) store of event rows.
 
     ``clock`` is any object with a ``now`` attribute or property in virtual
     milliseconds -- the kernel that owns the recorder; without one every
@@ -126,12 +151,10 @@ class TraceRecorder:
 
     def __init__(self, clock: Any = None, retention: str = RETENTION_FULL):
         self._clock = clock if clock is not None else SimpleNamespace(now=0.0)
-        self._events: Union[list[TraceEvent], deque[TraceEvent]] = []
+        self._blocks: list[bytes] = []  # sealed rows, oldest first (full/off)
+        self._sealed = 0  # rows in self._blocks
+        self._rows: Union[list[Row], deque[Row]] = []  # the live rows after them
         self._subscribers: dict[str, list[Subscriber]] = {}
-        # record() stamps a monotone virtual clock, so the store is normally
-        # time-ordered; extend() may break that, which downgrades between()
-        # from bisect to a linear scan.
-        self._time_ordered = True
         self.set_retention(retention)
 
     # ------------------------------------------------------------- retention
@@ -150,9 +173,12 @@ class TraceRecorder:
         self._retention = mode
         self._capacity = capacity
         if mode == RETENTION_RING:
-            self._events = deque(self._events, maxlen=capacity)
+            self._rows = deque(self._stored(), maxlen=capacity)
+            self._blocks, self._sealed = [], 0
+            self._seal_at = sys.maxsize  # a ring is bounded already
         else:
-            self._events = list(self._events)
+            self._rows = list(self._rows)
+            self._seal_at = BLOCK_ROWS
         self._store = mode != RETENTION_OFF
         # The bound __contains__ stays current: subscribe() and unsubscribe
         # mutate this one table and nothing replaces it.
@@ -179,102 +205,110 @@ class TraceRecorder:
 
     # --------------------------------------------------------------- record
 
-    def record(self, category: str, process: str = "", **data: Any) -> Optional[TraceEvent]:
+    def record(self, category: str, process: str = "", **data: Any) -> None:
         """Record an event at the current virtual time and dispatch it.
 
-        With retention ``off`` and no subscriber for ``category`` this is a
-        near-no-op: no :class:`TraceEvent` is constructed.
+        ``data`` is plain data: its values are what :mod:`marshal` carries --
+        ``str``, ``int``, ``float``, ``bool``, ``None``, ``bytes``, and tuples,
+        lists, dicts, sets and frozensets of those, exact types only.  Sealing
+        a ``full`` trace raises ``ValueError`` on anything else, so a stored
+        value never comes back as a different type.  With retention ``off``
+        and no subscriber for ``category`` this is a near-no-op.
         """
         subscribers = self._subscribers.get(category)
         if subscribers is None and not self._store:
-            return None
-        event = TraceEvent(self._clock.now, category, process, data)
+            return
+        now = self._clock.now
         if self._store:
-            self._events.append(event)
+            rows = self._rows
+            rows.append((now, category, process, data))
+            if len(rows) >= self._seal_at:
+                self._seal()
         if subscribers is not None:
+            event = TraceEvent(now, category, process, data)
             for callback in subscribers:
                 callback(event)
-        return event
+
+    def _seal(self) -> None:
+        """Turn the live rows into one bytes block the collector never walks."""
+        rows = self._rows
+        self._blocks.append(marshal.dumps(rows))
+        self._sealed += len(rows)
+        rows.clear()
 
     # ---------------------------------------------------------------- query
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+    def _stored(self) -> Iterator[Row]:
+        """Every stored row, oldest first, one sealed block decoded at a time."""
+        return chain(chain.from_iterable(map(marshal.loads, self._blocks)), self._rows)
 
     @staticmethod
-    def _matches(event: TraceEvent, category: Optional[str], process: Optional[str],
-                 data_filters: dict[str, Any]) -> bool:
-        if category is not None and event.category != category:
-            return False
-        if process is not None and event.process != process:
-            return False
-        return not any(event.data.get(k) != v for k, v in data_filters.items())
+    def _matching(rows: Iterable[Row], category: Optional[str], process: Optional[str],
+                  data_filters: dict[str, Any]) -> Iterator[Row]:
+        for row in rows:
+            if (category is None or row[1] == category) \
+                    and (process is None or row[2] == process) \
+                    and not any(row[3].get(k) != v for k, v in data_filters.items()):
+                yield row
+
+    def __len__(self) -> int:
+        return self._sealed + len(self._rows)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return starmap(TraceEvent, self._stored())
 
     def select(self, category: Optional[str] = None, process: Optional[str] = None,
                **data_filters: Any) -> list[TraceEvent]:
         """Return stored events matching the given category/process/data filters."""
-        return [e for e in self._events
-                if self._matches(e, category, process, data_filters)]
+        return list(starmap(TraceEvent, self._matching(
+            self._stored(), category, process, data_filters)))
 
     def count(self, category: Optional[str] = None, process: Optional[str] = None,
               **data_filters: Any) -> int:
-        """Number of stored events matching the filters (no list materialised)."""
-        return sum(1 for e in self._events
-                   if self._matches(e, category, process, data_filters))
+        """Number of stored events matching the filters (no event built)."""
+        return sum(1 for _ in self._matching(self._stored(), category, process, data_filters))
 
     def first(self, category: Optional[str] = None, process: Optional[str] = None,
               **data_filters: Any) -> Optional[TraceEvent]:
         """First matching stored event, or ``None`` (short-circuits)."""
-        return next((e for e in self._events
-                     if self._matches(e, category, process, data_filters)), None)
+        return next(starmap(TraceEvent, self._matching(
+            self._stored(), category, process, data_filters)), None)
 
     def last(self, category: Optional[str] = None, process: Optional[str] = None,
              **data_filters: Any) -> Optional[TraceEvent]:
         """Last matching stored event, or ``None`` (scans backwards)."""
-        return next((e for e in reversed(self._events)
-                     if self._matches(e, category, process, data_filters)), None)
+        backwards = chain(reversed(self._rows), chain.from_iterable(
+            reversed(marshal.loads(block)) for block in reversed(self._blocks)))
+        return next(starmap(TraceEvent, self._matching(
+            backwards, category, process, data_filters)), None)
 
     def categories(self) -> set[str]:
         """The set of distinct categories stored so far."""
-        return {e.category for e in self._events}
+        return {row[1] for row in self._stored()}
 
     def between(self, start: float, end: float) -> list[TraceEvent]:
-        """Stored events with ``start <= time <= end``.
-
-        The trace is recorded in non-decreasing time order, so the window is
-        located with :func:`bisect` instead of a full scan (unless
-        :meth:`extend` injected out-of-order events, which falls back to the
-        scan).
-        """
-        if not self._time_ordered:
-            return [e for e in self._events if start <= e.time <= end]
-        events = self._events if isinstance(self._events, list) else list(self._events)
-        lo = bisect_left(events, start, key=lambda e: e.time)
-        hi = bisect_right(events, end, key=lambda e: e.time)
-        return events[lo:hi]
+        """Stored events with ``start <= time <= end``, in store order."""
+        return [TraceEvent(*row) for row in self._stored() if start <= row[0] <= end]
 
     def summary(self) -> dict[str, int]:
         """Histogram of stored event counts per category."""
-        hist: dict[str, int] = {}
-        for event in self._events:
-            hist[event.category] = hist.get(event.category, 0) + 1
-        return hist
+        return dict(Counter(row[1] for row in self._stored()))
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Append pre-built events (used by tests and replay tooling).
 
-        Extended events are stored (subject to retention) but not dispatched
-        to subscribers: they describe the past, not something happening now.
+        Extended events are stored (subject to retention: nothing at ``off``)
+        but not dispatched to subscribers: they describe the past, not
+        something happening now.
         """
-        for event in events:
-            if self._events and event.time < self._events[-1].time:
-                self._time_ordered = False
-            self._events.append(event)
+        if not self._store:
+            return
+        self._rows.extend((e.time, e.category, e.process, e.data) for e in events)
+        if len(self._rows) >= self._seal_at:
+            self._seal()
 
     def clear(self) -> None:
         """Drop all stored events (subscriptions stay)."""
-        self._events.clear()
-        self._time_ordered = True
+        self._blocks.clear()
+        self._sealed = 0
+        self._rows.clear()

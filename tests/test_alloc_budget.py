@@ -16,12 +16,16 @@ allocates nothing) lowers the total and *raises* blocks/event, which must not
 read as a regression.  The exact dispatched-event counts are pinned too: the
 scenarios are deterministic, so any drift means behaviour changed and the
 block figures are incomparable -- re-pin both only for an intended change.
+
+What a run retains is budgeted too, as the objects the cyclic collector must
+walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count.
 """
 
 import gc
 import sys
 
 from repro import api
+from repro.sim.tracing import BLOCK_ROWS, TraceRecorder
 
 TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
 SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
@@ -116,3 +120,21 @@ def test_soak_shape_events_and_blocks_per_request():
     print(f"\nsoak: {blocks_per_request:.1f} blocks/request, {events} events")
     assert events == 9360
     assert blocks_per_request <= HEADROOM * 119.4
+
+
+def test_a_full_trace_leaves_the_collector_nothing_to_walk():
+    """Sealed events are bytes: 0.00 GC-tracked objects per stored event
+    (2.00 when each was a ``TraceEvent`` holding a tracked dict and list)."""
+    trace = TraceRecorder()
+    stored = 2 * 3 * 4096
+    assert stored % BLOCK_ROWS == 0  # every row sealed, none left live
+    gc.collect()
+    before = len(gc.get_objects())
+    for n in range(stored // 2):
+        trace.record("msg_send", "a1", msg_type="Prepare", destination="d1", msg_id=n,
+                     payload_keys=["request", "txn"])
+        trace.record("msg_deliver", "d1", msg_type="Prepare", sender="a1", msg_id=n)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert len(trace) == stored
+    assert tracked / stored <= 0.05, tracked

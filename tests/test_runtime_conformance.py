@@ -163,18 +163,15 @@ def test_cancel_inside_callback_stops_later_event(kernel):
 def test_a_record_is_stamped_with_the_kernel_clock(kernel):
     """The recorder reads the kernel's ``now`` property at the record itself.
 
-    Every loop-time reading ticks the stepped clock, so the event's time is
-    compared with the reading the record took (the clock's last value), not
-    with a fresh ``kernel.now``.
+    Every loop-time reading ticks the stepped clock, so the event a subscriber
+    receives inside the record is compared with the reading the record took
+    (the clock's last value), not with a fresh ``kernel.now``.
     """
     clock = kernel._loop.time.__self__
     stamps: list[tuple] = []
-
-    def record():
-        event = kernel.trace.record("tick", "p")
-        stamps.append((event.time, (clock.now - kernel._epoch) * 1000.0 / kernel.pace))
-
-    kernel.schedule(30.0, record)
+    kernel.trace.subscribe("tick", lambda event: stamps.append(
+        (event.time, (clock.now - kernel._epoch) * 1000.0 / kernel.pace)))
+    kernel.schedule(30.0, lambda: kernel.trace.record("tick", "p"))
     assert run_until(kernel, lambda: stamps)
     recorded, now_at_record = stamps[0]
     assert recorded == now_at_record and recorded >= 30.0

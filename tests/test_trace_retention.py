@@ -3,15 +3,22 @@
 ``full``/``ring:N``/``off`` retention bound what the recorder *stores*;
 everything that matters -- online spec checking, per-database statistics,
 latency components -- streams off the bus and must keep working when the
-stored trace is truncated or absent.
+stored trace is truncated or absent.  A ``full`` trace seals its rows into
+``marshal`` blocks every ``BLOCK_ROWS`` events; the queries and a retention
+switch must read across those blocks exactly as across live rows.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro import api
+from repro.core.types import reset_request_counter
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import TraceRecorder, parse_retention
+from repro.sim.tracing import BLOCK_ROWS, TraceEvent, TraceRecorder, parse_retention
 from repro.workload.generator import ClosedLoop
+
+from test_trace_golden import SCHEMES, _fingerprint
 
 SHARDED = "etx://a3.d2.c2?seed=5&workload=bank&placement=hash&xshard=0.5"
 
@@ -39,7 +46,8 @@ def test_ring_retention_keeps_only_the_suffix():
 
 def test_off_retention_stores_nothing_and_skips_event_construction():
     trace = TraceRecorder(retention="off")
-    assert trace.record("tick", n=1) is None  # not even constructed
+    trace.record("tick", n=1)
+    trace.extend([TraceEvent(1.0, "x", "p")])
     assert len(trace) == 0
     assert not trace.wants("tick")
 
@@ -90,14 +98,100 @@ def test_between_uses_the_time_order():
 
 def test_between_survives_out_of_order_extend():
     """extend() makes no ordering promise; between() must stay correct."""
-    from repro.sim.tracing import TraceEvent
-
     trace = TraceRecorder()
     trace.extend([TraceEvent(5.0, "a", "p"), TraceEvent(1.0, "b", "p")])
     assert [e.category for e in trace.between(0.0, 2.0)] == ["b"]
     trace.clear()
     trace.extend([TraceEvent(1.0, "c", "p"), TraceEvent(2.0, "d", "p")])
     assert [e.category for e in trace.between(1.5, 2.5)] == ["d"]
+
+
+# ------------------------------------------------------------ sealed blocks
+
+
+def _tick(trace: TraceRecorder, clock: SimpleNamespace, numbers: range) -> None:
+    for n in numbers:
+        clock.now = float(n)
+        trace.record("even" if n % 2 == 0 else "odd", f"p{n % 3}", n=n)
+
+
+def _expected(numbers: range) -> list[TraceEvent]:
+    return [TraceEvent(float(n), "even" if n % 2 == 0 else "odd", f"p{n % 3}", {"n": n})
+            for n in numbers]
+
+
+def test_queries_span_a_sealed_block_boundary():
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    total = 2 * BLOCK_ROWS + 10  # two sealed blocks, then ten live rows
+    _tick(trace, clock, range(total))
+    assert len(trace) == total
+    assert list(trace) == _expected(range(total))
+    assert trace.first(n=BLOCK_ROWS + 1).time == BLOCK_ROWS + 1
+    assert trace.first("odd").get("n") == 1
+    assert trace.last("even").get("n") == total - 2
+    assert trace.last("even", "p0", n=0).get("n") == 0  # decoded backwards
+    assert trace.count("even") == total // 2
+    assert trace.count(process="p0") == len(range(0, total, 3))
+    assert trace.select("odd", "p1") == _expected(range(1, total, 6))
+    window = range(max(0, BLOCK_ROWS - 2), BLOCK_ROWS + 2)
+    assert trace.between(window[0], window[-1]) == _expected(window)
+    assert trace.summary() == {"even": total // 2, "odd": total // 2}
+    assert trace.categories() == {"even", "odd"}
+
+
+def test_extend_across_a_block_boundary():
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    _tick(trace, clock, range(BLOCK_ROWS - 1))
+    events = _expected(range(BLOCK_ROWS - 1, BLOCK_ROWS + 2))
+    trace.extend(events)
+    assert len(trace) == BLOCK_ROWS + 2
+    assert list(trace) == _expected(range(BLOCK_ROWS + 2))
+    assert trace.select("odd", "p0") == _expected(range(3, BLOCK_ROWS + 2, 6))
+    trace.clear()
+    assert len(trace) == 0 and list(trace) == []
+
+
+def test_a_ring_switch_keeps_the_last_events_across_a_sealed_block():
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    _tick(trace, clock, range(BLOCK_ROWS + 3))  # the last five straddle the seal
+    last_five = range(BLOCK_ROWS + 3)[-5:]
+    trace.set_retention("ring:5")
+    assert list(trace) == _expected(last_five)
+    trace.set_retention("full")
+    assert list(trace) == _expected(last_five)
+    _tick(trace, clock, range(BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 3))
+    assert list(trace) == _expected(range(last_five[0], 2 * BLOCK_ROWS + 3))
+
+
+def test_a_value_marshal_cannot_carry_fails_the_seal():
+    """Sealing refuses a ``str`` subclass rather than return a plain ``str``."""
+
+    class Name(str):
+        pass
+
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    with pytest.raises(ValueError):
+        trace.record("tick", name=Name("a1"))
+        _tick(trace, clock, range(1, BLOCK_ROWS))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_a_sealed_trace_reads_back_as_the_unsealed_one(scheme):
+    """Every value a protocol records round-trips through the sealed blocks."""
+    traces = {}
+    for retention in ("full", "ring:10000000"):
+        reset_request_counter()
+        dsn = f"{SCHEMES[scheme].format(seed=3)}&trace={retention}"
+        system = api.build(api.Scenario.from_dsn(dsn))
+        ClosedLoop().run(system, 40)
+        traces[retention] = _fingerprint(system)
+        system.close()
+    assert len(traces["full"]) >= 2 * BLOCK_ROWS
+    assert traces["full"] == traces["ring:10000000"]
 
 
 # -------------------------------------------------------------- deployments
