@@ -144,23 +144,12 @@ class ApplicationServer(Process):
         if self.consensus_host is not None:
             self.consensus_host.on_crash()
 
-    # ---------------------------------------------------------------- delivery
-
-    _STALE_WHEN_TERMINATED = frozenset((msg.EXECUTE_RESULT, msg.VOTE, msg.ACK_DECIDE))
-
-    def deliver(self, message: Any) -> None:
-        """Drop per-result replies that arrive after the result terminated.
-
-        Retransmissions (execute/prepare/decide retries) keep producing
-        duplicate replies that can land long after ``terminate()`` finished;
-        no receive will ever consume them, and dropping a message is
-        indistinguishable from network loss in the fair-lossy channel model.
-        Without this, a long run's mailbox grows with its history.
-        """
-        if getattr(message, "msg_type", None) in self._STALE_WHEN_TERMINATED \
-                and message.get("j") in self._terminated:
-            return
-        super().deliver(message)
+    # Retransmissions (execute/prepare/decide retries) keep producing duplicate
+    # replies that can land long after ``terminate()`` finished; no receive
+    # will ever consume them, so ``Process.deliver`` drops them as if lost (the
+    # fair-lossy channel model).  Without this a long run's mailbox grows with
+    # its history.
+    _stale_types = frozenset((msg.EXECUTE_RESULT, msg.VOTE, msg.ACK_DECIDE))
 
     # ----------------------------------------------------------------- routing
 
@@ -400,7 +389,7 @@ class ApplicationServer(Process):
         # The result is terminated: any retransmitted votes / execute results /
         # acknowledgements still buffered under its key are dead weight now
         # (client requests are keyed by the bare ``j``, so they are untouched),
-        # and late arrivals for it are dropped at delivery (see deliver()).
+        # and late arrivals for it are dropped at delivery (``_stale_types``).
         self._terminated.add(key)
         self.discard_buffered(key)
 

@@ -38,8 +38,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.net.message import STR, Message, declare_message
 from repro.net.network import Network
-from repro.sim.process import Process, Thread
-from repro.sim.waits import SimFuture
+from repro.sim.process import Process
 
 
 class FailureDetector:
@@ -144,13 +143,15 @@ class EventuallyPerfectFailureDetector(FailureDetector):
 class HeartbeatFailureDetector(FailureDetector):
     """Message-based adaptive ◇P detector.
 
-    Every monitored process runs a heartbeat thread broadcasting ``Heartbeat``
-    messages every ``heartbeat_interval``; every observer records arrivals in a
-    message handler and runs a monitor thread that sleeps to the earliest
-    ``last heartbeat + time-out`` among the peers it trusts and suspects whoever
-    is overdue then -- no timer at all while it suspects everybody.  A heartbeat
-    that contradicts a suspicion raises the time-out by ``timeout_increment``
-    (eventual accuracy under bounded but unknown message delay).
+    Every monitored process broadcasts a ``Heartbeat`` to its peers every
+    ``heartbeat_interval``; every observer records arrivals in a message
+    handler, and a monitor step suspects whoever is overdue, then arms one
+    timer at the earliest ``last heartbeat + time-out`` among the peers it
+    still trusts -- no timer at all while it suspects everybody.  Both run as
+    :meth:`~repro.sim.process.Process.tick` tickers.  A heartbeat that
+    contradicts a suspicion raises the time-out by ``timeout_increment``
+    (eventual accuracy under bounded but unknown message delay) and pokes the
+    monitor for the deadline its timer does not cover.
     """
 
     HEARTBEAT = "Heartbeat"
@@ -164,20 +165,17 @@ class HeartbeatFailureDetector(FailureDetector):
         self.network = network
         self.sim = network.sim
         self.members = list(members)
-        # Detector threads run only on locally hosted members (all of them by
+        # The detector runs only on locally hosted members (all of them by
         # default); a distributed deployment passes its local subset, the
-        # remote members run their own threads in their own OS process.
+        # remote members run their own detector in their own OS process.
         self.install_on = list(install_on) if install_on is not None else self.members
         self.heartbeat_interval = heartbeat_interval
         self.initial_timeout = initial_timeout
         self.timeout_increment = timeout_increment
-        # observer -> target -> last heartbeat time
-        self._last_heard: dict[str, dict[str, float]] = {}
         # observer -> target -> current timeout
         self._timeouts: dict[str, dict[str, float]] = {}
         # observer -> set of currently suspected targets
         self._suspected: dict[str, set[str]] = {}
-        self._monitors: dict[str, Thread] = {}  # observer -> its monitor thread
         self._wakes: dict[str, Callable[[], None]] = {}
         for name in self.members:
             self._timeouts[name] = {peer: initial_timeout for peer in self.members if peer != name}
@@ -190,49 +188,43 @@ class HeartbeatFailureDetector(FailureDetector):
     def reinstall(self, name: str) -> None:
         """(Re-)install the detector on ``name``: at start, and after a recovery.  Every
         peer's clock starts now -- nobody is overdue for what ``name`` missed while down."""
-        process = self.network.processes[name]
-        process.on_message(self.HEARTBEAT, partial(self._heard, name))
-        self._last_heard[name] = dict.fromkeys(self._timeouts[name], self.sim.now)
-        process.spawn(self._heartbeat_thread(process), name="fd-heartbeat")
-        self._monitors[name] = process.spawn(self._monitor_thread(process), name="fd-monitor")
+        process, sim = self.network.processes[name], self.sim
+        suspected, timeouts = self._suspected[name], self._timeouts[name]
+        last_heard = dict.fromkeys(timeouts, sim.now)  # target -> last heartbeat time
 
-    # ---------------------------------------------------------------- threads
+        def heard(message: Message) -> None:
+            origin = message.sender
+            last_heard[origin] = sim.now
+            if origin in suspected:
+                # False suspicion detected: trust again and adapt the timeout.
+                suspected.discard(origin)
+                timeouts[origin] += self.timeout_increment
+                sim.trace.record("fd_trust", name, target=origin, new_timeout=timeouts[origin])
+                monitor.poke()  # a deadline its timer does not cover
 
-    def _heartbeat_thread(self, process: Process):
-        peers = [peer for peer in self.members if peer != process.name]
-        while True:
+        def beat() -> float:
             for peer in peers:
-                process.send(peer, Message(self.HEARTBEAT, payload={"origin": process.name}))
-            yield process.sleep(self.heartbeat_interval)
+                process.send(peer, Message(self.HEARTBEAT, payload={"origin": name}))
+            return self.heartbeat_interval
 
-    def _heard(self, observer: str, message: Message) -> None:
-        origin = message["origin"]
-        self._last_heard[observer][origin] = self.sim.now
-        if origin in self._suspected[observer]:
-            # False suspicion detected: trust again and adapt the timeout.
-            self._suspected[observer].discard(origin)
-            self._timeouts[observer][origin] += self.timeout_increment
-            self.sim.trace.record("fd_trust", observer, target=origin,
-                                  new_timeout=self._timeouts[observer][origin])
-            self._monitors[observer].resume(None)  # a deadline its timer does not cover
-
-    def _monitor_thread(self, process: Process):
-        observer, suspected = process.name, self._suspected[process.name]
-        last_heard, timeouts = self._last_heard[observer], self._timeouts[observer]
-        while True:
-            now, deadline, before = self.sim.now, None, len(suspected)
+        def watch() -> Optional[float]:
+            now, deadline, before = sim.now, None, len(suspected)
             for peer, timeout in timeouts.items():
                 due = last_heard[peer] + timeout  # one expression: the test and the deadline
                 if peer not in suspected and now >= due:
                     suspected.add(peer)
-                    self.sim.trace.record("fd_suspect", observer, target=peer)
+                    sim.trace.record("fd_suspect", name, target=peer)
                 if peer not in suspected and (deadline is None or due < deadline):
                     deadline = due  # the earliest among the peers still trusted
             if len(suspected) > before:
-                self._wake(observer)
-            # Heartbeats move ``last_heard`` alone; a trust edge resumes this thread.
-            yield (process.sleep(deadline - now) if deadline is not None
-                   else process.wait_for(SimFuture()))
+                self._wake(name)
+            # Heartbeats move ``last_heard`` alone; a trust edge pokes this ticker.
+            return deadline - now if deadline is not None else None
+
+        process.on_message(self.HEARTBEAT, heard)
+        peers = [peer for peer in self.members if peer != name]
+        process.tick(beat)
+        monitor = process.tick(watch)
 
     # ------------------------------------------------------------------ query
 

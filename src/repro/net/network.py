@@ -60,8 +60,7 @@ class Network:
         # its *own* send history, never on how sends from different processes
         # interleave globally.
         self._source_rngs: dict[str, Any] = {}
-        self._source_index: dict[str, int] = {}
-        self._source_msg_counts: dict[str, int] = {}
+        self._next_ids: dict[str, int] = {}  # source -> the id its next send gets
         # Bound once and reused: scheduling a delivery per message must not
         # re-create the bound method.
         self._deliver_bound = self._deliver
@@ -86,7 +85,7 @@ class Network:
         # Registration order fixes the per-source id namespace; deployments
         # register the full process set in one deterministic order, so the
         # index is stable across runs.
-        self._source_index[process.name] = len(self._source_index)
+        self._next_ids[process.name] = len(self._next_ids) * self.MSG_ID_STRIDE + 1
         process.attach_transport(self)
         return process
 
@@ -100,14 +99,6 @@ class Network:
     #: globally unique while making each one a pure function of (source,
     #: per-source send count).
     MSG_ID_STRIDE = 1_000_000_000
-
-    def _next_msg_id(self, source: str) -> int:
-        count = self._source_msg_counts.get(source, 0) + 1
-        self._source_msg_counts[source] = count
-        index = self._source_index.get(source)
-        if index is None:  # unregistered sender (tests): first-send order
-            index = self._source_index[source] = len(self._source_index)
-        return index * self.MSG_ID_STRIDE + count
 
     def _rng_for(self, source: str):
         rng = self._source_rngs.get(source)
@@ -186,8 +177,6 @@ class Network:
         self.sim.trace.record("partition_heal", "", names=sorted(healed))
 
     def _partitioned(self, source: str, destination: str) -> bool:
-        if not self._partition_groups:
-            return False
         # Blocked only when both endpoints sit in *different* groups: a
         # process in no group (e.g. after a partial heal) talks to everyone,
         # symmetrically.  ``partition()`` always files every process into a
@@ -217,7 +206,12 @@ class Network:
         # appear in the trace, and a process-global (or interleaving-
         # dependent) counter would make otherwise identical runs differ
         # depending on what ran earlier in the same interpreter.
-        message.msg_id = self._next_msg_id(source)
+        next_ids = self._next_ids
+        msg_id = next_ids.get(source)
+        if msg_id is None:  # unregistered sender (tests): first-send order
+            msg_id = len(next_ids) * self.MSG_ID_STRIDE + 1
+        next_ids[source] = msg_id + 1
+        message.msg_id = msg_id
         stats = self.stats
         stats.sent += 1
         by_type = stats.by_type_sent
@@ -231,8 +225,8 @@ class Network:
                 msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
                 payload_keys=sorted(message._payload),
             )
-        if self._partitioned(source, destination):
-            self.stats.dropped_partition += 1
+        if self._partition_groups and self._partitioned(source, destination):
+            stats.dropped_partition += 1
             if trace.wants("msg_drop"):
                 trace.record(
                     "msg_drop", source, reason="partition",

@@ -1,27 +1,33 @@
 """Process and thread model.
 
 A :class:`Process` models one node of the three-tier system (a client, an
-application server or a database server).  Processes
+application server or a database server).  Processes host four kinds of
+volatile activity, each the cheapest that fits its job:
 
-* host any number of generator-coroutine *threads* (the paper's ``cobegin``
+* generator-coroutine *threads* (:meth:`Process.spawn`), for logic that
+  blocks on a receive or a future between steps (the paper's ``cobegin``
   branches, e.g. the application server's per-request and cleaning threads),
-* run synchronous per-type *message handlers* (:meth:`Process.on_message`)
+* synchronous per-type *message handlers* (:meth:`Process.on_message`)
   for traffic that needs no blocking wait -- consensus, heartbeats, the
   application server's request dispatch, the primary-backup mirror,
-* run serial FIFO *servers* (:meth:`Process.serve`) for traffic whose
+* serial FIFO *servers* (:meth:`Process.serve`) for traffic whose
   processing only sleeps: one step per message, the next message queued
   until the step ends -- the database tier's execute/prepare/decide/migrate,
-* exchange messages through a transport installed by ``repro.net``,
-* crash (losing all volatile state: mailbox, threads, local variables) and
-  recover (restarting their entry point with ``recovery=True``), exactly as in
-  the paper's crash/recovery model -- stable storage is modelled separately in
-  ``repro.storage`` and survives crashes.
+* *tickers* (:meth:`Process.tick`) for periodic work that only ever sleeps:
+  a plain function returning its next delay, or ``None`` to park until
+  poked -- the failure detector's heartbeat sender and monitor.
+
+Processes exchange messages through a transport installed by ``repro.net``,
+crash (losing all volatile state: mailbox, threads, handlers, servers,
+tickers, local variables) and recover (restarting their entry point with
+``recovery=True``), exactly as in the paper's crash/recovery model -- stable
+storage is modelled separately in ``repro.storage`` and survives crashes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Container, Generator, Iterable, Optional
 
 from repro.runtime.base import Kernel
 from repro.sim.errors import ProcessNotRunning, ThreadError
@@ -127,19 +133,24 @@ class Thread:
         try:
             wait = self.generator.send(value)
         except StopIteration:
-            self.finished = True
-            self.alive = False
-            self.process._finished_threads += 1
+            self._finish()
             return
         except Exception as exc:  # surface protocol bugs loudly
-            self.finished = True
-            self.alive = False
-            self.process._finished_threads += 1
+            self._finish()
             self.process.trace.record(
                 "thread_error", self.process.name, thread=self.name, error=repr(exc)
             )
             raise ThreadError(f"thread {self.name!r} on {self.process.name!r} failed") from exc
         self._handle_wait(wait)
+
+    def _finish(self) -> None:
+        # Leave the thread table and drop the prebound wake-ups: they refer
+        # back to the thread, and that cycle would leave every finished thread
+        # to the cyclic collector instead of reference counting.
+        self.finished = True
+        self.alive = False
+        self._fire_cb = self._future_cb = None
+        self.process._threads.pop(self.id, None)
 
     def _handle_wait(self, wait: Wait) -> None:
         # Exact-type dispatch: the three wait classes are final, and ``type
@@ -273,6 +284,37 @@ class _Server:
             self.running.close()
 
 
+class _Ticker:
+    """A timer-driven step (:meth:`Process.tick`): the events of a thread that
+    loops on ``sleep``, and on a never-resolved future when it has nothing due."""
+
+    __slots__ = ("sim", "step", "name", "timer", "_fire_cb")
+
+    def __init__(self, process: "Process", step: Callable[[], Optional[float]]):
+        self.sim, self.step, self.timer = process.sim, step, None
+        self.name = f"{process.name}/{step.__name__}"
+        self._fire_cb = self._fire
+
+    def _fire(self, _arg: Any = None) -> None:
+        self.timer = None  # pooled: dropped as it fires
+        delay = self.step()
+        if delay is not None and self._fire_cb is not None:  # a crash in the step stops it
+            self.timer = self.sim.schedule_call(delay, self._fire_cb, None, name=self.name)
+
+    def poke(self) -> None:
+        """Cancel the armed timer, if any, and step now (a no-op once stopped)."""
+        if self.timer is not None:
+            self.timer.cancel()
+        if self._fire_cb is not None:
+            self._fire()
+
+    def stop(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self._fire_cb = None
+
+
 class Process:
     """A simulated node that can crash and recover.
 
@@ -284,6 +326,11 @@ class Process:
     #: message its handlers do not take: such a message is dropped, traced
     #: as ``unhandled`` and counted instead of buffered for ever.
     pure_server = False
+
+    #: Reply types that :meth:`deliver` drops, as if lost, once their ``j`` is
+    #: in ``_terminated``: late retransmitted replies nobody will receive.
+    _stale_types: frozenset[str] = frozenset()
+    _terminated: Container[Any] = frozenset()
 
     def __init__(self, sim: Kernel, name: str):
         self.sim = sim
@@ -310,7 +357,7 @@ class Process:
         self.shed_messages = 0
         self.mailbox_peak = 0
         self.unhandled_messages = 0
-        self._threads: list[Thread] = []
+        self._threads: dict[int, Thread] = {}  # live ones, by id: spawn order
         # Threads blocked on a receive, indexed by what their matcher could
         # accept: by (message type, correlation id) when the matcher pins a
         # ``j`` value, by message type when it accepts any ``j``, and as
@@ -321,9 +368,8 @@ class Process:
         self._wildcard_waiters: dict[int, Thread] = {}
         # Synchronous handlers by message type (``on_message``); volatile.
         self._handlers: dict[str, Callable[[Any], None]] = {}
-        self._servers: list[_Server] = []
+        self._servers: list[_Server | _Ticker] = []  # stopped by a crash
         self._thread_names: dict[str, tuple[str, str, str]] = {}
-        self._finished_threads = 0
         self._thread_ids = 0
         self._transport: Optional[Any] = None  # installed by repro.net.Network
 
@@ -345,9 +391,8 @@ class Process:
 
     @property
     def threads(self) -> list[Thread]:
-        """Threads spawned since the last crash (finished ones may have been
-        pruned by the message-delivery fast path)."""
-        return list(self._threads)
+        """The live threads, in spawn order (a finished one has left)."""
+        return list(self._threads.values())
 
     @property
     def mailbox_size(self) -> int:
@@ -378,9 +423,23 @@ class Process:
         if not self.up:
             raise ProcessNotRunning(f"cannot spawn thread on crashed process {self.name!r}")
         thread = Thread(self, generator, name)
-        self._threads.append(thread)
+        self._threads[thread.id] = thread
         thread.start()
         return thread
+
+    def tick(self, step: Callable[[], Optional[float]]) -> "_Ticker":
+        """Run ``step()`` now and again after each delay it returns.
+
+        ``None`` parks the ticker until its ``poke()``, which also cancels an
+        armed delay and steps at once.  Each delay arms one pooled timer, the
+        event a thread's ``sleep`` arms; a crash stops the ticker for good.
+        """
+        if not self.up:
+            raise ProcessNotRunning(f"cannot tick on crashed process {self.name!r}")
+        ticker = _Ticker(self, step)
+        self._servers.append(ticker)
+        ticker.poke()
+        return ticker
 
     def on_message(self, msg_type: str, handler: Callable[[Any], None]) -> None:
         """Run ``handler(message)`` inside :meth:`deliver` for every ``msg_type``.
@@ -533,7 +592,8 @@ class Process:
 
         Messages arriving at a crashed process are dropped and a type with a
         handler (:meth:`on_message`, :meth:`serve`) goes to it alone; a
-        :attr:`pure_server` drops any other type; otherwise the
+        :attr:`pure_server` drops any other type; a reply of ``_stale_types``
+        whose ``j`` is in ``_terminated`` is dropped as if lost; otherwise the
         message either resumes a thread blocked on a matching receive or is
         buffered in the mailbox.  Only waiters indexed under the message's
         type (plus wildcard waiters) are consulted; ties between threads are
@@ -558,6 +618,9 @@ class Process:
             payload = getattr(message, "payload", None)
             if not isinstance(payload, dict):
                 payload = None
+        if msg_type in self._stale_types and payload is not None \
+                and payload.get("j") in self._terminated:
+            return
         keyed = None
         if payload is not None and self._kv_waiters:
             try:
@@ -606,14 +669,6 @@ class Process:
             if wait is not None and wait.matches(message):
                 thread.resume(message)
                 return
-        # Long-lived processes spawn short-lived threads (one per request);
-        # prune the dead ones now and then so the thread list stays
-        # proportional to the number of *live* threads, not to the run's
-        # total history.
-        if self._finished_threads > 8 and \
-                self._finished_threads > len(self._threads) // 2:
-            self._threads = [t for t in self._threads if t.alive or not t.finished]
-            self._finished_threads = 0
         if not self._admit(msg_type):
             return
         self._mailbox_seq += 1
@@ -768,7 +823,7 @@ class Process:
             return
         self.up = False
         self.crash_count += 1
-        for thread in self._threads:
+        for thread in list(self._threads.values()):
             thread.kill()
         self._threads.clear()
         self._kv_waiters.clear()
@@ -778,7 +833,6 @@ class Process:
         for server in self._servers:
             server.stop()
         self._servers.clear()
-        self._finished_threads = 0
         self._mailbox.clear()
         self._mailbox_count = 0
         self.on_crash()

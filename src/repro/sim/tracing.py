@@ -45,7 +45,6 @@ this module.
 from __future__ import annotations
 
 import marshal
-import sys
 from collections import Counter, deque
 from itertools import chain, starmap
 from types import SimpleNamespace
@@ -175,11 +174,10 @@ class TraceRecorder:
         if mode == RETENTION_RING:
             self._rows = deque(self._stored(), maxlen=capacity)
             self._blocks, self._sealed = [], 0
-            self._seal_at = sys.maxsize  # a ring is bounded already
         else:
             self._rows = list(self._rows)
-            self._seal_at = BLOCK_ROWS
         self._store = mode != RETENTION_OFF
+        self._sealing = mode == RETENTION_FULL  # a ring is bounded already
         # The bound __contains__ stays current: subscribe() and unsubscribe
         # mutate this one table and nothing replaces it.
         self.wants = bool if self._store else self._subscribers.__contains__
@@ -222,7 +220,7 @@ class TraceRecorder:
         if self._store:
             rows = self._rows
             rows.append((now, category, process, data))
-            if len(rows) >= self._seal_at:
+            if self._sealing and len(rows) >= BLOCK_ROWS:
                 self._seal()
         if subscribers is not None:
             event = TraceEvent(now, category, process, data)
@@ -304,7 +302,7 @@ class TraceRecorder:
         if not self._store:
             return
         self._rows.extend((e.time, e.category, e.process, e.data) for e in events)
-        if len(self._rows) >= self._seal_at:
+        if self._sealing and len(self._rows) >= BLOCK_ROWS:
             self._seal()
 
     def clear(self) -> None:

@@ -12,11 +12,12 @@ runs over both register implementations.
 
 import pytest
 
+from repro.consensus.synod import ConsensusHost
 from repro.core import DeploymentConfig, EtxDeployment, FD_HEARTBEAT
 from repro.core import messages as msg
 from repro.core.appserver import RegisterPair, claim_parts
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
-from repro.failure.detectors import FailureDetector
+from repro.failure.detectors import FailureDetector, HeartbeatFailureDetector
 from repro.failure.injection import FaultSchedule
 from repro.registers.base import WriteOnceRegisterArray
 from repro.workload.bank import BankWorkload
@@ -282,6 +283,37 @@ def test_a_crash_undone_within_the_detection_delay_wakes_the_cleaners_to_nothing
         (down + DETECT, "a1"), (down + DETECT, "a2"), (down + DETECT, "a3")]
     assert deployment.trace.count("as_clean") == 0
     assert deployment.sim.pending_events == 0
+
+
+# ------------------------------------------------------------ late replies
+
+
+def test_a_late_reply_for_a_terminated_result_is_dropped_and_handlers_still_run():
+    """``Process.deliver`` drops a retransmitted reply whose result the server
+    already terminated -- before any waiter lookup, without buffering it --
+    while handled types (heartbeats, consensus) never meet that check."""
+    deployment = make_deployment(REGISTER_CONSENSUS, num_clients=1,
+                                 failure_detector=FD_HEARTBEAT)
+    assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
+    done = ("c1", 1)
+    server = next(s for s in deployment.app_servers.values() if done in s._terminated)
+    reached = []
+    for msg_type in (HeartbeatFailureDetector.HEARTBEAT, ConsensusHost.MSG_TYPE):
+        handler = server._handlers[msg_type]
+        server._handlers[msg_type] = lambda m, h=handler: (reached.append(m.msg_type), h(m))
+    before = server.mailbox_size
+    for late in (msg.vote_message(done, "yes"), msg.ack_decide_message(done),
+                 msg.execute_result_message(done, 0)):
+        late.sender = "d1"
+        server.deliver(late)
+    assert server.mailbox_size == before
+    stray = msg.vote_message(("c9", 1), "yes")  # not terminated here: buffered
+    stray.sender = "d1"
+    server.deliver(stray)
+    assert server.mailbox_size == before + 1
+    assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
+    assert set(reached) == {"Heartbeat", "Consensus"}
+    assert deployment.check_spec().ok
 
 
 # ------------------------------------------------------------------ recovery

@@ -214,20 +214,40 @@ def test_heartbeat_fd_idle_cost_is_one_monitor_wakeup_per_timeout_minus_interval
     sim, network, procs, fd = heartbeat_group(
         heartbeat_interval=5.0, initial_timeout=20.0, install_on=[])
     wakeups = {name: 0 for name in procs}
-    monitor = fd._monitor_thread
 
-    def counted_monitor(process):
-        for wait in monitor(process):
-            wakeups[process.name] += 1
-            yield wait
+    def counting_ticks(process):
+        tick = process.tick
 
-    fd._monitor_thread = counted_monitor
-    for name in procs:
+        def counted_tick(step):
+            if step.__name__ != "watch":  # the heartbeat sender
+                return tick(step)
+
+            def counted_watch():
+                wakeups[process.name] += 1
+                return step()
+
+            return tick(counted_watch)
+
+        return counted_tick
+
+    for name, process in procs.items():
+        process.tick = counting_ticks(process)
         fd.reinstall(name)
     sim.run(until=1_000.0)
     assert suspicions(sim) == []
     assert all(60 <= count <= 70 for count in wakeups.values()), wakeups
     assert sim.events_processed <= 2_050
+
+
+def test_heartbeat_fd_crashed_member_sends_no_heartbeat_while_down():
+    sim, network, procs, fd = heartbeat_group(heartbeat_interval=5.0, initial_timeout=12.0)
+    sim.schedule(31.0, procs["c"].crash)
+    sim.schedule(100.0, procs["c"].recover)
+    sim.schedule(100.0, lambda: fd.reinstall("c"))
+    sim.run(until=120.0)
+    sent = sorted({e.time for e in sim.trace.select("msg_send", "c", msg_type="Heartbeat")})
+    assert sent == [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 100.0, 105.0, 110.0, 115.0, 120.0]
+    assert network.stats.sent == sim.trace.count("msg_send")  # nothing was refused at a send
 
 
 def test_heartbeat_fd_observer_suspecting_everybody_holds_no_timer():
@@ -236,9 +256,9 @@ def test_heartbeat_fd_observer_suspecting_everybody_holds_no_timer():
     sim.schedule(31.0, lambda: network.partition(["a"], ["b", "c"]))
     sim.run(until=100.0)
     assert fd.suspect("a", "b") and fd.suspect("a", "c")
-    procs["b"].crash(), procs["c"].crash()  # nothing left to schedule but a's own threads
+    procs["b"].crash(), procs["c"].crash()  # nothing left to schedule but a's own tickers
     sim.run(until=200.0)
-    # a's heartbeat thread alone keeps a timer; its monitor is parked on the trust edge.
+    # a's heartbeat sender alone keeps a timer; its monitor is parked on the trust edge.
     assert sim.pending_events == 1
     network.heal_partition()
     procs["b"].recover()

@@ -1,5 +1,8 @@
 """Unit tests for the process / coroutine-thread model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.net.message import Message, is_type
@@ -195,6 +198,113 @@ def test_spawn_on_crashed_process_raises(sim):
     process.crash()
     with pytest.raises(ProcessNotRunning):
         process.spawn(iter(()), name="t")
+
+
+def test_finished_threads_leave_the_table_and_are_freed_without_the_collector(sim):
+    """A thread leaves the table as it finishes, even when no message is ever
+    buffered, and no reference cycle keeps it (or its generator) alive."""
+    process = Process(sim, "p")
+
+    def short():
+        yield process.sleep(1.0)
+
+    def forever():
+        yield process.receive(is_type("Never"))
+
+    live = process.spawn(forever(), name="live")
+    gc.disable()
+    try:
+        generators = [short() for _ in range(100)]
+        refs = [weakref.ref(generator) for generator in generators]
+        for generator in generators:
+            process.spawn(generator, name="short")
+        del generators, generator
+        sim.run()
+        assert process.threads == [live] and process.mailbox_size == 0
+        assert all(ref() is None for ref in refs)  # the finished threads are gone
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------- tickers
+
+
+def test_ticker_runs_its_first_step_inside_tick_and_none_arms_nothing(sim):
+    process = Process(sim, "p")
+    steps = []
+
+    def step():
+        steps.append(sim.now)
+
+    ticker = process.tick(step)
+    assert steps == [0.0] and sim.pending_events == 0  # parked: like a never-resolved future
+    sim.run(until=10.0)
+    ticker.poke()
+    assert steps == [0.0, 10.0] and sim.pending_events == 0
+
+
+def test_ticker_delay_arms_exactly_one_kernel_event(sim):
+    process = Process(sim, "p")
+    steps = []
+
+    def step():
+        steps.append(sim.now)
+        return 5.0 if len(steps) < 4 else None
+
+    process.tick(step)
+    assert sim.pending_events == 1
+    sim.run()
+    assert steps == [0.0, 5.0, 10.0, 15.0]
+    assert sim.events_processed == 3 and sim.pending_events == 0
+
+
+def test_ticker_poke_cancels_the_armed_timer_and_steps_now(sim):
+    process = Process(sim, "p")
+    steps = []
+
+    def step():
+        steps.append(sim.now)
+        return 10.0
+
+    ticker = process.tick(step)
+    sim.run(until=3.0)
+    ticker.poke()
+    assert steps == [0.0, 3.0] and sim.pending_events == 1
+    sim.run(until=25.0)
+    assert steps == [0.0, 3.0, 13.0, 23.0]
+
+
+def test_crash_stops_a_ticker_for_good(sim):
+    process = Process(sim, "p")
+    steps = []
+
+    def step():
+        steps.append(sim.now)
+        return 5.0
+
+    ticker = process.tick(step)
+    sim.run(until=7.0)
+    process.crash()
+    assert sim.pending_events == 0
+    ticker.poke()
+    process.recover()
+    ticker.poke()
+    sim.run(until=50.0)
+    assert steps == [0.0, 5.0] and sim.pending_events == 0
+    process.crash()
+    with pytest.raises(ProcessNotRunning):
+        process.tick(step)
+
+
+def test_a_step_that_crashes_its_process_arms_nothing(sim):
+    process = Process(sim, "p")
+
+    def step():
+        process.crash()
+        return 5.0
+
+    process.tick(step)
+    assert not process.up and sim.pending_events == 0
 
 
 # ------------------------------------------------------- message handlers
