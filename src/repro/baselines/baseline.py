@@ -20,8 +20,9 @@ from repro.baselines.common import (
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, Decision, Request, Result
-from repro.net.message import Message, is_type, is_type_with
+from repro.net.message import Message
 from repro.sim.process import Process
+from repro.sim.waits import ANY
 
 
 class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
@@ -37,7 +38,7 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
 
     def _serve(self):
         while True:
-            message = yield self.receive(is_type(msg.REQUEST))
+            message = yield self.receive([(msg.REQUEST, ANY)])
             client = message.sender
             j = message["j"]
             request: Request = message["request"]
@@ -65,7 +66,7 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
             self.send(db_name, Message(COMMIT_ONE_PHASE, payload={"j": key}))
         pending = set(participants)
         while pending:
-            reply = yield self.receive(is_type_with(ACK_COMMIT, j=key))
+            reply = yield self.receive([(ACK_COMMIT, key)])
             if reply.sender in pending:
                 pending.discard(reply.sender)
         return True

@@ -17,7 +17,7 @@ from repro.core import messages as msg
 from repro.core.dataserver import DatabaseServer
 from repro.core.sharding import merge_participant_values, request_participants
 from repro.core.types import ABORT, COMMIT, VOTE_YES, Decision, Request
-from repro.net.message import IDS, Message, declare_message, is_type_with
+from repro.net.message import IDS, Message, declare_message
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
@@ -88,7 +88,7 @@ class ParticipantRouting:
             self.send(db_name, msg.execute_message(key, request))
         pending = set(participants)
         while pending:
-            reply = yield self.receive(is_type_with(msg.EXECUTE_RESULT, j=key))
+            reply = yield self.receive([(msg.EXECUTE_RESULT, key)])
             if reply.sender in pending:
                 values[reply.sender] = reply["value"]
                 pending.discard(reply.sender)
@@ -100,7 +100,7 @@ class ParticipantRouting:
             self.send(db_name, msg.prepare_message(key, tuple(participants)))
         pending = set(participants)
         while pending:
-            reply = yield self.receive(is_type_with(msg.VOTE, j=key))
+            reply = yield self.receive([(msg.VOTE, key)])
             if reply.sender in pending:
                 votes[reply.sender] = reply["vote"]
                 pending.discard(reply.sender)
@@ -114,7 +114,7 @@ class ParticipantRouting:
             self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
         pending = set(participants)
         while pending:
-            reply = yield self.receive(is_type_with(msg.ACK_DECIDE, j=key))
+            reply = yield self.receive([(msg.ACK_DECIDE, key)])
             if reply.sender in pending:
                 pending.discard(reply.sender)
         self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)

@@ -24,8 +24,9 @@ from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, REQUEST_REC, RESULT_REC, Decision, Request, Result
 from repro.failure.detectors import FailureDetector
-from repro.net.message import IDS, STR, Message, declare_message, is_type, is_type_with
+from repro.net.message import IDS, STR, Message, declare_message
 from repro.sim.process import Process
+from repro.sim.waits import ANY
 
 PB_START = "PBStart"
 PB_START_ACK = "PBStartAck"
@@ -51,7 +52,7 @@ class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
 
     def _serve(self):
         while True:
-            message = yield self.receive(is_type(msg.REQUEST))
+            message = yield self.receive([(msg.REQUEST, ANY)])
             client = message.sender
             j = message["j"]
             request: Request = message["request"]
@@ -64,7 +65,7 @@ class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
             # Replicate the request to the backup before doing any work.
             self.send(self.backup_name, Message(PB_START, payload={
                 "j": key, "request": request, "client": client}))
-            yield self.receive(is_type_with(PB_START_ACK, j=key))
+            yield self.receive([(PB_START_ACK, key)])
             value = yield from self._execute(key, request, participants)
             result = Result(value=value, request_id=request.request_id, computed_by=self.name)
             self.trace.record("as_compute", self.name, client=client, j=j,
@@ -74,7 +75,7 @@ class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
             # Replicate the outcome (and the result) to the backup.
             self.send(self.backup_name, Message(PB_OUTCOME, payload={
                 "j": key, "outcome": outcome, "result": result, "client": client}))
-            yield self.receive(is_type_with(PB_OUTCOME_ACK, j=key))
+            yield self.receive([(PB_OUTCOME_ACK, key)])
             yield from self._decide(key, outcome, participants)
             decision = Decision(result=result if outcome == COMMIT else None, outcome=outcome)
             self._record_decision(key, decision)
@@ -148,7 +149,7 @@ class BackupServer(Process):
             self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
         pending = set(participants)
         while pending:
-            reply = yield self.receive(is_type_with(msg.ACK_DECIDE, j=key))
+            reply = yield self.receive([(msg.ACK_DECIDE, key)])
             if reply.sender in pending:
                 pending.discard(reply.sender)
         decision = Decision(result=result if outcome == COMMIT else None, outcome=outcome)

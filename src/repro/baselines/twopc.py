@@ -17,8 +17,8 @@ from repro.baselines.common import ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import COMMIT, Decision, Request, Result
-from repro.net.message import is_type
 from repro.sim.process import Process
+from repro.sim.waits import ANY
 from repro.storage.stable import StableStorage
 from repro.storage.wal import WriteAheadLog
 
@@ -39,7 +39,7 @@ class TwoPCCoordinator(RequestDeduplication, ParticipantRouting, Process):
 
     def _serve(self):
         while True:
-            message = yield self.receive(is_type(msg.REQUEST))
+            message = yield self.receive([(msg.REQUEST, ANY)])
             client = message.sender
             j = message["j"]
             request: Request = message["request"]

@@ -51,7 +51,6 @@ from repro.core.types import (
     VOTE_YES,
 )
 from repro.failure.detectors import FailureDetector
-from repro.net.message import any_of, from_senders, is_type, is_type_with
 from repro.registers.base import BOTTOM, WriteOnceRegisterArray
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -273,12 +272,8 @@ class ApplicationServer(Process):
         pending = set(participants)
         # Per-shard Ready tracking: only a recovery notification from one
         # of *this* transaction's participants restarts the collection; a
-        # non-participant shard recovering is none of our business.  Built
-        # once, outside the retry loop: the matcher only depends on the key.
-        deadline_matcher = any_of(
-            is_type_with(msg.EXECUTE_RESULT, j=key),
-            from_senders(participants, is_type(msg.READY)),
-        )
+        # non-participant shard recovering is none of our business.
+        keys = [(msg.EXECUTE_RESULT, key)] + [(msg.READY, p) for p in participants]
         while pending:
             # Fan out in participant (shard) order, never in set order: send
             # order fixes message ids, so it must not depend on string hashes.
@@ -287,7 +282,7 @@ class ApplicationServer(Process):
                     self.send(db_name, msg.execute_message(key, request))
             remaining = set(pending)
             while remaining:
-                reply = yield self.receive(deadline_matcher, timeout=self.timing.execute_retry)
+                reply = yield self.receive(keys, timeout=self.timing.execute_retry)
                 if reply is TIMEOUT:
                     break
                 if reply.msg_type == msg.READY:
@@ -322,15 +317,14 @@ class ApplicationServer(Process):
         phase_start = self.now
         votes: dict[str, str] = {}
         pending = set(participants)
-        matcher = any_of(is_type_with(msg.VOTE, j=key),
-                         from_senders(participants, is_type(msg.READY)))
+        keys = [(msg.VOTE, key)] + [(msg.READY, p) for p in participants]
         while pending:
             for db_name in participants:
                 if db_name in pending:
                     self.send(db_name, msg.prepare_message(key, tuple(participants)))
             remaining = set(pending)
             while remaining:
-                reply = yield self.receive(matcher, timeout=self.timing.prepare_retry)
+                reply = yield self.receive(keys, timeout=self.timing.prepare_retry)
                 if reply is TIMEOUT:
                     break
                 if reply.sender not in remaining:
@@ -357,8 +351,7 @@ class ApplicationServer(Process):
         j = key[1]
         phase_start = self.now
         acked: set[str] = set()
-        matcher = any_of(is_type_with(msg.ACK_DECIDE, j=key),
-                         from_senders(participants, is_type(msg.READY)))
+        keys = [(msg.ACK_DECIDE, key)] + [(msg.READY, p) for p in participants]
         while acked != set(participants):
             for db_name in participants:
                 if db_name not in acked:
@@ -366,7 +359,7 @@ class ApplicationServer(Process):
                                                           tuple(participants)))
             remaining = set(participants) - acked
             while remaining:
-                reply = yield self.receive(matcher, timeout=self.timing.decide_retry)
+                reply = yield self.receive(keys, timeout=self.timing.decide_retry)
                 if reply is TIMEOUT:
                     break
                 if reply.msg_type == msg.READY:

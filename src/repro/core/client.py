@@ -16,7 +16,6 @@ from typing import Optional
 from repro.core import messages as msg
 from repro.core.timing import ProtocolTiming
 from repro.core.types import COMMIT, Decision, Request, Result
-from repro.net.message import is_type_with
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.waits import SimFuture, TIMEOUT
@@ -155,21 +154,21 @@ class Client(Process):
                 self.trace.record("client_send", self.name, j=j,
                                   request_id=request.request_id, broadcast=False)
             self.send(self.default_primary, msg.request_message(request, j))
-            matcher = is_type_with(msg.RESULT, j=j)
-            reply = yield self.receive(matcher, timeout=self.timing.client_backoff)
+            keys = [(msg.RESULT, j)]
+            reply = yield self.receive(keys, timeout=self.timing.client_backoff)
             if reply is TIMEOUT:
                 # Figure 2, lines 5-7: back-off expired, send to all servers.
                 if self.trace.wants("client_send"):
                     self.trace.record("client_send", self.name, j=j,
                                       request_id=request.request_id, broadcast=True)
                 self.multicast(self.app_server_names, msg.request_message(request, j))
-                reply = yield self.receive(matcher, timeout=self.timing.client_rebroadcast)
+                reply = yield self.receive(keys, timeout=self.timing.client_rebroadcast)
                 while reply is TIMEOUT:
                     # Keep the request alive under message loss; the paper's
                     # pseudo-code waits forever here and relies on reliable
                     # channels -- re-broadcasting is the practical equivalent.
                     self.multicast(self.app_server_names, msg.request_message(request, j))
-                    reply = yield self.receive(matcher, timeout=self.timing.client_rebroadcast)
+                    reply = yield self.receive(keys, timeout=self.timing.client_rebroadcast)
             decision: Decision = reply["decision"]
             if decision.outcome == COMMIT and decision.result is not None:
                 issued.delivered_at = self.now

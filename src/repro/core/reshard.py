@@ -36,11 +36,10 @@ each key has at least one durable owner.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core import messages as msg
 from repro.core.sharding import ShardDirectory
-from repro.net.message import from_senders, is_type_with
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.waits import TIMEOUT
@@ -147,11 +146,9 @@ class ReshardCoordinator(Process):
 
     def _snapshot(self, source: str, epoch: int):
         """Retry ``MigrateSnapshot`` against ``source`` until it drains."""
-        matcher = from_senders(
-            [source], is_type_with(msg.MIGRATE_SNAPSHOT_REPLY, j=epoch))
         while True:
             self.send(source, msg.migrate_snapshot_message(epoch, ()))
-            reply = yield self.receive(matcher, timeout=self.retry_interval)
+            reply = yield from self._reply(msg.MIGRATE_SNAPSHOT_REPLY, epoch, source)
             if reply is TIMEOUT:
                 continue
             if reply["busy"]:
@@ -162,10 +159,21 @@ class ReshardCoordinator(Process):
 
     def _deliver(self, shard: str, epoch: int, stage: str, message: Any):
         """Retry ``message`` against ``shard`` until its stage is acked."""
-        matcher = from_senders(
-            [shard], is_type_with(msg.MIGRATE_ACK, j=epoch, stage=stage))
         while True:
             self.send(shard, message.copy() if hasattr(message, "copy") else message)
-            reply = yield self.receive(matcher, timeout=self.retry_interval)
+            reply = yield from self._reply(msg.MIGRATE_ACK, epoch, shard, stage)
             if reply is not TIMEOUT:
                 return
+
+    def _reply(self, msg_type: str, epoch: int, shard: str, stage: Optional[str] = None):
+        """The ``msg_type`` reply of ``epoch`` from ``shard`` (at ``stage``), or
+        :data:`TIMEOUT` once ``retry_interval`` has passed.
+
+        A late reply from another shard or stage is dropped and the wait goes
+        on for what is left of the interval, so no resend moves.
+        """
+        deadline = self.now + self.retry_interval
+        while True:
+            reply = yield self.receive([(msg_type, epoch)], timeout=deadline - self.now)
+            if reply is TIMEOUT or reply.sender == shard and reply.get("stage") == stage:
+                return reply

@@ -1,4 +1,4 @@
-"""Message representation and matching helpers.
+"""Message representation and its wire codec.
 
 All protocol traffic is carried by :class:`Message` objects.  A message has a
 ``msg_type`` (the tag in the paper's pseudo-code, e.g. ``"Request"``,
@@ -7,7 +7,10 @@ All protocol traffic is carried by :class:`Message` objects.  A message has a
 dictionary.  Every message carries a globally unique ``msg_id`` so that
 duplicate suppression (the paper's channel *integrity* property) is possible;
 the network re-stamps it at send time from a per-source counter, so the id a
-message ends up with depends only on its sender's own send history.
+message ends up with depends only on its sender's own send history.  A
+receiving process files a message under ``(msg_type, payload["j"])``, or
+``(msg_type, sender)`` when the payload has no ``j``, and a ``receive`` waits
+on such keys (:class:`repro.sim.waits.Receive`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 from math import isfinite
 from operator import attrgetter
 from sys import intern as _intern
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 WIRE_VERSION = 2
 """Current version of the :meth:`Message.to_wire` encoding."""
@@ -380,153 +383,3 @@ class Message:
             f"Message({self.msg_type!r}, {self.sender!r}->{self.destination!r}, "
             f"{self._payload!r})"
         )
-
-
-# Matchers built by the helpers below carry two *hint* attributes the process
-# layer uses to index receive-blocked threads and the mailbox:
-#
-# * ``msg_types`` -- the frozenset of message types the matcher could accept;
-# * ``msg_corr``  -- per accepted type, either :data:`ANY_CORRELATION` or the
-#   frozenset of ``j`` payload values (the protocol's correlation id) the
-#   matcher requires.  A thread waiting for ``Vote`` with ``j=key`` is indexed
-#   under ``("Vote", key)``, so delivering a vote consults exactly the threads
-#   of that transaction instead of every in-flight handler.
-#
-# Both hints must be *sound*: a matcher must reject every message outside
-# them.  Hand-written matcher functions without the attributes are treated as
-# wildcards (checked against everything).
-
-ANY_CORRELATION = object()
-"""Correlation hint meaning "any ``j`` value" for a message type."""
-
-
-def matcher_types(matcher: Optional[Callable[[Any], bool]]) -> Optional[frozenset[str]]:
-    """The message-type hint of ``matcher`` (``None`` = could match any type)."""
-    if matcher is None:
-        return None
-    return getattr(matcher, "msg_types", None)
-
-
-def matcher_correlation(matcher: Optional[Callable[[Any], bool]]) -> Optional[dict]:
-    """The per-type correlation hint of ``matcher`` (``None`` = no hint)."""
-    if matcher is None:
-        return None
-    return getattr(matcher, "msg_corr", None)
-
-
-def is_type(*msg_types: str) -> Callable[[Any], bool]:
-    """Matcher accepting any message whose ``msg_type`` is in ``msg_types``.
-
-    Matchers are stateless, so calls with the same type tuple share one
-    cached instance: receive loops build a matcher per iteration, and the
-    closure allocation was measurable on the delivery hot path.
-    """
-    cached = _IS_TYPE_CACHE.get(msg_types)
-    if cached is not None:
-        return cached
-    allowed = set(msg_types)
-
-    def matcher(message: Any) -> bool:
-        return isinstance(message, Message) and message.msg_type in allowed
-
-    matcher.msg_types = frozenset(allowed)
-    matcher.msg_corr = {t: ANY_CORRELATION for t in allowed}
-    _IS_TYPE_CACHE[msg_types] = matcher
-    return matcher
-
-
-_IS_TYPE_CACHE: dict[tuple, Callable[[Any], bool]] = {}
-
-
-def _hashable(value: Any) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-def is_type_with(msg_type: str, **expected: Any) -> Callable[[Any], bool]:
-    """Matcher for a message type with specific payload values.
-
-    Example: ``is_type_with("Vote", j=3)`` matches vote messages for result 3.
-
-    Deliberately *not* cached by value: correlation ids are transaction
-    scoped, so a value-keyed cache retains a closure (plus its hint sets)
-    per transaction for the lifetime of the run -- measurably worse than the
-    transient closure, which dies with the receive that used it.  Callers
-    with retry loops should build the matcher once, before the loop.
-    """
-    if len(expected) == 1:
-        # The overwhelmingly common shape (e.g. ``j=key``): avoid building a
-        # generator per probe on the delivery hot path.
-        (key, value), = expected.items()
-
-        def matcher(message: Any) -> bool:
-            return (isinstance(message, Message) and message.msg_type == msg_type
-                    and message._payload.get(key) == value)
-    else:
-        def matcher(message: Any) -> bool:
-            if not isinstance(message, Message) or message.msg_type != msg_type:
-                return False
-            return all(message._payload.get(k) == v for k, v in expected.items())
-
-    matcher.msg_types = frozenset((msg_type,))
-    correlation = expected.get("j", ANY_CORRELATION)
-    matcher.msg_corr = {msg_type: frozenset((correlation,))
-                        if correlation is not ANY_CORRELATION and _hashable(correlation)
-                        else ANY_CORRELATION}
-    return matcher
-
-
-def any_of(*matchers: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    """Matcher accepting a message accepted by any of ``matchers``.
-
-    Uncached for the same reason as :func:`is_type_with`: combinations
-    usually embed a transaction-scoped inner matcher, so retaining them
-    would leak one combined closure per transaction.
-    """
-    def matcher(message: Any) -> bool:
-        for m in matchers:
-            if m(message):
-                return True
-        return False
-
-    hints = [matcher_types(m) for m in matchers]
-    if all(hint is not None for hint in hints):
-        matcher.msg_types = frozenset().union(*hints)
-        merged: dict = {}
-        for m, types in zip(matchers, hints):
-            corr = matcher_correlation(m) or {}
-            # A type the inner matcher accepts without a correlation entry
-            # (msg_types-only hint) must stay reachable: it merges as ANY.
-            for msg_type in types:
-                value = corr.get(msg_type, ANY_CORRELATION)
-                existing = merged.get(msg_type)
-                if value is ANY_CORRELATION or existing is ANY_CORRELATION:
-                    merged[msg_type] = ANY_CORRELATION
-                elif existing is None:
-                    merged[msg_type] = value
-                else:
-                    merged[msg_type] = existing | value
-        matcher.msg_corr = merged
-    return matcher
-
-
-def from_senders(senders: Iterable[str],
-                 inner: Optional[Callable[[Any], bool]] = None) -> Callable[[Any], bool]:
-    """Matcher restricting ``inner`` (or any message) to a set of senders."""
-    allowed = set(senders)
-
-    def matcher(message: Any) -> bool:
-        if not isinstance(message, Message) or message.sender not in allowed:
-            return False
-        return True if inner is None else inner(message)
-
-    hint = matcher_types(inner)
-    if hint is not None:
-        matcher.msg_types = hint
-        corr = matcher_correlation(inner)
-        if corr is not None:
-            matcher.msg_corr = corr
-    return matcher

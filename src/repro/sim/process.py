@@ -27,16 +27,13 @@ storage is modelled separately in ``repro.storage`` and survives crashes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Container, Generator, Iterable, Optional
+from typing import Any, Callable, Container, Generator, Iterable, Optional, Sequence
 
 from repro.runtime.base import Kernel
 from repro.sim.errors import ProcessNotRunning, ThreadError
-from repro.sim.waits import TIMEOUT, Receive, SimFuture, Sleep, Wait, WaitFuture
+from repro.sim.waits import ANY, TIMEOUT, Receive, SimFuture, Sleep, Wait, WaitFuture
 
 ProtocolGenerator = Generator[Wait, Any, Any]
-
-_UNKEYED = object()
-"""Mailbox correlation bucket for messages without a usable ``j`` payload."""
 
 
 class Thread:
@@ -110,7 +107,7 @@ class Thread:
             self._pending_timer.cancel()
             self._pending_timer = None
         if self._pending_receive is not None:
-            self.process._unregister_waiter(self, self._pending_receive)
+            self.process._unregister_waiter(self, self._pending_receive.keys)
             self._pending_receive = None
         if self._pending_future is not None:
             self._pending_future.discard_callback(self._future_cb)
@@ -198,7 +195,7 @@ class Thread:
         )
 
     def _handle_receive(self, wait: Receive) -> None:
-        message = self.process._take_from_mailbox(wait)
+        message = self.process._take(wait.keys)
         if message is not None:
             # Resume via the scheduler to keep same-time ordering deterministic
             # and to avoid unbounded recursion through long message chains.
@@ -209,7 +206,7 @@ class Thread:
             )
             return
         self._pending_receive = wait
-        self.process._register_waiter(self, wait)
+        self.process._register_waiter(self, wait.keys)
         if wait.timeout is not None:
             self._arm_timer(wait.timeout, result=TIMEOUT)
 
@@ -335,17 +332,15 @@ class Process:
     def __init__(self, sim: Kernel, name: str):
         self.sim = sim
         self.name = name
+        self.trace = sim.trace
         self.up = True
         self.crash_count = 0
-        # The mailbox is bucketed by message type and then by the ``j``
-        # correlation id: a receive whose matcher carries the hints (see
-        # ``repro.net.message``) only scans the buckets it could match, so
-        # messages nobody will ever consume (stale retransmitted votes and
-        # acknowledgements of already-terminated transactions) stop taxing
-        # every later receive.  Sequence numbers preserve the global arrival
-        # order; buckets emptied by a take are deleted so wildcard scans stay
-        # proportional to the *live* backlog.
-        self._mailbox: dict[Any, dict[Any, deque[tuple[int, Any]]]] = {}
+        # The inbox holds what no receive took yet, by message type and then
+        # by correlation -- the ``j`` payload, or the sender for a message
+        # without one -- as a deque of (arrival number, message).  Every
+        # message of a deque matches the same keys, so a take pops the oldest
+        # head across the wait's keys; a deque emptied by a take is deleted.
+        self._inbox: dict[str, dict[Any, deque[tuple[int, Any]]]] = {}
         self._mailbox_seq = 0
         self._mailbox_count = 0
         # Admission control: with a non-zero limit, a message that would grow
@@ -358,14 +353,10 @@ class Process:
         self.mailbox_peak = 0
         self.unhandled_messages = 0
         self._threads: dict[int, Thread] = {}  # live ones, by id: spawn order
-        # Threads blocked on a receive, indexed by what their matcher could
-        # accept: by (message type, correlation id) when the matcher pins a
-        # ``j`` value, by message type when it accepts any ``j``, and as
-        # wildcards when it carries no hint.  Delivery consults only the
-        # matching buckets instead of scanning every hosted thread.
-        self._kv_waiters: dict[tuple, dict[int, Thread]] = {}
-        self._typed_waiters: dict[str, dict[int, Thread]] = {}
-        self._wildcard_waiters: dict[int, Thread] = {}
+        # Threads blocked on a receive, under each key they wait on: a
+        # delivery looks up its own key and ``(msg_type, ANY)``.  An entry is
+        # deleted once it empties (correlations are transaction scoped).
+        self._waiters: dict[tuple, dict[int, Thread]] = {}
         # Synchronous handlers by message type (``on_message``); volatile.
         self._handlers: dict[str, Callable[[Any], None]] = {}
         self._servers: list[_Server | _Ticker] = []  # stopped by a crash
@@ -378,11 +369,6 @@ class Process:
         return self._thread_ids
 
     # ------------------------------------------------------------ properties
-
-    @property
-    def trace(self):
-        """The shared trace recorder."""
-        return self.sim.trace
 
     @property
     def now(self) -> float:
@@ -476,10 +462,12 @@ class Process:
         """``yield self.sleep(d)`` suspends the calling thread for ``d``."""
         return Sleep(delay)
 
-    def receive(self, matcher: Optional[Callable[[Any], bool]] = None,
+    def receive(self, keys: Sequence[tuple[str, Any]],
                 timeout: Optional[float] = None) -> Receive:
-        """``yield self.receive(...)`` waits for a matching message."""
-        return Receive(matcher, timeout)
+        """``yield self.receive(keys)`` waits for a message filed under one of
+        ``keys``: ``(msg_type, j)``, ``(msg_type, sender)`` for a message
+        without ``j``, or ``(msg_type, ANY)``."""
+        return Receive(keys, timeout)
 
     def wait_for(self, future: SimFuture, timeout: Optional[float] = None) -> WaitFuture:
         """``yield self.wait_for(f)`` waits for ``f`` to resolve."""
@@ -518,74 +506,24 @@ class Process:
         for destination in destinations:
             send(destination, copier())
 
-    def _waiter_buckets(self, wait: Receive):
-        """The index-bucket slots a blocked receive belongs to.
+    def _register_waiter(self, thread: Thread, keys: Sequence[tuple]) -> None:
+        """File a thread that just blocked on a receive under its keys."""
+        waiters = self._waiters
+        for key in keys:
+            threads = waiters.get(key)
+            if threads is None:
+                threads = waiters[key] = {}
+            threads[thread.id] = thread
 
-        Yields ``(bucket, None)`` for the long-lived type/wildcard buckets
-        (message types form a small closed set, so those dicts live forever)
-        and ``(self._kv_waiters, key)`` for correlation buckets -- those keys
-        are transaction scoped, so the bucket itself is created at register
-        time and pruned once it empties, instead of accumulating one dead
-        dict per transaction for the rest of the run.
-        """
-        matcher = wait.matcher
-        if matcher is None:
-            yield self._wildcard_waiters, None
-            return
-        correlation = getattr(matcher, "msg_corr", None)
-        types = getattr(matcher, "msg_types", None)
-        if correlation is not None:
-            # Types accepted by the matcher but absent from the correlation
-            # hint (msg_types-only annotations) index as any-correlation.
-            for msg_type in (types if types is not None else correlation):
-                values = correlation.get(msg_type)
-                if isinstance(values, frozenset):
-                    for value in values:
-                        yield self._kv_waiters, (msg_type, value)
-                else:  # ANY_CORRELATION or no entry for this type
-                    yield self._typed_waiters.setdefault(msg_type, {}), None
-            return
-        if types is None:
-            yield self._wildcard_waiters, None
-            return
-        for msg_type in types:
-            yield self._typed_waiters.setdefault(msg_type, {}), None
-
-    def _register_waiter(self, thread: Thread, wait: Receive) -> None:
-        """Index a thread that just blocked on a receive.
-
-        The bucket list is resolved once per wait object and cached on it:
-        matcher hints are immutable, and register/unregister always come in
-        pairs, so computing the buckets twice was pure overhead.
-        """
-        buckets = wait._buckets
-        if buckets is None:
-            buckets = wait._buckets = list(self._waiter_buckets(wait))
-        thread_id = thread.id
-        for container, key in buckets:
-            if key is not None:
-                bucket = container.get(key)
-                if bucket is None:
-                    bucket = container[key] = {}
-                bucket[thread_id] = thread
-            else:
-                container[thread_id] = thread
-
-    def _unregister_waiter(self, thread: Thread, wait: Receive) -> None:
-        """Drop a thread from the waiter index (wait satisfied or cancelled)."""
-        buckets = wait._buckets
-        if buckets is None:  # pragma: no cover - unregister without register
-            buckets = wait._buckets = list(self._waiter_buckets(wait))
-        thread_id = thread.id
-        for container, key in buckets:
-            if key is not None:
-                bucket = container.get(key)
-                if bucket is not None:
-                    bucket.pop(thread_id, None)
-                    if not bucket:
-                        del container[key]
-            else:
-                container.pop(thread_id, None)
+    def _unregister_waiter(self, thread: Thread, keys: Sequence[tuple]) -> None:
+        """Drop a thread from the waiters (wait satisfied or cancelled)."""
+        waiters = self._waiters
+        for key in keys:
+            threads = waiters.get(key)
+            if threads is not None:
+                threads.pop(thread.id, None)
+                if not threads:
+                    del waiters[key]
 
     def deliver(self, message: Any) -> None:
         """Deliver a message to this process (called by the network).
@@ -594,94 +532,48 @@ class Process:
         handler (:meth:`on_message`, :meth:`serve`) goes to it alone; a
         :attr:`pure_server` drops any other type; a reply of ``_stale_types``
         whose ``j`` is in ``_terminated`` is dropped as if lost; otherwise the
-        message either resumes a thread blocked on a matching receive or is
-        buffered in the mailbox.  Only waiters indexed under the message's
-        type (plus wildcard waiters) are consulted; ties between threads are
-        broken by spawn order, matching the historical full scan.
+        message is filed under ``(msg_type, j)`` -- ``(msg_type, sender)``
+        without a ``j`` -- and either resumes a thread waiting on that key or
+        on ``(msg_type, ANY)``, the earliest spawned one if several are, or
+        is buffered in the inbox.
         """
         if not self.up:
             return
-        msg_type = getattr(message, "msg_type", None)
+        msg_type = message.msg_type
         handler = self._handlers.get(msg_type)
         if handler is not None:
             handler(message)
             return
         if self.pure_server:
             self.unhandled_messages += 1
-            self.sim.trace.record("unhandled", self.name, msg_type=msg_type)
+            self.trace.record("unhandled", self.name, msg_type=msg_type)
             return
         # Read the payload dict without touching ``Message.payload``: the
         # property would materialize a private copy of a COW-shared dict,
         # defeating the whole point of copy-on-write multicast.
-        payload = getattr(message, "_payload", None)
-        if payload is None:
-            payload = getattr(message, "payload", None)
-            if not isinstance(payload, dict):
-                payload = None
-        if msg_type in self._stale_types and payload is not None \
-                and payload.get("j") in self._terminated:
+        payload = message._payload
+        correlation = payload["j"] if "j" in payload else message.sender
+        if msg_type in self._stale_types and correlation in self._terminated:
             return
-        keyed = None
-        if payload is not None and self._kv_waiters:
-            try:
-                keyed = self._kv_waiters.get((msg_type, payload.get("j")))
-            except TypeError:  # unhashable correlation value
-                keyed = None
-        typed = self._typed_waiters.get(msg_type)
-        wild = self._wildcard_waiters
-        # Usually exactly one index bucket is populated, and it holds exactly
-        # one waiter: iterate the dict view directly (no tuples built).
-        # Merging and sorting a candidate list is only needed when several
-        # buckets -- or several waiters in one bucket -- compete.  Thread ids
-        # are unique per process, so tuple sort == sort by id.
-        if keyed:
-            if typed or wild:
-                pairs = list(keyed.items())
-                if typed:
-                    pairs.extend(typed.items())
-                if wild:
-                    pairs.extend(wild.items())
-                pairs.sort()
-                candidates = [thread for _, thread in pairs]
-            elif len(keyed) > 1:
-                candidates = [thread for _, thread in sorted(keyed.items())]
-            else:
-                candidates = keyed.values()
-        elif typed:
+        waiters = self._waiters
+        if waiters:
+            threads = waiters.get((msg_type, correlation))
+            wild = waiters.get((msg_type, ANY))
             if wild:
-                pairs = list(typed.items())
-                pairs.extend(wild.items())
-                pairs.sort()
-                candidates = [thread for _, thread in pairs]
-            elif len(typed) > 1:
-                candidates = [thread for _, thread in sorted(typed.items())]
-            else:
-                candidates = typed.values()
-        elif wild:
-            if len(wild) > 1:
-                candidates = [thread for _, thread in sorted(wild.items())]
-            else:
-                candidates = wild.values()
-        else:
-            candidates = ()
-        for thread in candidates:
-            wait = thread._pending_receive
-            if wait is not None and wait.matches(message):
-                thread.resume(message)
+                threads = {**threads, **wild} if threads else wild
+            if threads:
+                threads[min(threads)].resume(message)
                 return
         if not self._admit(msg_type):
             return
         self._mailbox_seq += 1
-        correlation = payload.get("j") if payload is not None else _UNKEYED
-        by_corr = self._mailbox.setdefault(msg_type, {})
-        try:
-            bucket = by_corr.get(correlation)
-        except TypeError:  # unhashable correlation value
-            correlation = _UNKEYED
-            bucket = by_corr.get(correlation)
-        if bucket is None:
-            bucket = by_corr[correlation] = deque()
-        bucket.append((self._mailbox_seq, message))
+        by_corr = self._inbox.get(msg_type)
+        if by_corr is None:
+            by_corr = self._inbox[msg_type] = {}
+        queue = by_corr.get(correlation)
+        if queue is None:
+            queue = by_corr[correlation] = deque()
+        queue.append((self._mailbox_seq, message))
 
     def _admit(self, msg_type: Any) -> bool:
         """Count one more buffered message, or shed it at ``mailbox_limit``."""
@@ -689,7 +581,7 @@ class Process:
         limit = self.mailbox_limit
         if limit and count >= limit:
             self.shed_messages += 1
-            trace = self.sim.trace
+            trace = self.trace
             if trace.wants("overload"):
                 trace.record("overload", self.name, msg_type=msg_type, backlog=count)
             return False
@@ -697,51 +589,6 @@ class Process:
         if count > self.mailbox_peak:
             self.mailbox_peak = count
         return True
-
-    def _mailbox_buckets(self, wait: Receive) -> list[tuple[dict, Any, deque]]:
-        """The non-empty mailbox buckets ``wait`` could take a message from.
-
-        Each entry is ``(parent_dict, correlation_key, bucket)`` so an
-        emptied bucket can be deleted after a take.
-        """
-        matcher = wait.matcher
-        candidates: list[tuple[dict, Any, deque]] = []
-
-        def all_of(by_corr: dict) -> None:
-            candidates.extend((by_corr, corr, bucket)
-                              for corr, bucket in by_corr.items() if bucket)
-
-        if matcher is None:
-            for by_corr in self._mailbox.values():
-                all_of(by_corr)
-            return candidates
-        correlation = getattr(matcher, "msg_corr", None)
-        types = getattr(matcher, "msg_types", None)
-        if correlation is not None:
-            # Types accepted by the matcher but absent from the correlation
-            # hint (msg_types-only annotations) scan as any-correlation.
-            for msg_type in (types if types is not None else correlation):
-                by_corr = self._mailbox.get(msg_type)
-                if not by_corr:
-                    continue
-                values = correlation.get(msg_type)
-                if isinstance(values, frozenset):
-                    for value in values:
-                        bucket = by_corr.get(value)
-                        if bucket:
-                            candidates.append((by_corr, value, bucket))
-                else:  # ANY_CORRELATION or no entry for this type
-                    all_of(by_corr)
-            return candidates
-        if types is None:
-            for by_corr in self._mailbox.values():
-                all_of(by_corr)
-            return candidates
-        for msg_type in types:
-            by_corr = self._mailbox.get(msg_type)
-            if by_corr:
-                all_of(by_corr)
-        return candidates
 
     def discard_buffered(self, correlation: Any) -> int:
         """Drop every buffered message whose ``j`` payload equals ``correlation``.
@@ -754,64 +601,36 @@ class Process:
         proportional to the in-flight work instead of the run's history.
         """
         dropped = 0
-        for by_corr in self._mailbox.values():
-            bucket = by_corr.pop(correlation, None)
-            if bucket:
-                dropped += len(bucket)
+        for by_corr in self._inbox.values():
+            queue = by_corr.pop(correlation, None)
+            if queue:
+                dropped += len(queue)
         self._mailbox_count -= dropped
         return dropped
 
-    def _take_from_mailbox(self, wait: Receive) -> Optional[Any]:
-        """Remove and return the first buffered message matching ``wait``.
-
-        "First" means global arrival order (the sequence number), exactly as
-        with the historical single-queue mailbox -- only the scan is now
-        restricted to the buckets the matcher could accept.
-        """
+    def _take(self, keys: Sequence[tuple]) -> Optional[Any]:
+        """Remove and return the oldest buffered message filed under one of ``keys``."""
         if not self._mailbox_count:
             return None
-        buckets = self._mailbox_buckets(wait)
-        if not buckets:
-            return None
-        if len(buckets) == 1:
-            by_corr, corr, bucket = buckets[0]
-            # Fast path: a receive usually consumes the oldest buffered
-            # message (FIFO traffic), and popleft is O(1) where
-            # ``del deque[index]`` is O(n).
-            if wait.matches(bucket[0][1]):
-                message = bucket.popleft()[1]
+        inbox = self._inbox
+        best: Optional[deque] = None
+        for msg_type, correlation in keys:
+            by_corr = inbox.get(msg_type)
+            if not by_corr:
+                continue
+            if correlation is ANY:
+                for corr, queue in by_corr.items():
+                    if best is None or queue[0][0] < best[0][0]:
+                        best, best_corr, best_by_corr = queue, corr, by_corr
             else:
-                message = None
-                for index in range(1, len(bucket)):
-                    candidate = bucket[index][1]
-                    if wait.matches(candidate):
-                        del bucket[index]
-                        message = candidate
-                        break
-                if message is None:
-                    return None
-            if not bucket:
-                del by_corr[corr]
-            self._mailbox_count -= 1
-            return message
-        # Several candidate buckets: pick the matching message with the
-        # smallest sequence number.  Buckets are sequence-ascending, so each
-        # scan stops at the first match or once past the best found so far.
-        best: Optional[tuple[int, dict, Any, deque, int]] = None
-        for by_corr, corr, bucket in buckets:
-            for index, (seq, message) in enumerate(bucket):
-                if best is not None and seq > best[0]:
-                    break
-                if wait.matches(message):
-                    best = (seq, by_corr, corr, bucket, index)
-                    break
+                queue = by_corr.get(correlation)
+                if queue is not None and (best is None or queue[0][0] < best[0][0]):
+                    best, best_corr, best_by_corr = queue, correlation, by_corr
         if best is None:
             return None
-        _, by_corr, corr, bucket, index = best
-        message = bucket[index][1]
-        del bucket[index]
-        if not bucket:
-            del by_corr[corr]
+        message = best.popleft()[1]
+        if not best:
+            del best_by_corr[best_corr]
         self._mailbox_count -= 1
         return message
 
@@ -826,14 +645,12 @@ class Process:
         for thread in list(self._threads.values()):
             thread.kill()
         self._threads.clear()
-        self._kv_waiters.clear()
-        self._typed_waiters.clear()
-        self._wildcard_waiters.clear()
+        self._waiters.clear()
         self._handlers.clear()
         for server in self._servers:
             server.stop()
         self._servers.clear()
-        self._mailbox.clear()
+        self._inbox.clear()
         self._mailbox_count = 0
         self.on_crash()
         self._notify_transport("on_process_crash")

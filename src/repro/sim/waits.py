@@ -5,8 +5,9 @@ Protocol code in this repository is written as generator coroutines hosted on a
 by *yielding* one of the wait objects defined here:
 
 * :class:`Sleep` -- resume after a virtual-time delay.
-* :class:`Receive` -- resume when a matching message arrives (optionally with a
-  timeout, in which case the coroutine receives the :data:`TIMEOUT` sentinel).
+* :class:`Receive` -- resume when a message filed under one of its keys
+  arrives (optionally with a timeout, in which case the coroutine receives the
+  :data:`TIMEOUT` sentinel).
 * :class:`WaitFuture` -- resume when a :class:`SimFuture` is resolved (again
   optionally bounded by a timeout).
 
@@ -17,7 +18,7 @@ becomes ``msg = yield self.receive(...)``, and the ``set-timeout-to`` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 
 class _TimeoutSentinel:
@@ -35,6 +36,19 @@ class _TimeoutSentinel:
 
 TIMEOUT = _TimeoutSentinel()
 """Sentinel value a coroutine receives when a timed wait expires."""
+
+
+class _AnyCorrelation:
+    """Type of :data:`ANY`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ANY"
+
+
+ANY = _AnyCorrelation()
+"""Receive-key correlation that accepts any: ``(msg_type, ANY)``."""
 
 
 class Wait:
@@ -58,34 +72,24 @@ class Sleep(Wait):
 
 
 class Receive(Wait):
-    """Wait for a message accepted by ``matcher`` (or any message when omitted).
+    """Wait for a message filed under one of ``keys``.
 
-    ``matcher`` receives the message object and returns a truthy value to
-    accept it.  When ``timeout`` is given and expires first, the coroutine is
-    resumed with :data:`TIMEOUT` instead of a message.
+    A delivered message is filed under ``(msg_type, payload["j"])``, or under
+    ``(msg_type, sender)`` when its payload has no ``j``; a key is such a pair,
+    or ``(msg_type, ANY)`` for any correlation.  When ``timeout`` is given and
+    expires first, the coroutine is resumed with :data:`TIMEOUT` instead.
     """
 
-    __slots__ = ("matcher", "timeout", "_buckets")
+    __slots__ = ("keys", "timeout")
 
-    def __init__(self, matcher: Optional[Callable[[Any], bool]] = None,
-                 timeout: Optional[float] = None):
+    def __init__(self, keys: Sequence[tuple[str, Any]], timeout: Optional[float] = None):
         if timeout is not None and timeout < 0:
             raise ValueError(f"negative receive timeout: {timeout}")
-        self.matcher = matcher
+        self.keys = keys
         self.timeout = timeout
-        # Waiter-index buckets this wait registers under, resolved once by
-        # Process._register_waiter and reused on unregister (the matcher
-        # hints are immutable, so the bucket set never changes).
-        self._buckets: Optional[list] = None
-
-    def matches(self, message: Any) -> bool:
-        """Whether this wait accepts ``message``."""
-        if self.matcher is None:
-            return True
-        return bool(self.matcher(message))
 
     def __repr__(self) -> str:
-        return f"Receive(timeout={self.timeout})"
+        return f"Receive({self.keys!r}, timeout={self.timeout})"
 
 
 class SimFuture:

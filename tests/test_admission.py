@@ -15,6 +15,7 @@ from repro.core.types import reset_request_counter
 from repro.net.message import Message
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+from repro.sim.waits import ANY
 
 SHED_DSN = "etx://a1.d2.c8?rate=500&seed=3&workload=bank&mailbox=2"
 
@@ -53,7 +54,7 @@ def test_shed_messages_resume_waiting_threads_unaffected():
 
     def protocol():
         while True:
-            message = yield process.receive()
+            message = yield process.receive([("Ping", ANY)])
             seen.append(message.msg_type)
 
     process.spawn(protocol())

@@ -19,9 +19,13 @@ block figures are incomparable -- re-pin both only for an intended change.
 
 What a run retains is budgeted too, as the objects the cyclic collector must
 walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count.
+So are the calls into ``sim/process.py`` per request, counted by ``cProfile``
+over the same deterministic runs: a count, exact for a given tree.
 """
 
+import cProfile
 import gc
+import pstats
 import sys
 
 from repro import api
@@ -35,6 +39,11 @@ SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
 #: tier's receive loops became served steps: 101.6 traffic, 119.4 soak;
 #: 103.5 and 121.0 with the loops) fails.
 HEADROOM = 1.3
+
+#: More than 10 % above the pinned ``sim/process.py`` calls/request (measured
+#: when ``receive`` took keys: 137.2 traffic, 138.5 soak; 175.9 and 177.2
+#: with the hinted matchers, the waiter index and the ``trace`` property) fails.
+CALLS_HEADROOM = 1.1
 
 
 def _stepped_alloc_blocks(sim, is_done) -> tuple[int, int]:
@@ -58,7 +67,24 @@ def _stepped_alloc_blocks(sim, is_done) -> tuple[int, int]:
     return grown, sim.events_processed - fired_before
 
 
-def _closed_loop(dsn: str, requests_per_client: int) -> tuple[float, int]:
+def _process_calls(sim, is_done) -> tuple[int, int]:
+    """(calls into ``sim/process.py``, events fired) until ``is_done``."""
+    profile = cProfile.Profile()
+    fired_before = sim.events_processed
+    profile.enable()
+    try:
+        while not is_done() and sim.step():
+            pass
+    finally:
+        profile.disable()
+    calls = sum(entry[1] for (filename, _line, _name), entry
+                in pstats.Stats(profile).stats.items()  # type: ignore[attr-defined]
+                if filename.replace("\\", "/").endswith("repro/sim/process.py"))
+    return calls, sim.events_processed - fired_before
+
+
+def _closed_loop(dsn: str, requests_per_client: int,
+                 sample=_stepped_alloc_blocks) -> tuple[float, int]:
     """``ClosedLoop``'s shape, stepped: each client keeps one request in flight."""
     system = api.build(api.Scenario.from_dsn(dsn))
     clients = list(system.clients)
@@ -80,12 +106,13 @@ def _closed_loop(dsn: str, requests_per_client: int) -> tuple[float, int]:
 
     for client in clients:
         issue_next(client)
-    grown, events = _stepped_alloc_blocks(system.sim, lambda: done[0] >= total)
+    figure, events = sample(system.sim, lambda: done[0] >= total)
     assert done[0] == total
-    return grown / total, events
+    return figure / total, events
 
 
-def _open_loop(dsn: str, total: int, rate: float) -> tuple[float, int]:
+def _open_loop(dsn: str, total: int, rate: float,
+               sample=_stepped_alloc_blocks) -> tuple[float, int]:
     """``OpenLoop``'s shape, stepped: the arrival schedule is laid out up front
     (outside the sampled region), then the kernel runs to the last delivery."""
     system = api.build(api.Scenario.from_dsn(dsn))
@@ -103,9 +130,9 @@ def _open_loop(dsn: str, total: int, rate: float) -> tuple[float, int]:
         client = clients[index % len(clients)]
         clock += rng.expovariate(rate / 1000.0)
         sim.schedule(clock, lambda c=client: inject(c), name="arrival")
-    grown, events = _stepped_alloc_blocks(sim, lambda: done[0] >= total)
+    figure, events = sample(sim, lambda: done[0] >= total)
     assert done[0] == total
-    return grown / total, events
+    return figure / total, events
 
 
 def test_traffic_shape_events_and_blocks_per_request():
@@ -120,6 +147,22 @@ def test_soak_shape_events_and_blocks_per_request():
     print(f"\nsoak: {blocks_per_request:.1f} blocks/request, {events} events")
     assert events == 9360
     assert blocks_per_request <= HEADROOM * 119.4
+
+
+def test_traffic_shape_process_calls_per_request():
+    calls_per_request, events = _closed_loop(TRAFFIC_DSN, requests_per_client=20,
+                                             sample=_process_calls)
+    print(f"\ntraffic: {calls_per_request:.1f} sim/process.py calls/request")
+    assert events == 1911
+    assert calls_per_request <= CALLS_HEADROOM * 137.2
+
+
+def test_soak_shape_process_calls_per_request():
+    calls_per_request, events = _open_loop(SOAK_DSN, total=400, rate=32.0,
+                                           sample=_process_calls)
+    print(f"\nsoak: {calls_per_request:.1f} sim/process.py calls/request")
+    assert events == 9360
+    assert calls_per_request <= CALLS_HEADROOM * 138.5
 
 
 def test_a_full_trace_leaves_the_collector_nothing_to_walk():

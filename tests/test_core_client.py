@@ -6,10 +6,10 @@ from repro.core import messages as msg
 from repro.core.client import Client
 from repro.core.timing import ProtocolTiming
 from repro.core.types import ABORT, COMMIT, Decision, Request, Result
-from repro.net.message import is_type
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+from repro.sim.waits import ANY
 
 
 class ScriptedAppServer(Process):
@@ -25,7 +25,7 @@ class ScriptedAppServer(Process):
 
     def _serve(self):
         while True:
-            message = yield self.receive(is_type(msg.REQUEST))
+            message = yield self.receive([(msg.REQUEST, ANY)])
             j = message["j"]
             request = message["request"]
             self.seen.append((message.sender, j))
@@ -92,7 +92,7 @@ def test_client_delivers_exactly_once_even_with_duplicate_results():
     class DuplicatingServer(ScriptedAppServer):
         def _serve(self):
             while True:
-                message = yield self.receive(is_type(msg.REQUEST))
+                message = yield self.receive([(msg.REQUEST, ANY)])
                 j = message["j"]
                 request = message["request"]
                 decision = Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)

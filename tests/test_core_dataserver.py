@@ -12,10 +12,11 @@ from repro.core.dataserver import DatabaseServer
 from repro.core.timing import DatabaseTiming
 from repro.core.types import ABORT, COMMIT, Request
 from repro.failure.detectors import HeartbeatFailureDetector
-from repro.net.message import Message, is_type
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+from repro.sim.waits import ANY
 
 
 def bank_logic(request):
@@ -55,7 +56,7 @@ def test_execute_runs_business_logic_and_replies():
 
     def script(p, out):
         p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 30})))
-        reply = yield p.receive(is_type(msg.EXECUTE_RESULT))
+        reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         out.append(reply)
 
     drive(driver, responses, script)
@@ -74,7 +75,7 @@ def test_execute_charges_start_plus_sql_time():
 
     def script(p, out):
         p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 1})))
-        reply = yield p.receive(is_type(msg.EXECUTE_RESULT))
+        reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         out.append(sim.now)
 
     drive(driver, responses, script)
@@ -90,7 +91,7 @@ def test_execute_is_idempotent_for_same_result_key():
     def script(p, out):
         for _ in range(2):
             p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 30})))
-            reply = yield p.receive(is_type(msg.EXECUTE_RESULT))
+            reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
             out.append(reply["value"])
 
     drive(driver, responses, script)
@@ -106,12 +107,12 @@ def test_vote_yes_then_commit_applies_writes():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         p.send("d1", msg.prepare_message(key))
-        vote = yield p.receive(is_type(msg.VOTE))
+        vote = yield p.receive([(msg.VOTE, ANY)])
         out.append(("vote", vote["vote"]))
         p.send("d1", msg.decide_message(key, COMMIT))
-        ack = yield p.receive(is_type(msg.ACK_DECIDE))
+        ack = yield p.receive([(msg.ACK_DECIDE, ANY)])
         out.append(("ack", ack["j"]))
 
     drive(driver, log, script)
@@ -127,7 +128,7 @@ def test_vote_no_for_unknown_result():
 
     def script(p, out):
         p.send("d1", msg.prepare_message(("c1", 99)))
-        vote = yield p.receive(is_type(msg.VOTE))
+        vote = yield p.receive([(msg.VOTE, ANY)])
         out.append(vote["vote"])
 
     drive(driver, log, script)
@@ -141,11 +142,11 @@ def test_decide_abort_discards_writes():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive(is_type(msg.VOTE))
+        yield p.receive([(msg.VOTE, ANY)])
         p.send("d1", msg.decide_message(key, ABORT))
-        yield p.receive(is_type(msg.ACK_DECIDE))
+        yield p.receive([(msg.ACK_DECIDE, ANY)])
 
     drive(driver, [], script)
     sim.run(until=10_000.0)
@@ -160,10 +161,10 @@ def test_decide_commit_without_yes_vote_is_refused():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         # No Prepare: straight to Decide(commit).
         p.send("d1", msg.decide_message(key, COMMIT))
-        yield p.receive(is_type(msg.ACK_DECIDE))
+        yield p.receive([(msg.ACK_DECIDE, ANY)])
 
     drive(driver, outcomes, script)
     sim.run(until=10_000.0)
@@ -179,12 +180,12 @@ def test_duplicate_decide_is_acknowledged_idempotently():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 10})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive(is_type(msg.VOTE))
+        yield p.receive([(msg.VOTE, ANY)])
         for _ in range(3):
             p.send("d1", msg.decide_message(key, COMMIT))
-            ack = yield p.receive(is_type(msg.ACK_DECIDE))
+            ack = yield p.receive([(msg.ACK_DECIDE, ANY)])
             out.append(ack["j"])
 
     drive(driver, acks, script)
@@ -200,16 +201,16 @@ def test_recovery_sends_ready_and_restores_in_doubt():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive(is_type(msg.VOTE))
+        yield p.receive([(msg.VOTE, ANY)])
         # Crash the database after the yes vote and bring it back.
         db.crash_for(50.0)
-        ready = yield p.receive(is_type(msg.READY))
+        ready = yield p.receive([(msg.READY, ANY)])
         out.append(("ready", ready.sender))
         # The in-doubt transaction can still be committed after recovery.
         p.send("d1", msg.decide_message(key, COMMIT))
-        yield p.receive(is_type(msg.ACK_DECIDE))
+        yield p.receive([(msg.ACK_DECIDE, ANY)])
 
     drive(driver, observed, script)
     sim.run(until=20_000.0)
@@ -248,9 +249,9 @@ def test_crash_loses_unprepared_transaction():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive(is_type(msg.EXECUTE_RESULT))
+        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
         db.crash_for(10.0)
-        yield p.receive(is_type(msg.READY))
+        yield p.receive([(msg.READY, ANY)])
 
     drive(driver, [], script)
     sim.run(until=20_000.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.latency import FixedLatency, PerLinkLatency, UniformLatency
-from repro.net.message import Message, any_of, from_senders, is_type, is_type_with
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -141,37 +141,6 @@ def test_invalid_latency_parameters_rejected():
         FixedLatency(-1.0)
     with pytest.raises(ValueError):
         UniformLatency(5.0, 1.0)
-
-
-# ---------------------------------------------------------------- matchers
-
-
-def test_is_type_matcher():
-    matcher = is_type("Vote", "Decide")
-    assert matcher(Message("Vote"))
-    assert matcher(Message("Decide"))
-    assert not matcher(Message("Prepare"))
-    assert not matcher("not a message")
-
-
-def test_is_type_with_matcher():
-    matcher = is_type_with("Vote", j=3)
-    assert matcher(Message("Vote", payload={"j": 3}))
-    assert not matcher(Message("Vote", payload={"j": 4}))
-    assert not matcher(Message("Decide", payload={"j": 3}))
-
-
-def test_any_of_and_from_senders_matchers():
-    matcher = any_of(is_type("A"), is_type("B"))
-    assert matcher(Message("A")) and matcher(Message("B"))
-    assert not matcher(Message("C"))
-    sender_matcher = from_senders(["s1"], is_type("A"))
-    good = Message("A")
-    good.sender = "s1"
-    bad = Message("A")
-    bad.sender = "s2"
-    assert sender_matcher(good)
-    assert not sender_matcher(bad)
 
 
 def test_message_payload_access():

@@ -12,8 +12,12 @@ import pytest
 from repro import api
 from repro.api.runner import load_generator_for
 from repro.api.scenario import ScenarioError
+from repro.core import messages as msg
+from repro.core.reshard import ReshardCoordinator
 from repro.core.types import reset_request_counter
 from repro.experiments import reshard
+from repro.net.network import Network
+from repro.sim.process import Process
 
 RESHARD_DSN = ("etx://a3.d4.c2?rate=40&workload=bank&placement=hash"
                "&seed=3&faults=reshard@300:d4->d8")
@@ -115,6 +119,38 @@ def test_reshard_survives_db_crash_inside_migration_window():
     assert trace.count("client_deliver") == 16
     report = system.check_spec(check_termination=True)
     assert report.ok, "\n".join(str(v) for v in report.violations)
+
+
+def test_a_late_migrate_ack_neither_completes_an_exchange_nor_moves_a_resend(sim):
+    """The coordinator waits on ``("MigrateAck", epoch)``: a late duplicate
+    from another shard, or from the same shard at another stage, is dropped,
+    and the wait goes on for what is left of the retry interval."""
+    network = Network(sim)
+    coordinator = network.register(ReshardCoordinator(sim, None, ["d1", "d2"],
+                                                      retry_interval=5.0))
+    shard = network.register(Process(sim, "d1"))
+    sends, done = [], []
+    shard.on_message(msg.MIGRATE_INSTALL, lambda message: sends.append(message.send_time))
+
+    def exchange():
+        yield from coordinator._deliver("d1", 1, "install", msg.migrate_install_message(1, {}))
+        done.append(sim.now)
+
+    def ack(at, epoch, sender, stage):
+        reply = msg.migrate_ack_message(epoch, sender, stage)
+        reply.sender = sender
+        sim.schedule(at, lambda: coordinator.deliver(reply))
+
+    ack(2.0, 1, "d2", "install")    # another shard's
+    ack(3.0, 0, "d1", "install")    # another epoch's: never taken
+    ack(7.5, 1, "d1", "release")    # this shard's, at another stage
+    ack(12.5, 1, "d2", "install")
+    ack(13.0, 1, "d1", "install")   # the one it waits for
+    coordinator.spawn(exchange())
+    sim.run()
+    assert sends == [0.0, 5.0, 10.0]
+    assert done == [13.0]
+    assert coordinator.mailbox_size == 1
 
 
 def test_baseline_protocols_reject_resharding():

@@ -4,7 +4,7 @@ The generator-coroutine protocol code never names its runtime: it yields
 waits to whatever :class:`repro.runtime.base.Kernel` the deployment chose.
 These tests run the same behavioural scenarios against the deterministic
 simulator and the wall-clock asyncio kernel and assert the *semantics*
-agree -- wake-up ordering, receive matchers, timer cancellation on kill,
+agree -- wake-up ordering, receive keys, timer cancellation on kill,
 multicast fan-out.
 
 The asyncio leg crosses the real loop (``call_later``, ``_run_once``) but not
@@ -19,11 +19,11 @@ with ``realtime == False`` only.
 
 import pytest
 
-from repro.net.message import Message, is_type
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.runtime.base import RUNTIME_ASYNCIO, RUNTIME_SIM
 from repro.sim.process import Process
-from repro.sim.waits import TIMEOUT
+from repro.sim.waits import ANY, TIMEOUT
 
 PACE = 0.002
 
@@ -177,7 +177,7 @@ def test_a_record_is_stamped_with_the_kernel_clock(kernel):
     assert recorded == now_at_record and recorded >= 30.0
 
 
-# ---------------------------------------------------------- receive matchers
+# -------------------------------------------------------------- receive keys
 
 
 def test_receive_matchers_route_by_type(kernel):
@@ -188,7 +188,7 @@ def test_receive_matchers_route_by_type(kernel):
 
     def listener(msg_type: str):
         while True:
-            message = yield receiver.receive(is_type(msg_type))
+            message = yield receiver.receive([(msg_type, ANY)])
             seen[msg_type].append(message.payload["n"])
 
     receiver.spawn(listener("Ping"), name="ping-listener")
@@ -202,7 +202,7 @@ def test_receive_matchers_route_by_type(kernel):
 
     sender.spawn(producer(), name="producer")
     assert run_until(kernel, lambda: len(seen["Ping"]) + len(seen["Pong"]) == 3)
-    # Each matcher saw exactly its own messages, in send order.
+    # Each key saw exactly its own messages, in send order.
     assert seen == {"Ping": [2], "Pong": [1, 3]}
 
 
@@ -212,7 +212,7 @@ def test_receive_timeout_resumes_with_sentinel(kernel):
     outcomes: list[object] = []
 
     def waiter():
-        message = yield process.receive(is_type("Never"), timeout=30.0)
+        message = yield process.receive([("Never", ANY)], timeout=30.0)
         outcomes.append(TIMEOUT if message is TIMEOUT else message.msg_type)
 
     process.spawn(waiter(), name="waiter")
@@ -285,7 +285,7 @@ class Echo(Process):
 def collect(process, msg_type, into):
     def listener():
         while True:
-            message = yield process.receive(is_type(msg_type))
+            message = yield process.receive([(msg_type, ANY)])
             into.append(message["n"])
 
     process.spawn(listener(), name="listener")
@@ -413,7 +413,7 @@ def test_multicast_reaches_every_destination_once(kernel):
 
         def listener(receiver=receiver):
             while True:
-                message = yield receiver.receive(is_type("Gossip"))
+                message = yield receiver.receive([("Gossip", ANY)])
                 received[receiver.name] = received.get(receiver.name, 0) + message["n"]
 
         receiver.spawn(listener(), name="listener")

@@ -232,6 +232,38 @@ def test_etx_concurrent_requests_from_many_clients_stay_spec_clean():
     assert result.delivered == 18
 
 
+def test_a_recovered_shards_ready_restarts_only_its_own_transaction():
+    """Two transactions on disjoint shards wait in ``compute()`` on one app
+    server; ``d1`` crashes and recovers.  Its ``Ready`` is filed under
+    ``("Ready", "d1")``: the ``d1`` transaction resends its ``Execute`` the
+    moment the ``Ready`` lands, the ``d2`` transaction never takes it."""
+    system = api.build(api.Scenario(protocol="etx", num_db_servers=2, num_clients=2,
+                                    placement="mod", workload="bank", seed=1))
+    deployment, sim = system.deployment, system.sim
+    bank = system.workload.instance
+    # The d2 transaction's handler is spawned first: it would win a tie.
+    on_d2 = system.issue(bank.debit(1, 10, participants=("d2",)), "c2")
+    on_d1 = system.issue(bank.debit(0, 10, participants=("d1",)), "c1")
+    sim.run(until=50.0)  # both executes are being computed at their shard
+    assert system.trace.count("db_execute") == 0
+    deployment.db_servers["d1"].crash_for(20.0)
+    sim.run(until=5000.0)
+
+    assert on_d1.delivered and on_d2.delivered
+    assert on_d1.attempts == on_d2.attempts == 1
+    ready = [event.time for event in system.trace.select("msg_deliver", process="a1")
+             if event.data["msg_type"] == "Ready"]
+    executes = {shard: [event.time for event in system.trace.select("msg_send", process="a1")
+                        if event.data["msg_type"] == "Execute"
+                        and event.data["destination"] == shard]
+                for shard in ("d1", "d2")}
+    assert len(ready) == 1 and ready[0] < 100.0
+    assert executes["d1"] == [executes["d2"][0], ready[0]]
+    assert len(executes["d2"]) == 1
+    assert deployment.app_servers["a1"].mailbox_size == 0
+    assert system.check_spec().ok
+
+
 # ------------------------------------------------------------- determinism
 
 

@@ -5,11 +5,11 @@ import weakref
 
 import pytest
 
-from repro.net.message import Message, is_type
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.errors import ProcessNotRunning, ThreadError
 from repro.sim.process import Process
-from repro.sim.waits import TIMEOUT, SimFuture
+from repro.sim.waits import ANY, TIMEOUT, SimFuture
 
 
 def make_pair(sim):
@@ -39,7 +39,7 @@ def test_receive_delivers_matching_message(sim):
     got = []
 
     def receiver():
-        message = yield b.receive(is_type("Ping"))
+        message = yield b.receive([("Ping", ANY)])
         got.append((message.msg_type, message.sender, sim.now))
 
     b.spawn(receiver())
@@ -56,7 +56,7 @@ def test_receive_buffers_unmatched_messages(sim):
     got = []
 
     def receiver():
-        message = yield b.receive(is_type("Wanted"))
+        message = yield b.receive([("Wanted", ANY)])
         got.append(message.msg_type)
 
     b.spawn(receiver())
@@ -75,7 +75,7 @@ def test_receive_consumes_from_mailbox_first(sim):
     assert b.mailbox_size == 1
 
     def receiver():
-        message = yield b.receive(is_type("Early"))
+        message = yield b.receive([("Early", ANY)])
         got.append(message.msg_type)
 
     b.spawn(receiver())
@@ -89,7 +89,7 @@ def test_receive_timeout_returns_sentinel(sim):
     results = []
 
     def body():
-        result = yield process.receive(timeout=5.0)
+        result = yield process.receive([], timeout=5.0)
         results.append(result)
 
     process.spawn(body())
@@ -103,7 +103,7 @@ def test_timeout_cancelled_when_message_arrives_first(sim):
     results = []
 
     def receiver():
-        result = yield b.receive(is_type("Ping"), timeout=100.0)
+        result = yield b.receive([("Ping", ANY)], timeout=100.0)
         results.append(result)
 
     b.spawn(receiver())
@@ -119,7 +119,7 @@ def test_two_threads_with_different_matchers_get_their_own_messages(sim):
     got = {"x": None, "y": None}
 
     def wants(msg_type, key):
-        message = yield b.receive(is_type(msg_type))
+        message = yield b.receive([(msg_type, ANY)])
         got[key] = message.msg_type
 
     b.spawn(wants("X", "x"))
@@ -209,7 +209,7 @@ def test_finished_threads_leave_the_table_and_are_freed_without_the_collector(si
         yield process.sleep(1.0)
 
     def forever():
-        yield process.receive(is_type("Never"))
+        yield process.receive([("Never", ANY)])
 
     live = process.spawn(forever(), name="live")
     gc.disable()
@@ -327,12 +327,12 @@ def test_handled_type_never_enters_the_mailbox_or_wakes_a_receive(sim):
     process.mailbox_limit = 1
     handled, woken = [], []
 
-    def waiter(matcher, label):
-        message = yield process.receive(matcher)
+    def waiter(keys, label):
+        message = yield process.receive(keys)
         woken.append((label, message.msg_type))
 
-    process.spawn(waiter(is_type("Ping"), "typed"))
-    process.spawn(waiter(None, "wildcard"))
+    process.spawn(waiter([("Ping", ANY)], "ping"))
+    process.spawn(waiter([("Ping", ANY), ("Pong", ANY)], "either"))
     process.on_message("Ping", handled.append)
     for _ in range(5):
         process.deliver(Message("Ping"))
@@ -342,7 +342,7 @@ def test_handled_type_never_enters_the_mailbox_or_wakes_a_receive(sim):
     assert process.shed_messages == 0
     process.deliver(Message("Pong"))  # an unhandled type still takes the old road
     sim.run()
-    assert woken == [("wildcard", "Pong")]
+    assert woken == [("either", "Pong")]
 
 
 def test_crash_drops_handlers_and_on_start_registers_them_again(sim):
@@ -430,7 +430,7 @@ def test_served_step_may_only_sleep(sim):
     process = Process(sim, "p")
 
     def step(message):
-        yield process.receive(is_type("Pong"))
+        yield process.receive([("Pong", ANY)])
 
     process.serve("Ping", step)
     with pytest.raises(ThreadError):
@@ -509,13 +509,12 @@ def test_send_without_transport_raises(sim):
 
 
 def test_delivery_prefers_earlier_spawned_thread_on_tie(sim):
-    """Two threads waiting on the same matcher: spawn order breaks the tie,
-    exactly as the historical full thread scan did."""
+    """Two threads waiting on the same key: spawn order breaks the tie."""
     network, a, b = make_pair(sim)
     got = []
 
     def wants(label):
-        message = yield b.receive(is_type("Ping"))
+        message = yield b.receive([("Ping", ANY)])
         got.append((label, message["n"]))
 
     b.spawn(wants("first"))
@@ -529,14 +528,12 @@ def test_delivery_prefers_earlier_spawned_thread_on_tie(sim):
 
 
 def test_correlated_receive_only_gets_its_own_key(sim):
-    """is_type_with(j=...) waiters are indexed by correlation id."""
-    from repro.net.message import is_type_with
-
+    """A wait on ``(type, j)`` takes only the messages of that ``j``."""
     network, a, b = make_pair(sim)
     got = {}
 
     def handler(key):
-        message = yield b.receive(is_type_with("Vote", j=key))
+        message = yield b.receive([("Vote", key)])
         got[key] = message["v"]
 
     for key in ("k1", "k2", "k3"):
@@ -549,10 +546,8 @@ def test_correlated_receive_only_gets_its_own_key(sim):
 
 
 def test_mailbox_preserves_arrival_order_across_type_buckets(sim):
-    """An any_of receive takes the globally oldest matching message even
-    though the mailbox is bucketed by type and correlation id."""
-    from repro.net.message import any_of, is_type_with
-
+    """A wait on several keys takes the oldest message across them, though
+    the inbox files each key apart."""
     network, a, b = make_pair(sim)
     a.send("b", Message("Beta", payload={"j": 9, "n": 1}))
     a.send("b", Message("Alpha", payload={"j": 9, "n": 2}))
@@ -563,8 +558,7 @@ def test_mailbox_preserves_arrival_order_across_type_buckets(sim):
 
     def drain():
         for _ in range(3):
-            message = yield b.receive(any_of(is_type_with("Alpha", j=9),
-                                             is_type_with("Beta", j=9)))
+            message = yield b.receive([("Alpha", 9), ("Beta", 9)])
             taken.append((message.msg_type, message["n"]))
 
     b.spawn(drain())
@@ -573,44 +567,19 @@ def test_mailbox_preserves_arrival_order_across_type_buckets(sim):
     assert b.mailbox_size == 0
 
 
-def test_any_of_with_types_only_inner_matcher_stays_reachable(sim):
-    """An inner matcher annotated with msg_types but no msg_corr must still
-    be indexed (as any-correlation) when combined through any_of."""
-    from repro.net.message import any_of, is_type_with
-
-    network, a, b = make_pair(sim)
+def test_a_message_without_j_is_filed_under_its_sender(sim):
+    """``Ready`` carries no ``j``: it is filed under ``("Ready", sender)``, so a
+    wait on one sender's key neither takes nor wakes on another's."""
+    process = Process(sim, "p")
     got = []
 
-    def probe(m):
-        return m.msg_type == "Probe"
+    def waiter():
+        message = yield process.receive([("Ready", "d2")])
+        got.append(message.sender)
 
-    probe.msg_types = frozenset({"Probe"})  # hand annotation, no msg_corr
-
-    def handler():
-        message = yield b.receive(any_of(is_type_with("Vote", j=1), probe))
-        got.append(message.msg_type)
-
-    b.spawn(handler())
-    a.send("b", Message("Probe"))
-    sim.run()
-    assert got == ["Probe"]
-
-
-def test_custom_matcher_without_hints_still_works(sim):
-    """A hand-written matcher (no msg_types hint) is a wildcard: it scans the
-    whole mailbox and is consulted for every delivery."""
-    network, a, b = make_pair(sim)
-    got = []
-    a.send("b", Message("Odd", payload={"n": 1}))
-    sim.run()
-
-    def picky():
-        message = yield b.receive(lambda m: m.get("n", 0) % 2 == 1)
-        got.append(message["n"])
-        message = yield b.receive(lambda m: m.get("n", 0) % 2 == 0)
-        got.append(message["n"])
-
-    b.spawn(picky())
-    a.send("b", Message("Even", payload={"n": 2}))
-    sim.run()
-    assert got == [1, 2]
+    process.deliver(Message("Ready", sender="d1"))
+    process.spawn(waiter())
+    process.deliver(Message("Ready", sender="d3"))
+    assert got == [] and process.mailbox_size == 2
+    process.deliver(Message("Ready", sender="d2"))
+    assert got == ["d2"] and process.mailbox_size == 2
