@@ -134,6 +134,8 @@ class ApplicationServer(Process):
         if self.consensus_host is not None:
             self.consensus_host.install()
         self.on_message(msg.REQUEST, self._on_request)
+        if recovery:
+            self.failure_detector.reinstall(self.name)
         self.spawn(self._cleaning_thread(), name="as-clean")
 
     def on_crash(self) -> None:
@@ -234,6 +236,8 @@ class ApplicationServer(Process):
                 # Another server owns this result (Figure 5, lines 6-7); if it
                 # crashes the cleaning thread will take over.
                 return
+            if self.failure_detector.watches_claims:
+                self.failure_detector.claimed(self.name, key)
             participants = list(claimed_participants)
             if self.trace.wants("as_claim"):
                 self.trace.record("as_claim", self.name, client=client, j=j,
@@ -385,6 +389,8 @@ class ApplicationServer(Process):
         # and late arrivals for it are dropped at delivery (``_stale_types``).
         self._terminated.add(key)
         self.discard_buffered(key)
+        if self.failure_detector.watches_claims:
+            self.failure_detector.terminated(self.name, key)
 
     # --------------------------------------------------------- cleaning thread
 
@@ -397,11 +403,20 @@ class ApplicationServer(Process):
         recovered server reads the durable feed from the start, cleans again.
         No clock: it sweeps as it starts, then when its detector starts
         suspecting someone and, while it suspects anybody, when ``regA`` grows.
+        A detector that watches claim holders only
+        (:attr:`FailureDetector.watches_claims`) needs every claim as it is
+        learned, so then ``regA`` wakes it always, and the detector drops a
+        claim whose claimant announced its termination.
         """
         cursor = 0
         pending: dict[str, dict[ResultKey, tuple[str, ...]]] = {
             peer: {} for peer in self.app_server_names if peer != self.name}
+        follows = self.failure_detector.watches_claims
+        if follows:
+            self.failure_detector.follow(self.name, pending)
         while True:
+            if follows:
+                cursor = self._file_claims(pending, cursor, follows)
             suspecting = cleaned = False
             for suspected, claims in pending.items():
                 if not self.failure_detector.suspect(self.name, suspected):
@@ -409,22 +424,34 @@ class ApplicationServer(Process):
                 suspecting = True
                 # Catch up per suspected peer: claims learned while the
                 # previous peer's cleaning yielded count.
-                entries, cursor = self.registers.reg_a.learned_since(cursor)
-                for key, entry in entries:
-                    claimant, participants = claim_parts(entry, self.db_server_names)
-                    if claimant != self.name:
-                        pending[claimant][key] = participants
+                cursor = self._file_claims(pending, cursor, follows)
                 for key, participants in sorted(claims.items()):  # keys are unique
+                    if key not in claims:
+                        continue  # its claimant announced it terminated meanwhile
                     client, j = key
                     self.trace.record("as_clean", self.name, suspected=suspected,
                                       client=client, j=j, participants=list(participants))
                     decision = yield self.wait_for(
                         self.registers.reg_d.write(key, ABORT_DECISION))
                     yield from self._terminate(key, decision, client, list(participants))
-                    del claims[key]
+                    claims.pop(key, None)
                     cleaned = True
+                if follows and not claims:
+                    self.failure_detector.cleaned(self.name, suspected)
             if not cleaned:  # such a pass never yielded: no edge can have slipped by unseen
                 wake = SimFuture()
                 self.failure_detector.on_suspicion(self.name, wake.resolve)
-                self.registers.reg_a.on_learn(wake.resolve if suspecting else None)
+                self.registers.reg_a.on_learn(wake.resolve if suspecting or follows else None)
                 yield self.wait_for(wake)
+
+    def _file_claims(self, pending: dict[str, dict[ResultKey, tuple[str, ...]]], cursor: int,
+                     follows: bool) -> int:
+        """File the claims of others learned since ``cursor``; returns the next cursor."""
+        entries, cursor = self.registers.reg_a.learned_since(cursor)
+        for key, entry in entries:
+            claimant, participants = claim_parts(entry, self.db_server_names)
+            if claimant != self.name:
+                pending[claimant][key] = participants
+                if follows:
+                    self.failure_detector.learned(self.name, claimant, key)
+        return cursor

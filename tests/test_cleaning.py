@@ -291,7 +291,9 @@ def test_a_crash_undone_within_the_detection_delay_wakes_the_cleaners_to_nothing
 def test_a_late_reply_for_a_terminated_result_is_dropped_and_handlers_still_run():
     """``Process.deliver`` drops a retransmitted reply whose result the server
     already terminated -- before any waiter lookup, without buffering it --
-    while handled types (heartbeats, consensus) never meet that check."""
+    while handled types (heartbeats, consensus) never meet that check.  a1 is
+    the claimant, so it hears heartbeats only while a peer holds a claim: a2
+    claims the second result."""
     deployment = make_deployment(REGISTER_CONSENSUS, num_clients=1,
                                  failure_detector=FD_HEARTBEAT)
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
@@ -311,8 +313,9 @@ def test_a_late_reply_for_a_terminated_result_is_dropped_and_handlers_still_run(
     stray.sender = "d1"
     server.deliver(stray)
     assert server.mailbox_size == before + 1
+    deployment.client.default_primary = "a2"
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
-    assert set(reached) == {"Heartbeat", "Consensus"}
+    assert server.name == "a1" and set(reached) == {"Heartbeat", "Consensus"}
     assert deployment.check_spec().ok
 
 

@@ -11,9 +11,9 @@ behaviour alone -- a new event queue included -- can prove it did.
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
   a fresh volatile state -- and a permanent crash of ``a1``): the only pinned
-  trace in which the Figure 6 cleaning thread works, 563 results cleaned by
-  two different cleaners (the recovered ``a2`` never stops suspecting the live
-  ``a1``, ROADMAP 1(c), and aborts each of its claims as it learns it), and
+  trace in which the Figure 6 cleaning thread works, 15 results cleaned by two
+  different cleaners (the recovered ``a2`` reads the claim feed from the start
+  and cleans ``a1``'s old claims once ``a1`` is quiet), and
 * the replay of every committed corpus artifact (``tests/corpus/``) with the
   exact evaluation parameters recorded in the artifact -- faulted schedules
   exercise cancellation, crash timers and recovery paths that clean runs
@@ -167,6 +167,22 @@ def test_open_loop_register_write_costs_one_round_trip():
     system.close()
     assert kinds["decide"] == 0
     assert len(writes) >= 40 and sum(kinds.values()) <= 4 * len(writes)
+
+
+def test_failover_serves_while_the_recovered_server_watches_and_only_claim_holders_beat():
+    """The recovered ``a2`` rejoins the detector at 3 600 with no suspicion, so
+    ``a1`` serves until its crash at 7 000 (16 results delivered in between; none
+    when ``a2`` kept suspecting ``a1`` and aborted each of its claims).  Only a
+    server holding a claim beats: 3 806 ``Heartbeat`` sends, 23 226 when every
+    server beat every peer all the time."""
+    scenario = api.Scenario.from_dsn(FAILOVER)
+    reset_request_counter()
+    system = api.build(scenario)
+    load_generator_for(scenario).run(system, 10)
+    delivered = [event.time for event in system.trace.select("client_deliver")]
+    assert len([time for time in delivered if 3_600.0 <= time < 7_000.0]) == 16
+    assert system.network.stats.by_type_sent["Heartbeat"] == 3_806
+    system.close()
 
 
 def test_traces_match_the_committed_fingerprints():
