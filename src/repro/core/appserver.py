@@ -124,7 +124,6 @@ class ApplicationServer(Process):
         self.consensus_host = consensus_host
         self.directory = directory
         # Volatile caches (lost on crash, rebuilt from the registers if needed).
-        self._known_commits: dict[ResultKey, Decision] = {}
         self._inflight: set[ResultKey] = set()
         self._terminated: set[ResultKey] = set()
 
@@ -139,7 +138,6 @@ class ApplicationServer(Process):
         self.spawn(self._cleaning_thread(), name="as-clean")
 
     def on_crash(self) -> None:
-        self._known_commits = {}
         self._inflight = set()
         self._terminated = set()
         if self.consensus_host is not None:
@@ -173,17 +171,12 @@ class ApplicationServer(Process):
             # A retransmission of a result we are already working on; the
             # in-flight handler will answer the client.
             return
-        known = self._known_commits.get(key)
         decided = self.registers.reg_d.read(key)
-        if known is None and decided is not BOTTOM and decided.outcome == COMMIT:
-            known = decided
-        if known is not None:
-            # Figure 5, lines 3-4: the result is already committed; resend it.
-            self.send(client, msg.result_message(j, known))
-            return
         if decided is not BOTTOM:
-            # The result was already aborted (a retransmitted request for a
-            # terminated intermediate result): just remind the client.
+            # Figure 5, lines 3-4: the result is already decided; resend it.
+            # A committed one is the result itself, an aborted one (a
+            # retransmitted request for a terminated intermediate result)
+            # reminds the client to move on.
             self.send(client, msg.result_message(j, decided))
             return
         self._inflight.add(key)
@@ -372,8 +365,6 @@ class ApplicationServer(Process):
                 if reply.sender in remaining:
                     acked.add(reply.sender)
                     remaining.discard(reply.sender)
-        if decision.outcome == COMMIT:
-            self._known_commits[key] = decision
         if self.trace.wants("as_terminate"):
             self.trace.record("as_terminate", self.name, client=client, j=j,
                               outcome=decision.outcome)

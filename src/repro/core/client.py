@@ -29,6 +29,9 @@ class IssuedRequest:
     ``aborted_results`` lists the identifiers that ended in an abort.
     """
 
+    __slots__ = ("request", "future", "attempts", "aborted_results", "enqueued_at",
+                 "issued_at", "delivered_at")
+
     def __init__(self, request: Request):
         self.request = request
         self.future: SimFuture = SimFuture()

@@ -12,7 +12,8 @@ long runs.  Memory is O(in-flight transactions) for the heavy per-key
 machinery, plus id-sized bookkeeping that grows with the run's transactions
 and its decide/execute applications (key references kept so duplicate
 violations reproduce exactly) -- bytes per entry, never the stored-trace's
-payload-carrying event objects.
+payload-carrying event objects.  :class:`SpecMonitor` lists what it keeps
+and in which form.
 
 With a partitioned data tier, every intermediate result has a **participant
 set** -- the database servers its transaction touches, recorded by the
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.types import ABORT, COMMIT, VOTE_YES
+from repro.core.types import COMMIT, VOTE_YES
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
 
@@ -188,6 +189,9 @@ def _key_of_value(key: Any) -> tuple:
 # Online monitor
 # --------------------------------------------------------------------------
 
+_NO_OUTCOMES: frozenset = frozenset()
+
+
 SPEC_CATEGORIES = ("crash", "recover", "client_issue", "client_deliver",
                    "as_compute", "db_vote", "db_decide", "db_execute",
                    "reshard")
@@ -200,18 +204,30 @@ class SpecMonitor:
     Subscribe with :meth:`attach` (or pass an already-built recorder to the
     constructor and call :meth:`attach` yourself).  The monitor keeps
 
-    * per-transaction state machines (participants, votes, per-database
-      decision outcomes, pending commits) that are **retired** once the
-      transaction is terminally resolved -- delivered and decided everywhere
-      it needs to be -- so this part of the state is O(in-flight);
-    * compact id-level bookkeeping (issued/delivered/computed request-id
-      sets, per-database voted/decided key sets and commit/execute key
-      sequences) that the final report needs to reproduce the post-hoc
-      verdict exactly.  This part is small tuples and strings -- the sets
-      grow with the number of transactions, the commit/execute sequences
-      with the number of decide/execute applications (so duplicate
-      violations replay byte-identically) -- a few bytes per entry versus
-      the hundreds per stored, payload-carrying trace event.
+    * per-transaction state machines (the databases a result still awaits a
+      decide or a commit from) that are **retired** once the transaction is
+      terminally resolved -- delivered and decided everywhere it needs to
+      be -- so this part of the state is O(in-flight);
+    * compact id-level facts that the final report needs to reproduce the
+      post-hoc verdict exactly, for the whole run, each in its smallest
+      form:
+
+      - issued, delivered and computed request ids, and each database's
+        yes-voted keys: a set of strings or ``(client, j)`` tuples;
+      - each result's participant tuple and request id: a dict entry;
+      - each database's decide outcomes per key: a dict entry whose value
+        is one of a few interned, shared frozensets (``{commit}``,
+        ``{abort}``, both).  The keys of that dict are the database's
+        decided keys; no second set repeats them;
+      - each database's A.2 index, request id -> committed key: one key per
+        request, promoted to a set of keys only when a second, different
+        key of the same request commits -- the violation itself;
+      - each database's commit and execute key sequences and each client's
+        deliveries: lists, so duplicate violations replay byte-identically.
+
+      A few bytes per entry versus the hundreds per stored, payload-carrying
+      trace event.  :meth:`report` reads these facts where they lie; it
+      builds no run-sized copy of them.
 
     Violations that are already certain mid-run (a second commit for the same
     request, work outside the participant set, a delivery of an uncomputed
@@ -240,13 +256,19 @@ class SpecMonitor:
         self._result_request: dict[tuple, Any] = {}
         # databases ---------------------------------------------------------
         self._voted_yes: dict[str, set] = {d: set() for d in self.db_server_names}
-        self._decided: dict[str, set] = {d: set() for d in self.db_server_names}
-        self._decide_outcomes: dict[str, dict[tuple, set]] = \
+        # per-db key -> interned outcome set; its keys are the decided keys.
+        self._decide_outcomes: dict[str, dict[tuple, frozenset]] = \
             {d: {} for d in self.db_server_names}
+        # The few outcome sets the keys share, interned by value.
+        self._outcome_sets: dict[frozenset, frozenset] = {}
         self._commits: dict[str, list[tuple]] = {d: [] for d in self.db_server_names}
         self._executes: dict[str, list[tuple]] = {d: [] for d in self.db_server_names}
-        # per-db request-id -> committed keys, for the eager A.2 check.
-        self._a2_index: dict[str, dict[Any, set]] = {d: {} for d in self.db_server_names}
+        # per-db request-id -> committed key, or the set of them once a second
+        # key commits: the eager A.2 check and the report's A.2 index.
+        self._a2_index: dict[str, dict[Any, Any]] = {d: {} for d in self.db_server_names}
+        # key -> databases that committed it before any computation named its
+        # request (only a synthetic trace does that); indexed when one does.
+        self._unattributed: dict[tuple, list[str]] = {}
         # online resharding -------------------------------------------------
         # epoch -> shard universe (from ``reshard`` events), and the ordered
         # (key, epoch, participants) stamps of epoch-routed computations.
@@ -354,7 +376,13 @@ class SpecMonitor:
         recorded = event.data.get("participants")
         if recorded:
             self._participants[key] = tuple(recorded)
-        self._result_request.setdefault(key, event.data.get("request_id"))
+        if key not in self._result_request:
+            request_id = self._result_request[key] = event.data.get("request_id")
+            if self._unattributed:
+                early_commits = self._unattributed.pop(key, ())
+                if request_id is not None:
+                    for db in early_commits:
+                        self._index_commit(db, key, request_id)
         self._pending_decides.setdefault(key, set()).update(self.participants_of(key))
         epoch = event.data.get("epoch")
         if epoch is not None:
@@ -385,12 +413,15 @@ class SpecMonitor:
 
     def _on_db_decide(self, event: TraceEvent) -> None:
         db = event.process
-        if db not in self._decided:
+        decided = self._decide_outcomes.get(db)
+        if decided is None:
             return
         key = _key_of_value(event.data.get("j"))
         outcome = event.data.get("outcome")
-        self._decided[db].add(key)
-        self._decide_outcomes[db].setdefault(key, set()).add(outcome)
+        outcomes = decided.get(key, _NO_OUTCOMES)
+        if outcome not in outcomes:
+            grown = outcomes | {outcome}
+            decided[key] = self._outcome_sets.setdefault(grown, grown)
         pending = self._pending_decides.get(key)
         if pending is not None:
             pending.discard(db)
@@ -406,11 +437,11 @@ class SpecMonitor:
         # A.2, eagerly certain: two different committed results, same request.
         request_id = self._result_request.get(key)
         if request_id is not None:
-            committed_keys = self._a2_index[db].setdefault(request_id, set())
-            if key not in committed_keys:
-                committed_keys.add(key)
-                if len(committed_keys) > 1:
-                    self._emit(_a2_violation(db, committed_keys, request_id))
+            committed_keys = self._index_commit(db, key, request_id)
+            if committed_keys is not None:
+                self._emit(_a2_violation(db, committed_keys, request_id))
+        elif key not in self._result_request:
+            self._unattributed.setdefault(key, []).append(db)
         # Disarm A.1 for this participant.
         missing = self._pending_commits.get(key)
         if missing is not None:
@@ -418,6 +449,25 @@ class SpecMonitor:
             if not missing:
                 del self._pending_commits[key]
                 self._retire(key)
+
+    def _index_commit(self, db: str, key: tuple, request_id: Any) -> Optional[set]:
+        """File ``db``'s commit of ``key`` under its request in the A.2 index.
+
+        Returns the request's committed keys when ``key`` is a new one and
+        not the first: the A.2 violation.
+        """
+        index = self._a2_index[db]
+        committed = index.get(request_id)
+        if committed is None:
+            index[request_id] = key
+        elif isinstance(committed, set):
+            if key not in committed:
+                committed.add(key)
+                return committed
+        elif committed != key:
+            committed = index[request_id] = {committed, key}
+            return committed
+        return None
 
     def _retire(self, key: tuple) -> None:
         """Drop the in-flight machinery of a terminally resolved transaction."""
@@ -465,7 +515,9 @@ class SpecMonitor:
     def _report_t2(self) -> list[PropertyViolation]:
         violations = []
         for db in self.db_server_names:
-            for key in self._voted_yes[db] - self._decided[db]:
+            # ``difference`` with a dict tests its keys, and iterates exactly
+            # as ``voted - decided`` over a set of those keys does.
+            for key in self._voted_yes[db].difference(self._decide_outcomes[db]):
                 violations.append(_t2_violation(db, key))
         return violations
 
@@ -480,34 +532,36 @@ class SpecMonitor:
         return violations
 
     def _report_a2(self) -> list[PropertyViolation]:
+        # In the oracle's order: a request is reported where the commit
+        # sequence first reaches one of its keys.
         violations = []
         for db in self.db_server_names:
-            committed_by_request: dict[Any, set] = {}
+            index = self._a2_index[db]
+            reported = set()
             for key in self._commits[db]:
                 request_id = self._result_request.get(key)
-                if request_id is None:
-                    continue
-                committed_by_request.setdefault(request_id, set()).add(key)
-            for request_id, keys in committed_by_request.items():
-                if len(keys) > 1:
+                keys = index.get(request_id)
+                if isinstance(keys, set) and request_id not in reported:
+                    reported.add(request_id)
                     violations.append(_a2_violation(db, keys, request_id))
         return violations
 
     def _report_a3(self) -> list[PropertyViolation]:
+        # In the oracle's order: keys by the first database (in server order)
+        # that decided them, then in that database's decide order.
         violations = []
-        outcomes: dict[tuple, dict[str, set]] = {}
-        for db in self.db_server_names:
-            for key, values in self._decide_outcomes[db].items():
-                outcomes.setdefault(key, {})[db] = values
-        for key, per_db in outcomes.items():
-            final_outcomes = set()
-            for db, values in per_db.items():
-                final_outcomes.add(COMMIT if COMMIT in values else ABORT)
-            if final_outcomes == {COMMIT, ABORT}:
-                committed_dbs = [db for db, v in per_db.items() if COMMIT in v]
-                aborted_only = [db for db, v in per_db.items() if COMMIT not in v]
-                yes_aborted = [db for db in aborted_only
-                               if key in self._voted_yes[db]]
+        tables = [(db, self._decide_outcomes[db]) for db in self.db_server_names]
+        for first, (_db, decided) in enumerate(tables):
+            earlier = [table for _other, table in tables[:first]]
+            for key in decided:
+                if earlier and any(key in table for table in earlier):
+                    continue  # already judged with the first database that decided it
+                per_db = [(db, table[key]) for db, table in tables[first:] if key in table]
+                committed_dbs = [db for db, values in per_db if COMMIT in values]
+                if not committed_dbs or len(committed_dbs) == len(per_db):
+                    continue  # every database finally agrees
+                yes_aborted = [db for db, values in per_db
+                               if COMMIT not in values and key in self._voted_yes[db]]
                 if yes_aborted:
                     violations.append(_a3_violation(key, committed_dbs, yes_aborted))
         return violations

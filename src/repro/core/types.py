@@ -40,7 +40,7 @@ def reset_request_counter(start: int = 1) -> None:
     _request_counter = itertools.count(start)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """A client request (e.g. one travel booking or one account payment).
 
@@ -72,7 +72,7 @@ REQUEST_REC = declare_record(Request, operation=STR, params=VALUE, request_id=ST
                              participants=STRS, keys=STRS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Result:
     """A result computed by an application server for one request.
 
@@ -91,7 +91,7 @@ class Result:
 RESULT_REC = declare_record(Result, value=VALUE, request_id=STR, computed_by=STR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """The pair (result, outcome) stored in ``regD`` and returned to the client."""
 

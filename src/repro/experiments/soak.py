@@ -15,11 +15,16 @@ wall-clock in post-hoc scanning.  With the event-bus pipeline the run keeps
 
 The experiment samples the observability state at checkpoints during the run
 (stored-trace size, spec-monitor in-flight transactions) so flat memory is a
-measured fact in the report, not a claim.
+measured fact in the report, not a claim.  It also counts what the run
+retains for good: the GC-tracked objects alive after the run minus those alive
+after the build, per delivered request (``retained_objects_per_req``) -- every
+fact the protocol, the databases and the monitor keep for the whole run, as
+the objects the cyclic garbage collector must keep walking.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -71,7 +76,13 @@ class SoakReport:
     checked_properties: list[str] = field(default_factory=list)
     trace_retention: str = "off"
     trace_stored_final: int = 0
+    retained_objects: int = 0   # GC-tracked objects alive after the run minus after build
     samples: list[SoakSample] = field(default_factory=list)
+
+    @property
+    def retained_objects_per_req(self) -> float:
+        """GC-tracked objects the run left alive per delivered request."""
+        return self.retained_objects / self.delivered if self.delivered else 0.0
 
     @property
     def trace_bounded(self) -> bool:
@@ -127,6 +138,7 @@ class SoakReport:
             "checked_properties": list(self.checked_properties),
             "trace_retention": self.trace_retention,
             "trace_stored_final": self.trace_stored_final,
+            "retained_objects_per_req": round(self.retained_objects_per_req, 2),
             "trace_bounded": self.trace_bounded,
             "spec_memory_flat": self.spec_memory_flat,
             "max_spec_in_flight": max((s.spec_in_flight for s in self.samples),
@@ -162,7 +174,8 @@ class SoakReport:
             f" (bounded: {self.trace_bounded})   spec in-flight max "
             f"{max((s.spec_in_flight for s in self.samples), default=0)}"
             f" (flat: {self.spec_memory_flat})   mailbox backlog max "
-            f"{max((s.mailbox_backlog for s in self.samples), default=0)}",
+            f"{max((s.mailbox_backlog for s in self.samples), default=0)}"
+            f"   retained {self.retained_objects_per_req:.2f} objects/req",
             f"spec       {self.spec_summary}",
         ]
         return "\n".join(lines)
@@ -189,6 +202,8 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
 
     reset_request_counter()
     system = build(scenario)
+    gc.collect()
+    built_objects = len(gc.get_objects())
     sim = system.sim
     monitor = system.spec_monitor
     trace = system.trace
@@ -220,6 +235,8 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
         system.run(until=sim.now + settle)
     wall = time.perf_counter() - wall_start
     sample()  # final checkpoint after the drain
+    gc.collect()
+    retained_objects = len(gc.get_objects()) - built_objects
 
     report = system.check_spec(
         check_termination=statistics.undelivered == 0)
@@ -241,5 +258,6 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
         checked_properties=list(report.checked_properties),
         trace_retention=scenario.trace,
         trace_stored_final=len(trace),
+        retained_objects=retained_objects,
         samples=samples,
     )

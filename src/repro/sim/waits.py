@@ -18,7 +18,7 @@ becomes ``msg = yield self.receive(...)``, and the ``set-timeout-to`` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 
 class _TimeoutSentinel:
@@ -97,7 +97,10 @@ class SimFuture:
 
     Used for in-process synchronisation: a coroutine yields
     ``WaitFuture(future)`` and another component (e.g. the consensus module
-    learning a decision) calls :meth:`resolve`.
+    learning a decision) calls :meth:`resolve`.  A future keeps a callback
+    list only while a callback waits on it: it starts with none and drops
+    the list when it resolves, so a resolved future a run keeps (a client's
+    delivered request) holds its value and nothing else.
     """
 
     __slots__ = ("_resolved", "_value", "_callbacks")
@@ -105,7 +108,7 @@ class SimFuture:
     def __init__(self) -> None:
         self._resolved = False
         self._value: Any = None
-        self._callbacks: list[Callable[[Any], None]] = []
+        self._callbacks: Union[list[Callable[[Any], None]], tuple[()]] = ()
 
     @property
     def resolved(self) -> bool:
@@ -123,7 +126,7 @@ class SimFuture:
             return
         self._resolved = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(value)
 
@@ -131,8 +134,10 @@ class SimFuture:
         """Invoke ``callback(value)`` now if resolved, otherwise upon resolution."""
         if self._resolved:
             callback(self._value)
-        else:
+        elif self._callbacks:
             self._callbacks.append(callback)
+        else:
+            self._callbacks = [callback]
 
     def discard_callback(self, callback: Callable[[Any], None]) -> None:
         """Remove a previously registered callback if still pending."""

@@ -15,6 +15,14 @@ Durability and I/O cost live in :class:`~repro.storage.wal.WriteAheadLog` /
 :class:`~repro.storage.stable.StableStorage`; every mutating call returns the
 I/O cost it incurred so the hosting database-server process can charge that
 time to the simulation clock.
+
+The store remembers every transaction it ever saw, for the whole run, so that
+a terminated one keeps refusing ``begin`` and keeps answering ``status``.  Only
+a live (active or prepared) transaction has a :class:`Transaction` of its own,
+with a write set and a read set.  A terminated one is a :class:`Tombstone`:
+the one immutable object shared by every transaction that committed, or the
+one shared by every transaction that aborted -- including the presumed-abort
+tombstone installed for an unknown transaction.
 """
 
 from __future__ import annotations
@@ -53,14 +61,25 @@ class ShardOwnershipError(TransactionError):
         self.key = key
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
-    """In-memory descriptor of one transaction."""
+    """In-memory descriptor of one live (active or prepared) transaction."""
 
     transaction_id: TransactionId
     status: str = ACTIVE
     writes: dict[str, Any] = field(default_factory=dict)
     reads: set[str] = field(default_factory=set)
+
+
+@dataclass(frozen=True, slots=True)
+class Tombstone:
+    """What a terminated transaction leaves behind: its outcome, nothing else."""
+
+    status: str
+
+
+COMMITTED_TOMBSTONE = Tombstone(COMMITTED)
+ABORTED_TOMBSTONE = Tombstone(ABORTED)
 
 
 class TransactionalKVStore:
@@ -75,7 +94,7 @@ class TransactionalKVStore:
         self.locks = LockManager()
         self._owns_key = owns_key
         self._committed: dict[str, Any] = dict(initial_data or {})
-        self._transactions: dict[TransactionId, Transaction] = {}
+        self._transactions: dict[TransactionId, Transaction | Tombstone] = {}
         if initial_data:
             # Persist the initial data so recovery can rebuild it.
             self.storage.put("__initial__", dict(initial_data), forced=False)
@@ -198,7 +217,7 @@ class TransactionalKVStore:
         writes = transaction.writes if transaction.status == ACTIVE else None
         cost = self.wal.append_commit(transaction_id, writes, forced=True)
         self._committed.update(transaction.writes)
-        transaction.status = COMMITTED
+        self._transactions[transaction_id] = COMMITTED_TOMBSTONE
         self.locks.release_all(transaction_id)
         return cost
 
@@ -212,15 +231,14 @@ class TransactionalKVStore:
         """
         transaction = self._transactions.get(transaction_id)
         if transaction is None:
-            self._transactions[transaction_id] = Transaction(transaction_id, status=ABORTED)
+            self._transactions[transaction_id] = ABORTED_TOMBSTONE
             return 0.0
         if transaction.status == COMMITTED:
             raise TransactionError(f"cannot abort committed transaction {transaction_id!r}")
         if transaction.status == ABORTED:
             return 0.0
         cost = self.wal.append_abort(transaction_id, forced=False)
-        transaction.status = ABORTED
-        transaction.writes.clear()
+        self._transactions[transaction_id] = ABORTED_TOMBSTONE
         self.locks.release_all(transaction_id)
         return cost
 
@@ -251,9 +269,9 @@ class TransactionalKVStore:
         self._transactions = {}
         self.locks.clear()
         for transaction_id in replay.committed_transactions:
-            self._transactions[transaction_id] = Transaction(transaction_id, status=COMMITTED)
+            self._transactions[transaction_id] = COMMITTED_TOMBSTONE
         for transaction_id in replay.aborted_transactions:
-            self._transactions[transaction_id] = Transaction(transaction_id, status=ABORTED)
+            self._transactions[transaction_id] = ABORTED_TOMBSTONE
         in_doubt = []
         for transaction_id, writes in replay.in_doubt.items():
             transaction = Transaction(transaction_id, status=PREPARED, writes=dict(writes))

@@ -6,6 +6,18 @@ appended to it, and :meth:`WriteAheadLog.replay` reconstructs the committed
 state and the set of in-doubt (prepared but undecided) transactions after a
 crash.  The log lives on a :class:`~repro.storage.stable.StableStorage` device
 so its I/O costs are accounted for.
+
+The log keeps every record for the whole run, so it stores each one as a
+row, a plain ``(kind, transaction_id, keys, values, removes)`` tuple, never
+as a :class:`LogRecord`.  A write set is two flat tuples, its keys and its
+values in the same order; a record without one (a two-phase commit, an
+abort, a migrate-out) has the shared empty tuple there: no dict per record,
+and no empty one.  A row of flat tuples, strings and numbers holds nothing
+the cyclic garbage collector can follow: a collection untracks the flat
+tuples, the next one the row, and from then on the collector never walks it
+(a dict inside would keep it tracked for ever, even an empty one).
+:meth:`WriteAheadLog.records` builds the slotted :class:`LogRecord` objects,
+write sets as dicts, on read.
 """
 
 from __future__ import annotations
@@ -24,9 +36,13 @@ MIGRATE_OUT = "migrate_out"
 _VALID_KINDS = {PREPARE, COMMIT, ABORT, MIGRATE_IN, MIGRATE_OUT}
 
 
-@dataclass(frozen=True)
+#: A stored record: ``(kind, transaction_id, keys, values, removes)``.
+Row = tuple[str, Any, tuple[str, ...], tuple[Any, ...], tuple[str, ...]]
+
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One WAL entry."""
+    """One WAL entry, as :meth:`WriteAheadLog.records` returns it."""
 
     kind: str
     transaction_id: Any
@@ -65,8 +81,7 @@ class WriteAheadLog:
     def append_prepare(self, transaction_id: Any, writes: dict[str, Any],
                        forced: bool = True) -> float:
         """Log the write set of a prepared transaction; returns the I/O cost."""
-        record = LogRecord(PREPARE, transaction_id, dict(writes))
-        return self.storage.append(self.LOG_KEY, record, forced=forced)
+        return self._append(PREPARE, transaction_id, writes, (), forced)
 
     def append_commit(self, transaction_id: Any, writes: Optional[dict[str, Any]] = None,
                       forced: bool = True) -> float:
@@ -75,31 +90,34 @@ class WriteAheadLog:
         ``writes`` is only needed for one-phase commits (no prior prepare
         record); two-phase commits reference the prepare record's write set.
         """
-        record = LogRecord(COMMIT, transaction_id, dict(writes or {}))
-        return self.storage.append(self.LOG_KEY, record, forced=forced)
+        return self._append(COMMIT, transaction_id, writes, (), forced)
 
     def append_abort(self, transaction_id: Any, forced: bool = False) -> float:
         """Log an abort decision (lazily by default: aborts need no durability)."""
-        record = LogRecord(ABORT, transaction_id)
-        return self.storage.append(self.LOG_KEY, record, forced=forced)
+        return self._append(ABORT, transaction_id, None, (), forced)
 
     def append_migrate_in(self, epoch: int, data: dict[str, Any],
                           forced: bool = True) -> float:
         """Log committed values installed by an epoch-``epoch`` migration."""
-        record = LogRecord(MIGRATE_IN, ("migrate", epoch), dict(data))
-        return self.storage.append(self.LOG_KEY, record, forced=forced)
+        return self._append(MIGRATE_IN, ("migrate", epoch), data, (), forced)
 
     def append_migrate_out(self, epoch: int, keys: tuple[str, ...],
                            forced: bool = True) -> float:
         """Log keys released to another shard by an epoch-``epoch`` migration."""
-        record = LogRecord(MIGRATE_OUT, ("migrate", epoch), removes=tuple(keys))
-        return self.storage.append(self.LOG_KEY, record, forced=forced)
+        return self._append(MIGRATE_OUT, ("migrate", epoch), None, tuple(keys), forced)
+
+    def _append(self, kind: str, transaction_id: Any, writes: Optional[dict[str, Any]],
+                removes: tuple[str, ...], forced: bool) -> float:
+        row = ((kind, transaction_id, tuple(writes), tuple(writes.values()), removes)
+               if writes else (kind, transaction_id, (), (), removes))
+        return self.storage.append(self.LOG_KEY, row, forced=forced)
 
     # ------------------------------------------------------------------- read
 
     def records(self) -> list[LogRecord]:
         """All records in append order."""
-        return list(self.storage.get(self.LOG_KEY, []))
+        return [LogRecord(kind, transaction_id, dict(zip(keys, values)), removes)
+                for kind, transaction_id, keys, values, removes in self._rows()]
 
     def replay(self) -> ReplayResult:
         """Rebuild committed state and in-doubt transactions from the log."""
@@ -108,25 +126,26 @@ class WriteAheadLog:
         committed: list[Any] = []
         aborted: list[Any] = []
         released: set[str] = set()
-        for record in self.records():
-            if record.kind == PREPARE:
-                prepared[record.transaction_id] = dict(record.writes)
-            elif record.kind == COMMIT:
-                writes = record.writes or prepared.get(record.transaction_id, {})
-                committed_state.update(writes)
-                released.difference_update(writes)
-                prepared.pop(record.transaction_id, None)
-                committed.append(record.transaction_id)
-            elif record.kind == ABORT:
-                prepared.pop(record.transaction_id, None)
-                aborted.append(record.transaction_id)
-            elif record.kind == MIGRATE_IN:
-                committed_state.update(record.writes)
-                released.difference_update(record.writes)
-            elif record.kind == MIGRATE_OUT:
-                for key in record.removes:
+        for kind, transaction_id, keys, values, removes in self._rows():
+            if kind == PREPARE:
+                prepared[transaction_id] = dict(zip(keys, values))
+            elif kind == COMMIT:
+                applied = dict(zip(keys, values)) if keys else prepared.get(transaction_id, {})
+                committed_state.update(applied)
+                released.difference_update(applied)
+                prepared.pop(transaction_id, None)
+                committed.append(transaction_id)
+            elif kind == ABORT:
+                prepared.pop(transaction_id, None)
+                aborted.append(transaction_id)
+            elif kind == MIGRATE_IN:
+                installed = dict(zip(keys, values))
+                committed_state.update(installed)
+                released.difference_update(installed)
+            elif kind == MIGRATE_OUT:
+                for key in removes:
                     committed_state.pop(key, None)
-                released.update(record.removes)
+                released.update(removes)
         return ReplayResult(
             committed_state=committed_state,
             in_doubt=prepared,
@@ -134,3 +153,6 @@ class WriteAheadLog:
             aborted_transactions=aborted,
             released_keys=released,
         )
+
+    def _rows(self) -> list[Row]:
+        return self.storage.get(self.LOG_KEY, [])

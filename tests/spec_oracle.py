@@ -270,16 +270,23 @@ def check_run(trace: TraceRecorder, db_server_names: list[str],
     return checker.check(check_termination=check_termination)
 
 
-def monitor_verdict(trace: TraceRecorder, db_server_names: list[str],
-                    client_names: list[str], check_termination: bool = True) -> SpecReport:
-    """What a fresh :class:`SpecMonitor` reports once ``trace`` is replayed into it."""
+def replayed_monitor(trace: TraceRecorder, db_server_names: list[str],
+                     client_names: list[str]) -> SpecMonitor:
+    """A fresh :class:`SpecMonitor` that has seen every event of ``trace``."""
     clock = SimpleNamespace(now=0.0)
     bus = TraceRecorder(clock, retention="off")
     monitor = SpecMonitor.attach(bus, db_server_names, client_names)
     for event in trace:
         clock.now = event.time
         bus.record(event.category, event.process, **event.data)
-    return monitor.report(check_termination=check_termination)
+    return monitor
+
+
+def monitor_verdict(trace: TraceRecorder, db_server_names: list[str],
+                    client_names: list[str], check_termination: bool = True) -> SpecReport:
+    """What a fresh :class:`SpecMonitor` reports once ``trace`` is replayed into it."""
+    return replayed_monitor(trace, db_server_names, client_names).report(
+        check_termination=check_termination)
 
 
 def verdict(report: SpecReport) -> tuple:

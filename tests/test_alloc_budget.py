@@ -18,9 +18,10 @@ scenarios are deterministic, so any drift means behaviour changed and the
 block figures are incomparable -- re-pin both only for an intended change.
 
 What a run retains is budgeted too, as the objects the cyclic collector must
-walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count.
-So are the calls into ``sim/process.py`` per request, counted by ``cProfile``
-over the same deterministic runs: a count, exact for a given tree.
+walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count,
+taken once the system is built and its load laid out and again after the
+run, per delivered request.  So are the calls into ``sim/process.py`` per request, counted by
+``cProfile`` over the same deterministic runs: a count, exact for a given tree.
 """
 
 import cProfile
@@ -32,6 +33,7 @@ from repro import api
 from repro.sim.tracing import BLOCK_ROWS, TraceRecorder
 
 TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
+TWO_PC_DSN = "2pc://a1.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
 SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
             "&workload=bank&placement=hash&xshard=0.1&trace=off")
 
@@ -44,6 +46,14 @@ HEADROOM = 1.3
 #: when ``receive`` took keys: 137.2 traffic, 138.5 soak; 175.9 and 177.2
 #: with the hinted matchers, the waiter index and the ``trace`` property) fails.
 CALLS_HEADROOM = 1.1
+
+#: More than 20 % above the pinned GC-tracked objects retained per request
+#: (measured with WAL records kept as rows, terminated transactions as shared
+#: tombstones, the spec monitor's outcome sets interned and its A.2 index one
+#: key per request, slotted request types and resolved futures without a
+#: callback list: 6.86 traffic, 4.98 soak, 6.86 2pc; 13.96, 12.30 and 15.34
+#: with a LogRecord, a Transaction and a monitor set per fact) fails.
+RETAINED_HEADROOM = 1.2
 
 
 def _stepped_alloc_blocks(sim, is_done) -> tuple[int, int]:
@@ -81,6 +91,17 @@ def _process_calls(sim, is_done) -> tuple[int, int]:
                 in pstats.Stats(profile).stats.items()  # type: ignore[attr-defined]
                 if filename.replace("\\", "/").endswith("repro/sim/process.py"))
     return calls, sim.events_processed - fired_before
+
+
+def _retained_objects(sim, is_done) -> tuple[int, int]:
+    """(GC-tracked objects alive after the run minus before it, events fired)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    fired_before = sim.events_processed
+    while not is_done() and sim.step():
+        pass
+    gc.collect()
+    return len(gc.get_objects()) - before, sim.events_processed - fired_before
 
 
 def _closed_loop(dsn: str, requests_per_client: int,
@@ -163,6 +184,30 @@ def test_soak_shape_process_calls_per_request():
     print(f"\nsoak: {calls_per_request:.1f} sim/process.py calls/request")
     assert events == 9360
     assert calls_per_request <= CALLS_HEADROOM * 138.5
+
+
+def test_traffic_shape_retained_objects_per_request():
+    retained_per_request, events = _closed_loop(TRAFFIC_DSN, requests_per_client=20,
+                                                sample=_retained_objects)
+    print(f"\ntraffic: {retained_per_request:.2f} retained objects/request")
+    assert events == 1911
+    assert retained_per_request <= RETAINED_HEADROOM * 6.86
+
+
+def test_soak_shape_retained_objects_per_request():
+    retained_per_request, events = _open_loop(SOAK_DSN, total=400, rate=32.0,
+                                              sample=_retained_objects)
+    print(f"\nsoak: {retained_per_request:.2f} retained objects/request")
+    assert events == 9360
+    assert retained_per_request <= RETAINED_HEADROOM * 4.98
+
+
+def test_2pc_closed_loop_retained_objects_per_request():
+    retained_per_request, events = _closed_loop(TWO_PC_DSN, requests_per_client=20,
+                                                sample=_retained_objects)
+    print(f"\n2pc: {retained_per_request:.2f} retained objects/request")
+    assert events == 1119
+    assert retained_per_request <= RETAINED_HEADROOM * 6.86
 
 
 def test_a_full_trace_leaves_the_collector_nothing_to_walk():

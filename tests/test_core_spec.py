@@ -6,7 +6,8 @@ require identical verdicts, to make sure each property check can fail when it
 should (a checker that always passes is worthless).
 """
 
-from spec_oracle import DifferentialChecker
+from spec_oracle import DifferentialChecker, replayed_monitor, verdict
+from repro.core.spec import _a2_violation, _a3_violation
 from repro.core.types import ABORT, COMMIT
 from repro.sim.tracing import TraceRecorder
 
@@ -209,3 +210,102 @@ def test_s1_epoch_universe_updates_at_commit():
                  result="{}", epoch=0, participants=["d2"])
     report = make_checker(stale).check(check_termination=False)
     assert report.violated("S.1")
+
+
+# -------------------------------------- compact monitor state vs the oracle
+#
+# The monitor keeps one committed key per request until a second one commits
+# (then a set), and each key's decide outcomes as a shared, interned
+# frozenset.  These traces drive both representations through every change
+# and require the oracle's report, in its order, and the live violations
+# the eager checks owe.
+
+
+def _commit(trace, db, j, outcome=COMMIT, vote=True):
+    if vote:
+        trace.record("db_vote", db, j=("c1", j), vote="yes")
+    trace.record("db_decide", db, j=("c1", j), outcome=outcome)
+
+
+def _live(monitor):
+    return [(v.property_name, v.description) for v in monitor.live_violations]
+
+
+def test_a2_one_key_per_request_promotes_to_a_set_as_the_oracle_orders_it():
+    dbs = ("d1", "d2")
+    trace = TraceRecorder()
+    for j, request_id in ((1, "req-1"), (2, "req-1"), (3, "req-1"), (4, "req-2"),
+                          (5, "req-2"), (6, "req-3")):
+        trace.record("as_compute", "a1", client="c1", j=j, request_id=request_id, result="{}")
+    for j in (4, 1, 1, 6, 5, 2, 3, 1):          # d1: req-2 reaches the sequence first
+        _commit(trace, "d1", j)
+    for j in (2, 2, 1):
+        _commit(trace, "d2", j)
+    report = DifferentialChecker(trace, list(dbs), ["c1"]).check(check_termination=False)
+    assert [str(v) for v in report.violated("A.2")] == [
+        str(_a2_violation("d1", {("c1", 4), ("c1", 5)}, "req-2")),
+        str(_a2_violation("d1", {("c1", 1), ("c1", 2), ("c1", 3)}, "req-1")),
+        str(_a2_violation("d2", {("c1", 1), ("c1", 2)}, "req-1")),
+    ]
+    # Live: once per new key of a request that already committed another,
+    # never for a repeated commit of the same key.
+    monitor = replayed_monitor(trace, list(dbs), ["c1"])
+    assert _live(monitor) == [
+        ("A.2", _a2_violation("d1", {("c1", 4), ("c1", 5)}, "req-2").description),
+        ("A.2", _a2_violation("d1", {("c1", 1), ("c1", 2)}, "req-1").description),
+        ("A.2", _a2_violation("d1", {("c1", 1), ("c1", 2), ("c1", 3)}, "req-1").description),
+        ("A.2", _a2_violation("d2", {("c1", 1), ("c1", 2)}, "req-1").description),
+    ]
+    index = monitor._a2_index["d1"]
+    assert index["req-3"] == ("c1", 6)          # one commit: the key, no set
+    assert index["req-2"] == {("c1", 4), ("c1", 5)}
+
+
+def test_a2_commit_before_its_computation_is_still_counted():
+    # Only a synthetic trace commits a result before any computation names
+    # its request; the oracle resolves the request at the end, so must the report.
+    trace = TraceRecorder()
+    _commit(trace, "d1", 1)
+    trace.record("as_compute", "a1", client="c1", j=2, request_id="req-1", result="{}")
+    _commit(trace, "d1", 2)
+    _commit(trace, "d1", 3)                     # never computed: no request, no A.2
+    trace.record("as_compute", "a2", client="c1", j=1, request_id="req-1", result="{}")
+    report = DifferentialChecker(trace, ["d1"], ["c1"]).check(check_termination=False)
+    assert [str(v) for v in report.violated("A.2")] == [
+        str(_a2_violation("d1", {("c1", 1), ("c1", 2)}, "req-1"))]
+
+
+def test_a3_commit_then_abort_at_one_database_with_interned_outcomes():
+    dbs = ("d1", "d2", "d3")
+    trace = TraceRecorder()
+    # Key 1: d1 commits, then aborts (final: commit); d2 voted yes, aborts.
+    _commit(trace, "d1", 1)
+    _commit(trace, "d1", 1, ABORT, vote=False)
+    _commit(trace, "d2", 1, ABORT)
+    _commit(trace, "d3", 1)
+    # Key 2: first decided at d3, then d2 (abort after a yes) and d1 (commit):
+    # the oracle reports it under d1, the first database in server order.
+    _commit(trace, "d3", 2, ABORT)
+    _commit(trace, "d2", 2, ABORT)
+    _commit(trace, "d1", 2)
+    # Key 3: d2 aborts without a yes vote: a disagreement, not a violation.
+    _commit(trace, "d2", 3, ABORT, vote=False)
+    _commit(trace, "d3", 3)
+    # Key 4: agreement, reached through an abort first at one database.
+    _commit(trace, "d2", 4, ABORT, vote=False)
+    _commit(trace, "d2", 4)
+    _commit(trace, "d1", 4)
+    report = DifferentialChecker(trace, list(dbs), ["c1"]).check(check_termination=False)
+    assert [str(v) for v in report.violated("A.3")] == [
+        str(_a3_violation(("c1", 1), ["d1", "d3"], ["d2"])),
+        str(_a3_violation(("c1", 2), ["d1"], ["d2", "d3"])),
+    ]
+    monitor = replayed_monitor(trace, list(dbs), ["c1"])
+    assert verdict(monitor.report(check_termination=False)) == verdict(report)
+    outcomes = monitor._decide_outcomes
+    assert outcomes["d1"][("c1", 1)] == {COMMIT, ABORT}
+    assert outcomes["d1"][("c1", 1)] is outcomes["d2"][("c1", 4)]
+    assert outcomes["d2"][("c1", 1)] is outcomes["d3"][("c1", 2)] == {ABORT}
+    assert outcomes["d1"][("c1", 2)] is outcomes["d3"][("c1", 1)] == {COMMIT}
+    assert all(type(values) is frozenset for table in outcomes.values()
+               for values in table.values())

@@ -18,6 +18,7 @@ is where a hostile peer gets in.  Both directions are derived from one table
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -87,8 +88,8 @@ def same_types(a, b) -> bool:
                    for ka in a)
     if isinstance(a, (list, tuple)):
         return all(map(same_types, a, b))
-    if isinstance(a, (Request, Result, Decision)):
-        return same_types(vars(a), vars(b))
+    if isinstance(a, (Request, Result, Decision)):   # slotted: no ``vars()``
+        return all(same_types(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
     return True
 
 

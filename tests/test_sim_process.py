@@ -475,6 +475,39 @@ def test_future_is_write_once(sim):
     assert future.value == 1
 
 
+def test_future_callbacks_on_a_resolved_future():
+    future = SimFuture()
+    calls = []
+    first = calls.append
+    second = lambda v: calls.append(("second", v))
+    dropped = lambda v: calls.append(("dropped", v))
+    future.on_resolve(first)
+    future.on_resolve(second)
+    future.on_resolve(dropped)
+    future.discard_callback(dropped)
+    future.discard_callback(dropped)   # no longer pending: a no-op
+    future.resolve("v")
+    assert calls == ["v", ("second", "v")]
+    # Resolved: a new callback runs at once, with the same value, and
+    # discarding one that is not pending (or already ran) changes nothing.
+    late = []
+    future.on_resolve(late.append)
+    future.discard_callback(late.append)
+    future.discard_callback(first)
+    future.resolve("w")
+    assert late == ["v"]
+    assert calls == ["v", ("second", "v")]
+    assert future.resolved and future.value == "v"
+
+
+def test_a_resolved_future_holds_no_callback_list():
+    waited, never = SimFuture(), SimFuture()
+    waited.on_resolve(lambda _value: None)
+    waited.resolve(1)
+    never.resolve(2)
+    assert waited._callbacks == () and never._callbacks == ()
+
+
 def test_wait_for_future_timeout(sim):
     process = Process(sim, "p")
     future = SimFuture()

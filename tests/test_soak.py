@@ -26,4 +26,8 @@ def test_soak_ring_retention_flat_memory_and_online_spec():
     assert report.spec_memory_flat, [s.spec_in_flight for s in report.samples]
     # The monitor retired every transaction it opened.
     assert report.samples[-1].spec_retired >= report.delivered
+    # What the run keeps for good is counted, per delivered request.
+    assert report.retained_objects > 0
+    assert report.to_json()["retained_objects_per_req"] == \
+        round(report.retained_objects / report.delivered, 2)
     assert report.ok

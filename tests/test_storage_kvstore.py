@@ -1,11 +1,16 @@
 """Tests for the transactional key-value store and the XA facade."""
 
+import dataclasses
+
 import pytest
 
 from repro.storage.kvstore import (
     ABORTED,
+    ABORTED_TOMBSTONE,
     COMMITTED,
+    COMMITTED_TOMBSTONE,
     PREPARED,
+    Tombstone,
     TransactionError,
     TransactionalKVStore,
 )
@@ -267,3 +272,98 @@ def test_xa_one_phase_commit():
     resource.execute("t1", lambda view: view.write("x", 1))
     resource.commit_one_phase("t1")
     assert resource.store.get_committed("x") == 1
+
+
+# ------------------------------------------------------ shared tombstones
+
+
+def _terminate(store, how):
+    """Drive ``t1`` to its end along one path; returns the status it must keep."""
+    if how == "abort-unknown":
+        store.abort("t1")               # presumed abort: never begun here
+        return ABORTED
+    store.begin("t1")
+    store.write("t1", "x", 1)
+    if how == "one-phase":
+        store.commit("t1", allow_one_phase=True)
+        return COMMITTED
+    store.prepare("t1")
+    if how == "commit":
+        store.commit("t1")
+        return COMMITTED
+    store.abort("t1")
+    return ABORTED
+
+
+@pytest.mark.parametrize("how", ["commit", "one-phase", "abort", "abort-unknown"])
+@pytest.mark.parametrize("recovered", [False, True], ids=["live", "recovered"])
+def test_a_terminated_transaction_keeps_its_status_and_refuses_begin(how, recovered):
+    store = make_store()
+    status = _terminate(store, how)
+    if recovered:
+        store.crash()
+        store.recover()
+    if how == "abort-unknown" and recovered:
+        # A presumed-abort tombstone was never logged: the recovered store
+        # has never heard of the transaction, as before tombstones were shared.
+        assert store.status("t1") is None
+        return
+    assert store.status("t1") == status
+    with pytest.raises(TransactionError):
+        store.begin("t1")               # no resurrection
+    with pytest.raises(TransactionError):
+        store.read("t1", "x")
+    # Repeating the outcome is harmless; the other outcome is refused.
+    if status == COMMITTED:
+        assert store.commit("t1") == 0.0
+        with pytest.raises(TransactionError):
+            store.abort("t1")
+        with pytest.raises(TransactionError):
+            store.prepare("t1")
+    else:
+        assert store.abort("t1") == 0.0
+        assert store.prepare("t1") == ("no", 0.0)
+        with pytest.raises(TransactionError):
+            store.commit("t1")
+    assert store.in_doubt() == []
+    assert store.status("t1") == status
+    # Every path ended on one of the two shared tombstones, untouched.
+    assert COMMITTED_TOMBSTONE == Tombstone(COMMITTED)
+    assert ABORTED_TOMBSTONE == Tombstone(ABORTED)
+
+
+def test_many_terminated_transactions_share_one_immutable_tombstone_per_outcome():
+    stores = [make_store(), make_store()]
+    for store in stores:
+        for n in range(3):
+            store.begin(f"c{n}")
+            store.write(f"c{n}", f"k{n}", n)
+            store.prepare(f"c{n}")
+            store.commit(f"c{n}")
+            store.begin(f"a{n}")
+            store.abort(f"a{n}")
+            store.abort(f"u{n}")
+    assert {id(t) for store in stores for tid, t in store._transactions.items()
+            if tid.startswith("c")} == {id(COMMITTED_TOMBSTONE)}
+    assert {id(t) for store in stores for tid, t in store._transactions.items()
+            if not tid.startswith("c")} == {id(ABORTED_TOMBSTONE)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        COMMITTED_TOMBSTONE.status = ABORTED  # type: ignore[misc]
+    assert COMMITTED_TOMBSTONE.status == COMMITTED
+    assert ABORTED_TOMBSTONE.status == ABORTED
+
+
+def test_recovery_keeps_in_doubt_transactions_live_next_to_tombstones():
+    store = make_store()
+    _terminate(store, "commit")
+    store.begin("t2")
+    store.write("t2", "y", 2)
+    store.prepare("t2")
+    store.crash()
+    assert store.recover() == ["t2"]
+    assert store.status("t1") == COMMITTED
+    assert store.status("t2") == PREPARED
+    assert store.in_doubt() == ["t2"]
+    store.commit("t2")
+    assert store.get_committed("y") == 2
+    assert store.status("t2") == COMMITTED

@@ -1,9 +1,20 @@
 """Tests for stable storage and the write-ahead log."""
 
+import gc
+
 import pytest
 
 from repro.storage.stable import StableStorage
-from repro.storage.wal import ABORT, COMMIT, PREPARE, LogRecord, WriteAheadLog
+from repro.storage.wal import (
+    ABORT,
+    COMMIT,
+    MIGRATE_IN,
+    MIGRATE_OUT,
+    PREPARE,
+    LogRecord,
+    ReplayResult,
+    WriteAheadLog,
+)
 
 
 # ------------------------------------------------------------- stable storage
@@ -122,3 +133,70 @@ def test_replay_one_phase_commit_record_carries_writes():
     result = wal.replay()
     assert result.committed_state == {"z": 3}
     assert result.committed_transactions == [7]
+
+
+def _mixed_log() -> WriteAheadLog:
+    """Every record kind: two-phase and one-phase commits, an abort of a
+    prepared and of an unknown transaction, an in-doubt prepare, both
+    migration records, and a commit that writes a released key again."""
+    wal = WriteAheadLog(StableStorage("disk"))
+    wal.append_prepare(1, {"x": 1, "y": 2})
+    wal.append_commit(1)
+    wal.append_commit(2, {"z": 3})                 # one phase
+    wal.append_prepare(3, {"x": 9})
+    wal.append_abort(3)
+    wal.append_abort(4)                            # never prepared
+    wal.append_migrate_in(1, {"m": 7, "n": 8})
+    wal.append_migrate_out(1, ("y", "m", "old"))
+    wal.append_prepare(5, {"w": 5})                # in doubt
+    wal.append_prepare(6, {})                      # prepared, wrote nothing
+    wal.append_commit(6)
+    wal.append_commit(7, {"m": 70})                # a released key comes back
+    return wal
+
+
+def test_replay_of_a_mixed_log_answers_every_field():
+    result = _mixed_log().replay()
+    assert result == ReplayResult(
+        committed_state={"x": 1, "z": 3, "n": 8, "m": 70},
+        in_doubt={5: {"w": 5}},
+        committed_transactions=[1, 2, 6, 7],
+        aborted_transactions=[3, 4],
+        released_keys={"y", "old"},
+    )
+    assert list(result.committed_state) == ["x", "z", "n", "m"]
+
+
+def test_records_read_back_as_the_records_that_were_appended():
+    assert _mixed_log().records() == [
+        LogRecord(PREPARE, 1, {"x": 1, "y": 2}),
+        LogRecord(COMMIT, 1, {}),
+        LogRecord(COMMIT, 2, {"z": 3}),
+        LogRecord(PREPARE, 3, {"x": 9}),
+        LogRecord(ABORT, 3),
+        LogRecord(ABORT, 4),
+        LogRecord(MIGRATE_IN, ("migrate", 1), {"m": 7, "n": 8}),
+        LogRecord(MIGRATE_OUT, ("migrate", 1), removes=("y", "m", "old")),
+        LogRecord(PREPARE, 5, {"w": 5}),
+        LogRecord(PREPARE, 6, {}),
+        LogRecord(COMMIT, 6, {}),
+        LogRecord(COMMIT, 7, {"m": 70}),
+    ]
+
+
+def test_a_logged_write_set_is_a_copy():
+    wal = WriteAheadLog(StableStorage("disk"))
+    writes = {"x": 1}
+    wal.append_prepare(1, writes)
+    writes["x"] = 2
+    writes.clear()
+    assert wal.replay().in_doubt == {1: {"x": 1}}
+
+
+def test_stored_records_leave_the_collector_nothing_to_walk():
+    wal = _mixed_log()
+    gc.collect()  # untracks the flat key, value and removed-key tuples
+    gc.collect()  # then the rows that hold them
+    rows = wal.storage.get(WriteAheadLog.LOG_KEY)
+    assert len(rows) == 12
+    assert not any(gc.is_tracked(row) for row in rows)
