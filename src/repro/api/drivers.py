@@ -11,10 +11,9 @@ and every consumer (experiments, examples, CLI, tests) sees the same uniform
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Optional
 
-from repro.api.scenario import Scenario, ScenarioError, register_scheme
+from repro.api.scenario import PARAMS, Scenario, ScenarioError, register_scheme
 from repro.api.workloads import ShardContext, WorkloadBinding, bind_workload
 from repro.baselines.baseline import BaselineDeployment
 from repro.baselines.primary_backup import PrimaryBackupDeployment
@@ -61,40 +60,26 @@ class RunningSystem:
         return self.workload.make_request()
 
 
-# DeploymentConfig field -> the Scenario field it is copied from.
-_CONFIG_FROM_SCENARIO = {
-    **{name: name for name in (
-        "num_app_servers", "num_db_servers", "num_clients", "register_mode",
-        "seed", "loss_probability", "detection_delay", "failure_detector",
-        "heartbeat_interval", "heartbeat_timeout",
-        "client_app_latency", "app_app_latency", "app_db_latency",
-        "coordinator_log_latency", "placement")},
-    "trace_retention": "trace",
-    "mailbox_limit": "mailbox",
-}
-
-
 def deployment_config(scenario: Scenario, **objects: Any) -> DeploymentConfig:
     """The one bridge from a :class:`Scenario` to a :class:`DeploymentConfig`.
 
-    ``objects`` are the config fields a DSN cannot carry (``business_logic``,
-    ``initial_data``, ``db_timing``, ``protocol_timing``, ``runtime``), which
-    :func:`build` resolves; the reshard switches derive from the fault list.
+    The tier sizes and every parameter row with a ``config`` field are
+    copied; ``objects`` are the config fields a DSN cannot carry
+    (``business_logic``, ``initial_data``, ``db_timing``, ``protocol_timing``,
+    ``runtime``), which :func:`build` resolves; the reshard switches derive
+    from the fault list.
     """
-    copied = {config_field: getattr(scenario, scenario_field)
-              for config_field, scenario_field in _CONFIG_FROM_SCENARIO.items()}
+    copied = {row.config: getattr(scenario, row.field) for row in PARAMS if row.config}
     return DeploymentConfig(
-        **copied, **objects,
+        num_app_servers=scenario.num_app_servers,
+        num_db_servers=scenario.num_db_servers, **copied, **objects,
         enable_reshard=any(fault.kind == "reshard" for fault in scenario.faults),
         num_standby_db_servers=len(scenario.standby_db_server_names))
 
 
-# The comparison stacks have no register mode, tunable failure detector or
-# admission control -- those are e-Transaction machinery -- so the
-# corresponding scenario fields are rejected instead of ignored.  The same goes for the faults that ride on it: online resharding
-# needs the epoch directory, an injected false suspicion the oracle detector.
-_ETX_ONLY_FIELDS = ("register_mode", "failure_detector", "detection_delay",
-                    "heartbeat_interval", "heartbeat_timeout", "mailbox")
+# The comparison stacks cannot inject the faults that ride on e-Transaction
+# machinery: online resharding needs the epoch directory, an injected false
+# suspicion the oracle detector.
 _ETX_ONLY_FAULTS = {"reshard": "online resharding",
                     "false_suspicion": "injected false suspicions"}
 
@@ -104,17 +89,15 @@ class ProtocolDriver:
 
     A protocol is its middle tier: ``deployment_class`` is the
     :class:`~repro.core.deployment.ThreeTierDeployment` subclass that builds
-    it (and carries its default and minimum middle-tier size).
-    ``ignored_fields`` names the :class:`Scenario` fields this protocol does
-    not consume and ``unsupported_faults`` the fault kinds it cannot inject;
-    a scenario that sets one of them is rejected rather than silently
+    it (and carries its default and minimum middle-tier size).  A scenario
+    that sets a parameter whose row names other consuming protocols, or a
+    fault kind in ``unsupported_faults``, is rejected rather than silently
     mis-describing the run.
     """
 
     name: str = ""
     aliases: tuple[str, ...] = ()
     deployment_class: type[ThreeTierDeployment] = ThreeTierDeployment
-    ignored_fields: tuple[str, ...] = ()
     unsupported_faults: dict[str, str] = {}  # fault kind -> what it needs
 
     def build(self, scenario: Scenario, **objects: Any) -> ThreeTierDeployment:
@@ -128,12 +111,12 @@ class ProtocolDriver:
             raise ScenarioError(
                 f"protocol {self.name!r} needs at least {minimum} "
                 f"application server(s), got {scenario.num_app_servers}")
-        defaults = {f.name: f.default for f in dataclass_fields(scenario)}
-        for field_name in self.ignored_fields:
-            if getattr(scenario, field_name) != defaults[field_name]:
+        for row in PARAMS:
+            if (row.protocols and self.name not in row.protocols
+                    and getattr(scenario, row.field) != row.default):
                 raise ScenarioError(
                     f"protocol {self.name!r} does not support "
-                    f"{field_name!r}; remove it from the scenario")
+                    f"{row.field!r}; remove it from the scenario")
         for fault in scenario.faults:
             if fault.kind in self.unsupported_faults:
                 raise ScenarioError(
@@ -175,7 +158,6 @@ class EtxDriver(ProtocolDriver):
     name = "etx"
     aliases = ("ar",)
     deployment_class = EtxDeployment
-    ignored_fields = ("coordinator_log_latency",)
 
 
 class BaselineDriver(ProtocolDriver):
@@ -183,7 +165,6 @@ class BaselineDriver(ProtocolDriver):
 
     name = "baseline"
     deployment_class = BaselineDeployment
-    ignored_fields = _ETX_ONLY_FIELDS + ("coordinator_log_latency",)
     unsupported_faults = _ETX_ONLY_FAULTS
 
 
@@ -193,7 +174,6 @@ class TwoPCDriver(ProtocolDriver):
     name = "2pc"
     aliases = ("twopc",)
     deployment_class = TwoPCDeployment
-    ignored_fields = _ETX_ONLY_FIELDS
     unsupported_faults = _ETX_ONLY_FAULTS
 
 
@@ -203,7 +183,6 @@ class PrimaryBackupDriver(ProtocolDriver):
     name = "pb"
     aliases = ("primary-backup",)
     deployment_class = PrimaryBackupDeployment
-    ignored_fields = _ETX_ONLY_FIELDS + ("coordinator_log_latency",)
     unsupported_faults = _ETX_ONLY_FAULTS
 
 

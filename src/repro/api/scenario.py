@@ -24,6 +24,15 @@ defaults.  Query parameters tune everything else; ``fault`` may repeat, every
 other parameter may appear at most once (a duplicate is ambiguous and
 rejected, as in database DSNs).
 
+Each query key is one row of a parameter table (:class:`Param`, declared on
+the :class:`Scenario` field it sets; :data:`PARAMS` lists them in canonical
+order): its parser, default and check, the protocols that consume it,
+whether only ``runtime=asyncio`` reads it, whether it also comes as
+``<key>_env``/``<key>_file``, and the :class:`DeploymentConfig` field it
+fills.  The parser and serialiser below, the protocol drivers' refusals,
+``deployment_config`` and the sweep axes all read the table, so adding a key
+is one row (and its README row).
+
 ``Scenario.from_dsn`` and ``Scenario.to_dsn`` round-trip:
 ``Scenario.from_dsn(s.to_dsn()) == s`` for every scenario.
 """
@@ -33,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Sequence
 from urllib.parse import parse_qsl
 
@@ -358,52 +367,77 @@ def load_fault_sidecar(path: str) -> tuple[FaultSpec, ...]:
 # to the single ``faults=`` list parameter.
 _FAULT_LIST_THRESHOLD = 3
 
-# query parameter -> (Scenario field, parser).  Order doubles as the canonical
-# serialisation order of ``to_dsn``.  ``clients`` is an alternative spelling
-# of the host's ``c<N>`` token (never serialised -- the host carries it).
-_QUERY_PARAMS: dict[str, tuple[str, Callable[[str], Any]]] = {
-    "seed": ("seed", int),
-    "clients": ("num_clients", int),
-    "rate": ("rate", float),
-    "arrival": ("arrival", str),
-    "think": ("think_time", float),
-    "fd": ("failure_detector", str),
-    "register": ("register_mode", str),
-    "loss": ("loss_probability", float),
-    "detect": ("detection_delay", float),
-    "hb_interval": ("heartbeat_interval", float),
-    "hb_timeout": ("heartbeat_timeout", float),
-    "lat_ca": ("client_app_latency", float),
-    "lat_aa": ("app_app_latency", float),
-    "lat_ad": ("app_db_latency", float),
-    "log": ("coordinator_log_latency", float),
-    "backoff": ("client_backoff", float),
-    "workload": ("workload", str),
-    "timing": ("timing", str),
-    "placement": ("placement", str),
-    "xshard": ("xshard", float),
-    "trace": ("trace", str),
-    "runtime": ("runtime", str),
-    "host": ("host", str),
-    "port": ("port", int),
-    "pace": ("pace", float),
-    "mailbox": ("mailbox", int),
-}
 
-# Endpoint parameters follow the database-DSN convention of edgedb et al.:
-# ``host``/``port`` can each be given directly, via ``*_env`` (the name of an
-# environment variable holding the value) or via ``*_file`` (a file whose
-# contents are the value).  Giving the same endpoint parameter two ways is
-# ambiguous and rejected.
-_INDIRECT_SUFFIXES = ("_env", "_file")
-_INDIRECT_BASES = ("host", "port")
+@dataclass(frozen=True)
+class Param:
+    """One DSN query key: a row of the parameter table.
+
+    A row is declared once, as the metadata of the :class:`Scenario` field it
+    sets (``field``).  ``parse`` reads the query text; ``check`` raises
+    ``ValueError`` saying what is wrong with a value.  ``protocols`` consume
+    the key (empty: every protocol); any other protocol refuses a
+    non-default value when it builds.  ``asyncio_only`` keys mean nothing to
+    the simulator.  An ``indirect`` key may also be given as ``<key>_env``
+    (the name of an environment variable holding the value) or
+    ``<key>_file`` (a file holding it), as in database DSNs.  ``config`` is
+    the :class:`DeploymentConfig` field the value fills ("" for none).
+    """
+
+    key: str
+    parse: Callable[[str], Any]
+    default: Any
+    check: Optional[Callable[[Any], None]] = None
+    protocols: tuple[str, ...] = ()
+    asyncio_only: bool = False
+    indirect: bool = False
+    config: Any = ""
+    field: str = ""
 
 
-def _known_query_params() -> str:
-    names = sorted([*_QUERY_PARAMS,
-                    *(f"{base}{suffix}" for base in _INDIRECT_BASES
-                      for suffix in _INDIRECT_SUFFIXES)])
-    return ", ".join([*names, "fault", "faults"])
+def _param(key: str, parse: Callable[[str], Any], default: Any, **rules: Any) -> Any:
+    """A :class:`Scenario` field set by the DSN query key ``key``.
+
+    ``config=True`` fills the same-named :class:`DeploymentConfig` field.
+    """
+    return field(default=default,
+                 metadata={"param": Param(key, parse, default, **rules)})
+
+
+def _text(value: Any) -> str:
+    """A value as DSN query text."""
+    return _format_number(value) if isinstance(value, float) else str(value)
+
+
+def _one_of(what: str, *known: str) -> Callable[[Any], None]:
+    def check(value: Any) -> None:
+        if value not in known:
+            raise ValueError(f"unknown {what} {value!r}; known: {', '.join(known)}")
+    return check
+
+
+def _rule(what: str, rule: str, holds: Callable[[Any], bool]) -> Callable[[Any], None]:
+    def check(value: Any) -> None:
+        if not holds(value):  # a NaN fails every comparison, so it never holds
+            raise ValueError(f"{what} must be {rule}, got {_text(value)}")
+    return check
+
+
+def _non_negative(what: str) -> Callable[[Any], None]:
+    return _rule(what, "non-negative", lambda value: value >= 0)
+
+
+def _positive(what: str) -> Callable[[Any], None]:
+    return _rule(what, "> 0", lambda value: value > 0)
+
+
+def _within(what: str, low: int, high: int) -> Callable[[Any], None]:
+    return _rule(what, f"in [{low}, {high}]", lambda value: low <= value <= high)
+
+
+def _check_host(host: str) -> None:
+    if host and not re.fullmatch(r"[A-Za-z0-9._-]+", host):
+        raise ValueError(f"malformed host {host!r} (expected a hostname or IP "
+                         "address, no port/scheme/path)")
 
 
 def _resolve_indirect(key: str, raw: str) -> str:
@@ -420,8 +454,10 @@ def _resolve_indirect(key: str, raw: str) -> str:
     except OSError as exc:
         raise ScenarioError(f"bad value for {key!r}: cannot read {raw!r} ({exc})") from None
 
+
 _HOST_TOKEN = re.compile(r"([adc])(\d+)")
-_HOST_FIELDS = {"a": "num_app_servers", "d": "num_db_servers", "c": "num_clients"}
+HOST_FIELDS = {"a": "num_app_servers", "d": "num_db_servers", "c": "num_clients"}
+_ETX = ("etx",)
 
 
 @dataclass(frozen=True)
@@ -429,7 +465,9 @@ class Scenario:
     """A complete, declarative description of one protocol run.
 
     ``num_app_servers=0`` (the default) resolves to the protocol's standard
-    middle-tier size (3 for ``etx``, 2 for ``pb``, 1 otherwise).
+    middle-tier size (3 for ``etx``, 2 for ``pb``, 1 otherwise).  Every field
+    a DSN query key sets is declared with its row (:class:`Param`); the
+    fields' order is the canonical order of ``to_dsn``.
     """
 
     # Numeric defaults are taken from the config dataclass the drivers fill
@@ -438,54 +476,85 @@ class Scenario:
     protocol: str = "etx"
     num_app_servers: int = 0
     num_db_servers: int = 1
-    num_clients: int = 1
-    seed: int = 0
-    failure_detector: str = FD_ORACLE
-    register_mode: str = REGISTER_CONSENSUS
-    loss_probability: float = 0.0
-    detection_delay: float = DeploymentConfig.detection_delay
-    heartbeat_interval: float = DeploymentConfig.heartbeat_interval
-    heartbeat_timeout: float = DeploymentConfig.heartbeat_timeout
-    client_app_latency: float = DeploymentConfig.client_app_latency
-    app_app_latency: float = DeploymentConfig.app_app_latency
-    app_db_latency: float = DeploymentConfig.app_db_latency
-    coordinator_log_latency: float = DeploymentConfig.coordinator_log_latency
-    client_backoff: float = ProtocolTiming.client_backoff
-    workload: str = "default"
-    timing: str = TIMING_DEFAULT
-    # Data-tier partitioning: ``placement`` selects the key-placement policy
-    # (``replicate`` keeps the historical full fan-out; ``hash``/``mod``
-    # partition the key space over the ``d`` databases), ``xshard`` is the
-    # fraction of generated requests that span two shards.
-    placement: str = PLACEMENT_REPLICATE
-    xshard: float = 0.0
+    # ``clients`` is an alternative spelling of the host's ``c<N>`` token
+    # (never serialised -- the host carries it).
+    num_clients: int = _param("clients", int, 1, config=True)
+    seed: int = _param("seed", int, 0, config=True)
     # Traffic shape: ``rate == 0`` is the paper's closed loop (every client
     # re-issues on delivery, pausing ``think_time`` in between); ``rate > 0``
     # is an open loop injecting requests at that many per second of virtual
     # time with the given arrival process.
-    rate: float = 0.0
-    arrival: str = ARRIVAL_POISSON
-    think_time: float = 0.0
+    rate: float = _param("rate", float, 0.0, check=_non_negative("arrival rate"))
+    arrival: str = _param("arrival", str, ARRIVAL_POISSON, check=_one_of(
+        "arrival process", ARRIVAL_POISSON, ARRIVAL_UNIFORM))
+    think_time: float = _param("think", float, 0.0, check=_non_negative("think time"))
+    failure_detector: str = _param("fd", str, FD_ORACLE, check=_one_of(
+        "failure detector", FD_ORACLE, FD_HEARTBEAT), protocols=_ETX, config=True)
+    register_mode: str = _param("register", str, REGISTER_CONSENSUS, check=_one_of(
+        "register mode", REGISTER_CONSENSUS, REGISTER_LOCAL), protocols=_ETX,
+        config=True)
+    loss_probability: float = _param("loss", float, 0.0, check=_within(
+        "loss probability", 0, 1), config=True)
+    detection_delay: float = _param(
+        "detect", float, DeploymentConfig.detection_delay,
+        check=_non_negative("detection delay"), protocols=_ETX, config=True)
+    heartbeat_interval: float = _param(
+        "hb_interval", float, DeploymentConfig.heartbeat_interval,
+        check=_positive("heartbeat interval"), protocols=_ETX, config=True)
+    heartbeat_timeout: float = _param(
+        "hb_timeout", float, DeploymentConfig.heartbeat_timeout,
+        check=_positive("heartbeat timeout"), protocols=_ETX, config=True)
+    client_app_latency: float = _param(
+        "lat_ca", float, DeploymentConfig.client_app_latency,
+        check=_non_negative("client-app latency"), config=True)
+    app_app_latency: float = _param(
+        "lat_aa", float, DeploymentConfig.app_app_latency,
+        check=_non_negative("app-app latency"), config=True)
+    app_db_latency: float = _param(
+        "lat_ad", float, DeploymentConfig.app_db_latency,
+        check=_non_negative("app-db latency"), config=True)
+    coordinator_log_latency: float = _param(
+        "log", float, DeploymentConfig.coordinator_log_latency,
+        check=_non_negative("forced-log latency"), protocols=("2pc",), config=True)
+    client_backoff: float = _param("backoff", float, ProtocolTiming.client_backoff,
+                                   check=_non_negative("client backoff"))
+    workload: str = _param("workload", str, "default")
+    timing: str = _param("timing", str, TIMING_DEFAULT, check=_one_of(
+        "timing profile", TIMING_DEFAULT, TIMING_PAPER))
+    # Data-tier partitioning: ``placement`` selects the key-placement policy
+    # (``replicate`` keeps the historical full fan-out; ``hash``/``mod``
+    # partition the key space over the ``d`` databases), ``xshard`` is the
+    # fraction of generated requests that span two shards.
+    placement: str = _param("placement", str, PLACEMENT_REPLICATE, check=_one_of(
+        "placement", *KNOWN_PLACEMENTS), config=True)
+    xshard: float = _param("xshard", float, 0.0,
+                           check=_within("cross-shard fraction", 0, 1))
     # Trace retention: ``full`` stores every event (post-hoc queries see the
     # whole history), ``ring:N`` keeps the last N events (a flight recorder
     # with bounded memory), ``off`` stores nothing.  Spec checking and run
     # statistics stream off the event bus, so they work under all three.
-    trace: str = "full"
+    trace: str = _param("trace", str, "full", check=parse_retention,
+                        config="trace_retention")
     # Runtime backend: ``sim`` executes on the discrete-event simulator,
     # ``asyncio`` on an event loop with wall-clock timers and real TCP
     # between the processes.  ``host``/``port`` place the TCP endpoints
     # (process i listens on port+i; port 0 binds ephemeral localhost ports),
     # ``pace`` rescales wall time (0.2 = run protocol timers 5x faster).
-    runtime: str = RUNTIME_SIM
-    host: str = ""
-    port: int = 0
-    pace: float = 1.0
+    runtime: str = _param("runtime", str, RUNTIME_SIM,
+                          check=_one_of("runtime", *KNOWN_RUNTIMES))
+    host: str = _param("host", str, "", check=_check_host, asyncio_only=True,
+                       indirect=True)
+    port: int = _param("port", int, 0, check=_within("port", 0, MAX_PORT),
+                       asyncio_only=True, indirect=True)
+    pace: float = _param("pace", float, 1.0, check=_positive("pace"),
+                         asyncio_only=True)
     # Admission control: ``mailbox`` bounds every application server's inbox
     # to that many buffered messages; a message arriving at a full inbox is
     # shed with a traced ``overload`` event (fair-lossy channels make a shed
     # indistinguishable from a network loss, so safety is unaffected).
     # 0 = unbounded, the historical behaviour.
-    mailbox: int = 0
+    mailbox: int = _param("mailbox", int, 0, check=_non_negative("mailbox bound"),
+                          protocols=_ETX, config="mailbox_limit")
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -499,55 +568,24 @@ class Scenario:
             object.__setattr__(self, "num_app_servers", default_app_servers(protocol))
         if self.num_app_servers < 1 or self.num_db_servers < 1 or self.num_clients < 1:
             raise ScenarioError("every tier needs at least one process")
-        if self.register_mode not in (REGISTER_CONSENSUS, REGISTER_LOCAL):
-            raise ScenarioError(f"unknown register mode {self.register_mode!r}")
-        if self.failure_detector not in (FD_ORACLE, FD_HEARTBEAT):
-            raise ScenarioError(f"unknown failure detector {self.failure_detector!r}")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ScenarioError("loss probability must be within [0, 1]")
-        if self.client_backoff < 0:
-            raise ScenarioError("client backoff must be non-negative")
-        if self.timing not in (TIMING_DEFAULT, TIMING_PAPER):
-            raise ScenarioError(f"unknown timing profile {self.timing!r}")
-        if self.rate < 0:
-            raise ScenarioError("arrival rate must be non-negative "
-                                "(0 selects the closed loop)")
-        if self.arrival not in (ARRIVAL_POISSON, ARRIVAL_UNIFORM):
-            raise ScenarioError(f"unknown arrival process {self.arrival!r} "
-                                f"(expected {ARRIVAL_POISSON!r} or {ARRIVAL_UNIFORM!r})")
-        if self.think_time < 0:
-            raise ScenarioError("think time must be non-negative")
+        for row in PARAMS:
+            if row.check is not None:
+                try:
+                    row.check(getattr(self, row.field))
+                except ValueError as exc:
+                    raise ScenarioError(f"bad value for {row.key!r}: {exc}") from None
+        # Rules that tie several keys together.
         if self.rate > 0 and self.think_time > 0:
             raise ScenarioError("think time is a closed-loop knob; an open loop "
                                 "(rate > 0) injects independently of completions")
-        if self.placement not in KNOWN_PLACEMENTS:
-            raise ScenarioError(f"unknown placement {self.placement!r}; known: "
-                                f"{', '.join(KNOWN_PLACEMENTS)}")
-        if not 0.0 <= self.xshard <= 1.0:
-            raise ScenarioError("cross-shard fraction must be within [0, 1]")
         if self.xshard > 0 and self.placement == PLACEMENT_REPLICATE:
             raise ScenarioError("xshard > 0 needs a partitioned placement "
                                 "(placement=hash or placement=mod); under "
                                 "replication every request already involves "
                                 "every database")
-        try:
-            parse_retention(self.trace)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        if self.runtime not in KNOWN_RUNTIMES:
-            raise ScenarioError(f"unknown runtime {self.runtime!r}; known runtimes: "
-                                f"{', '.join(KNOWN_RUNTIMES)}")
-        if self.host and not re.fullmatch(r"[A-Za-z0-9._-]+", self.host):
-            raise ScenarioError(f"malformed host {self.host!r} (expected a "
-                                "hostname or IP address, no port/scheme/path)")
-        if not 0 <= self.port <= MAX_PORT:
-            raise ScenarioError(f"port must be in [0, {MAX_PORT}], got {self.port}")
-        if self.pace <= 0:
-            raise ScenarioError(f"pace must be > 0, got {_format_number(self.pace)}")
         if self.runtime == RUNTIME_SIM:
-            endpointish = [name for name, default in
-                           (("host", ""), ("port", 0), ("pace", 1.0))
-                           if getattr(self, name) != default]
+            endpointish = [row.key for row in PARAMS if row.asyncio_only
+                           and getattr(self, row.field) != row.default]
             if endpointish:
                 raise ScenarioError(
                     f"parameter(s) {', '.join(endpointish)} only apply to "
@@ -558,9 +596,6 @@ class Scenario:
                 raise ScenarioError(
                     f"port range {self.port}..{self.port + total - 1} for {total} "
                     f"processes exceeds {MAX_PORT}; pick a lower base port")
-        if self.mailbox < 0:
-            raise ScenarioError("mailbox bound must be non-negative "
-                                "(0 = unbounded)")
         object.__setattr__(self, "faults", tuple(self.faults))
         self._validate_reshards()
         known = set(self.app_server_names + self.db_server_names
@@ -619,7 +654,7 @@ class Scenario:
                 raise ScenarioError(
                     f"bad host token {token!r} (expected a<N>, d<N> or c<N>)")
             tier, count = match.groups()
-            field_name = _HOST_FIELDS[tier]
+            field_name = HOST_FIELDS[tier]
             if field_name in values:
                 raise ScenarioError(f"ambiguous host: tier {tier!r} given twice")
             if int(count) < 1:
@@ -631,7 +666,7 @@ class Scenario:
     def _parse_query(query: str, values: dict[str, Any]) -> None:
         faults: list[FaultSpec] = []
         fault_list: Optional[tuple[FaultSpec, ...]] = None
-        seen: dict[str, str] = {}
+        seen: set[str] = set()
         for key, raw in parse_qsl(query, keep_blank_values=True):
             if key == "fault":
                 faults.append(FaultSpec.from_token(raw))
@@ -642,30 +677,31 @@ class Scenario:
                                         "given twice")
                 fault_list = faults_from_text(raw)
                 continue
-            origin = key
-            if (key.endswith(_INDIRECT_SUFFIXES)
-                    and key.rsplit("_", 1)[0] in _INDIRECT_BASES):
+            row = _INDIRECT_FORMS.get(key)
+            if row is not None:
                 # host_env / port_file style: resolve to the direct value and
-                # fold into the base parameter, so giving an endpoint two
-                # ways trips the ambiguity check below.
+                # fold into the base key, so giving an endpoint two ways
+                # trips the ambiguity check below.
                 raw = _resolve_indirect(key, raw)
-                key = key.rsplit("_", 1)[0]
-            if key in seen:
+            else:
+                row = PARAMS_BY_KEY.get(key)
+            name = row.key if row is not None else key
+            if name in seen:
                 raise ScenarioError(
-                    f"ambiguous DSN: {origin!r} and an earlier parameter both "
-                    f"set {key!r}; give each endpoint parameter one way")
-            seen[key] = raw
-            if key not in _QUERY_PARAMS:
+                    f"ambiguous DSN: {key!r} and an earlier parameter both "
+                    f"set {name!r}; give each endpoint parameter one way")
+            seen.add(name)
+            if row is None:
+                known = sorted([*PARAMS_BY_KEY, *_INDIRECT_FORMS])
                 raise ScenarioError(
                     f"unknown DSN parameter {key!r}; known parameters: "
-                    f"{_known_query_params()}")
-            field_name, parser = _QUERY_PARAMS[key]
-            if field_name in values:
+                    f"{', '.join([*known, 'fault', 'faults'])}")
+            if row.field in values:
                 raise ScenarioError(
                     f"ambiguous DSN: {key!r} duplicates a host token "
-                    f"(both set {field_name})")
+                    f"(both set {row.field})")
             try:
-                values[field_name] = parser(raw)
+                values[row.field] = row.parse(raw)
             except ValueError as exc:
                 raise ScenarioError(f"bad value for {key!r}: {exc}") from None
         if faults and fault_list is not None:
@@ -678,21 +714,12 @@ class Scenario:
 
     def to_dsn(self) -> str:
         """Serialise to the canonical DSN (omitting default-valued parameters)."""
-        defaults = {f.name: f.default for f in fields(self) if f.name != "faults"}
         host = (f"a{self.num_app_servers}.d{self.num_db_servers}"
                 f".c{self.num_clients}")
-        parts: list[str] = []
-        for key, (field_name, _) in _QUERY_PARAMS.items():
-            if key == "clients":  # the host's c<N> token already carries it
-                continue
-            value = getattr(self, field_name)
-            if value == defaults[field_name]:
-                continue
-            if isinstance(value, float):
-                text = _format_number(value)
-            else:
-                text = str(value)
-            parts.append(f"{key}={text}")
+        # The host's c<N> token already carries ``clients``.
+        parts = [f"{row.key}={_text(getattr(self, row.field))}" for row in PARAMS
+                 if row.field not in HOST_FIELDS.values()
+                 and getattr(self, row.field) != row.default]
         # Short schedules read best as repeated fault= tokens; campaign-sized
         # ones collapse into one faults= list so the DSN stays a single
         # copy-pastable parameter.  Both forms parse to the same scenario.
@@ -755,3 +782,12 @@ class Scenario:
     def process_names(self) -> list[str]:
         """All process names in deployment (and TCP port-assignment) order."""
         return self.app_server_names + self.db_server_names + self.client_names
+
+
+# The parameter table, in canonical ``to_dsn`` order: one row per DSN query key.
+PARAMS: tuple[Param, ...] = tuple(
+    replace(row, field=f.name, config=f.name if row.config is True else row.config)
+    for f in fields(Scenario) if (row := f.metadata.get("param")) is not None)
+PARAMS_BY_KEY = {row.key: row for row in PARAMS}
+_INDIRECT_FORMS = {row.key + suffix: row for row in PARAMS if row.indirect
+                   for suffix in ("_env", "_file")}

@@ -33,96 +33,85 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.api.runner import ScenarioResult, run_scenario
-from repro.api.scenario import _QUERY_PARAMS, Scenario, ScenarioError, faults_from_text
+from repro.api.scenario import (HOST_FIELDS, PARAMS, Scenario, ScenarioError,
+                                 faults_from_text)
 from repro.core.types import reset_request_counter
 
 _JobT = TypeVar("_JobT")
 _RowT = TypeVar("_RowT")
 
-# Axis names accept scenario field names and their DSN-parameter spellings.
-_AXIS_ALIASES: dict[str, str] = {
-    **{param: field_name for param, (field_name, _) in _QUERY_PARAMS.items()},
-    "protocol": "protocol",
-    "app_servers": "num_app_servers",
-    "db_servers": "num_db_servers",
-    "a": "num_app_servers",
-    "d": "num_db_servers",
-    "c": "num_clients",
+# Axis name -> (Scenario field, parser of the axis value's text form): every
+# parameter row under its DSN key and its field name, the host's tier tokens,
+# the protocol and the fault list (the ``faults=`` DSN grammar, so whole fault
+# schedules sweep as easily as numeric knobs).
+_AXES: dict[str, tuple[str, Callable[[str], Any]]] = {
+    **{name: (row.field, row.parse) for row in PARAMS for name in (row.key, row.field)},
+    **{name: (field_name, int) for tier, field_name in HOST_FIELDS.items()
+       for name in (tier, field_name)},
+    "app_servers": ("num_app_servers", int),
+    "db_servers": ("num_db_servers", int),
+    "protocol": ("protocol", str),
+    "faults": ("faults", faults_from_text),
 }
-
-_SCENARIO_FIELDS = frozenset(Scenario.__dataclass_fields__)
 
 
 def resolve_axis_field(name: str) -> str:
     """Map an axis name (field name or DSN spelling) to a Scenario field."""
-    field_name = _AXIS_ALIASES.get(name, name)
-    if field_name not in _SCENARIO_FIELDS:
-        raise ScenarioError(
-            f"unknown sweep axis {name!r}; axes are scenario fields "
-            f"({', '.join(sorted(_SCENARIO_FIELDS))}) or DSN parameters "
-            f"({', '.join(sorted(_AXIS_ALIASES))})")
-    return field_name
+    if name not in _AXES:
+        raise ScenarioError(f"unknown sweep axis {name!r}; known axes: "
+                            f"{', '.join(sorted(_AXES))}")
+    return _AXES[name][0]
 
 
-def _coerce_axis_value(field_name: str, value: Any) -> Any:
-    """Parse axis shorthands: a ``faults`` axis accepts fault-list strings
-    (the ``faults=`` DSN grammar), so whole fault schedules sweep as easily
-    as numeric knobs."""
-    if field_name == "faults" and isinstance(value, str):
-        return faults_from_text(value)
-    return value
+def _axis_value(name: str, value: Any) -> tuple[str, Any]:
+    """``(field, value)`` for one axis value; text goes through the axis's
+    parser, so ``"3"`` sweeps a count and ``"crash@10:a1"`` a fault list."""
+    field_name = resolve_axis_field(name)
+    if isinstance(value, str):
+        try:
+            value = _AXES[name][1](value)
+        except ValueError as exc:
+            raise ScenarioError(f"bad value for sweep axis {name!r}: {exc}") from None
+    return field_name, value
 
 
 @dataclass(frozen=True)
 class Sweep:
     """A base scenario and the axes to expand around it.
 
-    Each axis is ``(name, values)``; a value is either a plain field value or
-    a mapping of several fields applied together (useful when one logical
-    axis moves multiple knobs, e.g. a protocol together with its natural
-    middle-tier size).  Axes expand in order, later axes fastest -- the same
-    nesting as ``itertools.product``.
+    Each axis is ``(name, changes)``: one ``{field: value}`` mapping per
+    grid value.  A value given to :meth:`over` is either a plain field value
+    or a mapping of several axis names applied together (useful when one
+    logical axis moves multiple knobs, e.g. a protocol together with its
+    natural middle-tier size).  Axes expand in order, later axes fastest --
+    the same nesting as ``itertools.product``.
     """
 
     base: Scenario
-    axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
+    axes: tuple[tuple[str, tuple[dict[str, Any], ...]], ...] = ()
 
     @classmethod
     def over(cls, base: Union[Scenario, str], **axes: Iterable[Any]) -> "Sweep":
         """Build a sweep from a base scenario (or DSN) and keyword axes."""
         if isinstance(base, str):
             base = Scenario.from_dsn(base)
-        resolved = tuple((name, tuple(values)) for name, values in axes.items())
-        for name, values in resolved:
-            if not values:
+        resolved = []
+        for name, values in axes.items():
+            # A mapping value names its own fields; the axis name is then
+            # just a label.
+            changes = tuple(dict(_axis_value(k, v) for k, v in value.items())
+                            if isinstance(value, Mapping)
+                            else dict([_axis_value(name, value)])
+                            for value in values)
+            if not changes:
                 raise ScenarioError(f"sweep axis {name!r} has no values")
-            # An axis whose values are all mappings is a compound axis; its
-            # name is just a label and the mappings name the fields.
-            if any(not isinstance(value, Mapping) for value in values):
-                resolve_axis_field(name)
-        return cls(base=base, axes=resolved)
-
-    def with_axis(self, name: str, values: Iterable[Any]) -> "Sweep":
-        """A copy with one more axis appended."""
-        return Sweep.over(self.base, **dict(self.axes), **{name: values})
+            resolved.append((name, changes))
+        return cls(base=base, axes=tuple(resolved))
 
     def expand(self) -> list[Scenario]:
         """One concrete scenario per grid point, in deterministic grid order."""
-        scenarios: list[Scenario] = []
-        names = [name for name, _ in self.axes]
-        for point in itertools.product(*(values for _, values in self.axes)):
-            scenario = self.base
-            for name, value in zip(names, point):
-                if isinstance(value, Mapping):
-                    scenario = scenario.with_(
-                        **{resolve_axis_field(k): _coerce_axis_value(
-                            resolve_axis_field(k), v) for k, v in value.items()})
-                else:
-                    field_name = resolve_axis_field(name)
-                    scenario = scenario.with_(
-                        **{field_name: _coerce_axis_value(field_name, value)})
-            scenarios.append(scenario)
-        return scenarios
+        return [self.base.with_(**{k: v for change in point for k, v in change.items()})
+                for point in itertools.product(*(changes for _, changes in self.axes))]
 
 
 # ------------------------------------------------------------------ executor

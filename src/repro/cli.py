@@ -83,9 +83,7 @@ def _write_bench_json(path: str, payload) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = api.Scenario.from_dsn(args.dsn)
-        if args.seed is not None:
-            scenario = scenario.with_(seed=_seed(args))
+        scenario = _scenario(args, args.dsn)
         run_kwargs: dict = {}
         if args.settle is not None:
             run_kwargs["settle"] = args.settle
@@ -138,9 +136,7 @@ def _restrict_runtime(scenario: "api.Scenario", only: str):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
-        scenario = api.Scenario.from_dsn(args.dsn)
-        if args.seed is not None:
-            scenario = scenario.with_(seed=_seed(args))
+        scenario = _scenario(args, args.dsn)
         runtime = _restrict_runtime(scenario, args.only)
         system = api.build(scenario, runtime=runtime)
     except api.ScenarioError as error:
@@ -175,33 +171,26 @@ def _seed(args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else 0
 
 
-def _parse_axis(text: str) -> tuple[str, list]:
-    """Parse one ``--axis name=v1,v2,...`` argument."""
+def _scenario(args: argparse.Namespace, dsn: str) -> "api.Scenario":
+    """The scenario ``dsn`` describes, with the global ``--seed`` applied."""
+    scenario = api.Scenario.from_dsn(dsn)
+    return scenario if args.seed is None else scenario.with_(seed=args.seed)
+
+
+def _parse_axis(text: str) -> tuple[str, list[str]]:
+    """Split one ``--axis name=v1,v2,...`` argument; :meth:`api.Sweep.over`
+    parses each value with its parameter's parser."""
     name, separator, tail = text.partition("=")
     name = name.strip()
     if not separator or not name or not tail:
         raise api.ScenarioError(
             f"bad axis {text!r} (expected name=value[,value...])")
-    return name, [_coerce(value) for value in tail.split(",")]
-
-
-def _coerce(text: str):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    return name, [value.strip() for value in tail.split(",")]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        base = api.Scenario.from_dsn(args.dsn)
-        if args.seed is not None:
-            base = base.with_(seed=_seed(args))
+        base = _scenario(args, args.dsn)
         axes: dict = {}
         for axis in args.axis or []:
             name, values = _parse_axis(axis)
@@ -306,9 +295,7 @@ def _cmd_scaleout(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     try:
         dsn = args.dsn if args.dsn is not None else soak.DEFAULT_SOAK_DSN
-        scenario = api.Scenario.from_dsn(dsn)
-        if args.seed is not None:
-            scenario = scenario.with_(seed=_seed(args))
+        scenario = _scenario(args, dsn)
         report = _profiled(
             args.profile, "soak",
             lambda: soak.run(scenario, requests=args.requests,
@@ -325,9 +312,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_reshard(args: argparse.Namespace) -> int:
     try:
         dsn = args.dsn if args.dsn is not None else reshard.DEFAULT_RESHARD_DSN
-        scenario = api.Scenario.from_dsn(dsn)
-        if args.seed is not None:
-            scenario = scenario.with_(seed=_seed(args))
+        scenario = _scenario(args, dsn)
         report = reshard.run(scenario, requests=args.requests,
                              window_ms=args.window)
         if args.campaign_runs > 0:
@@ -354,9 +339,7 @@ def _artifact_name(example: campaign.Counterexample, index: int) -> str:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
-        scenario = api.Scenario.from_dsn(args.dsn)
-        if args.seed is not None:
-            scenario = scenario.with_(seed=_seed(args))
+        scenario = _scenario(args, args.dsn)
         budget = campaign.CampaignBudget(
             max_runs=args.budget, population=args.population,
             stop_after=args.stop_after, shrink_checks=args.shrink_checks,

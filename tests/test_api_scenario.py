@@ -119,6 +119,22 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://a3?fault=crash", "malformed fault token"),
     ("etx://a3?fault=warp@1:a1", "unknown fault kind"),
     ("etx://a0", "at least one process"),
+    # Values the build would refuse with a bare ValueError are refused by
+    # their parameter's row at parse time ...
+    ("etx://a3?lat_ca=-1", "bad value for 'lat_ca'"),
+    ("etx://a3?lat_aa=-0.5", "bad value for 'lat_aa'"),
+    ("etx://a3?lat_ad=-2", "bad value for 'lat_ad'"),
+    ("2pc://a1?log=-3", "bad value for 'log'"),
+    ("etx://a3?detect=-1", "bad value for 'detect'"),
+    ("etx://a3?hb_interval=0", "bad value for 'hb_interval'"),
+    ("etx://a3?hb_timeout=-20", "bad value for 'hb_timeout'"),
+    # ... and a NaN, which would break the round trip (nan != nan).
+    ("etx://a3?rate=nan", "bad value for 'rate'"),
+    ("etx://a3?think=nan", "bad value for 'think'"),
+    ("etx://a3?backoff=nan", "bad value for 'backoff'"),
+    ("etx://a3?runtime=asyncio&pace=nan", "bad value for 'pace'"),
+    ("etx://a3?hb_interval=nan", "bad value for 'hb_interval'"),
+    ("etx://a3?lat_aa=nan", "bad value for 'lat_aa'"),
 ])
 def test_clear_errors_on_bad_dsns(dsn, fragment):
     with pytest.raises(ScenarioError) as excinfo:
@@ -138,6 +154,29 @@ def test_the_readme_documents_exactly_the_dsn_parameters():
         Scenario.from_dsn("etx://?no_such_parameter=1")
     accepted = set(str(excinfo.value).split("known parameters: ", 1)[1].split(", "))
     assert documented == accepted
+    # Each row's default column, its "(etx)"/"(2PC)" consumer mark and its
+    # "`runtime=asyncio` only" mark agree with the parameter table.
+    from repro.api.scenario import PARAMS_BY_KEY, _text
+
+    marks = {"etx": "etx", "2pc": "2PC"}
+    checked = set()
+    for line in table.splitlines()[2:]:
+        _, names, meaning, default, _ = line.split("|")
+        keys = [key for key in re.findall(r"`([a-z_]+)`", names)
+                if key in PARAMS_BY_KEY]
+        defaults = [text.strip() for text in default.split(" / ")]
+        if not keys:
+            continue
+        rows = [PARAMS_BY_KEY[key] for key in keys]
+        assert defaults == [f"`{_text(row.default)}`" if _text(row.default) else "—"
+                            for row in rows], line
+        (consumers,) = {row.protocols for row in rows}
+        assert set(re.findall(r"\((etx|2PC)\b", meaning)) == \
+            {marks[protocol] for protocol in consumers}, line
+        (asyncio_only,) = {row.asyncio_only for row in rows}
+        assert ("`runtime=asyncio` only" in meaning) == asyncio_only, line
+        checked.update(keys)
+    assert checked == set(PARAMS_BY_KEY)
 
 
 def test_scenario_error_is_a_value_error():

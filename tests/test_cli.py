@@ -169,6 +169,21 @@ def test_sweep_command_rejects_unknown_axes(capsys):
     assert "unknown sweep axis" in captured.err
 
 
+@pytest.mark.parametrize("axis, fragment", [
+    ("host=127", "only apply to runtime=asyncio"),  # read as text, not an int
+    ("trace=5", "bad value for 'trace'"),
+    ("workload=1", "unknown workload '1'"),
+    ("seed=1.5", "bad value for sweep axis 'seed'"),
+    ("lat_ca=-1", "bad value for 'lat_ca'"),
+])
+def test_sweep_command_parses_axis_values_with_the_keys_parser(axis, fragment, capsys):
+    status = main(["sweep", "etx://d1", "--axis", axis, "--serial"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert "error:" in captured.err and fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_command_applies_the_global_seed(capsys):
     status = main(["--seed", "3", "sweep", "etx://d1", "--axis",
                    "clients=1", "--serial"])

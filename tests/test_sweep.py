@@ -41,9 +41,13 @@ def test_empty_axis_is_rejected():
         Sweep.over("etx://d1", seed=[])
 
 
-def test_with_axis_appends():
-    sweep = Sweep.over("etx://d1", seed=[1]).with_axis("clients", [1, 2])
-    assert [s.num_clients for s in sweep.expand()] == [1, 2]
+def test_text_axis_values_go_through_the_keys_parser():
+    sweep = Sweep.over("etx://d1?runtime=asyncio", clients=["1", "3"], rate=["2.5"],
+                       host=["127"])
+    assert [(s.num_clients, s.rate, s.host) for s in sweep.expand()] == \
+        [(1, 2.5, "127"), (3, 2.5, "127")]
+    with pytest.raises(api.ScenarioError, match="bad value for sweep axis 'seed'"):
+        Sweep.over("etx://d1", seed=["1.5"])
 
 
 def test_fault_axes_expand_fault_schedules():

@@ -234,6 +234,16 @@ def refusals(out: str) -> None:
         ("run", "etx://a3.d1.c1?fault=crash@x:a1"),
         ("run", "etx://a3.d1.c1", "--only", "a1"),
         ("sweep", "etx://d1", "--axis", "clients"),
+        # Each parameter row's check refuses its bad values at parse time.
+        ("run", "etx://a3.d1.c1?lat_ca=-1"),
+        ("run", "2pc://a1.d1.c1?log=-3"),
+        ("run", "etx://a3.d1.c1?rate=nan"),
+        ("run", "etx://a3.d1.c1?hb_interval=0"),
+        ("run", "etx://a3.d1.c1?fd=psychic"),
+        ("run", "etx://a3.d1.c1?runtime=asyncio&port=70000"),
+        ("run", "etx://a3.d1.c1?runtime=asyncio&host=a:1"),
+        ("sweep", "etx://d1", "--axis", "seed=1.5"),
+        ("sweep", "etx://d1", "--axis", "trace=5"),
     ):
         _expect(_cli(*argv), 2, " ".join(argv))
 
