@@ -126,6 +126,10 @@ class ApplicationServer(Process):
         # Volatile caches (lost on crash, rebuilt from the registers if needed).
         self._inflight: set[ResultKey] = set()
         self._terminated: set[ResultKey] = set()
+        # One shared regA entry per participant set, kept across crashes (it
+        # holds values, not state): every consensus host keeps the entry it
+        # learns, and a fresh one would cost each of them two tuples a request.
+        self._claims: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
 
     # --------------------------------------------------------------- lifecycle
 
@@ -142,6 +146,14 @@ class ApplicationServer(Process):
         self._terminated = set()
         if self.consensus_host is not None:
             self.consensus_host.on_crash()
+
+    def _claim(self, participants: Sequence[str]) -> tuple[str, tuple[str, ...]]:
+        """This server's :func:`claim_entry` for ``participants``, interned."""
+        participants = tuple(participants)
+        entry = self._claims.get(participants)
+        if entry is None:
+            entry = self._claims[participants] = claim_entry(self.name, participants)
+        return entry
 
     # Retransmissions (execute/prepare/decide retries) keep producing duplicate
     # replies that can land long after ``terminate()`` finished; no receive
@@ -221,7 +233,7 @@ class ApplicationServer(Process):
                 participants = self.participants_of(request)
             phase_start = self.now
             winner = yield self.wait_for(
-                self.registers.reg_a.write(key, claim_entry(self.name, participants)))
+                self.registers.reg_a.write(key, self._claim(participants)))
             self.trace.record("as_phase", self.name, phase="regA_write", j=j, client=client,
                               duration=self.now - phase_start)
             claimant, claimed_participants = claim_parts(winner, self.db_server_names)

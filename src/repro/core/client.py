@@ -6,6 +6,10 @@ server, falls back to broadcasting it to every application server after a
 back-off period, and loops through intermediate result identifiers ``j`` until
 one of them comes back *committed* -- at which point the result is delivered
 (the future returned by :meth:`Client.issue` resolves).
+
+The client keeps no history either: once a request is delivered it drops its
+:class:`IssuedRequest`, and whoever needs the outcome keeps the handle
+:meth:`Client.issue` returned.
 """
 
 from __future__ import annotations
@@ -99,7 +103,6 @@ class Client(Process):
         self._next_j = 1
         self._queue: deque[IssuedRequest] = deque()
         self._worker_running = False
-        self.completed: list[IssuedRequest] = []
 
     # ------------------------------------------------------------------ issue
 
@@ -107,7 +110,9 @@ class Client(Process):
         """Issue a request on behalf of the end user.
 
         Requests are processed one at a time (the paper's model); issuing
-        while another request is in flight queues the new one behind it.
+        while another request is in flight queues the new one behind it.  The
+        client holds the returned handle only while the request is queued or
+        in flight.
         """
         issued = IssuedRequest(request)
         issued.enqueued_at = self.now
@@ -142,7 +147,6 @@ class Client(Process):
             issued = self._queue[0]
             yield from self._issue_one(issued)
             self._queue.popleft()
-            self.completed.append(issued)
         self._worker_running = False
 
     def _issue_one(self, issued: IssuedRequest):

@@ -11,7 +11,7 @@ from repro.storage.kvstore import (
 )
 from repro.storage.locks import LockConflict, LockManager
 from repro.storage.stable import StableStorage, StorageStats
-from repro.storage.wal import LogRecord, ReplayResult, WriteAheadLog
+from repro.storage.wal import ReplayResult, WriteAheadLog
 from repro.storage.xa import (
     OUTCOME_ABORT,
     OUTCOME_COMMIT,
@@ -25,7 +25,6 @@ __all__ = [
     "StableStorage",
     "StorageStats",
     "WriteAheadLog",
-    "LogRecord",
     "ReplayResult",
     "LockManager",
     "LockConflict",

@@ -12,12 +12,16 @@ The traffic engine generalises it to every client of a deployment at once:
   clients.  Offered load is fixed; queueing shows up as response time.
 
 Both shapes return a :class:`RunStatistics` with throughput, interpolated
-percentiles and per-client breakdowns.
+percentiles and per-client breakdowns.  They stream: a planned request is
+referenced only until it is issued, its statistics are folded in when it
+delivers, and from then on neither the generator nor the client holds its
+handle: a finished request leaves only its numbers behind.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -202,12 +206,14 @@ class LoadGenerator:
 
     def _plan(self, deployment: Any, requests: Union[int, Sequence[Request]],
               request_factory: Optional[Callable[[], Request]] = None
-              ) -> dict[str, list[Request]]:
-        """Assign concrete requests to clients.
+              ) -> dict[str, deque[Request]]:
+        """Assign concrete requests to clients, one queue each.
 
         An ``int`` means that many requests *per client*, created by
-        ``request_factory`` (default: the deployment's ``standard_request``).
-        An explicit sequence is dealt round-robin over the driven clients.
+        ``request_factory`` (default: the deployment's ``standard_request``)
+        client by client.  An explicit sequence is dealt round-robin over the
+        driven clients.  The shapes pop each request off its queue when they
+        issue it, so a request is referenced here only until then.
         """
         names = self._client_names(deployment)
         if isinstance(requests, int):
@@ -219,8 +225,8 @@ class LoadGenerator:
             if factory is None and requests > 0:
                 raise ValueError("an int request count needs a request_factory "
                                  "(or a deployment with standard_request)")
-            return {name: [factory() for _ in range(requests)] for name in names}
-        plan: dict[str, list[Request]] = {name: [] for name in names}
+            return {name: deque(factory() for _ in range(requests)) for name in names}
+        plan: dict[str, deque[Request]] = {name: deque() for name in names}
         for index, request in enumerate(requests):
             plan[names[index % len(names)]].append(request)
         return plan
@@ -232,26 +238,69 @@ class LoadGenerator:
         """Drive ``deployment`` with this traffic shape and collect statistics."""
         raise NotImplementedError
 
-    def _collect(self, deployment: Any, start: float,
-                 issued_by_client: dict[str, list[Any]],
-                 planned_by_client: dict[str, int]) -> RunStatistics:
+    def _latency_of(self, issued: Any) -> Optional[float]:
+        """Which latency a delivered request contributes (shape-specific)."""
+        return issued.latency
+
+
+class _Tally:
+    """The statistics of one run, folded in as each request delivers.
+
+    A delivered request leaves its latencies, attempts and aborted-result
+    count in its client's leaf and is forgotten.  Only the handles still in
+    flight are kept, for :meth:`collect`.  A client serves one request at a
+    time, so every leaf list is in issue order.
+    """
+
+    __slots__ = ("latency_of", "planned", "leaves", "in_flight", "done")
+
+    def __init__(self, plan: dict[str, deque[Request]],
+                 latency_of: Callable[[Any], Optional[float]]):
+        self.latency_of = latency_of
+        self.planned = {name: len(queue) for name, queue in plan.items()}
+        self.leaves = {name: RunStatistics() for name in plan}
+        self.in_flight: dict[Any, str] = {}
+        #: Requests delivered, plus planned ones lost to a crashed client.
+        self.done = 0
+
+    @property
+    def total(self) -> int:
+        """Requests planned over every client."""
+        return sum(self.planned.values())
+
+    def track(self, client: str, issued: Any,
+              then: Optional[Callable[[str], None]] = None) -> None:
+        """Fold ``issued`` into ``client``'s leaf when it delivers, then call
+        ``then(client)``."""
+        self.in_flight[issued] = client
+
+        def delivered(_result: Any) -> None:
+            del self.in_flight[issued]
+            leaf = self.leaves[client]
+            leaf.aborted_results += len(issued.aborted_results)
+            latency = self.latency_of(issued)
+            if latency is not None:
+                leaf.latencies.append(latency)
+                if issued.latency is not None:
+                    leaf.service_latencies.append(issued.latency)
+                leaf.attempts.append(issued.attempts)
+            self.done += 1
+            if then is not None:
+                then(client)
+
+        issued.future.on_resolve(delivered)
+
+    def collect(self, deployment: Any, start: float) -> RunStatistics:
         """Aggregate per-client and overall statistics after the run."""
         stats = RunStatistics(elapsed=deployment.sim.now - start)
-        for client, issued_list in issued_by_client.items():
-            leaf = RunStatistics(elapsed=stats.elapsed)
-            for issued in issued_list:
-                leaf.aborted_results += len(issued.aborted_results)
-                latency = self._latency_of(issued)
-                if issued.delivered and latency is not None:
-                    leaf.latencies.append(latency)
-                    if issued.latency is not None:
-                        leaf.service_latencies.append(issued.latency)
-                    leaf.attempts.append(issued.attempts)
-                else:
-                    leaf.undelivered += 1
-            # Planned requests that were never issued (e.g. the client
-            # crashed mid-run) still count as undelivered offered load.
-            leaf.undelivered += planned_by_client[client] - len(issued_list)
+        for issued, client in self.in_flight.items():
+            self.leaves[client].aborted_results += len(issued.aborted_results)
+        for client, leaf in self.leaves.items():
+            leaf.elapsed = stats.elapsed
+            # Whatever did not deliver counts as undelivered offered load:
+            # requests still in flight, and planned ones never issued (the
+            # client crashed mid-run, or the run hit its horizon).
+            leaf.undelivered = self.planned[client] - len(leaf.latencies)
             stats.merge(client, leaf)
         # Distinct transactions per database, as counted since build time by
         # the deployment's DatabaseOutcomeStream (no trace scan).
@@ -262,10 +311,6 @@ class LoadGenerator:
                 in_doubt=len(server.in_doubt()))
         stats.saturation = deployment.saturation_stats()
         return stats
-
-    def _latency_of(self, issued: Any) -> Optional[float]:
-        """Which latency a delivered request contributes (shape-specific)."""
-        return issued.latency
 
 
 class ClosedLoop(LoadGenerator):
@@ -289,12 +334,9 @@ class ClosedLoop(LoadGenerator):
     def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
             request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
         sim = deployment.sim
-        plan = self._plan(deployment, requests, request_factory)
-        queues = {name: list(reqs) for name, reqs in plan.items()}
-        planned = {name: len(reqs) for name, reqs in plan.items()}
-        total = sum(planned.values())
-        issued_by_client: dict[str, list[Any]] = {name: [] for name in plan}
-        done = [0]
+        queues = self._plan(deployment, requests, request_factory)
+        tally = _Tally(queues, self._latency_of)
+        total = tally.total
         start = sim.now
 
         def issue_next(client: str) -> None:
@@ -303,32 +345,24 @@ class ClosedLoop(LoadGenerator):
                 return
             if not deployment.clients[client].up:
                 # Lost offered load (the client crashed): account it as
-                # "done" so the run terminates; _collect reports it as
+                # "done" so the run terminates; the tally reports it as
                 # undelivered because the requests were never issued.
-                done[0] += len(queue)
+                tally.done += len(queue)
                 queue.clear()
                 return
-            request = queue.pop(0)
-            issued = deployment.issue(request, client)
-            issued_by_client[client].append(issued)
+            tally.track(client, deployment.issue(queue.popleft(), client), then=then)
 
-            def on_delivered(_result: Any) -> None:
-                done[0] += 1
-                if self.think_time > 0:
-                    sim.schedule(self.think_time, lambda: issue_next(client),
-                                 name=f"{client}:think")
-                else:
-                    issue_next(client)
+        def think(client: str) -> None:
+            sim.schedule_call(self.think_time, issue_next, client, name="think")
 
-            issued.future.on_resolve(on_delivered)
-
-        for client in plan:
+        then = think if self.think_time > 0 else issue_next
+        for client in queues:
             issue_next(client)
         if total:
-            sim.run_until(lambda: done[0] >= total,
+            sim.run_until(lambda: tally.done >= total,
                           until=start + self.horizon_per_request * total,
                           max_events=self.max_events)
-        return self._collect(deployment, start, issued_by_client, planned)
+        return tally.collect(deployment, start)
 
 
 class OpenLoop(LoadGenerator):
@@ -371,52 +405,42 @@ class OpenLoop(LoadGenerator):
         self.arrival = arrival
         self.drain = drain
 
-    def _interarrivals(self, rng: random.Random, count: int) -> list[float]:
-        mean = 1000.0 / self.rate  # virtual milliseconds between arrivals
-        if self.arrival == ARRIVAL_UNIFORM:
-            return [mean] * count
-        return [rng.expovariate(1.0 / mean) for _ in range(count)]
-
     def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
             request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
         sim = deployment.sim
         plan = self._plan(deployment, requests, request_factory)
-        planned = {name: len(reqs) for name, reqs in plan.items()}
-        total = sum(planned.values())
-        issued_by_client: dict[str, list[Any]] = {name: [] for name in plan}
-        done = [0]
+        tally = _Tally(plan, self._latency_of)
+        total = tally.total
         start = sim.now
 
-        # One global arrival process, dealt over the clients round-robin in
-        # a fixed order so the schedule is deterministic.
-        arrivals: list[tuple[str, Request]] = []
-        for index in range(max(planned.values(), default=0)):
-            for client, queue in plan.items():
-                if index < len(queue):
-                    arrivals.append((client, queue[index]))
-        rng = sim.rng("load.arrivals")
-        clock = 0.0
-
-        def inject(client: str, request: Request) -> None:
+        def arrive(arrival: tuple[str, Request]) -> None:
+            client, request = arrival
             if not deployment.clients[client].up:
                 # Lost offered load (the client is down): count it as done
-                # so the run terminates; _collect reports it as undelivered.
-                done[0] += 1
+                # so the run terminates; the tally reports it as undelivered.
+                tally.done += 1
                 return
-            issued = deployment.issue(request, client)
-            issued_by_client[client].append(issued)
-            issued.future.on_resolve(lambda _result: done.__setitem__(0, done[0] + 1))
+            tally.track(client, deployment.issue(request, client))
 
-        for delay, (client, request) in zip(self._interarrivals(rng, total), arrivals):
-            clock += delay
-            sim.schedule(clock, lambda c=client, r=request: inject(c, r),
-                         name=f"{client}:arrival")
+        # One global arrival process, dealt over the clients round-robin in
+        # a fixed order so the schedule is deterministic.  Each arrival event
+        # holds its request until it fires; the plan's queues end up empty.
+        rng = sim.rng("load.arrivals")
+        mean = 1000.0 / self.rate  # virtual milliseconds between arrivals
+        clock = 0.0
+        for _ in range(max(map(len, plan.values()), default=0)):
+            for client, queue in plan.items():
+                if queue:
+                    clock += mean if self.arrival == ARRIVAL_UNIFORM \
+                        else rng.expovariate(1.0 / mean)
+                    sim.schedule_call(clock, arrive, (client, queue.popleft()),
+                                      name="arrival")
         if total:
             deadline = (start + self.horizon_per_request * total) if self.drain \
                 else start + clock
-            sim.run_until(lambda: done[0] >= total, until=deadline,
+            sim.run_until(lambda: tally.done >= total, until=deadline,
                           max_events=self.max_events)
-        return self._collect(deployment, start, issued_by_client, planned)
+        return tally.collect(deployment, start)
 
     def _latency_of(self, issued: Any) -> Optional[float]:
         # Open-loop response time includes the queueing delay at the client.

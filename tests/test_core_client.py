@@ -10,6 +10,7 @@ from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.waits import ANY
+from repro.workload.generator import ClosedLoop
 
 
 class ScriptedAppServer(Process):
@@ -123,7 +124,9 @@ def test_requests_are_processed_one_at_a_time_in_order():
     assert first.delivered and second.delivered
     assert first.delivered_at <= second.delivered_at
     assert client.pending_requests() == 0
-    assert [issued.request.operation for issued in client.completed] == ["op-1", "op-2"]
+    delivered = [event.get("request_id") for event in sim.trace.select("client_deliver", "c1")]
+    assert delivered == [first.request.request_id, second.request.request_id]
+    assert [first.result.request_id, second.result.request_id] == delivered
 
 
 def test_result_identifiers_are_never_reused_across_requests():
@@ -155,3 +158,33 @@ def test_client_requires_servers_and_valid_primary():
         Client(sim, "c1", [])
     with pytest.raises(ValueError):
         Client(sim, "c1", ["a1"], default_primary="a9")
+
+
+class _OneClientDeployment:
+    """What a load generator drives: one client in front of scripted servers."""
+
+    def __init__(self, script):
+        self.sim, _network, client, _servers = build(script=script, servers=("a1",))
+        self.clients = {"c1": client}
+        self.db_servers = {}
+
+    def issue(self, request, client):
+        return self.clients[client].issue(request)
+
+    def saturation_stats(self):
+        return {}
+
+
+def test_a_crashed_clients_requests_count_as_undelivered_with_their_aborts():
+    """Three planned requests: the first delivers, the second crashes with its
+    client after two aborted results, the third is never issued."""
+    deployment = _OneClientDeployment(["commit", "abort", "abort"] + ["ignore"] * 100)
+    client = deployment.clients["c1"]
+    deployment.sim.schedule(20_000.0, client.crash)
+    requests = [Request(f"op-{n}", {}) for n in range(3)]
+    stats = ClosedLoop().run(deployment, requests)
+    assert not client.up and client.pending_requests() == 0
+    assert stats.count == 1 and stats.attempts == [1]
+    assert stats.undelivered == 2
+    assert stats.aborted_results == 2
+    assert stats.by_client["c1"].undelivered == 2

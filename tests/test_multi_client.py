@@ -7,9 +7,13 @@ through all four protocol schemes and check that the specification stays
 clean and the per-client statistics add up.
 """
 
+import gc
+
 import pytest
 
 from repro import api
+from repro.core.client import IssuedRequest
+from repro.core.types import Request
 from repro.workload.generator import ClosedLoop, OpenLoop
 
 ALL_PROTOCOLS = api.registered_protocols()
@@ -126,3 +130,24 @@ def test_open_loop_breakdown_uses_service_latency_not_sojourn():
     stats = result.statistics
     assert stats.mean_latency > stats.mean_service_latency + 50.0  # queueing
     assert result.breakdown.total == pytest.approx(stats.mean_service_latency)
+
+
+def _alive(cls) -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+@pytest.mark.parametrize("generator", [ClosedLoop(), OpenLoop(rate=20.0)],
+                         ids=["closed", "open"])
+def test_a_delivered_request_leaves_nothing_behind(protocol, generator):
+    """Neither the generator nor the client keeps a handle or, on ``etx``, a
+    request once it is delivered (the baselines' servers keep the last request
+    they served, and PB's backups mirror theirs)."""
+    system = api.build(_scenario(protocol, clients=2))
+    requests_before = _alive(Request)
+    stats = generator.run(system, 5)
+    assert stats.count == 10
+    assert _alive(IssuedRequest) == 0
+    if protocol == "etx":
+        assert _alive(Request) == requests_before
