@@ -1,4 +1,4 @@
-"""Unified scenario API: one protocol-agnostic facade for every run.
+"""Unified scenario API: one protocol-agnostic entry point for every run.
 
 This package is the single entry point for building and running any scenario
 of the reproduction -- the e-Transaction protocol and the three comparison
@@ -23,44 +23,31 @@ protocols alike::
     print(api.run_sweep(sweep, workers=4).to_table())
 
     # or keep your hands on the wheel:
-    system = api.build(scenario)     # a RunningSystem facade
+    system = api.build(scenario)     # the protocol's ThreeTierDeployment
     issued = system.run_request(system.standard_request())
     assert system.check_spec().ok
 
-New protocols plug in with :func:`register_protocol`; their DSN scheme and
-smoke coverage (tests parametrize over :func:`registered_protocols`) come for
-free.  New workloads plug in with :func:`register_workload`.
+A protocol is one :data:`PROTOCOLS` entry, its scheme mapped to the
+:class:`~repro.core.deployment.ThreeTierDeployment` subclass that builds its
+middle tier; tests parametrize their smoke runs over it.  A named workload
+is one :data:`WORKLOADS` entry.
 """
 
-from repro.api.drivers import (
-    ProtocolDriver,
-    RunningSystem,
-    build,
-    get_protocol,
-    register_protocol,
-    registered_protocols,
-)
+from repro.api.drivers import build
 from repro.api.runner import ScenarioResult, load_generator_for, run_scenario
 from repro.api.sweep import Sweep, SweepResult, map_jobs, run_sweep
 from repro.api.scenario import (
+    PROTOCOLS,
     FaultSpec,
     Scenario,
     ScenarioError,
-    default_app_servers,
     faults_from_text,
     faults_to_text,
     known_schemes,
     load_fault_sidecar,
-    register_scheme,
     schedule_to_specs,
 )
-from repro.api.workloads import (
-    ShardContext,
-    WorkloadBinding,
-    bind_workload,
-    register_workload,
-    registered_workloads,
-)
+from repro.api.workloads import WORKLOADS, ShardContext, WorkloadBinding, bind_workload
 
 __all__ = [
     "Scenario",
@@ -71,13 +58,7 @@ __all__ = [
     "faults_from_text",
     "load_fault_sidecar",
     "known_schemes",
-    "register_scheme",
-    "default_app_servers",
-    "ProtocolDriver",
-    "RunningSystem",
-    "register_protocol",
-    "registered_protocols",
-    "get_protocol",
+    "PROTOCOLS",
     "build",
     "ScenarioResult",
     "run_scenario",
@@ -89,6 +70,5 @@ __all__ = [
     "ShardContext",
     "WorkloadBinding",
     "bind_workload",
-    "register_workload",
-    "registered_workloads",
+    "WORKLOADS",
 ]

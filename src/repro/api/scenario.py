@@ -16,22 +16,23 @@ strings::
     baseline://a1.d1?fault=crash@215:a1
 
 The scheme selects the protocol (``etx``/``ar``, ``2pc``/``twopc``,
-``pb``/``primary-backup``, ``baseline``; extensible via
-:func:`register_scheme`).  The host part gives the tier sizes as dot-separated
-tokens ``a<N>`` (application servers), ``d<N>`` (database servers) and
-``c<N>`` (clients), in any order; omitted tiers fall back to the protocol's
-defaults.  Query parameters tune everything else; ``fault`` may repeat, every
+``pb``/``primary-backup``, ``baseline``): :data:`PROTOCOLS` maps each to the
+:class:`~repro.core.deployment.ThreeTierDeployment` subclass that builds its
+middle tier, and that class carries the scheme's aliases.  The host part
+gives the tier sizes as dot-separated tokens ``a<N>`` (application servers),
+``d<N>`` (database servers) and ``c<N>`` (clients), in any order; omitted
+tiers fall back to the protocol's defaults.  Query parameters tune everything else; ``fault`` may repeat, every
 other parameter may appear at most once (a duplicate is ambiguous and
 rejected, as in database DSNs).
 
 Each query key is one row of a parameter table (:class:`Param`, declared on
 the :class:`Scenario` field it sets; :data:`PARAMS` lists them in canonical
 order): its parser, default and check, the protocols that consume it,
-whether only ``runtime=asyncio`` reads it, whether it also comes as
-``<key>_env``/``<key>_file``, and the :class:`DeploymentConfig` field it
-fills.  The parser and serialiser below, the protocol drivers' refusals,
-``deployment_config`` and the sweep axes all read the table, so adding a key
-is one row (and its README row).
+whether only ``runtime=asyncio`` reads it and whether it also comes as
+``<key>_env``/``<key>_file``.  The parser and serialiser below, the
+protocols' refusals in :func:`repro.api.build` and the sweep axes all read
+the table, and the deployment reads the field itself, so adding a key is one
+row (and its README row).
 
 ``Scenario.from_dsn`` and ``Scenario.to_dsn`` round-trip:
 ``Scenario.from_dsn(s.to_dsn()) == s`` for every scenario.
@@ -46,13 +47,16 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional, Sequence
 from urllib.parse import parse_qsl
 
+from repro.baselines import BaselineDeployment, PrimaryBackupDeployment, TwoPCDeployment
 from repro.core.deployment import (
     FD_HEARTBEAT,
     FD_ORACLE,
     REGISTER_CONSENSUS,
     REGISTER_LOCAL,
-    DeploymentConfig,
+    EtxDeployment,
+    ThreeTierDeployment,
 )
+from repro.core.reshard import RESHARD_COORDINATOR
 from repro.core.sharding import KNOWN_PLACEMENTS, PLACEMENT_REPLICATE, Sharding
 from repro.core.timing import ProtocolTiming
 from repro.failure import injection
@@ -84,33 +88,21 @@ class ScenarioError(ValueError):
 
 # ------------------------------------------------------------------ schemes
 
-_SCHEME_ALIASES: dict[str, str] = {}
-_DEFAULT_APP_SERVERS: dict[str, int] = {}
-
-
-def register_scheme(name: str, *aliases: str, default_app_servers: int = 1) -> None:
-    """Make ``name`` (and ``aliases``) valid DSN schemes for protocol ``name``."""
-    _SCHEME_ALIASES[name] = name
-    for alias in aliases:
-        _SCHEME_ALIASES[alias] = name
-    _DEFAULT_APP_SERVERS[name] = default_app_servers
+# Every protocol, by its canonical DSN scheme: the deployment class that
+# builds its middle tier (and carries its aliases and tier-size rules).
+PROTOCOLS: dict[str, type[ThreeTierDeployment]] = {
+    "etx": EtxDeployment,
+    "2pc": TwoPCDeployment,
+    "pb": PrimaryBackupDeployment,
+    "baseline": BaselineDeployment,
+}
+_SCHEMES = {scheme: name for name, deployment in PROTOCOLS.items()
+            for scheme in (name, *deployment.aliases)}
 
 
 def known_schemes() -> list[str]:
     """Every scheme (including aliases) the DSN parser accepts."""
-    return sorted(_SCHEME_ALIASES)
-
-
-def default_app_servers(protocol: str) -> int:
-    """Middle-tier size used when a DSN omits the ``a<N>`` host token."""
-    return _DEFAULT_APP_SERVERS.get(protocol, 1)
-
-
-# Schemes are registered by their protocol drivers via
-# :func:`repro.api.register_protocol` (see ``repro.api.drivers`` for the four
-# paper protocols), keeping one source of truth for names, aliases and
-# default tier sizes.  Importing any ``repro.api`` submodule runs the package
-# ``__init__``, which loads the drivers first.
+    return sorted(_SCHEMES)
 
 
 # ------------------------------------------------------------------- faults
@@ -379,8 +371,7 @@ class Param:
     non-default value when it builds.  ``asyncio_only`` keys mean nothing to
     the simulator.  An ``indirect`` key may also be given as ``<key>_env``
     (the name of an environment variable holding the value) or
-    ``<key>_file`` (a file holding it), as in database DSNs.  ``config`` is
-    the :class:`DeploymentConfig` field the value fills ("" for none).
+    ``<key>_file`` (a file holding it), as in database DSNs.
     """
 
     key: str
@@ -390,15 +381,11 @@ class Param:
     protocols: tuple[str, ...] = ()
     asyncio_only: bool = False
     indirect: bool = False
-    config: Any = ""
     field: str = ""
 
 
 def _param(key: str, parse: Callable[[str], Any], default: Any, **rules: Any) -> Any:
-    """A :class:`Scenario` field set by the DSN query key ``key``.
-
-    ``config=True`` fills the same-named :class:`DeploymentConfig` field.
-    """
+    """A :class:`Scenario` field set by the DSN query key ``key``."""
     return field(default=default,
                  metadata={"param": Param(key, parse, default, **rules)})
 
@@ -470,16 +457,13 @@ class Scenario:
     fields' order is the canonical order of ``to_dsn``.
     """
 
-    # Numeric defaults are taken from the config dataclass the drivers fill
-    # in, so the DSN form and the direct-config form of "the same" deployment
-    # cannot drift apart.
     protocol: str = "etx"
     num_app_servers: int = 0
     num_db_servers: int = 1
     # ``clients`` is an alternative spelling of the host's ``c<N>`` token
     # (never serialised -- the host carries it).
-    num_clients: int = _param("clients", int, 1, config=True)
-    seed: int = _param("seed", int, 0, config=True)
+    num_clients: int = _param("clients", int, 1)
+    seed: int = _param("seed", int, 0)
     # Traffic shape: ``rate == 0`` is the paper's closed loop (every client
     # re-issues on delivery, pausing ``think_time`` in between); ``rate > 0``
     # is an open loop injecting requests at that many per second of virtual
@@ -489,33 +473,26 @@ class Scenario:
         "arrival process", ARRIVAL_POISSON, ARRIVAL_UNIFORM))
     think_time: float = _param("think", float, 0.0, check=_non_negative("think time"))
     failure_detector: str = _param("fd", str, FD_ORACLE, check=_one_of(
-        "failure detector", FD_ORACLE, FD_HEARTBEAT), protocols=_ETX, config=True)
+        "failure detector", FD_ORACLE, FD_HEARTBEAT), protocols=_ETX)
     register_mode: str = _param("register", str, REGISTER_CONSENSUS, check=_one_of(
-        "register mode", REGISTER_CONSENSUS, REGISTER_LOCAL), protocols=_ETX,
-        config=True)
+        "register mode", REGISTER_CONSENSUS, REGISTER_LOCAL), protocols=_ETX)
     loss_probability: float = _param("loss", float, 0.0, check=_within(
-        "loss probability", 0, 1), config=True)
-    detection_delay: float = _param(
-        "detect", float, DeploymentConfig.detection_delay,
-        check=_non_negative("detection delay"), protocols=_ETX, config=True)
-    heartbeat_interval: float = _param(
-        "hb_interval", float, DeploymentConfig.heartbeat_interval,
-        check=_positive("heartbeat interval"), protocols=_ETX, config=True)
-    heartbeat_timeout: float = _param(
-        "hb_timeout", float, DeploymentConfig.heartbeat_timeout,
-        check=_positive("heartbeat timeout"), protocols=_ETX, config=True)
-    client_app_latency: float = _param(
-        "lat_ca", float, DeploymentConfig.client_app_latency,
-        check=_non_negative("client-app latency"), config=True)
-    app_app_latency: float = _param(
-        "lat_aa", float, DeploymentConfig.app_app_latency,
-        check=_non_negative("app-app latency"), config=True)
-    app_db_latency: float = _param(
-        "lat_ad", float, DeploymentConfig.app_db_latency,
-        check=_non_negative("app-db latency"), config=True)
-    coordinator_log_latency: float = _param(
-        "log", float, DeploymentConfig.coordinator_log_latency,
-        check=_non_negative("forced-log latency"), protocols=("2pc",), config=True)
+        "loss probability", 0, 1))
+    detection_delay: float = _param("detect", float, 5.0, check=_non_negative(
+        "detection delay"), protocols=_ETX)
+    heartbeat_interval: float = _param("hb_interval", float, 5.0, check=_positive(
+        "heartbeat interval"), protocols=_ETX)
+    heartbeat_timeout: float = _param("hb_timeout", float, 20.0, check=_positive(
+        "heartbeat timeout"), protocols=_ETX)
+    client_app_latency: float = _param("lat_ca", float, 2.5, check=_non_negative(
+        "client-app latency"))
+    app_app_latency: float = _param("lat_aa", float, 2.25, check=_non_negative(
+        "app-app latency"))
+    app_db_latency: float = _param("lat_ad", float, 0.5, check=_non_negative(
+        "app-db latency"))
+    # The 2PC coordinator's forced-log write, in virtual ms.
+    coordinator_log_latency: float = _param("log", float, 12.5, check=_non_negative(
+        "forced-log latency"), protocols=("2pc",))
     client_backoff: float = _param("backoff", float, ProtocolTiming.client_backoff,
                                    check=_non_negative("client backoff"))
     workload: str = _param("workload", str, "default")
@@ -526,15 +503,14 @@ class Scenario:
     # partition the key space over the ``d`` databases), ``xshard`` is the
     # fraction of generated requests that span two shards.
     placement: str = _param("placement", str, PLACEMENT_REPLICATE, check=_one_of(
-        "placement", *KNOWN_PLACEMENTS), config=True)
+        "placement", *KNOWN_PLACEMENTS))
     xshard: float = _param("xshard", float, 0.0,
                            check=_within("cross-shard fraction", 0, 1))
     # Trace retention: ``full`` stores every event (post-hoc queries see the
     # whole history), ``ring:N`` keeps the last N events (a flight recorder
     # with bounded memory), ``off`` stores nothing.  Spec checking and run
     # statistics stream off the event bus, so they work under all three.
-    trace: str = _param("trace", str, "full", check=parse_retention,
-                        config="trace_retention")
+    trace: str = _param("trace", str, "full", check=parse_retention)
     # Runtime backend: ``sim`` executes on the discrete-event simulator,
     # ``asyncio`` on an event loop with wall-clock timers and real TCP
     # between the processes.  ``host``/``port`` place the TCP endpoints
@@ -554,18 +530,19 @@ class Scenario:
     # indistinguishable from a network loss, so safety is unaffected).
     # 0 = unbounded, the historical behaviour.
     mailbox: int = _param("mailbox", int, 0, check=_non_negative("mailbox bound"),
-                          protocols=_ETX, config="mailbox_limit")
+                          protocols=_ETX)
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        protocol = _SCHEME_ALIASES.get(self.protocol)
+        protocol = _SCHEMES.get(self.protocol)
         if protocol is None:
             raise ScenarioError(
                 f"unknown protocol {self.protocol!r}; known schemes: "
                 f"{', '.join(known_schemes())}")
         object.__setattr__(self, "protocol", protocol)
         if self.num_app_servers == 0:
-            object.__setattr__(self, "num_app_servers", default_app_servers(protocol))
+            object.__setattr__(self, "num_app_servers",
+                               PROTOCOLS[protocol].default_app_servers)
         if self.num_app_servers < 1 or self.num_db_servers < 1 or self.num_clients < 1:
             raise ScenarioError("every tier needs at least one process")
         for row in PARAMS:
@@ -591,15 +568,15 @@ class Scenario:
                     f"parameter(s) {', '.join(endpointish)} only apply to "
                     "runtime=asyncio (the simulator has no endpoints or wall clock)")
         elif self.port:
-            total = self.num_app_servers + self.num_db_servers + self.num_clients
+            total = len(self.process_names)
             if self.port + total - 1 > MAX_PORT:
                 raise ScenarioError(
                     f"port range {self.port}..{self.port + total - 1} for {total} "
                     f"processes exceeds {MAX_PORT}; pick a lower base port")
         object.__setattr__(self, "faults", tuple(self.faults))
         self._validate_reshards()
-        known = set(self.app_server_names + self.db_server_names
-                    + self.standby_db_server_names + self.client_names)
+        known = set(self.app_server_names + self.all_db_server_names
+                    + self.client_names)
         for fault in self.faults:
             for name in fault.named_processes:
                 if name not in known:
@@ -609,10 +586,10 @@ class Scenario:
                         f"{', '.join(sorted(known))}")
 
     def _validate_reshards(self) -> None:
+        if not self.reshards:
+            return
         reshards = sorted((f for f in self.faults if f.kind == "reshard"),
                           key=lambda f: f.time)
-        if not reshards:
-            return
         if self.placement == PLACEMENT_REPLICATE:
             raise ScenarioError("reshard needs a partitioned placement "
                                 "(placement=hash or placement=mod); under "
@@ -637,11 +614,11 @@ class Scenario:
             raise ScenarioError(f"not a scenario DSN (missing '://'): {dsn!r}")
         scheme, _, rest = dsn.partition("://")
         scheme = scheme.strip().lower()
-        if scheme not in _SCHEME_ALIASES:
+        if scheme not in _SCHEMES:
             raise ScenarioError(f"unknown scenario scheme {scheme!r}; known schemes: "
                                 f"{', '.join(known_schemes())}")
         host, _, query = rest.partition("?")
-        values: dict[str, Any] = {"protocol": _SCHEME_ALIASES[scheme]}
+        values: dict[str, Any] = {"protocol": _SCHEMES[scheme]}
         cls._parse_host(host, values)
         cls._parse_query(query, values)
         return cls(**values)
@@ -756,16 +733,16 @@ class Scenario:
         return [f"d{i + 1}" for i in range(self.num_db_servers)]
 
     @property
-    def max_db_servers(self) -> int:
-        """The largest data tier this scenario ever grows to (via reshards)."""
-        return max([self.num_db_servers,
-                    *(f.to_shards for f in self.faults if f.kind == "reshard")])
+    def all_db_server_names(self) -> list[str]:
+        """Running databases plus the standbys reshards grow into, in growth order."""
+        grown = max([self.num_db_servers,
+                     *(f.to_shards for f in self.faults if f.kind == "reshard")])
+        return [f"d{i + 1}" for i in range(grown)]
 
     @property
-    def standby_db_server_names(self) -> list[str]:
-        """Databases beyond the initial tier, held in reserve for reshards."""
-        return [f"d{i + 1}" for i in range(self.num_db_servers,
-                                           self.max_db_servers)]
+    def reshards(self) -> bool:
+        """Whether the data tier is resharded online during the run."""
+        return any(fault.kind == "reshard" for fault in self.faults)
 
     @property
     def sharding(self) -> Sharding:
@@ -780,13 +757,19 @@ class Scenario:
 
     @property
     def process_names(self) -> list[str]:
-        """All process names in deployment (and TCP port-assignment) order."""
-        return self.app_server_names + self.db_server_names + self.client_names
+        """Every process of the run, in TCP port-assignment order.
+
+        Application servers, then every database (reshard standbys
+        included), then the clients, then the reshard coordinator when the
+        run has one.
+        """
+        names = self.app_server_names + self.all_db_server_names + self.client_names
+        return names + [RESHARD_COORDINATOR] if self.reshards else names
 
 
 # The parameter table, in canonical ``to_dsn`` order: one row per DSN query key.
 PARAMS: tuple[Param, ...] = tuple(
-    replace(row, field=f.name, config=f.name if row.config is True else row.config)
+    replace(row, field=f.name)
     for f in fields(Scenario) if (row := f.metadata.get("param")) is not None)
 PARAMS_BY_KEY = {row.key: row for row in PARAMS}
 _INDIRECT_FORMS = {row.key + suffix: row for row in PARAMS if row.indirect

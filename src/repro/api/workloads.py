@@ -15,14 +15,14 @@ their participant sets, and honour the scenario's cross-shard fraction
 for partitioned placements -- running it would fan every request out to shards
 that do not own its keys and abort everything.
 
-New workloads register with :func:`register_workload`; the factory receives
-the ``Optional[ShardContext]`` (``None`` for unpartitioned runs).
+A named workload is one :data:`WORKLOADS` entry: a factory that receives the
+``Optional[ShardContext]`` (``None`` for unpartitioned runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.api.scenario import ScenarioError
 from repro.core.deployment import default_business_logic
@@ -58,20 +58,6 @@ class WorkloadBinding:
     shard_aware: bool = False
 
 
-_REGISTRY: Dict[str, Callable[[Optional[ShardContext]], WorkloadBinding]] = {}
-
-
-def register_workload(name: str,
-                      factory: Callable[[Optional[ShardContext]], WorkloadBinding]) -> None:
-    """Register a named workload usable as ``workload=<name>`` in DSNs."""
-    _REGISTRY[name] = factory
-
-
-def registered_workloads() -> list[str]:
-    """Names accepted for the ``workload`` scenario field."""
-    return sorted(_REGISTRY)
-
-
 def bind_workload(spec: Union[str, Any, None],
                   context: Optional[ShardContext] = None) -> WorkloadBinding:
     """Resolve a workload name or object to a :class:`WorkloadBinding`."""
@@ -79,10 +65,11 @@ def bind_workload(spec: Union[str, Any, None],
         spec = "default"
     if isinstance(spec, str):
         try:
-            binding = _REGISTRY[spec](context)
+            factory = WORKLOADS[spec]
         except KeyError:
-            raise ScenarioError(f"unknown workload {spec!r}; registered workloads: "
-                                f"{', '.join(registered_workloads())}") from None
+            raise ScenarioError(f"unknown workload {spec!r}; known workloads: "
+                                f"{', '.join(sorted(WORKLOADS))}") from None
+        binding = factory(context)
     elif isinstance(spec, WorkloadBinding):
         binding = spec
     else:
@@ -157,6 +144,9 @@ def _travel_binding(context: Optional[ShardContext] = None) -> WorkloadBinding:
     return _bind_object(TravelWorkload(), name="travel")
 
 
-register_workload("default", _default_binding)
-register_workload("bank", _bank_binding)
-register_workload("travel", _travel_binding)
+# Every named workload (``workload=<name>`` in a DSN), by name.
+WORKLOADS: dict[str, Callable[[Optional[ShardContext]], WorkloadBinding]] = {
+    "default": _default_binding,
+    "bank": _bank_binding,
+    "travel": _travel_binding,
+}

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines.common import (
     ACK_COMMIT,
     COMMIT_ONE_PHASE,
+    ETX_ONLY_FAULTS,
     OnePhaseDatabaseServer,
     ParticipantRouting,
     RequestDeduplication,
@@ -75,10 +76,11 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
 class BaselineDeployment(ThreeTierDeployment):
     """Three-tier deployment running the unreliable baseline protocol."""
 
+    unsupported_faults = ETX_ONLY_FAULTS
     db_server_class = OnePhaseDatabaseServer
 
     def _build_app_servers(self) -> None:
-        for name in self.config.app_server_names:
-            server = BaselineAppServer(self.sim, name, self.config.db_server_names)
+        for name in self.scenario.app_server_names:
+            server = BaselineAppServer(self.sim, name, self.scenario.db_server_names)
             self.network.register(server)
             self.app_servers[name] = server

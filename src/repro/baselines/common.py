@@ -24,6 +24,12 @@ ACK_COMMIT = "AckCommit"
 declare_message(COMMIT_ONE_PHASE, j=IDS)
 declare_message(ACK_COMMIT, j=IDS)
 
+# The comparison stacks cannot inject the faults that ride on e-Transaction
+# machinery: online resharding needs the epoch directory, an injected false
+# suspicion the oracle detector.
+ETX_ONLY_FAULTS = {"reshard": "online resharding",
+                   "false_suspicion": "injected false suspicions"}
+
 
 class RequestDeduplication:
     """At-most-once guard for the serial application-server loops.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.baselines.common import ParticipantRouting, RequestDeduplication
+from repro.baselines.common import ETX_ONLY_FAULTS, ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import ABORT, COMMIT, REQUEST_REC, RESULT_REC, Decision, Request, Result
@@ -166,12 +166,14 @@ class PrimaryBackupDeployment(ThreeTierDeployment):
     reproduce the paper's inconsistency warning.
     """
 
+    aliases = ("primary-backup",)
     default_app_servers = 2
     min_app_servers = 2
+    unsupported_faults = ETX_ONLY_FAULTS
 
     def _build_app_servers(self) -> None:
-        primary_name, backup_name = self.config.app_server_names[:2]
-        db_names = self.config.db_server_names
+        primary_name, backup_name = self.scenario.app_server_names[:2]
+        db_names = self.scenario.db_server_names
         for server in (PrimaryServer(self.sim, primary_name, backup_name, db_names),
                        BackupServer(self.sim, backup_name, primary_name, db_names)):
             self.network.register(server)
@@ -184,4 +186,4 @@ class PrimaryBackupDeployment(ThreeTierDeployment):
     @property
     def backup(self) -> BackupServer:
         """The backup application server."""
-        return self.app_servers[self.config.app_server_names[1]]  # type: ignore[return-value]
+        return self.app_servers[self.scenario.app_server_names[1]]  # type: ignore[return-value]

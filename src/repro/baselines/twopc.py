@@ -13,7 +13,7 @@ the client.  This gives at-most-once semantics, but
 
 from __future__ import annotations
 
-from repro.baselines.common import ParticipantRouting, RequestDeduplication
+from repro.baselines.common import ETX_ONLY_FAULTS, ParticipantRouting, RequestDeduplication
 from repro.core import messages as msg
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import COMMIT, Decision, Request, Result
@@ -76,9 +76,12 @@ class TwoPCCoordinator(RequestDeduplication, ParticipantRouting, Process):
 class TwoPCDeployment(ThreeTierDeployment):
     """Three-tier deployment running presumed-nothing 2PC."""
 
+    aliases = ("twopc",)
+    unsupported_faults = ETX_ONLY_FAULTS
+
     def _build_app_servers(self) -> None:
-        for name in self.config.app_server_names:
-            server = TwoPCCoordinator(self.sim, name, self.config.db_server_names,
-                                      log_latency=self.config.coordinator_log_latency)
+        for name in self.scenario.app_server_names:
+            server = TwoPCCoordinator(self.sim, name, self.scenario.db_server_names,
+                                      log_latency=self.scenario.coordinator_log_latency)
             self.network.register(server)
             self.app_servers[name] = server

@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.settle is not None:
             run_kwargs["settle"] = args.settle
         if args.only:
-            run_kwargs["runtime"] = _restrict_runtime(scenario, args.only)
+            run_kwargs["only"] = _local_processes(scenario, args.only)
         result = _profiled(
             args.profile, "run",
             lambda: api.run_scenario(scenario, requests=args.requests,
@@ -102,8 +102,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _parse_only(text: str, scenario: "api.Scenario") -> tuple[str, ...]:
+def _local_processes(scenario: "api.Scenario", text: str) -> tuple[str, ...]:
     """Validate a ``--only a1,a2`` process-name list against the scenario."""
+    from repro.runtime.base import RUNTIME_ASYNCIO
+
+    if scenario.runtime != RUNTIME_ASYNCIO:
+        raise api.ScenarioError(
+            "--only needs runtime=asyncio in the DSN: a simulated run always "
+            "hosts every process in one OS process")
+    if scenario.port == 0:
+        raise api.ScenarioError(
+            "--only needs an explicit port=N in the DSN so every OS process "
+            "computes the same endpoint map (port=0 picks ephemeral ports)")
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
         raise api.ScenarioError("--only needs at least one process name")
@@ -116,29 +126,11 @@ def _parse_only(text: str, scenario: "api.Scenario") -> tuple[str, ...]:
     return names
 
 
-def _restrict_runtime(scenario: "api.Scenario", only: str):
-    """The scenario's runtime spec narrowed to locally hosted processes."""
-    from dataclasses import replace
-
-    from repro.runtime.base import RUNTIME_ASYNCIO
-
-    spec = scenario.runtime_spec
-    if spec.kind != RUNTIME_ASYNCIO:
-        raise api.ScenarioError(
-            "--only needs runtime=asyncio in the DSN: a simulated run always "
-            "hosts every process in one OS process")
-    if spec.port == 0:
-        raise api.ScenarioError(
-            "--only needs an explicit port=N in the DSN so every OS process "
-            "computes the same endpoint map (port=0 picks ephemeral ports)")
-    return replace(spec, only=_parse_only(only, scenario))
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         scenario = _scenario(args, args.dsn)
-        runtime = _restrict_runtime(scenario, args.only)
-        system = api.build(scenario, runtime=runtime)
+        only = _local_processes(scenario, args.only)
+        system = api.build(scenario, only=only)
     except api.ScenarioError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -147,12 +139,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         system.run(until=None)  # bind the local listeners before printing
         for name, host, port in system.network.endpoints.table():
-            marker = "*" if name in runtime.only else " "
+            marker = "*" if name in only else " "
             print(f"{marker} {name:<6} {host}:{port}")
-        print(f"serving {', '.join(runtime.only)}"
+        print(f"serving {', '.join(only)}"
               + (f" for {args.run_for:g}s" if args.run_for else " (ctrl-c to stop)"),
               flush=True)
-        horizon = (kernel.now + args.run_for * 1000.0 / runtime.pace
+        horizon = (kernel.now + args.run_for * 1000.0 / scenario.pace
                    if args.run_for else None)
         while True:
             target = kernel.now + 60_000.0

@@ -2,17 +2,18 @@
 
 This package is the paper's primary contribution.  Typical use::
 
-    from repro.core import EtxDeployment, Request
+    from repro import api
+    from repro.core import Request
 
-    deployment = EtxDeployment(num_db_servers=1)   # three application servers
+    deployment = api.build(api.Scenario("etx"))   # three application servers
     issued = deployment.run_request(Request("payment", {"amount": 10}))
     assert issued.delivered
     assert deployment.check_spec().ok
 
 :class:`EtxDeployment` is one of four :class:`ThreeTierDeployment` subclasses
 (the other three are the comparison protocols in :mod:`repro.baselines`); all
-of them are built from the same :class:`DeploymentConfig`, given whole or as
-keyword overrides.
+of them read the same :class:`~repro.api.scenario.Scenario`, and
+:func:`repro.api.build` is the one way to build them.
 """
 
 from repro.core.appserver import ApplicationServer, RegisterPair
@@ -23,7 +24,6 @@ from repro.core.deployment import (
     FD_ORACLE,
     REGISTER_CONSENSUS,
     REGISTER_LOCAL,
-    DeploymentConfig,
     EtxDeployment,
     ThreeTierDeployment,
     default_business_logic,
@@ -55,7 +55,6 @@ __all__ = [
     "Client",
     "IssuedRequest",
     "DatabaseServer",
-    "DeploymentConfig",
     "EtxDeployment",
     "ThreeTierDeployment",
     "default_business_logic",

@@ -1,33 +1,28 @@
-"""Deployment builder: assemble a complete three-tier system in one call.
+"""Deployment builder: assemble a complete three-tier system from a scenario.
 
 The paper's comparison holds the client and database tiers fixed and swaps
 only the middle tier, and so does this module: :class:`ThreeTierDeployment`
 wires everything the four protocols share -- kernel, trace retention, the
 streaming observers, the three-tier network, database servers, clients and
-the run surface -- from a single :class:`DeploymentConfig`, and each protocol
-subclasses it with its own application servers.  :class:`EtxDeployment` is
-the e-Transaction middle tier (consensus hosts and wo-registers, failure
-detectors, online resharding); the comparison protocols live in
-:mod:`repro.baselines`.
+the run surface -- from one :class:`~repro.api.scenario.Scenario`, and each
+protocol subclasses it with its own application servers.
+:class:`EtxDeployment` is the e-Transaction middle tier (consensus hosts and
+wo-registers, failure detectors, online resharding); the comparison
+protocols live in :mod:`repro.baselines`.  :func:`repro.api.build` is the one
+way to build any of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.consensus.synod import ConsensusHost
 from repro.core.appserver import ApplicationServer, RegisterPair
 from repro.core.client import Client, IssuedRequest
 from repro.core.dataserver import DatabaseServer
 from repro.core.reshard import RESHARD_COORDINATOR, ReshardCoordinator
-from repro.core.sharding import (
-    KNOWN_PLACEMENTS,
-    PLACEMENT_REPLICATE,
-    ShardDirectory,
-    Sharding,
-    validate_participants,
-)
+from repro.core.sharding import ShardDirectory, validate_participants
 from repro.core.spec import SpecMonitor, SpecReport
 from repro.core.timing import DatabaseTiming, ProtocolTiming
 from repro.core.types import Request
@@ -43,9 +38,12 @@ from repro.metrics.stream import DatabaseOutcomeStream
 from repro.net.latency import FixedLatency, PerLinkLatency, three_tier_latency
 from repro.registers.consensus_backed import ConsensusRegisterArray
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
-from repro.runtime.base import RuntimeSpec, create_kernel, create_network
+from repro.runtime.base import create_kernel, create_network
 from repro.sim.process import Process
-from repro.sim.tracing import parse_retention
+
+if TYPE_CHECKING:  # repro.api imports this module
+    from repro.api.scenario import Scenario
+    from repro.api.workloads import WorkloadBinding
 
 REGISTER_CONSENSUS = "consensus"
 REGISTER_LOCAL = "local"
@@ -71,144 +69,52 @@ def default_business_logic(request: Request) -> Callable[[Any], Any]:
     return logic
 
 
-@dataclass
-class DeploymentConfig:
-    """Knobs of a three-tier deployment, whichever protocol runs its middle tier.
-
-    The register, failure-detector, reshard and mailbox knobs are consumed
-    by the e-Transaction middle tier only, ``coordinator_log_latency`` by the
-    2PC coordinator only.
-    """
-
-    # 0 = the middle-tier size the deployment class runs by default (3 for
-    # etx, 2 for primary-backup, 1 otherwise); resolved when it is built.
-    num_app_servers: int = 0
-    num_db_servers: int = 1
-    num_clients: int = 1
-    register_mode: str = REGISTER_CONSENSUS
-    seed: int = 0
-    loss_probability: float = 0.0
-    detection_delay: float = 5.0
-    failure_detector: str = FD_ORACLE
-    heartbeat_interval: float = 5.0
-    heartbeat_timeout: float = 20.0
-    client_app_latency: float = 2.5
-    app_app_latency: float = 2.25
-    app_db_latency: float = 0.5
-    db_timing: DatabaseTiming = field(default_factory=DatabaseTiming)
-    protocol_timing: ProtocolTiming = field(default_factory=ProtocolTiming)
-    coordinator_log_latency: float = 12.5
-    initial_data: dict[str, Any] = field(default_factory=dict)
-    business_logic: Callable[[Request], Callable[[Any], Any]] = default_business_logic
-    placement: str = PLACEMENT_REPLICATE
-    trace_retention: str = "full"
-    # Which kernel/transport pair executes the deployment: the discrete-event
-    # simulator (default) or an asyncio event loop with real TCP sockets.
-    runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
-    # Online reconfiguration: when enabled, the deployment gets a live
-    # ShardDirectory, a reconfiguration coordinator, and (optionally) standby
-    # database servers that start empty and receive keys when the tier grows.
-    # Off by default so static deployments keep byte-identical process/thread
-    # structure (and therefore byte-identical traces).
-    enable_reshard: bool = False
-    num_standby_db_servers: int = 0
-    # Admission control: bound on each application server's mailbox (0 =
-    # unbounded, the historical behaviour).  A server at its bound sheds the
-    # incoming message with a traced ``overload`` event.
-    mailbox_limit: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_app_servers < 0 or self.num_db_servers < 1 or self.num_clients < 1:
-            raise ValueError("a deployment needs at least one process per tier")
-        if self.register_mode not in (REGISTER_CONSENSUS, REGISTER_LOCAL):
-            raise ValueError(f"unknown register mode {self.register_mode!r}")
-        if self.failure_detector not in (FD_ORACLE, FD_HEARTBEAT):
-            raise ValueError(f"unknown failure detector mode {self.failure_detector!r}")
-        if self.placement not in KNOWN_PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r}; known: "
-                             f"{', '.join(KNOWN_PLACEMENTS)}")
-        if self.num_standby_db_servers < 0:
-            raise ValueError("num_standby_db_servers must be >= 0")
-        if self.mailbox_limit < 0:
-            raise ValueError("mailbox_limit must be >= 0 (0 = unbounded)")
-        if self.num_standby_db_servers and not self.enable_reshard:
-            raise ValueError("standby database servers need enable_reshard")
-        if self.enable_reshard and self.placement == PLACEMENT_REPLICATE:
-            raise ValueError("online resharding needs a partitioned placement "
-                             "(hash or mod)")
-        if self.enable_reshard and self.runtime.kind != "sim":
-            raise ValueError("online resharding is only supported on the "
-                             "simulated runtime")
-        parse_retention(self.trace_retention)  # fail fast on bad policies
-
-    @property
-    def sharding(self) -> Sharding:
-        """Key-placement map of the database tier under this config (epoch 0)."""
-        return Sharding(tuple(self.db_server_names), self.placement)
-
-    @property
-    def client_names(self) -> list[str]:
-        return [f"c{i + 1}" for i in range(self.num_clients)]
-
-    @property
-    def app_server_names(self) -> list[str]:
-        return [f"a{i + 1}" for i in range(self.num_app_servers)]
-
-    @property
-    def db_server_names(self) -> list[str]:
-        return [f"d{i + 1}" for i in range(self.num_db_servers)]
-
-    @property
-    def all_db_server_names(self) -> list[str]:
-        """Running shards plus reshard standbys, in growth order."""
-        return [f"d{i + 1}" for i in
-                range(self.num_db_servers + self.num_standby_db_servers)]
-
-
 class ThreeTierDeployment:
     """A fully wired client / application-server / database system.
 
     Owns everything the protocols have in common; a subclass provides the
     middle tier by overriding :meth:`_build_app_servers` (and whatever else
-    of the build differs for it).
+    of the build differs for it).  Every value comes from ``scenario``;
+    ``workload`` is its bound workload (business logic, initial data,
+    standard request), ``only`` the processes this OS process hosts in a
+    distributed run (empty: all of them).
     """
 
-    #: Middle-tier size when the config leaves ``num_app_servers`` at 0, and
-    #: the smallest one the protocol can run with.
+    #: DSN scheme aliases of the protocol, its middle-tier size when a
+    #: scenario leaves ``num_app_servers`` at 0, the smallest one it runs
+    #: with, and the fault kinds it cannot inject (kind -> what it needs).
+    aliases: tuple[str, ...] = ()
     default_app_servers = 1
     min_app_servers = 1
+    unsupported_faults: dict[str, str] = {}
     db_server_class: type[DatabaseServer] = DatabaseServer
     # Online reconfiguration is e-Transaction machinery: only EtxDeployment
     # ever sets these, the shared code below just honours them.
     directory: Optional[ShardDirectory] = None
     reshard_coordinator: Optional[ReshardCoordinator] = None
 
-    def __init__(self, config: Optional[DeploymentConfig] = None, **overrides: Any):
-        if config is None:
-            config = DeploymentConfig(**overrides)
-        elif overrides:
-            config = replace(config, **overrides)
-        if config.num_app_servers == 0:
-            config = replace(config, num_app_servers=self.default_app_servers)
-        if config.num_app_servers < self.min_app_servers:
-            raise ValueError(f"{type(self).__name__} needs at least "
-                             f"{self.min_app_servers} application server(s), "
-                             f"got {config.num_app_servers}")
-        self.config = config
-        self.sharding = config.sharding
-        self.sim = create_kernel(config.runtime, seed=config.seed)
-        self.sim.trace.set_retention(config.trace_retention)
+    def __init__(self, scenario: Scenario, workload: WorkloadBinding, *,
+                 db_timing: DatabaseTiming, protocol_timing: ProtocolTiming,
+                 only: tuple[str, ...] = ()):
+        self.scenario = scenario
+        self.workload = workload
+        self.db_timing = db_timing
+        self.protocol_timing = protocol_timing
+        self.runtime = replace(scenario.runtime_spec, only=only)
+        self.sharding = scenario.sharding
+        self.sim = create_kernel(self.runtime, seed=scenario.seed)
+        self.sim.trace.set_retention(scenario.trace)
         # Streaming observers subscribe before any process runs, so they see
         # the complete event stream regardless of the retention policy.
         self.spec_monitor = SpecMonitor.attach(
-            self.sim.trace, config.all_db_server_names, config.client_names)
+            self.sim.trace, scenario.all_db_server_names, scenario.client_names)
         self.db_outcomes = DatabaseOutcomeStream(
-            self.sim.trace, config.all_db_server_names)
+            self.sim.trace, scenario.all_db_server_names)
         self.latency_components = LatencyComponentStream(self.sim.trace)
         self.network = create_network(
-            config.runtime, self.sim, latency=self._build_latency(),
-            loss_probability=config.loss_probability,
-            process_names=self._process_names())
+            self.runtime, self.sim, latency=self._build_latency(),
+            loss_probability=scenario.loss_probability,
+            process_names=scenario.process_names)
         self.db_servers: dict[str, DatabaseServer] = {}
         self.app_servers: dict[str, Process] = {}
         self.clients: dict[str, Client] = {}
@@ -220,42 +126,36 @@ class ThreeTierDeployment:
 
     # ------------------------------------------------------------------- build
 
-    def _process_names(self) -> list[str]:
-        """Every process of the run, in TCP port-assignment order."""
-        config = self.config
-        return (config.app_server_names + config.all_db_server_names
-                + config.client_names)
-
     def _build_latency(self) -> PerLinkLatency:
-        config = self.config
-        return three_tier_latency(config.client_names, config.app_server_names,
-                                  config.all_db_server_names,
-                                  client_app_latency=config.client_app_latency,
-                                  app_app_latency=config.app_app_latency,
-                                  app_db_latency=config.app_db_latency)
+        scenario = self.scenario
+        return three_tier_latency(scenario.client_names, scenario.app_server_names,
+                                  scenario.all_db_server_names,
+                                  client_app_latency=scenario.client_app_latency,
+                                  app_app_latency=scenario.app_app_latency,
+                                  app_db_latency=scenario.app_db_latency)
 
     def _build_processes(self) -> None:
         """Create and register every process; registration order fixes the
         per-source message-id namespace, so it is the same for all protocols:
         databases, application servers, clients."""
-        config = self.config
-        app_names = config.app_server_names
-        active = set(config.db_server_names)
+        scenario, workload = self.scenario, self.workload
+        app_names = scenario.app_server_names
+        active = set(scenario.db_server_names)
         placement = self.directory if self.directory is not None else self.sharding
-        for name in config.all_db_server_names:
+        for name in scenario.all_db_server_names:
             # Standby shards start empty; they receive keys through migration.
-            initial = (self.sharding.shard_data(name, config.initial_data)
+            initial = (self.sharding.shard_data(name, workload.initial_data)
                        if name in active else {})
             server = self.db_server_class(
                 self.sim, name, app_names,
-                business_logic=config.business_logic, timing=config.db_timing,
+                business_logic=workload.business_logic, timing=self.db_timing,
                 initial_data=initial, owns_key=placement.owner_predicate(name),
                 directory=self.directory)
             self.network.register(server)
             self.db_servers[name] = server
         self._build_app_servers()
-        for name in config.client_names:
-            client = Client(self.sim, name, app_names, timing=config.protocol_timing,
+        for name in scenario.client_names:
+            client = Client(self.sim, name, app_names, timing=self.protocol_timing,
                             default_primary=app_names[0])
             self.network.register(client)
             self.clients[name] = client
@@ -282,12 +182,21 @@ class ThreeTierDeployment:
     @property
     def client(self) -> Client:
         """The first (often only) client."""
-        return self.clients[self.config.client_names[0]]
+        return self.clients[self.scenario.client_names[0]]
 
     @property
     def trace(self):
         """The shared trace recorder of this run."""
         return self.sim.trace
+
+    @property
+    def stats(self):
+        """Network traffic statistics of the run."""
+        return self.network.stats
+
+    def standard_request(self) -> Request:
+        """A fresh instance of the workload's standard request."""
+        return self.workload.make_request()
 
     def apply_faults(self, schedule: FaultSchedule) -> None:
         """Schedule a fault-injection plan against this deployment.
@@ -297,8 +206,8 @@ class ThreeTierDeployment:
         of its own observers); partitions apply everywhere, since each host
         drops its own outbound cross-group traffic.
         """
-        if self.config.runtime.distributed:
-            schedule = schedule.restricted_to(set(self.config.runtime.only))
+        if self.runtime.distributed:
+            schedule = schedule.restricted_to(set(self.runtime.only))
         reshard = (self.reshard_coordinator.request
                    if self.reshard_coordinator is not None else None)
         schedule.apply(self.sim, self.network, self.failure_detector,
@@ -326,7 +235,7 @@ class ThreeTierDeployment:
 
     def issue(self, request: Request, client: Optional[str] = None) -> IssuedRequest:
         """Issue a request from the named (or first) client."""
-        validate_participants(request, self.config.all_db_server_names)
+        validate_participants(request, self.scenario.all_db_server_names)
         target = self.clients[client] if client is not None else self.client
         return target.issue(request)
 
@@ -361,7 +270,7 @@ class ThreeTierDeployment:
         claimed.  Spec-check distributed runs by hosting every process in
         one OS process (the default) or by merging the peers' traces.
         """
-        if self.config.runtime.distributed:
+        if self.runtime.distributed:
             return SpecReport(checked_properties=[])
         return self.spec_monitor.report(check_termination=check_termination)
 
@@ -369,46 +278,43 @@ class ThreeTierDeployment:
 class EtxDeployment(ThreeTierDeployment):
     """Three-tier deployment running the e-Transaction protocol."""
 
+    aliases = ("ar",)
     default_app_servers = 3
 
     # ------------------------------------------------------------------- build
 
-    def _process_names(self) -> list[str]:
-        names = super()._process_names()
-        return names + [RESHARD_COORDINATOR] if self.config.enable_reshard else names
-
     def _build_latency(self) -> PerLinkLatency:
-        config = self.config
+        scenario = self.scenario
         latency = super()._build_latency()
-        if config.enable_reshard:
+        if scenario.reshards:
             # The coordinator lives in the cluster next to the app tier, so
             # its migration traffic crosses the app<->db hop.
-            for db_name in config.all_db_server_names:
+            for db_name in scenario.all_db_server_names:
                 latency.set_link(RESHARD_COORDINATOR, db_name,
-                                 FixedLatency(config.app_db_latency))
+                                 FixedLatency(scenario.app_db_latency))
                 latency.set_link(db_name, RESHARD_COORDINATOR,
-                                 FixedLatency(config.app_db_latency))
+                                 FixedLatency(scenario.app_db_latency))
         return latency
 
     def _build_processes(self) -> None:
         # The shared directory and coordinator exist only when the scenario
         # asked for resharding, so static runs keep byte-identical process
         # registration and thread structure.
-        if self.config.enable_reshard:
+        if self.scenario.reshards:
             self.directory = ShardDirectory(self.sharding)
         super()._build_processes()
         if self.directory is not None:
             self.reshard_coordinator = ReshardCoordinator(
-                self.sim, self.directory, self.config.all_db_server_names,
-                retry_interval=self.config.protocol_timing.execute_retry)
+                self.sim, self.directory, self.scenario.all_db_server_names,
+                retry_interval=self.protocol_timing.execute_retry)
             self.network.register(self.reshard_coordinator)
 
     def _build_app_servers(self) -> None:
-        config = self.config
-        app_names = config.app_server_names
-        db_names = config.all_db_server_names
-        if config.register_mode == REGISTER_LOCAL:
-            latency = config.protocol_timing.fast_write_latency
+        scenario = self.scenario
+        app_names = scenario.app_server_names
+        db_names = scenario.all_db_server_names
+        if scenario.register_mode == REGISTER_LOCAL:
+            latency = self.protocol_timing.fast_write_latency
             stores = {name: LocalRegisterStore(self.sim, name, operation_latency=latency)
                       for name in ("regA", "regD")}
         for name in app_names:
@@ -418,10 +324,10 @@ class EtxDeployment(ThreeTierDeployment):
                 self.sim, name, app_names, db_names,
                 registers=RegisterPair(None, None),  # type: ignore[arg-type]
                 failure_detector=None,  # type: ignore[arg-type]
-                timing=config.protocol_timing,
+                timing=self.protocol_timing,
                 directory=self.directory)
             self.network.register(process)
-            if config.register_mode == REGISTER_CONSENSUS:
+            if scenario.register_mode == REGISTER_CONSENSUS:
                 host = ConsensusHost(process, app_names, fast_path_owner=app_names[0])
                 process.consensus_host = host
                 process.registers = RegisterPair(ConsensusRegisterArray(host, "regA"),
@@ -430,23 +336,23 @@ class EtxDeployment(ThreeTierDeployment):
                 process.registers = RegisterPair(
                     LocalRegisterArray(stores["regA"], owner=name),
                     LocalRegisterArray(stores["regD"], owner=name))
-            process.mailbox_limit = config.mailbox_limit
+            process.mailbox_limit = scenario.mailbox
             self.app_servers[name] = process
 
     def _build_failure_detector(self) -> FailureDetector:
-        config = self.config
+        scenario = self.scenario
         # The oracle (eventually perfect) detector always exists: it is what the
         # fault-injection schedules use to inject false suspicions.
         oracle = detector = EventuallyPerfectFailureDetector(
-            self.network, detection_delay=config.detection_delay)
-        if config.failure_detector == FD_HEARTBEAT:
+            self.network, detection_delay=scenario.detection_delay)
+        if scenario.failure_detector == FD_HEARTBEAT:
             # A genuinely message-based detector: heartbeats between the
             # application servers, adaptive time-outs on missed ones.
             detector = HeartbeatFailureDetector(
-                self.network, config.app_server_names,
-                heartbeat_interval=config.heartbeat_interval,
-                initial_timeout=config.heartbeat_timeout,
-                install_on=[name for name in config.app_server_names
+                self.network, scenario.app_server_names,
+                heartbeat_interval=scenario.heartbeat_interval,
+                initial_timeout=scenario.heartbeat_timeout,
+                install_on=[name for name in scenario.app_server_names
                             if self.network.hosts(name)])
         for server in self.app_servers.values():
             server.failure_detector = detector

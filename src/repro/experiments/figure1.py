@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import api
-from repro.core import Request
+from repro.core import Request, ThreeTierDeployment
 from repro.experiments import calibration
 from repro.failure.injection import FaultSchedule
 from repro.metrics.steps import CommunicationProfile, profile_from_trace
@@ -64,14 +64,14 @@ class Figure1Report:
         return "\n".join(result.summary() for result in self.scenarios.values())
 
 
-def _build(seed: int) -> tuple[api.RunningSystem, Request]:
+def _build(seed: int) -> tuple[ThreeTierDeployment, Request]:
     scenario = calibration.paper_scenario("etx", seed=seed, num_app_servers=3,
                                           detection_delay=10.0)
     system = api.build(scenario)
     return system, system.standard_request()
 
 
-def _scenario(name: str, deployment: api.RunningSystem, request: Request,
+def _scenario(name: str, deployment: ThreeTierDeployment, request: Request,
               horizon: float = 1_000_000.0) -> ScenarioResult:
     issued = deployment.run_request(request, horizon=horizon)
     deployment.run(until=deployment.sim.now + 5_000.0)

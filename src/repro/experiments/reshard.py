@@ -370,7 +370,7 @@ def run_campaign(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
         # are fair targets too -- a fresh shard crashing mid-install is
         # exactly the case the idempotent MIGRATE replay exists for.
         jitter=max(12.0, span / 2),
-        db_servers=tuple(f"d{i + 1}" for i in range(scenario.max_db_servers)),
+        db_servers=tuple(scenario.all_db_server_names),
     )
     report = ReshardCampaignReport(dsn=base.to_dsn(), seed=seed,
                                    windows=len(anchors))

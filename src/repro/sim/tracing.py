@@ -10,9 +10,8 @@ two ways:
   specification monitor (:class:`repro.core.spec.SpecMonitor`) and the
   streaming metrics accumulators work this way, so they see every event even
   when the recorder stores nothing;
-* **post-hoc** -- the query helpers (``select``/``count``/``first``/``last``/
-  ``between``) read back the *stored* events.  How many events are stored is
-  the recorder's **retention policy**:
+* **post-hoc** -- ``select``/``count`` and iteration read back the *stored*
+  events.  How many events are stored is the recorder's **retention policy**:
 
   - ``full`` (default) -- keep everything; all queries see the whole history.
   - ``ring:N`` -- keep only the most recent ``N`` events (a flight recorder);
@@ -45,7 +44,7 @@ this module.
 from __future__ import annotations
 
 import marshal
-from collections import Counter, deque
+from collections import deque
 from itertools import chain, starmap
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
@@ -265,48 +264,3 @@ class TraceRecorder:
               **data_filters: Any) -> int:
         """Number of stored events matching the filters (no event built)."""
         return sum(1 for _ in self._matching(self._stored(), category, process, data_filters))
-
-    def first(self, category: Optional[str] = None, process: Optional[str] = None,
-              **data_filters: Any) -> Optional[TraceEvent]:
-        """First matching stored event, or ``None`` (short-circuits)."""
-        return next(starmap(TraceEvent, self._matching(
-            self._stored(), category, process, data_filters)), None)
-
-    def last(self, category: Optional[str] = None, process: Optional[str] = None,
-             **data_filters: Any) -> Optional[TraceEvent]:
-        """Last matching stored event, or ``None`` (scans backwards)."""
-        backwards = chain(reversed(self._rows), chain.from_iterable(
-            reversed(marshal.loads(block)) for block in reversed(self._blocks)))
-        return next(starmap(TraceEvent, self._matching(
-            backwards, category, process, data_filters)), None)
-
-    def categories(self) -> set[str]:
-        """The set of distinct categories stored so far."""
-        return {row[1] for row in self._stored()}
-
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        """Stored events with ``start <= time <= end``, in store order."""
-        return [TraceEvent(*row) for row in self._stored() if start <= row[0] <= end]
-
-    def summary(self) -> dict[str, int]:
-        """Histogram of stored event counts per category."""
-        return dict(Counter(row[1] for row in self._stored()))
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Append pre-built events (used by tests and replay tooling).
-
-        Extended events are stored (subject to retention: nothing at ``off``)
-        but not dispatched to subscribers: they describe the past, not
-        something happening now.
-        """
-        if not self._store:
-            return
-        self._rows.extend((e.time, e.category, e.process, e.data) for e in events)
-        if self._sealing and len(self._rows) >= BLOCK_ROWS:
-            self._seal()
-
-    def clear(self) -> None:
-        """Drop all stored events (subscriptions stay)."""
-        self._blocks.clear()
-        self._sealed = 0
-        self._rows.clear()

@@ -161,10 +161,9 @@ class RunStatistics:
 class LoadGenerator:
     """Base class of the traffic shapes.
 
-    A generator drives a deployment (a
-    :class:`~repro.core.deployment.ThreeTierDeployment`, bare or behind its
-    :class:`~repro.api.drivers.RunningSystem` facade) and collects a
-    :class:`RunStatistics`.
+    A generator drives a deployment (the
+    :class:`~repro.core.deployment.ThreeTierDeployment` that
+    :func:`repro.api.build` returns) and collects a :class:`RunStatistics`.
 
     Parameters
     ----------

@@ -1,20 +1,20 @@
-"""Tests for the protocol-driver registry and the unified run facade.
+"""Tests for the protocol table and :func:`repro.api.build`.
 
-The smoke test parametrizes over :func:`repro.api.registered_protocols`, so
-any protocol registered later is automatically held to the same bar: one
-failure-free request must execute end-to-end and satisfy the e-Transaction
-specification.
+The smoke test parametrizes over :data:`repro.api.PROTOCOLS`, so any protocol
+added later is automatically held to the same bar: one failure-free request
+must execute end-to-end and satisfy the e-Transaction specification.
 """
 
 import pytest
 
 from repro import api
+from repro.core.reshard import RESHARD_COORDINATOR
 
 
-# ------------------------------------------------------------ registry smoke
+# ------------------------------------------------------------ protocol smoke
 
 
-@pytest.mark.parametrize("protocol", api.registered_protocols())
+@pytest.mark.parametrize("protocol", api.PROTOCOLS)
 def test_every_registered_protocol_passes_the_smoke_scenario(protocol):
     """One request, failure-free: delivered and ``SpecReport.ok``."""
     result = api.run_scenario(api.Scenario(protocol=protocol, workload="bank"))
@@ -23,37 +23,30 @@ def test_every_registered_protocol_passes_the_smoke_scenario(protocol):
     assert result.ok
 
 
-@pytest.mark.parametrize("protocol", api.registered_protocols())
+@pytest.mark.parametrize("protocol", api.PROTOCOLS)
 def test_every_registered_protocol_builds_from_its_scheme(protocol):
     system = api.build(api.Scenario.from_dsn(f"{protocol}://"))
     assert system.scenario.protocol == protocol
+    assert type(system) is api.PROTOCOLS[protocol]
     issued = system.run_request(system.standard_request())
     assert issued.delivered
 
 
 def test_unknown_protocol_is_rejected_with_known_names():
-    with pytest.raises(api.ScenarioError):
-        api.get_protocol("carrier-pigeon")
+    with pytest.raises(api.ScenarioError, match="known schemes: .*etx"):
+        api.Scenario(protocol="carrier-pigeon")
 
 
-def test_custom_protocols_can_be_registered():
-    from repro.core import EtxDeployment
-
-    class EtxTwin(api.ProtocolDriver):
-        name = "etx-twin"
-        deployment_class = EtxDeployment
-
-    api.register_protocol("etx-twin", EtxTwin())
-    try:
-        assert "etx-twin" in api.registered_protocols()
-        result = api.run_scenario("etx-twin://d1.c1")
-        assert result.ok
-        assert result.scenario.num_app_servers == 3  # the deployment class's default
-    finally:
-        from repro.api import drivers, scenario
-        drivers._REGISTRY.pop("etx-twin", None)
-        scenario._SCHEME_ALIASES.pop("etx-twin", None)
-        scenario._DEFAULT_APP_SERVERS.pop("etx-twin", None)
+@pytest.mark.parametrize("alias, protocol", [
+    ("ar", "etx"), ("twopc", "2pc"), ("primary-backup", "pb")])
+def test_every_alias_parses_and_builds(alias, protocol):
+    assert alias in api.PROTOCOLS[protocol].aliases
+    scenario = api.Scenario.from_dsn(f"{alias}://")
+    assert scenario.protocol == protocol
+    assert api.Scenario(protocol=alias) == scenario
+    system = api.build(scenario)
+    assert type(system) is api.PROTOCOLS[protocol]
+    assert system.run_request(system.standard_request()).delivered
 
 
 def test_pb_rejects_a_single_app_server():
@@ -61,18 +54,46 @@ def test_pb_rejects_a_single_app_server():
         api.build(api.Scenario(protocol="pb", num_app_servers=1))
 
 
-# -------------------------------------------------------------- the facade
+# ---------------------------------------------------------- the run surface
 
 
 def test_running_system_exposes_the_uniform_surface():
-    system = api.build(api.Scenario.from_dsn("etx://a3.d1.c1"))
+    scenario = api.Scenario.from_dsn("etx://a3.d1.c1?workload=bank")
+    system = api.build(scenario)
     for attribute in ("issue", "run", "run_request", "apply_faults",
                       "check_spec", "stats", "standard_request"):
         assert hasattr(system, attribute)
-    # delegation to the wrapped deployment keeps existing idioms working
+    assert system.scenario is scenario
+    assert system.workload.name == "bank"
     assert set(system.db_servers) == {"d1"}
-    assert system.sim is system.deployment.sim
-    assert system.trace is system.deployment.trace
+    assert system.trace is system.sim.trace
+    assert system.stats is system.network.stats
+
+
+@pytest.mark.parametrize("dsn", ["etx://a3.d2.c2?runtime=asyncio",
+                                 "pb://a2.d1.c3?runtime=asyncio&port=7400"])
+def test_endpoint_order_is_the_scenarios_process_order(dsn):
+    scenario = api.Scenario.from_dsn(dsn)
+    system = api.build(scenario)
+    try:
+        assert [name for name, _, _ in system.network.endpoints.table()] \
+            == scenario.process_names
+    finally:
+        system.close()
+
+
+def test_a_reshard_run_orders_its_standbys_before_the_clients_and_the_coordinator_last():
+    scenario = api.Scenario.from_dsn(
+        "etx://a3.d2.c2?placement=hash&workload=bank&fault=reshard@100:d2->d4")
+    assert scenario.process_names == ["a1", "a2", "a3", "d1", "d2", "d3", "d4",
+                                      "c1", "c2", RESHARD_COORDINATOR]
+    system = api.build(scenario)
+    assert sorted(system.network.processes) == sorted(scenario.process_names)
+
+
+def test_only_is_refused_on_the_simulator():
+    with pytest.raises(api.ScenarioError, match="runtime=asyncio"):
+        api.build(api.Scenario.from_dsn("etx://a3.d1.c1"), only=("a1",))
 
 
 def test_scenario_faults_are_applied_at_build_time():
@@ -139,4 +160,4 @@ def test_comparison_protocols_reject_etx_only_faults(protocol):
 
 def test_explicit_zero_backoff_is_honoured():
     system = api.build(api.Scenario.from_dsn("etx://a3.d1.c1?backoff=0"))
-    assert system.deployment.config.protocol_timing.client_backoff == 0.0
+    assert system.protocol_timing.client_backoff == 0.0

@@ -115,10 +115,13 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://a3?seed=1&seed=1", "ambiguous"),
     ("etx://a3?seed=banana", "bad value for 'seed'"),
     ("etx://a3?fd=psychic", "unknown failure detector"),
+    ("etx://a3?register=shared-memory", "unknown register mode"),
     ("etx://a3?loss=1.5", "loss probability"),
     ("etx://a3?fault=crash", "malformed fault token"),
     ("etx://a3?fault=warp@1:a1", "unknown fault kind"),
     ("etx://a0", "at least one process"),
+    ("etx://d0", "at least one process"),
+    ("etx://c0", "at least one process"),
     # Values the build would refuse with a bare ValueError are refused by
     # their parameter's row at parse time ...
     ("etx://a3?lat_ca=-1", "bad value for 'lat_ca'"),
@@ -233,20 +236,6 @@ def test_faults_naming_unknown_processes_are_rejected():
     # valid targets in any tier parse fine
     assert Scenario.from_dsn("etx://a3.d1.c1?fault=crash@10:c1")
     assert Scenario.from_dsn("etx://a3.d2?fault=crash_for@10:d2:50")
-
-
-def test_scenario_defaults_track_the_config_dataclass():
-    from repro.core.deployment import DeploymentConfig
-    from repro.core.timing import ProtocolTiming
-
-    scenario = Scenario()
-    config = DeploymentConfig()
-    assert scenario.detection_delay == config.detection_delay
-    assert scenario.client_app_latency == config.client_app_latency
-    assert scenario.app_app_latency == config.app_app_latency
-    assert scenario.app_db_latency == config.app_db_latency
-    assert scenario.coordinator_log_latency == config.coordinator_log_latency
-    assert scenario.client_backoff == ProtocolTiming().client_backoff
 
 
 # ------------------------------------------------------------ traffic shape

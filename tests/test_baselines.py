@@ -14,12 +14,8 @@ tests reproduce the paper's *qualitative* claims about them:
 
 import pytest
 
-from repro.baselines import (
-    BaselineDeployment,
-    PrimaryBackupDeployment,
-    TwoPCDeployment,
-)
-from repro.core import DeploymentConfig
+from repro import api
+from repro.api import Scenario, ScenarioError
 from repro.failure.detectors import EventuallyPerfectFailureDetector
 from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
@@ -27,18 +23,15 @@ from repro.workload.bank import BankWorkload
 BANK = BankWorkload(num_accounts=2, initial_balance=100)
 
 
-def config(**overrides):
-    defaults = dict(num_db_servers=1, business_logic=BANK.business_logic,
-                    initial_data=BANK.initial_data())
-    defaults.update(overrides)
-    return DeploymentConfig(**defaults)
+def deploy(protocol, **fields):
+    return api.build(Scenario(protocol, **fields), workload=BANK)
 
 
 # ------------------------------------------------------------------- baseline
 
 
 def test_baseline_commits_in_failure_free_run():
-    deployment = BaselineDeployment(config())
+    deployment = deploy("baseline")
     issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert issued.result.value["status"] == "ok"
@@ -46,21 +39,21 @@ def test_baseline_commits_in_failure_free_run():
 
 
 def test_baseline_latency_matches_paper_baseline_column():
-    deployment = BaselineDeployment(config())
+    deployment = deploy("baseline")
     issued = deployment.run_request(BANK.debit(0, 10))
     # Paper: 217.4 ms; the difference is pure client/server hop accounting.
     assert issued.latency == pytest.approx(217.4, rel=0.03)
 
 
 def test_baseline_has_no_prepare_phase():
-    deployment = BaselineDeployment(config())
+    deployment = deploy("baseline")
     deployment.run_request(BANK.debit(0, 10))
     assert deployment.trace.count("msg_send", msg_type="Prepare") == 0
     assert deployment.trace.count("msg_send", msg_type="CommitOnePhase") == 1
 
 
 def test_baseline_client_hangs_when_app_server_crashes():
-    deployment = BaselineDeployment(config())
+    deployment = deploy("baseline")
     deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
     issued = deployment.issue(BANK.debit(0, 10))
     deployment.run(until=100_000.0)
@@ -70,7 +63,7 @@ def test_baseline_client_hangs_when_app_server_crashes():
 
 
 def test_baseline_two_databases_commit_independently():
-    deployment = BaselineDeployment(config(num_db_servers=2))
+    deployment = deploy("baseline", num_db_servers=2)
     issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     for db in deployment.db_servers.values():
@@ -81,8 +74,8 @@ def test_baseline_two_databases_commit_independently():
 
 
 def test_twopc_commits_and_is_slower_than_baseline():
-    baseline = BaselineDeployment(config())
-    twopc = TwoPCDeployment(config())
+    baseline = deploy("baseline")
+    twopc = deploy("2pc")
     baseline_latency = baseline.run_request(BANK.debit(0, 10)).latency
     twopc_latency = twopc.run_request(BANK.debit(0, 10)).latency
     assert twopc.db_servers["d1"].committed_value("account:0") == 90
@@ -92,7 +85,7 @@ def test_twopc_commits_and_is_slower_than_baseline():
 
 
 def test_twopc_forces_two_log_writes_per_transaction():
-    deployment = TwoPCDeployment(config())
+    deployment = deploy("2pc")
     deployment.run_request(BANK.debit(0, 10))
     coordinator = deployment.app_servers["a1"]
     assert coordinator.disk.stats.forced_writes == 2
@@ -101,14 +94,14 @@ def test_twopc_forces_two_log_writes_per_transaction():
 
 
 def test_twopc_runs_voting_phase():
-    deployment = TwoPCDeployment(config())
+    deployment = deploy("2pc")
     deployment.run_request(BANK.debit(0, 10))
     assert deployment.trace.count("msg_send", msg_type="Prepare") == 1
     assert deployment.trace.count("msg_send", msg_type="Vote") == 1
 
 
 def test_twopc_blocks_databases_when_coordinator_crashes_after_votes():
-    deployment = TwoPCDeployment(config())
+    deployment = deploy("2pc")
     # The vote lands around t=230 ms (after the forced start log); crash the
     # coordinator right after it and never recover it.
     deployment.apply_faults(FaultSchedule().crash(235.0, "a1"))
@@ -123,8 +116,8 @@ def test_twopc_blocks_databases_when_coordinator_crashes_after_votes():
 
 
 def test_twopc_log_latency_is_configurable():
-    cheap = TwoPCDeployment(config(coordinator_log_latency=0.0))
-    expensive = TwoPCDeployment(config(coordinator_log_latency=25.0))
+    cheap = deploy("2pc", coordinator_log_latency=0.0)
+    expensive = deploy("2pc", coordinator_log_latency=25.0)
     cheap_latency = cheap.run_request(BANK.debit(0, 10)).latency
     expensive_latency = expensive.run_request(BANK.debit(0, 10)).latency
     assert expensive_latency == pytest.approx(cheap_latency + 50.0, abs=1.0)
@@ -134,7 +127,7 @@ def test_twopc_log_latency_is_configurable():
 
 
 def test_primary_backup_commits_in_failure_free_run():
-    deployment = PrimaryBackupDeployment(config(num_app_servers=2))
+    deployment = deploy("pb", num_app_servers=2)
     issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
@@ -144,7 +137,7 @@ def test_primary_backup_commits_in_failure_free_run():
 
 
 def test_primary_backup_failover_after_outcome_replication_commits():
-    deployment = PrimaryBackupDeployment(config(num_app_servers=2))
+    deployment = deploy("pb", num_app_servers=2)
     # The outcome replication lands around t=240 ms; crash the primary after it
     # so the backup finishes the commit and answers the client.
     deployment.apply_faults(FaultSchedule().crash(243.0, "a1"))
@@ -155,7 +148,7 @@ def test_primary_backup_failover_after_outcome_replication_commits():
 
 
 def test_primary_backup_failover_before_outcome_aborts():
-    deployment = PrimaryBackupDeployment(config(num_app_servers=2))
+    deployment = deploy("pb", num_app_servers=2)
     deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
     issued = deployment.issue(BANK.debit(0, 10))
     deployment.run(until=300_000.0)
@@ -177,8 +170,7 @@ def test_primary_backup_false_suspicion_breaks_agreement():
     first; with the wo-registers of the e-Transaction protocol the conflicting
     decision cannot be produced in the first place.)
     """
-    base = config(num_app_servers=2)
-    deployment = PrimaryBackupDeployment(base)
+    deployment = deploy("pb", num_app_servers=2)
     # Replace the perfect detector with an eventually-perfect one and inject a
     # false suspicion covering the window between the database's yes vote and
     # the primary's commit decision.
@@ -199,33 +191,22 @@ def test_primary_backup_false_suspicion_breaks_agreement():
 
 
 def test_primary_backup_requires_two_app_servers():
-    with pytest.raises(ValueError):
-        PrimaryBackupDeployment(config(num_app_servers=1))
+    with pytest.raises(ScenarioError, match="at least 2 application server"):
+        deploy("pb", num_app_servers=1)
 
 
 # ----------------------------------------------------------------- validation
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DeploymentConfig(num_app_servers=-1)
-    with pytest.raises(ValueError):
-        DeploymentConfig(num_db_servers=0)
-
-
-def test_config_overrides_derive_a_new_config():
-    deployment = BaselineDeployment(DeploymentConfig(), num_db_servers=2)
-    assert deployment.config.num_db_servers == 2
-    assert len(deployment.db_servers) == 2
+    with pytest.raises(ScenarioError, match="at least one process"):
+        Scenario("baseline", num_app_servers=-1)
+    with pytest.raises(ScenarioError, match="at least one process"):
+        Scenario("baseline", num_db_servers=0)
 
 
 def test_unset_middle_tier_size_resolves_to_the_protocol_default():
-    """One config for all four protocols: ``num_app_servers=0`` means "the
-    size this protocol runs by default", as in :class:`repro.api.Scenario`."""
-    from repro.core import EtxDeployment
-
-    sizes = {cls: len(cls(config()).app_servers)
-             for cls in (EtxDeployment, BaselineDeployment, TwoPCDeployment,
-                         PrimaryBackupDeployment)}
-    assert list(sizes.values()) == [3, 1, 1, 2]
-    assert len(TwoPCDeployment(config(num_app_servers=2)).app_servers) == 2
+    """``num_app_servers=0`` means "the size this protocol runs by default"."""
+    sizes = {protocol: len(deploy(protocol).app_servers) for protocol in api.PROTOCOLS}
+    assert sizes == {"etx": 3, "2pc": 1, "pb": 2, "baseline": 1}
+    assert len(deploy("2pc", num_app_servers=2).app_servers) == 2

@@ -13,7 +13,8 @@ runs over both register implementations.
 import pytest
 
 from repro.consensus.synod import ConsensusHost
-from repro.core import DeploymentConfig, EtxDeployment, FD_HEARTBEAT
+from repro import api
+from repro.core import FD_HEARTBEAT
 from repro.core import messages as msg
 from repro.core.appserver import RegisterPair, claim_parts
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
@@ -31,12 +32,11 @@ both_register_modes = pytest.mark.parametrize("register_mode",
                                               [REGISTER_LOCAL, REGISTER_CONSENSUS])
 
 
-def make_deployment(register_mode, **overrides):
-    defaults = dict(num_db_servers=len(DB_NAMES), num_clients=3, placement="hash",
-                    register_mode=register_mode, detection_delay=DETECT,
-                    business_logic=BANK.business_logic, initial_data=BANK.initial_data())
-    defaults.update(overrides)
-    return EtxDeployment(DeploymentConfig(**defaults))
+def make_deployment(register_mode, **fields):
+    scenario = api.Scenario(**{"num_db_servers": len(DB_NAMES), "num_clients": 3,
+                               "placement": "hash", "register_mode": register_mode,
+                               "detection_delay": DETECT, **fields})
+    return api.build(scenario, workload=BANK)
 
 
 def routed(deployment, request_for, *accounts):

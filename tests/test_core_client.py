@@ -160,7 +160,7 @@ def test_client_requires_servers_and_valid_primary():
         Client(sim, "c1", ["a1"], default_primary="a9")
 
 
-class _OneClientDeployment:
+class _OneClientStub:
     """What a load generator drives: one client in front of scripted servers."""
 
     def __init__(self, script):
@@ -178,7 +178,7 @@ class _OneClientDeployment:
 def test_a_crashed_clients_requests_count_as_undelivered_with_their_aborts():
     """Three planned requests: the first delivers, the second crashes with its
     client after two aborted results, the third is never issued."""
-    deployment = _OneClientDeployment(["commit", "abort", "abort"] + ["ignore"] * 100)
+    deployment = _OneClientStub(["commit", "abort", "abort"] + ["ignore"] * 100)
     client = deployment.clients["c1"]
     deployment.sim.schedule(20_000.0, client.crash)
     requests = [Request(f"op-{n}", {}) for n in range(3)]

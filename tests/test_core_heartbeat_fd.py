@@ -9,7 +9,7 @@ import pytest
 
 from repro import api
 from repro.api.runner import load_generator_for
-from repro.core import DeploymentConfig, EtxDeployment, FD_HEARTBEAT
+from repro.core import FD_HEARTBEAT
 from repro.core import messages as msg
 from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
@@ -17,18 +17,11 @@ from repro.workload.bank import BankWorkload
 BANK = BankWorkload(num_accounts=1, initial_balance=100)
 
 
-def make_deployment(**overrides):
-    defaults = dict(
-        num_app_servers=3,
-        num_db_servers=1,
-        failure_detector=FD_HEARTBEAT,
-        heartbeat_interval=5.0,
-        heartbeat_timeout=20.0,
-        business_logic=BANK.business_logic,
-        initial_data=BANK.initial_data(),
-    )
-    defaults.update(overrides)
-    return EtxDeployment(DeploymentConfig(**defaults))
+def make_deployment(workload=BANK, **fields):
+    scenario = api.Scenario(**{"num_app_servers": 3, "failure_detector": FD_HEARTBEAT,
+                               "heartbeat_interval": 5.0, "heartbeat_timeout": 20.0,
+                               **fields})
+    return api.build(scenario, workload=workload)
 
 
 def test_heartbeat_mode_failure_free_commit():
@@ -55,8 +48,7 @@ def test_heartbeat_mode_failover_after_primary_crash():
 
 
 def test_heartbeat_mode_latency_unchanged_in_failure_free_runs():
-    oracle = EtxDeployment(DeploymentConfig(
-        business_logic=BANK.business_logic, initial_data=BANK.initial_data()))
+    oracle = api.build(api.Scenario(), workload=BANK)
     heartbeat = make_deployment()
     oracle_latency = oracle.run_request(BANK.debit(0, 10)).latency
     heartbeat_latency = heartbeat.run_request(BANK.debit(0, 10)).latency
@@ -65,8 +57,8 @@ def test_heartbeat_mode_latency_unchanged_in_failure_free_runs():
 
 
 def test_invalid_failure_detector_mode_rejected():
-    with pytest.raises(ValueError):
-        DeploymentConfig(failure_detector="telepathy")
+    with pytest.raises(api.ScenarioError, match="unknown failure detector"):
+        api.Scenario(failure_detector="telepathy")
 
 
 def heartbeat_buffered(deployment):
@@ -160,8 +152,7 @@ def test_client_progress_is_not_termination():
     result -- and the claim is still cleaned, by both observers, against d1."""
     bank = BankWorkload(num_accounts=2, initial_balance=100)
     deployment = make_deployment(heartbeat_timeout=10_000.0,  # detection after the client moved on
-                                 business_logic=bank.business_logic,
-                                 initial_data=bank.initial_data())
+                                 workload=bank)
     a1 = deployment.app_servers["a1"]
     send = a1.send
 

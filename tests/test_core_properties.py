@@ -8,7 +8,8 @@ property over the trace.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DeploymentConfig, EtxDeployment, Request
+from repro import api
+from repro.core import Request
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
 from repro.failure.injection import RandomFaultPlan
 
@@ -24,19 +25,18 @@ def bank_logic(request):
 
 def run_scenario(seed: int, register_mode: str, num_db_servers: int,
                  with_client_crash: bool) -> None:
-    config = DeploymentConfig(
+    scenario = api.Scenario(
         num_app_servers=3,
         num_db_servers=num_db_servers,
         register_mode=register_mode,
         seed=seed,
         detection_delay=10.0,
-        business_logic=bank_logic,
-        initial_data={"balance": 100},
     )
-    deployment = EtxDeployment(config)
+    deployment = api.build(scenario, business_logic=bank_logic,
+                           initial_data={"balance": 100})
     plan = RandomFaultPlan(
-        app_servers=config.app_server_names,
-        db_servers=config.db_server_names,
+        app_servers=scenario.app_server_names,
+        db_servers=scenario.db_server_names,
         client="c1" if with_client_crash else None,
         horizon=1_500.0,
         client_crash_probability=0.5 if with_client_crash else 0.0,

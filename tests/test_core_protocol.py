@@ -8,7 +8,9 @@ specification (T.1, T.2, A.1-A.3, V.1, V.2) over the recorded trace.
 
 import pytest
 
-from repro.core import COMMIT, DeploymentConfig, EtxDeployment, Request
+from repro import api
+from repro.api import Scenario, ScenarioError
+from repro.core import COMMIT, Request
 from repro.core.deployment import REGISTER_LOCAL
 from repro.failure.injection import FaultSchedule
 
@@ -23,11 +25,9 @@ def bank_logic(request):
     return logic
 
 
-def make_deployment(**overrides):
-    defaults = dict(num_app_servers=3, num_db_servers=1, detection_delay=10.0,
-                    business_logic=bank_logic, initial_data={"balance": 100})
-    defaults.update(overrides)
-    return EtxDeployment(DeploymentConfig(**defaults))
+def make_deployment(**fields):
+    scenario = Scenario(**{"num_app_servers": 3, "detection_delay": 10.0, **fields})
+    return api.build(scenario, business_logic=bank_logic, initial_data={"balance": 100})
 
 
 # --------------------------------------------------------------- failure-free
@@ -122,7 +122,7 @@ def test_failover_with_commit_primary_crashes_after_decision_write():
     # The client got the committed result even though the primary crashed:
     # the result it delivers was computed by the (now dead) primary.
     assert issued.result.computed_by == "a1"
-    deliver = deployment.trace.first("client_deliver", "c1")
+    deliver = deployment.trace.select("client_deliver", "c1")[0]
     result_senders = {e.process for e in deployment.trace.select("as_result_sent")
                       if e.get("outcome") == COMMIT}
     assert result_senders - {"a1"}, "a backup must have terminated the result"
@@ -205,28 +205,19 @@ def test_crash_of_minority_of_app_servers_after_claim_still_terminates():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DeploymentConfig(num_app_servers=-1)
-    with pytest.raises(ValueError):
-        DeploymentConfig(num_clients=0)
-    with pytest.raises(ValueError):
-        DeploymentConfig(register_mode="shared-memory")
-
-
-def test_deployment_overrides_derive_a_replaced_config():
-    base = DeploymentConfig(seed=3)
-    deployment = EtxDeployment(base, num_db_servers=2)
-    assert deployment.config.num_db_servers == 2
-    assert deployment.config.seed == 3       # untouched fields carry over
-    assert base.num_db_servers == 1          # the original config is unchanged
-    assert len(deployment.db_servers) == 2
+    with pytest.raises(ScenarioError, match="at least one process"):
+        Scenario(num_app_servers=-1)
+    with pytest.raises(ScenarioError, match="at least one process"):
+        Scenario(num_clients=0)
+    with pytest.raises(ScenarioError, match="unknown register mode"):
+        Scenario(register_mode="shared-memory")
 
 
 def test_deployment_exposes_trace_and_names():
     deployment = make_deployment()
-    config = deployment.config
-    assert config.client_names == ["c1"]
-    assert config.app_server_names == ["a1", "a2", "a3"]
-    assert config.db_server_names == ["d1"]
+    scenario = deployment.scenario
+    assert scenario.client_names == ["c1"]
+    assert scenario.app_server_names == ["a1", "a2", "a3"]
+    assert scenario.db_server_names == ["d1"]
     assert deployment.client.default_primary == "a1"
     assert deployment.trace is deployment.sim.trace

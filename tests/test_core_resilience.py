@@ -7,7 +7,7 @@ retransmission layer underneath: the protocol's own retries carry delivery.
 """
 
 
-from repro.core import DeploymentConfig, EtxDeployment
+from repro import api
 from repro.core.timing import ProtocolTiming
 from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
@@ -15,11 +15,9 @@ from repro.workload.bank import BankWorkload
 BANK = BankWorkload(num_accounts=1, initial_balance=100)
 
 
-def make_deployment(**overrides):
-    defaults = dict(num_app_servers=3, num_db_servers=1, detection_delay=10.0,
-                    business_logic=BANK.business_logic, initial_data=BANK.initial_data())
-    defaults.update(overrides)
-    return EtxDeployment(DeploymentConfig(**defaults))
+def make_deployment(protocol_timing=None, **fields):
+    scenario = api.Scenario(**{"num_app_servers": 3, "detection_delay": 10.0, **fields})
+    return api.build(scenario, workload=BANK, protocol_timing=protocol_timing)
 
 
 def test_client_crash_and_recovery_gives_at_most_once():

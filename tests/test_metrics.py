@@ -1,5 +1,7 @@
 """Tests for the latency-breakdown and communication-step metrics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.timing import DatabaseTiming
@@ -105,8 +107,6 @@ def test_overhead_versus_zero_baseline_is_zero():
 
 
 def make_trace_with_messages():
-    from repro.sim.tracing import TraceEvent
-
     messages = [
         (0.0, "c1", "a1", "Request"),
         (2.5, "a1", "d1", "Execute"),
@@ -118,11 +118,11 @@ def make_trace_with_messages():
         (248.0, "d1", "a1", "AckDecide"),
         (250.0, "a1", "c1", "Result"),
     ]
-    trace = TraceRecorder()
-    trace.extend([
-        TraceEvent(time, "msg_send", sender, {"msg_type": msg_type, "destination": receiver})
-        for time, sender, receiver, msg_type in messages
-    ])
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    for time, sender, receiver, msg_type in messages:
+        clock.now = time
+        trace.record("msg_send", sender, msg_type=msg_type, destination=receiver)
     return trace
 
 

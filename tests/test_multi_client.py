@@ -16,7 +16,7 @@ from repro.core.client import IssuedRequest
 from repro.core.types import Request
 from repro.workload.generator import ClosedLoop, OpenLoop
 
-ALL_PROTOCOLS = api.registered_protocols()
+ALL_PROTOCOLS = list(api.PROTOCOLS)
 
 
 def _scenario(protocol: str, clients: int = 3) -> api.Scenario:
@@ -60,7 +60,7 @@ def test_multi_client_money_is_conserved(protocol):
     stats = ClosedLoop().run(system, 2)
     assert stats.count == 6
     workload = system.workload.instance
-    committed = {key: system.deployment.db_servers["d1"].committed_value(key)
+    committed = {key: system.db_servers["d1"].committed_value(key)
                  for key in workload.initial_data()}
     # Every standard request debits account 0 by 10.
     assert committed["account:0"] == 100_000 - 6 * 10
@@ -110,12 +110,12 @@ def test_load_generators_terminate_when_a_client_is_down():
     """Offered load to a crashed client is lost, not waited for: the run
     must terminate promptly with the loss reported as undelivered."""
     system = api.build(_scenario("etx", clients=2))
-    system.deployment.clients["c2"].crash()
+    system.clients["c2"].crash()
     open_stats = OpenLoop(rate=20.0, arrival="uniform").run(system, 2)
     assert open_stats.count == 2                      # c1's two requests
     assert open_stats.undelivered == 2                # c2's lost arrivals
     system = api.build(_scenario("etx", clients=2))
-    system.deployment.clients["c2"].crash()
+    system.clients["c2"].crash()
     closed_stats = ClosedLoop().run(system, 2)
     assert closed_stats.count == 2
     assert closed_stats.undelivered == 2

@@ -7,17 +7,15 @@ behaviour (it is a known limitation, not an accident) and check the growth is
 exactly linear in the number of intermediate results -- no leak beyond it.
 """
 
-from repro.core import DeploymentConfig, EtxDeployment
+from repro import api
 from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=1, initial_balance=1_000)
 
 
-def make_deployment(**overrides):
-    defaults = dict(business_logic=BANK.business_logic, initial_data=BANK.initial_data())
-    defaults.update(overrides)
-    return EtxDeployment(DeploymentConfig(**defaults))
+def make_deployment(**fields):
+    return api.build(api.Scenario(**fields), workload=BANK)
 
 
 def register_cells(deployment):

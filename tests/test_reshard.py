@@ -39,8 +39,7 @@ def test_reshard_grows_tier_online_and_stays_spec_clean():
     trace = system.trace
 
     # The coordinator committed epoch 1 with the grown shard set.
-    commit = trace.last("reshard", stage="commit")
-    assert commit is not None
+    (commit,) = trace.select("reshard", stage="commit")
     assert commit.data["epoch"] == 1
     assert sorted(commit.data["shards"]) == [f"d{i}" for i in range(1, 9)]
 
@@ -114,8 +113,8 @@ def test_reshard_survives_db_crash_inside_migration_window():
            "&faults=reshard@300:d4->d8,crash_for@320:d2:150")
     system = run_scenario(dsn, settle=12000)
     trace = system.trace
-    commit = trace.last("reshard", stage="commit")
-    assert commit is not None and commit.data["epoch"] == 1
+    (commit,) = trace.select("reshard", stage="commit")
+    assert commit.data["epoch"] == 1
     assert trace.count("client_deliver") == 16
     report = system.check_spec(check_termination=True)
     assert report.ok, "\n".join(str(v) for v in report.violations)

@@ -45,7 +45,7 @@ def _money_adds_up(system, requests) -> None:
     """
     workload = system.workload.instance
     committed = {}
-    for db in system.deployment.db_servers.values():
+    for db in system.db_servers.values():
         committed.update(db.store.committed_snapshot())
     expected = sum(workload.initial_data().values()) \
         + sum(_expected_delta(request) for request in requests)

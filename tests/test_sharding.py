@@ -165,7 +165,7 @@ def test_unknown_participant_is_rejected_at_issue():
 # ------------------------------------------------------------------ routing
 
 
-ALL_PROTOCOLS = api.registered_protocols()
+ALL_PROTOCOLS = list(api.PROTOCOLS)
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -195,7 +195,7 @@ def test_cross_shard_requests_commit_atomically(protocol):
     report = system.check_spec()
     assert report.ok, report.summary()
     committed = {}
-    for db in system.deployment.db_servers.values():
+    for db in system.db_servers.values():
         committed.update(db.store.committed_snapshot())
     assert workload.total_money(committed) == total_before
 
@@ -239,14 +239,14 @@ def test_a_recovered_shards_ready_restarts_only_its_own_transaction():
     moment the ``Ready`` lands, the ``d2`` transaction never takes it."""
     system = api.build(api.Scenario(protocol="etx", num_db_servers=2, num_clients=2,
                                     placement="mod", workload="bank", seed=1))
-    deployment, sim = system.deployment, system.sim
+    sim = system.sim
     bank = system.workload.instance
     # The d2 transaction's handler is spawned first: it would win a tie.
     on_d2 = system.issue(bank.debit(1, 10, participants=("d2",)), "c2")
     on_d1 = system.issue(bank.debit(0, 10, participants=("d1",)), "c1")
     sim.run(until=50.0)  # both executes are being computed at their shard
     assert system.trace.count("db_execute") == 0
-    deployment.db_servers["d1"].crash_for(20.0)
+    system.db_servers["d1"].crash_for(20.0)
     sim.run(until=5000.0)
 
     assert on_d1.delivered and on_d2.delivered
@@ -260,7 +260,7 @@ def test_a_recovered_shards_ready_restarts_only_its_own_transaction():
     assert len(ready) == 1 and ready[0] < 100.0
     assert executes["d1"] == [executes["d2"][0], ready[0]]
     assert len(executes["d2"]) == 1
-    assert deployment.app_servers["a1"].mailbox_size == 0
+    assert system.app_servers["a1"].mailbox_size == 0
     assert system.check_spec().ok
 
 

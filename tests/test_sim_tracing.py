@@ -10,8 +10,7 @@ def test_record_uses_virtual_clock():
     sim = Simulator()
     sim.schedule(12.0, lambda: sim.trace.record("tick", "p", n=1))
     sim.run()
-    event = sim.trace.first("tick")
-    assert event is not None
+    (event,) = sim.trace.select("tick")
     assert event.time == 12.0
     assert event.process == "p"
     assert event.data == {"n": 1}
@@ -27,41 +26,6 @@ def test_select_filters_by_category_process_and_data():
     assert len(trace.select(process="p1")) == 2
     assert len(trace.select("a", k=2)) == 1
     assert trace.count("b") == 1
-
-
-def test_first_and_last():
-    trace = TraceRecorder()
-    trace.record("x", "p", n=1)
-    trace.record("x", "p", n=2)
-    assert trace.first("x").data["n"] == 1
-    assert trace.last("x").data["n"] == 2
-    assert trace.first("missing") is None
-    assert trace.last("missing") is None
-
-
-def test_summary_and_categories():
-    trace = TraceRecorder()
-    for _ in range(3):
-        trace.record("send")
-    trace.record("deliver")
-    assert trace.summary() == {"send": 3, "deliver": 1}
-    assert trace.categories() == {"send", "deliver"}
-
-
-def test_between_filters_time_window():
-    sim = Simulator()
-    for t in (1.0, 5.0, 9.0):
-        sim.schedule(t, lambda: sim.trace.record("tick"))
-    sim.run()
-    assert len(sim.trace.between(2.0, 8.0)) == 1
-
-
-def test_extend_and_clear():
-    trace = TraceRecorder()
-    trace.extend([TraceEvent(1.0, "a", "p"), TraceEvent(2.0, "b", "q")])
-    assert len(trace) == 2
-    trace.clear()
-    assert len(trace) == 0
 
 
 def test_event_get_helper():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from spec_oracle import check_run
 
 from repro import api
-from repro.core import DeploymentConfig, EtxDeployment, Request
+from repro.core import Request
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
 from repro.failure.injection import RandomFaultPlan
 from repro.workload.generator import ClosedLoop
@@ -23,8 +23,8 @@ from repro.workload.generator import ClosedLoop
 def assert_reports_identical(deployment, check_termination: bool, context: str) -> None:
     """The monitor's report must equal the post-hoc reference exactly."""
     online = deployment.spec_monitor.report(check_termination=check_termination)
-    reference = check_run(deployment.trace, deployment.config.db_server_names,
-                          deployment.config.client_names,
+    reference = check_run(deployment.trace, deployment.scenario.db_server_names,
+                          deployment.scenario.client_names,
                           check_termination=check_termination)
     assert online.checked_properties == reference.checked_properties, context
     online_violations = [(v.property_name, v.description) for v in online.violations]
@@ -40,18 +40,17 @@ def assert_reports_identical(deployment, check_termination: bool, context: str) 
 
 def run_etx_scenario(seed: int, register_mode: str, num_db_servers: int,
                      with_client_crash: bool) -> None:
-    config = DeploymentConfig(
+    scenario = api.Scenario(
         num_app_servers=3,
         num_db_servers=num_db_servers,
         register_mode=register_mode,
         seed=seed,
         detection_delay=10.0,
-        initial_data={"balance": 100},
     )
-    deployment = EtxDeployment(config)
+    deployment = api.build(scenario, initial_data={"balance": 100})
     plan = RandomFaultPlan(
-        app_servers=config.app_server_names,
-        db_servers=config.db_server_names,
+        app_servers=scenario.app_server_names,
+        db_servers=scenario.db_server_names,
         client="c1" if with_client_crash else None,
         horizon=1_500.0,
         client_crash_probability=0.5 if with_client_crash else 0.0,
@@ -116,7 +115,7 @@ def test_etx_mixed_shard_traffic_verdicts_identical(seed):
     system.apply_faults(plan.generate(seed))
     ClosedLoop().run(system, 4)
     system.run(until=system.sim.now + 20_000.0)
-    assert_reports_identical(system.deployment, check_termination=True,
+    assert_reports_identical(system, check_termination=True,
                              context=f"etx sharded seed={seed}")
 
 
@@ -136,7 +135,7 @@ def test_baselines_under_db_faults_verdicts_identical(seed, protocol):
     system.apply_faults(plan.generate(seed))
     ClosedLoop().run(system, 2)
     system.run(until=system.sim.now + 10_000.0)
-    assert_reports_identical(system.deployment, check_termination=False,
+    assert_reports_identical(system, check_termination=False,
                              context=f"{protocol} db-faults seed={seed}")
 
 
@@ -148,7 +147,7 @@ def test_failure_free_runs_verdicts_identical(seed, protocol):
     system = api.build(scenario)
     ClosedLoop().run(system, 2)
     system.run(until=system.sim.now + 5_000.0)
-    assert_reports_identical(system.deployment, check_termination=True,
+    assert_reports_identical(system, check_termination=True,
                              context=f"{protocol} failure-free seed={seed}")
 
 
@@ -158,11 +157,11 @@ def test_monitor_report_is_repeatable_and_pure():
     system = api.build(_scenario("etx", 2, seed=7))
     ClosedLoop().run(system, 3)
     system.run(until=system.sim.now + 5_000.0)
-    first = system.deployment.spec_monitor.report()
-    system.deployment.spec_monitor.report(check_termination=False)
-    second = system.deployment.spec_monitor.report()
+    first = system.spec_monitor.report()
+    system.spec_monitor.report(check_termination=False)
+    second = system.spec_monitor.report()
     assert [(v.property_name, v.description) for v in first.violations] == \
         [(v.property_name, v.description) for v in second.violations]
     assert first.checked_properties == second.checked_properties
-    assert_reports_identical(system.deployment, check_termination=True,
+    assert_reports_identical(system, check_termination=True,
                              context="repeatability")

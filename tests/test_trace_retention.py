@@ -14,7 +14,6 @@ import pytest
 
 from repro import api
 from repro.core.types import reset_request_counter
-from repro.sim.scheduler import Simulator
 from repro.sim.tracing import BLOCK_ROWS, TraceEvent, TraceRecorder, parse_retention
 from repro.workload.generator import ClosedLoop
 
@@ -47,7 +46,6 @@ def test_ring_retention_keeps_only_the_suffix():
 def test_off_retention_stores_nothing_and_skips_event_construction():
     trace = TraceRecorder(retention="off")
     trace.record("tick", n=1)
-    trace.extend([TraceEvent(1.0, "x", "p")])
     assert len(trace) == 0
     assert not trace.wants("tick")
 
@@ -86,26 +84,6 @@ def test_wants_reflects_storage_and_subscription():
     assert not trace.wants("msg_send")
 
 
-def test_between_uses_the_time_order():
-    sim = Simulator()
-    for t in (1.0, 2.0, 5.0, 5.0, 9.0):
-        sim.schedule(t, lambda: sim.trace.record("tick"))
-    sim.run()
-    assert len(sim.trace.between(2.0, 5.0)) == 3
-    assert len(sim.trace.between(9.5, 10.0)) == 0
-    assert len(sim.trace.between(0.0, 100.0)) == 5
-
-
-def test_between_survives_out_of_order_extend():
-    """extend() makes no ordering promise; between() must stay correct."""
-    trace = TraceRecorder()
-    trace.extend([TraceEvent(5.0, "a", "p"), TraceEvent(1.0, "b", "p")])
-    assert [e.category for e in trace.between(0.0, 2.0)] == ["b"]
-    trace.clear()
-    trace.extend([TraceEvent(1.0, "c", "p"), TraceEvent(2.0, "d", "p")])
-    assert [e.category for e in trace.between(1.5, 2.5)] == ["d"]
-
-
 # ------------------------------------------------------------ sealed blocks
 
 
@@ -127,30 +105,15 @@ def test_queries_span_a_sealed_block_boundary():
     _tick(trace, clock, range(total))
     assert len(trace) == total
     assert list(trace) == _expected(range(total))
-    assert trace.first(n=BLOCK_ROWS + 1).time == BLOCK_ROWS + 1
-    assert trace.first("odd").get("n") == 1
-    assert trace.last("even").get("n") == total - 2
-    assert trace.last("even", "p0", n=0).get("n") == 0  # decoded backwards
-    assert trace.count("even") == total // 2
+    assert trace.select(n=BLOCK_ROWS + 1) == _expected(range(BLOCK_ROWS + 1, BLOCK_ROWS + 2))
+    assert trace.select("even", "p0", n=0) == _expected(range(1))
+    assert trace.count("even") == trace.count("odd") == total // 2
     assert trace.count(process="p0") == len(range(0, total, 3))
     assert trace.select("odd", "p1") == _expected(range(1, total, 6))
+    assert trace.select("even")[-1] == _expected(range(total - 2, total - 1))[0]
     window = range(max(0, BLOCK_ROWS - 2), BLOCK_ROWS + 2)
-    assert trace.between(window[0], window[-1]) == _expected(window)
-    assert trace.summary() == {"even": total // 2, "odd": total // 2}
-    assert trace.categories() == {"even", "odd"}
-
-
-def test_extend_across_a_block_boundary():
-    clock = SimpleNamespace(now=0.0)
-    trace = TraceRecorder(clock)
-    _tick(trace, clock, range(BLOCK_ROWS - 1))
-    events = _expected(range(BLOCK_ROWS - 1, BLOCK_ROWS + 2))
-    trace.extend(events)
-    assert len(trace) == BLOCK_ROWS + 2
-    assert list(trace) == _expected(range(BLOCK_ROWS + 2))
-    assert trace.select("odd", "p0") == _expected(range(3, BLOCK_ROWS + 2, 6))
-    trace.clear()
-    assert len(trace) == 0 and list(trace) == []
+    assert [event for event in trace
+            if window[0] <= event.time <= window[-1]] == _expected(window)
 
 
 def test_a_ring_switch_keeps_the_last_events_across_a_sealed_block():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import DeploymentConfig, EtxDeployment
+from repro import api
 from repro.storage.kvstore import TransactionalKVStore
 from repro.storage.xa import TransactionView
 from repro.workload.bank import BankWorkload
@@ -122,8 +122,7 @@ def test_travel_unknown_destination_rejected():
 
 def test_travel_end_to_end_through_protocol():
     travel = TravelWorkload(destinations=("PAR",), seats_per_flight=2)
-    deployment = EtxDeployment(DeploymentConfig(
-        business_logic=travel.business_logic, initial_data=travel.initial_data()))
+    deployment = api.build(api.Scenario(), workload=travel)
     issued = deployment.run_request(travel.book("PAR", "alice"))
     assert issued.delivered
     assert issued.result.value["status"] == "confirmed"
@@ -169,8 +168,7 @@ def test_run_statistics_throughput():
 
 def test_closed_loop_runs_requests_sequentially():
     bank = BankWorkload(num_accounts=1, initial_balance=100)
-    deployment = EtxDeployment(DeploymentConfig(
-        business_logic=bank.business_logic, initial_data=bank.initial_data()))
+    deployment = api.build(api.Scenario(), workload=bank)
     stats = ClosedLoop().run(deployment, [bank.debit(0, 10) for _ in range(3)])
     assert stats.count == 3
     assert stats.undelivered == 0
@@ -183,10 +181,8 @@ def test_closed_loop_runs_requests_sequentially():
 
 def test_closed_loop_think_time_spaces_requests():
     bank = BankWorkload(num_accounts=1, initial_balance=100)
-    fast = EtxDeployment(DeploymentConfig(
-        business_logic=bank.business_logic, initial_data=bank.initial_data()))
-    slow = EtxDeployment(DeploymentConfig(
-        business_logic=bank.business_logic, initial_data=bank.initial_data()))
+    fast = api.build(api.Scenario(), workload=bank)
+    slow = api.build(api.Scenario(), workload=bank)
     fast_stats = ClosedLoop().run(fast, [bank.debit(0, 10) for _ in range(3)])
     slow_stats = ClosedLoop(think_time=500.0).run(
         slow, [bank.debit(0, 10) for _ in range(3)])
@@ -198,8 +194,7 @@ def test_closed_loop_think_time_spaces_requests():
 
 def test_open_loop_uniform_arrivals_inject_at_rate():
     bank = BankWorkload(num_accounts=1, initial_balance=1_000)
-    deployment = EtxDeployment(DeploymentConfig(
-        business_logic=bank.business_logic, initial_data=bank.initial_data()))
+    deployment = api.build(api.Scenario(), workload=bank)
     generator = OpenLoop(rate=10.0, arrival="uniform")  # one every 100 ms
     stats = generator.run(deployment, [bank.debit(0, 10) for _ in range(4)])
     assert stats.count == 4
@@ -223,8 +218,7 @@ def test_serial_run_emits_full_parallel_and_saturation_schema():
     # consumers of soak.json and sweep rows must never KeyError on them.
     # The sharded kernel's ``parallel`` counters left with the kernel.
     bank = BankWorkload(num_accounts=1, initial_balance=100)
-    deployment = EtxDeployment(DeploymentConfig(
-        business_logic=bank.business_logic, initial_data=bank.initial_data()))
+    deployment = api.build(api.Scenario(), workload=bank)
     stats = ClosedLoop().run(deployment, [bank.debit(0, 10) for _ in range(2)])
     assert not hasattr(stats, "parallel")
     assert stats.saturation == {"shed_messages": 0, "mailbox_peak": 0}
