@@ -10,7 +10,7 @@ depends on:
 * ``repro.net`` -- message-passing network with latency, loss and partitions,
   and the versioned wire codec of the real runtime.
 * ``repro.failure`` -- failure detectors (perfect, eventually perfect,
-  timeout-based) and fault-injection schedules.
+  timeout-based) and the scheduling of a run's faults.
 * ``repro.consensus`` -- single-decree quorum consensus with a one-round-trip
   fast path for the default primary.
 * ``repro.registers`` -- write-once registers built on consensus.

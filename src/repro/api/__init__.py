@@ -45,7 +45,6 @@ from repro.api.scenario import (
     faults_to_text,
     known_schemes,
     load_fault_sidecar,
-    schedule_to_specs,
 )
 from repro.api.workloads import WORKLOADS, ShardContext, WorkloadBinding, bind_workload
 
@@ -53,7 +52,6 @@ __all__ = [
     "Scenario",
     "FaultSpec",
     "ScenarioError",
-    "schedule_to_specs",
     "faults_to_text",
     "faults_from_text",
     "load_fault_sidecar",

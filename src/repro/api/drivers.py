@@ -88,7 +88,5 @@ def build(scenario: Scenario, *,
         protocol_timing=protocol_timing if protocol_timing is not None
         else ProtocolTiming(client_backoff=scenario.client_backoff),
         only=tuple(only))
-    schedule = scenario.fault_schedule()
-    if len(schedule):
-        system.apply_faults(schedule)
+    system.apply_faults(scenario.faults)
     return system

@@ -41,6 +41,7 @@ row (and its README row).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields, replace
@@ -59,14 +60,7 @@ from repro.core.deployment import (
 from repro.core.reshard import RESHARD_COORDINATOR
 from repro.core.sharding import KNOWN_PLACEMENTS, PLACEMENT_REPLICATE, Sharding
 from repro.core.timing import ProtocolTiming
-from repro.failure import injection
-from repro.failure.injection import (
-    FaultAction,
-    FaultSchedule,
-    validate_downtime,
-    validate_partition_groups,
-    validate_suspicion,
-)
+from repro.failure.injection import validate_partition_groups
 from repro.runtime.base import (
     KNOWN_RUNTIMES,
     MAX_PORT,
@@ -122,6 +116,12 @@ def _format_number(value: float) -> str:
     return text.replace("e+", "e")
 
 
+def _finite(value: Any) -> bool:
+    """A real number (not a bool) that is neither NaN nor infinite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One DSN-expressible fault: ``kind@time[:target[:extra...]]``.
@@ -139,6 +139,11 @@ class FaultSpec:
     Partition groups are ``|``-separated, members ``~``-separated (``~`` and
     ``|`` survive URL query parsing unescaped; ``+`` would decode to a
     space).  Processes named in no group form an implicit extra group.
+
+    A ``FaultSpec`` is also the value a run applies
+    (:func:`~repro.failure.injection.schedule_faults`), so every check of a
+    fault lives here: a malformed one fails at construction or parse time,
+    never mid-run.
     """
 
     kind: str
@@ -155,11 +160,18 @@ class FaultSpec:
         if self.kind not in ("crash", "recover", "crash_for", "false_suspicion",
                              "partition", "heal", "reshard"):
             raise ScenarioError(f"unknown fault kind {self.kind!r}")
-        if self.time < 0:
-            raise ScenarioError("fault time must be non-negative")
-        object.__setattr__(self, "groups",
-                           tuple(tuple(group) for group in self.groups))
-        if self.groups and self.kind != "partition":
+        if not _finite(self.time) or self.time < 0:
+            raise ScenarioError(f"fault time must be a finite non-negative "
+                                f"number, got {self.time!r}")
+        if self.kind == "partition":
+            if not self.groups:
+                raise ScenarioError("partition needs non-empty 'groups'")
+            try:
+                groups = validate_partition_groups(list(self.groups))
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
+            object.__setattr__(self, "groups", tuple(map(tuple, groups)))
+        elif self.groups:
             raise ScenarioError(f"fault kind {self.kind!r} takes no groups")
         if self.kind in ("partition", "heal", "reshard"):
             if self.target:
@@ -182,19 +194,27 @@ class FaultSpec:
         if inapplicable:
             raise ScenarioError(f"fault kind {self.kind!r} takes no "
                                 f"{', '.join(inapplicable)}")
-        # Kind-specific scalar rules live in repro.failure.injection, shared
-        # with FaultAction so the two validation layers cannot drift apart.
-        try:
-            if self.kind == "partition":
-                validate_partition_groups(list(self.groups))
-            elif self.kind == "crash_for":
-                validate_downtime(self.downtime)
-            elif self.kind == "false_suspicion":
-                validate_suspicion(self.observer, self.target, self.duration)
-            elif self.kind == "reshard":
-                injection.validate_reshard(self.from_shards, self.to_shards)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+        if self.kind == "crash_for" and not (_finite(self.downtime)
+                                             and self.downtime > 0):
+            raise ScenarioError(f"crash_for needs a finite positive 'downtime', "
+                                f"got {self.downtime!r}")
+        elif self.kind == "false_suspicion":
+            if not isinstance(self.observer, str) or not self.observer:
+                raise ScenarioError("false_suspicion needs an 'observer' process")
+            if self.observer == self.target:
+                raise ScenarioError("false_suspicion observer and target must differ")
+            if not (_finite(self.duration) and self.duration > 0):
+                raise ScenarioError(f"false_suspicion needs a finite positive "
+                                    f"'duration', got {self.duration!r}")
+        elif self.kind == "reshard":
+            for label, count in (("from_count", self.from_shards),
+                                 ("to_count", self.to_shards)):
+                if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                    raise ScenarioError(f"reshard needs a positive integer "
+                                        f"{label!r}, got {count!r}")
+            if self.from_shards == self.to_shards:
+                raise ScenarioError(f"reshard from_count and to_count must differ "
+                                    f"(both {self.from_shards})")
 
     @classmethod
     def from_token(cls, token: str) -> "FaultSpec":
@@ -242,29 +262,6 @@ class FaultSpec:
             raise ScenarioError(f"malformed fault token {token!r} for kind {kind!r}") from None
         raise ScenarioError(f"unknown fault kind {kind!r}")
 
-    @classmethod
-    def from_action(cls, action: "FaultAction") -> "FaultSpec":
-        """The DSN-expressible form of one :class:`FaultAction`."""
-        if action.kind in (injection.CRASH, injection.RECOVER):
-            return cls(action.kind, action.time, action.target)
-        if action.kind == injection.CRASH_FOR:
-            return cls(action.kind, action.time, action.target,
-                       downtime=action.params["downtime"])
-        if action.kind == injection.FALSE_SUSPICION:
-            return cls(action.kind, action.time, action.target,
-                       observer=action.params["observer"],
-                       duration=action.params["duration"])
-        if action.kind == injection.PARTITION:
-            return cls(action.kind, action.time,
-                       groups=tuple(tuple(g) for g in action.params["groups"]))
-        if action.kind == injection.HEAL:
-            return cls(injection.HEAL, action.time)
-        if action.kind == injection.RESHARD:
-            return cls(injection.RESHARD, action.time,
-                       from_shards=action.params["from_count"],
-                       to_shards=action.params["to_count"])
-        raise ValueError(f"fault kind {action.kind!r} has no DSN form")
-
     def to_token(self) -> str:
         """The ``fault=`` query value for this fault."""
         head = f"{self.kind}@{_format_number(self.time)}"
@@ -282,24 +279,6 @@ class FaultSpec:
         return (f"{head}:{self.observer}:{self.target}:"
                 f"{_format_number(self.duration)}")
 
-    def add_to(self, schedule: FaultSchedule) -> None:
-        """Append this fault to a :class:`FaultSchedule`."""
-        if self.kind == "crash":
-            schedule.crash(self.time, self.target)
-        elif self.kind == "recover":
-            schedule.recover(self.time, self.target)
-        elif self.kind == "crash_for":
-            schedule.crash_for(self.time, self.target, downtime=self.downtime)
-        elif self.kind == "partition":
-            schedule.partition(self.time, *self.groups)
-        elif self.kind == "heal":
-            schedule.heal(self.time)
-        elif self.kind == "reshard":
-            schedule.reshard(self.time, self.from_shards, self.to_shards)
-        else:
-            schedule.false_suspicion(self.time, self.observer, self.target,
-                                     duration=self.duration)
-
     @property
     def named_processes(self) -> tuple[str, ...]:
         """Every process name this fault mentions (for validation)."""
@@ -307,11 +286,6 @@ class FaultSpec:
         for group in self.groups:
             names.extend(group)
         return tuple(names)
-
-
-def schedule_to_specs(schedule: FaultSchedule) -> tuple[FaultSpec, ...]:
-    """A :class:`FaultSchedule`'s actions as DSN-expressible fault specs."""
-    return tuple(FaultSpec.from_action(action) for action in schedule)
 
 
 def faults_to_text(faults: Sequence[FaultSpec]) -> str:
@@ -712,13 +686,6 @@ class Scenario:
     def with_(self, **changes: Any) -> "Scenario":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def fault_schedule(self) -> FaultSchedule:
-        """The scenario's faults as an applicable :class:`FaultSchedule`."""
-        schedule = FaultSchedule()
-        for fault in self.faults:
-            fault.add_to(schedule)
-        return schedule
 
     @property
     def client_names(self) -> list[str]:

@@ -1,8 +1,9 @@
 """Crucible: adversarial fault-campaign engine.
 
 The paper's e-Transaction guarantees quantify over *every* failure schedule;
-random sampling (``RandomFaultPlan``) barely scratches that space.  This
-package searches it adversarially instead:
+random sampling (the fault sweep's
+:class:`~repro.experiments.fault_sweep.RandomFaultPlan`) barely scratches
+that space.  This package searches it adversarially instead:
 
 * :class:`~repro.campaign.windows.FaultWindowObserver` subscribes to the
   trace event bus and exposes the live protocol phase of every transaction

@@ -2,7 +2,7 @@
 
 The unit of search is the :class:`FaultAtom` -- one *assumption-respecting*
 fault move.  Atoms are deliberately one level above raw
-:class:`~repro.failure.injection.FaultAction`\\ s: a partition atom carries its
+:class:`~repro.api.scenario.FaultSpec`\\ s: a partition atom carries its
 own healing (it lowers to a ``partition`` + ``heal`` pair), a database crash
 always recovers, and the plan caps permanent middle-tier crashes, so every
 schedule the search explores stays inside the paper's correctness

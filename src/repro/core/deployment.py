@@ -15,7 +15,7 @@ way to build any of them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.consensus.synod import ConsensusHost
 from repro.core.appserver import ApplicationServer, RegisterPair
@@ -32,7 +32,7 @@ from repro.failure.detectors import (
     HeartbeatFailureDetector,
     PerfectFailureDetector,
 )
-from repro.failure.injection import FaultSchedule
+from repro.failure.injection import schedule_faults
 from repro.metrics.latency import LatencyComponentStream
 from repro.metrics.stream import DatabaseOutcomeStream
 from repro.net.latency import FixedLatency, PerLinkLatency, three_tier_latency
@@ -42,7 +42,7 @@ from repro.runtime.base import create_kernel, create_network
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # repro.api imports this module
-    from repro.api.scenario import Scenario
+    from repro.api.scenario import FaultSpec, Scenario
     from repro.api.workloads import WorkloadBinding
 
 REGISTER_CONSENSUS = "consensus"
@@ -198,20 +198,24 @@ class ThreeTierDeployment:
         """A fresh instance of the workload's standard request."""
         return self.workload.make_request()
 
-    def apply_faults(self, schedule: FaultSchedule) -> None:
-        """Schedule a fault-injection plan against this deployment.
+    def apply_faults(self, faults: Sequence["FaultSpec"]) -> None:
+        """Schedule the given faults against this deployment.
 
         In a distributed run each OS process injects only the faults it can
         act on locally (crashes/recoveries of its own processes, suspicions
-        of its own observers); partitions apply everywhere, since each host
-        drops its own outbound cross-group traffic.
+        of its own observers); partitions and heals apply everywhere, since
+        each host drops its own outbound cross-group traffic.
         """
         if self.runtime.distributed:
-            schedule = schedule.restricted_to(set(self.runtime.only))
+            local = set(self.runtime.only)
+            faults = [fault for fault in faults
+                      if fault.kind in ("partition", "heal")
+                      or (fault.observer if fault.kind == "false_suspicion"
+                          else fault.target) in local]
         reshard = (self.reshard_coordinator.request
                    if self.reshard_coordinator is not None else None)
-        schedule.apply(self.sim, self.network, self.failure_detector,
-                       reshard=reshard)
+        schedule_faults(faults, self.sim, self.network, self.failure_detector,
+                        reshard=reshard)
 
     def saturation_stats(self) -> dict[str, int]:
         """Admission-control counters of the application tier.

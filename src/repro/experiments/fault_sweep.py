@@ -11,15 +11,69 @@ results were needed, and whether any run violated any property.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import api
 from repro.api import sweep as sweep_api
 from repro.core.types import reset_request_counter
 from repro.experiments import calibration
-from repro.failure import injection
-from repro.failure.injection import FaultSchedule, RandomFaultPlan
+
+
+@dataclass
+class RandomFaultPlan:
+    """Parameters for generating random, assumption-respecting faults.
+
+    The generated faults keep the paper's correctness assumptions:
+
+    * at most a minority of application servers is ever crashed (and crashed
+      application servers stay down -- the paper's crash-stop model for the
+      middle tier),
+    * database servers may crash at any time but always recover within
+      ``db_downtime_max`` ("all database servers are good"),
+    * the client may optionally crash (the spec then only requires at-most-once).
+    """
+
+    app_servers: Sequence[str]
+    db_servers: Sequence[str]
+    client: Optional[str] = None
+    horizon: float = 2_000.0
+    max_app_crashes: Optional[int] = None
+    db_crash_probability: float = 0.5
+    db_downtime_min: float = 20.0
+    db_downtime_max: float = 150.0
+    client_crash_probability: float = 0.0
+    false_suspicion_probability: float = 0.3
+    false_suspicion_duration: float = 40.0
+
+    def generate(self, seed: int) -> tuple[api.FaultSpec, ...]:
+        """Deterministic random faults for ``seed``, in stable time order."""
+        rng = random.Random(seed)
+        faults = []
+        majority_bound = (len(self.app_servers) - 1) // 2
+        budget = self.max_app_crashes if self.max_app_crashes is not None else majority_bound
+        budget = min(budget, majority_bound)
+        crashable = list(self.app_servers)
+        rng.shuffle(crashable)
+        for name in crashable[:budget]:
+            if rng.random() < 0.7:
+                faults.append(api.FaultSpec("crash", rng.uniform(0.0, self.horizon * 0.6),
+                                            name))
+        for name in self.db_servers:
+            if rng.random() < self.db_crash_probability:
+                start = rng.uniform(0.0, self.horizon * 0.5)
+                downtime = rng.uniform(self.db_downtime_min, self.db_downtime_max)
+                faults.append(api.FaultSpec("crash_for", start, name, downtime=downtime))
+        if self.client is not None and rng.random() < self.client_crash_probability:
+            faults.append(api.FaultSpec("crash", rng.uniform(0.0, self.horizon * 0.5),
+                                        self.client))
+        if len(self.app_servers) >= 2 and rng.random() < self.false_suspicion_probability:
+            observer, target = rng.sample(list(self.app_servers), 2)
+            faults.append(api.FaultSpec(
+                "false_suspicion", rng.uniform(0.0, self.horizon * 0.4), target,
+                observer=observer, duration=self.false_suspicion_duration))
+        return tuple(sorted(faults, key=lambda fault: fault.time))
 
 
 @dataclass
@@ -44,16 +98,6 @@ class FaultSweepResult:
                 f"{len(self.violations)} property violations")
 
 
-def fault_specs(schedule: FaultSchedule) -> tuple[api.FaultSpec, ...]:
-    """A :class:`FaultSchedule`'s actions as DSN-expressible fault specs.
-
-    Every fault kind (including partitions and heals) now has a DSN form;
-    this is :func:`repro.api.schedule_to_specs`, kept under its historical
-    name for the experiment harnesses.
-    """
-    return api.schedule_to_specs(schedule)
-
-
 @dataclass(frozen=True)
 class _FaultedJob:
     """Picklable unit: one randomly faulted scenario."""
@@ -74,7 +118,7 @@ class _FaultedRow:
 def _execute_faulted(job: _FaultedJob) -> _FaultedRow:
     scenario = job.scenario
     client_crashed = any(
-        fault.kind in (injection.CRASH, injection.CRASH_FOR)
+        fault.kind in ("crash", "crash_for")
         and fault.target in scenario.client_names
         for fault in scenario.faults)
     reset_request_counter()
@@ -114,7 +158,7 @@ def run(num_runs: int = 20, seed: int = 0, num_db_servers: int = 1,
             horizon=1_500.0,
             client_crash_probability=0.4 if allow_client_crash else 0.0,
         )
-        scenario = scenario.with_(faults=fault_specs(plan.generate(run_seed)))
+        scenario = scenario.with_(faults=plan.generate(run_seed))
         jobs.append(_FaultedJob(scenario=scenario, horizon=horizon))
 
     result = FaultSweepResult()

@@ -23,7 +23,6 @@ from typing import Optional
 from repro import api
 from repro.core import Request, ThreeTierDeployment
 from repro.experiments import calibration
-from repro.failure.injection import FaultSchedule
 from repro.metrics.steps import CommunicationProfile, profile_from_trace
 
 
@@ -118,13 +117,13 @@ def run(seed: int = 0) -> Figure1Report:
     # (c) fail-over with commit: crash the primary just after it wrote the
     # decision into regD (~243 ms into the run with the calibrated timing).
     deployment_c, request_c = _build(seed)
-    deployment_c.apply_faults(FaultSchedule().crash(244.0, "a1"))
+    deployment_c.apply_faults((api.FaultSpec("crash", 244.0, "a1"),))
     report.scenarios["c"] = _scenario("c", deployment_c, request_c)
 
     # (d) fail-over with abort: crash the primary mid-computation, long before
     # any decision exists; a backup aborts the orphaned result.
     deployment_d, request_d = _build(seed)
-    deployment_d.apply_faults(FaultSchedule().crash(60.0, "a1"))
+    deployment_d.apply_faults((api.FaultSpec("crash", 60.0, "a1"),))
     report.scenarios["d"] = _scenario("d", deployment_d, request_d)
 
     return report

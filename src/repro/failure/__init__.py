@@ -1,4 +1,9 @@
-"""Failure detection and fault injection."""
+"""Failure detection and fault injection.
+
+The detectors decide who a process suspects; :func:`schedule_faults` puts a
+run's faults -- the DSN's :class:`~repro.api.scenario.FaultSpec` values -- on
+the simulator's event queue.
+"""
 
 from repro.failure.detectors import (
     EventuallyPerfectFailureDetector,
@@ -6,30 +11,12 @@ from repro.failure.detectors import (
     HeartbeatFailureDetector,
     PerfectFailureDetector,
 )
-from repro.failure.injection import (
-    CRASH,
-    CRASH_FOR,
-    FALSE_SUSPICION,
-    HEAL,
-    PARTITION,
-    RECOVER,
-    FaultAction,
-    FaultSchedule,
-    RandomFaultPlan,
-)
+from repro.failure.injection import schedule_faults
 
 __all__ = [
     "FailureDetector",
     "PerfectFailureDetector",
     "EventuallyPerfectFailureDetector",
     "HeartbeatFailureDetector",
-    "FaultAction",
-    "FaultSchedule",
-    "RandomFaultPlan",
-    "CRASH",
-    "RECOVER",
-    "CRASH_FOR",
-    "PARTITION",
-    "HEAL",
-    "FALSE_SUSPICION",
+    "schedule_faults",
 ]

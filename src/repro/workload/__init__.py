@@ -5,7 +5,6 @@ from repro.workload.generator import (
     ClosedLoop,
     LoadGenerator,
     OpenLoop,
-    RequestStream,
     RunStatistics,
 )
 from repro.workload.travel import TravelWorkload
@@ -13,7 +12,6 @@ from repro.workload.travel import TravelWorkload
 __all__ = [
     "BankWorkload",
     "TravelWorkload",
-    "RequestStream",
     "RunStatistics",
     "LoadGenerator",
     "ClosedLoop",

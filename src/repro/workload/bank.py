@@ -94,16 +94,6 @@ class BankWorkload:
                        keys=(self.account_key(source),
                              self.account_key(destination)))
 
-    def random_request(self, rng: random.Random) -> Request:
-        """A random debit/credit/transfer with small amounts."""
-        kind = rng.choice([DEBIT, CREDIT, TRANSFER])
-        amount = rng.randint(1, 50)
-        if kind == TRANSFER and self.num_accounts >= 2:
-            source, destination = rng.sample(range(self.num_accounts), 2)
-            return self.transfer(source, destination, amount)
-        account = rng.randrange(self.num_accounts)
-        return self.debit(account, amount) if kind == DEBIT else self.credit(account, amount)
-
     def sharded_requests(self, sharding: Sharding, cross_shard_fraction: float = 0.0,
                          seed: int = 0) -> Callable[[], Request]:
         """A deterministic factory of shard-aware requests.

@@ -1,4 +1,4 @@
-"""Load generators: request streams, traffic shapes and run statistics.
+"""Load generators: traffic shapes and run statistics.
 
 The paper measures a closed loop -- one client issuing identical transactions
 back to back -- and that is the :class:`ClosedLoop` generator with one client.
@@ -20,7 +20,6 @@ handle: a finished request leaves only its numbers behind.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
@@ -32,26 +31,6 @@ ARRIVAL_POISSON = "poisson"
 ARRIVAL_UNIFORM = "uniform"
 
 ARRIVAL_PROCESSES = (ARRIVAL_POISSON, ARRIVAL_UNIFORM)
-
-
-@dataclass
-class RequestStream:
-    """A reproducible stream of requests drawn from a workload."""
-
-    factory: Callable[[random.Random], Request]
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def take(self, count: int) -> list[Request]:
-        """The next ``count`` requests of the stream."""
-        return [self.factory(self._rng) for _ in range(count)]
-
-    def __iter__(self):
-        while True:
-            yield self.factory(self._rng)
 
 
 @dataclass

@@ -107,6 +107,23 @@ def test_scenario_faults_are_applied_at_build_time():
     assert answered - {"a1"}
 
 
+def test_a_distributed_slice_schedules_only_the_faults_it_can_act_on(monkeypatch):
+    """Partitions and heals everywhere, a suspicion where its observer is
+    local, any other fault where its target is local."""
+    from repro.core import deployment as deployment_module
+
+    scheduled = []
+    monkeypatch.setattr(deployment_module, "schedule_faults",
+                        lambda faults, *args, **kwargs: scheduled.extend(faults))
+    system = api.build(api.Scenario.from_dsn(
+        "etx://a3.d1.c1?runtime=asyncio&fault=crash@50:a1&fault=crash_for@60:a2:5"
+        "&fault=false_suspicion@10:a1:a2:20&fault=false_suspicion@10:a2:a1:20"
+        "&fault=partition@5:a2|a3&fault=heal@9"), only=("a1",))
+    system.close()
+    assert api.faults_to_text(scheduled) == \
+        "crash@50:a1,false_suspicion@10:a1:a2:20,partition@5:a2|a3,heal@9"
+
+
 def test_build_accepts_workload_and_timing_overrides():
     from repro.workload.bank import BankWorkload
 
@@ -149,7 +166,7 @@ def test_protocols_reject_parameters_they_do_not_consume():
 @pytest.mark.parametrize("protocol", ["2pc", "pb", "baseline"])
 def test_comparison_protocols_reject_etx_only_faults(protocol):
     """A fault that rides on e-Transaction machinery is a scenario error at
-    build time, not a ValueError out of ``FaultSchedule.apply``."""
+    build time, not a ValueError out of ``schedule_faults``."""
     with pytest.raises(api.ScenarioError, match="injected false suspicions"):
         api.build(api.Scenario.from_dsn(
             f"{protocol}://a2.d1.c1?fault=false_suspicion@15:a2:a1:200"))

@@ -195,13 +195,16 @@ def test_fault_tokens_round_trip():
         assert FaultSpec.from_token(token).to_token() == token
 
 
-def test_fault_schedule_materialises_every_fault():
+def test_build_applies_every_dsn_fault():
     scenario = Scenario.from_dsn(
         "etx://?fault=crash@244:a1&fault=crash_for@600:d1:800")
-    schedule = scenario.fault_schedule()
-    assert len(schedule) == 2
-    kinds = sorted(action.kind for action in schedule)
-    assert kinds == ["crash", "crash_for"]
+    assert [fault.kind for fault in scenario.faults] == ["crash", "crash_for"]
+    deployment = api.build(scenario)
+    deployment.sim.run(until=700.0)
+    assert not deployment.app_servers["a1"].up
+    assert not deployment.db_servers["d1"].up
+    deployment.sim.run(until=1_500.0)
+    assert deployment.db_servers["d1"].up
 
 
 # ------------------------------------------------------------ conveniences

@@ -15,9 +15,8 @@ tests reproduce the paper's *qualitative* claims about them:
 import pytest
 
 from repro import api
-from repro.api import Scenario, ScenarioError
+from repro.api import FaultSpec, Scenario, ScenarioError
 from repro.failure.detectors import EventuallyPerfectFailureDetector
-from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=2, initial_balance=100)
@@ -54,7 +53,7 @@ def test_baseline_has_no_prepare_phase():
 
 def test_baseline_client_hangs_when_app_server_crashes():
     deployment = deploy("baseline")
-    deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
     issued = deployment.issue(BANK.debit(0, 10))
     deployment.run(until=100_000.0)
     assert not issued.delivered  # no T.1 without replication
@@ -104,7 +103,7 @@ def test_twopc_blocks_databases_when_coordinator_crashes_after_votes():
     deployment = deploy("2pc")
     # The vote lands around t=230 ms (after the forced start log); crash the
     # coordinator right after it and never recover it.
-    deployment.apply_faults(FaultSchedule().crash(235.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 235.0, "a1"),))
     issued = deployment.issue(BANK.debit(0, 10))
     deployment.run(until=200_000.0)
     assert not issued.delivered
@@ -140,7 +139,7 @@ def test_primary_backup_failover_after_outcome_replication_commits():
     deployment = deploy("pb", num_app_servers=2)
     # The outcome replication lands around t=240 ms; crash the primary after it
     # so the backup finishes the commit and answers the client.
-    deployment.apply_faults(FaultSchedule().crash(243.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 243.0, "a1"),))
     issued = deployment.run_request(BANK.debit(0, 10), horizon=300_000.0)
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
@@ -149,7 +148,7 @@ def test_primary_backup_failover_after_outcome_replication_commits():
 
 def test_primary_backup_failover_before_outcome_aborts():
     deployment = deploy("pb", num_app_servers=2)
-    deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
     issued = deployment.issue(BANK.debit(0, 10))
     deployment.run(until=300_000.0)
     # The backup aborts the orphaned result; the client is told (an abort) but

@@ -200,7 +200,7 @@ def test_campaign_finds_and_shrinks_a_baseline_violation():
     for example in report.counterexamples:
         assert example.kind == "violation"
         assert example.violations
-        assert len(example.scenario().fault_schedule()) <= 4
+        assert len(example.scenario().faults) <= 4
         assert replay(example).matches
 
 
@@ -212,7 +212,7 @@ def test_campaign_finds_the_2pc_blocking_counterexample():
     assert any("T.2" in signature for signature in signatures), \
         "a crashed coordinator must leave a database blocked in doubt (T.2)"
     for example in report.counterexamples:
-        assert len(example.scenario().fault_schedule()) <= 4
+        assert len(example.scenario().faults) <= 4
         assert replay(example).matches
 
 

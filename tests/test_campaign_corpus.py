@@ -49,7 +49,7 @@ def test_corpus_violations_are_small_and_well_formed(path):
     scenario = example.scenario()
     if example.kind == "violation":
         # The shrinker's contract: a handful of fault actions at most.
-        assert 1 <= len(scenario.fault_schedule()) <= 4
+        assert 1 <= len(scenario.faults) <= 4
         assert example.violations
     else:
         assert not example.violations

@@ -14,12 +14,12 @@ import pytest
 
 from repro.consensus.synod import ConsensusHost
 from repro import api
+from repro.api import FaultSpec
 from repro.core import FD_HEARTBEAT
 from repro.core import messages as msg
 from repro.core.appserver import RegisterPair, claim_parts
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
 from repro.failure.detectors import FailureDetector, HeartbeatFailureDetector
-from repro.failure.injection import FaultSchedule
 from repro.registers.base import WriteOnceRegisterArray
 from repro.workload.bank import BankWorkload
 
@@ -159,7 +159,7 @@ def test_results_are_cleaned_in_key_order_against_their_claimed_participants(reg
     decides = {name: record_decides(deployment, name) for name in ("a2", "a3")}
     # a1 claims all three (in arrival order c3, c1, c2) and dies before it
     # terminates any; a2 and a3 learn the claims and sweep when they suspect a1, at 22.
-    deployment.apply_faults(FaultSchedule().crash(12.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 12.0, "a1"),))
     issued = [deployment.issue(request, client) for client, request in requests.items()]
     deployment.sim.run_until(lambda: all(i.delivered for i in issued), until=100_000.0)
     assert all(i.delivered for i in issued)
@@ -185,7 +185,7 @@ def test_results_are_cleaned_in_key_order_against_their_claimed_participants(reg
 def test_a_claim_of_a_server_nobody_suspects_is_never_touched(register_mode):
     deployment = make_deployment(register_mode, num_clients=1)
     counters = {name: count_registers(deployment, name) for name in ("a2", "a3")}
-    deployment.apply_faults(FaultSchedule().crash(12.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 12.0, "a1"),))
     for _ in range(4):
         assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     deployment.run(until=deployment.sim.now + QUIET)
@@ -225,7 +225,7 @@ def test_nobody_suspected_means_the_feed_is_not_even_opened(register_mode):
 @both_register_modes
 def test_a_heartbeat_suspicion_sweeps_at_the_instant_it_is_raised(register_mode):
     deployment = make_deployment(register_mode, num_clients=1, failure_detector=FD_HEARTBEAT)
-    deployment.apply_faults(FaultSchedule().crash(12.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 12.0, "a1"),))
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     for cleaner in ("a2", "a3"):
         suspicion, = deployment.trace.select("fd_suspect", process=cleaner, target="a1")
@@ -249,7 +249,8 @@ def test_a_false_suspicion_wakes_its_observer_only_and_claims_are_cleaned_as_lea
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     start = deployment.sim.now + 100.0
     end = start + 2 * QUIET
-    deployment.apply_faults(FaultSchedule().false_suspicion(start, "a2", "a1", end - start))
+    deployment.apply_faults((FaultSpec("false_suspicion", start, "a1", observer="a2",
+                                       duration=end - start),))
     deployment.run(until=start + QUIET)
     # The window opens: a2 alone is woken, then and not before, and cleans what a1 holds
     # (a sweep that cleaned something is followed by one more look).
@@ -274,7 +275,7 @@ def test_a_crash_undone_within_the_detection_delay_wakes_the_cleaners_to_nothing
     asked = count_suspect_calls(deployment).asked
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     down = deployment.sim.now + 50.0
-    deployment.apply_faults(FaultSchedule().crash_for(down, "a3", DETECT / 2))
+    deployment.apply_faults((FaultSpec("crash_for", down, "a3", downtime=DETECT / 2),))
     deployment.run(until=down + QUIET)
     # The recovered a3 sweeps as it starts; the wake-up the crash armed finds
     # a3 up again: every cleaner asks once more, nobody cleans.
@@ -329,7 +330,8 @@ def test_a_recovered_cleaner_cleans_the_suspected_peers_keys_again(register_mode
     decision is in ``regD``)."""
     deployment = make_deployment(register_mode, num_clients=1)
     down, back = 4_000.0, 4_200.0
-    deployment.apply_faults(FaultSchedule().crash(12.0, "a1").crash_for(down, "a2", back - down))
+    deployment.apply_faults((FaultSpec("crash", 12.0, "a1"),
+                             FaultSpec("crash_for", down, "a2", downtime=back - down)))
     issued = deployment.run_request(routed(deployment, BANK.debit, 0))
     assert issued.delivered and deployment.sim.now < down
     deployment.run(until=down)
@@ -353,7 +355,7 @@ def test_a_parked_cleaner_costs_nothing_whatever_the_history(register_mode):
     costs it one look at the feed's news, never at an old entry."""
     deployment = make_deployment(register_mode, num_clients=1)
     reg_a, reg_d = count_registers(deployment, "a3")
-    deployment.apply_faults(FaultSchedule().crash(12.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 12.0, "a1"),))
     per_claim = []
     for requests in (5, 20):
         for _ in range(requests):

@@ -8,10 +8,10 @@ detector to show the protocol does not depend on oracle knowledge of crashes.
 import pytest
 
 from repro import api
+from repro.api import FaultSpec
 from repro.api.runner import load_generator_for
 from repro.core import FD_HEARTBEAT
 from repro.core import messages as msg
-from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=1, initial_balance=100)
@@ -37,7 +37,7 @@ def test_heartbeat_mode_failure_free_commit():
 
 def test_heartbeat_mode_failover_after_primary_crash():
     deployment = make_deployment()
-    deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
     issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
     assert issued.delivered
     # The crash was detected through missed heartbeats, not an oracle.
@@ -72,7 +72,7 @@ def test_heartbeat_detector_survives_app_server_recovery():
     deployment = make_deployment()
     a2 = deployment.app_servers["a2"]
     detector = a2.failure_detector
-    deployment.apply_faults(FaultSchedule().crash_for(30.0, "a2", 60.0))
+    deployment.apply_faults((FaultSpec("crash_for", 30.0, "a2", downtime=60.0),))
     deployment.run(until=400.0)
     assert deployment.run_request(BANK.debit(0, 10)).delivered  # a1 claims and beats
     assert deployment.trace.count("msg_deliver", "a2", msg_type="Heartbeat") > 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro import api
 from repro.core import Request
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
-from repro.failure.injection import RandomFaultPlan
+from repro.experiments.fault_sweep import RandomFaultPlan
 
 
 def bank_logic(request):

@@ -9,10 +9,9 @@ specification (T.1, T.2, A.1-A.3, V.1, V.2) over the recorded trace.
 import pytest
 
 from repro import api
-from repro.api import Scenario, ScenarioError
+from repro.api import FaultSpec, Scenario, ScenarioError
 from repro.core import COMMIT, Request
 from repro.core.deployment import REGISTER_LOCAL
-from repro.failure.injection import FaultSchedule
 
 
 def bank_logic(request):
@@ -97,7 +96,7 @@ def test_multiple_clients_interleave_without_violations():
 
 def test_failover_with_abort_primary_crashes_before_decision():
     deployment = make_deployment()
-    deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
     issued = deployment.run_request(Request("pay", {"amount": 30}))
     assert issued.delivered
     assert issued.attempts >= 2            # at least one aborted intermediate result
@@ -114,7 +113,7 @@ def test_failover_with_commit_primary_crashes_after_decision_write():
     deployment = make_deployment()
     # The decision write lands around t=243 ms in the failure-free schedule;
     # crash just after it so a backup finishes the commit and answers the client.
-    deployment.apply_faults(FaultSchedule().crash(244.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 244.0, "a1"),))
     issued = deployment.run_request(Request("pay", {"amount": 30}))
     assert issued.delivered
     assert issued.result.value == {"new_balance": 70}
@@ -132,7 +131,7 @@ def test_failover_with_commit_primary_crashes_after_decision_write():
 
 def test_crash_of_one_backup_does_not_disturb_the_run():
     deployment = make_deployment()
-    deployment.apply_faults(FaultSchedule().crash(10.0, "a3"))
+    deployment.apply_faults((FaultSpec("crash", 10.0, "a3"),))
     issued = deployment.run_request(Request("pay", {"amount": 10}))
     assert issued.delivered
     assert issued.attempts == 1
@@ -142,7 +141,7 @@ def test_crash_of_one_backup_does_not_disturb_the_run():
 def test_false_suspicion_of_live_primary_is_harmless():
     deployment = make_deployment(num_db_servers=2, seed=7)
     deployment.apply_faults(
-        FaultSchedule().false_suspicion(20.0, "a2", "a1", duration=150.0))
+        (FaultSpec("false_suspicion", 20.0, "a1", observer="a2", duration=150.0),))
     issued = deployment.run_request(Request("pay", {"amount": 30}))
     assert issued.delivered
     # Whatever the race outcome (commit by the primary or abort by the cleaner
@@ -156,7 +155,7 @@ def test_false_suspicion_of_live_primary_is_harmless():
 
 def test_database_crash_and_recovery_mid_request():
     deployment = make_deployment(num_db_servers=2, seed=3)
-    deployment.apply_faults(FaultSchedule().crash_for(100.0, "d1", downtime=300.0))
+    deployment.apply_faults((FaultSpec("crash_for", 100.0, "d1", downtime=300.0),))
     issued = deployment.run_request(Request("pay", {"amount": 30}))
     assert issued.delivered
     for name in ("d1", "d2"):
@@ -168,7 +167,7 @@ def test_database_crash_after_vote_recovers_in_doubt_and_commits():
     deployment = make_deployment(seed=5)
     # The yes vote lands around t=216 ms; crash the database right after it and
     # recover it later: terminate() keeps re-sending the decision (T.2).
-    deployment.apply_faults(FaultSchedule().crash_for(218.0, "d1", downtime=400.0))
+    deployment.apply_faults((FaultSpec("crash_for", 218.0, "d1", downtime=400.0),))
     issued = deployment.run_request(Request("pay", {"amount": 30}))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("balance") == 70
@@ -194,7 +193,8 @@ def test_client_crash_gives_at_most_once_and_releases_databases():
 
 def test_crash_of_minority_of_app_servers_after_claim_still_terminates():
     deployment = make_deployment(num_app_servers=5, seed=11)
-    deployment.apply_faults(FaultSchedule().crash(30.0, "a1").crash(35.0, "a2"))
+    deployment.apply_faults((FaultSpec("crash", 30.0, "a1"),
+                             FaultSpec("crash", 35.0, "a2")))
     issued = deployment.run_request(Request("pay", {"amount": 10}))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("balance") == 90

@@ -8,8 +8,8 @@ retransmission layer underneath: the protocol's own retries carry delivery.
 
 
 from repro import api
+from repro.api import FaultSpec
 from repro.core.timing import ProtocolTiming
-from repro.failure.injection import FaultSchedule
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=1, initial_balance=100)
@@ -23,7 +23,7 @@ def make_deployment(protocol_timing=None, **fields):
 def test_client_crash_and_recovery_gives_at_most_once():
     deployment = make_deployment()
     issued = deployment.issue(BANK.debit(0, 10))
-    deployment.apply_faults(FaultSchedule().crash_for(20.0, "c1", downtime=500.0))
+    deployment.apply_faults((FaultSpec("crash_for", 20.0, "c1", downtime=500.0),))
     deployment.run(until=2_000_000.0)
     # The diskless client does not resume the in-flight request after recovery:
     # it cannot know whether the debit was applied, so re-issuing it could
@@ -51,7 +51,8 @@ def test_client_recovery_with_empty_queue_is_harmless():
 def test_temporary_partition_of_a_backup_does_not_block_the_run():
     deployment = make_deployment()
     deployment.apply_faults(
-        FaultSchedule().partition(10.0, ["a3"], ["a1", "a2", "d1", "c1"]).heal(800.0))
+        (FaultSpec("partition", 10.0, groups=(["a3"], ["a1", "a2", "d1", "c1"])),
+         FaultSpec("heal", 800.0)))
     issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
@@ -66,8 +67,8 @@ def test_partition_isolating_the_primary_triggers_failover():
     # rebroadcasts.  The partition never heals: a1 is effectively dead.
     timing = ProtocolTiming(client_backoff=300.0)
     deployment = make_deployment(protocol_timing=timing)
-    deployment.apply_faults(FaultSchedule().partition(30.0, ["a1"]))
-    deployment.apply_faults(FaultSchedule().crash(500.0, "a1"))
+    deployment.apply_faults((FaultSpec("partition", 30.0, groups=(["a1"],)),))
+    deployment.apply_faults((FaultSpec("crash", 500.0, "a1"),))
     issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
@@ -90,10 +91,8 @@ def test_lossy_network_without_reliable_channels_still_safe():
 
 def test_sequential_requests_across_repeated_database_crashes():
     deployment = make_deployment(num_db_servers=2, seed=5)
-    schedule = FaultSchedule()
-    for start in (100.0, 900.0, 1_700.0):
-        schedule.crash_for(start, "d1", downtime=200.0)
-    deployment.apply_faults(schedule)
+    deployment.apply_faults(tuple(FaultSpec("crash_for", start, "d1", downtime=200.0)
+                                  for start in (100.0, 900.0, 1_700.0)))
     issued = [deployment.issue(BANK.debit(0, 10)) for _ in range(3)]
     deployment.sim.run_until(lambda: all(r.delivered for r in issued), until=5_000_000.0)
     assert all(r.delivered for r in issued)

@@ -1,8 +1,8 @@
 """Property-based tests for the ``faults=`` DSN grammar.
 
-Any :class:`FaultSchedule` -- including partitions with multi-group layouts
--- must round-trip through its DSN text form, and unknown fault kinds must be
-rejected at parse time, not mid-run.
+Any sequence of :class:`~repro.api.FaultSpec` -- including partitions with
+multi-group layouts -- must round-trip through its DSN text form, and unknown
+fault kinds must be rejected at parse time, not mid-run.
 """
 
 import pytest
@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.api.scenario import faults_from_text, faults_to_text
+from repro.api import FaultSpec
 from repro.campaign import write_sidecar
-from repro.failure.injection import FaultSchedule
 
 PROCESSES = ["a1", "a2", "a3", "d1", "d2", "c1"]
 
@@ -39,64 +39,51 @@ def partition_layouts(draw):
 
 
 @st.composite
-def fault_schedules(draw):
-    schedule = FaultSchedule()
+def fault_spec_lists(draw):
+    faults = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         kind = draw(st.sampled_from(
             ["crash", "recover", "crash_for", "partition", "heal",
              "false_suspicion"]))
         time = draw(times)
-        if kind == "crash":
-            schedule.crash(time, draw(names))
-        elif kind == "recover":
-            schedule.recover(time, draw(names))
+        if kind in ("crash", "recover"):
+            faults.append(FaultSpec(kind, time, draw(names)))
         elif kind == "crash_for":
-            schedule.crash_for(time, draw(names), downtime=draw(durations))
+            faults.append(FaultSpec(kind, time, draw(names), downtime=draw(durations)))
         elif kind == "partition":
-            schedule.partition(time, *draw(partition_layouts()))
+            faults.append(FaultSpec(kind, time, groups=draw(partition_layouts())))
         elif kind == "heal":
-            schedule.heal(time)
+            faults.append(FaultSpec(kind, time))
         else:
             observer, target = draw(st.permutations(PROCESSES))[:2]
-            schedule.false_suspicion(time, observer, target,
-                                     duration=draw(durations))
-    return schedule
+            faults.append(FaultSpec(kind, time, target, observer=observer,
+                                    duration=draw(durations)))
+    return tuple(faults)
 
 
 @settings(max_examples=80, deadline=None)
-@given(fault_schedules())
-def test_fault_schedules_round_trip_through_faults_text(schedule):
-    specs = api.schedule_to_specs(schedule)
-    text = faults_to_text(specs)
-    assert faults_from_text(text) == specs
-    rebuilt = FaultSchedule()
-    for spec in specs:
-        spec.add_to(rebuilt)
-    assert rebuilt == schedule
+@given(fault_spec_lists())
+def test_fault_specs_round_trip_through_faults_text(faults):
+    assert faults_from_text(faults_to_text(faults)) == faults
 
 
 @settings(max_examples=40, deadline=None)
-@given(fault_schedules())
-def test_fault_schedules_round_trip_through_a_full_dsn(schedule):
+@given(fault_spec_lists())
+def test_fault_specs_round_trip_through_a_full_dsn(faults):
     scenario = api.Scenario(protocol="etx", num_app_servers=3,
-                            num_db_servers=2,
-                            faults=api.schedule_to_specs(schedule))
+                            num_db_servers=2, faults=faults)
     parsed = api.Scenario.from_dsn(scenario.to_dsn())
     assert parsed == scenario
-    assert parsed.fault_schedule() == schedule
+    assert parsed.faults == faults
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(partition_layouts(), min_size=1, max_size=3), times)
 def test_multi_group_partition_layouts_round_trip(layouts, time):
-    schedule = FaultSchedule()
-    for offset, layout in enumerate(layouts):
-        schedule.partition(time + offset, *layout)
-    specs = api.schedule_to_specs(schedule)
+    specs = tuple(FaultSpec("partition", time + offset, groups=layout)
+                  for offset, layout in enumerate(layouts))
     assert faults_from_text(faults_to_text(specs)) == specs
-    assert all(spec.kind == "partition" for spec in specs)
-    assert [list(map(list, spec.groups)) for spec in specs] == \
-        [a.params["groups"] for a in schedule]
+    assert [list(map(list, spec.groups)) for spec in specs] == layouts
 
 
 @pytest.mark.parametrize("token", [
@@ -111,6 +98,10 @@ def test_multi_group_partition_layouts_round_trip(layouts, time):
     "false_suspicion@5:a1:a1:10",   # observer == target
     "crash@-1:a1",                  # negative time
     "crash@soon:a1",                # non-numeric time
+    "crash@nan:a1",                 # NaN time
+    "crash_for@10:d1:nan",          # NaN downtime
+    "false_suspicion@10:a2:a1:nan", # NaN duration
+    "crash_for@10:a1:inf",          # infinite downtime: a permanent crash is crash
 ])
 def test_malformed_fault_tokens_are_rejected_at_parse_time(token):
     with pytest.raises(api.ScenarioError):
@@ -165,19 +156,7 @@ def test_missing_or_malformed_sidecars_fail_cleanly(tmp_path):
         api.Scenario.from_dsn(f"etx://a3?faults=@{bad}")
 
 
-def test_from_action_rejects_kinds_without_a_dsn_form():
-    from repro.api.scenario import FaultSpec
-    from repro.failure.injection import FaultAction
-
-    action = FaultAction(5.0, "crash", "a1")
-    object.__setattr__(action, "kind", "quake")  # simulate a future kind
-    with pytest.raises(ValueError, match="no DSN form"):
-        FaultSpec.from_action(action)
-
-
 def test_inapplicable_scalar_fields_are_rejected_not_dropped():
-    from repro.api.scenario import FaultSpec
-
     with pytest.raises(api.ScenarioError, match="takes no downtime"):
         FaultSpec("crash", 100.0, "a1", downtime=500.0)  # meant crash_for
     with pytest.raises(api.ScenarioError, match="takes no observer"):

@@ -8,7 +8,7 @@ exactly linear in the number of intermediate results -- no leak beyond it.
 """
 
 from repro import api
-from repro.failure.injection import FaultSchedule
+from repro.api import FaultSpec
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=1, initial_balance=1_000)
@@ -36,7 +36,7 @@ def test_one_register_cell_pair_per_committed_result():
 
 def test_aborted_intermediate_results_also_occupy_cells():
     deployment = make_deployment(detection_delay=10.0)
-    deployment.apply_faults(FaultSchedule().crash(50.0, "a1"))
+    deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
     issued = deployment.run_request(BANK.debit(0, 1))
     assert issued.delivered
     assert issued.aborted_results  # at least one aborted intermediate result

@@ -1,7 +1,7 @@
 """Property tests: partitioned deployments under random faults.
 
 Mixed single-shard and cross-shard traffic over ``d >= 2`` partitioned
-deployments, with :class:`~repro.failure.injection.RandomFaultPlan` schedules,
+deployments, with :class:`~repro.experiments.fault_sweep.RandomFaultPlan` schedules,
 must keep the e-Transaction specification -- now judged over each
 transaction's participant set -- clean:
 
@@ -17,7 +17,7 @@ transaction's participant set -- clean:
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.failure.injection import RandomFaultPlan
+from repro.experiments.fault_sweep import RandomFaultPlan
 from repro.workload.generator import ClosedLoop
 
 

@@ -50,7 +50,7 @@ def test_text_axis_values_go_through_the_keys_parser():
         Sweep.over("etx://d1", seed=["1.5"])
 
 
-def test_fault_axes_expand_fault_schedules():
+def test_fault_axes_expand_fault_lists():
     sweep = Sweep.over("etx://a3.d1", faults=[
         (),
         (api.FaultSpec("crash", 100.0, "a1"),),
