@@ -22,10 +22,20 @@ protocols alike::
     sweep = api.Sweep.over("etx://d1", protocol=["etx", "2pc"], clients=[1, 8])
     print(api.run_sweep(sweep, workers=4).to_table())
 
-    # or keep your hands on the wheel:
+    # or attach an observer between the steps run_scenario takes:
     system = api.build(scenario)     # the protocol's ThreeTierDeployment
+    deliveries = []
+    system.trace.subscribe("client_deliver", deliveries.append)
+    result = api.drive(system, requests=4)   # load, settle, spec check
+    system.close()
+
+    # or keep your hands on the wheel:
+    system = api.build(scenario)     # restarts request numbering at 1
     issued = system.run_request(system.standard_request())
     assert system.check_spec().ok
+
+:class:`RunJob` is the picklable unit of work (scenario, requests per client,
+horizon, settle) that :func:`map_jobs` hands to worker processes.
 
 A protocol is one :data:`PROTOCOLS` entry, its scheme mapped to the
 :class:`~repro.core.deployment.ThreeTierDeployment` subclass that builds its
@@ -34,7 +44,8 @@ is one :data:`WORKLOADS` entry.
 """
 
 from repro.api.drivers import build
-from repro.api.runner import ScenarioResult, load_generator_for, run_scenario
+from repro.api.runner import (RunJob, ScenarioResult, drive, load_generator_for,
+                              run_scenario)
 from repro.api.sweep import Sweep, SweepResult, map_jobs, run_sweep
 from repro.api.scenario import (
     PROTOCOLS,
@@ -59,6 +70,8 @@ __all__ = [
     "PROTOCOLS",
     "build",
     "ScenarioResult",
+    "RunJob",
+    "drive",
     "run_scenario",
     "load_generator_for",
     "Sweep",

@@ -18,7 +18,7 @@ from repro.api.scenario import PARAMS, PROTOCOLS, TIMING_PAPER, Scenario, Scenar
 from repro.api.workloads import ShardContext, bind_workload
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.timing import DatabaseTiming, ProtocolTiming
-from repro.core.types import Request
+from repro.core.types import Request, reset_request_counter
 from repro.runtime.base import RUNTIME_SIM
 
 
@@ -61,10 +61,13 @@ def build(scenario: Scenario, *,
     data or protocol timing; anything omitted comes from the scenario
     itself.  ``only`` names the processes this OS process hosts in a
     distributed ``runtime=asyncio`` run.  The scenario's fault schedule is
-    applied before returning.
+    applied before returning.  Request numbering restarts at 1, so a run's
+    request ids depend on its scenario alone, not on what ran before it in
+    this process.
     """
     deployment = PROTOCOLS[scenario.protocol]
     _refuse_unsupported(scenario, deployment)
+    reset_request_counter()
     if only and scenario.runtime == RUNTIME_SIM:
         raise ScenarioError("only= needs runtime=asyncio: a simulated run hosts "
                             "every process in one OS process")

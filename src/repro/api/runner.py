@@ -1,11 +1,15 @@
 """Run a scenario end-to-end and bundle the result.
 
-:func:`run_scenario` is the one-call entry point behind ``python -m repro run
-<dsn>``: build the scenario's stack, drive its workload with the traffic shape
-the scenario asks for (closed loop by default, open loop when ``rate`` is
-set), then package throughput, latency percentiles, per-client statistics,
-latency breakdown, message counts and the specification report into a
-:class:`ScenarioResult`.
+Every run is the same three steps: :func:`~repro.api.build` the scenario's
+stack, :func:`drive` it, then ``close`` it.  :func:`drive` runs the workload
+with the traffic shape the scenario asks for (closed loop by default, open
+loop when ``rate`` is set), lets the run settle, checks the specification and
+packages throughput, latency percentiles, per-client statistics, latency
+breakdown, message counts and the verdict into a :class:`ScenarioResult`.
+:func:`run_scenario` does all three in one call (``python -m repro run
+<dsn>``); a caller that must watch the run attaches its observer between
+``build`` and ``drive``.  :class:`RunJob` is the picklable unit of work the
+sweep, the fault sweep and the campaigns hand to worker processes.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Any, Optional, Union
 
 from repro.api.drivers import build
 from repro.api.scenario import Scenario
+from repro.core.deployment import ThreeTierDeployment
 from repro.core.spec import SpecReport
-from repro.core.types import reset_request_counter
 from repro.metrics.latency import LatencyBreakdown, breakdown_from_run
 from repro.workload.generator import ClosedLoop, LoadGenerator, OpenLoop, RunStatistics
 
@@ -108,13 +112,23 @@ class ScenarioResult:
         return head + (", ..." if len(ranked) > limit else "")
 
 
-def run_scenario(scenario: Union[Scenario, str], requests: int = 1,
-                 horizon_per_request: float = 1_000_000.0,
-                 settle: float = 5_000.0,
-                 check_termination: Optional[bool] = None,
-                 max_events: int = 5_000_000,
-                 **build_overrides: Any) -> ScenarioResult:
-    """Build ``scenario`` (a :class:`Scenario` or DSN string), run it, report.
+@dataclass(frozen=True)
+class RunJob:
+    """Picklable unit of work: one scenario, its requests per client, and
+    the horizon per request and settle time of :func:`drive`."""
+
+    scenario: Scenario
+    requests: int
+    horizon: float = 1_000_000.0
+    settle: float = 5_000.0
+
+
+def drive(system: ThreeTierDeployment, requests: int, *,
+          horizon_per_request: float = 1_000_000.0,
+          settle: float = 5_000.0,
+          check_termination: Optional[bool] = None,
+          max_events: int = 5_000_000) -> ScenarioResult:
+    """Run a built system's workload, let it settle, judge it, report.
 
     ``requests`` workload requests are issued *per client*: a closed loop
     drives every client concurrently with that many back-to-back requests,
@@ -125,51 +139,62 @@ def run_scenario(scenario: Union[Scenario, str], requests: int = 1,
     acknowledgements) lands in the trace before the specification is checked.
     ``check_termination`` defaults to *auto*: termination properties are only
     enforced when every request was delivered and no client was deliberately
-    crashed.  Extra keyword arguments are forwarded to
-    :func:`repro.api.build` (workload / timing overrides).
+    crashed.  The system stays open, so the caller can still read its trace.
+    """
+    scenario = system.scenario
+    generator = load_generator_for(scenario, horizon_per_request=horizon_per_request,
+                                   max_events=max_events)
+    statistics = generator.run(system, requests)
+    if settle > 0:
+        system.run(until=system.sim.now + settle)
+    if check_termination is None:
+        client_faulted = any(fault.target in scenario.client_names
+                             for fault in scenario.faults)
+        check_termination = statistics.undelivered == 0 and not client_faulted
+    spec = system.check_spec(check_termination=check_termination)
+    # The component breakdown explains *protocol* latency, so it gets the
+    # service latency -- for open loops the client-observed mean also
+    # contains queueing at the client, which is load, not protocol cost.
+    # The trace-derived components come from the streaming accumulator the
+    # deployment subscribed at build time, so no post-hoc trace scan happens
+    # here (and ``trace=ring:N``/``off`` scenarios still get a breakdown).
+    breakdown = breakdown_from_run(
+        protocol=scenario.protocol,
+        components=system.latency_components,
+        timing=system.db_timing,
+        mean_latency=statistics.mean_service_latency,
+        samples=statistics.count,
+    )
+    return ScenarioResult(
+        scenario=scenario,
+        dsn=scenario.to_dsn(),
+        requested=requests * scenario.num_clients,
+        statistics=statistics,
+        breakdown=breakdown,
+        message_counts=dict(system.stats.by_type_sent),
+        total_messages=system.stats.sent,
+        spec=spec,
+    )
+
+
+def run_scenario(scenario: Union[Scenario, str], requests: int = 1,
+                 horizon_per_request: float = 1_000_000.0,
+                 settle: float = 5_000.0,
+                 check_termination: Optional[bool] = None,
+                 max_events: int = 5_000_000,
+                 **build_overrides: Any) -> ScenarioResult:
+    """Build ``scenario`` (a :class:`Scenario` or DSN string), drive it, close it.
+
+    The run arguments are :func:`drive`'s; extra keyword arguments are
+    forwarded to :func:`repro.api.build` (workload / timing overrides).
     """
     if isinstance(scenario, str):
         scenario = Scenario.from_dsn(scenario)
-    # Request identifiers only need to be unique within one run's trace;
-    # restarting the sequence makes back-to-back runs of the same scenario
-    # byte-identical (the sweep executor relies on the same reset).
-    reset_request_counter()
     system = build(scenario, **build_overrides)
     try:
-        generator = load_generator_for(scenario, horizon_per_request=horizon_per_request,
-                                       max_events=max_events)
-        statistics = generator.run(system, requests)
-        requested = requests * scenario.num_clients
-        if settle > 0:
-            system.run(until=system.sim.now + settle)
-        if check_termination is None:
-            client_faulted = any(fault.target in scenario.client_names
-                                 for fault in scenario.faults)
-            check_termination = statistics.undelivered == 0 and not client_faulted
-        spec = system.check_spec(check_termination=check_termination)
-        # The component breakdown explains *protocol* latency, so it gets the
-        # service latency -- for open loops the client-observed mean also
-        # contains queueing at the client, which is load, not protocol cost.
-        # The trace-derived components come from the streaming accumulator the
-        # deployment subscribed at build time, so no post-hoc trace scan happens
-        # here (and ``trace=ring:N``/``off`` scenarios still get a breakdown).
-        breakdown = breakdown_from_run(
-            protocol=scenario.protocol,
-            components=system.latency_components,
-            timing=system.db_timing,
-            mean_latency=statistics.mean_service_latency,
-            samples=statistics.count,
-        )
-        return ScenarioResult(
-            scenario=scenario,
-            dsn=scenario.to_dsn(),
-            requested=requested,
-            statistics=statistics,
-            breakdown=breakdown,
-            message_counts=dict(system.stats.by_type_sent),
-            total_messages=system.stats.sent,
-            spec=spec,
-        )
+        return drive(system, requests, horizon_per_request=horizon_per_request,
+                     settle=settle, check_termination=check_termination,
+                     max_events=max_events)
     finally:
         # Real-runtime backends hold OS resources (sockets, an event loop);
         # the sim backend's close() is a no-op, so this is safe everywhere.

@@ -7,11 +7,11 @@ yields one concrete scenario per grid point; :func:`run_sweep` executes the
 grid -- serially, or fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 -- and returns the ordered :class:`ScenarioResult` rows.
 
-Determinism is the contract: every scenario carries its own seed, each
-execution resets the process-global request-id counter first
-(:func:`repro.core.types.reset_request_counter`), and the per-stream simulator
-RNGs are hash-randomisation-free, so a parallel sweep produces *byte-identical*
-results to a serial execution of the same grid::
+Determinism is the contract: every scenario carries its own seed,
+:func:`~repro.api.build` restarts the process-global request numbering for
+every deployment, and the per-stream simulator RNGs are
+hash-randomisation-free, so a parallel sweep produces *byte-identical* results
+to a serial execution of the same grid::
 
     from repro import api
 
@@ -32,10 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
-from repro.api.runner import ScenarioResult, run_scenario
+from repro.api.runner import RunJob, ScenarioResult, run_scenario
 from repro.api.scenario import (HOST_FIELDS, PARAMS, Scenario, ScenarioError,
                                  faults_from_text)
-from repro.core.types import reset_request_counter
 
 _JobT = TypeVar("_JobT")
 _RowT = TypeVar("_RowT")
@@ -142,24 +141,10 @@ def map_jobs(worker: Callable[[_JobT], _RowT], jobs: Sequence[_JobT],
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-@dataclass(frozen=True)
-class _ScenarioJob:
-    """Picklable unit of sweep work."""
-
-    scenario: Scenario
-    requests: int
-    horizon_per_request: float
-    settle: float
-
-
-def _execute_scenario(job: _ScenarioJob) -> ScenarioResult:
+def _execute_scenario(job: RunJob) -> ScenarioResult:
     """Run one grid point (in whatever process the pool put it)."""
-    # Per-worker deterministic seeding: the run must not see how many
-    # requests earlier grid points in the same process created.
-    reset_request_counter()
     return run_scenario(job.scenario, requests=job.requests,
-                        horizon_per_request=job.horizon_per_request,
-                        settle=job.settle)
+                        horizon_per_request=job.horizon, settle=job.settle)
 
 
 @dataclass
@@ -213,6 +198,6 @@ def run_sweep(sweep: Union[Sweep, Sequence[Scenario]], requests: int = 1,
     regardless of which worker finished first.
     """
     scenarios = sweep.expand() if isinstance(sweep, Sweep) else list(sweep)
-    jobs = [_ScenarioJob(scenario, requests, horizon_per_request, settle)
+    jobs = [RunJob(scenario, requests, horizon_per_request, settle)
             for scenario in scenarios]
     return SweepResult(rows=map_jobs(_execute_scenario, jobs, workers=workers))

@@ -199,13 +199,14 @@ def replay(source: Union[Counterexample, str]) -> ReplayResult:
     certificate reproduces its clean pass -- on any machine, in any order,
     under any parallelism.
     """
-    from repro.campaign.runner import _EvalJob, evaluate_schedule
+    from repro.api.runner import RunJob
+    from repro.campaign.runner import evaluate_schedule
 
     base_dir = ""
     if isinstance(source, str):
         base_dir = os.path.dirname(os.path.abspath(source))
         source = Counterexample.load(source)
-    row = evaluate_schedule(_EvalJob(
-        scenario=source.scenario(base_dir), requests=source.requests,
+    row = evaluate_schedule(RunJob(
+        source.scenario(base_dir), requests=source.requests,
         horizon=source.horizon, settle=source.settle))
     return ReplayResult(counterexample=source, actual=row.violations)

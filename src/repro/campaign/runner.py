@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro import api
-from repro.api.runner import load_generator_for
 from repro.api.scenario import Scenario
 from repro.api.sweep import map_jobs
 from repro.campaign.adversarial import AdversarialFaultPlan, FaultAtom, atoms_to_specs
@@ -38,7 +37,7 @@ from repro.campaign.artifacts import Counterexample
 from repro.campaign.shrink import atom_reducers, shrink_sequence
 from repro.campaign.windows import FaultWindowObserver, PhaseTransition
 from repro.core.spec import _key_of_value
-from repro.core.types import VOTE_YES, reset_request_counter
+from repro.core.types import VOTE_YES
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,6 @@ class CampaignBudget:
         if self.survivors < 1 or self.offspring_per_survivor < 0:
             raise ValueError("campaign budget needs survivors >= 1 and "
                              "offspring_per_survivor >= 0")
-
-
-@dataclass(frozen=True)
-class _EvalJob:
-    """Picklable unit of campaign work: one faulted scenario."""
-
-    scenario: Scenario
-    requests: int
-    horizon: float
-    settle: float
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,7 @@ def _in_doubt_dwell(system) -> float:
                for key, voted in first_vote.items())
 
 
-def evaluate_schedule(job: _EvalJob) -> EvaluatedRun:
+def evaluate_schedule(job: api.RunJob) -> EvaluatedRun:
     """Run one faulted scenario and measure it (module-level: picklable).
 
     Termination checking is deliberately forced on: the schedules a campaign
@@ -148,40 +137,31 @@ def evaluate_schedule(job: _EvalJob) -> EvaluatedRun:
     protocol that blocks (undelivered requests, databases stuck in doubt) is
     violating the specification, not merely unlucky.
     """
-    reset_request_counter()
     system = api.build(job.scenario)
-    generator = load_generator_for(job.scenario,
-                                   horizon_per_request=job.horizon)
-    stats = generator.run(system, job.requests)
-    if job.settle > 0:
-        system.run(until=system.sim.now + job.settle)
-    report = system.check_spec(check_termination=True)
-    violations = tuple(str(v) for v in report.violations)
-    properties = tuple(sorted({v.property_name for v in report.violations}))
+    result = api.drive(system, job.requests, horizon_per_request=job.horizon,
+                   settle=job.settle, check_termination=True)
+    stats, violations = result.statistics, result.spec.violations
     return EvaluatedRun(
-        dsn=job.scenario.to_dsn(),
+        dsn=result.dsn,
         delivered=stats.count,
         undelivered=stats.undelivered,
         in_doubt=sum(db.in_doubt for db in stats.by_database.values()),
         in_flight=system.spec_monitor.in_flight,
         aborted_results=stats.aborted_results,
         in_doubt_dwell=_in_doubt_dwell(system),
-        violations=violations,
-        properties=properties,
+        violations=tuple(str(v) for v in violations),
+        properties=tuple(sorted({v.property_name for v in violations})),
     )
 
 
 def probe_windows(scenario: Scenario, requests: int = 1,
                   horizon: float = 120_000.0,
                   settle: float = 5_000.0) -> tuple[PhaseTransition, ...]:
-    """Fault-free probe run; returns the recorded injection windows."""
-    reset_request_counter()
-    system = api.build(scenario.with_(faults=()))
+    """Probe run of the scenario as given; returns the recorded injection
+    windows (the campaigns pass their fault-free or reshard-only base)."""
+    system = api.build(scenario)
     observer = FaultWindowObserver.attach(system.trace)
-    generator = load_generator_for(scenario, horizon_per_request=horizon)
-    generator.run(system, requests)
-    if settle > 0:
-        system.run(until=system.sim.now + settle)
+    api.drive(system, requests, horizon_per_request=horizon, settle=settle)
     observer.detach()
     return tuple(observer.transitions)
 
@@ -271,10 +251,10 @@ def run_campaign(scenario: Union[Scenario, str],
                             windows=len(windows))
     rng = random.Random(zlib.crc32(f"campaign:{base.to_dsn()}:{seed}".encode()))
 
-    def job_for(atoms: Sequence[FaultAtom]) -> _EvalJob:
-        return _EvalJob(scenario=base.with_(faults=atoms_to_specs(atoms)),
-                        requests=budget.requests, horizon=budget.horizon,
-                        settle=budget.settle)
+    def job_for(atoms: Sequence[FaultAtom]) -> api.RunJob:
+        return api.RunJob(base.with_(faults=atoms_to_specs(atoms)),
+                          requests=budget.requests, horizon=budget.horizon,
+                          settle=budget.settle)
 
     by_signature: dict[tuple[str, ...], tuple[tuple[FaultAtom, ...], EvaluatedRun]] = {}
     all_rows: list[tuple[tuple[FaultAtom, ...], EvaluatedRun]] = []

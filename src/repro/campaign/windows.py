@@ -180,10 +180,3 @@ class FaultWindowObserver:
     def completed(self) -> int:
         """Transactions whose live-phase entry has been retired."""
         return len(self._done)
-
-    def windows(self, phase: Optional[str] = None,
-                event: Optional[str] = None) -> list[PhaseTransition]:
-        """The recorded injection windows, optionally filtered."""
-        return [t for t in self.transitions
-                if (phase is None or t.phase == phase)
-                and (event is None or t.event == event)]

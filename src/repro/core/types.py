@@ -31,10 +31,10 @@ def reset_request_counter(start: int = 1) -> None:
     """Restart the auto-assigned ``request_id`` sequence at ``start``.
 
     Request identifiers only need to be unique within one deployment's trace;
-    the sweep executor resets the counter before every scenario so a run's
-    identifiers do not depend on how many requests earlier runs in the same
-    process happened to create -- that is what makes a serial sweep and a
-    process-pool sweep of the same grid produce identical results.
+    :func:`repro.api.build` resets the counter before every deployment, so a
+    run's identifiers do not depend on how many requests earlier runs in the
+    same process happened to create -- that is what makes two builds of one
+    scenario, and a serial and a process-pool sweep of one grid, identical.
     """
     global _request_counter
     _request_counter = itertools.count(start)

@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro import api
 from repro.experiments import calibration
-from repro.metrics.steps import profile_from_trace
+from repro.metrics.steps import StreamingProfile
 from repro.workload.generator import ClosedLoop
 
 
@@ -145,8 +145,9 @@ def scaling_sweep(degrees: Optional[list[int]] = None, seed: int = 0,
     for degree in degrees:
         deployment = api.build(calibration.paper_scenario(
             "etx", seed=seed, num_app_servers=degree))
+        streaming = StreamingProfile(deployment.trace, f"ar-{degree}")
         stats = ClosedLoop().run(deployment, requests)
-        profile = profile_from_trace(deployment.trace, f"ar-{degree}")
+        profile = streaming.detach()
         points.append(ScalingPoint(
             num_app_servers=degree,
             mean_latency=stats.mean_latency,

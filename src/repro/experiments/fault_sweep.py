@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from repro import api
 from repro.api import sweep as sweep_api
-from repro.core.types import reset_request_counter
 from repro.experiments import calibration
 
 
@@ -99,14 +98,6 @@ class FaultSweepResult:
 
 
 @dataclass(frozen=True)
-class _FaultedJob:
-    """Picklable unit: one randomly faulted scenario."""
-
-    scenario: api.Scenario
-    horizon: float
-
-
-@dataclass(frozen=True)
 class _FaultedRow:
     seed: int
     delivered: bool
@@ -115,16 +106,15 @@ class _FaultedRow:
     violations: tuple[str, ...]
 
 
-def _execute_faulted(job: _FaultedJob) -> _FaultedRow:
+def _execute_faulted(job: api.RunJob) -> _FaultedRow:
     scenario = job.scenario
     client_crashed = any(
         fault.kind in ("crash", "crash_for")
         and fault.target in scenario.client_names
         for fault in scenario.faults)
-    reset_request_counter()
-    result = api.run_scenario(scenario, requests=1,
+    result = api.run_scenario(scenario, requests=job.requests,
                               horizon_per_request=job.horizon,
-                              settle=20_000.0,
+                              settle=job.settle,
                               check_termination=not client_crashed)
     return _FaultedRow(
         seed=scenario.seed,
@@ -159,7 +149,7 @@ def run(num_runs: int = 20, seed: int = 0, num_db_servers: int = 1,
             client_crash_probability=0.4 if allow_client_crash else 0.0,
         )
         scenario = scenario.with_(faults=plan.generate(run_seed))
-        jobs.append(_FaultedJob(scenario=scenario, horizon=horizon))
+        jobs.append(api.RunJob(scenario, requests=1, horizon=horizon, settle=20_000.0))
 
     result = FaultSweepResult()
     for row in sweep_api.map_jobs(_execute_faulted, jobs, workers=workers):

@@ -23,7 +23,7 @@ from typing import Optional
 from repro import api
 from repro.core import Request, ThreeTierDeployment
 from repro.experiments import calibration
-from repro.metrics.steps import CommunicationProfile, profile_from_trace
+from repro.metrics.steps import CommunicationProfile, StreamingProfile
 
 
 @dataclass
@@ -72,12 +72,12 @@ def _build(seed: int) -> tuple[ThreeTierDeployment, Request]:
 
 def _scenario(name: str, deployment: ThreeTierDeployment, request: Request,
               horizon: float = 1_000_000.0) -> ScenarioResult:
+    streaming = StreamingProfile(deployment.trace, f"figure1-{name}")
     issued = deployment.run_request(request, horizon=horizon)
     deployment.run(until=deployment.sim.now + 5_000.0)
     answered_by = {event.process for event in deployment.trace.select("as_result_sent")}
     balance = deployment.db_servers["d1"].committed_value("account:0")
     report = deployment.check_spec(check_termination=False)
-    profile = profile_from_trace(deployment.trace, f"figure1-{name}")
     return ScenarioResult(
         name=name,
         delivered=issued.delivered,
@@ -86,7 +86,7 @@ def _scenario(name: str, deployment: ThreeTierDeployment, request: Request,
         answered_by=answered_by,
         committed_balance=balance,
         spec_ok=report.ok,
-        profile=profile,
+        profile=streaming.detach(),
         latency=issued.latency,
     )
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from repro.api import sweep as sweep_api
 from repro.experiments import calibration
 from repro.metrics.latency import LatencyTable
-from repro.metrics.percentiles import summarise
 from repro.workload.generator import RunStatistics
 
 
@@ -48,11 +47,6 @@ class Figure8Report:
                 f"{protocol:<12}{paper_total:>12.1f}{column.total:>17.1f}"
                 f"{paper_overhead * 100:>16.0f}%{overheads.get(protocol, 0.0) * 100:>19.0f}%")
         return "\n".join(lines)
-
-    def percentile_summary(self) -> dict[str, dict[str, float]]:
-        """p50/p95/p99 of each protocol's client-observed latency."""
-        return {protocol: summarise(stats.latencies)
-                for protocol, stats in self.statistics.items()}
 
     def shape_holds(self, tolerance: float = 0.10) -> bool:
         """The qualitative claim of the paper:

@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro import api
-from repro.api.runner import load_generator_for
 from repro.api.scenario import Scenario
 from repro.api.sweep import map_jobs
 from repro.campaign.adversarial import AdversarialFaultPlan, FaultAtom, atoms_to_specs
-from repro.campaign.windows import PHASE_RESHARDING, FaultWindowObserver
-from repro.core.types import reset_request_counter
+from repro.campaign.runner import evaluate_schedule, probe_windows
+from repro.campaign.windows import PHASE_RESHARDING
 
 # Three application servers absorb ~7.5 committed bank transactions per
 # virtual second with the default engine timing, so 6/s offers ~80%
@@ -60,15 +59,8 @@ class ThroughputWindow:
 class ReshardReport:
     """Everything the online-growth measurement produced."""
 
-    dsn: str
-    flat_dsn: str
-    requested: int
-    delivered: int
-    undelivered: int
-    throughput: float           # resharded run, req/s of virtual time
-    flat_throughput: float      # fault-free twin, req/s of virtual time
-    p95: float
-    flat_p95: float
+    run: api.ScenarioResult     # the scenario with its reshard
+    flat: api.ScenarioResult    # its fault-free twin
     window_ms: float
     windows: list[ThroughputWindow] = field(default_factory=list)
     reshard_begin: float = 0.0  # coordinator trace instants (virtual ms)
@@ -77,18 +69,19 @@ class ReshardReport:
     final_shards: list[str] = field(default_factory=list)
     deferred_requests: int = 0  # claims parked while their keys migrated
     epoch_retries: int = 0      # claims re-routed against a newer epoch
-    saturation: dict[str, int] = field(default_factory=dict)
-    spec_ok: bool = False
-    spec_summary: str = ""
     wall_seconds: float = 0.0
     campaign: Optional["ReshardCampaignReport"] = None
 
     @property
     def throughput_ratio(self) -> float:
         """Resharded throughput over the fault-free twin's."""
-        if self.flat_throughput <= 0:
-            return 0.0
-        return self.throughput / self.flat_throughput
+        flat = self.flat.statistics.throughput
+        return self.run.statistics.throughput / flat if flat > 0 else 0.0
+
+    @property
+    def spec_ok(self) -> bool:
+        """Both runs kept every checked property."""
+        return self.run.spec.ok and self.flat.spec.ok
 
     @property
     def ok(self) -> bool:
@@ -96,22 +89,23 @@ class ReshardReport:
         grown = self.final_epoch >= 1 and self.reshard_commit > self.reshard_begin
         flat = self.throughput_ratio >= 0.85
         campaign_ok = self.campaign is None or self.campaign.clean
-        return (self.spec_ok and self.undelivered == 0 and grown and flat
-                and campaign_ok)
+        return (self.spec_ok and self.run.statistics.undelivered == 0 and grown
+                and flat and campaign_ok)
 
     def to_json(self) -> dict:
         """Machine-readable BENCH payload (written to benchmarks/out)."""
+        stats, flat = self.run.statistics, self.flat.statistics
         payload = {
-            "dsn": self.dsn,
-            "flat_dsn": self.flat_dsn,
-            "requested": self.requested,
-            "delivered": self.delivered,
-            "undelivered": self.undelivered,
-            "throughput_per_s": round(self.throughput, 2),
-            "flat_throughput_per_s": round(self.flat_throughput, 2),
+            "dsn": self.run.dsn,
+            "flat_dsn": self.flat.dsn,
+            "requested": self.run.requested,
+            "delivered": self.run.delivered,
+            "undelivered": stats.undelivered,
+            "throughput_per_s": round(stats.throughput, 2),
+            "flat_throughput_per_s": round(flat.throughput, 2),
             "throughput_ratio": round(self.throughput_ratio, 3),
-            "p95_ms": round(self.p95, 2),
-            "flat_p95_ms": round(self.flat_p95, 2),
+            "p95_ms": round(stats.p95, 2),
+            "flat_p95_ms": round(flat.p95, 2),
             "reshard_begin_ms": round(self.reshard_begin, 1),
             "reshard_commit_ms": round(self.reshard_commit, 1),
             "reshard_window_ms": round(self.reshard_commit - self.reshard_begin, 1),
@@ -119,7 +113,7 @@ class ReshardReport:
             "final_shards": list(self.final_shards),
             "deferred_requests": self.deferred_requests,
             "epoch_retries": self.epoch_retries,
-            "saturation": dict(self.saturation),
+            "saturation": dict(stats.saturation),
             "spec_ok": self.spec_ok,
             "wall_seconds": round(self.wall_seconds, 3),
             "window_ms": self.window_ms,
@@ -132,24 +126,27 @@ class ReshardReport:
 
     def summary(self) -> str:
         """Compact multi-line report (what the CLI prints)."""
+        stats, flat = self.run.statistics, self.flat.statistics
         lines = [
-            f"reshard    {self.dsn}",
+            f"reshard    {self.run.dsn}",
             f"growth     d={len(self.final_shards)} at epoch {self.final_epoch}"
             f"   window {self.reshard_begin:.0f}..{self.reshard_commit:.0f} ms"
             f" ({self.reshard_commit - self.reshard_begin:.0f} ms)",
-            f"requests   {self.delivered}/{self.requested} delivered"
+            f"requests   {self.run.delivered}/{self.run.requested} delivered"
             f"   deferred {self.deferred_requests}"
             f"   epoch retries {self.epoch_retries}",
-            f"throughput {self.throughput:.2f} req/s vs flat "
-            f"{self.flat_throughput:.2f} req/s"
+            f"throughput {stats.throughput:.2f} req/s vs flat "
+            f"{flat.throughput:.2f} req/s"
             f"   ratio {self.throughput_ratio:.2f}"
-            f"   p95 {self.p95:.0f} ms vs {self.flat_p95:.0f} ms",
-            f"spec       {self.spec_summary}",
+            f"   p95 {stats.p95:.0f} ms vs {flat.p95:.0f} ms",
+            f"spec       {self.run.spec.summary()}",
         ]
-        if self.saturation.get("shed_messages"):
-            lines.append(f"saturation {self.saturation['shed_messages']} "
+        if not self.flat.spec.ok:
+            lines.append(f"flat spec  {self.flat.spec.summary()}")
+        if stats.saturation.get("shed_messages"):
+            lines.append(f"saturation {stats.saturation['shed_messages']} "
                          f"message(s) shed   peak backlog "
-                         f"{self.saturation['mailbox_peak']}")
+                         f"{stats.saturation['mailbox_peak']}")
         if self.campaign is not None:
             lines.append("")
             lines.append(self.campaign.summary())
@@ -189,18 +186,12 @@ def run(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
     wall_start = time.perf_counter()
 
     def one(which: Scenario):
-        reset_request_counter()
         system = api.build(which)
         deliveries = _delivery_times(system)
-        generator = load_generator_for(which)
-        stats = generator.run(system, requests)
-        if settle > 0:
-            system.run(until=system.sim.now + settle)
-        report = system.check_spec(check_termination=stats.undelivered == 0)
-        return system, stats, report, deliveries
+        return system, api.drive(system, requests, settle=settle), deliveries
 
-    system, stats, spec, deliveries = one(scenario)
-    flat_system, flat_stats, flat_spec, flat_deliveries = one(flat)
+    system, result, deliveries = one(scenario)
+    _, flat_result, flat_deliveries = one(flat)
     wall = time.perf_counter() - wall_start
 
     begin = commit = 0.0
@@ -226,15 +217,8 @@ def run(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
         start = end
 
     return ReshardReport(
-        dsn=scenario.to_dsn(),
-        flat_dsn=flat.to_dsn(),
-        requested=requests * scenario.num_clients,
-        delivered=stats.count,
-        undelivered=stats.undelivered,
-        throughput=stats.throughput,
-        flat_throughput=flat_stats.throughput,
-        p95=stats.p95,
-        flat_p95=flat_stats.p95,
+        run=result,
+        flat=flat_result,
         window_ms=window_ms,
         windows=windows,
         reshard_begin=begin,
@@ -243,44 +227,11 @@ def run(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
         final_shards=final_shards,
         deferred_requests=len(system.trace.select("epoch_defer")),
         epoch_retries=len(system.trace.select("epoch_retry")),
-        saturation=stats.saturation,
-        spec_ok=spec.ok and flat_spec.ok,
-        spec_summary=spec.summary(),
         wall_seconds=wall,
     )
 
 
 # --------------------------------------------------- reconfiguration campaign
-
-
-@dataclass(frozen=True)
-class _ReshardEvalJob:
-    """Picklable unit of campaign work: the reshard plus one fault schedule."""
-
-    scenario: Scenario
-    requests: int
-    horizon: float
-    settle: float
-
-
-def _evaluate_reshard_schedule(job: _ReshardEvalJob) -> tuple[str, tuple[str, ...]]:
-    """Run one schedule; returns ``(dsn, violations)`` (module-level: picklable).
-
-    Termination checking is forced on, exactly as in the main campaign
-    runner: every schedule stays inside the assumption envelope (transient
-    database crashes, healing partitions, a minority of permanent
-    application-server crashes), under which a migration that wedges the
-    protocol *is* a specification violation.
-    """
-    reset_request_counter()
-    system = api.build(job.scenario)
-    generator = load_generator_for(job.scenario,
-                                   horizon_per_request=job.horizon)
-    generator.run(system, job.requests)
-    if job.settle > 0:
-        system.run(until=system.sim.now + job.settle)
-    report = system.check_spec(check_termination=True)
-    return job.scenario.to_dsn(), tuple(str(v) for v in report.violations)
 
 
 @dataclass
@@ -349,16 +300,11 @@ def run_campaign(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
                          "(the campaign perturbs it, it cannot invent one)")
     base = scenario.with_(faults=reshard_specs)
 
-    reset_request_counter()
-    probe = api.build(base)
-    observer = FaultWindowObserver.attach(probe.trace)
-    generator = load_generator_for(base, horizon_per_request=horizon)
-    generator.run(probe, requests)
-    probe.run(until=probe.sim.now + settle)
-    observer.detach()
     # Epoch 0's init fires at t=0 with no migration in flight; the begin and
     # commit instants of each actual epoch change are the windows that matter.
-    anchors = [t for t in observer.windows(phase=PHASE_RESHARDING) if t.time > 0]
+    anchors = [t for t in probe_windows(base, requests=requests, horizon=horizon,
+                                        settle=settle)
+               if t.phase == PHASE_RESHARDING and t.time > 0]
     span = (max(t.time for t in anchors) - min(t.time for t in anchors)
             if len(anchors) >= 2 else 0.0)
 
@@ -377,17 +323,15 @@ def run_campaign(dsn: Union[str, Scenario] = DEFAULT_RESHARD_DSN,
     rng = random.Random(zlib.crc32(f"reshard-campaign:{base.to_dsn()}:{seed}"
                                    .encode()))
 
-    def job_for(atoms: tuple[FaultAtom, ...]) -> _ReshardEvalJob:
+    def job_for(atoms: tuple[FaultAtom, ...]) -> api.RunJob:
         faults = tuple(sorted(reshard_specs + atoms_to_specs(atoms),
                               key=lambda s: (s.time, s.kind, s.target)))
-        return _ReshardEvalJob(scenario=base.with_(faults=faults),
-                               requests=requests, horizon=horizon,
-                               settle=settle)
+        return api.RunJob(base.with_(faults=faults), requests=requests,
+                          horizon=horizon, settle=settle)
 
     jobs = [job_for(plan.sample(rng)) for _ in range(runs)]
-    for dsn_out, violations in map_jobs(_evaluate_reshard_schedule, jobs,
-                                        workers=workers):
+    for row in map_jobs(evaluate_schedule, jobs, workers=workers):
         report.runs += 1
-        if violations:
-            report.violating.append((dsn_out, violations))
+        if row.violating:
+            report.violating.append((row.dsn, row.violations))
     return report

@@ -1,9 +1,7 @@
 """Experiment E10 -- soak run: sustained open-loop load with flat memory.
 
-Before the streaming observability refactor this experiment was impossible:
-the trace grew by dozens of events per request and the spec checker re-scanned
-the whole history, so a 100k-request run both exhausted memory and spent its
-wall-clock in post-hoc scanning.  With the event-bus pipeline the run keeps
+Built, watched and judged like any other run (:func:`repro.api.drive`), the
+soak keeps
 
 * the **stored trace** bounded (``trace=ring:N`` keeps a flight-recorder
   suffix, ``off`` stores nothing),
@@ -30,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.api.drivers import build
-from repro.api.runner import load_generator_for
+from repro.api.runner import ScenarioResult, drive
 from repro.api.scenario import Scenario
-from repro.core.types import reset_request_counter
 from repro.sim.tracing import RETENTION_RING, parse_retention
 
 # Eight shards absorb ~42 committed transactions per virtual second (each
@@ -59,22 +56,10 @@ class SoakSample:
 class SoakReport:
     """Everything one soak run measured."""
 
-    dsn: str
-    requested: int
-    delivered: int
-    undelivered: int
-    throughput: float           # committed requests per virtual second
-    p50: float
-    p95: float
-    p99: float
-    elapsed_virtual_ms: float
+    run: ScenarioResult
     wall_seconds: float
     events_processed: int
     events_per_second: float    # simulator callbacks per wall second
-    spec_ok: bool
-    spec_summary: str
-    checked_properties: list[str] = field(default_factory=list)
-    trace_retention: str = "off"
     trace_stored_final: int = 0
     retained_objects: int = 0   # GC-tracked objects alive after the run minus after build
     samples: list[SoakSample] = field(default_factory=list)
@@ -82,12 +67,13 @@ class SoakReport:
     @property
     def retained_objects_per_req(self) -> float:
         """GC-tracked objects the run left alive per delivered request."""
-        return self.retained_objects / self.delivered if self.delivered else 0.0
+        delivered = self.run.delivered
+        return self.retained_objects / delivered if delivered else 0.0
 
     @property
     def trace_bounded(self) -> bool:
         """Whether the stored trace stayed within its retention bound."""
-        mode, capacity = parse_retention(self.trace_retention)
+        mode, capacity = parse_retention(self.run.scenario.trace)
         if mode == "off":
             bound = 0
         elif mode == RETENTION_RING:
@@ -116,27 +102,28 @@ class SoakReport:
     @property
     def ok(self) -> bool:
         """Spec-clean, everything delivered, memory demonstrably bounded."""
-        return self.spec_ok and self.undelivered == 0 \
+        return self.run.spec.ok and self.run.statistics.undelivered == 0 \
             and self.trace_bounded and self.spec_memory_flat
 
     def to_json(self) -> dict:
         """Machine-readable BENCH payload (written to benchmarks/out)."""
+        stats, spec = self.run.statistics, self.run.spec
         return {
-            "dsn": self.dsn,
-            "requested": self.requested,
-            "delivered": self.delivered,
-            "undelivered": self.undelivered,
-            "throughput_per_s": round(self.throughput, 1),
-            "p50_ms": round(self.p50, 2),
-            "p95_ms": round(self.p95, 2),
-            "p99_ms": round(self.p99, 2),
-            "elapsed_virtual_s": round(self.elapsed_virtual_ms / 1000.0, 1),
+            "dsn": self.run.dsn,
+            "requested": self.run.requested,
+            "delivered": self.run.delivered,
+            "undelivered": stats.undelivered,
+            "throughput_per_s": round(stats.throughput, 1),
+            "p50_ms": round(stats.p50, 2),
+            "p95_ms": round(stats.p95, 2),
+            "p99_ms": round(stats.p99, 2),
+            "elapsed_virtual_s": round(stats.elapsed / 1000.0, 1),
             "wall_seconds": round(self.wall_seconds, 3),
             "events_processed": self.events_processed,
             "events_per_second": round(self.events_per_second),
-            "spec_ok": self.spec_ok,
-            "checked_properties": list(self.checked_properties),
-            "trace_retention": self.trace_retention,
+            "spec_ok": spec.ok,
+            "checked_properties": list(spec.checked_properties),
+            "trace_retention": self.run.scenario.trace,
             "trace_stored_final": self.trace_stored_final,
             "retained_objects_per_req": round(self.retained_objects_per_req, 2),
             "trace_bounded": self.trace_bounded,
@@ -160,23 +147,24 @@ class SoakReport:
 
     def summary(self) -> str:
         """Compact multi-line report (what the CLI prints)."""
+        stats = self.run.statistics
         lines = [
-            f"soak       {self.dsn}",
-            f"requests   {self.delivered}/{self.requested} delivered"
-            f"   throughput {self.throughput:.1f} req/s of virtual time",
-            f"latency    p50 {self.p50:.1f}   p95 {self.p95:.1f}"
-            f"   p99 {self.p99:.1f} ms",
+            f"soak       {self.run.dsn}",
+            f"requests   {self.run.delivered}/{self.run.requested} delivered"
+            f"   throughput {stats.throughput:.1f} req/s of virtual time",
+            f"latency    p50 {stats.p50:.1f}   p95 {stats.p95:.1f}"
+            f"   p99 {stats.p99:.1f} ms",
             f"engine     {self.events_processed} events in"
             f" {self.wall_seconds:.1f}s wall"
             f" ({self.events_per_second:,.0f} events/s)",
-            f"memory     trace[{self.trace_retention}] stored"
+            f"memory     trace[{self.run.scenario.trace}] stored"
             f" {self.trace_stored_final}"
             f" (bounded: {self.trace_bounded})   spec in-flight max "
             f"{max((s.spec_in_flight for s in self.samples), default=0)}"
             f" (flat: {self.spec_memory_flat})   mailbox backlog max "
             f"{max((s.mailbox_backlog for s in self.samples), default=0)}"
             f"   retained {self.retained_objects_per_req:.2f} objects/req",
-            f"spec       {self.spec_summary}",
+            f"spec       {self.run.spec.summary()}",
         ]
         return "\n".join(lines)
 
@@ -200,7 +188,6 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     if max_events is None:
         max_events = max(5_000_000, 200 * total)
 
-    reset_request_counter()
     system = build(scenario)
     gc.collect()
     built_objects = len(gc.get_objects())
@@ -228,36 +215,17 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     for checkpoint in range(1, checkpoints + 1):
         sim.schedule(checkpoint * interval, sample, name="soak:sample")
 
-    generator = load_generator_for(scenario, max_events=max_events)
     wall_start = time.perf_counter()
-    statistics = generator.run(system, per_client)
-    if settle > 0:
-        system.run(until=sim.now + settle)
+    result = drive(system, per_client, settle=settle, max_events=max_events)
     wall = time.perf_counter() - wall_start
     sample()  # final checkpoint after the drain
     gc.collect()
-    retained_objects = len(gc.get_objects()) - built_objects
-
-    report = system.check_spec(
-        check_termination=statistics.undelivered == 0)
     return SoakReport(
-        dsn=scenario.to_dsn(),
-        requested=total,
-        delivered=statistics.count,
-        undelivered=statistics.undelivered,
-        throughput=statistics.throughput,
-        p50=statistics.p50,
-        p95=statistics.p95,
-        p99=statistics.p99,
-        elapsed_virtual_ms=statistics.elapsed,
+        run=result,
         wall_seconds=wall,
         events_processed=sim.events_processed,
         events_per_second=sim.events_processed / wall if wall > 0 else 0.0,
-        spec_ok=report.ok,
-        spec_summary=report.summary(),
-        checked_properties=list(report.checked_properties),
-        trace_retention=scenario.trace,
         trace_stored_final=len(trace),
-        retained_objects=retained_objects,
+        retained_objects=len(gc.get_objects()) - built_objects,
         samples=samples,
     )

@@ -1,9 +1,8 @@
 """Measurement: percentiles, latency-component accounting and step profiles.
 
-Every accumulator exists in two forms: a **streaming** one subscribed to the
-trace event bus at build time (works under any trace retention policy) and a
-**post-hoc** one that re-scans a fully stored trace (the historical path,
-still used by small replay-style experiments)."""
+Every accumulator streams: it subscribes to the trace event bus before the
+run (the deployment attaches its own at build time) and folds each event in
+as it happens, so it works under any trace retention policy."""
 
 from repro.metrics.latency import (
     COMPONENT_ORDER,
@@ -12,21 +11,18 @@ from repro.metrics.latency import (
     LatencyTable,
     breakdown_from_run,
 )
-from repro.metrics.percentiles import SUMMARY_FRACTIONS, percentile, summarise
+from repro.metrics.percentiles import percentile
 from repro.metrics.steps import (
     PROTOCOL_MESSAGE_TYPES,
     CommunicationProfile,
     Step,
     StepComparison,
     StreamingProfile,
-    profile_from_trace,
 )
 from repro.metrics.stream import DatabaseOutcomeStream
 
 __all__ = [
     "percentile",
-    "summarise",
-    "SUMMARY_FRACTIONS",
     "LatencyBreakdown",
     "LatencyComponentStream",
     "LatencyTable",
@@ -36,7 +32,6 @@ __all__ = [
     "Step",
     "StepComparison",
     "StreamingProfile",
-    "profile_from_trace",
     "PROTOCOL_MESSAGE_TYPES",
     "DatabaseOutcomeStream",
 ]

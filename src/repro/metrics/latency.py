@@ -47,12 +47,6 @@ class LatencyBreakdown:
             return 0.0
         return (self.total - baseline.total) / baseline.total
 
-    def as_row(self) -> dict[str, float]:
-        """All components plus the total, in Figure 8 order."""
-        row = {name: round(self.component(name), 1) for name in COMPONENT_ORDER}
-        row["total"] = round(self.total, 1)
-        return row
-
 
 class LatencyComponentStream:
     """Streaming accumulator of the trace-derived latency components.

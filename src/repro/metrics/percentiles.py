@@ -11,17 +11,17 @@ sample points.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-P50 = 0.50
-P95 = 0.95
-P99 = 0.99
-
-SUMMARY_FRACTIONS = (P50, P95, P99)
+from typing import Sequence
 
 
-def _interpolate(ordered: Sequence[float], fraction: float) -> float:
-    """Rank interpolation over an already-sorted sample."""
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Linear-interpolation percentile of ``values`` (``fraction`` in [0, 1]).
+
+    Returns 0.0 for an empty sample.  The rank ``fraction * (n - 1)`` is
+    interpolated between the two neighbouring order statistics, so
+    ``percentile(v, 0.0) == min(v)`` and ``percentile(v, 1.0) == max(v)``.
+    """
+    ordered = sorted(values)
     if not ordered:
         return 0.0
     if not 0.0 <= fraction <= 1.0:
@@ -33,24 +33,3 @@ def _interpolate(ordered: Sequence[float], fraction: float) -> float:
     upper = min(lower + 1, len(ordered) - 1)
     weight = rank - lower
     return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile of ``values`` (``fraction`` in [0, 1]).
-
-    Returns 0.0 for an empty sample.  The rank ``fraction * (n - 1)`` is
-    interpolated between the two neighbouring order statistics, so
-    ``percentile(v, 0.0) == min(v)`` and ``percentile(v, 1.0) == max(v)``.
-    """
-    return _interpolate(sorted(values), fraction)
-
-
-def summarise(values: Sequence[float],
-              fractions: Iterable[float] = SUMMARY_FRACTIONS) -> dict[str, float]:
-    """The standard percentile summary, keyed ``p50``/``p95``/``p99``.
-
-    One sort is shared across all requested fractions.
-    """
-    ordered = sorted(values)
-    return {f"p{round(fraction * 100):d}": _interpolate(ordered, fraction)
-            for fraction in fractions}

@@ -11,7 +11,6 @@ absorbs the loss like any other dropped message.
 
 from repro import api
 from repro.api.runner import load_generator_for
-from repro.core.types import reset_request_counter
 from repro.net.message import Message
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -67,7 +66,6 @@ def test_shed_messages_resume_waiting_threads_unaffected():
 
 
 def test_mailbox_bound_sheds_under_load_but_stays_spec_clean():
-    reset_request_counter()
     scenario = api.Scenario.from_dsn(SHED_DSN)
     system = api.build(scenario)
     generator = load_generator_for(scenario)
@@ -94,7 +92,6 @@ def test_mailbox_bound_sheds_under_load_but_stays_spec_clean():
 
 
 def test_unbounded_scenario_reports_zeroed_saturation():
-    reset_request_counter()
     scenario = api.Scenario.from_dsn("etx://a1.d1.c2?rate=20&seed=3")
     system = api.build(scenario)
     generator = load_generator_for(scenario)

@@ -15,7 +15,7 @@ from repro.metrics.steps import (
     CommunicationProfile,
     Step,
     StepComparison,
-    profile_from_trace,
+    StreamingProfile,
 )
 from repro.sim.tracing import TraceRecorder
 
@@ -85,16 +85,12 @@ def test_overhead_and_table_rendering():
     assert "total" in text
 
 
-def test_table_column_lookup_and_as_row():
+def test_table_column_lookup():
     table = LatencyTable()
     breakdown = LatencyBreakdown("AR", {"SQL": 187.0, "prepare": 19.0}, total=252.3, samples=2)
     table.add(breakdown)
     assert table.column("AR") is breakdown
     assert table.column("missing") is None
-    row = breakdown.as_row()
-    assert row["SQL"] == 187.0 and row["total"] == 252.3
-    assert set(row) == {"start", "end", "commit", "prepare", "SQL", "log-start",
-                        "log-outcome", "other", "total"}
 
 
 def test_overhead_versus_zero_baseline_is_zero():
@@ -106,7 +102,8 @@ def test_overhead_versus_zero_baseline_is_zero():
 # -------------------------------------------------------- communication profile
 
 
-def make_trace_with_messages():
+def stream_messages(trace, clock):
+    """Record one AR request's message sends, the consensus hop included."""
     messages = [
         (0.0, "c1", "a1", "Request"),
         (2.5, "a1", "d1", "Execute"),
@@ -118,32 +115,27 @@ def make_trace_with_messages():
         (248.0, "d1", "a1", "AckDecide"),
         (250.0, "a1", "c1", "Result"),
     ]
-    clock = SimpleNamespace(now=0.0)
-    trace = TraceRecorder(clock)
     for time, sender, receiver, msg_type in messages:
         clock.now = time
         trace.record("msg_send", sender, msg_type=msg_type, destination=receiver)
-    return trace
 
 
-def test_profile_from_trace_filters_and_orders_messages():
-    trace = make_trace_with_messages()
-    profile = profile_from_trace(trace, "AR")
-    assert profile.count("Request") == 1
+def test_streaming_profile_filters_and_orders_messages():
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    streaming = StreamingProfile(trace, "AR")
+    stream_messages(trace, clock)
+    profile = streaming.detach()
+    trace.record("msg_send", "c1", msg_type="Request", destination="a1")
+    assert profile.count("Request") == 1  # nothing after detach() counts
     assert profile.count("Consensus") == 0  # collapsed out of the diagram
     assert profile.consensus_messages == 1
     assert profile.total_messages == 9
     times = [step.time for step in profile.steps]
     assert times == sorted(times)
-    assert profile.message_types() == {"Request", "Execute", "ExecuteResult", "Prepare",
-                                       "Vote", "Decide", "AckDecide", "Result"}
-
-
-def test_client_visible_steps_counts_hops_between_request_and_result():
-    trace = make_trace_with_messages()
-    profile = profile_from_trace(trace, "AR")
-    assert profile.client_visible_steps("c1") == 8  # 8 protocol sends before the Result
-    assert profile.client_visible_steps("cX") == 0
+    assert set(profile.counts_by_type()) == {"Request", "Execute", "ExecuteResult",
+                                             "Prepare", "Vote", "Decide", "AckDecide",
+                                             "Result"}
 
 
 def test_sequence_diagram_renders_steps():
@@ -157,7 +149,8 @@ def test_step_comparison_table():
     comparison.add(CommunicationProfile("baseline", steps=[Step(0.0, "c1", "a1", "Request")]))
     comparison.add(CommunicationProfile("AR", steps=[Step(0.0, "c1", "a1", "Request"),
                                                      Step(1.0, "a1", "d1", "Prepare")]))
-    assert comparison.message_counts() == {"baseline": 1, "AR": 2}
+    assert {label: len(profile.steps)
+            for label, profile in comparison.profiles.items()} == {"baseline": 1, "AR": 2}
     table = comparison.to_table()
     assert "baseline" in table and "AR" in table
 
@@ -180,14 +173,3 @@ def test_percentile_interpolates_linearly():
     with pytest.raises(ValueError):
         percentile(values, 1.5)
 
-
-def test_summarise_reports_the_standard_fractions():
-    import pytest
-
-    from repro.metrics import summarise
-
-    summary = summarise([float(v) for v in range(1, 101)])
-    assert set(summary) == {"p50", "p95", "p99"}
-    assert summary["p50"] == pytest.approx(50.5)
-    assert summary["p95"] == pytest.approx(95.05)
-    assert summary["p99"] == pytest.approx(99.01)

@@ -7,6 +7,8 @@ in-flight claims drain on the old epoch, stale placements re-route instead
 of erroring, and the whole thing is deterministic and crash-tolerant.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
@@ -14,7 +16,7 @@ from repro.api.runner import load_generator_for
 from repro.api.scenario import ScenarioError
 from repro.core import messages as msg
 from repro.core.reshard import ReshardCoordinator
-from repro.core.types import reset_request_counter
+from repro.core.spec import PropertyViolation, SpecReport
 from repro.experiments import reshard
 from repro.net.network import Network
 from repro.sim.process import Process
@@ -24,7 +26,6 @@ RESHARD_DSN = ("etx://a3.d4.c2?rate=40&workload=bank&placement=hash"
 
 
 def run_scenario(dsn, requests=8, settle=8000):
-    reset_request_counter()
     scenario = api.Scenario.from_dsn(dsn)
     system = api.build(scenario)
     generator = load_generator_for(scenario)
@@ -66,8 +67,9 @@ def test_reshard_is_invisible_to_clients_and_its_window_survives_faults():
     """The growth scenario against its fault-free twin (same seed), then fault
     schedules aimed at the reconfiguration window."""
     report = reshard.run(requests=15, window_ms=2000.0)
-    assert report.undelivered == 0
-    assert report.spec_ok, report.spec_summary
+    assert report.run.statistics.undelivered == 0
+    assert report.spec_ok, report.summary()
+    assert report.run.spec.ok and report.flat.spec.ok
     assert report.final_epoch >= 1
     assert len(report.final_shards) == 8, report.final_shards
     assert 0 < report.reshard_commit - report.reshard_begin <= 5000.0
@@ -78,6 +80,23 @@ def test_reshard_is_invisible_to_clients_and_its_window_survives_faults():
     assert report.campaign.runs == 12
     assert report.campaign.clean, report.campaign.summary()
     assert report.ok
+
+
+def test_a_violation_in_the_flat_twin_is_named_in_the_summary():
+    """``ok`` needs both runs clean, so the printed verdict must show the flat
+    twin's violation too, not only the resharded run's clean line."""
+    clean = api.run_scenario("etx://a3.d2.c1?workload=bank&placement=hash")
+    report = reshard.ReshardReport(run=clean, flat=clean, window_ms=2000.0)
+    assert "flat spec" not in report.summary()
+    broken = SpecReport(violations=[PropertyViolation("A.1", "d2 committed twice")],
+                        checked_properties=list(clean.spec.checked_properties))
+    report.flat = replace(clean, spec=broken)
+    assert not report.spec_ok and not report.ok
+    assert report.to_json()["spec_ok"] is False
+    summary = report.summary()
+    assert "spec       all properties hold" in summary
+    assert "flat spec  1 violation(s):" in summary
+    assert "[A.1] d2 committed twice" in summary
 
 
 def test_reshard_run_is_deterministic():

@@ -8,7 +8,6 @@ foundation of the sweep executor's serial == parallel contract.
 """
 
 from repro import api
-from repro.core.types import reset_request_counter
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.workload.generator import ClosedLoop
@@ -18,7 +17,6 @@ OTHER_DSN = "2pc://a1.d1.c1?workload=travel&seed=99"
 
 
 def _trace_of(dsn: str, requests: int = 2) -> list[tuple]:
-    reset_request_counter()
     system = api.build(api.Scenario.from_dsn(dsn))
     ClosedLoop().run(system, requests)
     return [

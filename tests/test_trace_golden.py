@@ -44,7 +44,6 @@ import pytest
 from repro import api
 from repro.api.runner import load_generator_for
 from repro.campaign.artifacts import Counterexample
-from repro.core.types import reset_request_counter
 from repro.workload.generator import ClosedLoop
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -83,7 +82,6 @@ def _fingerprint(system) -> list[tuple]:
 
 
 def _scenario_trace(dsn: str, requests: int = 2) -> list[tuple]:
-    reset_request_counter()
     system = api.build(api.Scenario.from_dsn(dsn))
     ClosedLoop().run(system, requests)
     fingerprint = _fingerprint(system)
@@ -92,22 +90,17 @@ def _scenario_trace(dsn: str, requests: int = 2) -> list[tuple]:
 
 
 def _replay_trace(path: str) -> list[tuple]:
-    """Replay a corpus artifact with the steps of
-    :func:`repro.campaign.runner.evaluate_schedule`, keeping the full trace."""
+    """Replay a corpus artifact as :func:`repro.campaign.runner.evaluate_schedule`
+    runs it, keeping the full trace."""
     artifact = Counterexample.load(path)
-    scenario = artifact.scenario(os.path.dirname(os.path.abspath(path)))
-    reset_request_counter()
-    system = api.build(scenario)
-    generator = load_generator_for(scenario, horizon_per_request=artifact.horizon)
-    generator.run(system, artifact.requests)
-    if artifact.settle > 0:
-        system.run(until=system.sim.now + artifact.settle)
+    system = api.build(artifact.scenario(os.path.dirname(os.path.abspath(path))))
+    api.drive(system, artifact.requests, horizon_per_request=artifact.horizon,
+              settle=artifact.settle, check_termination=True)
     return _fingerprint(system)
 
 
 def _open_loop_trace(dsn: str, requests: int = 2) -> list[tuple]:
     scenario = api.Scenario.from_dsn(dsn)
-    reset_request_counter()
     system = api.build(scenario)
     load_generator_for(scenario).run(system, requests)
     trace = _fingerprint(system)
@@ -150,7 +143,6 @@ def test_open_loop_register_write_costs_one_round_trip():
     """Acceptors learn on ``accept``: no ``decide`` on the wire, and a register
     write costs at most the fast path's 2 ``accept`` + 2 ``accepted``."""
     scenario = api.Scenario.from_dsn(OPEN_LOOP)
-    reset_request_counter()
     system = api.build(scenario)
     kinds = collections.Counter()
     network = system.network
@@ -176,13 +168,19 @@ def test_failover_serves_while_the_recovered_server_watches_and_only_claim_holde
     server holding a claim beats: 3 806 ``Heartbeat`` sends, 23 226 when every
     server beat every peer all the time."""
     scenario = api.Scenario.from_dsn(FAILOVER)
-    reset_request_counter()
     system = api.build(scenario)
     load_generator_for(scenario).run(system, 10)
     delivered = [event.time for event in system.trace.select("client_deliver")]
     assert len([time for time in delivered if 3_600.0 <= time < 7_000.0]) == 16
     assert system.network.stats.by_type_sent["Heartbeat"] == 3_806
     system.close()
+
+
+def test_two_builds_of_one_scenario_record_the_same_trace():
+    """``build`` restarts request numbering: a second run in this process
+    must not carry on from the first run's request ids."""
+    dsn = SCHEMES["etx"].format(seed=4)
+    assert _scenario_trace(dsn) == _scenario_trace(dsn)
 
 
 def test_traces_match_the_committed_fingerprints():
