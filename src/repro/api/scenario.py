@@ -118,8 +118,10 @@ def _format_number(value: float) -> str:
 
 def _finite(value: Any) -> bool:
     """A real number (not a bool) that is neither NaN nor infinite."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    # Every int is finite; math.isfinite overflows on one too big for a float.
+    return isinstance(value, int) or math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -384,11 +386,11 @@ def _rule(what: str, rule: str, holds: Callable[[Any], bool]) -> Callable[[Any],
 
 
 def _non_negative(what: str) -> Callable[[Any], None]:
-    return _rule(what, "non-negative", lambda value: value >= 0)
+    return _rule(what, "non-negative and finite", lambda value: _finite(value) and value >= 0)
 
 
 def _positive(what: str) -> Callable[[Any], None]:
-    return _rule(what, "> 0", lambda value: value > 0)
+    return _rule(what, "> 0 and finite", lambda value: _finite(value) and value > 0)
 
 
 def _within(what: str, low: int, high: int) -> Callable[[Any], None]:

@@ -22,10 +22,12 @@ The store holds rows, ``(time, category, process, data)`` tuples, never
 :class:`TraceEvent` objects.  What a stored event costs per retention mode:
 
 * ``full`` -- a row in a live list until :data:`BLOCK_ROWS` rows have
-  gathered; then the list is sealed into one :func:`marshal.dumps` bytes
-  block, about 60 bytes per event.  The cyclic garbage collector never walks
-  bytes, so a sealed event costs it nothing; only the live list's rows (a
-  tuple and a data dict each) are tracked objects.
+  gathered; then the list is sealed into one protocol-5 :mod:`pickle` bytes
+  block, about 45 bytes per event: the pickle memo writes a string that
+  repeats within the block (a category, a process, a key) once.  The cyclic
+  garbage collector never walks bytes, so a sealed event costs it nothing;
+  only the live list's rows (a tuple and a data dict each) are tracked
+  objects.
 * ``ring:N`` -- a row in a ``deque(maxlen=N)``: tracked, but at most ``N``.
 * ``off`` -- nothing; a category nobody subscribed to is not even stamped.
 
@@ -43,7 +45,8 @@ this module.
 
 from __future__ import annotations
 
-import marshal
+import io
+import pickle
 from collections import deque
 from itertools import chain, starmap
 from types import SimpleNamespace
@@ -61,6 +64,39 @@ BLOCK_ROWS = 256
 
 #: A stored event: ``(time, category, process, data)``.
 Row = tuple[float, str, str, dict[str, Any]]
+
+
+class _BlockPickler(pickle.Pickler):
+    """Seals rows of plain data into one pickle bytes block.
+
+    ``pickle`` stores an exact ``None``, ``bool``, ``int``, ``float``,
+    ``str``, ``bytes``, ``tuple``, ``list``, ``dict``, ``set`` or
+    ``frozenset`` itself (a ``bytearray`` too, which reads back as one) and
+    asks :meth:`reducer_override` about everything else, which it would
+    store by a reference to its class (a ``str`` subclass, an ``IntEnum``
+    member, a namedtuple).  The override refuses them all, so a block holds
+    plain data only, reads back with the same types and, on read, imports
+    nothing.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = io.BytesIO()
+        super().__init__(self._buffer, protocol=5)
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise ValueError(f"a trace stores plain data only, not {type(obj).__qualname__!r}")
+
+    def seal(self, rows: list[Row]) -> bytes:
+        buffer = self._buffer
+        buffer.seek(0)
+        buffer.truncate()
+        try:
+            self.dump(rows)
+        finally:
+            # A memo left over from this block, complete or refused, would
+            # make the next block refer to objects it never wrote.
+            self.clear_memo()
+        return buffer.getvalue()
 
 
 def parse_retention(policy: str) -> tuple[str, Optional[int]]:
@@ -152,6 +188,7 @@ class TraceRecorder:
         self._blocks: list[bytes] = []  # sealed rows, oldest first (full/off)
         self._sealed = 0  # rows in self._blocks
         self._rows: Union[list[Row], deque[Row]] = []  # the live rows after them
+        self._pickler = _BlockPickler()  # seals self._rows into self._blocks
         self._subscribers: dict[str, list[Subscriber]] = {}
         self.set_retention(retention)
 
@@ -205,12 +242,12 @@ class TraceRecorder:
     def record(self, category: str, process: str = "", **data: Any) -> None:
         """Record an event at the current virtual time and dispatch it.
 
-        ``data`` is plain data: its values are what :mod:`marshal` carries --
-        ``str``, ``int``, ``float``, ``bool``, ``None``, ``bytes``, and tuples,
-        lists, dicts, sets and frozensets of those, exact types only.  Sealing
-        a ``full`` trace raises ``ValueError`` on anything else, so a stored
-        value never comes back as a different type.  With retention ``off``
-        and no subscriber for ``category`` this is a near-no-op.
+        ``data`` is plain data: ``str``, ``int``, ``float``, ``bool``,
+        ``None``, ``bytes``, and tuples, lists, dicts, sets and frozensets of
+        those, exact types only.  Sealing a ``full`` trace raises
+        ``ValueError`` on anything else, so a stored value never comes back
+        as a different type.  With retention ``off`` and no subscriber for
+        ``category`` this is a near-no-op.
         """
         subscribers = self._subscribers.get(category)
         if subscribers is None and not self._store:
@@ -229,7 +266,7 @@ class TraceRecorder:
     def _seal(self) -> None:
         """Turn the live rows into one bytes block the collector never walks."""
         rows = self._rows
-        self._blocks.append(marshal.dumps(rows))
+        self._blocks.append(self._pickler.seal(rows))
         self._sealed += len(rows)
         rows.clear()
 
@@ -237,7 +274,7 @@ class TraceRecorder:
 
     def _stored(self) -> Iterator[Row]:
         """Every stored row, oldest first, one sealed block decoded at a time."""
-        return chain(chain.from_iterable(map(marshal.loads, self._blocks)), self._rows)
+        return chain(chain.from_iterable(map(pickle.loads, self._blocks)), self._rows)
 
     @staticmethod
     def _matching(rows: Iterable[Row], category: Optional[str], process: Optional[str],

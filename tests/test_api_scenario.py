@@ -138,6 +138,11 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://a3?runtime=asyncio&pace=nan", "bad value for 'pace'"),
     ("etx://a3?hb_interval=nan", "bad value for 'hb_interval'"),
     ("etx://a3?lat_aa=nan", "bad value for 'lat_aa'"),
+    # ... and an infinity, which a run divides by or waits for forever.
+    ("etx://a3.d1.c1?rate=inf&seed=1", "bad value for 'rate'"),
+    ("etx://a3.d1.c1?hb_interval=inf&fd=heartbeat", "bad value for 'hb_interval'"),
+    ("etx://a3.d1.c1?lat_ca=inf", "bad value for 'lat_ca'"),
+    ("etx://a3.d1.c1?think=inf", "bad value for 'think'"),
 ])
 def test_clear_errors_on_bad_dsns(dsn, fragment):
     with pytest.raises(ScenarioError) as excinfo:
@@ -276,6 +281,13 @@ def test_load_shape_validation():
         Scenario(think_time=-2.0)
     with pytest.raises(ScenarioError, match="closed-loop"):
         Scenario(rate=5.0, think_time=10.0)
+
+
+def test_an_int_row_accepts_an_int_too_big_for_a_float():
+    # The finite-value rule must not overflow converting it to a float.
+    scenario = Scenario.from_dsn("etx://a3?mailbox=1" + "0" * 400)
+    assert scenario.mailbox == 10 ** 400
+    assert Scenario.from_dsn(scenario.to_dsn()) == scenario
 
 
 def test_describe_mentions_the_load_shape():

@@ -175,6 +175,7 @@ def test_sweep_command_rejects_unknown_axes(capsys):
     ("workload=1", "unknown workload '1'"),
     ("seed=1.5", "bad value for sweep axis 'seed'"),
     ("lat_ca=-1", "bad value for 'lat_ca'"),
+    ("rate=inf", "bad value for 'rate'"),
 ])
 def test_sweep_command_parses_axis_values_with_the_keys_parser(axis, fragment, capsys):
     status = main(["sweep", "etx://d1", "--axis", axis, "--serial"])

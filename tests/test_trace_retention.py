@@ -4,13 +4,18 @@
 everything that matters -- online spec checking, per-database statistics,
 latency components -- streams off the bus and must keep working when the
 stored trace is truncated or absent.  A ``full`` trace seals its rows into
-``marshal`` blocks every ``BLOCK_ROWS`` events; the queries and a retention
-switch must read across those blocks exactly as across live rows.
+``pickle`` blocks every ``BLOCK_ROWS`` events; the queries and a retention
+switch must read across those blocks exactly as across live rows, and every
+plain value must come back with its exact type.
 """
 
+import enum
+from collections import OrderedDict, namedtuple
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.sim.tracing import BLOCK_ROWS, TraceEvent, TraceRecorder, parse_retention
@@ -128,17 +133,87 @@ def test_a_ring_switch_keeps_the_last_events_across_a_sealed_block():
     assert list(trace) == _expected(range(last_five[0], 2 * BLOCK_ROWS + 3))
 
 
+class _Name(str):
+    pass
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+_Point = namedtuple("_Point", "x y")
+
+
 def test_a_value_marshal_cannot_carry_fails_the_seal():
-    """Sealing refuses a ``str`` subclass rather than return a plain ``str``."""
+    """Sealing refuses a value that is not plain data rather than store it
+    by a reference to its class or return it as another type."""
+    for value in (_Name("a1"), _Color.RED, OrderedDict(a=1), _Point(1, 2), object()):
+        clock = SimpleNamespace(now=0.0)
+        trace = TraceRecorder(clock)
+        with pytest.raises(ValueError, match=f"not '{type(value).__qualname__}'"):
+            trace.record("tick", name=value)
+            _tick(trace, clock, range(1, BLOCK_ROWS))
 
-    class Name(str):
-        pass
 
+def test_a_refused_seal_leaves_another_recorder_sealing():
+    """A seal refused halfway leaves nothing behind that a later block reads."""
+    clock = SimpleNamespace(now=0.0)
+    refused = TraceRecorder(clock)
+    with pytest.raises(ValueError):
+        _tick(refused, clock, range(BLOCK_ROWS - 1))
+        refused.record("tick", "p0", n=_Name("a1"))
+    trace = TraceRecorder(clock)
+    total = 2 * BLOCK_ROWS + 1
+    _tick(trace, clock, range(total))
+    assert list(trace) == _expected(range(total))
+
+
+# Nested plain data: every exact type a row may carry, including the floats
+# and ints a careless encoding would change.
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200).map(lambda n: -n if n % 2 else n),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=8), st.binary(max_size=8))
+_hashable = st.recursive(_scalars, lambda inner: st.one_of(
+    st.tuples(inner, inner), st.frozensets(inner, max_size=3)), max_leaves=6)
+_plain = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.tuples(inner, inner),
+    st.dictionaries(_hashable, inner, max_size=3),
+    st.sets(_hashable, max_size=3), st.frozensets(_hashable, max_size=3)), max_leaves=12)
+
+
+def _exactly(value):
+    """A comparable form of ``value`` that tells apart every type, ``-0.0``
+    from ``0.0`` and each NaN from nothing else, keeping list order and
+    dict insertion order."""
+    kind = type(value).__name__
+    if isinstance(value, float):
+        return kind, repr(value)
+    if isinstance(value, (list, tuple)):
+        return kind, tuple(map(_exactly, value))
+    if isinstance(value, dict):
+        return kind, tuple((_exactly(k), _exactly(v)) for k, v in value.items())
+    if isinstance(value, (set, frozenset)):
+        return kind, len(value), frozenset(map(_exactly, value))
+    return kind, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_plain, min_size=1, max_size=12))
+def test_plain_values_read_back_exactly_across_sealed_blocks(values):
     clock = SimpleNamespace(now=0.0)
     trace = TraceRecorder(clock)
-    with pytest.raises(ValueError):
-        trace.record("tick", name=Name("a1"))
-        _tick(trace, clock, range(1, BLOCK_ROWS))
+    total = 2 * BLOCK_ROWS + 3  # two sealed blocks, then three live rows
+    for n in range(total):
+        clock.now = n / 3
+        trace.record("value", f"p{n % 5}", v=values[n % len(values)], n=n)
+    stored = list(trace)
+    assert [(e.time, e.category, e.process, e.get("n")) for e in stored] == \
+        [(n / 3, "value", f"p{n % 5}", n) for n in range(total)]
+    assert [_exactly(e.get("v")) for e in stored] == \
+        [_exactly(values[n % len(values)]) for n in range(total)]
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
