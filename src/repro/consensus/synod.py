@@ -440,9 +440,9 @@ class ConsensusHost(ConsensusProtocol):
                                  "value": self._decisions[instance]})
 
     def _send_peers(self, payload: dict) -> None:
-        # One template message, copy-on-write siblings per peer: the
-        # payload dict is shared (nobody mutates consensus payloads) instead
-        # of duplicated per destination.
+        # One template message, a sibling per peer: the payload dict is
+        # shared (a sent payload is read-only) instead of duplicated per
+        # destination.
         template = Message(self.MSG_TYPE, payload=payload)
         send = self.process.send
         for peer in self._peers:

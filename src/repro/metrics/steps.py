@@ -123,17 +123,18 @@ class StepComparison:
         self.profiles[profile.label] = profile
 
     def to_table(self) -> str:
-        """Text table: one row per protocol with message counts by category."""
-        categories = ["Request", "Execute", "Prepare", "Vote", "Decide", "AckDecide",
-                      "CommitOnePhase", "Result"]
-        header = "protocol".ljust(16) + "".join(c.rjust(9) for c in categories) + \
-            "  total".rjust(9)
-        lines = [header]
+        """Text table: one row per protocol with its message counts by type,
+        its consensus messages and every message it sent; each column as wide
+        as its widest cell."""
+        types = ["Request", "Execute", "Prepare", "Vote", "Decide", "AckDecide",
+                 "CommitOnePhase", "Result"]
+        rows = [["protocol", *types, "Consensus", "total"]]
         for label, profile in self.profiles.items():
             counts = profile.counts_by_type()
-            row = label.ljust(16)
-            for category in categories:
-                row += str(counts.get(category, 0)).rjust(9)
-            row += str(len(profile.steps)).rjust(9)
-            lines.append(row)
-        return "\n".join(lines)
+            rows.append([label, *(str(counts.get(msg_type, 0)) for msg_type in types),
+                         str(profile.consensus_messages), str(profile.total_messages)])
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join(
+            "  ".join([row[0].ljust(widths[0])]
+                      + [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])])
+            for row in rows)

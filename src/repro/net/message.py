@@ -223,8 +223,9 @@ class Message:
     sender / destination:
         Process names.
     payload:
-        Message contents; keys are protocol specific (``request``, ``j``,
-        ``vote``, ``outcome``, ``decision``...).
+        Message contents (the constructor's ``payload``, read back through
+        ``get``/``__getitem__``); keys are protocol specific (``request``,
+        ``j``, ``vote``, ``outcome``, ``decision``...).
     msg_id:
         Unique identifier; ``0`` until the network stamps it at send time
         from the sender's per-source counter.
@@ -232,14 +233,11 @@ class Message:
         Virtual time at which the network accepted the message (filled by the
         network).
 
-    The payload dict is shared copy-on-write between a message and its
-    :meth:`copy` siblings: reads go through ``get``/``__getitem__`` without
-    copying, and the ``payload`` property materializes a private dict the
-    first time a potentially shared one is exposed for mutation.
+    A sent payload is read-only: it is read through ``get``/``__getitem__``,
+    and a message shares its dict with its :meth:`copy` siblings.
     """
 
-    __slots__ = ("msg_type", "sender", "destination", "msg_id", "send_time",
-                 "_payload", "_shared")
+    __slots__ = ("msg_type", "sender", "destination", "msg_id", "send_time", "_payload")
 
     def __init__(self, msg_type: str, sender: str = "", destination: str = "",
                  payload: Optional[dict[str, Any]] = None, msg_id: int = 0,
@@ -248,26 +246,11 @@ class Message:
         self.sender = sender
         self.destination = destination
         self._payload = {} if payload is None else payload
-        self._shared = False
         self.msg_id = msg_id
         self.send_time = send_time
 
-    @property
-    def payload(self) -> dict[str, Any]:
-        """The payload dict, private to this message.
-
-        If the dict is currently shared with :meth:`copy` siblings it is
-        duplicated first, so callers may mutate the result freely.
-        """
-        payload = self._payload
-        if self._shared:
-            payload = dict(payload)
-            self._payload = payload
-            self._shared = False
-        return payload
-
     def get(self, key: str, default: Any = None) -> Any:
-        """Shorthand for ``message.payload.get(key, default)`` (no copy)."""
+        """The payload's value for ``key``, or ``default``."""
         return self._payload.get(key, default)
 
     def copy(self) -> "Message":
@@ -275,20 +258,13 @@ class Message:
 
         Used by multicast so each recipient gets its own message instance, as
         the network mutates routing fields in place.  The payload dict is
-        shared copy-on-write rather than eagerly duplicated; either side
-        copies it lazily if its ``payload`` property is touched.
+        shared, not duplicated: nobody writes to a sent payload.
         """
         sibling = Message.__new__(Message)
         sibling.msg_type = self.msg_type
         sibling.sender = ""
         sibling.destination = ""
-        payload = self._payload
-        sibling._payload = payload
-        if payload:
-            sibling._shared = True
-            self._shared = True
-        else:
-            sibling._shared = False
+        sibling._payload = self._payload
         sibling.msg_id = 0
         sibling.send_time = 0.0
         return sibling

@@ -217,21 +217,16 @@ class Network:
         by_type = stats.by_type_sent
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
         trace = self.sim.trace
-        # One bus probe gates everything message tracing would pay for:
-        # building the sorted payload-key list and the event object.
+        # One bus probe gates everything message tracing would pay for: the
+        # flat row (the payload's keys, sorted only when read) and any event.
         if trace.wants("msg_send"):
-            trace.record(
-                "msg_send", source,
-                msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
-                payload_keys=sorted(message._payload),
-            )
+            trace.record_message("msg_send", source, message.msg_type, destination, msg_id,
+                                 tuple(message._payload))
         if self._partition_groups and self._partitioned(source, destination):
             stats.dropped_partition += 1
             if trace.wants("msg_drop"):
-                trace.record(
-                    "msg_drop", source, reason="partition",
-                    msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
-                )
+                trace.record_message("msg_drop", source, message.msg_type, destination, msg_id,
+                                     "partition")
             return
         loss = self.loss_probability
         if loss > 0:
@@ -241,10 +236,8 @@ class Network:
             if draw() < loss:
                 stats.dropped_loss += 1
                 if trace.wants("msg_drop"):
-                    trace.record(
-                        "msg_drop", source, reason="loss",
-                        msg_type=message.msg_type, destination=destination, msg_id=message.msg_id,
-                    )
+                    trace.record_message("msg_drop", source, message.msg_type, destination,
+                                         msg_id, "loss")
                 return
         self._transmit(message, destination)
 
@@ -274,18 +267,14 @@ class Network:
         if destination is None or not destination.up:
             self.stats.dropped_dest_down += 1
             if trace.wants("msg_drop"):
-                trace.record(
-                    "msg_drop", destination_name, reason="destination_down",
-                    msg_type=message.msg_type, msg_id=message.msg_id, sender=message.sender,
-                )
+                trace.record_message("msg_drop", destination_name, message.msg_type,
+                                     message.sender, message.msg_id, "destination_down")
             return
         stats = self.stats
         stats.delivered += 1
         by_type = stats.by_type_delivered
         by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
         if trace.wants("msg_deliver"):
-            trace.record(
-                "msg_deliver", destination_name,
-                msg_type=message.msg_type, sender=message.sender, msg_id=message.msg_id,
-            )
+            trace.record_message("msg_deliver", destination_name, message.msg_type,
+                                 message.sender, message.msg_id, None)
         destination.deliver(message)

@@ -548,9 +548,6 @@ class Process:
             self.unhandled_messages += 1
             self.trace.record("unhandled", self.name, msg_type=msg_type)
             return
-        # Read the payload dict without touching ``Message.payload``: the
-        # property would materialize a private copy of a COW-shared dict,
-        # defeating the whole point of copy-on-write multicast.
         payload = message._payload
         correlation = payload["j"] if "j" in payload else message.sender
         if msg_type in self._stale_types and correlation in self._terminated:

@@ -18,22 +18,29 @@ two ways:
     memory is bounded, queries see a suffix of the history.
   - ``off`` -- store nothing.
 
-The store holds rows, ``(time, category, process, data)`` tuples, never
-:class:`TraceEvent` objects.  What a stored event costs per retention mode:
+The store holds rows of plain data, never :class:`TraceEvent` objects, in
+two shapes.  A transport event (``msg_send``, ``msg_deliver``, ``msg_drop``,
+recorded by :meth:`TraceRecorder.record_message`) is one flat row,
+``(time, category, process, msg_type, peer, msg_id, detail)``; every other
+event is a ``(time, category, process, data)`` row.  A transport row is
+expanded to its data dict only when it is read or consumed, by the one
+expander beside the queries, so the messages a ring throws away unread never
+cost a dict.  What a stored event costs per retention mode:
 
 * ``full`` -- a row in a live list until :data:`BLOCK_ROWS` rows have
   gathered; then the list is sealed into one protocol-5 :mod:`pickle` bytes
-  block, about 45 bytes per event: the pickle memo writes a string that
-  repeats within the block (a category, a process, a key) once.  The cyclic
-  garbage collector never walks bytes, so a sealed event costs it nothing;
-  only the live list's rows (a tuple and a data dict each) are tracked
-  objects.
-* ``ring:N`` -- a row in a ``deque(maxlen=N)``: tracked, but at most ``N``.
+  block, about 38 bytes per event on the 2PC comparator: the pickle memo
+  writes a string that repeats within the block (a category, a process, a
+  key) once.  The cyclic garbage collector never walks bytes, so a sealed
+  event costs it nothing; only the live list's rows are tracked objects.
+* ``ring:N`` -- a row in a ``deque(maxlen=N)``, about 230 bytes live on the
+  same run: tracked, but at most ``N``.
 * ``off`` -- nothing; a category nobody subscribed to is not even stamped.
 
 A :class:`TraceEvent` is built only where one is consumed: once per record
 for the category's subscribers, and on read, where the queries decode sealed
-blocks and test a row's category and process before building an event.
+blocks and test a row's category and process before expanding it and
+building an event.
 Events are stamped with the owning kernel's ``now`` read directly (an
 attribute on the simulator, a property on the asyncio kernel).  Call sites ask
 ``wants(category)`` before assembling a payload -- or before calling
@@ -62,8 +69,13 @@ RETENTION_RING = "ring"
 #: (4 096 rows left as many full collections as storing events did).
 BLOCK_ROWS = 256
 
-#: A stored event: ``(time, category, process, data)``.
+#: An event as it is read: ``(time, category, process, data)``.
 Row = tuple[float, str, str, dict[str, Any]]
+#: A transport event as it is stored:
+#: ``(time, category, process, msg_type, peer, msg_id, detail)``.
+MessageRow = tuple[float, str, str, str, str, int, Any]
+#: What the store holds: either shape.
+StoredRow = Union[Row, MessageRow]
 
 
 class _BlockPickler(pickle.Pickler):
@@ -86,7 +98,7 @@ class _BlockPickler(pickle.Pickler):
     def reducer_override(self, obj: Any) -> Any:
         raise ValueError(f"a trace stores plain data only, not {type(obj).__qualname__!r}")
 
-    def seal(self, rows: list[Row]) -> bytes:
+    def seal(self, rows: list[StoredRow]) -> bytes:
         buffer = self._buffer
         buffer.seek(0)
         buffer.truncate()
@@ -168,6 +180,25 @@ class TraceEvent:
 Subscriber = Callable[[TraceEvent], None]
 
 
+def _expand(row: StoredRow) -> Row:
+    """A stored row as it is read: a transport row gets back the data dict its
+    event has always carried (same keys, same order, ``payload_keys`` a sorted
+    list); any other row is returned as it is."""
+    if len(row) == 4:
+        return row  # type: ignore[return-value]
+    time, category, process, msg_type, peer, msg_id, detail = row  # type: ignore[misc]
+    if category == "msg_send":
+        data = {"msg_type": msg_type, "destination": peer, "msg_id": msg_id,
+                "payload_keys": sorted(detail)}
+    elif category == "msg_deliver":
+        data = {"msg_type": msg_type, "sender": peer, "msg_id": msg_id}
+    elif detail == "destination_down":
+        data = {"reason": detail, "msg_type": msg_type, "msg_id": msg_id, "sender": peer}
+    else:  # a partition or loss drop, at the sender
+        data = {"reason": detail, "msg_type": msg_type, "destination": peer, "msg_id": msg_id}
+    return time, category, process, data
+
+
 class TraceRecorder:
     """Event bus plus (retention-bounded) store of event rows.
 
@@ -187,7 +218,7 @@ class TraceRecorder:
         self._clock = clock if clock is not None else SimpleNamespace(now=0.0)
         self._blocks: list[bytes] = []  # sealed rows, oldest first (full/off)
         self._sealed = 0  # rows in self._blocks
-        self._rows: Union[list[Row], deque[Row]] = []  # the live rows after them
+        self._rows: Union[list[StoredRow], deque[StoredRow]] = []  # the live rows after them
         self._pickler = _BlockPickler()  # seals self._rows into self._blocks
         self._subscribers: dict[str, list[Subscriber]] = {}
         self.set_retention(retention)
@@ -263,6 +294,30 @@ class TraceRecorder:
             for callback in subscribers:
                 callback(event)
 
+    def record_message(self, category: str, process: str, msg_type: str, peer: str,
+                       msg_id: int, detail: Any) -> None:
+        """Record a transport event (``msg_send``, ``msg_deliver``,
+        ``msg_drop``) as one flat row, expanded to its data dict only when
+        read or consumed.
+
+        ``peer`` is the other end of the message (the destination of a send
+        or a partition/loss drop, the sender of a delivery or a
+        ``destination_down`` drop); ``detail`` is the sent payload's keys as a
+        tuple, ``None`` for a delivery, the reason string for a drop.  Callers
+        ask ``wants(category)`` first, so this always has an effect.
+        """
+        row = (self._clock.now, category, process, msg_type, peer, msg_id, detail)
+        if self._store:
+            rows = self._rows
+            rows.append(row)
+            if self._sealing and len(rows) >= BLOCK_ROWS:
+                self._seal()
+        subscribers = self._subscribers.get(category)
+        if subscribers is not None:
+            event = TraceEvent(*_expand(row))
+            for callback in subscribers:
+                callback(event)
+
     def _seal(self) -> None:
         """Turn the live rows into one bytes block the collector never walks."""
         rows = self._rows
@@ -272,24 +327,26 @@ class TraceRecorder:
 
     # ---------------------------------------------------------------- query
 
-    def _stored(self) -> Iterator[Row]:
-        """Every stored row, oldest first, one sealed block decoded at a time."""
+    def _stored(self) -> Iterator[StoredRow]:
+        """Every stored row, either shape, oldest first, one sealed block
+        decoded at a time."""
         return chain(chain.from_iterable(map(pickle.loads, self._blocks)), self._rows)
 
     @staticmethod
-    def _matching(rows: Iterable[Row], category: Optional[str], process: Optional[str],
+    def _matching(rows: Iterable[StoredRow], category: Optional[str], process: Optional[str],
                   data_filters: dict[str, Any]) -> Iterator[Row]:
         for row in rows:
             if (category is None or row[1] == category) \
-                    and (process is None or row[2] == process) \
-                    and not any(row[3].get(k) != v for k, v in data_filters.items()):
-                yield row
+                    and (process is None or row[2] == process):
+                event = _expand(row)
+                if not any(event[3].get(k) != v for k, v in data_filters.items()):
+                    yield event
 
     def __len__(self) -> int:
         return self._sealed + len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return starmap(TraceEvent, self._stored())
+        return starmap(TraceEvent, map(_expand, self._stored()))
 
     def select(self, category: Optional[str] = None, process: Optional[str] = None,
                **data_filters: Any) -> list[TraceEvent]:

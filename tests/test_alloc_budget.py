@@ -22,12 +22,15 @@ walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count,
 taken once the system is built and its load laid out and again after the
 run, per delivered request.  So are the calls into ``sim/process.py`` per request, counted by
 ``cProfile`` over the same deterministic runs: a count, exact for a given tree.
+A stored trace event is budgeted in bytes: sealed under ``full``, and alive in
+a ``ring:N`` (``tracemalloc``, beyond the same run at ``off``).
 """
 
 import cProfile
 import gc
 import pstats
 import sys
+import tracemalloc
 
 from repro import api
 from repro.sim.tracing import BLOCK_ROWS, TraceRecorder
@@ -229,10 +232,11 @@ def test_a_full_trace_leaves_the_collector_nothing_to_walk():
     assert tracked / stored <= 0.05, tracked
 
 
-def test_a_full_trace_seals_under_48_bytes_per_event():
-    """A sealed event of the 2PC comparator's full trace costs 44.3 bytes
-    (63.9 when a block was ``marshal``'s, which writes each repeated
-    category, process and key string out again)."""
+def test_a_full_trace_seals_under_42_bytes_per_event():
+    """A sealed event of the 2PC comparator's full trace costs 37.6 bytes
+    (44.3 when a transport event was sealed as a data dict, 63.9 when a block
+    was ``marshal``'s, which writes each repeated category, process and key
+    string out again)."""
     system = api.build(api.Scenario.from_dsn(TWO_PC_TRACED_DSN))
     ClosedLoop().run(system, 20)
     trace = system.trace
@@ -240,4 +244,34 @@ def test_a_full_trace_seals_under_48_bytes_per_event():
     per_event = sum(map(len, trace._blocks)) / trace._sealed
     system.close()
     print(f"\n2pc trace=full: {per_event:.1f} sealed bytes/event")
-    assert per_event <= 48, per_event
+    assert per_event <= 42, per_event
+
+
+def _traced_bytes(retention: str, requests_per_client: int) -> tuple[int, int]:
+    """(bytes ``tracemalloc`` sees alive after a closed-loop run of the 2PC
+    comparator at ``retention``, events stored)."""
+    dsn = TWO_PC_TRACED_DSN.replace("trace=full", f"trace={retention}")
+    system = api.build(api.Scenario.from_dsn(dsn))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ClosedLoop().run(system, requests_per_client)
+        gc.collect()
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = len(system.trace)
+    system.close()
+    return size, stored
+
+
+def test_a_ring_row_costs_under_260_bytes():
+    """A live ``ring:N`` row of the 2PC comparator costs 227.7 bytes (321.2
+    when a transport event was stored as a row and a data dict): the bytes
+    alive after the run beyond those of the same run at ``off``."""
+    ring, stored = _traced_bytes("ring:100000", 100)
+    off, _ = _traced_bytes("off", 100)
+    assert stored == 11600
+    per_row = (ring - off) / stored
+    print(f"\n2pc trace=ring: {per_row:.1f} bytes/live row")
+    assert per_row <= 260, per_row

@@ -102,7 +102,15 @@ def test_figure7_latency_ordering(figure7_report):
 
 
 def test_figure7_rendering(figure7_report):
-    assert "baseline" in figure7_report.to_table()
+    header, *rows = figure7_report.to_table().splitlines()
+    assert header.split() == ["protocol", "Request", "Execute", "Prepare", "Vote", "Decide",
+                              "AckDecide", "CommitOnePhase", "Result", "Consensus", "total"]
+    table = {row.split()[0]: dict(zip(header.split(), row.split())) for row in rows}
+    assert list(table) == ["baseline", "2PC", "PB", "AR"]
+    # AR's total is every message it sent: 8 protocol messages and the 8
+    # consensus messages of its two register writes.
+    assert table["AR"]["Consensus"] == "8" and table["AR"]["total"] == "16"
+    assert table["2PC"]["Consensus"] == "0" and table["2PC"]["total"] == "8"
     diagrams = figure7_report.sequence_diagrams()
     assert "Request" in diagrams and "Result" in diagrams
 

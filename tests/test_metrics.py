@@ -144,15 +144,27 @@ def test_sequence_diagram_renders_steps():
     assert "demo" in text and "c1" in text and "Request" in text
 
 
+FIGURE7_COLUMNS = ["protocol", "Request", "Execute", "Prepare", "Vote", "Decide",
+                   "AckDecide", "CommitOnePhase", "Result", "Consensus", "total"]
+
+
 def test_step_comparison_table():
     comparison = StepComparison()
-    comparison.add(CommunicationProfile("baseline", steps=[Step(0.0, "c1", "a1", "Request")]))
+    comparison.add(CommunicationProfile("baseline", steps=[Step(0.0, "c1", "a1", "Request")],
+                                        total_messages=3))
     comparison.add(CommunicationProfile("AR", steps=[Step(0.0, "c1", "a1", "Request"),
-                                                     Step(1.0, "a1", "d1", "Prepare")]))
+                                                     Step(1.0, "a1", "d1", "Prepare")],
+                                        total_messages=14, consensus_messages=12))
     assert {label: len(profile.steps)
             for label, profile in comparison.profiles.items()} == {"baseline": 1, "AR": 2}
-    table = comparison.to_table()
-    assert "baseline" in table and "AR" in table
+    header, *rows = comparison.to_table().splitlines()
+    # Every column is as wide as its widest cell: no two names run together.
+    assert header.split() == FIGURE7_COLUMNS
+    table = {row.split()[0]: dict(zip(FIGURE7_COLUMNS, row.split())) for row in rows}
+    assert table["baseline"]["Request"] == "1" and table["baseline"]["total"] == "3"
+    # ``total`` counts every message sent, consensus included.
+    assert table["AR"]["Prepare"] == "1"
+    assert table["AR"]["Consensus"] == "12" and table["AR"]["total"] == "14"
 
 
 # ------------------------------------------------------------- percentiles

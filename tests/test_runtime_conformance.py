@@ -189,7 +189,7 @@ def test_receive_matchers_route_by_type(kernel):
     def listener(msg_type: str):
         while True:
             message = yield receiver.receive([(msg_type, ANY)])
-            seen[msg_type].append(message.payload["n"])
+            seen[msg_type].append(message["n"])
 
     receiver.spawn(listener("Ping"), name="ping-listener")
     receiver.spawn(listener("Pong"), name="pong-listener")

@@ -12,16 +12,21 @@ plain value must come back with its exact type.
 import enum
 from collections import OrderedDict, namedtuple
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.sim.process import Process
+from repro.sim.scheduler import Simulator
 from repro.sim.tracing import BLOCK_ROWS, TraceEvent, TraceRecorder, parse_retention
 from repro.workload.generator import ClosedLoop
 
-from test_trace_golden import SCHEMES, _fingerprint
+from test_trace_golden import SCHEMES, TRANSPORT, _fingerprint
 
 SHARDED = "etx://a3.d2.c2?seed=5&workload=bank&placement=hash&xshard=0.5"
 
@@ -228,6 +233,127 @@ def test_a_sealed_trace_reads_back_as_the_unsealed_one(scheme):
         system.close()
     assert len(traces["full"]) >= 2 * BLOCK_ROWS
     assert traces["full"] == traces["ring:10000000"]
+
+
+# ---------------------------------------------------------- transport rows
+
+
+def _transport_run(retention: str, switch_to: Optional[str] = None, messages: int = 400):
+    """Send ``messages`` messages through a real ``Network`` -- delivered,
+    dropped by a partition, at a crashed destination and by loss, a quarter
+    each -- and return the recorder, what a subscriber saw, and each
+    transport event as ``(time, category, process, data)`` with the keys
+    in the order the network has always recorded them.  ``switch_to``
+    changes retention halfway."""
+    sim = Simulator(seed=1)
+    sim.trace.set_retention(retention)
+    network = Network(sim)
+    for name in ("a", "b", "c"):
+        network.register(Process(sim, name))
+    seen: list[TraceEvent] = []
+    for category in TRANSPORT:
+        sim.trace.subscribe(category, seen.append)
+    expected: list[tuple] = []
+    quarter = messages // 4
+
+    def send(n: int) -> None:
+        if n == messages // 2 and switch_to is not None:
+            sim.trace.set_retention(switch_to)
+        phase = n // quarter
+        if n % quarter == 0:    # enter the phase
+            if phase == 1:
+                network.partition(["a"], ["b", "c"])
+            elif phase == 2:
+                network.heal_partition()
+                network.processes["b"].crash()
+            elif phase == 3:
+                network.loss_probability = 1.0
+        destination = "c" if phase == 3 else "b"
+        # Payload keys in neither sorted nor reverse order.
+        message = Message("Ping", payload={"n": n, "j": ("c1", n), "a": n % 3})
+        network.send("a", destination, message)
+        msg_id = message.msg_id
+        expected.append((sim.now, "msg_send", "a", {
+            "msg_type": "Ping", "destination": destination, "msg_id": msg_id,
+            "payload_keys": ["a", "j", "n"]}))
+        if phase == 0:
+            expected.append((sim.now + 1.75, "msg_deliver", "b", {
+                "msg_type": "Ping", "sender": "a", "msg_id": msg_id}))
+        elif phase == 1:
+            expected.append((sim.now, "msg_drop", "a", {
+                "reason": "partition", "msg_type": "Ping", "destination": "b",
+                "msg_id": msg_id}))
+        elif phase == 2:
+            expected.append((sim.now + 1.75, "msg_drop", "b", {
+                "reason": "destination_down", "msg_type": "Ping", "msg_id": msg_id,
+                "sender": "a"}))
+        else:
+            expected.append((sim.now, "msg_drop", "a", {
+                "reason": "loss", "msg_type": "Ping", "destination": "c",
+                "msg_id": msg_id}))
+
+    for n in range(messages):
+        sim.schedule(10.0 * n + 1.0, lambda n=n: send(n))
+    sim.run()
+    return sim.trace, seen, expected
+
+
+def _exact_events(events) -> list[tuple]:
+    """Events as comparable tuples that tell key order and list from tuple."""
+    return [(e.time, e.category, e.process, list(e.data.items()),
+             type(e.data.get("payload_keys")).__name__) for e in events]
+
+
+def _exact_rows(rows) -> list[tuple]:
+    return _exact_events(TraceEvent(*row) for row in rows)
+
+
+def _transport(trace: TraceRecorder) -> list[TraceEvent]:
+    return [event for event in trace if event.category in TRANSPORT]
+
+
+@pytest.mark.parametrize("retention", ["full", "ring:150", "off"])
+def test_transport_rows_read_back_as_the_network_recorded_them(retention):
+    trace, seen, expected = _transport_run(retention)
+    assert {row[3].get("reason") for row in expected if row[1] == "msg_drop"} == \
+        {"partition", "destination_down", "loss"}
+    assert _exact_events(seen) == _exact_rows(expected)
+    stored = {"full": expected, "ring:150": expected[-150:], "off": []}[retention]
+    if retention == "full":
+        assert len(trace) >= 2 * BLOCK_ROWS and trace._blocks  # across sealed blocks
+    assert _exact_events(_transport(trace)) == _exact_rows(stored)
+    for category, process, filters in (
+            ("msg_send", None, {"destination": "c"}),
+            ("msg_send", "a", {"payload_keys": ["a", "j", "n"]}),
+            ("msg_deliver", "b", {"sender": "a"}),
+            ("msg_drop", None, {"reason": "loss"}),
+            ("msg_drop", "b", {"reason": "destination_down", "sender": "a"}),
+            ("msg_drop", None, {"destination": "b"}),
+            (None, None, {"msg_id": expected[-1][3]["msg_id"]}),
+            (None, None, {"reason": "partition"})):
+        matching = [row for row in stored if (category is None or row[1] == category)
+                    and (process is None or row[2] == process)
+                    and all(row[3].get(k) == v for k, v in filters.items())]
+        assert _exact_events(trace.select(category, process, **filters)) == \
+            _exact_rows(matching), (category, process, filters)
+        assert trace.count(category, process, **filters) == len(matching)
+        if retention == "full":
+            assert matching, (category, process, filters)
+
+
+@pytest.mark.parametrize("retention, switch_to", [("full", "ring:70"), ("ring:70", "full")])
+def test_transport_rows_read_back_across_a_retention_switch(retention, switch_to):
+    trace, seen, expected = _transport_run(retention, switch_to=switch_to)
+    assert _exact_events(seen) == _exact_rows(expected)
+    if switch_to == "full":
+        # The ring's last 70 rows, then everything from the switch on.
+        first_half = [row for row in expected if row[0] < 10.0 * 200]
+        stored = first_half[-70:] + expected[len(first_half):]
+    else:
+        stored = expected[-70:]
+    assert _exact_events(_transport(trace)) == _exact_rows(stored)
+    assert _exact_events(trace.select("msg_send", "a", destination="b")) == _exact_rows(
+        [row for row in stored if row[1] == "msg_send" and row[3]["destination"] == "b"])
 
 
 # -------------------------------------------------------------- deployments
