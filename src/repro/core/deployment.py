@@ -34,7 +34,6 @@ from repro.failure.detectors import (
 )
 from repro.failure.injection import schedule_faults
 from repro.metrics.latency import LatencyComponentStream
-from repro.metrics.stream import DatabaseOutcomeStream
 from repro.net.latency import FixedLatency, PerLinkLatency, three_tier_latency
 from repro.registers.consensus_backed import ConsensusRegisterArray
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
@@ -108,8 +107,6 @@ class ThreeTierDeployment:
         # the complete event stream regardless of the retention policy.
         self.spec_monitor = SpecMonitor.attach(
             self.sim.trace, scenario.all_db_server_names, scenario.client_names)
-        self.db_outcomes = DatabaseOutcomeStream(
-            self.sim.trace, scenario.all_db_server_names)
         self.latency_components = LatencyComponentStream(self.sim.trace)
         self.network = create_network(
             self.runtime, self.sim, latency=self._build_latency(),

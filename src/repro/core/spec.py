@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.types import COMMIT, VOTE_YES
+from repro.core.types import ABORT, COMMIT, VOTE_YES
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
 
@@ -318,6 +318,21 @@ class SpecMonitor:
     def retired(self) -> int:
         """Transactions whose per-key machinery has been retired."""
         return self._retired
+
+    def outcome_counts(self, db: str) -> tuple[int, int]:
+        """Distinct transactions ``db`` decided, as ``(commits, aborts)``.
+
+        A key counts once however often its decision was applied (a lost
+        acknowledgement or a recovery makes the protocol re-send it); one
+        refused and later, after re-execution, committed counts as a commit.
+        """
+        commits = aborts = 0
+        for outcomes in self._decide_outcomes.get(db, {}).values():
+            if COMMIT in outcomes:
+                commits += 1
+            elif ABORT in outcomes:
+                aborts += 1
+        return commits, aborts
 
     # ---------------------------------------------------------- event folding
 

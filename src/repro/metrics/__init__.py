@@ -19,7 +19,6 @@ from repro.metrics.steps import (
     StepComparison,
     StreamingProfile,
 )
-from repro.metrics.stream import DatabaseOutcomeStream
 
 __all__ = [
     "percentile",
@@ -33,5 +32,4 @@ __all__ = [
     "StepComparison",
     "StreamingProfile",
     "PROTOCOL_MESSAGE_TYPES",
-    "DatabaseOutcomeStream",
 ]

@@ -37,7 +37,8 @@ ARRIVAL_PROCESSES = (ARRIVAL_POISSON, ARRIVAL_UNIFORM)
 class DatabaseStatistics:
     """Per-database (shard) outcome counters of one run.
 
-    ``commits``/``aborts`` count ``Decide`` outcomes applied at the database;
+    ``commits``/``aborts`` count distinct transactions the database decided
+    (one that aborted and later committed counts as a commit);
     ``in_doubt`` is the number of transactions still prepared-but-undecided
     when the measurement ended.  On a partitioned tier these make shard
     imbalance visible without reading traces.
@@ -280,13 +281,12 @@ class _Tally:
             # client crashed mid-run, or the run hit its horizon).
             leaf.undelivered = self.planned[client] - len(leaf.latencies)
             stats.merge(client, leaf)
-        # Distinct transactions per database, as counted since build time by
-        # the deployment's DatabaseOutcomeStream (no trace scan).
+        # Distinct transactions per database, as the deployment's spec
+        # monitor has seen them decided since build time (no trace scan).
         for name, server in deployment.db_servers.items():
+            commits, aborts = deployment.spec_monitor.outcome_counts(name)
             stats.by_database[name] = DatabaseStatistics(
-                commits=deployment.db_outcomes.commits(name),
-                aborts=deployment.db_outcomes.aborts(name),
-                in_doubt=len(server.in_doubt()))
+                commits=commits, aborts=aborts, in_doubt=len(server.in_doubt()))
         stats.saturation = deployment.saturation_stats()
         return stats
 

@@ -232,11 +232,13 @@ def test_a_full_trace_leaves_the_collector_nothing_to_walk():
     assert tracked / stored <= 0.05, tracked
 
 
-def test_a_full_trace_seals_under_42_bytes_per_event():
-    """A sealed event of the 2PC comparator's full trace costs 37.6 bytes
-    (44.3 when a transport event was sealed as a data dict, 63.9 when a block
-    was ``marshal``'s, which writes each repeated category, process and key
-    string out again)."""
+def test_a_full_trace_seals_under_16_bytes_per_event():
+    """A sealed event of the 2PC comparator's full trace costs 12.1 bytes on
+    Python 3.10, 3.11, 3.12 and 3.13 with zlib 1.2.13 or 1.3.1; another zlib
+    build may deflate a little differently, hence the margin.  An uncompressed
+    pickle block cost 37.6 bytes (44.3 when a transport event was sealed as a
+    data dict, 63.9 when a block was ``marshal``'s, which writes each repeated
+    category, process and key string out again)."""
     system = api.build(api.Scenario.from_dsn(TWO_PC_TRACED_DSN))
     ClosedLoop().run(system, 20)
     trace = system.trace
@@ -244,7 +246,7 @@ def test_a_full_trace_seals_under_42_bytes_per_event():
     per_event = sum(map(len, trace._blocks)) / trace._sealed
     system.close()
     print(f"\n2pc trace=full: {per_event:.1f} sealed bytes/event")
-    assert per_event <= 42, per_event
+    assert per_event <= 16, per_event
 
 
 def _traced_bytes(retention: str, requests_per_client: int) -> tuple[int, int]:

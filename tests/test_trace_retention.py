@@ -4,12 +4,13 @@
 everything that matters -- online spec checking, per-database statistics,
 latency components -- streams off the bus and must keep working when the
 stored trace is truncated or absent.  A ``full`` trace seals its rows into
-``pickle`` blocks every ``BLOCK_ROWS`` events; the queries and a retention
-switch must read across those blocks exactly as across live rows, and every
-plain value must come back with its exact type.
+deflated ``pickle`` blocks every ``BLOCK_ROWS`` events; the queries and a
+retention switch must read across those blocks exactly as across live rows,
+and every plain value must come back with its exact type.
 """
 
 import enum
+import pickle
 from collections import OrderedDict, namedtuple
 from types import SimpleNamespace
 from typing import Optional
@@ -160,17 +161,24 @@ def test_a_value_marshal_cannot_carry_fails_the_seal():
             _tick(trace, clock, range(1, BLOCK_ROWS))
 
 
-def test_a_refused_seal_leaves_another_recorder_sealing():
-    """A seal refused halfway leaves nothing behind that a later block reads."""
+def test_a_refused_seal_leaves_the_recorder_sealing():
+    """A seal refused halfway through its pickle compresses nothing and
+    leaves nothing behind that a later block reads: once the offending row is
+    gone, the same recorder seals blocks byte for byte as a fresh one does."""
     clock = SimpleNamespace(now=0.0)
     refused = TraceRecorder(clock)
     with pytest.raises(ValueError):
         _tick(refused, clock, range(BLOCK_ROWS - 1))
         refused.record("tick", "p0", n=_Name("a1"))
-    trace = TraceRecorder(clock)
-    total = 2 * BLOCK_ROWS + 1
-    _tick(trace, clock, range(total))
-    assert list(trace) == _expected(range(total))
+    assert not refused._blocks and len(refused) == BLOCK_ROWS
+    refused._rows.pop()
+    total = 3 * BLOCK_ROWS + 1
+    _tick(refused, clock, range(BLOCK_ROWS - 1, total))
+    fresh = TraceRecorder(clock)
+    _tick(fresh, clock, range(total))
+    assert len(refused._blocks) == total // BLOCK_ROWS
+    assert refused._blocks == fresh._blocks
+    assert list(refused) == _expected(range(total))
 
 
 # Nested plain data: every exact type a row may carry, including the floats
@@ -210,15 +218,36 @@ def _exactly(value):
 def test_plain_values_read_back_exactly_across_sealed_blocks(values):
     clock = SimpleNamespace(now=0.0)
     trace = TraceRecorder(clock)
-    total = 2 * BLOCK_ROWS + 3  # two sealed blocks, then three live rows
+    total = 4 * BLOCK_ROWS + 3  # four sealed blocks, then three live rows
     for n in range(total):
         clock.now = n / 3
         trace.record("value", f"p{n % 5}", v=values[n % len(values)], n=n)
-    stored = list(trace)
-    assert [(e.time, e.category, e.process, e.get("n")) for e in stored] == \
-        [(n / 3, "value", f"p{n % 5}", n) for n in range(total)]
-    assert [_exactly(e.get("v")) for e in stored] == \
-        [_exactly(values[n % len(values)]) for n in range(total)]
+    assert len(trace._blocks) == total // BLOCK_ROWS
+
+    def exact(events):
+        return [(e.time, e.category, e.process, e.get("n"), _exactly(e.get("v")))
+                for e in events]
+
+    def expected(numbers):
+        return [(n / 3, "value", f"p{n % 5}", n, _exactly(values[n % len(values)]))
+                for n in numbers]
+
+    assert exact(trace) == expected(range(total))
+    # Data filters test decoded values, in every block and the live rows.
+    picked = [1, BLOCK_ROWS + 2, 3 * BLOCK_ROWS - 1, total - 1]
+    for n in picked:
+        assert exact(trace.select("value", f"p{n % 5}", n=n)) == expected([n])
+    # A NaN inside a value equals itself only by identity, and a decoded
+    # value is a new object, so filter by a copy as new as the decoded ones.
+    copy = pickle.loads(pickle.dumps(values[0]))
+    equal = [n for n in range(total) if not values[n % len(values)] != copy]
+    assert exact(trace.select(v=copy)) == expected(equal)
+    assert trace.count("value", "p2", v=copy) == sum(n % 5 == 2 for n in equal)
+    # A ring filled from the sealed blocks holds the same exact values.
+    ring = 2 * BLOCK_ROWS + 2
+    trace.set_retention(f"ring:{ring}")
+    assert not trace._blocks
+    assert exact(trace) == expected(range(total - ring, total))
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
@@ -407,6 +436,26 @@ def test_retention_does_not_change_the_verdict_or_the_numbers():
             {name: (db.commits, db.aborts)
              for name, db in baseline.statistics.by_database.items()}, retention
         assert result.breakdown == baseline.breakdown, retention
+
+
+def test_database_counts_match_the_traced_decides():
+    """``by_database`` counts distinct decided keys as the stored trace's
+    ``db_decide`` events do: a commit if any decide committed the key, else an
+    abort.  The run crashes a database mid-run, so some keys abort."""
+    dsn = f"{SHARDED.replace('seed=5', 'seed=1')}&fault=crash_for@400:d1:300&trace=full"
+    system = api.build(api.Scenario.from_dsn(dsn))
+    result = api.drive(system, 4)
+    assert result.spec.ok, result.spec.summary()
+    assert system.trace.count("crash", "d1") == 1
+    outcomes: dict[str, dict] = {"d1": {}, "d2": {}}
+    for event in system.trace.select("db_decide"):
+        outcomes[event.process].setdefault(event.get("j"), set()).add(event.get("outcome"))
+    traced = {db: (sum("commit" in o for o in keys.values()),
+                   sum("commit" not in o and "abort" in o for o in keys.values()))
+              for db, keys in outcomes.items()}
+    assert {name: (db.commits, db.aborts)
+            for name, db in result.statistics.by_database.items()} == traced
+    assert all(aborts for _commits, aborts in traced.values()), traced
 
 
 def test_bad_retention_policy_is_rejected_at_the_dsn_layer():
