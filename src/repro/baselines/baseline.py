@@ -32,9 +32,9 @@ class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
     def __init__(self, sim, name: str, db_server_names: list[str]):
         super().__init__(sim, name)
         self.db_server_names = list(db_server_names)
-        self._init_dedup()
 
     def on_start(self, recovery: bool) -> None:
+        super().on_start(recovery)
         self.spawn(self._serve(), name="baseline-serve")
 
     def _serve(self):

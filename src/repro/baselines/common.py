@@ -39,13 +39,14 @@ class RequestDeduplication:
     transaction manager that re-executed the duplicate would re-run a
     committed transaction (and crash the database's prepare).  The mixin
     remembers completed decisions and replays them for duplicates.  The
-    memory is volatile: a crash forgets it, so a retry that races a server
-    crash still double-executes on the unreliable baseline -- exactly the
-    at-most-once violation the paper's comparison is about.
+    memory is volatile -- each incarnation starts it empty -- so a retry that
+    races a server crash still double-executes on the unreliable baseline:
+    exactly the at-most-once violation the paper's comparison is about.
     """
 
-    def _init_dedup(self) -> None:
+    def on_start(self, recovery: bool) -> None:
         self._completed_decisions: dict[Any, Decision] = {}
+        super().on_start(recovery)
 
     def _record_decision(self, key: Any, decision: Any) -> None:
         """Remember the decision sent to the client for ``key``."""
@@ -61,9 +62,6 @@ class RequestDeduplication:
                           outcome=decision.outcome)
         self.send(client, msg.result_message(j, decision))
         return True
-
-    def on_crash(self) -> None:
-        self._completed_decisions.clear()
 
 
 class ParticipantRouting:

@@ -45,9 +45,9 @@ class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
         super().__init__(sim, name)
         self.backup_name = backup_name
         self.db_server_names = list(db_server_names)
-        self._init_dedup()
 
     def on_start(self, recovery: bool) -> None:
+        super().on_start(recovery)
         self.spawn(self._serve(), name="pb-primary")
 
     def _serve(self):
@@ -94,11 +94,12 @@ class BackupServer(Process):
         self.db_server_names = list(db_server_names)
         self.failure_detector = failure_detector
         self.check_interval = check_interval
-        # (client, j) -> {"request":, "client":, "outcome":, "result":}
-        self._state: dict[Any, dict[str, Any]] = {}
-        self._taken_over: set[Any] = set()
 
     def on_start(self, recovery: bool) -> None:
+        # Volatile, like every baseline's memory: (client, j) ->
+        # {"request":, "client":, "outcome":, "result":}, and what it took over.
+        self._state: dict[Any, dict[str, Any]] = {}
+        self._taken_over: set[Any] = set()
         self.on_message(PB_START, self._mirror)
         self.on_message(PB_OUTCOME, self._mirror)
         self.spawn(self._monitor(), name="pb-backup-monitor")

@@ -32,9 +32,9 @@ class TwoPCCoordinator(RequestDeduplication, ParticipantRouting, Process):
         self.db_server_names = list(db_server_names)
         self.disk = StableStorage(f"{name}.tmlog", forced_write_latency=log_latency)
         self.log = WriteAheadLog(self.disk)
-        self._init_dedup()
 
     def on_start(self, recovery: bool) -> None:
+        super().on_start(recovery)
         self.spawn(self._serve(), name="twopc-serve")
 
     def _serve(self):

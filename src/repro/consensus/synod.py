@@ -33,7 +33,7 @@ the read is not safe there.
 
 Safety rests on one value per (instance, ballot): ballot ``(n, i)`` belongs to
 proposer ``i`` alone, which sends one ``accept`` per attempt and never reuses
-a round -- ballot 0 included, because ``_attempt_counters`` survives crashes.
+a round -- ballot 0 included, because ``_attempt_counters`` is durable.
 Then, by the classic argument, every ``accept`` above a chosen pair's ballot
 carries the chosen value (its prepare quorum meets the accepting majority and
 adopts the highest accepted ballot), so whatever is learned -- on ``accept``,
@@ -54,9 +54,10 @@ uncontested and decides.  This matches the paper's assumption set: a majority
 of correct application servers and finitely many false suspicions.
 
 Acceptor promises, learned decisions and the proposer's round counters are
-kept in the host object across crashes (conceptually on stable storage);
-in-flight proposer attempts are volatile and die with the process, as in the
-paper's crash-stop model for the middle tier.
+tables on the host process's device: each change is one lazy (0 ms) write,
+made before the host answers anyone, as a crash-recovery acceptor must.
+In-flight attempts and their futures are volatile: :meth:`install` builds
+them fresh for every incarnation, and a crash cancels their time-outs.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class _ProposalAttempt:
     promises: dict[str, tuple[Optional[Ballot], Any]] = field(default_factory=dict)
     accepted_from: set[str] = field(default_factory=set)
     chosen_value: Any = None
-    retry_timer: Optional[ScheduledEvent] = None
+    retry_timer: Optional[ScheduledEvent] = None  # armed by ``Process.after``
     attempt_number: int = 0
     highest_rejection: int = 0
     refused_by: tuple[str, ...] = ()  # peers that answered this ballot's accept with a nack
@@ -138,32 +139,28 @@ class ConsensusHost(ConsensusProtocol):
         self._index = self.members.index(process.name)
         self._peers = [member for member in self.members if member != process.name]
         self._rng = process.rng(f"consensus:{process.name}")
-        # Durable (survives crashes -- conceptually stable storage).
-        self._acceptors: dict[InstanceId, AcceptorState] = {}
-        self._decisions: dict[InstanceId, Any] = {}
-        self._learned: list[InstanceId] = []  # the keys of _decisions, sliceable
-        # The highest round this host has proposed in: a recovered fast-path
-        # owner must not reuse ballot 0 with another value (learning on accept
-        # rests on one value per ballot).
-        self._attempt_counters: dict[InstanceId, int] = {}
-        # Volatile.
-        self.on_learn: Optional[Callable[[], None]] = None  # armed while ``_learned`` is followed
-        self._attempts: dict[InstanceId, _ProposalAttempt] = {}
-        self._futures: dict[InstanceId, SimFuture] = {}
 
     # ------------------------------------------------------------------ setup
 
     def install(self) -> None:
-        """Register the ``Consensus`` message handler (call from ``on_start``)."""
+        """Start this incarnation (call from ``on_start``): read the durable
+        tables off the device, build the volatile state fresh and register the
+        ``Consensus`` message handler."""
+        disk = self._disk = self.process.disk
+        # Durable: tables on the device, read in place, each change one write.
+        self._acceptors: dict[InstanceId, AcceptorState] = disk.table("consensus.acceptors")
+        self._decisions: dict[InstanceId, Any] = disk.table("consensus.decisions")
+        # The keys of _decisions in learning order, sliceable.
+        self._learned: list[InstanceId] = disk.table("consensus.learned", list)
+        # The highest round this host has proposed in: a recovered fast-path
+        # owner must not reuse ballot 0 with another value (learning on accept
+        # rests on one value per ballot).
+        self._attempt_counters: dict[InstanceId, int] = disk.table("consensus.rounds")
+        # Volatile.
+        self.on_learn: Optional[Callable[[], None]] = None  # armed while ``_learned`` is followed
+        self._attempts: dict[InstanceId, _ProposalAttempt] = {}
+        self._futures: dict[InstanceId, SimFuture] = {}
         self.process.on_message(self.MSG_TYPE, self._handle)
-
-    def on_crash(self) -> None:
-        """Drop volatile proposer state (call from the process's crash hook)."""
-        for attempt in self._attempts.values():
-            if attempt.retry_timer is not None:
-                attempt.retry_timer.cancel()
-        self._attempts.clear()
-        self._futures.clear()
 
     # ------------------------------------------------------------ public API
 
@@ -205,6 +202,7 @@ class ConsensusHost(ConsensusProtocol):
             counter = max(counter, 0) + 1
             ballot = (counter, self._index)
         self._attempt_counters[instance] = max(counter, 1) if not use_fast_path else 1
+        self._disk.write(forced=False)
         attempt = _ProposalAttempt(instance=instance, value=value, ballot=ballot,
                                    attempt_number=counter)
         self._attempts[instance] = attempt
@@ -227,31 +225,27 @@ class ConsensusHost(ConsensusProtocol):
         instance = attempt.instance
 
         def timeout() -> None:
-            if not self.process.up:
-                return
             current = self._attempts.get(instance)
             if current is not attempt or instance in self._decisions:
                 return
             self._retry(instance, attempt)
 
-        attempt.retry_timer = self.process.sim.schedule(
+        attempt.retry_timer = self.process.after(
             self.attempt_timeout, timeout, name=f"consensus-timeout:{self.process.name}"
         )
 
     def _retry(self, instance: InstanceId, failed: _ProposalAttempt) -> None:
-        if failed.retry_timer is not None:
-            failed.retry_timer.cancel()
-        if instance in self._decisions or not self.process.up:
+        self.process.cancel(failed.retry_timer)
+        if instance in self._decisions:
             return
         # Choose a ballot above both our own counter and any rejection we saw.
         counter = max(self._attempt_counters.get(instance, 0), failed.highest_rejection) + 1
         self._attempt_counters[instance] = counter
+        self._disk.write(forced=False)
         delay = self._rng.uniform(0.5, 1.5) * self.retry_backoff * max(1, failed.attempt_number)
 
         def launch() -> None:
-            if not self.process.up or instance in self._decisions:
-                return
-            if self._attempts.get(instance) is not failed:
+            if instance in self._decisions or self._attempts.get(instance) is not failed:
                 return
             ballot = (counter, self._index)
             attempt = _ProposalAttempt(instance=instance, value=failed.value, ballot=ballot,
@@ -265,7 +259,7 @@ class ConsensusHost(ConsensusProtocol):
             self._arm_attempt_timeout(attempt)
             self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
 
-        self.process.sim.schedule(delay, launch, name=f"consensus-retry:{self.process.name}")
+        self.process.after(delay, launch, name=f"consensus-retry:{self.process.name}")
 
     # ------------------------------------------------------------ dispatcher
 
@@ -306,6 +300,7 @@ class ConsensusHost(ConsensusProtocol):
         state = self._acceptor(instance)
         if ballot > state.promised:
             state.promised = ballot
+            self._disk.write(forced=False)
             self._send(sender, {
                 "instance": instance, "kind": "promise", "ballot": ballot,
                 "accepted_ballot": state.accepted_ballot,
@@ -324,6 +319,7 @@ class ConsensusHost(ConsensusProtocol):
             state.promised = ballot
             state.accepted_ballot = ballot
             state.accepted_value = value
+            self._disk.write(forced=False)
             self._send(sender, {"instance": instance, "kind": "accepted", "ballot": ballot})
             if sender != self.process.name and self.quorum <= 2:
                 # The sender's own acceptor took this (ballot, value) before
@@ -404,24 +400,25 @@ class ConsensusHost(ConsensusProtocol):
     def _learn(self, instance: InstanceId, value: Any) -> None:
         grew = instance not in self._decisions
         if grew:
+            # One write: the decision is the only durable fact a decided
+            # instance still needs.  Every acceptor/proposer path checks
+            # ``_decisions`` before touching the other two tables, so keeping
+            # their rows would only grow the device for the rest of the run.
             self._decisions[instance] = value
             self._learned.append(instance)
+            self._acceptors.pop(instance, None)
+            self._attempt_counters.pop(instance, None)
+            self._disk.write(forced=False)
             trace = self.process.trace
             if trace.wants("consensus_decide"):
                 trace.record("consensus_decide", self.process.name,
                              instance=_printable(instance), value=_printable(value))
         attempt = self._attempts.pop(instance, None)
-        if attempt is not None and attempt.retry_timer is not None:
-            attempt.retry_timer.cancel()
+        if attempt is not None:
+            self.process.cancel(attempt.retry_timer)
         future = self._futures.pop(instance, None)
         if future is not None:
             future.resolve(self._decisions[instance])
-        # The decision is the only durable fact a decided instance still
-        # needs: every acceptor/proposer path checks ``_decisions`` before
-        # touching this state, so keeping it would only grow the host by a
-        # few objects per instance for the rest of the run.
-        self._acceptors.pop(instance, None)
-        self._attempt_counters.pop(instance, None)
         if grew and self.on_learn is not None:
             self.on_learn()  # last: the follower may call back into this host
 

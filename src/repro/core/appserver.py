@@ -99,7 +99,8 @@ class ApplicationServer(Process):
         Protocol-level retransmission intervals.
     consensus_host:
         Optional consensus endpoint backing the registers; when present it is
-        (re)installed on start and reset on crash.
+        installed as every incarnation starts, and its durable tables live on
+        this server's :attr:`disk`.
     directory:
         Optional live :class:`~repro.core.sharding.ShardDirectory` (online
         resharding).  When present, requests that carry their key set are
@@ -123,29 +124,23 @@ class ApplicationServer(Process):
         self.timing = timing if timing is not None else ProtocolTiming()
         self.consensus_host = consensus_host
         self.directory = directory
-        # Volatile caches (lost on crash, rebuilt from the registers if needed).
-        self._inflight: set[ResultKey] = set()
-        self._terminated: set[ResultKey] = set()
-        # One shared regA entry per participant set, kept across crashes (it
-        # holds values, not state): every consensus host keeps the entry it
-        # learns, and a fresh one would cost each of them two tuples a request.
+        # An interning cache of values, not state, so a crash may leave it: one
+        # shared regA entry per participant set (every consensus host keeps the
+        # entry it learns; a fresh one would cost each two tuples a request).
         self._claims: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
 
     # --------------------------------------------------------------- lifecycle
 
     def on_start(self, recovery: bool) -> None:
+        # Volatile: the results this incarnation works on and has terminated.
+        self._inflight: set[ResultKey] = set()
+        self._terminated: set[ResultKey] = set()
         if self.consensus_host is not None:
             self.consensus_host.install()
         self.on_message(msg.REQUEST, self._on_request)
         if recovery:
             self.failure_detector.reinstall(self.name)
         self.spawn(self._cleaning_thread(), name="as-clean")
-
-    def on_crash(self) -> None:
-        self._inflight = set()
-        self._terminated = set()
-        if self.consensus_host is not None:
-            self.consensus_host.on_crash()
 
     def _claim(self, participants: Sequence[str]) -> tuple[str, tuple[str, ...]]:
         """This server's :func:`claim_entry` for ``participants``, interned."""

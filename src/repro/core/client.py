@@ -1,6 +1,7 @@
 """Client protocol (the paper's Figure 2).
 
-The client is diskless and keeps no protocol state beyond the result counter:
+The client's one durable value is its result counter, on its device: counting
+from 1 again, a recovered client would be handed its old decisions.
 ``issue(request)`` sends the request to the default primary application
 server, falls back to broadcasting it to every application server after a
 back-off period, and loops through intermediate result identifiers ``j`` until
@@ -100,9 +101,6 @@ class Client(Process):
         self.default_primary = default_primary or self.app_server_names[0]
         if self.default_primary not in self.app_server_names:
             raise ValueError(f"default primary {self.default_primary!r} not in server list")
-        self._next_j = 1
-        self._queue: deque[IssuedRequest] = deque()
-        self._worker_running = False
 
     # ------------------------------------------------------------------ issue
 
@@ -124,22 +122,15 @@ class Client(Process):
             self.spawn(self._issue_loop(), name="client-issue")
         return issued
 
-    def pending_requests(self) -> int:
-        """Number of requests queued or in flight."""
-        return len(self._queue)
-
     # ---------------------------------------------------------------- protocol
 
     def on_start(self, recovery: bool) -> None:
-        # A recovered client does NOT resume in-flight requests: it is diskless,
-        # so it cannot know whether the old request was executed.  Re-issuing it
-        # under a fresh result identifier would risk executing it twice -- the
-        # paper's guarantee for a crashed client is at-most-once, nothing more.
-        self._worker_running = False
-
-    def on_crash(self) -> None:
-        # All protocol state is volatile: pending requests die with the client.
-        self._queue.clear()
+        # A recovered client does NOT resume in-flight requests: pending ones
+        # died with the crash, and it cannot know whether the old request was
+        # executed.  Re-issuing it under a fresh result identifier would risk
+        # executing it twice -- the paper's guarantee for a crashed client is
+        # at-most-once, nothing more.
+        self._queue: deque[IssuedRequest] = deque()
         self._worker_running = False
 
     def _issue_loop(self):
@@ -153,9 +144,10 @@ class Client(Process):
         """Figure 2: loop over intermediate results until one commits."""
         issued.issued_at = self.now
         request = issued.request
+        disk = self.disk
         while True:
-            j = self._next_j
-            self._next_j += 1
+            j = disk.get("next_j", 1)
+            disk.put("next_j", j + 1, forced=False)
             issued.attempts += 1
             if self.trace.wants("client_send"):
                 self.trace.record("client_send", self.name, j=j,

@@ -71,14 +71,11 @@ class DatabaseServer(Process):
         self.app_server_names = list(app_server_names)
         self.business_logic = business_logic
         self.timing = timing if timing is not None else DatabaseTiming()
-        storage = StableStorage(f"{name}.disk", forced_write_latency=self.timing.forced_write)
-        self.store = TransactionalKVStore(name, storage=storage, initial_data=initial_data,
+        self.disk = StableStorage(f"{name}.disk", forced_write_latency=self.timing.forced_write)
+        # The engine keeps its log on the device; recovery rebuilds the rest.
+        self.store = TransactionalKVStore(name, storage=self.disk, initial_data=initial_data,
                                           owns_key=owns_key)
         self.resource = XAResource(self.store)
-        # Cache of already-executed business-logic calls, keyed by result key.
-        # Makes Execute idempotent under retransmission (volatile: an unprepared
-        # transaction does not survive a crash anyway).
-        self._executed: dict[Any, tuple[Any, bool]] = {}
         # Online resharding: the live ShardDirectory, shared with the whole
         # deployment.  Only set when the scenario carries reshard faults --
         # the migration server must not exist otherwise.
@@ -87,6 +84,10 @@ class DatabaseServer(Process):
     # --------------------------------------------------------------- lifecycle
 
     def on_start(self, recovery: bool) -> None:
+        # Cache of already-executed business-logic calls, keyed by result key.
+        # Makes Execute idempotent under retransmission (volatile: an unprepared
+        # transaction does not survive a crash anyway).
+        self._executed: dict[Any, tuple[Any, bool]] = {}
         if recovery:
             in_doubt = self.resource.recover()
             self.trace.record("db_recover", self.name, in_doubt=[str(k) for k in in_doubt])
@@ -100,10 +101,6 @@ class DatabaseServer(Process):
             self._migrations_applied: set[tuple[int, str]] = set()
             self.serve((msg.MIGRATE_SNAPSHOT, msg.MIGRATE_INSTALL, msg.MIGRATE_RELEASE),
                        self._serve_migrate)
-
-    def on_crash(self) -> None:
-        self.resource.crash()
-        self._executed.clear()
 
     # ------------------------------------------------------------------- steps
 

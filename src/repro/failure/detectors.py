@@ -76,7 +76,6 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.net.message import IDS, STR, Message, declare_message
 from repro.net.network import Network
-from repro.sim.process import Process
 
 
 class FailureDetector:
@@ -156,36 +155,15 @@ class EventuallyPerfectFailureDetector(FailureDetector):
         self.sim = network.sim
         self.detection_delay = detection_delay
         self._crash_times: dict[str, float] = {}
-        self._recover_times: dict[str, float] = {}
         # (observer, target) -> list of (start, end) false-suspicion windows
         self._false_windows: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
         self._wakes: dict[str, Callable[[], None]] = {}
-        self._hook_processes()
+        self.sim.trace.subscribe("crash", self._on_crash)
 
-    def _hook_processes(self) -> None:
-        for process in self.network.processes.values():
-            self._instrument(process)
-
-    def _instrument(self, process: Process) -> None:
-        detector = self
-        original_crash = process.crash
-        original_recover = process.recover
-
-        def crash_hook() -> None:
-            was_up = process.up
-            original_crash()
-            if was_up:
-                detector._crash_times[process.name] = detector.sim.now
-                detector.sim.schedule(detector.detection_delay, detector._wake)
-
-        def recover_hook() -> None:
-            was_down = not process.up
-            original_recover()
-            if was_down:
-                detector._recover_times[process.name] = detector.sim.now
-
-        process.crash = crash_hook  # type: ignore[method-assign]
-        process.recover = recover_hook  # type: ignore[method-assign]
+    def _on_crash(self, event: Any) -> None:
+        """A process crashed: suspect it ``detection_delay`` from now."""
+        self._crash_times[event.process] = event.time
+        self.sim.schedule(self.detection_delay, self._wake)
 
     def inject_false_suspicion(self, observer: str, target: str, start: float,
                                duration: float) -> None:

@@ -1,7 +1,7 @@
 """Process and thread model.
 
 A :class:`Process` models one node of the three-tier system (a client, an
-application server or a database server).  Processes host four kinds of
+application server or a database server).  Processes host five kinds of
 volatile activity, each the cheapest that fits its job:
 
 * generator-coroutine *threads* (:meth:`Process.spawn`), for logic that
@@ -15,13 +15,15 @@ volatile activity, each the cheapest that fits its job:
   until the step ends -- the database tier's execute/prepare/decide/migrate,
 * *tickers* (:meth:`Process.tick`) for periodic work that only ever sleeps:
   a plain function returning its next delay, or ``None`` to park until
-  poked -- the failure detector's heartbeat sender and monitor.
+  poked -- the failure detector's heartbeat sender and monitor,
+* one-shot *timers* (:meth:`Process.after`) -- consensus attempt time-outs.
 
 Processes exchange messages through a transport installed by ``repro.net``,
-crash (losing all volatile state: mailbox, threads, handlers, servers,
-tickers, local variables) and recover (restarting their entry point with
-``recovery=True``), exactly as in the paper's crash/recovery model -- stable
-storage is modelled separately in ``repro.storage`` and survives crashes.
+crash and recover.  A process keeps its durable state on its device
+(:attr:`Process.disk`); everything else is volatile.  :meth:`Process.crash`
+is the only code that runs at a crash -- it stops all the activity above and
+drops the mailbox -- and :meth:`Process.on_start` builds every incarnation's
+volatile state, so a recovered process starts as a fresh one does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any, Callable, Container, Generator, Iterable, Optional, Sequ
 from repro.runtime.base import Kernel
 from repro.sim.errors import ProcessNotRunning, ThreadError
 from repro.sim.waits import ANY, TIMEOUT, Receive, SimFuture, Sleep, Wait, WaitFuture
+from repro.storage.stable import StableStorage
 
 ProtocolGenerator = Generator[Wait, Any, Any]
 
@@ -315,8 +318,8 @@ class _Ticker:
 class Process:
     """A simulated node that can crash and recover.
 
-    Subclasses override :meth:`on_start` to spawn their protocol threads, and
-    may override :meth:`on_crash` to drop additional volatile state.
+    Subclasses build their volatile state and start their protocol activity
+    in :meth:`on_start`, and keep their durable state on :attr:`disk`.
     """
 
     #: A pure server hosts no thread, so nothing could ever ``receive`` a
@@ -335,6 +338,8 @@ class Process:
         self.trace = sim.trace
         self.up = True
         self.crash_count = 0
+        # The node's stable storage: the one place state survives a crash.
+        self.disk = StableStorage(f"{name}.disk")
         # The inbox holds what no receive took yet, by message type and then
         # by correlation -- the ``j`` payload, or the sender for a message
         # without one -- as a deque of (arrival number, message).  Every
@@ -360,6 +365,7 @@ class Process:
         # Synchronous handlers by message type (``on_message``); volatile.
         self._handlers: dict[str, Callable[[Any], None]] = {}
         self._servers: list[_Server | _Ticker] = []  # stopped by a crash
+        self._timers: set[Any] = set()  # armed by after(), not yet fired: cancelled by a crash
         self._thread_names: dict[str, tuple[str, str, str]] = {}
         self._thread_ids = 0
         self._transport: Optional[Any] = None  # installed by repro.net.Network
@@ -397,10 +403,8 @@ class Process:
         self.on_start(recovery=False)
 
     def on_start(self, recovery: bool) -> None:
-        """Spawn protocol threads.  Subclasses override."""
-
-    def on_crash(self) -> None:
-        """Hook for subclasses to drop extra volatile state on crash."""
+        """Build this incarnation's volatile state and start its activity.
+        Subclasses override."""
 
     # ------------------------------------------------------------ coroutines
 
@@ -426,6 +430,26 @@ class Process:
         self._servers.append(ticker)
         ticker.poke()
         return ticker
+
+    def after(self, delay: float, callback: Callable[[], None], name: str) -> Any:
+        """Call ``callback()`` after ``delay`` unless this incarnation crashes
+        first; :meth:`cancel` the returned handle to stop it earlier."""
+        if not self.up:
+            raise ProcessNotRunning(f"cannot arm a timer on crashed process {self.name!r}")
+        timers = self._timers
+
+        def fire() -> None:
+            timers.discard(timer)
+            callback()
+
+        timer = self.sim.schedule(delay, fire, name)
+        timers.add(timer)
+        return timer
+
+    def cancel(self, timer: Any) -> None:
+        """Stop a timer of :meth:`after` (a no-op once it fired or was cancelled)."""
+        self._timers.discard(timer)
+        timer.cancel()
 
     def on_message(self, msg_type: str, handler: Callable[[Any], None]) -> None:
         """Run ``handler(message)`` inside :meth:`deliver` for every ``msg_type``.
@@ -634,7 +658,8 @@ class Process:
     # ------------------------------------------------------- crash / recover
 
     def crash(self) -> None:
-        """Crash the process: kill all threads and lose all volatile state."""
+        """Crash the process: stop all its activity and drop its mailbox (a
+        subclass's volatile state waits for the next :meth:`on_start`)."""
         if not self.up:
             return
         self.up = False
@@ -647,9 +672,11 @@ class Process:
         for server in self._servers:
             server.stop()
         self._servers.clear()
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
         self._inbox.clear()
         self._mailbox_count = 0
-        self.on_crash()
         self._notify_transport("on_process_crash")
         self.trace.record("crash", self.name)
 

@@ -116,6 +116,14 @@ class _BlockPickler(pickle.Pickler):
         with buffer.getbuffer() as pickled:
             return zlib.compress(pickled, 1)
 
+    def refuses(self, row: StoredRow) -> bool:
+        """Whether sealing ``row`` raises (it holds a value that is not plain data)."""
+        try:
+            self.seal([row])
+        except ValueError:
+            return True
+        return False
+
 
 def parse_retention(policy: str) -> tuple[str, Optional[int]]:
     """Parse a retention policy string into ``(mode, capacity)``.
@@ -325,9 +333,17 @@ class TraceRecorder:
                 callback(event)
 
     def _seal(self) -> None:
-        """Turn the live rows into one bytes block the collector never walks."""
+        """Turn the live rows into one bytes block the collector never walks.
+
+        A refused seal raises once: the rows it refused leave the live list
+        first, so the next full list seals again."""
         rows = self._rows
-        self._blocks.append(self._pickler.seal(rows))
+        try:
+            block = self._pickler.seal(rows)
+        except ValueError:
+            rows[:] = [row for row in rows if not self._pickler.refuses(row)]
+            raise
+        self._blocks.append(block)
         self._sealed += len(rows)
         rows.clear()
 

@@ -7,7 +7,7 @@ third-party database:
   (:meth:`TransactionalKVStore.read` / :meth:`write` inside a transaction),
 * the XA-style commitment surface: :meth:`prepare` (the paper's ``vote()``)
   and :meth:`commit` / :meth:`abort` (the paper's ``decide()``),
-* crash/recovery with a write-ahead log: committed data survives, in-doubt
+* recovery from a write-ahead log: committed data survives, in-doubt
   (prepared) transactions are restored *with their locks*, and active
   (unprepared) transactions evaporate.
 
@@ -244,14 +244,9 @@ class TransactionalKVStore:
 
     # ----------------------------------------------------------- crash recovery
 
-    def crash(self) -> None:
-        """Lose all volatile state (active transactions, lock table, caches)."""
-        self._transactions.clear()
-        self.locks.clear()
-        self._committed.clear()
-
     def recover(self) -> list[TransactionId]:
-        """Rebuild state from the write-ahead log.
+        """Rebuild every volatile field -- committed state, transactions,
+        locks -- from the device, replacing whatever a crash left in memory.
 
         Returns the list of in-doubt transaction identifiers (prepared but not
         yet committed or aborted); their locks are re-installed so the data

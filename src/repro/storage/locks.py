@@ -81,7 +81,7 @@ class LockManager:
         return set(self._holders)
 
     def clear(self) -> None:
-        """Drop every lock (volatile state lost on crash)."""
+        """Drop every lock (recovery rebuilds the table from the log)."""
         self._holders.clear()
         self._held_by_txn.clear()
 

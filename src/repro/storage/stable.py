@@ -10,11 +10,14 @@ that time to the simulation clock, and whose contents survive process crashes.
 The storage object itself never advances the clock -- callers do, typically
 with ``yield process.sleep(cost)`` -- which keeps the substrate usable from
 both protocol code and plain unit tests.
+
+Every process owns one device (``Process.disk``), and every durable write
+passes :meth:`StableStorage.write`, the one counter of forced and lazy writes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable
 
 
 class StorageStats:
@@ -55,19 +58,29 @@ class StableStorage:
     def put(self, key: str, value: Any, forced: bool = True) -> float:
         """Durably store ``value`` under ``key`` and return the I/O cost."""
         self._data[key] = value
-        return self._account(forced)
+        return self.write(forced)
 
     def append(self, key: str, entry: Any, forced: bool = True) -> float:
         """Append ``entry`` to the list stored under ``key`` (creating it)."""
         self._data.setdefault(key, []).append(entry)
-        return self._account(forced)
+        return self.write(forced)
 
     def delete(self, key: str, forced: bool = False) -> float:
         """Remove ``key`` if present and return the I/O cost."""
         self._data.pop(key, None)
-        return self._account(forced)
+        return self.write(forced)
 
-    def _account(self, forced: bool) -> float:
+    def table(self, key: str, factory: Callable[[], Any] = dict) -> Any:
+        """The table stored under ``key`` (created empty: no write).  Its owner
+        reads it in place and follows each change to it with one :meth:`write`."""
+        table = self._data.get(key)
+        if table is None:
+            table = self._data[key] = factory()
+        return table
+
+    def write(self, forced: bool = True) -> float:
+        """Count one durable write and return its I/O cost: forced (the
+        caller waits for the platter) or lazy."""
         if forced:
             self.stats.forced_writes += 1
             cost = self.forced_write_latency
@@ -83,17 +96,6 @@ class StableStorage:
         """Read the value stored under ``key`` (no cost model for reads)."""
         self.stats.reads += 1
         return self._data.get(key, default)
-
-    def keys(self) -> Iterator[str]:
-        """Iterate over stored keys."""
-        return iter(list(self._data))
-
-    # -------------------------------------------------------------- lifecycle
-
-    def wipe(self) -> None:
-        """Erase the device (used by tests; *not* called on crash -- crashes
-        have no impact on stable storage, per the system model)."""
-        self._data.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StableStorage {self.name} entries={len(self._data)}>"

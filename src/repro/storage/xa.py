@@ -112,10 +112,6 @@ class XAResource:
 
     # --------------------------------------------------------------- recovery
 
-    def crash(self) -> None:
-        """Forward a crash to the underlying store (volatile state is lost)."""
-        self.store.crash()
-
     def recover(self) -> list[TransactionId]:
         """XA ``recover``: rebuild state and return the in-doubt transactions."""
         return self.store.recover()

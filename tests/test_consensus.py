@@ -9,6 +9,16 @@ from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 
 
+class ConsensusServer(Process):
+    """A process whose every incarnation installs its consensus host, as an
+    application server's does."""
+
+    host = None
+
+    def on_start(self, recovery):
+        self.host.install()
+
+
 def build_group(n=3, seed=0, fast_path_owner="a1", loss=0.0, latency=None):
     """Create ``n`` application-server processes each hosting consensus."""
     sim = Simulator(seed=seed)
@@ -16,9 +26,9 @@ def build_group(n=3, seed=0, fast_path_owner="a1", loss=0.0, latency=None):
     names = [f"a{i + 1}" for i in range(n)]
     hosts = {}
     for name in names:
-        process = network.register(Process(sim, name))
-        host = ConsensusHost(process, names, fast_path_owner=fast_path_owner)
-        host.install()
+        process = network.register(ConsensusServer(sim, name))
+        process.host = host = ConsensusHost(process, names, fast_path_owner=fast_path_owner)
+        process.start()
         hosts[name] = host
     return sim, network, hosts
 
@@ -141,9 +151,7 @@ def test_recovered_owner_never_reuses_ballot_zero():
     assert hosts["a2"].decision("x") == "first"
     owner = hosts["a1"]
     owner.process.crash()
-    owner.on_crash()  # what the application server's crash hook does
     owner.process.recover()
-    owner.install()
     network.partition(["a1", "a3"], ["a2"])
     second = owner.propose("x", "second")
     sim.run_until(lambda: second.resolved, until=5_000.0)

@@ -119,11 +119,9 @@ def test_requests_are_processed_one_at_a_time_in_order():
     sim, network, client, servers = build(script=["commit"] * 5)
     first = client.issue(Request("op-1", {}))
     second = client.issue(Request("op-2", {}))
-    assert client.pending_requests() == 2
     sim.run_until(lambda: second.delivered, until=200_000.0)
     assert first.delivered and second.delivered
     assert first.delivered_at <= second.delivered_at
-    assert client.pending_requests() == 0
     delivered = [event.get("request_id") for event in sim.trace.select("client_deliver", "c1")]
     assert delivered == [first.request.request_id, second.request.request_id]
     assert [first.result.request_id, second.result.request_id] == delivered
@@ -183,7 +181,7 @@ def test_a_crashed_clients_requests_count_as_undelivered_with_their_aborts():
     deployment.sim.schedule(20_000.0, client.crash)
     requests = [Request(f"op-{n}", {}) for n in range(3)]
     stats = ClosedLoop().run(deployment, requests)
-    assert not client.up and client.pending_requests() == 0
+    assert not client.up
     assert stats.count == 1 and stats.attempts == [1]
     assert stats.undelivered == 2
     assert stats.aborted_results == 2

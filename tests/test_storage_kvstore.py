@@ -153,7 +153,8 @@ def test_recovery_restores_committed_state():
     store.write("t1", "balance", 42)
     store.prepare("t1")
     store.commit("t1")
-    store.crash()
+    # A crash leaves the device: a store that remembers nothing else recovers.
+    store = TransactionalKVStore("db", storage=store.storage)
     assert store.committed_snapshot() == {}
     in_doubt = store.recover()
     assert in_doubt == []
@@ -165,7 +166,6 @@ def test_recovery_restores_in_doubt_transactions_with_locks():
     store.begin("t1")
     store.write("t1", "x", 1)
     store.prepare("t1")
-    store.crash()
     in_doubt = store.recover()
     assert in_doubt == ["t1"]
     assert store.status("t1") == PREPARED
@@ -181,7 +181,6 @@ def test_recovery_discards_active_unprepared_transactions():
     store = make_store(x=0)
     store.begin("t1")
     store.write("t1", "x", 5)
-    store.crash()
     in_doubt = store.recover()
     assert in_doubt == []
     assert store.get_committed("x") == 0
@@ -192,7 +191,6 @@ def test_recovery_discards_active_unprepared_transactions():
 
 def test_recovery_preserves_initial_data():
     store = make_store(seats=10)
-    store.crash()
     store.recover()
     assert store.get_committed("seats") == 10
 
@@ -262,7 +260,6 @@ def test_xa_recover_reports_in_doubt():
     resource = XAResource(make_store())
     resource.execute("t1", lambda view: view.write("x", 1))
     resource.vote("t1")
-    resource.crash()
     assert resource.recover() == ["t1"]
     assert resource.in_doubt() == ["t1"]
 
@@ -301,7 +298,6 @@ def test_a_terminated_transaction_keeps_its_status_and_refuses_begin(how, recove
     store = make_store()
     status = _terminate(store, how)
     if recovered:
-        store.crash()
         store.recover()
     if how == "abort-unknown" and recovered:
         # A presumed-abort tombstone was never logged: the recovered store
@@ -359,7 +355,6 @@ def test_recovery_keeps_in_doubt_transactions_live_next_to_tombstones():
     store.begin("t2")
     store.write("t2", "y", 2)
     store.prepare("t2")
-    store.crash()
     assert store.recover() == ["t2"]
     assert store.status("t1") == COMMITTED
     assert store.status("t2") == PREPARED

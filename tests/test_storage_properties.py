@@ -57,7 +57,6 @@ class ModelChecker:
                 self.store.abort(self.current)
                 self.current = None
         elif kind == "crash_recover":
-            self.store.crash()
             self.store.recover()
             if self.current is not None and not self.prepared:
                 # Active transactions are lost in the crash.
@@ -94,7 +93,6 @@ def test_prepared_transaction_survives_any_number_of_crashes(writes):
         store.write("t1", key, value)
     store.prepare("t1")
     for _ in range(3):
-        store.crash()
         in_doubt = store.recover()
         assert in_doubt == ["t1"]
     store.commit("t1")
@@ -111,7 +109,6 @@ def test_aborted_writes_never_become_visible(write_set):
     for key, value in write_set.items():
         store.write("t1", key, value)
     store.abort("t1")
-    store.crash()
     store.recover()
     for key in "pqr":
         assert store.get_committed(key) == -1

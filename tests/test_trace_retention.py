@@ -162,16 +162,16 @@ def test_a_value_marshal_cannot_carry_fails_the_seal():
 
 
 def test_a_refused_seal_leaves_the_recorder_sealing():
-    """A seal refused halfway through its pickle compresses nothing and
-    leaves nothing behind that a later block reads: once the offending row is
-    gone, the same recorder seals blocks byte for byte as a fresh one does."""
+    """A seal refused halfway through its pickle raises once, compresses
+    nothing, drops the offending row and leaves nothing behind that a later
+    block reads: the same recorder goes on sealing blocks byte for byte as a
+    fresh one does."""
     clock = SimpleNamespace(now=0.0)
     refused = TraceRecorder(clock)
     with pytest.raises(ValueError):
         _tick(refused, clock, range(BLOCK_ROWS - 1))
         refused.record("tick", "p0", n=_Name("a1"))
-    assert not refused._blocks and len(refused) == BLOCK_ROWS
-    refused._rows.pop()
+    assert not refused._blocks and len(refused) == BLOCK_ROWS - 1
     total = 3 * BLOCK_ROWS + 1
     _tick(refused, clock, range(BLOCK_ROWS - 1, total))
     fresh = TraceRecorder(clock)
@@ -179,6 +179,18 @@ def test_a_refused_seal_leaves_the_recorder_sealing():
     assert len(refused._blocks) == total // BLOCK_ROWS
     assert refused._blocks == fresh._blocks
     assert list(refused) == _expected(range(total))
+
+
+def test_a_refused_seal_drops_only_the_rows_it_refused():
+    """The offending row need not be the newest: the seal that meets it
+    raises once and keeps every plain row of the block."""
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    with pytest.raises(ValueError):
+        trace.record("tick", "p0", n=_Color.RED)
+        _tick(trace, clock, range(BLOCK_ROWS - 1))
+    _tick(trace, clock, range(BLOCK_ROWS - 1, 2 * BLOCK_ROWS))
+    assert list(trace) == _expected(range(2 * BLOCK_ROWS))
 
 
 # Nested plain data: every exact type a row may carry, including the floats
