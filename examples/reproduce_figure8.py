@@ -1,34 +1,34 @@
 #!/usr/bin/env python3
-"""Regenerate the paper's Figure 8 (latency table) and compare with the paper.
+"""Check the paper's Figure 8 from Python, and add a claim of your own.
 
-Runs the closed-loop bank-account workload through the three measured protocol
-stacks (unreliable baseline, asynchronous replication, presumed-nothing 2PC)
-on the calibrated simulator and prints the component breakdown, the measured
-"cost of reliability", and a side-by-side comparison with the paper's numbers.
+``python -m repro experiment figure8`` prints the committed Figure 8 table
+and its claim rows.  This script drives the same experiment table as a
+library: it measures the Figure 8 runs, prints the experiment, then checks
+one more claim over the measured rows -- Appendix 3's argument that what AR
+saves over 2PC is the coordinator's two forced log writes less AR's two
+register writes.
 
 Run with:  python examples/reproduce_figure8.py
 """
 
-from repro.experiments import figure1, figure7, figure8
+from repro.experiments import catalog
 
 
 def main() -> None:
-    print("Reproducing Figure 8 (latency, milliseconds) ...\n")
-    report = figure8.run(requests_per_protocol=5)
-    print(report.to_table())
-    print()
-    print(report.compare_with_paper())
-    print()
-    print("shape of the result holds (baseline < AR < 2PC, overheads ~16%/~23%):",
-          report.shape_holds())
+    rows = catalog.run(["figure8"])["figure8"]
+    text, verdicts = catalog.render("figure8", rows)
+    print(text)
 
-    print("\nReproducing Figure 7 (communication steps, failure-free runs) ...\n")
-    steps = figure7.run()
-    print(steps.to_table())
-
-    print("\nReproducing Figure 1 (the four e-Transaction executions) ...\n")
-    executions = figure1.run()
-    print(executions.to_text())
+    paper = catalog.PAPER_FIGURE8
+    saving = catalog.Claim(
+        "2PC - AR latency, ms", lambda r: r["2PC"]["total"] - r["AR"]["total"],
+        expected=sum(paper["2PC"][c] - paper["AR"][c] for c in ("log-start", "log-outcome")),
+        source="Appendix 3", tolerance=1.0)
+    measured, holds = catalog.evaluate(saving, rows)
+    print(f"\n{saving.label}: measured {measured:.1f}, the paper's log rows predict "
+          f"{saving.expected:.1f} +/- {saving.tolerance:g}: {'pass' if holds else 'FAIL'}")
+    if not (all(verdicts) and holds):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

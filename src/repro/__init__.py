@@ -21,9 +21,11 @@ depends on:
 * ``repro.baselines`` -- the comparison protocols (unreliable baseline,
   presumed-nothing 2PC, primary-backup replication).
 * ``repro.workload`` -- bank-account and travel-booking workloads.
-* ``repro.metrics`` -- latency-component accounting and communication-step
-  counting used to regenerate the paper's figures.
-* ``repro.experiments`` -- one harness per table/figure plus ablations.
+* ``repro.metrics`` -- latency-component accounting, communication-step
+  counting and the text-table renderer the experiments print through.
+* ``repro.experiments`` -- the experiment table (every paper figure and
+  ablation as labelled runs plus checked paper claims, ``python -m repro
+  experiment``) and the fault-sweep, soak and reshard harnesses.
 * ``repro.api`` -- the unified scenario API: declarative :class:`Scenario`
   objects with a DSN string form, a protocol-driver registry, and
   ``run_scenario`` -- the single entry point every experiment, example and

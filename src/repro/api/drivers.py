@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
-from repro.api.scenario import PARAMS, PROTOCOLS, TIMING_PAPER, Scenario, ScenarioError
+from repro.api.scenario import PARAMS, PROTOCOLS, Scenario, ScenarioError
 from repro.api.workloads import ShardContext, bind_workload
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.timing import DatabaseTiming, ProtocolTiming
@@ -80,14 +80,8 @@ def build(scenario: Scenario, *,
         binding = replace(binding, business_logic=business_logic)
     if initial_data is not None:
         binding = replace(binding, initial_data=initial_data)
-    if scenario.timing == TIMING_PAPER:
-        from repro.experiments.calibration import paper_database_timing
-
-        db_timing = paper_database_timing()
-    else:
-        db_timing = DatabaseTiming()
     system = deployment(
-        scenario, binding, db_timing=db_timing,
+        scenario, binding, db_timing=DatabaseTiming(),
         protocol_timing=protocol_timing if protocol_timing is not None
         else ProtocolTiming(client_backoff=scenario.client_backoff),
         only=tuple(only))

@@ -472,6 +472,9 @@ class Scenario:
     client_backoff: float = _param("backoff", float, ProtocolTiming.client_backoff,
                                    check=_non_negative("client backoff"))
     workload: str = _param("workload", str, "default")
+    # Both values build the same database timing, the Figure 8 calibration
+    # (``DatabaseTiming``'s defaults); ``paper`` stays accepted because
+    # existing DSNs name it.
     timing: str = _param("timing", str, TIMING_DEFAULT, check=_one_of(
         "timing profile", TIMING_DEFAULT, TIMING_PAPER))
     # Data-tier partitioning: ``placement`` selects the key-placement policy

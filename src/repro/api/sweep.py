@@ -35,6 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 from repro.api.runner import RunJob, ScenarioResult, run_scenario
 from repro.api.scenario import (HOST_FIELDS, PARAMS, Scenario, ScenarioError,
                                  faults_from_text)
+from repro.metrics.table import render_table
 
 _JobT = TypeVar("_JobT")
 _RowT = TypeVar("_RowT")
@@ -165,25 +166,22 @@ class SweepResult:
         return iter(self.rows)
 
     def to_table(self) -> str:
-        """Fixed-width text table: one row per grid point.
+        """Text table, one row per grid point, through :func:`render_table`.
 
         The rendering is deliberately deterministic (no timestamps, no worker
         identities) so two executions of the same grid -- serial or parallel
         -- can be compared byte for byte.
         """
-        header = (f"{'scenario':<52} {'delivered':>9} {'tput/s':>8} "
-                  f"{'p50':>8} {'p95':>8} {'p99':>8} {'mean':>8} "
-                  f"{'msgs':>7} {'spec':>5}")
-        lines = [header]
+        rows = [["scenario", "delivered", "tput/s", "p50", "p95", "p99", "mean",
+                 "msgs", "spec"]]
         for row in self.rows:
             stats = row.statistics
-            delivered = f"{row.delivered}/{row.requested}"
-            lines.append(
-                f"{row.dsn:<52} {delivered:>9} {stats.throughput:>8.1f} "
-                f"{stats.p50:>8.1f} {stats.p95:>8.1f} {stats.p99:>8.1f} "
-                f"{stats.mean_latency:>8.1f} {row.total_messages:>7} "
-                f"{'ok' if row.spec.ok else 'FAIL':>5}")
-        return "\n".join(lines)
+            rows.append([row.dsn, f"{row.delivered}/{row.requested}",
+                         *(f"{value:.1f}" for value in (
+                             stats.throughput, stats.p50, stats.p95, stats.p99,
+                             stats.mean_latency)),
+                         str(row.total_messages), "ok" if row.spec.ok else "FAIL"])
+        return render_table(rows)
 
 
 def run_sweep(sweep: Union[Sweep, Sequence[Scenario]], requests: int = 1,

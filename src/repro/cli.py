@@ -9,10 +9,8 @@ Usage (any of)::
     python -m repro serve "etx://a3.d1.c1?runtime=asyncio&port=7400" --only a1,a2
     python -m repro sweep "etx://d1?workload=bank" \
         --axis protocol=etx,2pc,pb --axis clients=1,4,8 --workers 4
-    python -m repro figure8 --requests 5
-    python -m repro figure7
-    python -m repro figure1
-    python -m repro ablations
+    python -m repro experiment figure8 figure7
+    python -m repro experiment --workers 2
     python -m repro fault-sweep --runs 20
     python -m repro soak --requests 100000
     python -m repro run "etx://a3.d1.c4?rate=40&workload=bank" --profile
@@ -21,9 +19,10 @@ Usage (any of)::
 ``run`` executes any scenario DSN (scheme = protocol: ``etx``, ``2pc``,
 ``pb``, ``baseline``) through the unified scenario API; ``sweep`` expands
 ``--axis`` grids around a base DSN and fans the grid out over worker
-processes; the other sub-commands run the corresponding experiment harness
-and print the regenerated table(s) to stdout.  Exit status is non-zero if the
-result does not have the paper's shape (useful in CI).
+processes; ``experiment`` runs entries of the experiment table
+(:mod:`repro.experiments.catalog`; all of them when none is named) and prints
+each one's table and paper claims.  Exit status is non-zero when a run or a
+claim fails (useful in CI).
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from typing import Optional, Sequence
 
 from repro import api, campaign
 from repro.core import Request
-from repro.experiments import (fault_sweep, figure1, figure7, figure8,
-                               reshard, scaleout, soak)
-from repro.experiments.ablations import asynchrony_sweep, log_cost_sweep, scaling_sweep
+from repro.experiments import catalog, fault_sweep, reshard, soak
 
 
 def _profiled(profile_arg, label: str, call):
@@ -216,72 +213,21 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
     return 0 if issued.delivered and report.ok else 1
 
 
-def _cmd_figure8(args: argparse.Namespace) -> int:
-    report = figure8.run(requests_per_protocol=args.requests, seed=_seed(args),
-                         num_app_servers=args.app_servers)
-    print(report.to_table())
-    print()
-    print(report.compare_with_paper())
-    shape = report.shape_holds()
-    print(f"\nshape holds (baseline < AR < 2PC, overheads near 16%/23%): {shape}")
-    return 0 if shape else 1
-
-
-def _cmd_figure7(args: argparse.Namespace) -> int:
-    report = figure7.run(seed=_seed(args))
-    print(report.to_table())
-    print()
-    print("client latencies (ms):",
-          {protocol: round(latency, 1) for protocol, latency in report.latencies.items()})
-    if args.diagrams:
-        print()
-        print(report.sequence_diagrams())
-    ok = report.expected_structure_holds()
-    print(f"\nstructure matches the paper's diagrams: {ok}")
-    return 0 if ok else 1
-
-
-def _cmd_figure1(args: argparse.Namespace) -> int:
-    report = figure1.run(seed=_seed(args))
-    print(report.to_text())
-    ok = report.all_spec_ok()
-    print(f"\nall scenarios satisfy the e-Transaction specification: {ok}")
-    return 0 if ok else 1
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    print("== E5: asynchrony of the replication scheme ==")
-    for point in asynchrony_sweep(seed=_seed(args)):
-        print(f"  {point.label:<40} claimers={point.distinct_claimers} "
-              f"aborted={point.aborted_results} safe={point.spec_ok}")
-    print("\n== E7: forced-log cost sweep (AR vs 2PC) ==")
-    for point in log_cost_sweep(seed=_seed(args), requests=1):
-        winner = "AR" if point.ar_wins else "2PC"
-        print(f"  log={point.forced_write_latency:5.1f} ms   AR={point.ar_total:6.1f}   "
-              f"2PC={point.twopc_total:6.1f}   winner={winner}")
-    print("\n== E8: replication-degree scaling ==")
-    for point in scaling_sweep(seed=_seed(args), requests=1):
-        print(f"  n={point.num_app_servers}   latency={point.mean_latency:6.1f} ms   "
-              f"messages={point.total_messages}")
-    return 0
-
-
-def _cmd_scaleout(args: argparse.Namespace) -> int:
-    report = scaleout.run(
-        db_counts=tuple(args.db_counts),
-        xshard_fractions=tuple(args.xshard),
-        rate=args.rate, clients=args.clients, requests=args.requests,
-        seed=_seed(args), workers=args.workers)
-    print(f"scale-out: offered load {report.rate:g}/s over {report.clients} "
-          f"client(s), {report.requests_per_client} request(s)/client")
-    print()
-    print(report.to_table())
-    speedups = report.speedup(0.0)
-    if speedups:
-        print()
-        print("speed-up vs d=1 at xshard=0: "
-              + "   ".join(f"d={d} {s:.2f}x" for d, s in sorted(speedups.items())))
-    return 0 if report.ok else 1
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    names = args.names or list(catalog.EXPERIMENTS)
+    unknown = [name for name in names if name not in catalog.EXPERIMENTS]
+    if unknown:
+        print(f"error: unknown experiment(s): {', '.join(unknown)} (known: "
+              f"{', '.join(catalog.EXPERIMENTS)})", file=sys.stderr)
+        return 2
+    tables = catalog.run(names, seed=args.seed, workers=args.workers)
+    verdicts: list[bool] = []
+    for name in names:
+        text, held = catalog.render(name, tables[name])
+        print(text + "\n")
+        verdicts.extend(held)
+    print(f"{sum(verdicts)} of {len(verdicts)} claims hold")
+    return 0 if all(verdicts) else 1
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
@@ -458,38 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     quickstart.add_argument("--db-servers", type=int, default=1)
     quickstart.set_defaults(func=_cmd_quickstart)
 
-    fig8 = sub.add_parser("figure8", help="latency table (baseline / AR / 2PC)")
-    fig8.add_argument("--requests", type=int, default=5,
-                      help="closed-loop transactions per protocol")
-    fig8.add_argument("--app-servers", type=int, default=3)
-    fig8.set_defaults(func=_cmd_figure8)
-
-    fig7 = sub.add_parser("figure7", help="communication steps of the four protocols")
-    fig7.add_argument("--diagrams", action="store_true",
-                      help="also print the message-sequence listings")
-    fig7.set_defaults(func=_cmd_figure7)
-
-    fig1 = sub.add_parser("figure1", help="the four e-Transaction executions")
-    fig1.set_defaults(func=_cmd_figure1)
-
-    ablations = sub.add_parser("ablations", help="asynchrony, log-cost and scaling sweeps")
-    ablations.set_defaults(func=_cmd_ablations)
-
-    scale = sub.add_parser(
-        "scaleout", help="throughput vs database-tier size at fixed offered "
-                         "load (partitioned placement)")
-    scale.add_argument("--db-counts", type=int, nargs="+", default=[1, 2, 4, 8],
-                       help="database-tier sizes to measure (default 1 2 4 8)")
-    scale.add_argument("--xshard", type=float, nargs="+", default=[0.0, 0.25],
-                       help="cross-shard fractions, one curve each")
-    scale.add_argument("--rate", type=float, default=16.0,
-                       help="offered load in requests/s of virtual time")
-    scale.add_argument("--clients", type=int, default=12)
-    scale.add_argument("--requests", type=int, default=4,
-                       help="arrivals per client and grid point")
-    scale.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the grid")
-    scale.set_defaults(func=_cmd_scaleout)
+    experiment = sub.add_parser(
+        "experiment", help="run paper experiments and check their claims "
+                           "(every experiment when none is named)")
+    experiment.add_argument("names", nargs="*", metavar="NAME",
+                            help="experiments to run: "
+                                 + ", ".join(catalog.EXPERIMENTS))
+    experiment.add_argument("--workers", type=int, default=1,
+                            help="worker processes for the runs (same output)")
+    experiment.set_defaults(func=_cmd_experiment)
 
     soak_cmd = sub.add_parser(
         "soak", help="sustained open-loop run, spec-checked online, with "

@@ -21,6 +21,7 @@ from typing import Optional
 from repro.core import messages as msg
 from repro.core.timing import ProtocolTiming
 from repro.core.types import COMMIT, Decision, Request, Result
+from repro.sim.errors import ProcessNotRunning
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.waits import SimFuture, TIMEOUT
@@ -110,14 +111,19 @@ class Client(Process):
         Requests are processed one at a time (the paper's model); issuing
         while another request is in flight queues the new one behind it.  The
         client holds the returned handle only while the request is queued or
-        in flight.
+        in flight.  A down client refuses the request: it could neither send
+        it nor keep it, since ``on_start`` starts each incarnation with an
+        empty queue.
         """
+        if not self.up:
+            raise ProcessNotRunning(f"client {self.name} is down; cannot issue "
+                                    f"request {request.request_id}")
         issued = IssuedRequest(request)
         issued.enqueued_at = self.now
         self._queue.append(issued)
         self.trace.record("client_issue", self.name, request_id=request.request_id,
                           operation=request.operation)
-        if self.up and not self._worker_running:
+        if not self._worker_running:
             self._worker_running = True
             self.spawn(self._issue_loop(), name="client-issue")
         return issued

@@ -1,32 +1,15 @@
-"""Reproduction harnesses: one module per paper figure/table plus ablations.
+"""Reproduction experiments.
 
-* :mod:`repro.experiments.figure8` -- E1/E4: the latency table and the
-  "cost of reliability" row.
-* :mod:`repro.experiments.figure7` -- E2: communication steps of the four
-  protocols in failure-free runs.
-* :mod:`repro.experiments.figure1` -- E3: the four executions of the
-  e-Transaction protocol (commit, abort, fail-over with commit/abort).
-* :mod:`repro.experiments.ablations` -- E5/E7/E8: asynchrony of the
-  replication scheme, forced-log cost sweep, replication-degree scaling.
+* :mod:`repro.experiments.catalog` -- every paper figure, ablation and the
+  scale-out curve as one table of runs and checked claims: Figure 8
+  (E1/E4), Figure 7 (E2), Figure 1 (E3), the asynchrony of the replication
+  scheme (E5), the forced-log cost (E7), the replication degree (E8) and
+  throughput versus database-tier size (E9); ``python -m repro experiment``.
 * :mod:`repro.experiments.fault_sweep` -- E6: correctness under random faults.
-* :mod:`repro.experiments.scaleout` -- E9: throughput vs database-tier size
-  for the partitioned data tier, at a fixed offered load.
 * :mod:`repro.experiments.soak` -- E10: sustained open-loop load, online
   spec-checked, with measured flat observability memory.
-* :mod:`repro.experiments.calibration` -- the paper's measured numbers and the
-  calibrated deployment builders shared by all of the above.
+* :mod:`repro.experiments.reshard` -- online growth of a partitioned data
+  tier under load, and a fault campaign aimed at the migration window.
+
+Importing the package loads none of them.
 """
-
-from repro.experiments import (  # noqa: F401
-    ablations,
-    calibration,
-    fault_sweep,
-    figure1,
-    figure7,
-    figure8,
-    scaleout,
-    soak,
-)
-
-__all__ = ["calibration", "figure1", "figure7", "figure8", "ablations",
-           "fault_sweep", "scaleout", "soak"]

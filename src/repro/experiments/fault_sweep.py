@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from repro import api
 from repro.api import sweep as sweep_api
-from repro.experiments import calibration
+from repro.experiments.catalog import FAILOVER_DSN
 
 
 @dataclass
@@ -138,9 +138,8 @@ def run(num_runs: int = 20, seed: int = 0, num_db_servers: int = 1,
     jobs = []
     for index in range(num_runs):
         run_seed = seed * 10_000 + index
-        scenario = calibration.paper_scenario(
-            "etx", seed=run_seed, num_app_servers=3,
-            num_db_servers=num_db_servers, detection_delay=10.0)
+        scenario = api.Scenario.from_dsn(FAILOVER_DSN).with_(
+            seed=run_seed, num_db_servers=num_db_servers)
         plan = RandomFaultPlan(
             app_servers=scenario.app_server_names,
             db_servers=scenario.db_server_names,

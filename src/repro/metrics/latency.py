@@ -41,12 +41,6 @@ class LatencyBreakdown:
         """Value of one component (0 if absent)."""
         return self.components.get(name, 0.0)
 
-    def overhead_versus(self, baseline: "LatencyBreakdown") -> float:
-        """Relative latency overhead versus ``baseline`` (e.g. 0.16 for +16 %)."""
-        if baseline.total <= 0:
-            return 0.0
-        return (self.total - baseline.total) / baseline.total
-
 
 class LatencyComponentStream:
     """Streaming accumulator of the trace-derived latency components.
@@ -131,52 +125,3 @@ def breakdown_from_run(protocol: str, components: LatencyComponentStream,
     return LatencyBreakdown(protocol=protocol, components=breakdown_components,
                             total=mean_latency, samples=denominator)
 
-
-@dataclass
-class LatencyTable:
-    """A Figure 8 style table: one column per protocol."""
-
-    columns: list[LatencyBreakdown] = field(default_factory=list)
-    baseline_name: str = "baseline"
-
-    def add(self, breakdown: LatencyBreakdown) -> None:
-        """Add one protocol column."""
-        self.columns.append(breakdown)
-
-    def column(self, protocol: str) -> Optional[LatencyBreakdown]:
-        """Look up a column by protocol name."""
-        for breakdown in self.columns:
-            if breakdown.protocol == protocol:
-                return breakdown
-        return None
-
-    def overheads(self) -> dict[str, float]:
-        """Relative overhead of every column versus the baseline column."""
-        baseline = self.column(self.baseline_name)
-        if baseline is None:
-            return {}
-        return {b.protocol: b.overhead_versus(baseline) for b in self.columns}
-
-    def to_table(self) -> str:
-        """Fixed-width text rendering in the layout of the paper's Figure 8."""
-        protocols = [b.protocol for b in self.columns]
-        width = max(12, *(len(p) + 2 for p in protocols))
-        header = "protocol".ljust(14) + "".join(p.rjust(width) for p in protocols)
-        lines = [header]
-        for name in COMPONENT_ORDER:
-            row = name.ljust(14)
-            for breakdown in self.columns:
-                row += f"{breakdown.component(name):.1f}".rjust(width)
-            lines.append(row)
-        total_row = "total".ljust(14)
-        for breakdown in self.columns:
-            total_row += f"{breakdown.total:.1f}".rjust(width)
-        lines.append(total_row)
-        overhead_row = "cost of rel.".ljust(14)
-        overheads = self.overheads()
-        for breakdown in self.columns:
-            overhead = overheads.get(breakdown.protocol, 0.0)
-            overhead_row += f"+{overhead * 100:.0f}%".rjust(width) if overhead > 0 \
-                else "0%".rjust(width)
-        lines.append(overhead_row)
-        return "\n".join(lines)

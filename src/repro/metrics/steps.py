@@ -52,13 +52,6 @@ class CommunicationProfile:
         """Number of messages of one type."""
         return sum(1 for step in self.steps if step.msg_type == msg_type)
 
-    def counts_by_type(self) -> dict[str, int]:
-        """Histogram of protocol message types."""
-        histogram: dict[str, int] = {}
-        for step in self.steps:
-            histogram[step.msg_type] = histogram.get(step.msg_type, 0) + 1
-        return histogram
-
     def sequence_diagram(self, limit: Optional[int] = None) -> str:
         """Multi-line text rendering of the message sequence."""
         steps = self.steps if limit is None else self.steps[:limit]
@@ -111,30 +104,3 @@ class StreamingProfile:
         self._unsubscribers.clear()
         return self.profile
 
-
-@dataclass
-class StepComparison:
-    """Figure 7 as data: one profile per protocol, plus derived counts."""
-
-    profiles: dict[str, CommunicationProfile] = field(default_factory=dict)
-
-    def add(self, profile: CommunicationProfile) -> None:
-        """Add one protocol's profile."""
-        self.profiles[profile.label] = profile
-
-    def to_table(self) -> str:
-        """Text table: one row per protocol with its message counts by type,
-        its consensus messages and every message it sent; each column as wide
-        as its widest cell."""
-        types = ["Request", "Execute", "Prepare", "Vote", "Decide", "AckDecide",
-                 "CommitOnePhase", "Result"]
-        rows = [["protocol", *types, "Consensus", "total"]]
-        for label, profile in self.profiles.items():
-            counts = profile.counts_by_type()
-            rows.append([label, *(str(counts.get(msg_type, 0)) for msg_type in types),
-                         str(profile.consensus_messages), str(profile.total_messages)])
-        widths = [max(map(len, column)) for column in zip(*rows)]
-        return "\n".join(
-            "  ".join([row[0].ljust(widths[0])]
-                      + [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])])
-            for row in rows)

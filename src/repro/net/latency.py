@@ -33,10 +33,6 @@ class LatencyModel:
         """
         raise NotImplementedError
 
-    def min_latency(self, source: str, destination: str) -> float:
-        """A hard lower bound on every latency :meth:`sampler` draws for the link."""
-        raise NotImplementedError
-
 
 class FixedLatency(LatencyModel):
     """Every message takes exactly ``value`` time units."""
@@ -49,9 +45,6 @@ class FixedLatency(LatencyModel):
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         value = self.value  # no RNG draw, no lookup: the link is constant
         return lambda: value
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self.value
 
     def __repr__(self) -> str:
         return f"FixedLatency({self.value})"
@@ -71,9 +64,6 @@ class UniformLatency(LatencyModel):
         # with the method resolution hoisted out of the per-message path.
         low, span, draw = self.low, self.high - self.low, rng.random
         return lambda: low + span * draw()
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -124,9 +114,6 @@ class PerLinkLatency(LatencyModel):
     def sampler(self, rng: random.Random, source: str, destination: str) -> "Sampler":
         # Resolving the per-link override happens once here, not per message.
         return self._resolve(source, destination).sampler(rng, source, destination)
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self._resolve(source, destination).min_latency(source, destination)
 
     def __repr__(self) -> str:
         return f"PerLinkLatency(default={self.default!r}, overrides={len(self.overrides)})"

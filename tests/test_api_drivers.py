@@ -178,3 +178,27 @@ def test_comparison_protocols_reject_etx_only_faults(protocol):
 def test_explicit_zero_backoff_is_honoured():
     system = api.build(api.Scenario.from_dsn("etx://a3.d1.c1?backoff=0"))
     assert system.protocol_timing.client_backoff == 0.0
+
+
+def test_building_a_paper_timed_scenario_loads_no_experiment():
+    """``timing=paper`` builds ``DatabaseTiming()``: building must not import
+    the experiments package (it once did, for a function returning exactly
+    that value)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = ("import sys; from repro import api; "
+            "system = api.build(api.Scenario.from_dsn("
+            "'2pc://a1.d1.c1?workload=bank&timing=paper&trace=full')); "
+            "from repro.core.timing import DatabaseTiming; "
+            "assert system.db_timing == DatabaseTiming(), system.db_timing; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    completed = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

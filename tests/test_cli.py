@@ -20,34 +20,41 @@ def test_quickstart_command_runs_and_reports(capsys):
 
 
 def test_figure8_command_prints_table_and_shape(capsys):
-    status = main(["figure8", "--requests", "1"])
+    status = main(["experiment", "figure8"])
     captured = capsys.readouterr().out
     assert status == 0
-    assert "cost of rel." in captured
-    assert "shape holds" in captured and "True" in captured
+    assert "AR cost of reliability" in captured and "log-outcome" in captured
+    assert "FAIL" not in captured
+    assert captured.rstrip().endswith("claims hold")
 
 
 def test_figure7_command(capsys):
-    status = main(["figure7"])
+    status = main(["experiment", "figure7"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "baseline" in captured and "AR" in captured
-    assert "structure matches" in captured
+    assert "Consensus outside AR" in captured
 
 
 def test_figure7_command_with_diagrams(capsys):
-    status = main(["figure7", "--diagrams"])
+    status = main(["experiment", "figure7"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "->" in captured  # sequence arrows rendered
 
 
 def test_figure1_command(capsys):
-    status = main(["figure1"])
+    status = main(["experiment", "figure1"])
     captured = capsys.readouterr().out
     assert status == 0
-    for scenario in ("a:", "b:", "c:", "d:"):
-        assert scenario in captured
+    for claim in ("(a) attempts", "(b) aborted", "(c) a backup", "(d) a backup"):
+        assert claim in captured
+
+
+def test_experiment_command_refuses_unknown_names(capsys):
+    status = main(["experiment", "figure9"])
+    assert status == 2
+    assert "unknown experiment(s): figure9" in capsys.readouterr().err
 
 
 def test_fault_sweep_command(capsys):

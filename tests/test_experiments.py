@@ -1,199 +1,242 @@
-"""Tests for the figure/table reproduction harnesses and ablations.
+"""Tests for the experiment table and its paper claims.
 
-These tests assert the *shape* claims of the paper hold in the reproduction:
-ordering of protocol latencies, the 16 %/23 % neighbourhood of the overheads,
-the structure of the communication diagrams, the behaviour of the four
-Figure 1 executions, and the qualitative trends of the ablations.
+Each test runs its experiment once (module fixtures) and checks the claim
+rows of :mod:`repro.experiments.catalog` that carry the paper's shape:
+ordering of protocol latencies, the 16 %/23 % neighbourhood of the
+overheads, the structure of the communication diagrams, the behaviour of the
+four Figure 1 executions and the trends of the ablations.  The fault sweep
+stays its own harness.
 """
 
 import pytest
 
-from repro.experiments import (calibration, fault_sweep, figure1, figure7,
-                               figure8, scaleout)
-from repro.experiments.ablations import asynchrony_sweep, log_cost_sweep, scaling_sweep
+from repro.core.timing import DatabaseTiming
+from repro.experiments import catalog, fault_sweep
+from repro.experiments.catalog import PAPER_FIGURE8
+
+
+def measured(name):
+    """Run one experiment; its rows and ``{claim label: (measured, holds)}``."""
+    rows = catalog.run([name])[name]
+    claims = catalog.EXPERIMENTS[name].claims + (catalog.EVERY_RUN_OK,)
+    return rows, {claim.label: catalog.evaluate(claim, rows) for claim in claims}
+
+
+def assert_hold(verdicts, *labels):
+    for label in labels:
+        value, holds = verdicts[label]
+        assert holds, f"{label}: measured {value}"
+
+
+def test_every_experiment_claim_holds():
+    """``python -m repro experiment`` with no name: every claim row holds."""
+    tables = catalog.run(workers=2)
+    assert list(tables) == list(catalog.EXPERIMENTS)
+    for name, rows in tables.items():
+        text, verdicts = catalog.render(name, rows)
+        assert verdicts and all(verdicts), text
+        assert "FAIL" not in text
 
 
 # ------------------------------------------------------------------ calibration
 
 
 def test_paper_figure8_numbers_are_internally_consistent():
-    for protocol, row in calibration.PAPER_FIGURE8.items():
+    for protocol, row in PAPER_FIGURE8.items():
         components = sum(value for key, value in row.items() if key != "total")
         assert components == pytest.approx(row["total"], abs=0.3), protocol
 
 
 def test_calibrated_database_timing_reproduces_baseline_components():
-    timing = calibration.paper_database_timing()
+    timing = DatabaseTiming()
+    baseline = PAPER_FIGURE8["baseline"]
     # Figure 8's commit and prepare columns: CPU plus one forced log write.
-    assert timing.commit_cpu + timing.forced_write == pytest.approx(18.6)
-    assert timing.prepare_cpu + timing.forced_write == pytest.approx(19.0)
-    assert timing.sql == pytest.approx(187.0)
+    assert timing.commit_cpu + timing.forced_write == pytest.approx(baseline["commit"])
+    assert timing.prepare_cpu + timing.forced_write == pytest.approx(
+        PAPER_FIGURE8["AR"]["prepare"])
+    assert timing.sql == pytest.approx(baseline["SQL"])
+    assert (timing.start, timing.end) == (baseline["start"], baseline["end"])
+
+
+def test_paper_overheads_derive_from_the_figure8_data():
+    assert catalog.paper_overhead("baseline") == 0.0
+    assert catalog.paper_overhead("AR") == pytest.approx(0.16, abs=0.005)
+    assert catalog.paper_overhead("2PC") == pytest.approx(0.23, abs=0.005)
+    # With the paper's SQL row set to the baseline's 187.0 ms.
+    assert catalog.paper_overhead("AR", same_sql=True) == pytest.approx(0.132, abs=0.0005)
+    assert catalog.paper_overhead("2PC", same_sql=True) == pytest.approx(0.209, abs=0.0005)
 
 
 # --------------------------------------------------------------------- figure 8
 
 
 @pytest.fixture(scope="module")
-def figure8_report():
-    return figure8.run(requests_per_protocol=3)
+def figure8():
+    return measured("figure8")
 
 
-def test_figure8_totals_close_to_paper(figure8_report):
-    for protocol in ("baseline", "AR", "2PC"):
-        measured = figure8_report.table.column(protocol).total
-        paper = calibration.PAPER_FIGURE8[protocol]["total"]
-        assert measured == pytest.approx(paper, rel=0.05), protocol
+def test_figure8_totals_close_to_paper(figure8):
+    _, verdicts = figure8
+    assert_hold(verdicts, "baseline total, ms", "AR total, ms", "2PC total, ms")
 
 
-def test_figure8_cost_of_reliability_ordering_and_magnitude(figure8_report):
-    overheads = figure8_report.overheads()
-    assert overheads["baseline"] == 0.0
-    assert 0.0 < overheads["AR"] < overheads["2PC"]
-    assert overheads["AR"] == pytest.approx(0.16, abs=0.06)
-    assert overheads["2PC"] == pytest.approx(0.23, abs=0.06)
-    assert figure8_report.shape_holds()
+def test_figure8_cost_of_reliability_ordering_and_magnitude(figure8):
+    _, verdicts = figure8
+    assert_hold(verdicts, "baseline < AR < 2PC total",
+                "AR cost of reliability", "2PC cost of reliability",
+                "AR cost of reliability, paper SQL 187.0",
+                "2PC cost of reliability, paper SQL 187.0")
+    assert verdicts["AR cost of reliability"][0] == pytest.approx(0.16, abs=0.06)
+    assert verdicts["2PC cost of reliability"][0] == pytest.approx(0.23, abs=0.06)
 
 
-def test_figure8_component_shape(figure8_report):
-    baseline = figure8_report.table.column("baseline")
-    ar = figure8_report.table.column("AR")
-    twopc = figure8_report.table.column("2PC")
+def test_figure8_component_shape(figure8):
+    rows, verdicts = figure8
     # The baseline has no prepare phase and no logging; AR replaces the 2PC
     # forced logs by cheaper replicated register writes.
-    assert baseline.component("prepare") == 0.0
-    assert baseline.component("log-start") == 0.0
-    assert ar.component("prepare") > 0 and twopc.component("prepare") > 0
-    assert 0 < ar.component("log-start") < twopc.component("log-start")
-    assert 0 < ar.component("log-outcome") < twopc.component("log-outcome")
-    assert ar.component("SQL") == twopc.component("SQL") == baseline.component("SQL")
+    assert_hold(verdicts, "baseline prepare + log-start + log-outcome, ms",
+                "AR prepare, ms", "AR log-start, ms", "AR log-outcome, ms",
+                "2PC log-start, ms", "2PC log-outcome, ms",
+                "SQL spread over the columns, ms")
+    assert rows["2PC"]["prepare"] > 0
 
 
-def test_figure8_report_rendering(figure8_report):
-    table = figure8_report.to_table()
-    assert "cost of rel." in table
-    comparison = figure8_report.compare_with_paper()
-    assert "baseline" in comparison and "2PC" in comparison
+def test_figure8_report_rendering(figure8):
+    rows, _ = figure8
+    text, verdicts = catalog.render("figure8", rows)
+    header = text.splitlines()[2].split()
+    assert header == ["run", "start", "end", "commit", "prepare", "SQL", "log-start",
+                      "log-outcome", "other", "total"]
+    assert "AR cost of reliability, paper SQL 187.0" in text
+    assert "193.2 / 190.6" in text  # the note that explains the SQL row
+    assert all(verdicts)
+
+
+def test_figure8_parallel_workers_match_serial(figure8):
+    rows, _ = figure8
+    parallel = catalog.run(["figure8"], workers=3)["figure8"]
+    assert parallel == rows
+    assert catalog.render("figure8", parallel) == catalog.render("figure8", rows)
 
 
 # --------------------------------------------------------------------- figure 7
 
 
 @pytest.fixture(scope="module")
-def figure7_report():
-    return figure7.run()
+def figure7():
+    return measured("figure7")
 
 
-def test_figure7_structure_matches_paper(figure7_report):
-    assert figure7_report.expected_structure_holds()
+def test_figure7_structure_matches_paper(figure7):
+    _, verdicts = figure7
+    assert_hold(verdicts, "baseline Prepare", "baseline CommitOnePhase",
+                "2PC Prepare", "2PC Vote", "AR Prepare", "AR Vote",
+                "PB PBStart", "PB PBOutcome", "AR PBStart",
+                "AR Consensus (two register writes)", "Consensus outside AR")
 
 
-def test_figure7_message_counts(figure7_report):
-    counts = {label: len(profile.steps)
-              for label, profile in figure7_report.comparison.profiles.items()}
+def test_figure7_message_counts(figure7):
     # The baseline exchanges the fewest protocol messages; every reliable
     # protocol adds the voting round; primary-backup adds the replication
     # round-trips on top.
-    assert counts["baseline"] < counts["2PC"] <= counts["AR"] <= counts["PB"]
+    _, verdicts = figure7
+    assert_hold(verdicts, "protocol msgs: baseline < 2PC <= AR <= PB")
 
 
-def test_figure7_latency_ordering(figure7_report):
-    latencies = figure7_report.latencies
-    assert latencies["baseline"] < latencies["AR"] < latencies["2PC"]
+def test_figure7_latency_ordering(figure7):
+    _, verdicts = figure7
+    assert_hold(verdicts, "latency: baseline < AR < 2PC")
 
 
-def test_figure7_rendering(figure7_report):
-    header, *rows = figure7_report.to_table().splitlines()
-    assert header.split() == ["protocol", "Request", "Execute", "Prepare", "Vote", "Decide",
-                              "AckDecide", "CommitOnePhase", "Result", "Consensus", "total"]
-    table = {row.split()[0]: dict(zip(header.split(), row.split())) for row in rows}
-    assert list(table) == ["baseline", "2PC", "PB", "AR"]
-    # AR's total is every message it sent: 8 protocol messages and the 8
-    # consensus messages of its two register writes.
-    assert table["AR"]["Consensus"] == "8" and table["AR"]["total"] == "16"
-    assert table["2PC"]["Consensus"] == "0" and table["2PC"]["total"] == "8"
-    diagrams = figure7_report.sequence_diagrams()
-    assert "Request" in diagrams and "Result" in diagrams
+def test_figure7_rendering(figure7):
+    rows, verdicts = figure7
+    text, _ = catalog.render("figure7", rows)
+    header, *lines = text.split("\n\n")[1].splitlines()
+    assert header.split() == ["run", *catalog.FIGURE7_TYPES, "Consensus", "protocol",
+                              "msgs", "messages", "latency"]
+    assert [line.split()[0] for line in lines] == ["baseline", "2PC", "PB", "AR"]
+    # AR's messages are every message it sent: 8 protocol messages and the
+    # 8 consensus messages of its two register writes.
+    assert (rows["AR"]["Consensus"], rows["AR"]["messages"]) == (8, 16)
+    assert (rows["2PC"]["Consensus"], rows["2PC"]["messages"]) == (0, 8)
+    assert_hold(verdicts, "2PC messages", "AR messages")
+    # The sequence listing is part of the output.
+    assert "== AR ==" in text and "c1 -> a1    Request" in text
+    assert "a1 -> c1    Result" in text
 
 
 # --------------------------------------------------------------------- figure 1
 
 
 @pytest.fixture(scope="module")
-def figure1_report():
-    return figure1.run()
+def figure1():
+    return measured("figure1")
 
 
-def test_figure1_all_scenarios_safe_and_delivered(figure1_report):
-    assert figure1_report.all_spec_ok()
-    for name in "abcd":
-        assert figure1_report.scenarios[name].delivered, name
+def test_figure1_all_scenarios_safe_and_delivered(figure1):
+    rows, verdicts = figure1
+    assert_hold(verdicts, "every run delivered and kept the specification")
+    assert list(rows) == ["a", "b", "c", "d"]
+    assert all(row["delivered"] == 1 and row["spec"] for row in rows.values())
 
 
-def test_figure1_scenario_a_failure_free_commit(figure1_report):
-    scenario = figure1_report.scenarios["a"]
-    assert scenario.attempts == 1
-    assert scenario.aborted_results == []
-    assert scenario.answered_by == {"a1"}
-    assert scenario.committed_balance == 100_000 - 10
+def test_figure1_scenario_a_failure_free_commit(figure1):
+    _, verdicts = figure1
+    assert_hold(verdicts, "(a) attempts", "(a) aborted results", "(a) the primary answers",
+                "runs not debiting the account exactly once")
 
 
-def test_figure1_scenario_b_failure_free_abort_then_retry(figure1_report):
-    scenario = figure1_report.scenarios["b"]
-    assert scenario.aborted_results, "the first intermediate result must abort"
-    assert scenario.attempts >= 2
-    assert scenario.committed_balance == 100_000 - 10  # exactly-once despite the abort
+def test_figure1_scenario_b_failure_free_abort_then_retry(figure1):
+    rows, verdicts = figure1
+    # The first intermediate result aborts; exactly-once despite the abort.
+    assert_hold(verdicts, "(b) aborted results", "(b) attempts")
+    assert rows["b"]["balance"] == 100_000 - 10
 
 
-def test_figure1_scenario_c_failover_with_commit(figure1_report):
-    scenario = figure1_report.scenarios["c"]
-    assert scenario.attempts == 1          # the crashed primary's result is committed
-    assert scenario.aborted_results == []
-    assert scenario.answered_by - {"a1"}, "a backup must answer the client"
-    assert scenario.committed_balance == 100_000 - 10
+def test_figure1_scenario_c_failover_with_commit(figure1):
+    rows, verdicts = figure1
+    # The crashed primary's result is committed and a backup answers.
+    assert_hold(verdicts, "(c) attempts", "(c) aborted results", "(c) a backup answers")
+    assert rows["c"]["balance"] == 100_000 - 10
 
 
-def test_figure1_scenario_d_failover_with_abort(figure1_report):
-    scenario = figure1_report.scenarios["d"]
-    assert scenario.aborted_results, "the orphaned result must be aborted by a cleaner"
-    assert scenario.answered_by - {"a1"}
-    assert scenario.committed_balance == 100_000 - 10  # the retry commits exactly once
+def test_figure1_scenario_d_failover_with_abort(figure1):
+    rows, verdicts = figure1
+    # A cleaner aborts the orphaned result; the retry commits exactly once.
+    assert_hold(verdicts, "(d) aborted results", "(d) a backup answers")
+    assert rows["d"]["balance"] == 100_000 - 10
 
 
 # -------------------------------------------------------------------- ablations
 
 
 def test_asynchrony_sweep_shows_primary_backup_to_active_spectrum():
-    points = {point.label: point for point in asynchrony_sweep()}
-    quiet = points["patient client, reliable FD"]
-    noisy = points["impatient client, false suspicion"]
-    assert quiet.distinct_claimers == 1
-    assert quiet.aborted_results == 0
-    # Unreliable suspicions / impatience cause extra work (aborted intermediate
-    # results and/or several servers claiming results) but never unsafety.
-    assert noisy.aborted_results + noisy.distinct_claimers > quiet.aborted_results + 1
-    assert all(point.spec_ok for point in points.values())
-    assert all(point.delivered for point in points.values())
+    rows, verdicts = measured("asynchrony")
+    # Reliable suspicions: one server terminates, nothing aborts.  A false
+    # suspicion makes a second server clean and terminate the same results
+    # (Section 5's concurrency) -- extra work, never unsafety.
+    assert [row["terminators"] for row in rows.values()] == [1, 1, 2, 2]
+    assert all(holds for _, holds in verdicts.values())
 
 
 def test_log_cost_sweep_shows_crossover():
-    points = log_cost_sweep(latencies=[0.0, 12.5], requests=1)
-    cheap_log, paper_log = points
+    rows, verdicts = measured("log_cost")
     # With free forced logs 2PC beats AR (fewer messages); at the paper's
     # 12.5 ms the two forced writes make 2PC slower -- the crossover the
-    # paper's Appendix 3 argues about.
-    assert not cheap_log.ar_wins
-    assert paper_log.ar_wins
+    # paper's Appendix 3 argues about.  AR does not depend on ``log`` and
+    # runs once.
+    assert list(rows) == ["AR", "2PC log=0", "2PC log=2", "2PC log=5", "2PC log=12.5",
+                          "2PC log=25"]
+    assert_hold(verdicts, "2PC faster than AR at log=0", "AR faster than 2PC at log=12.5",
+                "crossover forced-log latency, ms", "2PC latency per ms of forced log")
 
 
 def test_scaling_sweep_latency_flat_but_messages_grow():
-    points = scaling_sweep(degrees=[1, 3, 5], requests=1)
-    latencies = [point.mean_latency for point in points]
-    messages = [point.total_messages for point in points]
-    assert all(point.delivered for point in points)
-    # Latency is governed by the majority round trip, not the group size.
-    assert max(latencies) - min(latencies) < 10.0
-    # Traffic grows with the replication degree.
-    assert messages == sorted(messages) and messages[0] < messages[-1]
+    _, verdicts = measured("scaling")
+    # Latency is governed by the majority round trip, not the group size;
+    # traffic grows with the replication degree.
+    assert_hold(verdicts, "every run delivered and kept the specification",
+                "latency spread over n, ms", "messages grow with n")
 
 
 def test_fault_sweep_all_safe():
@@ -210,11 +253,6 @@ def test_fault_sweep_with_client_crashes_all_safe():
     assert result.all_safe, result.violations
 
 
-def test_figure8_parallel_workers_match_serial(figure8_report):
-    parallel = figure8.run(requests_per_protocol=3, workers=3)
-    assert parallel.to_table() == figure8_report.to_table()
-
-
 def test_fault_sweep_parallel_workers_match_serial():
     serial = fault_sweep.run(num_runs=4, seed=2, workers=1)
     parallel = fault_sweep.run(num_runs=4, seed=2, workers=4)
@@ -224,22 +262,23 @@ def test_fault_sweep_parallel_workers_match_serial():
 # -------------------------------------------------------------------- scale-out
 
 
-def test_scaleout_partitioned_tier_scales_and_cross_shard_costs():
+@pytest.fixture(scope="module")
+def scaleout():
+    return measured("scaleout")
+
+
+def test_scaleout_partitioned_tier_scales_and_cross_shard_costs(scaleout):
     """Committed throughput at a fixed offered load while the data tier grows."""
-    db_counts = (1, 2, 4)
-    report = scaleout.run(db_counts=db_counts, xshard_fractions=(0.0, 0.25),
-                          rate=16.0, clients=12, requests=4, seed=0, workers=1)
-    assert report.ok, "some grid point lost requests or violated the spec"
-    assert report.speedup(0.0)[4] >= 2.5
+    _, verdicts = scaleout
+    assert_hold(verdicts, "every run delivered and kept the specification",
+                "speed-up of d=4 over d=1 at xshard=0")
     # The cross-shard curve sits at or below the single-shard curve: every
     # cross-shard transaction occupies two shards.
-    for d in db_counts[1:]:
-        single = [p for p in report.curve(0.0) if p.db_servers == d][0]
-        crossed = [p for p in report.curve(0.25) if p.db_servers == d][0]
-        assert crossed.throughput <= single.throughput * 1.05
+    assert_hold(verdicts, *(f"d={d}: xshard=0.25 over xshard=0 throughput"
+                            for d in (2, 4, 8)))
 
 
-def test_scaleout_parallel_workers_match_serial():
-    grid = dict(db_counts=(1, 2), xshard_fractions=(0.0, 0.25),
-                rate=16.0, clients=8, requests=2, seed=5)
-    assert scaleout.run(workers=4, **grid).points == scaleout.run(workers=1, **grid).points
+def test_scaleout_parallel_workers_match_serial(scaleout):
+    rows, _ = scaleout
+    assert catalog.run(["scaleout"], workers=4)["scaleout"] == rows
+

@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.core.client import IssuedRequest
 from repro.core.types import Request
+from repro.sim.errors import ProcessNotRunning
 from repro.workload.generator import ClosedLoop, OpenLoop
 
 ALL_PROTOCOLS = list(api.PROTOCOLS)
@@ -119,6 +120,26 @@ def test_load_generators_terminate_when_a_client_is_down():
     closed_stats = ClosedLoop().run(system, 2)
     assert closed_stats.count == 2
     assert closed_stats.undelivered == 2
+
+
+def test_a_down_client_refuses_to_issue():
+    """Issuing to a crashed client raises before anything is recorded: the
+    request could be neither sent nor kept (recovery starts an empty queue),
+    so a silently accepted handle would be a request the spec sees issued
+    and never sent."""
+    system = api.build(api.Scenario.from_dsn("etx://a3.d1.c1?seed=1"))
+    system.clients["c1"].crash()
+    with pytest.raises(ProcessNotRunning):
+        system.issue(system.standard_request())
+    assert system.trace.count("client_issue") == 0
+    system.sim.schedule(100.0, system.clients["c1"].recover)
+    system.run(until=200.0)
+    issued = system.run_request(system.standard_request())
+    system.run(until=system.sim.now + 5_000.0)
+    assert issued.delivered
+    assert system.trace.count("client_issue") == system.trace.count("client_send") == 1
+    report = system.check_spec()
+    assert report.ok, report.summary()
 
 
 def test_open_loop_breakdown_uses_service_latency_not_sojourn():

@@ -167,15 +167,11 @@ def experiments(out: str) -> None:
     documented variants nothing else covers (client crashes, a sharded travel
     workload, the sweep's default worker count)."""
     for argv in (
-        ("figure1",),
-        ("figure7", "--diagrams"),
-        ("figure8", "--requests", "1"),
-        ("ablations",),
+        ("experiment",),
         ("fault-sweep", "--runs", "10"),
         ("fault-sweep", "--runs", "10", "--client-crashes"),
         ("soak", "--requests", "2000", "--json", os.path.join(out, "soak.json")),
         ("reshard", "--campaign-runs", "10", "--json", os.path.join(out, "reshard.json")),
-        ("scaleout", "--db-counts", "1", "2", "--requests", "2"),
         ("sweep", "etx://d1?workload=bank", "--axis", "protocol=etx,2pc,pb",
          "--axis", "clients=1,4", "--serial"),
         ("sweep", "etx://d1?workload=bank", "--axis", "clients=2"),
