@@ -23,9 +23,9 @@ depends on:
 * ``repro.workload`` -- bank-account and travel-booking workloads.
 * ``repro.metrics`` -- latency-component accounting, communication-step
   counting and the text-table renderer the experiments print through.
-* ``repro.experiments`` -- the experiment table (every paper figure and
-  ablation as labelled runs plus checked paper claims, ``python -m repro
-  experiment``) and the fault-sweep, soak and reshard harnesses.
+* ``repro.experiments`` -- the experiment table (every paper figure,
+  ablation, the fault sweep and online growth as labelled runs plus checked
+  claims, ``python -m repro experiment``) and the soak harness.
 * ``repro.api`` -- the unified scenario API: declarative :class:`Scenario`
   objects with a DSN string form, a protocol-driver registry, and
   ``run_scenario`` -- the single entry point every experiment, example and

@@ -9,7 +9,7 @@ breakdown, message counts and the verdict into a :class:`ScenarioResult`.
 :func:`run_scenario` does all three in one call (``python -m repro run
 <dsn>``); a caller that must watch the run attaches its observer between
 ``build`` and ``drive``.  :class:`RunJob` is the picklable unit of work the
-sweep, the fault sweep and the campaigns hand to worker processes.
+sweep and the campaigns hand to worker processes.
 """
 
 from __future__ import annotations
@@ -148,9 +148,7 @@ def drive(system: ThreeTierDeployment, requests: int, *,
     if settle > 0:
         system.run(until=system.sim.now + settle)
     if check_termination is None:
-        client_faulted = any(fault.target in scenario.client_names
-                             for fault in scenario.faults)
-        check_termination = statistics.undelivered == 0 and not client_faulted
+        check_termination = statistics.undelivered == 0 and not scenario.faults_a_client
     spec = system.check_spec(check_termination=check_termination)
     # The component breakdown explains *protocol* latency, so it gets the
     # service latency -- for open loops the client-observed mean also

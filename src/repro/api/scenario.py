@@ -717,6 +717,12 @@ class Scenario:
         return any(fault.kind == "reshard" for fault in self.faults)
 
     @property
+    def faults_a_client(self) -> bool:
+        """Whether a fault targets a client: such a run owes at-most-once,
+        not delivery, so its termination properties are not checked."""
+        return any(fault.target in self.client_names for fault in self.faults)
+
+    @property
     def sharding(self) -> Sharding:
         """Key-placement map of the database tier this scenario describes."""
         return Sharding(tuple(self.db_server_names), self.placement)

@@ -1,18 +1,19 @@
 """Crucible: adversarial fault-campaign engine.
 
 The paper's e-Transaction guarantees quantify over *every* failure schedule;
-random sampling (the fault sweep's
-:class:`~repro.experiments.fault_sweep.RandomFaultPlan`) barely scratches
-that space.  This package searches it adversarially instead:
+random sampling (:class:`~repro.campaign.adversarial.RandomFaultPlan`, the
+fault sweep's schedules) barely scratches that space.  This package searches
+it adversarially instead:
 
 * :class:`~repro.campaign.windows.FaultWindowObserver` subscribes to the
-  trace event bus and exposes the live protocol phase of every transaction
-  (executing / voting / deciding / terminating), turning a probe run into a
-  list of timestamped *injection windows* -- the phase boundaries the paper's
-  proofs hinge on.
+  trace event bus and records each transaction's protocol phase as it
+  changes (executing / voting / deciding / terminating), turning a probe run
+  into a list of timestamped *injection windows* -- the phase boundaries the
+  paper's proofs hinge on.
 * :class:`~repro.campaign.adversarial.AdversarialFaultPlan` aims crashes,
   partitions and false suspicions at those windows (instead of uniformly at
-  the clock) and perturbs known schedules with mutation operators.
+  the clock, as :class:`~repro.campaign.adversarial.RandomFaultPlan` does)
+  and perturbs known schedules with mutation operators.
 * :func:`~repro.campaign.runner.run_campaign` drives seeded generations of
   schedules through the sweep executor's worker pool, spec-checking each run
   online and ranking near-misses by a progress metric (in-doubt dwell time,
@@ -24,7 +25,12 @@ that space.  This package searches it adversarially instead:
   for the permanent regression corpus under ``tests/corpus/``.
 """
 
-from repro.campaign.adversarial import AdversarialFaultPlan, FaultAtom, atoms_to_specs
+from repro.campaign.adversarial import (
+    AdversarialFaultPlan,
+    FaultAtom,
+    RandomFaultPlan,
+    atoms_to_specs,
+)
 from repro.campaign.artifacts import Counterexample, ReplayResult, replay, write_sidecar
 from repro.campaign.runner import (
     CampaignBudget,
@@ -46,6 +52,7 @@ from repro.campaign.windows import (
 __all__ = [
     "AdversarialFaultPlan",
     "FaultAtom",
+    "RandomFaultPlan",
     "atoms_to_specs",
     "Counterexample",
     "ReplayResult",

@@ -14,7 +14,10 @@ windows a probe run recorded (see
 :class:`~repro.campaign.windows.FaultWindowObserver`) and mutates known
 schedules -- shift a fault in time, swap its target, stretch its duration,
 add or drop one move -- which is how the campaign climbs from near-misses to
-counterexamples.
+counterexamples.  :class:`RandomFaultPlan` draws schedules uniformly over
+the clock instead (the fault sweep, ``python -m repro experiment
+fault_sweep``, and the property tests): this module is the one place that
+draws fault schedules.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ class FaultAtom:
                           observer=self.observer, duration=self.duration),)
 
 
-def atoms_to_specs(atoms: Sequence[FaultAtom]) -> tuple[FaultSpec, ...]:
-    """Lower atoms to a time-ordered tuple of fault specs."""
-    specs = [spec for atom in atoms for spec in atom.to_specs()]
+def atoms_to_specs(atoms: Sequence[FaultAtom],
+                   base: Sequence[FaultSpec] = ()) -> tuple[FaultSpec, ...]:
+    """Lower atoms to a time-ordered tuple of fault specs, merged with the
+    ``base`` specs they are laid on top of."""
+    specs = [*base, *(spec for atom in atoms for spec in atom.to_specs())]
     return tuple(sorted(specs, key=lambda s: (s.time, s.kind, s.target)))
 
 
@@ -105,12 +110,14 @@ class AdversarialFaultPlan:
         unreliable failure detector to inject into).  For ``etx`` the bound
         is the *exact* minority -- crashing a majority of a 1- or 2-replica
         deployment would exceed the paper's stated assumptions and make any
-        resulting "violation" meaningless.
+        resulting "violation" meaningless.  The database targets include the
+        standbys a ``reshard`` grows into: a fresh shard crashing mid-install
+        is the case the idempotent MIGRATE replay exists for.
         """
         minority = (scenario.num_app_servers - 1) // 2
         defaults = dict(
             app_servers=tuple(scenario.app_server_names),
-            db_servers=tuple(scenario.db_server_names),
+            db_servers=tuple(scenario.all_db_server_names),
             clients=tuple(scenario.client_names),
             anchors=tuple(anchors),
             allow_false_suspicion=(scenario.protocol == "etx"
@@ -251,3 +258,58 @@ class AdversarialFaultPlan:
         if not others:
             return atom
         return replace(atom, target=target, observer=rng.choice(others))
+
+
+@dataclass
+class RandomFaultPlan:
+    """Parameters for generating random, assumption-respecting faults.
+
+    The generated faults keep the paper's correctness assumptions:
+
+    * at most a minority of application servers is ever crashed (and crashed
+      application servers stay down -- the paper's crash-stop model for the
+      middle tier),
+    * database servers may crash at any time but always recover within
+      ``db_downtime_max`` ("all database servers are good"),
+    * the client may optionally crash (the spec then only requires at-most-once).
+    """
+
+    app_servers: Sequence[str]
+    db_servers: Sequence[str]
+    client: Optional[str] = None
+    horizon: float = 2_000.0
+    max_app_crashes: Optional[int] = None
+    db_crash_probability: float = 0.5
+    db_downtime_min: float = 20.0
+    db_downtime_max: float = 150.0
+    client_crash_probability: float = 0.0
+    false_suspicion_probability: float = 0.3
+    false_suspicion_duration: float = 40.0
+
+    def generate(self, seed: int) -> tuple[FaultSpec, ...]:
+        """Deterministic random faults for ``seed``, in stable time order."""
+        rng = random.Random(seed)
+        faults = []
+        majority_bound = (len(self.app_servers) - 1) // 2
+        budget = self.max_app_crashes if self.max_app_crashes is not None else majority_bound
+        budget = min(budget, majority_bound)
+        crashable = list(self.app_servers)
+        rng.shuffle(crashable)
+        for name in crashable[:budget]:
+            if rng.random() < 0.7:
+                faults.append(FaultSpec("crash", rng.uniform(0.0, self.horizon * 0.6),
+                                        name))
+        for name in self.db_servers:
+            if rng.random() < self.db_crash_probability:
+                start = rng.uniform(0.0, self.horizon * 0.5)
+                downtime = rng.uniform(self.db_downtime_min, self.db_downtime_max)
+                faults.append(FaultSpec("crash_for", start, name, downtime=downtime))
+        if self.client is not None and rng.random() < self.client_crash_probability:
+            faults.append(FaultSpec("crash", rng.uniform(0.0, self.horizon * 0.5),
+                                    self.client))
+        if len(self.app_servers) >= 2 and rng.random() < self.false_suspicion_probability:
+            observer, target = rng.sample(list(self.app_servers), 2)
+            faults.append(FaultSpec(
+                "false_suspicion", rng.uniform(0.0, self.horizon * 0.4), target,
+                observer=observer, duration=self.false_suspicion_duration))
+        return tuple(sorted(faults, key=lambda fault: fault.time))

@@ -4,7 +4,11 @@
 
 1. **Probe** -- run the scenario fault-free with a
    :class:`~repro.campaign.windows.FaultWindowObserver` attached; its
-   phase-transition log becomes the injection-window map.
+   phase-transition log becomes the injection-window map.  The scenario's
+   ``reshard`` faults are the one exception to "fault-free": they stay in
+   the probe and under every evaluated schedule, so a campaign on a growing
+   data tier perturbs the migration (its begin and commit are windows too)
+   rather than replacing it.  Every other fault of the scenario is dropped.
 2. **Search** -- seeded generations: generation 0 samples window-targeted
    schedules from the :class:`~repro.campaign.adversarial.AdversarialFaultPlan`,
    later generations mutate the highest-scoring survivors (near-miss
@@ -158,7 +162,7 @@ def probe_windows(scenario: Scenario, requests: int = 1,
                   horizon: float = 120_000.0,
                   settle: float = 5_000.0) -> tuple[PhaseTransition, ...]:
     """Probe run of the scenario as given; returns the recorded injection
-    windows (the campaigns pass their fault-free or reshard-only base)."""
+    windows (the campaign passes its base: the scenario's reshards only)."""
     system = api.build(scenario)
     observer = FaultWindowObserver.attach(system.trace)
     api.drive(system, requests, horizon_per_request=horizon, settle=settle)
@@ -241,7 +245,8 @@ def run_campaign(scenario: Union[Scenario, str],
     """
     if isinstance(scenario, str):
         scenario = Scenario.from_dsn(scenario)
-    base = scenario.with_(faults=())
+    reshards = tuple(fault for fault in scenario.faults if fault.kind == "reshard")
+    base = scenario.with_(faults=reshards)
     budget = budget if budget is not None else CampaignBudget()
     windows = probe_windows(base, requests=budget.requests,
                             horizon=budget.horizon, settle=budget.settle)
@@ -252,7 +257,7 @@ def run_campaign(scenario: Union[Scenario, str],
     rng = random.Random(zlib.crc32(f"campaign:{base.to_dsn()}:{seed}".encode()))
 
     def job_for(atoms: Sequence[FaultAtom]) -> api.RunJob:
-        return api.RunJob(base.with_(faults=atoms_to_specs(atoms)),
+        return api.RunJob(base.with_(faults=atoms_to_specs(atoms, reshards)),
                           requests=budget.requests, horizon=budget.horizon,
                           settle=budget.settle)
 

@@ -4,7 +4,7 @@ The e-Transaction proofs hinge on what happens at the boundaries between a
 transaction's protocol phases -- a result computed but not yet voted on, a
 vote cast but not yet decided, a decision made but not yet terminated.  The
 :class:`FaultWindowObserver` subscribes to the trace event bus (the same bus
-the online :class:`~repro.core.spec.SpecMonitor` rides) and tracks the live
+the online :class:`~repro.core.spec.SpecMonitor` rides) and tracks the
 phase of every transaction, recording a timestamped
 :class:`PhaseTransition` for each protocol-critical instant.  A probe run's
 transition list is the *injection-window map* the
@@ -14,7 +14,7 @@ transition list is the *injection-window map* the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.tracing import TraceEvent, TraceRecorder
 
@@ -59,18 +59,16 @@ class PhaseTransition:
 
 
 class FaultWindowObserver:
-    """Streams the trace bus into a live per-transaction phase map.
+    """Streams the trace bus into a per-transaction phase map.
 
     Attach to any run (probe runs, campaign evaluations, interactive
-    experiments); afterwards :attr:`transitions` is the ordered list of
-    injection windows and :meth:`phase_of` answers the live phase of any
-    still-in-flight transaction.
+    experiments); :attr:`transitions` is the ordered list of injection
+    windows, each labelled with the phase its transaction is in after it.
     """
 
     def __init__(self) -> None:
         self.transitions: list[PhaseTransition] = []
         self._phase: dict[Any, str] = {}
-        self._done: set[Any] = set()
         self._request_of_result: dict[tuple, Any] = {}
         self._unsubscribers: list[Callable[[], None]] = []
 
@@ -136,47 +134,14 @@ class FaultWindowObserver:
             # is a probe/diagnostic tool over bounded runs, not a soak
             # component.
             self._request_of_result[self._result_key(event)] = event.data.get("request_id")
-        if request_id in self._done:
-            # Still a protocol instant worth targeting (cleanup traffic), but
-            # it must not resurrect a retired transaction's live phase.
-            phase = PHASE_TERMINATING
-        else:
-            previous = self._phase.get(request_id)
-            # Phases only advance; a retransmitted vote after delivery must
-            # not drag a terminating transaction back to "deciding".
-            if previous is not None and _PHASE_ORDER[phase] < _PHASE_ORDER[previous]:
-                phase = previous
-            self._phase[request_id] = phase
+        previous = self._phase.get(request_id)
+        # Phases only advance: a retransmitted vote or a cleanup decide after
+        # the delivery (or ``as_terminate``, whichever the protocol emits
+        # first; the one-phase baseline never emits ``as_terminate``) is
+        # still an instant worth targeting, labelled terminating.
+        if previous is not None and _PHASE_ORDER[phase] < _PHASE_ORDER[previous]:
+            phase = previous
+        self._phase[request_id] = phase
         self.transitions.append(PhaseTransition(
             time=event.time, request_id=request_id, phase=phase,
             process=event.process, event=event.category))
-        if event.category in ("as_terminate", "client_deliver"):
-            # Terminally resolved for the client's purposes: retire the
-            # live-phase entry (the window list keeps the history).  Both
-            # events retire because protocols differ in which one exists and
-            # in which order they arrive -- etx terminates server-side before
-            # or after the delivery, the one-phase baseline never emits
-            # as_terminate at all.
-            self._retire(request_id)
-
-    def _retire(self, request_id: Any) -> None:
-        if request_id in self._done:
-            return
-        self._done.add(request_id)
-        self._phase.pop(request_id, None)
-
-    # ------------------------------------------------------------------ query
-
-    def phase_of(self, request_id: Any) -> Optional[str]:
-        """Live phase of ``request_id`` (``None`` once terminated/unknown)."""
-        return self._phase.get(request_id)
-
-    @property
-    def in_flight(self) -> int:
-        """Transactions currently tracked (begun, not yet terminated)."""
-        return len(self._phase)
-
-    @property
-    def completed(self) -> int:
-        """Transactions whose live-phase entry has been retired."""
-        return len(self._done)

@@ -11,9 +11,11 @@ Usage (any of)::
         --axis protocol=etx,2pc,pb --axis clients=1,4,8 --workers 4
     python -m repro experiment figure8 figure7
     python -m repro experiment --workers 2
-    python -m repro fault-sweep --runs 20
+    python -m repro experiment fault_sweep reshard
     python -m repro soak --requests 100000
     python -m repro run "etx://a3.d1.c4?rate=40&workload=bank" --profile
+    python -m repro campaign \
+        "etx://a3.d4.c8?rate=6&workload=bank&placement=hash&fault=reshard@500:d4->d8"
     python -m repro quickstart
 
 ``run`` executes any scenario DSN (scheme = protocol: ``etx``, ``2pc``,
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 
 from repro import api, campaign
 from repro.core import Request
-from repro.experiments import catalog, fault_sweep, reshard, soak
+from repro.experiments import catalog, soak
 
 
 def _profiled(profile_arg, label: str, call):
@@ -156,10 +158,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _seed(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else 0
-
-
 def _scenario(args: argparse.Namespace, dsn: str) -> "api.Scenario":
     """The scenario ``dsn`` describes, with the global ``--seed`` applied."""
     scenario = api.Scenario.from_dsn(dsn)
@@ -203,7 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     scenario = api.Scenario(protocol="etx", num_app_servers=args.app_servers,
-                            num_db_servers=args.db_servers, seed=_seed(args))
+                            num_db_servers=args.db_servers, seed=args.seed or 0)
     system = api.build(scenario)
     issued = system.run_request(Request("quickstart", {"n": 1}))
     report = system.check_spec()
@@ -238,25 +236,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             args.profile, "soak",
             lambda: soak.run(scenario, requests=args.requests,
                              checkpoints=args.checkpoints))
-    except (api.ScenarioError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(report.summary())
-    if args.json:
-        _write_bench_json(args.json, report.to_json())
-    return 0 if report.ok else 1
-
-
-def _cmd_reshard(args: argparse.Namespace) -> int:
-    try:
-        dsn = args.dsn if args.dsn is not None else reshard.DEFAULT_RESHARD_DSN
-        scenario = _scenario(args, dsn)
-        report = reshard.run(scenario, requests=args.requests,
-                             window_ms=args.window)
-        if args.campaign_runs > 0:
-            report.campaign = reshard.run_campaign(
-                scenario, runs=args.campaign_runs, seed=args.campaign_seed,
-                workers=args.workers)
     except (api.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -329,15 +308,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     print(result.summary())
     return 0 if result.matches else 1
-
-
-def _cmd_fault_sweep(args: argparse.Namespace) -> int:
-    result = fault_sweep.run(num_runs=args.runs, seed=_seed(args),
-                             allow_client_crash=args.client_crashes)
-    print(result.summary())
-    for violation in result.violations:
-        print(" ", violation)
-    return 0 if result.all_safe else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,40 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "print the top of the cumulative profile")
     soak_cmd.set_defaults(func=_cmd_soak)
 
-    reshard_cmd = sub.add_parser(
-        "reshard", help="grow the data tier online under open-loop load, "
-                        "then aim a fault campaign at the migration window")
-    reshard_cmd.add_argument("dsn", nargs="?", default=None,
-                             help="open-loop scenario DSN with a "
-                                  "reshard@T:dX->dY fault (default: the "
-                                  "standard d4->d8 growth)")
-    reshard_cmd.add_argument("--requests", type=int, default=15,
-                             help="arrivals per client (default 15)")
-    reshard_cmd.add_argument("--window", type=float, default=2_000.0,
-                             help="throughput window width in virtual ms "
-                                  "(default 2000)")
-    reshard_cmd.add_argument("--campaign-runs", type=int, default=0,
-                             help="fault schedules to aim at the migration "
-                                  "window (default 0: skip the campaign)")
-    reshard_cmd.add_argument("--campaign-seed", type=int, default=0,
-                             help="master seed of the schedule search")
-    reshard_cmd.add_argument("--workers", type=int, default=1,
-                             help="worker processes for the campaign")
-    reshard_cmd.add_argument("--json", default=None, metavar="PATH",
-                             help="also write the machine-readable report here")
-    reshard_cmd.set_defaults(func=_cmd_reshard)
-
-    sweep = sub.add_parser("fault-sweep", help="random fault schedules, spec-checked")
-    sweep.add_argument("--runs", type=int, default=10)
-    sweep.add_argument("--client-crashes", action="store_true",
-                       help="let the client crash too (at-most-once runs)")
-    sweep.set_defaults(func=_cmd_fault_sweep)
-
     camp = sub.add_parser(
         "campaign", help="adversarial fault-space search: window-targeted "
                          "schedules, spec-checked, counterexamples shrunk")
-    camp.add_argument("dsn", help="base scenario DSN (its faults are ignored; "
-                                  "the campaign generates its own)")
+    camp.add_argument("dsn", help="base scenario DSN (its reshard faults are "
+                                  "kept, the others ignored; the campaign "
+                                  "lays its own on top)")
     camp.add_argument("--budget", type=int, default=200,
                       help="max search evaluations (default 200)")
     camp.add_argument("--population", type=int, default=12,

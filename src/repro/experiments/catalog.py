@@ -1,4 +1,4 @@
-"""Every figure, ablation and scale-out experiment as data, and its claims.
+"""Every experiment as data, and its claims.
 
 :data:`EXPERIMENTS` is the table of experiments.  An entry lists labelled
 scenario DSNs, the columns its table reports (:data:`COLUMNS`: values of the
@@ -6,12 +6,10 @@ run's :class:`~repro.api.ScenarioResult`, of the
 :class:`~repro.metrics.steps.StreamingProfile` the executor attaches, or of
 the trace) and its :class:`Claim` rows: a measured expression over the
 table, the expected (often the paper's) value, a tolerance and a source.
-Three functions act on the table -- :func:`run` (the one executor: every
-run through :func:`repro.api.map_jobs`, so a parallel run prints the same
-bytes as a serial one), :func:`evaluate` (the one claim evaluator) and
-:func:`render` (the experiment's table, listing and claim verdicts through
-:func:`~repro.metrics.table.render_table`).  ``python -m repro experiment
-[NAME ...]`` prints them and exits non-zero when a claim fails.
+:func:`run` is the one executor (every run is one :func:`repro.api.map_jobs`
+job, so a parallel run prints the same bytes as a serial one),
+:func:`evaluate` the one claim evaluator and :func:`render` the one report;
+``python -m repro experiment [NAME ...]`` prints them.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro import api
+from repro.campaign.adversarial import RandomFaultPlan
 from repro.metrics.latency import COMPONENT_ORDER
 from repro.metrics.steps import StreamingProfile
 from repro.metrics.table import render_table
@@ -42,6 +41,9 @@ AR_DSN = f"etx://a3.d1.c1?{PAPER}"
 FAILOVER_DSN = f"etx://a3.d1.c1?detect=10&{PAPER}"
 """The fail-over deployment of Figure 1, E5 and the fault sweep: the oracle
 detector suspects a crashed server 10 ms after its crash."""
+RESHARD_DSN = "etx://a3.d4.c8?rate=6&arrival=poisson&seed=7&workload=bank&placement=hash"
+"""E11's open loop: 6/s is ~80 % of what three application servers commit, so a
+stalled migration shows as a throughput hole and the flat twin has no backlog."""
 
 Rows = dict[str, dict[str, Any]]
 """One experiment's measured table: run label -> column -> value."""
@@ -81,7 +83,8 @@ class Claim(NamedTuple):
 
 class Run(NamedTuple):
     """One labelled scenario; ``setup`` (a module-level function, so a worker
-    process can unpickle it) acts on the built system before the load."""
+    process can unpickle it) acts on the built system before the load.  The
+    table sums the runs labelled ``group/...`` into one row per group."""
 
     label: str
     dsn: str
@@ -109,6 +112,29 @@ def _hold_account_lock(system: Any) -> None:
                         name="release-blocking-lock")
 
 
+def _random_schedules(group: str, client_crashes: bool) -> tuple[Run, ...]:
+    """E6's 200 fault schedules of one kind: seed ``s`` draws the faults of
+    :class:`RandomFaultPlan` and seeds the run."""
+    base = api.Scenario.from_dsn(FAILOVER_DSN)
+    plan = RandomFaultPlan(base.app_server_names, base.db_server_names,
+                           client="c1" if client_crashes else None, horizon=1_500.0,
+                           client_crash_probability=0.4 if client_crashes else 0.0)
+    runs = []
+    for seed in range(200):
+        faults = "".join(f"&fault={fault.to_token()}" for fault in plan.generate(seed))
+        runs.append(Run(f"{group}/seed={seed}", f"{FAILOVER_DSN}&seed={seed}{faults}"))
+    return tuple(runs)
+
+
+def _reshard(system: Any) -> tuple[int, int, float]:
+    """Epoch, shard count and migration window (ms) after the run's reshard."""
+    stages = {event.get("stage"): event for event in system.trace.select("reshard")}
+    if "commit" not in stages:
+        return 0, system.scenario.num_db_servers, 0.0
+    commit = stages["commit"]
+    return commit.get("epoch"), len(commit.get("shards")), commit.time - stages["begin"].time
+
+
 FIGURE7_TYPES = ("Request", "Execute", "Prepare", "Vote", "Decide", "AckDecide",
                  "CommitOnePhase", "Result", "PBStart", "PBOutcome")
 
@@ -133,6 +159,14 @@ COLUMNS: dict[str, tuple[Callable[..., Any], str]] = {
     "balance": (lambda result, profile, system:
                 system.db_servers["d1"].committed_value("account:0"), "d"),
     "spec": (lambda result, profile, system: result.spec.ok, ""),
+    "runs": (lambda result, profile, system: 1, "d"),
+    "violations": (lambda result, profile, system: len(result.spec.violations), "d"),
+    "p95": (lambda result, profile, system: result.statistics.p95, ".0f"),
+    "epoch": (lambda result, profile, system: _reshard(system)[0], "d"),
+    "shards": (lambda result, profile, system: _reshard(system)[1], "d"),
+    "window ms": (lambda result, profile, system: _reshard(system)[2], ".0f"),
+    "deferred": (lambda result, profile, system: system.trace.count("epoch_defer"), "d"),
+    "epoch retries": (lambda result, profile, system: system.trace.count("epoch_retry"), "d"),
 }
 """Column name -> (its value for one run, given the run's result, its
 communication profile and the system; the format it prints with)."""
@@ -155,12 +189,13 @@ def _backup_answers(label: str) -> Callable[[Rows], bool]:
     return lambda rows: bool(set(rows[label]["answered by"]) - {"a1"})
 
 
-def _speedup(d: int) -> Callable[[Rows], float]:
-    return lambda rows: rows[f"d={d} xshard=0"]["tput/s"] / rows["d=1 xshard=0"]["tput/s"]
+def _total(group: str, column: str) -> Callable[[Rows], int]:
+    return lambda rows: sum(row[column] for label, row in rows.items()
+                            if label.startswith(f"{group}/"))
 
 
-def _cross_shard_ratio(d: int) -> Callable[[Rows], float]:
-    return lambda rows: rows[f"d={d} xshard=0.25"]["tput/s"] / rows[f"d={d} xshard=0"]["tput/s"]
+def _throughput_ratio(label: str, over: str) -> Callable[[Rows], float]:
+    return lambda rows: rows[label]["tput/s"] / rows[over]["tput/s"]
 
 
 _SQL_NOTE = ("the paper's SQL row differs by protocol (187.0 / 193.2 / 190.6 ms) for "
@@ -170,6 +205,7 @@ _QUIET = ("patient client, reliable FD", "impatient client, reliable FD")
 _NOISY = ("patient client, false suspicion", "impatient client, false suspicion")
 _FALSE_SUSPICION = "fault=false_suspicion@15:a2:a1:200"
 _LOGS = (0, 2, 5, 12.5, 25)
+_FAULTS, _CLIENT_CRASHES = "random faults", "random faults, client crashes"
 
 EXPERIMENTS: dict[str, Experiment] = {
     "figure8": Experiment(
@@ -189,8 +225,7 @@ EXPERIMENTS: dict[str, Experiment] = {
          Claim("baseline prepare + log-start + log-outcome, ms", lambda r: sum(
              r["baseline"][c] for c in ("prepare", "log-start", "log-outcome")), 0.0,
              "Figure 8", fmt=".1f"),
-         *(Claim(f"{p} {c}, ms", _column(p, c), PAPER_FIGURE8[p][c], "Figure 8", 0.5,
-                 fmt=".1f")
+         *(Claim(f"{p} {c}, ms", _column(p, c), PAPER_FIGURE8[p][c], "Figure 8", 0.5, fmt=".1f")
            for p, c in (("AR", "prepare"), ("AR", "log-start"), ("AR", "log-outcome"),
                         ("2PC", "log-start"), ("2PC", "log-outcome"))),
          Claim("SQL spread over the columns, ms", _spread("SQL"), 0.0, "Figure 8", fmt=".1f")),
@@ -253,6 +288,16 @@ EXPERIMENTS: dict[str, Experiment] = {
          *(Claim(f"{label}: aborted results", _column(label, "aborted"), 1, "§5", sense=">=")
            for label in _NOISY)),
     ),
+    "fault_sweep": Experiment(
+        "E6: agreement and validity under 200 random fault schedules of each kind",
+        (*_random_schedules(_FAULTS, False), *_random_schedules(_CLIENT_CRASHES, True)),
+        ("runs", "delivered", "aborted", "violations"),
+        (Claim(f"{_FAULTS}: runs delivered", _total(_FAULTS, "delivered"), 200, "§5"),
+         *(Claim(f"{group}: aborted results", _total(group, "aborted"), 1, "Fig. 1(d)",
+                 sense=">=") for group in (_FAULTS, _CLIENT_CRASHES)),
+         *(Claim(f"{group}: violations", _total(group, "violations"), 0, "§5")
+           for group in (_FAULTS, _CLIENT_CRASHES))),
+    ),
     "log_cost": Experiment(
         "E7: forced-log latency, AR vs 2PC, ms",
         (Run("AR", AR_DSN),
@@ -274,8 +319,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "E8: replication degree of AR",
         tuple(Run(f"n={n}", f"etx://a{n}.d1.c1?{PAPER}") for n in (1, 3, 5, 7)),
         ("latency", "messages"),
-        (Claim("latency spread over n, ms", _spread("latency"), 10.0, "§4", sense="<=",
-               fmt=".1f"),
+        (Claim("latency spread over n, ms", _spread("latency"), 10.0, "§4", sense="<=", fmt=".1f"),
          Claim("messages grow with n", lambda r: all(
              a["messages"] < b["messages"] for a, b in zip(
                  list(r.values()), list(r.values())[1:])), True, "§4")),
@@ -286,34 +330,55 @@ EXPERIMENTS: dict[str, Experiment] = {
                   f"&xshard={x:g}&rate=16&arrival=uniform")
               for x in (0, 0.25) for d in (1, 2, 4, 8)),
         ("delivered", "tput/s"),
-        (*(Claim(f"speed-up of d={d} over d=1 at xshard=0", _speedup(d), low, "E9",
-                 sense=">=", fmt=".2f") for d, low in ((2, 1.5), (4, 2.5), (8, 2.5))),
-         *(Claim(f"d={d}: xshard=0.25 over xshard=0 throughput", _cross_shard_ratio(d),
-                 1.05, "E9", sense="<=", fmt=".2f") for d in (2, 4, 8))),
+        (*(Claim(f"speed-up of d={d} over d=1 at xshard=0", _throughput_ratio(
+            f"d={d} xshard=0", "d=1 xshard=0"), low, "E9", sense=">=", fmt=".2f")
+           for d, low in ((2, 1.5), (4, 2.5), (8, 2.5))),
+         *(Claim(f"d={d}: xshard=0.25 over xshard=0 throughput", _throughput_ratio(
+             f"d={d} xshard=0.25", f"d={d} xshard=0"), 1.05, "E9", sense="<=", fmt=".2f")
+           for d in (2, 4, 8))),
         requests=4),
+    "reshard": Experiment(
+        "E11: growing the data tier d4 -> d8 under open-loop load",
+        (Run("d4->d8", f"{RESHARD_DSN}&fault=reshard@5000:d4->d8"), Run("flat", RESHARD_DSN)),
+        ("delivered", "tput/s", "p95", "epoch", "shards", "window ms", "deferred",
+         "epoch retries"),
+        (Claim("throughput with the reshard over the flat twin's",
+               _throughput_ratio("d4->d8", "flat"), 0.85, "E11", sense=">=", fmt=".2f"),
+         Claim("epoch after the reshard", _column("d4->d8", "epoch"), 1, "E11", sense=">="),
+         Claim("shards after the reshard", _column("d4->d8", "shards"), 8, "E11"),
+         Claim("migration window > 0 ms", lambda r: r["d4->d8"]["window ms"] > 0, True, "E11"),
+         Claim("migration window, ms", _column("d4->d8", "window ms"), 5000, "E11", sense="<=")),
+        requests=15),
 }
 
 EVERY_RUN_OK = Claim("every run delivered and kept the specification",
-                     lambda rows: all(row["ok"] for row in rows.values()), True, "§3")
-"""The claim every experiment checks besides its own."""
+                     lambda rows: not any(row["failures"] for row in rows.values()), True, "§3")
+"""The claim every experiment checks besides its own.  A run whose scenario
+crashes a client owes at-most-once only: it needs the specification, not delivery."""
 
 
-def _execute(job: tuple[str, str, api.RunJob]) -> dict[str, Any]:
+def _failures(result: api.ScenarioResult) -> list[str]:
+    """Why one run fails :data:`EVERY_RUN_OK`: nothing when it holds."""
+    failures = [str(violation) for violation in result.spec.violations]
+    if result.delivered < result.requested and not result.scenario.faults_a_client:
+        failures.insert(0, f"{result.delivered} of {result.requested} requests delivered")
+    return failures
+
+
+def _execute(job: tuple[str, Run, api.Scenario]) -> dict[str, Any]:
     """Build one run, attach a profile, drive it and return its row."""
-    name, label, run_job = job
+    name, entry, scenario = job
     experiment = EXPERIMENTS[name]
-    setup = next(run.setup for run in experiment.runs if run.label == label)
-    system = api.build(run_job.scenario)
+    system = api.build(scenario)
     try:
-        streaming = StreamingProfile(system.trace, label)
-        if setup is not None:
-            setup(system)
-        result = api.drive(system, run_job.requests, horizon_per_request=run_job.horizon,
-                           settle=run_job.settle)
+        streaming = StreamingProfile(system.trace, entry.label)
+        if entry.setup is not None:
+            entry.setup(system)
+        result = api.drive(system, experiment.requests)
         profile = streaming.detach()
         row = {column: COLUMNS[column][0](result, profile, system)
                for column in experiment.columns}
-        row["ok"] = result.ok
+        row["failures"] = _failures(result)
         if experiment.listing:
             row["listing"] = profile.sequence_diagram()
     finally:
@@ -330,15 +395,14 @@ def run(names: Sequence[str] = tuple(EXPERIMENTS), seed: Optional[int] = None,
     """
     jobs = []
     for name in names:
-        experiment = EXPERIMENTS[name]
-        for entry in experiment.runs:
+        for entry in EXPERIMENTS[name].runs:
             scenario = api.Scenario.from_dsn(entry.dsn)
             if seed is not None:
                 scenario = scenario.with_(seed=seed)
-            jobs.append((name, entry.label, api.RunJob(scenario, experiment.requests)))
+            jobs.append((name, entry, scenario))
     tables: dict[str, Rows] = {name: {} for name in names}
-    for (name, label, _), row in zip(jobs, api.map_jobs(_execute, jobs, workers=workers)):
-        tables[name][label] = row
+    for (name, entry, _), row in zip(jobs, api.map_jobs(_execute, jobs, workers=workers)):
+        tables[name][entry.label] = row
     return tables
 
 
@@ -368,12 +432,16 @@ def _expected(claim: Claim) -> str:
 
 
 def render(name: str, rows: Rows) -> tuple[str, list[bool]]:
-    """The experiment's table, listing and claim rows as text, and the
-    verdict of each claim."""
+    """The experiment's table, listing, claim rows and failed runs as text,
+    and the verdict of each claim."""
     experiment = EXPERIMENTS[name]
+    shown = rows
+    if any("/" in label for label in rows):
+        shown = {group: {column: _total(group, column)(rows) for column in experiment.columns}
+                 for group in dict.fromkeys(label.partition("/")[0] for label in rows)}
     table = [["run", *experiment.columns]] + [
         [label, *(_cell(row[column], COLUMNS[column][1]) for column in experiment.columns)]
-        for label, row in rows.items()]
+        for label, row in shown.items()]
     parts = [f"== {name}: {experiment.title} ==", render_table(table)]
     if experiment.listing:
         parts.append("\n\n".join(row["listing"] for row in rows.values()))
@@ -389,4 +457,6 @@ def render(name: str, rows: Rows) -> tuple[str, list[bool]]:
             notes.setdefault(claim.note, []).append(claim.label)
     parts.append(render_table(claim_table))
     parts.extend(f"{'; '.join(labels)}: {note}" for note, labels in notes.items())
+    parts.extend(f"{label} failed: {'; '.join(row['failures'])}"
+                 for label, row in rows.items() if row["failures"])
     return "\n\n".join(parts), verdicts

@@ -23,9 +23,10 @@ the objects the cyclic garbage collector must keep walking.
 from __future__ import annotations
 
 import gc
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from repro.api.drivers import build
 from repro.api.runner import ScenarioResult, drive
@@ -170,8 +171,7 @@ class SoakReport:
 
 
 def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
-        checkpoints: int = 20, settle: float = 5_000.0,
-        max_events: Optional[int] = None) -> SoakReport:
+        checkpoints: int = 20) -> SoakReport:
     """Soak one scenario with ``requests`` total open-loop arrivals.
 
     ``requests`` is the total offered load, dealt round-robin over the
@@ -181,12 +181,8 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     scenario = Scenario.from_dsn(dsn) if isinstance(dsn, str) else dsn
     if scenario.rate <= 0:
         raise ValueError("a soak run needs an open-loop scenario (rate > 0)")
-    per_client, remainder = divmod(requests, scenario.num_clients)
-    if remainder:
-        per_client += 1
+    per_client = math.ceil(requests / scenario.num_clients)
     total = per_client * scenario.num_clients
-    if max_events is None:
-        max_events = max(5_000_000, 200 * total)
 
     system = build(scenario)
     gc.collect()
@@ -216,7 +212,7 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
         sim.schedule(checkpoint * interval, sample, name="soak:sample")
 
     wall_start = time.perf_counter()
-    result = drive(system, per_client, settle=settle, max_events=max_events)
+    result = drive(system, per_client, max_events=max(5_000_000, 200 * total))
     wall = time.perf_counter() - wall_start
     sample()  # final checkpoint after the drain
     gc.collect()

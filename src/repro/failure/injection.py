@@ -3,9 +3,10 @@
 A fault is a :class:`~repro.api.scenario.FaultSpec` -- the value a DSN
 ``fault=`` token parses to (crash, recover, crash-for-a-while, partition,
 heal, false suspicion, reshard).  :func:`schedule_faults` applies a sequence
-of them to a deployment before a run; the experiment harnesses pass explicit
-ones to reproduce the executions of the paper's Figure 1, and the fault sweep
-draws them from :class:`~repro.experiments.fault_sweep.RandomFaultPlan`.
+of them to a deployment before a run; the experiment table's DSNs name
+explicit ones to reproduce the executions of the paper's Figure 1, and the
+fault sweep's and the campaigns' schedules are drawn in
+:mod:`repro.campaign.adversarial` (``RandomFaultPlan``, ``AdversarialFaultPlan``).
 :func:`validate_partition_groups` is the one check of a partition layout,
 shared by ``FaultSpec`` and :meth:`~repro.net.network.Network.partition`.
 """

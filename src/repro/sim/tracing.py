@@ -81,6 +81,17 @@ MessageRow = tuple[float, str, str, str, str, int, Any]
 StoredRow = Union[Row, MessageRow]
 
 
+def _holds_nan(value: Any) -> bool:
+    """Whether plain data ``value`` is or holds a NaN, at any depth."""
+    if isinstance(value, float):
+        return value != value
+    if isinstance(value, dict):
+        return any(map(_holds_nan, value)) or any(map(_holds_nan, value.values()))
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return any(map(_holds_nan, value))
+    return False
+
+
 class _BlockPickler(pickle.Pickler):
     """Seals rows of plain data into one bytes block: a pickle, deflated.
 
@@ -358,6 +369,11 @@ class TraceRecorder:
     @staticmethod
     def _matching(rows: Iterable[StoredRow], category: Optional[str], process: Optional[str],
                   data_filters: dict[str, Any]) -> Iterator[Row]:
+        if any(map(_holds_nan, data_filters.values())):
+            # Equality finds a NaN inside a container only by identity, so
+            # such a filter would match a live row sharing its object but
+            # not the same row decoded from a sealed block.
+            raise ValueError("a trace data filter cannot hold a NaN")
         for row in rows:
             if (category is None or row[1] == category) \
                     and (process is None or row[2] == process):
@@ -373,7 +389,8 @@ class TraceRecorder:
 
     def select(self, category: Optional[str] = None, process: Optional[str] = None,
                **data_filters: Any) -> list[TraceEvent]:
-        """Return stored events matching the given category/process/data filters."""
+        """Return stored events matching the given category/process/data
+        filters; a data filter holding a NaN raises ``ValueError``."""
         return list(starmap(TraceEvent, self._matching(
             self._stored(), category, process, data_filters)))
 

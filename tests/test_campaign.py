@@ -38,21 +38,27 @@ SMALL = dict(max_runs=24, population=8, stop_after=2, shrink_checks=40,
 # ----------------------------------------------------------------- observer
 
 
+def _phases_by_request(observer):
+    phases = {}
+    for transition in observer.transitions:
+        phases.setdefault(transition.request_id, []).append(transition.phase)
+    return phases
+
+
 def test_window_observer_tracks_phases_of_a_clean_run():
     system = api.build(api.Scenario.from_dsn(ETX_DSN))
     observer = FaultWindowObserver.attach(system.trace)
     issued = system.run_request(system.standard_request())
     assert issued.delivered
     system.run(until=system.sim.now + 5_000.0)
-    phases = {t.phase for t in observer.transitions}
-    assert {PHASE_EXECUTING, PHASE_VOTING, PHASE_DECIDING,
-            PHASE_TERMINATING} <= phases
+    observer.detach()
     times = [t.time for t in observer.transitions]
     assert times == sorted(times)
-    # The terminated transaction's live phase has been retired.
-    assert observer.in_flight == 0
-    assert observer.completed >= 1
-    observer.detach()
+    # One request, whose phases only advance, through all four.
+    (phases,) = _phases_by_request(observer).values()
+    assert phases == sorted(phases, key=[PHASE_EXECUTING, PHASE_VOTING, PHASE_DECIDING,
+                                         PHASE_TERMINATING].index)
+    assert set(phases) == {PHASE_EXECUTING, PHASE_VOTING, PHASE_DECIDING, PHASE_TERMINATING}
 
 
 def test_window_observer_exposes_the_live_phase_mid_run():
@@ -60,26 +66,37 @@ def test_window_observer_exposes_the_live_phase_mid_run():
     observer = FaultWindowObserver.attach(system.trace)
     issued = system.issue(system.standard_request())
     request_id = issued.request.request_id
-    # Run until the result is computed but (long) before cleanup finishes.
-    system.sim.run_until(lambda: observer.phase_of(request_id) is not None,
-                         until=10_000.0)
-    assert observer.phase_of(request_id) == PHASE_EXECUTING
+    # Run until the request is issued, then until its result is computed:
+    # the latest transition of the request is its live phase.
+    system.sim.run_until(lambda: observer.transitions, until=10_000.0)
+    assert _phases_by_request(observer)[request_id] == [PHASE_EXECUTING]
     system.sim.run_until(
-        lambda: observer.phase_of(request_id) in (PHASE_DECIDING,
-                                                  PHASE_TERMINATING, None),
+        lambda: _phases_by_request(observer)[request_id][-1] != PHASE_EXECUTING,
         until=300_000.0)
-    assert observer.completed or observer.in_flight
+    assert _phases_by_request(observer)[request_id][-1] == PHASE_VOTING
+    assert observer.transitions[-1].event == "as_compute"
 
 
 def test_window_observer_retires_protocols_without_terminate_events():
-    """The one-phase baseline never emits as_terminate; delivery retires."""
+    """The one-phase baseline never emits as_terminate: its client_deliver
+    is the terminating instant, and a later event of the same request (a
+    late vote) stays terminating instead of going back to deciding."""
     system = api.build(api.Scenario.from_dsn(BASELINE_DSN))
     observer = FaultWindowObserver.attach(system.trace)
     for _ in range(3):
         assert system.run_request(system.standard_request()).delivered
     system.run(until=system.sim.now + 5_000.0)
-    assert observer.in_flight == 0
-    assert observer.completed == 3
+    system.trace.record("db_vote", "d1", request_id="req-1")
+    by_request = {}
+    for transition in observer.transitions:
+        by_request.setdefault(transition.request_id, []).append(
+            (transition.event, transition.phase))
+    assert by_request == {request: [
+        ("client_issue", PHASE_EXECUTING), ("as_compute", PHASE_VOTING),
+        ("db_vote", PHASE_DECIDING), ("db_decide", PHASE_DECIDING),
+        ("client_deliver", PHASE_TERMINATING),
+        *[("db_vote", PHASE_TERMINATING)] * (request == "req-1")]
+        for request in ("req-1", "req-2", "req-3")}
 
 
 def test_probe_windows_returns_transitions_without_faults():
@@ -165,6 +182,16 @@ def test_etx_crash_budget_is_the_exact_minority():
     for protocol in ("baseline", "2pc", "pb"):
         scenario = api.Scenario(protocol=protocol)
         assert AdversarialFaultPlan.for_scenario(scenario).max_app_crashes == 1
+
+
+def test_plan_targets_the_standbys_a_reshard_grows_into():
+    """A fresh shard crashing mid-install is the case the idempotent
+    MIGRATE replay exists for, so the plan may crash d5..d8 too."""
+    grown = api.Scenario.from_dsn("etx://a3.d4.c2?placement=hash&fault=reshard@300:d4->d8")
+    assert AdversarialFaultPlan.for_scenario(grown).db_servers == tuple(
+        f"d{i}" for i in range(1, 9))
+    assert AdversarialFaultPlan.for_scenario(grown.with_(faults=())).db_servers == (
+        "d1", "d2", "d3", "d4")
 
 
 def test_campaign_budget_rejects_degenerate_values():

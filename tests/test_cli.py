@@ -58,10 +58,12 @@ def test_experiment_command_refuses_unknown_names(capsys):
 
 
 def test_fault_sweep_command(capsys):
-    status = main(["fault-sweep", "--runs", "3"])
+    status = main(["experiment", "fault_sweep"])
     captured = capsys.readouterr().out
     assert status == 0
-    assert "3 runs" in captured
+    assert "random faults                   200        200       30           0" in captured
+    assert "random faults, client crashes   200        163       20           0" in captured
+    assert "6 of 6 claims hold" in captured
 
 
 def test_seed_flag_is_accepted(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import FaultSpec, faults_to_text
-from repro.experiments.fault_sweep import RandomFaultPlan
+from repro.campaign.adversarial import RandomFaultPlan
 from repro.failure.detectors import EventuallyPerfectFailureDetector
 from repro.failure.injection import schedule_faults
 from repro.net.network import Network
@@ -155,7 +155,7 @@ def test_random_plan_is_deterministic_per_seed():
 
 
 # faults_to_text(plan.generate(seed)) for seeds 0-4 of the fault sweep's plan
-# (python -m repro fault-sweep), without and with client crashes.  A reordered
+# (python -m repro experiment fault_sweep), without and with client crashes.  A reordered
 # or extra RNG draw changes these strings.
 SWEEP_PLAN_FAULTS = [
     "crash_for@688.6757488388489:d1:127.88087747566888,crash@868.9183977257254:a1",

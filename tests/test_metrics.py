@@ -64,7 +64,7 @@ def test_breakdown_other_never_negative():
 
 def test_overhead_and_table_rendering():
     # The paper's own Figure 8 through the figure 8 table and claim rows.
-    rows = {protocol: {**column, "ok": True}
+    rows = {protocol: {**column, "failures": []}
             for protocol, column in catalog.PAPER_FIGURE8.items()}
     text, verdicts = catalog.render("figure8", rows)
     claims = catalog.EXPERIMENTS["figure8"].claims + (catalog.EVERY_RUN_OK,)

@@ -7,17 +7,16 @@ in-flight claims drain on the old epoch, stale placements re-route instead
 of erroring, and the whole thing is deterministic and crash-tolerant.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import api
 from repro.api.runner import load_generator_for
 from repro.api.scenario import ScenarioError
+from repro.campaign import CampaignBudget, probe_windows, run_campaign
+from repro.campaign.windows import PHASE_RESHARDING
 from repro.core import messages as msg
 from repro.core.reshard import ReshardCoordinator
-from repro.core.spec import PropertyViolation, SpecReport
-from repro.experiments import reshard
+from repro.experiments import catalog
 from repro.net.network import Network
 from repro.sim.process import Process
 
@@ -63,40 +62,52 @@ def test_reshard_grows_tier_online_and_stays_spec_clean():
     assert "S.1" in report.checked_properties
 
 
-def test_reshard_is_invisible_to_clients_and_its_window_survives_faults():
+@pytest.fixture(scope="module")
+def growth():
+    """The ``reshard`` experiment's rows: the d4->d8 growth and its flat twin."""
+    return catalog.run(["reshard"])["reshard"]
+
+
+def test_reshard_is_invisible_to_clients_and_its_window_survives_faults(growth):
     """The growth scenario against its fault-free twin (same seed), then fault
     schedules aimed at the reconfiguration window."""
-    report = reshard.run(requests=15, window_ms=2000.0)
-    assert report.run.statistics.undelivered == 0
-    assert report.spec_ok, report.summary()
-    assert report.run.spec.ok and report.flat.spec.ok
-    assert report.final_epoch >= 1
-    assert len(report.final_shards) == 8, report.final_shards
-    assert 0 < report.reshard_commit - report.reshard_begin <= 5000.0
+    text, verdicts = catalog.render("reshard", growth)
+    assert all(verdicts), text
+    grown, flat = growth["d4->d8"], growth["flat"]
+    assert grown["delivered"] == flat["delivered"] == 120
+    assert (grown["epoch"], grown["shards"], flat["epoch"], flat["shards"]) == (1, 8, 0, 4)
+    assert 0 < grown["window ms"] <= 5000.0
+    assert grown["deferred"] + grown["epoch retries"] > 0
     # Elasticity: throughput with the migration in the middle stays close to
     # the flat run's.
-    assert report.throughput_ratio >= 0.85
-    report.campaign = reshard.run_campaign(runs=12, seed=0)
-    assert report.campaign.runs == 12
-    assert report.campaign.clean, report.campaign.summary()
-    assert report.ok
+    assert grown["tput/s"] / flat["tput/s"] >= 0.85
+    # The campaign keeps the reshard under every schedule it lays on top.
+    dsn = f"{catalog.RESHARD_DSN}&fault=reshard@500:d4->d8"
+    report = run_campaign(dsn, CampaignBudget(max_runs=12, certificates=12), seed=0)
+    assert report.runs == 12
+    assert report.clean, report.summary()
+    assert report.dsn == api.Scenario.from_dsn(dsn).to_dsn()  # the probe's base
+    assert len(report.certificates) == 12
+    assert all("reshard@500:d4->d8" in example.dsn for example in report.certificates)
+    # Its probe records a migration window while a transaction is in flight.
+    windows = probe_windows(api.Scenario.from_dsn(dsn))
+    migration = [t.time for t in windows if t.phase == PHASE_RESHARDING and t.time > 0]
+    issued = {t.request_id: t.time for t in windows if t.event == "client_issue"}
+    delivered = {t.request_id: t.time for t in windows if t.event == "client_deliver"}
+    assert any(issued[request] < time < delivered[request]
+               for request in delivered for time in migration)
 
 
-def test_a_violation_in_the_flat_twin_is_named_in_the_summary():
-    """``ok`` needs both runs clean, so the printed verdict must show the flat
-    twin's violation too, not only the resharded run's clean line."""
-    clean = api.run_scenario("etx://a3.d2.c1?workload=bank&placement=hash")
-    report = reshard.ReshardReport(run=clean, flat=clean, window_ms=2000.0)
-    assert "flat spec" not in report.summary()
-    broken = SpecReport(violations=[PropertyViolation("A.1", "d2 committed twice")],
-                        checked_properties=list(clean.spec.checked_properties))
-    report.flat = replace(clean, spec=broken)
-    assert not report.spec_ok and not report.ok
-    assert report.to_json()["spec_ok"] is False
-    summary = report.summary()
-    assert "spec       all properties hold" in summary
-    assert "flat spec  1 violation(s):" in summary
-    assert "[A.1] d2 committed twice" in summary
+def test_a_violation_in_the_flat_twin_is_named_in_the_summary(growth):
+    """Every run of the experiment must be clean, so a violation in the flat
+    twin fails ``EVERY_RUN_OK`` and is named under the claims."""
+    broken = {**growth, "flat": {**growth["flat"], "failures": ["[A.1] d2 committed twice"]}}
+    assert catalog.evaluate(catalog.EVERY_RUN_OK, growth) == (True, True)
+    assert catalog.evaluate(catalog.EVERY_RUN_OK, broken) == (False, False)
+    text, verdicts = catalog.render("reshard", broken)
+    assert verdicts[-1] is False and all(verdicts[:-1])
+    assert "flat failed: [A.1] d2 committed twice" in text
+    assert "d4->d8 failed" not in text
 
 
 def test_reshard_run_is_deterministic():

@@ -16,7 +16,7 @@ from spec_oracle import check_run
 from repro import api
 from repro.core import Request
 from repro.core.deployment import REGISTER_CONSENSUS, REGISTER_LOCAL
-from repro.experiments.fault_sweep import RandomFaultPlan
+from repro.campaign.adversarial import RandomFaultPlan
 from repro.workload.generator import ClosedLoop
 
 

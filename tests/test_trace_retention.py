@@ -10,7 +10,6 @@ and every plain value must come back with its exact type.
 """
 
 import enum
-import pickle
 from collections import OrderedDict, namedtuple
 from types import SimpleNamespace
 from typing import Optional
@@ -225,6 +224,14 @@ def _exactly(value):
     return kind, value
 
 
+def _has_nan(value):
+    if isinstance(value, dict):
+        value = [*value.items()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(map(_has_nan, value))
+    return value != value
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_plain, min_size=1, max_size=12))
 def test_plain_values_read_back_exactly_across_sealed_blocks(values):
@@ -249,17 +256,49 @@ def test_plain_values_read_back_exactly_across_sealed_blocks(values):
     picked = [1, BLOCK_ROWS + 2, 3 * BLOCK_ROWS - 1, total - 1]
     for n in picked:
         assert exact(trace.select("value", f"p{n % 5}", n=n)) == expected([n])
-    # A NaN inside a value equals itself only by identity, and a decoded
-    # value is a new object, so filter by a copy as new as the decoded ones.
-    copy = pickle.loads(pickle.dumps(values[0]))
-    equal = [n for n in range(total) if not values[n % len(values)] != copy]
-    assert exact(trace.select(v=copy)) == expected(equal)
-    assert trace.count("value", "p2", v=copy) == sum(n % 5 == 2 for n in equal)
+    # A filter holding a NaN is refused; any other matches by equality.
+    probe = values[0]
+    if _has_nan(probe):
+        with pytest.raises(ValueError, match="NaN"):
+            trace.select(v=probe)
+        with pytest.raises(ValueError, match="NaN"):
+            trace.count("value", "p2", v=probe)
+    else:
+        equal = [n for n in range(total) if values[n % len(values)] == probe]
+        assert exact(trace.select(v=probe)) == expected(equal)
+        assert trace.count("value", "p2", v=probe) == sum(n % 5 == 2 for n in equal)
     # A ring filled from the sealed blocks holds the same exact values.
     ring = 2 * BLOCK_ROWS + 2
     trace.set_retention(f"ring:{ring}")
     assert not trace._blocks
     assert exact(trace) == expected(range(total - ring, total))
+
+
+@pytest.mark.parametrize("value", [
+    (None, float("nan")), [1, {"k": float("nan")}], {float("nan"): 1}, frozenset({float("nan")}),
+    (1, [2.5, "x"]), {"k": (b"v", None)}, -0.0])
+def test_a_filter_answers_the_same_before_and_after_a_seal(value):
+    """The same filter object over the same rows: live, then sealed and
+    decoded.  A value holding a NaN equals a live row by identity only, so
+    its filter is refused on both sides instead of answering twice."""
+    clock = SimpleNamespace(now=0.0)
+    trace = TraceRecorder(clock)
+    for n in range(BLOCK_ROWS - 1):
+        trace.record("value", "p", v=value if n % 3 == 0 else n, n=n)
+
+    def answer():
+        try:
+            return [e.get("n") for e in trace.select("value", v=value)], trace.count(v=value)
+        except ValueError as error:
+            return str(error)
+
+    live = answer()
+    trace.record("value", "p", v="seal", n=BLOCK_ROWS - 1)
+    assert len(trace._blocks) == 1 and not trace._rows
+    assert answer() == live
+    matched = [n for n in range(BLOCK_ROWS - 1) if n % 3 == 0]
+    assert live == ("a trace data filter cannot hold a NaN" if _has_nan(value)
+                    else (matched, len(matched)))
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

@@ -163,15 +163,12 @@ def benchmark_workloads(out: str) -> None:
 
 
 def experiments(out: str) -> None:
-    """The paper-figure experiments and the other commands CI runs, and the
-    documented variants nothing else covers (client crashes, a sharded travel
-    workload, the sweep's default worker count)."""
+    """The experiment table and the other commands CI runs, and the
+    documented variants nothing else covers (a sharded travel workload, the
+    sweep's default worker count)."""
     for argv in (
         ("experiment",),
-        ("fault-sweep", "--runs", "10"),
-        ("fault-sweep", "--runs", "10", "--client-crashes"),
         ("soak", "--requests", "2000", "--json", os.path.join(out, "soak.json")),
-        ("reshard", "--campaign-runs", "10", "--json", os.path.join(out, "reshard.json")),
         ("sweep", "etx://d1?workload=bank", "--axis", "protocol=etx,2pc,pb",
          "--axis", "clients=1,4", "--serial"),
         ("sweep", "etx://d1?workload=bank", "--axis", "clients=2"),
@@ -179,6 +176,8 @@ def experiments(out: str) -> None:
          "--budget", "48", "--population", "12", "--out", out, "--expect", "violation"),
         ("campaign", "etx://a3.d1.c1?workload=bank&timing=paper&seed=3&detect=10",
          "--budget", "48", "--population", "12", "--expect", "clean"),
+        ("campaign", "etx://a3.d4.c8?rate=6&seed=7&workload=bank&placement=hash"
+         "&fault=reshard@500:d4->d8", "--budget", "12", "--expect", "clean"),
         ("replay", "etx://a3.d1.c1?workload=bank&seed=3"),
         ("quickstart",),
         ("run", "etx://a3.d1.c4?rate=40&arrival=poisson&seed=7", "--requests", "2"),
