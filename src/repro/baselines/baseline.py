@@ -15,62 +15,24 @@ from repro.baselines.common import (
     COMMIT_ONE_PHASE,
     ETX_ONLY_FAULTS,
     OnePhaseDatabaseServer,
-    ParticipantRouting,
-    RequestDeduplication,
+    SerialTransactionManager,
 )
-from repro.core import messages as msg
+from repro.core.appserver import participant_round
 from repro.core.deployment import ThreeTierDeployment
-from repro.core.types import ABORT, COMMIT, Decision, Request, Result
+from repro.core.types import COMMIT, Decision, Request
 from repro.net.message import Message
-from repro.sim.process import Process
-from repro.sim.waits import ANY
 
 
-class BaselineAppServer(RequestDeduplication, ParticipantRouting, Process):
+class BaselineAppServer(SerialTransactionManager):
     """A stateless application server offering no reliability guarantee."""
 
-    def __init__(self, sim, name: str, db_server_names: list[str]):
-        super().__init__(sim, name)
-        self.db_server_names = list(db_server_names)
-
-    def on_start(self, recovery: bool) -> None:
-        super().on_start(recovery)
-        self.spawn(self._serve(), name="baseline-serve")
-
-    def _serve(self):
-        while True:
-            message = yield self.receive([(msg.REQUEST, ANY)])
-            client = message.sender
-            j = message["j"]
-            request: Request = message["request"]
-            key = (client, j)
-            if self._replay_duplicate(key):
-                continue
-            participants = self.participants_of(request)
-            self.trace.record("as_request", self.name, client=client, j=j,
-                              request_id=request.request_id)
-            value = yield from self._execute(key, request, participants)
-            result = Result(value=value, request_id=request.request_id, computed_by=self.name)
-            self.trace.record("as_compute", self.name, client=client, j=j,
-                              request_id=request.request_id, result=repr(value),
-                              participants=list(participants))
-            committed = yield from self._commit(key, participants)
-            outcome = COMMIT if committed else ABORT
-            decision = Decision(result=result if committed else None, outcome=outcome)
-            self._record_decision(key, decision)
-            self.trace.record("as_result_sent", self.name, client=client, j=j, outcome=outcome)
-            self.send(client, msg.result_message(j, decision))
-
-    def _commit(self, key, participants):
-        """One-phase commit on every participant; returns overall success."""
-        for db_name in participants:
-            self.send(db_name, Message(COMMIT_ONE_PHASE, payload={"j": key}))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive([(ACK_COMMIT, key)])
-            if reply.sender in pending:
-                pending.discard(reply.sender)
-        return True
+    def _transact(self, key, request: Request, participants: list[str]):
+        result = yield from self._execute(key, request, participants)
+        # One-phase commit on every participant, reported as a commit.
+        yield from participant_round(
+            self, participants, lambda: Message(COMMIT_ONE_PHASE, payload={"j": key}),
+            ACK_COMMIT, key)
+        return Decision(result=result, outcome=COMMIT)
 
 
 class BaselineDeployment(ThreeTierDeployment):

@@ -14,10 +14,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core import messages as msg
+from repro.core.appserver import participant_round
 from repro.core.dataserver import DatabaseServer
 from repro.core.sharding import merge_participant_values, request_participants
-from repro.core.types import ABORT, COMMIT, VOTE_YES, Decision, Request
+from repro.core.types import ABORT, COMMIT, VOTE_YES, Decision, Request, Result
 from repro.net.message import IDS, Message, declare_message
+from repro.sim.process import Process
+from repro.sim.waits import ANY
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
@@ -31,96 +34,88 @@ ETX_ONLY_FAULTS = {"reshard": "online resharding",
                    "false_suspicion": "injected false suspicions"}
 
 
-class RequestDeduplication:
-    """At-most-once guard for the serial application-server loops.
+class SerialTransactionManager(Process):
+    """The comparators' middle tier: one thread serves requests one at a time.
+
+    It takes the next ``Request``, routes it to the same participant set as
+    the e-Transaction application server
+    (:attr:`repro.core.types.Request.participants`, empty = every database)
+    so partitioned-tier comparisons stay apples-to-apples, runs the
+    subclass's :meth:`_transact` to its decision and answers the client.  A
+    subclass writes only :meth:`_transact`, from :meth:`_execute`,
+    :meth:`_prepare` and :meth:`_decide`: each one participant round with no
+    retries and no recovery.
 
     A client that waits longer than its back-off re-broadcasts the *same*
     result identifier -- routine once many clients queue at one server.  A
     transaction manager that re-executed the duplicate would re-run a
-    committed transaction (and crash the database's prepare).  The mixin
-    remembers completed decisions and replays them for duplicates.  The
-    memory is volatile -- each incarnation starts it empty -- so a retry that
-    races a server crash still double-executes on the unreliable baseline:
-    exactly the at-most-once violation the paper's comparison is about.
+    committed transaction (and crash the database's prepare), so completed
+    decisions are remembered and replayed for duplicates.  The memory is
+    volatile -- each incarnation starts it empty -- so a retry that races a
+    server crash still double-executes on the unreliable baseline: exactly
+    the at-most-once violation the paper's comparison is about.
     """
+
+    def __init__(self, sim, name: str, db_server_names: list[str]):
+        super().__init__(sim, name)
+        self.db_server_names = list(db_server_names)
 
     def on_start(self, recovery: bool) -> None:
         self._completed_decisions: dict[Any, Decision] = {}
-        super().on_start(recovery)
+        self.spawn(self._serve(), name="serve")
 
-    def _record_decision(self, key: Any, decision: Any) -> None:
-        """Remember the decision sent to the client for ``key``."""
-        self._completed_decisions[key] = decision
+    def _serve(self):
+        while True:
+            message = yield self.receive([(msg.REQUEST, ANY)])
+            client = message.sender
+            j = message["j"]
+            request: Request = message["request"]
+            key = (client, j)
+            decision = self._completed_decisions.get(key)
+            if decision is not None:
+                self.trace.record("as_result_resent", self.name, client=client, j=j,
+                                  outcome=decision.outcome)
+                self.send(client, msg.result_message(j, decision))
+                continue
+            participants = request_participants(request, self.db_server_names)
+            self.trace.record("as_request", self.name, client=client, j=j,
+                              request_id=request.request_id)
+            decision = yield from self._transact(key, request, participants)
+            self._completed_decisions[key] = decision
+            self.trace.record("as_result_sent", self.name, client=client, j=j,
+                              outcome=decision.outcome)
+            self.send(client, msg.result_message(j, decision))
 
-    def _replay_duplicate(self, key: Any) -> bool:
-        """Resend the recorded decision if ``key`` already completed."""
-        decision = self._completed_decisions.get(key)
-        if decision is None:
-            return False
-        client, j = key
-        self.trace.record("as_result_resent", self.name, client=client, j=j,
-                          outcome=decision.outcome)
-        self.send(client, msg.result_message(j, decision))
-        return True
+    def _transact(self, key, request: Request, participants: list[str]):
+        """Run one transaction; returns the :class:`Decision` for the client."""
+        raise NotImplementedError
 
+    def _execute(self, key, request: Request, participants: list[str]):
+        """Run the business logic on every participant; returns the result."""
+        replies = yield from participant_round(
+            self, participants, lambda: msg.execute_message(key, request),
+            msg.EXECUTE_RESULT, key)
+        value = merge_participant_values(
+            {name: reply["value"] for name, reply in replies.items()}, participants)
+        self.trace.record("as_compute", self.name, client=key[0], j=key[1],
+                          request_id=request.request_id, result=repr(value),
+                          participants=list(participants))
+        return Result(value=value, request_id=request.request_id, computed_by=self.name)
 
-class ParticipantRouting:
-    """Shared participant-set routing for the comparison middle tiers.
-
-    The three baselines fan Execute/Prepare/Decide out to exactly the same
-    participant set as the e-Transaction application server
-    (:attr:`repro.core.types.Request.participants`, empty = every database),
-    so partitioned-tier comparisons between the four protocols stay
-    apples-to-apples.  Mix into a :class:`~repro.sim.process.Process` with a
-    ``db_server_names`` attribute.  The fan-out loops wait for every
-    participant's answer, with no retries and no recovery.
-    """
-
-    def participants_of(self, request: Request) -> list[str]:
-        """The database servers taking part in this request's transaction."""
-        return request_participants(request, self.db_server_names)
-
-    @staticmethod
-    def merge_values(values: dict[str, Any], participants: list[str]) -> Any:
-        """One business value out of the per-participant answers."""
-        return merge_participant_values(values, participants)
-
-    def _execute(self, key, request: Request, participants):
-        """Run the business logic on every participant."""
-        values = {}
-        for db_name in participants:
-            self.send(db_name, msg.execute_message(key, request))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive([(msg.EXECUTE_RESULT, key)])
-            if reply.sender in pending:
-                values[reply.sender] = reply["value"]
-                pending.discard(reply.sender)
-        return self.merge_values(values, participants)
-
-    def _prepare(self, key, participants):
-        votes = {}
-        for db_name in participants:
-            self.send(db_name, msg.prepare_message(key, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive([(msg.VOTE, key)])
-            if reply.sender in pending:
-                votes[reply.sender] = reply["vote"]
-                pending.discard(reply.sender)
+    def _prepare(self, key, participants: list[str]):
+        replies = yield from participant_round(
+            self, participants, lambda: msg.prepare_message(key, tuple(participants)),
+            msg.VOTE, key)
+        votes = {name: reply["vote"] for name, reply in replies.items()}
         outcome = COMMIT if all(v == VOTE_YES for v in votes.values()) else ABORT
         self.trace.record("as_prepare", self.name, client=key[0], j=key[1],
                           outcome=outcome, votes=dict(votes))
         return outcome
 
-    def _decide(self, key, outcome, participants):
-        for db_name in participants:
-            self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive([(msg.ACK_DECIDE, key)])
-            if reply.sender in pending:
-                pending.discard(reply.sender)
+    def _decide(self, key, outcome: str, participants: list[str]):
+        yield from participant_round(
+            self, participants, lambda: msg.decide_message(key, outcome, tuple(participants)),
+            msg.ACK_DECIDE, key)
         self.trace.record("as_terminate", self.name, client=key[0], j=key[1], outcome=outcome)
 
 

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.baselines.common import ETX_ONLY_FAULTS, ParticipantRouting, RequestDeduplication
+from repro.baselines.common import ETX_ONLY_FAULTS, SerialTransactionManager
 from repro.core import messages as msg
+from repro.core.appserver import participant_round
 from repro.core.deployment import ThreeTierDeployment
-from repro.core.types import ABORT, COMMIT, REQUEST_REC, RESULT_REC, Decision, Request, Result
+from repro.core.sharding import request_participants
+from repro.core.types import ABORT, COMMIT, REQUEST_REC, RESULT_REC, Decision, Request
 from repro.failure.detectors import FailureDetector
 from repro.net.message import IDS, STR, Message, declare_message
 from repro.sim.process import Process
-from repro.sim.waits import ANY
 
 PB_START = "PBStart"
 PB_START_ACK = "PBStartAck"
@@ -38,49 +39,27 @@ declare_message(PB_OUTCOME, j=IDS, outcome=STR, result=RESULT_REC, client=STR)
 declare_message(PB_OUTCOME_ACK, j=IDS)
 
 
-class PrimaryServer(RequestDeduplication, ParticipantRouting, Process):
+class PrimaryServer(SerialTransactionManager):
     """The primary application server of the primary-backup scheme."""
 
     def __init__(self, sim, name: str, backup_name: str, db_server_names: list[str]):
-        super().__init__(sim, name)
+        super().__init__(sim, name, db_server_names)
         self.backup_name = backup_name
-        self.db_server_names = list(db_server_names)
 
-    def on_start(self, recovery: bool) -> None:
-        super().on_start(recovery)
-        self.spawn(self._serve(), name="pb-primary")
-
-    def _serve(self):
-        while True:
-            message = yield self.receive([(msg.REQUEST, ANY)])
-            client = message.sender
-            j = message["j"]
-            request: Request = message["request"]
-            key = (client, j)
-            if self._replay_duplicate(key):
-                continue
-            participants = self.participants_of(request)
-            self.trace.record("as_request", self.name, client=client, j=j,
-                              request_id=request.request_id)
-            # Replicate the request to the backup before doing any work.
-            self.send(self.backup_name, Message(PB_START, payload={
-                "j": key, "request": request, "client": client}))
-            yield self.receive([(PB_START_ACK, key)])
-            value = yield from self._execute(key, request, participants)
-            result = Result(value=value, request_id=request.request_id, computed_by=self.name)
-            self.trace.record("as_compute", self.name, client=client, j=j,
-                              request_id=request.request_id, result=repr(value),
-                              participants=list(participants))
-            outcome = yield from self._prepare(key, participants)
-            # Replicate the outcome (and the result) to the backup.
-            self.send(self.backup_name, Message(PB_OUTCOME, payload={
-                "j": key, "outcome": outcome, "result": result, "client": client}))
-            yield self.receive([(PB_OUTCOME_ACK, key)])
-            yield from self._decide(key, outcome, participants)
-            decision = Decision(result=result if outcome == COMMIT else None, outcome=outcome)
-            self._record_decision(key, decision)
-            self.trace.record("as_result_sent", self.name, client=client, j=j, outcome=outcome)
-            self.send(client, msg.result_message(j, decision))
+    def _transact(self, key, request: Request, participants: list[str]):
+        client = key[0]
+        # Replicate the request to the backup before doing any work.
+        self.send(self.backup_name, Message(PB_START, payload={
+            "j": key, "request": request, "client": client}))
+        yield self.receive([(PB_START_ACK, key)])
+        result = yield from self._execute(key, request, participants)
+        outcome = yield from self._prepare(key, participants)
+        # Replicate the outcome (and the result) to the backup.
+        self.send(self.backup_name, Message(PB_OUTCOME, payload={
+            "j": key, "outcome": outcome, "result": result, "client": client}))
+        yield self.receive([(PB_OUTCOME_ACK, key)])
+        yield from self._decide(key, outcome, participants)
+        return Decision(result=result if outcome == COMMIT else None, outcome=outcome)
 
 
 class BackupServer(Process):
@@ -140,19 +119,12 @@ class BackupServer(Process):
         # database, which is safe: a database that never voted refuses a
         # commit and merely installs an abort tombstone.
         request = entry.get("request")
-        if request is not None and request.participants:
-            participants = [name for name in self.db_server_names
-                            if name in request.participants]
-        else:
-            participants = list(self.db_server_names)
+        participants = list(self.db_server_names) if request is None \
+            else request_participants(request, self.db_server_names)
         self.trace.record("pb_takeover", self.name, client=client, j=key[1], outcome=outcome)
-        for db_name in participants:
-            self.send(db_name, msg.decide_message(key, outcome, tuple(participants)))
-        pending = set(participants)
-        while pending:
-            reply = yield self.receive([(msg.ACK_DECIDE, key)])
-            if reply.sender in pending:
-                pending.discard(reply.sender)
+        yield from participant_round(
+            self, participants, lambda: msg.decide_message(key, outcome, tuple(participants)),
+            msg.ACK_DECIDE, key)
         decision = Decision(result=result if outcome == COMMIT else None, outcome=outcome)
         self.trace.record("as_result_sent", self.name, client=client, j=key[1], outcome=outcome)
         self.send(client, msg.result_message(key[1], decision))

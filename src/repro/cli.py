@@ -16,7 +16,6 @@ Usage (any of)::
     python -m repro run "etx://a3.d1.c4?rate=40&workload=bank" --profile
     python -m repro campaign \
         "etx://a3.d4.c8?rate=6&workload=bank&placement=hash&fault=reshard@500:d4->d8"
-    python -m repro quickstart
 
 ``run`` executes any scenario DSN (scheme = protocol: ``etx``, ``2pc``,
 ``pb``, ``baseline``) through the unified scenario API; ``sweep`` expands
@@ -34,7 +33,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro import api, campaign
-from repro.core import Request
 from repro.experiments import catalog, soak
 
 
@@ -187,8 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"--axis {name}=v1,v2,...")
             axes[name] = values
         sweep = api.Sweep.over(base, **axes)
-        workers = 1 if args.serial else args.workers
-        result = api.run_sweep(sweep, requests=args.requests, workers=workers)
+        result = api.run_sweep(sweep, requests=args.requests, workers=args.workers)
     except api.ScenarioError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -197,18 +194,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{sum(row.delivered for row in result)} requests delivered, "
           f"all ok: {result.ok}")
     return 0 if result.ok else 1
-
-
-def _cmd_quickstart(args: argparse.Namespace) -> int:
-    scenario = api.Scenario(protocol="etx", num_app_servers=args.app_servers,
-                            num_db_servers=args.db_servers, seed=args.seed or 0)
-    system = api.build(scenario)
-    issued = system.run_request(Request("quickstart", {"n": 1}))
-    report = system.check_spec()
-    print(f"delivered={issued.delivered} latency={issued.latency:.1f} ms "
-          f"attempts={issued.attempts}")
-    print(report.summary())
-    return 0 if issued.delivered and report.ok else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -364,15 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests per client and scenario (default 1)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: one per scenario, "
-                            "capped at the core count)")
-    sweep.add_argument("--serial", action="store_true",
-                       help="run in-process, single worker (same results)")
+                            "capped at the core count; 1 runs in-process, "
+                            "same results)")
     sweep.set_defaults(func=_cmd_sweep)
-
-    quickstart = sub.add_parser("quickstart", help="run one e-Transaction and check the spec")
-    quickstart.add_argument("--app-servers", type=int, default=3)
-    quickstart.add_argument("--db-servers", type=int, default=1)
-    quickstart.set_defaults(func=_cmd_quickstart)
 
     experiment = sub.add_parser(
         "experiment", help="run paper experiments and check their claims "

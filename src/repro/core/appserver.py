@@ -35,7 +35,7 @@ recoveries, and finally reports the decision to the client.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core import messages as msg
 from repro.core.sharding import merge_participant_values, request_participants
@@ -80,6 +80,40 @@ def claim_parts(entry: tuple, all_databases: Sequence[str]) -> tuple[str, tuple[
     """Split a ``regA`` entry into (claimant, participants); none recorded = every database."""
     claimant, participants = entry
     return claimant, tuple(participants) if participants else tuple(all_databases)
+
+
+def participant_round(process: Process, participants: Sequence[str],
+                      message: Callable[[], Any], reply_type: str, key: Any,
+                      retry: Optional[float] = None, ready_answers: bool = False):
+    """One exchange of Figures 3-4 with every participant database.
+
+    Sends ``message()`` to each participant that has not answered yet, in
+    participant order (never set order: send order fixes message ids), and
+    collects one ``reply_type`` reply filed under ``key`` from each; returns
+    the replies by sender, in arrival order.  With ``retry``, a round that
+    waits ``retry`` in vain resends, and a ``Ready`` from one of *these*
+    participants (it recovered and lost its volatile state) restarts the
+    round -- or, with ``ready_answers``, stands as that database's reply.
+    Without ``retry`` the round sends once and waits: the comparators'
+    fan-out, which neither retries nor recovers.
+    """
+    keys = [(reply_type, key)]
+    if retry is not None:
+        keys += [(msg.READY, name) for name in participants]
+    replies: dict[str, Any] = {}
+    pending = set(participants)
+    while pending:
+        for name in participants:
+            if name in pending:
+                process.send(name, message())
+        while pending:
+            reply = yield process.receive(keys, timeout=retry)
+            if reply is TIMEOUT or (reply.msg_type == msg.READY and not ready_answers):
+                break
+            if reply.sender in pending:
+                replies[reply.sender] = reply
+                pending.discard(reply.sender)
+    return replies
 
 
 class ApplicationServer(Process):
@@ -157,12 +191,6 @@ class ApplicationServer(Process):
     # its history.
     _stale_types = frozenset((msg.EXECUTE_RESULT, msg.VOTE, msg.ACK_DECIDE))
 
-    # ----------------------------------------------------------------- routing
-
-    def participants_of(self, request: Request) -> list[str]:
-        """The database servers taking part in this request's transaction."""
-        return request_participants(request, self.db_server_names)
-
     # ----------------------------------------------------- computation handler
 
     def _on_request(self, message: Any) -> None:
@@ -225,7 +253,7 @@ class ApplicationServer(Process):
                                       epoch=epoch,
                                       participants=list(participants))
             else:
-                participants = self.participants_of(request)
+                participants = request_participants(request, self.db_server_names)
             phase_start = self.now
             winner = yield self.wait_for(
                 self.registers.reg_a.write(key, self._claim(participants)))
@@ -272,31 +300,11 @@ class ApplicationServer(Process):
         """
         client, j = key
         phase_start = self.now
-        values: dict[str, Any] = {}
-        pending = set(participants)
-        # Per-shard Ready tracking: only a recovery notification from one
-        # of *this* transaction's participants restarts the collection; a
-        # non-participant shard recovering is none of our business.
-        keys = [(msg.EXECUTE_RESULT, key)] + [(msg.READY, p) for p in participants]
-        while pending:
-            # Fan out in participant (shard) order, never in set order: send
-            # order fixes message ids, so it must not depend on string hashes.
-            for db_name in participants:
-                if db_name in pending:
-                    self.send(db_name, msg.execute_message(key, request))
-            remaining = set(pending)
-            while remaining:
-                reply = yield self.receive(keys, timeout=self.timing.execute_retry)
-                if reply is TIMEOUT:
-                    break
-                if reply.msg_type == msg.READY:
-                    # A participant database recovered; start its execution over.
-                    break
-                if reply.sender in remaining:
-                    values[reply.sender] = reply["value"]
-                    remaining.discard(reply.sender)
-            pending = set(participants) - set(values)
-        merged = self._merge_values(values, participants)
+        replies = yield from participant_round(
+            self, participants, lambda: msg.execute_message(key, request),
+            msg.EXECUTE_RESULT, key, retry=self.timing.execute_retry)
+        values = {name: reply["value"] for name, reply in replies.items()}
+        merged = merge_participant_values(values, participants)
         result = Result(value=merged, request_id=request.request_id, computed_by=self.name)
         if epoch is None:
             # Static deployments keep the historical event shape byte-for-byte.
@@ -311,36 +319,17 @@ class ApplicationServer(Process):
                           duration=self.now - phase_start)
         return result
 
-    def _merge_values(self, values: dict[str, Any], participants: list[str]) -> Any:
-        """Combine the per-participant business values into one result value."""
-        return merge_participant_values(values, participants)
-
     def _prepare(self, key: ResultKey, participants: list[str]):
         """Figure 4's ``prepare()``: collect votes from every participant."""
         client, j = key
         phase_start = self.now
-        votes: dict[str, str] = {}
-        pending = set(participants)
-        keys = [(msg.VOTE, key)] + [(msg.READY, p) for p in participants]
-        while pending:
-            for db_name in participants:
-                if db_name in pending:
-                    self.send(db_name, msg.prepare_message(key, tuple(participants)))
-            remaining = set(pending)
-            while remaining:
-                reply = yield self.receive(keys, timeout=self.timing.prepare_retry)
-                if reply is TIMEOUT:
-                    break
-                if reply.sender not in remaining:
-                    continue
-                if reply.msg_type == msg.READY:
-                    # Recovery notification counts as an answer -- and forces abort
-                    # (the recovered database cannot have voted yes any more).
-                    votes[reply.sender] = "ready"
-                else:
-                    votes[reply.sender] = reply["vote"]
-                remaining.discard(reply.sender)
-            pending = set(participants) - set(votes)
+        # A recovery notification counts as an answer -- and forces abort
+        # (the recovered database cannot have voted yes any more).
+        replies = yield from participant_round(
+            self, participants, lambda: msg.prepare_message(key, tuple(participants)),
+            msg.VOTE, key, retry=self.timing.prepare_retry, ready_answers=True)
+        votes = {name: "ready" if reply.msg_type == msg.READY else reply["vote"]
+                 for name, reply in replies.items()}
         outcome = COMMIT if all(v == VOTE_YES for v in votes.values()) else ABORT
         self.trace.record("as_prepare", self.name, client=client, j=j, outcome=outcome,
                           votes=dict(votes))
@@ -354,24 +343,11 @@ class ApplicationServer(Process):
         then report the result to the client."""
         j = key[1]
         phase_start = self.now
-        acked: set[str] = set()
-        keys = [(msg.ACK_DECIDE, key)] + [(msg.READY, p) for p in participants]
-        while acked != set(participants):
-            for db_name in participants:
-                if db_name not in acked:
-                    self.send(db_name, msg.decide_message(key, decision.outcome,
-                                                          tuple(participants)))
-            remaining = set(participants) - acked
-            while remaining:
-                reply = yield self.receive(keys, timeout=self.timing.decide_retry)
-                if reply is TIMEOUT:
-                    break
-                if reply.msg_type == msg.READY:
-                    # The database lost the decision in a crash; re-send it.
-                    break
-                if reply.sender in remaining:
-                    acked.add(reply.sender)
-                    remaining.discard(reply.sender)
+        # A Ready means the database lost the decision in a crash: resend it.
+        yield from participant_round(
+            self, participants,
+            lambda: msg.decide_message(key, decision.outcome, tuple(participants)),
+            msg.ACK_DECIDE, key, retry=self.timing.decide_retry)
         if self.trace.wants("as_terminate"):
             self.trace.record("as_terminate", self.name, client=client, j=j,
                               outcome=decision.outcome)

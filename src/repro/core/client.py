@@ -130,6 +130,18 @@ class Client(Process):
 
     # ---------------------------------------------------------------- protocol
 
+    # A finished result's late duplicates (a broadcast's other answers, a
+    # cleaner's) are dropped at delivery, as if lost.
+    _stale_types = frozenset((msg.RESULT,))
+
+    @property
+    def _terminated(self) -> range:
+        """The result identifiers this client is done with, delivered or
+        retried: they rise through ``next_j``, so those below the one in
+        flight, or below the next one while none is -- no state of its own."""
+        next_j = self.disk.get("next_j", 1)
+        return range(next_j - 1 if self._worker_running else next_j)
+
     def on_start(self, recovery: bool) -> None:
         # A recovered client does NOT resume in-flight requests: pending ones
         # died with the crash, and it cannot know whether the old request was
@@ -175,6 +187,8 @@ class Client(Process):
                     self.multicast(self.app_server_names, msg.request_message(request, j))
                     reply = yield self.receive(keys, timeout=self.timing.client_rebroadcast)
             decision: Decision = reply["decision"]
+            # Delivered or retried, ``j`` is finished: drop its duplicates.
+            self.discard_buffered(j)
             if decision.outcome == COMMIT and decision.result is not None:
                 issued.delivered_at = self.now
                 self.trace.record("client_deliver", self.name, j=j,
@@ -183,9 +197,6 @@ class Client(Process):
                                   computed_by=decision.result.computed_by,
                                   value=repr(decision.result.value))
                 issued.future.resolve(decision.result)
-                # Duplicate Result messages for this (terminated) identifier
-                # may still be buffered from the broadcast path; drop them.
-                self.discard_buffered(j)
                 return
             issued.aborted_results.append(j)
             self.trace.record("client_retry", self.name, j=j,

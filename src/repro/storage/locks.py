@@ -51,11 +51,6 @@ class LockManager:
         self.conflicts += 1
         return False
 
-    def acquire_or_raise(self, transaction_id: TransactionId, key: str) -> None:
-        """Like :meth:`acquire` but raises :class:`LockConflict` on conflict."""
-        if not self.acquire(transaction_id, key):
-            raise LockConflict(key, self._holders[key], transaction_id)
-
     # ---------------------------------------------------------------- release
 
     def release_all(self, transaction_id: TransactionId) -> int:
@@ -71,14 +66,6 @@ class LockManager:
     def holder(self, key: str) -> Optional[TransactionId]:
         """The transaction currently holding ``key``, or ``None``."""
         return self._holders.get(key)
-
-    def locks_held(self, transaction_id: TransactionId) -> set[str]:
-        """Keys locked by ``transaction_id``."""
-        return set(self._held_by_txn.get(transaction_id, set()))
-
-    def locked_keys(self) -> set[str]:
-        """All currently locked keys."""
-        return set(self._holders)
 
     def clear(self) -> None:
         """Drop every lock (recovery rebuilds the table from the log)."""

@@ -111,7 +111,7 @@ def test_twopc_blocks_databases_when_coordinator_crashes_after_votes():
     # The database is stuck in doubt with the account lock held: the blocking
     # behaviour the e-Transaction protocol's T.2 rules out.
     assert db.in_doubt() == [("c1", 1)]
-    assert "account:0" in db.store.locks.locked_keys()
+    assert db.store.locks.holder("account:0") == ("c1", 1)
 
 
 def test_twopc_log_latency_is_configurable():

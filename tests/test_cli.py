@@ -11,14 +11,6 @@ def test_parser_requires_a_command():
         parser.parse_args([])
 
 
-def test_quickstart_command_runs_and_reports(capsys):
-    status = main(["quickstart"])
-    captured = capsys.readouterr().out
-    assert status == 0
-    assert "delivered=True" in captured
-    assert "all properties hold" in captured
-
-
 def test_figure8_command_prints_table_and_shape(capsys):
     status = main(["experiment", "figure8"])
     captured = capsys.readouterr().out
@@ -67,7 +59,7 @@ def test_fault_sweep_command(capsys):
 
 
 def test_seed_flag_is_accepted(capsys):
-    status = main(["--seed", "7", "quickstart"])
+    status = main(["--seed", "7", "run", "etx://a3.d1.c1"])
     assert status == 0
 
 
@@ -122,13 +114,24 @@ def test_soak_json_creates_the_missing_directory(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "etx://a3.d2.c2?jobs=2"],
     ["soak", "etx://a3.d2.c2?rate=5&workers=2"],
-    ["sweep", "etx://d2?jobs=2", "--axis", "clients=1", "--serial"],
+    ["sweep", "etx://d2?jobs=2", "--axis", "clients=1", "--workers", "1"],
 ])
 def test_removed_sharding_params_are_unknown_dsn_parameters(argv, capsys):
     status = main(argv)
     captured = capsys.readouterr()
     assert status == 2
     assert "error: unknown DSN parameter" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["quickstart"],
+    ["sweep", "etx://d1", "--axis", "clients=1", "--serial"],
+])
+def test_removed_duplicate_entry_points_are_argparse_errors(argv, capsys):
+    """``run "etx://a3.d1.c1"`` and ``--workers 1`` are the one way to say these."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 def test_removed_jobs_flag_is_an_argparse_error(capsys):
@@ -163,7 +166,7 @@ def test_run_command_open_loop_reports_throughput(capsys):
 
 def test_sweep_command_runs_a_grid_serially(capsys):
     status = main(["sweep", "etx://d1", "--axis", "protocol=etx,2pc",
-                   "--axis", "clients=1,2", "--serial"])
+                   "--axis", "clients=1,2", "--workers", "1"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "tput/s" in captured
@@ -172,7 +175,7 @@ def test_sweep_command_runs_a_grid_serially(capsys):
 
 
 def test_sweep_command_rejects_unknown_axes(capsys):
-    status = main(["sweep", "etx://d1", "--axis", "warp=1,2", "--serial"])
+    status = main(["sweep", "etx://d1", "--axis", "warp=1,2", "--workers", "1"])
     captured = capsys.readouterr()
     assert status == 2
     assert "unknown sweep axis" in captured.err
@@ -187,7 +190,7 @@ def test_sweep_command_rejects_unknown_axes(capsys):
     ("rate=inf", "bad value for 'rate'"),
 ])
 def test_sweep_command_parses_axis_values_with_the_keys_parser(axis, fragment, capsys):
-    status = main(["sweep", "etx://d1", "--axis", axis, "--serial"])
+    status = main(["sweep", "etx://d1", "--axis", axis, "--workers", "1"])
     captured = capsys.readouterr()
     assert status == 2
     assert "error:" in captured.err and fragment in captured.err
@@ -196,7 +199,7 @@ def test_sweep_command_parses_axis_values_with_the_keys_parser(axis, fragment, c
 
 def test_sweep_command_applies_the_global_seed(capsys):
     status = main(["--seed", "3", "sweep", "etx://d1", "--axis",
-                   "clients=1", "--serial"])
+                   "clients=1", "--workers", "1"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "seed=3" in captured

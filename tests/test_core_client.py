@@ -1,7 +1,11 @@
 """Tests for the client protocol (Figure 2) against a scripted application server."""
 
+import os
+
 import pytest
 
+from repro import api
+from repro.campaign.artifacts import Counterexample
 from repro.core import messages as msg
 from repro.core.client import Client
 from repro.core.timing import ProtocolTiming
@@ -11,6 +15,8 @@ from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 from repro.sim.waits import ANY
 from repro.workload.generator import ClosedLoop
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
 
 
 class ScriptedAppServer(Process):
@@ -113,6 +119,62 @@ def test_client_delivers_exactly_once_even_with_duplicate_results():
     sim.run(until=sim.now + 1_000.0)
     assert issued.delivered
     assert sim.trace.count("client_deliver", "c1") == 1
+
+
+def test_late_duplicates_of_an_aborted_result_are_dropped():
+    """A client is done with a ``j`` it retried as much as with one it
+    delivered: neither leaves a duplicate ``Result`` in its mailbox."""
+    class DuplicatingServer(ScriptedAppServer):
+        def _serve(self):
+            while True:
+                message = yield self.receive([(msg.REQUEST, ANY)])
+                j = message["j"]
+                request = message["request"]
+                decision = Decision(None, ABORT) if j == 1 else \
+                    Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)
+                for delay in (0.0, 5_000.0, 5_000.0):
+                    yield self.sleep(delay)
+                    self.send(message.sender, msg.result_message(j, decision))
+
+    sim = Simulator(seed=0)
+    network = Network(sim)
+    server = DuplicatingServer(sim, "a1", [])
+    network.register(server)
+    server.start()
+    client = Client(sim, "c1", ["a1"])
+    network.register(client)
+    client.start()
+    issued = client.issue(Request("pay", {}))
+    sim.run(until=100_000.0)
+    assert issued.aborted_results == [1] and issued.delivered
+    assert client.mailbox_size == 0
+
+
+FAILOVER_HB = ("etx://a3.d2.c16?rate=4&arrival=uniform&fd=heartbeat&workload=bank"
+               "&placement=hash&xshard=0.2&trace=ring:4096&faults=crash_for@20000:d1:1500,"
+               "false_suspicion@40000:a2:a1:300,crash_for@60000:a2:3000,"
+               "partition@80000:a1|a2~a3~d1~d2,heal@81000,crash@110000:a1&seed=5")
+
+
+def _fail_over_systems():
+    system = api.build(api.Scenario.from_dsn(FAILOVER_HB))
+    api.drive(system, 40)
+    yield system
+    for number in (1, 2, 3):
+        path = os.path.join(CORPUS, f"etx-certificate-{number}.json")
+        artifact = Counterexample.load(path)
+        system = api.build(artifact.scenario(CORPUS))
+        api.drive(system, artifact.requests, horizon_per_request=artifact.horizon,
+                  settle=artifact.settle, check_termination=True)
+        yield system
+
+
+def test_no_result_stays_buffered_at_a_client_after_fail_overs():
+    """Fail-overs answer one ``j`` from several servers (a broadcast, a
+    cleaner): every late duplicate is dropped, whatever became of the ``j``."""
+    for system in _fail_over_systems():
+        assert {client.name: client.mailbox_size for client in system.clients.values()
+                if client.up and client.mailbox_size} == {}
 
 
 def test_requests_are_processed_one_at_a_time_in_order():

@@ -257,4 +257,4 @@ def test_crash_loses_unprepared_transaction():
     sim.run(until=20_000.0)
     assert db.committed_value("balance") == 100
     assert db.in_doubt() == []
-    assert db.store.locks.locked_keys() == set()
+    assert db.store.locks.holder("balance") is None

@@ -1,15 +1,12 @@
 """Tests for the exclusive lock manager."""
 
-import pytest
-
-from repro.storage.locks import LockConflict, LockManager
+from repro.storage.locks import LockManager
 
 
 def test_acquire_grants_free_lock():
     locks = LockManager()
     assert locks.acquire("t1", "x")
     assert locks.holder("x") == "t1"
-    assert locks.locks_held("t1") == {"x"}
 
 
 def test_reacquire_by_same_transaction_is_idempotent():
@@ -25,16 +22,6 @@ def test_conflicting_acquire_denied_and_counted():
     assert not locks.acquire("t2", "x")
     assert locks.conflicts == 1
     assert locks.holder("x") == "t1"
-
-
-def test_acquire_or_raise():
-    locks = LockManager()
-    locks.acquire("t1", "x")
-    with pytest.raises(LockConflict) as exc_info:
-        locks.acquire_or_raise("t2", "x")
-    assert exc_info.value.holder == "t1"
-    assert exc_info.value.requester == "t2"
-    assert exc_info.value.key == "x"
 
 
 def test_release_all_frees_locks_for_others():
@@ -56,7 +43,7 @@ def test_clear_drops_everything():
     locks = LockManager()
     locks.acquire("t1", "x")
     locks.clear()
-    assert locks.locked_keys() == set()
+    assert locks.holder("x") is None
     assert locks.acquire("t2", "x")
 
 
@@ -64,4 +51,4 @@ def test_reinstall_restores_in_doubt_locks():
     locks = LockManager()
     locks.reinstall("t1", ["x", "y"])
     assert not locks.acquire("t2", "x")
-    assert locks.locks_held("t1") == {"x", "y"}
+    assert locks.holder("x") == locks.holder("y") == "t1"

@@ -255,7 +255,8 @@ def test_replay_leaves_the_stored_checkpoint_as_it_was():
 def _store_state(store: TransactionalKVStore, ids: range) -> tuple:
     return (store.committed_snapshot(),
             {tid: store.status(tid) for tid in ids},
-            {key: store.locks.holder(key) for key in store.locks.locked_keys()})
+            {key: store.locks.holder(key) for key in store.committed_snapshot()
+             if store.locks.holder(key) is not None})
 
 
 def test_a_store_recovers_across_a_checkpoint_with_one_transaction_in_doubt():

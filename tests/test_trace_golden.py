@@ -7,6 +7,8 @@ behaviour alone -- a new event queue included -- can prove it did.
 
 * the four protocol ``SCHEMES``, seeds 0-19, so the FIFO-within-timestamp
   contract is pinned for each protocol's own scheduling mix,
+* the three serial comparators at four clients (``QUEUED``), where requests
+  queue at the one transaction manager,
 * one sharded open-loop shape with cross-shard transactions,
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
@@ -56,6 +58,11 @@ SCHEMES = {
     "pb": "pb://a2.d1.c1?workload=bank&timing=paper&seed={seed}",
     "baseline": "baseline://a1.d1.c1?workload=bank&timing=paper&seed={seed}",
 }
+QUEUED = (
+    "2pc://a1.d1.c4?workload=bank&timing=paper",
+    "pb://a2.d1.c4?workload=bank&timing=paper",
+    "baseline://a1.d2.c4?workload=bank&placement=hash&xshard=0.5",
+)
 OPEN_LOOP = "etx://a3.d8.c16?rate=24&placement=hash&xshard=0.1&workload=bank"
 FAILOVER = ("etx://a3.d2.c4?rate=4&arrival=uniform&fd=heartbeat&workload=bank"
             "&placement=hash&xshard=0.2&faults=crash_for@1000:d1:500,"
@@ -115,6 +122,8 @@ def fingerprints() -> dict[str, dict[str, str]]:
         for seed in SEEDS:
             dsn = SCHEMES[scheme].format(seed=seed)
             digests[dsn] = _digest(_scenario_trace(dsn))
+    for dsn in QUEUED:
+        digests[dsn] = _digest(_scenario_trace(dsn, requests=3))
     digests[OPEN_LOOP] = _digest(_open_loop_trace(OPEN_LOOP))
     digests[FAILOVER] = _digest(_open_loop_trace(FAILOVER, requests=10))
     for path in CORPUS:

@@ -170,7 +170,7 @@ def experiments(out: str) -> None:
         ("experiment",),
         ("soak", "--requests", "2000", "--json", os.path.join(out, "soak.json")),
         ("sweep", "etx://d1?workload=bank", "--axis", "protocol=etx,2pc,pb",
-         "--axis", "clients=1,4", "--serial"),
+         "--axis", "clients=1,4", "--workers", "1"),
         ("sweep", "etx://d1?workload=bank", "--axis", "clients=2"),
         ("campaign", "baseline://a1.d1.c1?workload=bank&timing=paper&seed=3",
          "--budget", "48", "--population", "12", "--out", out, "--expect", "violation"),
@@ -179,7 +179,7 @@ def experiments(out: str) -> None:
         ("campaign", "etx://a3.d4.c8?rate=6&seed=7&workload=bank&placement=hash"
          "&fault=reshard@500:d4->d8", "--budget", "12", "--expect", "clean"),
         ("replay", "etx://a3.d1.c1?workload=bank&seed=3"),
-        ("quickstart",),
+        ("run", "etx://a3.d1.c1"),
         ("run", "etx://a3.d1.c4?rate=40&arrival=poisson&seed=7", "--requests", "2"),
         ("run", "etx://a3.d1.c1?fd=heartbeat&seed=7"),
         ("run", "etx://a3.d1.c1?detect=10&fault=crash@244:a1&timing=paper&workload=bank"),
