@@ -4,8 +4,8 @@ Every run is the same three steps: :func:`~repro.api.build` the scenario's
 stack, :func:`drive` it, then ``close`` it.  :func:`drive` runs the workload
 with the traffic shape the scenario asks for (closed loop by default, open
 loop when ``rate`` is set), lets the run settle, checks the specification and
-packages throughput, latency percentiles, per-client statistics, latency
-breakdown, message counts and the verdict into a :class:`ScenarioResult`.
+packages throughput, latency percentiles, per-client statistics, message
+counts and the verdict into a :class:`ScenarioResult`.
 :func:`run_scenario` does all three in one call (``python -m repro run
 <dsn>``); a caller that must watch the run attaches its observer between
 ``build`` and ``drive``.  :class:`RunJob` is the picklable unit of work the
@@ -21,21 +21,18 @@ from repro.api.drivers import build
 from repro.api.scenario import Scenario
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.spec import SpecReport
-from repro.metrics.latency import LatencyBreakdown, breakdown_from_run
 from repro.workload.generator import ClosedLoop, LoadGenerator, OpenLoop, RunStatistics
 
 
 def load_generator_for(scenario: Scenario,
                        horizon_per_request: float = 1_000_000.0,
                        max_events: int = 5_000_000) -> LoadGenerator:
-    """The load generator a scenario's ``rate``/``arrival``/``think`` ask for."""
+    """The load generator a scenario's ``rate``/``arrival`` ask for."""
     if scenario.rate > 0:
         return OpenLoop(rate=scenario.rate, arrival=scenario.arrival,
                         horizon_per_request=horizon_per_request,
                         max_events=max_events)
-    return ClosedLoop(think_time=scenario.think_time,
-                      horizon_per_request=horizon_per_request,
-                      max_events=max_events)
+    return ClosedLoop(horizon_per_request=horizon_per_request, max_events=max_events)
 
 
 @dataclass
@@ -46,7 +43,6 @@ class ScenarioResult:
     dsn: str
     requested: int
     statistics: RunStatistics
-    breakdown: LatencyBreakdown
     message_counts: dict[str, int]
     total_messages: int
     spec: SpecReport
@@ -70,8 +66,6 @@ class ScenarioResult:
                     f" over {scenario.num_clients} client(s)")
         else:
             load = f"closed loop over {scenario.num_clients} client(s)"
-            if scenario.think_time > 0:
-                load += f", think {scenario.think_time:g} ms"
         lines = [
             f"scenario   {self.dsn}",
             f"protocol   {scenario.protocol}   workload {scenario.workload}"
@@ -150,25 +144,11 @@ def drive(system: ThreeTierDeployment, requests: int, *,
     if check_termination is None:
         check_termination = statistics.undelivered == 0 and not scenario.faults_a_client
     spec = system.check_spec(check_termination=check_termination)
-    # The component breakdown explains *protocol* latency, so it gets the
-    # service latency -- for open loops the client-observed mean also
-    # contains queueing at the client, which is load, not protocol cost.
-    # The trace-derived components come from the streaming accumulator the
-    # deployment subscribed at build time, so no post-hoc trace scan happens
-    # here (and ``trace=ring:N``/``off`` scenarios still get a breakdown).
-    breakdown = breakdown_from_run(
-        protocol=scenario.protocol,
-        components=system.latency_components,
-        timing=system.db_timing,
-        mean_latency=statistics.mean_service_latency,
-        samples=statistics.count,
-    )
     return ScenarioResult(
         scenario=scenario,
         dsn=scenario.to_dsn(),
         requested=requests * scenario.num_clients,
         statistics=statistics,
-        breakdown=breakdown,
         message_counts=dict(system.stats.by_type_sent),
         total_messages=system.stats.sent,
         spec=spec,

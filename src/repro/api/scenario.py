@@ -1,8 +1,8 @@
 """Declarative scenario descriptions and their DSN string form.
 
 A :class:`Scenario` captures everything needed to build and run one protocol
-stack -- tier sizes, protocol, register mode, failure detector, latency
-topology, loss, timings, workload and fault schedule -- as plain data.  Every
+stack -- tier sizes, protocol, register mode, failure detector, loss,
+timings, workload and fault schedule -- as plain data.  Every
 scenario has a DSN (data-source-name) form modelled on database connection
 strings::
 
@@ -12,7 +12,7 @@ strings::
     etx://a3.d1.c4?runtime=asyncio&host=10.0.0.5&port=7000
     etx://a3.d8.c64?xshard=0.1&placement=hash&workload=bank
     2pc://a1.d1?workload=bank&timing=paper&log=25
-    pb://a2.d1?workload=bank&clients=4&think=250
+    pb://a2.d1.c4?workload=bank
     baseline://a1.d1?fault=crash@215:a1
 
 The scheme selects the protocol (``etx``/``ar``, ``2pc``/``twopc``,
@@ -375,6 +375,7 @@ def _one_of(what: str, *known: str) -> Callable[[Any], None]:
     def check(value: Any) -> None:
         if value not in known:
             raise ValueError(f"unknown {what} {value!r}; known: {', '.join(known)}")
+    check.choices = known  # the values the row accepts, for tools/reachability.py
     return check
 
 
@@ -436,18 +437,14 @@ class Scenario:
     protocol: str = "etx"
     num_app_servers: int = 0
     num_db_servers: int = 1
-    # ``clients`` is an alternative spelling of the host's ``c<N>`` token
-    # (never serialised -- the host carries it).
-    num_clients: int = _param("clients", int, 1)
+    num_clients: int = 1
     seed: int = _param("seed", int, 0)
     # Traffic shape: ``rate == 0`` is the paper's closed loop (every client
-    # re-issues on delivery, pausing ``think_time`` in between); ``rate > 0``
-    # is an open loop injecting requests at that many per second of virtual
-    # time with the given arrival process.
+    # re-issues on delivery); ``rate > 0`` is an open loop injecting requests
+    # at that many per second of virtual time with the given arrival process.
     rate: float = _param("rate", float, 0.0, check=_non_negative("arrival rate"))
     arrival: str = _param("arrival", str, ARRIVAL_POISSON, check=_one_of(
         "arrival process", ARRIVAL_POISSON, ARRIVAL_UNIFORM))
-    think_time: float = _param("think", float, 0.0, check=_non_negative("think time"))
     failure_detector: str = _param("fd", str, FD_ORACLE, check=_one_of(
         "failure detector", FD_ORACLE, FD_HEARTBEAT), protocols=_ETX)
     register_mode: str = _param("register", str, REGISTER_CONSENSUS, check=_one_of(
@@ -460,12 +457,6 @@ class Scenario:
         "heartbeat interval"), protocols=_ETX)
     heartbeat_timeout: float = _param("hb_timeout", float, 20.0, check=_positive(
         "heartbeat timeout"), protocols=_ETX)
-    client_app_latency: float = _param("lat_ca", float, 2.5, check=_non_negative(
-        "client-app latency"))
-    app_app_latency: float = _param("lat_aa", float, 2.25, check=_non_negative(
-        "app-app latency"))
-    app_db_latency: float = _param("lat_ad", float, 0.5, check=_non_negative(
-        "app-db latency"))
     # The 2PC coordinator's forced-log write, in virtual ms.
     coordinator_log_latency: float = _param("log", float, 12.5, check=_non_negative(
         "forced-log latency"), protocols=("2pc",))
@@ -531,9 +522,6 @@ class Scenario:
                 except ValueError as exc:
                     raise ScenarioError(f"bad value for {row.key!r}: {exc}") from None
         # Rules that tie several keys together.
-        if self.rate > 0 and self.think_time > 0:
-            raise ScenarioError("think time is a closed-loop knob; an open loop "
-                                "(rate > 0) injects independently of completions")
         if self.xshard > 0 and self.placement == PLACEMENT_REPLICATE:
             raise ScenarioError("xshard > 0 needs a partitioned placement "
                                 "(placement=hash or placement=mod); under "
@@ -652,10 +640,6 @@ class Scenario:
                 raise ScenarioError(
                     f"unknown DSN parameter {key!r}; known parameters: "
                     f"{', '.join([*known, 'fault', 'faults'])}")
-            if row.field in values:
-                raise ScenarioError(
-                    f"ambiguous DSN: {key!r} duplicates a host token "
-                    f"(both set {row.field})")
             try:
                 values[row.field] = row.parse(raw)
             except ValueError as exc:
@@ -672,10 +656,8 @@ class Scenario:
         """Serialise to the canonical DSN (omitting default-valued parameters)."""
         host = (f"a{self.num_app_servers}.d{self.num_db_servers}"
                 f".c{self.num_clients}")
-        # The host's c<N> token already carries ``clients``.
         parts = [f"{row.key}={_text(getattr(self, row.field))}" for row in PARAMS
-                 if row.field not in HOST_FIELDS.values()
-                 and getattr(self, row.field) != row.default]
+                 if getattr(self, row.field) != row.default]
         # Short schedules read best as repeated fault= tokens; campaign-sized
         # ones collapse into one faults= list so the DSN stays a single
         # copy-pastable parameter.  Both forms parse to the same scenario.

@@ -41,15 +41,16 @@ _JobT = TypeVar("_JobT")
 _RowT = TypeVar("_RowT")
 
 # Axis name -> (Scenario field, parser of the axis value's text form): every
-# parameter row under its DSN key and its field name, the host's tier tokens,
-# the protocol and the fault list (the ``faults=`` DSN grammar, so whole fault
-# schedules sweep as easily as numeric knobs).
+# parameter row under its DSN key and its field name, the host's tier tokens
+# (also spelled out), the protocol and the fault list (the ``faults=`` DSN
+# grammar, so whole fault schedules sweep as easily as numeric knobs).
 _AXES: dict[str, tuple[str, Callable[[str], Any]]] = {
     **{name: (row.field, row.parse) for row in PARAMS for name in (row.key, row.field)},
     **{name: (field_name, int) for tier, field_name in HOST_FIELDS.items()
        for name in (tier, field_name)},
     "app_servers": ("num_app_servers", int),
     "db_servers": ("num_db_servers", int),
+    "clients": ("num_clients", int),
     "protocol": ("protocol", str),
     "faults": ("faults", faults_from_text),
 }

@@ -3,7 +3,7 @@
 The paper's comparison holds the client and database tiers fixed and swaps
 only the middle tier, and so does this module: :class:`ThreeTierDeployment`
 wires everything the four protocols share -- kernel, trace retention, the
-streaming observers, the three-tier network, database servers, clients and
+spec monitor, the three-tier network, database servers, clients and
 the run surface -- from one :class:`~repro.api.scenario.Scenario`, and each
 protocol subclasses it with its own application servers.
 :class:`EtxDeployment` is the e-Transaction middle tier (consensus hosts and
@@ -33,8 +33,7 @@ from repro.failure.detectors import (
     PerfectFailureDetector,
 )
 from repro.failure.injection import schedule_faults
-from repro.metrics.latency import LatencyComponentStream
-from repro.net.latency import FixedLatency, PerLinkLatency, three_tier_latency
+from repro.net.latency import APP_DB_LATENCY, FixedLatency, PerLinkLatency, three_tier_latency
 from repro.registers.consensus_backed import ConsensusRegisterArray
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
 from repro.runtime.base import create_kernel, create_network
@@ -103,11 +102,10 @@ class ThreeTierDeployment:
         self.sharding = scenario.sharding
         self.sim = create_kernel(self.runtime, seed=scenario.seed)
         self.sim.trace.set_retention(scenario.trace)
-        # Streaming observers subscribe before any process runs, so they see
-        # the complete event stream regardless of the retention policy.
+        # The spec monitor subscribes before any process runs, so it sees the
+        # complete event stream regardless of the retention policy.
         self.spec_monitor = SpecMonitor.attach(
             self.sim.trace, scenario.all_db_server_names, scenario.client_names)
-        self.latency_components = LatencyComponentStream(self.sim.trace)
         self.network = create_network(
             self.runtime, self.sim, latency=self._build_latency(),
             loss_probability=scenario.loss_probability,
@@ -126,10 +124,7 @@ class ThreeTierDeployment:
     def _build_latency(self) -> PerLinkLatency:
         scenario = self.scenario
         return three_tier_latency(scenario.client_names, scenario.app_server_names,
-                                  scenario.all_db_server_names,
-                                  client_app_latency=scenario.client_app_latency,
-                                  app_app_latency=scenario.app_app_latency,
-                                  app_db_latency=scenario.app_db_latency)
+                                  scenario.all_db_server_names)
 
     def _build_processes(self) -> None:
         """Create and register every process; registration order fixes the
@@ -291,10 +286,8 @@ class EtxDeployment(ThreeTierDeployment):
             # The coordinator lives in the cluster next to the app tier, so
             # its migration traffic crosses the app<->db hop.
             for db_name in scenario.all_db_server_names:
-                latency.set_link(RESHARD_COORDINATOR, db_name,
-                                 FixedLatency(scenario.app_db_latency))
-                latency.set_link(db_name, RESHARD_COORDINATOR,
-                                 FixedLatency(scenario.app_db_latency))
+                latency.set_link(RESHARD_COORDINATOR, db_name, FixedLatency(APP_DB_LATENCY))
+                latency.set_link(db_name, RESHARD_COORDINATOR, FixedLatency(APP_DB_LATENCY))
         return latency
 
     def _build_processes(self) -> None:

@@ -160,7 +160,7 @@ class ReshardCoordinator(Process):
     def _deliver(self, shard: str, epoch: int, stage: str, message: Any):
         """Retry ``message`` against ``shard`` until its stage is acked."""
         while True:
-            self.send(shard, message.copy() if hasattr(message, "copy") else message)
+            self.send(shard, message.copy())
             reply = yield from self._reply(msg.MIGRATE_ACK, epoch, shard, stage)
             if reply is not TIMEOUT:
                 return

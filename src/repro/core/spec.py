@@ -86,10 +86,6 @@ class SpecReport:
         """Whether every checked property holds."""
         return not self.violations
 
-    def violated(self, property_name: str) -> list[PropertyViolation]:
-        """Violations of one property."""
-        return [v for v in self.violations if v.property_name == property_name]
-
     def summary(self) -> str:
         """Human-readable one-paragraph summary."""
         if not self.checked_properties and not self.violations:

@@ -3,8 +3,9 @@
 :data:`EXPERIMENTS` is the table of experiments.  An entry lists labelled
 scenario DSNs, the columns its table reports (:data:`COLUMNS`: values of the
 run's :class:`~repro.api.ScenarioResult`, of the
-:class:`~repro.metrics.steps.StreamingProfile` the executor attaches, or of
-the trace) and its :class:`Claim` rows: a measured expression over the
+:class:`~repro.metrics.steps.StreamingProfile` and the
+:class:`~repro.metrics.latency.LatencyComponentStream` the executor attaches,
+or of the trace) and its :class:`Claim` rows: a measured expression over the
 table, the expected (often the paper's) value, a tolerance and a source.
 :func:`run` is the one executor (every run is one :func:`repro.api.map_jobs`
 job, so a parallel run prints the same bytes as a serial one),
@@ -18,8 +19,10 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro import api
 from repro.campaign.adversarial import RandomFaultPlan
-from repro.metrics.latency import COMPONENT_ORDER
-from repro.metrics.steps import StreamingProfile
+from repro.core.deployment import ThreeTierDeployment
+from repro.metrics.latency import (COMPONENT_ORDER, LatencyBreakdown, LatencyComponentStream,
+                                   breakdown_from_run)
+from repro.metrics.steps import CommunicationProfile, StreamingProfile
 from repro.metrics.table import render_table
 
 PAPER_FIGURE8: dict[str, dict[str, float]] = {
@@ -138,38 +141,47 @@ def _reshard(system: Any) -> tuple[int, int, float]:
 FIGURE7_TYPES = ("Request", "Execute", "Prepare", "Vote", "Decide", "AckDecide",
                  "CommitOnePhase", "Result", "PBStart", "PBOutcome")
 
-COLUMNS: dict[str, tuple[Callable[..., Any], str]] = {
-    **{name: (lambda result, profile, system, name=name: result.breakdown.component(name),
-              ".1f") for name in COMPONENT_ORDER},
-    "total": (lambda result, profile, system: result.breakdown.total, ".1f"),
-    **{name: (lambda result, profile, system, name=name: profile.count(name), "d")
-       for name in FIGURE7_TYPES},
-    "Consensus": (lambda result, profile, system: profile.consensus_messages, "d"),
-    "protocol msgs": (lambda result, profile, system: len(profile.steps), "d"),
-    "messages": (lambda result, profile, system: profile.total_messages, "d"),
-    "latency": (lambda result, profile, system: result.statistics.mean_latency, ".1f"),
-    "delivered": (lambda result, profile, system: result.delivered, "d"),
-    "tput/s": (lambda result, profile, system: result.statistics.throughput, ".2f"),
-    "attempts": (lambda result, profile, system: result.statistics.mean_attempts, "g"),
-    "aborted": (lambda result, profile, system: result.statistics.aborted_results, "d"),
-    "answered by": (lambda result, profile, system: tuple(sorted(
-        {step.sender for step in profile.steps if step.msg_type == "Result"})), ","),
-    "terminators": (lambda result, profile, system: len(
-        {event.process for event in system.trace.select("as_terminate")}), "d"),
-    "balance": (lambda result, profile, system:
-                system.db_servers["d1"].committed_value("account:0"), "d"),
-    "spec": (lambda result, profile, system: result.spec.ok, ""),
-    "runs": (lambda result, profile, system: 1, "d"),
-    "violations": (lambda result, profile, system: len(result.spec.violations), "d"),
-    "p95": (lambda result, profile, system: result.statistics.p95, ".0f"),
-    "epoch": (lambda result, profile, system: _reshard(system)[0], "d"),
-    "shards": (lambda result, profile, system: _reshard(system)[1], "d"),
-    "window ms": (lambda result, profile, system: _reshard(system)[2], ".0f"),
-    "deferred": (lambda result, profile, system: system.trace.count("epoch_defer"), "d"),
-    "epoch retries": (lambda result, profile, system: system.trace.count("epoch_retry"), "d"),
+
+class Measured(NamedTuple):
+    """What one run measured: its result, its communication profile, the
+    system it ran on and its Figure 8 latency components."""
+
+    result: api.ScenarioResult
+    profile: CommunicationProfile
+    system: ThreeTierDeployment
+    breakdown: LatencyBreakdown
+
+
+COLUMNS: dict[str, tuple[Callable[[Measured], Any], str]] = {
+    **{name: (lambda m, name=name: m.breakdown.component(name), ".1f")
+       for name in COMPONENT_ORDER},
+    "total": (lambda m: m.breakdown.total, ".1f"),
+    **{name: (lambda m, name=name: m.profile.count(name), "d") for name in FIGURE7_TYPES},
+    "Consensus": (lambda m: m.profile.consensus_messages, "d"),
+    "protocol msgs": (lambda m: len(m.profile.steps), "d"),
+    "messages": (lambda m: m.profile.total_messages, "d"),
+    "latency": (lambda m: m.result.statistics.mean_latency, ".1f"),
+    "delivered": (lambda m: m.result.delivered, "d"),
+    "tput/s": (lambda m: m.result.statistics.throughput, ".2f"),
+    "attempts": (lambda m: m.result.statistics.mean_attempts, "g"),
+    "aborted": (lambda m: m.result.statistics.aborted_results, "d"),
+    "answered by": (lambda m: tuple(sorted(
+        {step.sender for step in m.profile.steps if step.msg_type == "Result"})), ","),
+    "terminators": (lambda m: len(
+        {event.process for event in m.system.trace.select("as_terminate")}), "d"),
+    "balance": (lambda m: m.system.db_servers["d1"].committed_value("account:0"), "d"),
+    "spec": (lambda m: m.result.spec.ok, ""),
+    "runs": (lambda m: 1, "d"),
+    "violations": (lambda m: len(m.result.spec.violations), "d"),
+    "p95": (lambda m: m.result.statistics.p95, ".0f"),
+    "epoch": (lambda m: _reshard(m.system)[0], "d"),
+    "shards": (lambda m: _reshard(m.system)[1], "d"),
+    "window ms": (lambda m: _reshard(m.system)[2], ".0f"),
+    "deferred": (lambda m: m.system.trace.count("epoch_defer"), "d"),
+    "epoch retries": (lambda m: m.system.trace.count("epoch_retry"), "d"),
 }
-"""Column name -> (its value for one run, given the run's result, its
-communication profile and the system; the format it prints with)."""
+"""Column name -> (its value for one run, given what the run
+:class:`Measured`; the format it prints with)."""
 
 
 def _overhead_of(protocol: str) -> Callable[[Rows], float]:
@@ -366,18 +378,26 @@ def _failures(result: api.ScenarioResult) -> list[str]:
 
 
 def _execute(job: tuple[str, Run, api.Scenario]) -> dict[str, Any]:
-    """Build one run, attach a profile, drive it and return its row."""
+    """Build one run, attach a profile and the latency components, drive it
+    and return its row."""
     name, entry, scenario = job
     experiment = EXPERIMENTS[name]
     system = api.build(scenario)
     try:
         streaming = StreamingProfile(system.trace, entry.label)
+        components = LatencyComponentStream(system.trace)
         if entry.setup is not None:
             entry.setup(system)
         result = api.drive(system, experiment.requests)
         profile = streaming.detach()
-        row = {column: COLUMNS[column][0](result, profile, system)
-               for column in experiment.columns}
+        # The components explain *protocol* latency, so they get the service
+        # latency: an open loop's client-observed mean also holds queueing at
+        # the client, which is load, not protocol cost.
+        breakdown = breakdown_from_run(scenario.protocol, components, system.db_timing,
+                                       mean_latency=result.statistics.mean_service_latency,
+                                       samples=result.statistics.count)
+        measured = Measured(result, profile, system, breakdown)
+        row = {column: COLUMNS[column][0](measured) for column in experiment.columns}
         row["failures"] = _failures(result)
         if experiment.listing:
             row["listing"] = profile.sequence_diagram()

@@ -170,6 +170,22 @@ class SoakReport:
         return "\n".join(lines)
 
 
+def tracked_objects() -> int:
+    """The GC-tracked objects alive once collecting frees nothing more.
+
+    One ``gc.collect()`` may leave objects that only a later pass frees, so a
+    single pass reads when the collector last ran as much as what is kept;
+    collecting until the count stops falling reads what is kept.
+    """
+    count = None
+    while True:
+        gc.collect()
+        alive = len(gc.get_objects())
+        if count is not None and alive >= count:
+            return alive
+        count = alive
+
+
 def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
         checkpoints: int = 20) -> SoakReport:
     """Soak one scenario with ``requests`` total open-loop arrivals.
@@ -185,8 +201,7 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     total = per_client * scenario.num_clients
 
     system = build(scenario)
-    gc.collect()
-    built_objects = len(gc.get_objects())
+    built_objects = tracked_objects()
     sim = system.sim
     monitor = system.spec_monitor
     trace = system.trace
@@ -215,13 +230,13 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     result = drive(system, per_client, max_events=max(5_000_000, 200 * total))
     wall = time.perf_counter() - wall_start
     sample()  # final checkpoint after the drain
-    gc.collect()
+    retained = tracked_objects() - built_objects
     return SoakReport(
         run=result,
         wall_seconds=wall,
         events_processed=sim.events_processed,
         events_per_second=sim.events_processed / wall if wall > 0 else 0.0,
         trace_stored_final=len(trace),
-        retained_objects=len(gc.get_objects()) - built_objects,
+        retained_objects=retained,
         samples=samples,
     )

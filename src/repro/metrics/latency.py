@@ -46,9 +46,9 @@ class LatencyComponentStream:
     """Streaming accumulator of the trace-derived latency components.
 
     Subscribes to ``as_prepare``/``as_phase``/``tm_log`` and maintains the
-    running mean durations :func:`breakdown_from_run` reads.  Attach at build
-    time (every deployment does), before the events of interest are
-    recorded; works under any trace retention policy.
+    running mean durations :func:`breakdown_from_run` reads.  Attach before
+    the run's load (the experiment executor does), so it sees the events of
+    interest; works under any trace retention policy.
     """
 
     _PHASES = ("regA_write", "regD_write")
@@ -95,8 +95,7 @@ def breakdown_from_run(protocol: str, components: LatencyComponentStream,
         Label: ``"baseline"``, ``"AR"``, ``"2PC"`` or ``"PB"``.
     components:
         The :class:`LatencyComponentStream` that was subscribed to the run's
-        trace from the start (every deployment attaches one); source of the
-        replication/log components.
+        trace before its load; source of the replication/log components.
     timing:
         The database timing configuration used by the run.
     mean_latency:

@@ -69,26 +69,31 @@ class UniformLatency(LatencyModel):
         return f"UniformLatency({self.low}, {self.high})"
 
 
+CLIENT_APP_LATENCY = 2.5
+"""One-way client <-> application-server latency, virtual ms (the Internet hop)."""
+APP_APP_LATENCY = 2.25
+"""One-way application-server <-> application-server latency, virtual ms."""
+APP_DB_LATENCY = 0.5
+"""One-way application-server <-> database latency, virtual ms (in the cluster)."""
+
+
 def three_tier_latency(client_names: Sequence[str], app_server_names: Sequence[str],
-                       db_server_names: Sequence[str], *,
-                       client_app_latency: float,
-                       app_app_latency: float,
-                       app_db_latency: float) -> "PerLinkLatency":
-    """The standard client <-> app <-> db latency topology.
+                       db_server_names: Sequence[str]) -> "PerLinkLatency":
+    """The paper's client <-> app <-> db latency topology.
 
     Client/app links cross the Internet, app/app and app/db links stay inside
     the cluster; app-to-app traffic uses the default.  Shared by every
     deployment builder so all protocol stacks run on an identical network.
     """
-    latency = PerLinkLatency(FixedLatency(app_app_latency))
+    latency = PerLinkLatency(FixedLatency(APP_APP_LATENCY))
     for client in client_names:
         for app in app_server_names:
-            latency.set_link(client, app, FixedLatency(client_app_latency))
-            latency.set_link(app, client, FixedLatency(client_app_latency))
+            latency.set_link(client, app, FixedLatency(CLIENT_APP_LATENCY))
+            latency.set_link(app, client, FixedLatency(CLIENT_APP_LATENCY))
     for app in app_server_names:
         for db in db_server_names:
-            latency.set_link(app, db, FixedLatency(app_db_latency))
-            latency.set_link(db, app, FixedLatency(app_db_latency))
+            latency.set_link(app, db, FixedLatency(APP_DB_LATENCY))
+            latency.set_link(db, app, FixedLatency(APP_DB_LATENCY))
     return latency
 
 

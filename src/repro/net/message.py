@@ -269,17 +269,6 @@ class Message:
         sibling.send_time = 0.0
         return sibling
 
-    def __eq__(self, other: Any) -> Any:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return (self.msg_type == other.msg_type and self.sender == other.sender
-                and self.destination == other.destination
-                and self._payload == other._payload
-                and self.msg_id == other.msg_id
-                and self.send_time == other.send_time)
-
-    __hash__ = None  # type: ignore[assignment]  # mutable, like the dataclass it replaced
-
     # ------------------------------------------------------------ wire codec
 
     def to_wire(self) -> bytes:

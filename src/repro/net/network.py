@@ -28,7 +28,6 @@ class NetworkStats:
         self.dropped_dest_down = 0
         self.dropped_overload = 0   # shed by a full link (TCP transport only)
         self.by_type_sent: dict[str, int] = {}
-        self.by_type_delivered: dict[str, int] = {}
 
 class Network:
     """Point-to-point message network with latency, loss and partitions.
@@ -143,38 +142,10 @@ class Network:
         self._partition_groups = named
         self.sim.trace.record("partition", "", groups=[sorted(g) for g in named])
 
-    def heal_partition(self, *names: str) -> None:
-        """Remove a partition; links to the healed processes work again.
-
-        Called with no arguments (the historical form) every group is
-        dropped and all links work.  Called with process names, only those
-        processes are healed: they leave their groups and regain symmetric
-        connectivity with everyone, while the remaining groups stay split.
-        The surviving layout is re-validated through
-        :func:`~repro.failure.injection.validate_partition_groups`, so a
-        partial heal can never leave behind an overlapping or empty group
-        that a later ``partition()`` call composed badly with.
-        """
-        if not names:
-            self._partition_groups = []
-            self.sim.trace.record("partition_heal", "")
-            return
-        from repro.failure.injection import validate_partition_groups
-
-        for name in names:
-            if name not in self.processes:
-                raise ValueError(f"heal names unknown process {name!r}")
-        healed = set(names)
-        remaining = [group - healed for group in self._partition_groups]
-        remaining = [group for group in remaining if group]
-        if len(remaining) < 2:
-            # One group cannot split anything: fully healed.
-            self._partition_groups = []
-        else:
-            self._partition_groups = [
-                set(g) for g in validate_partition_groups(
-                    [sorted(group) for group in remaining])]
-        self.sim.trace.record("partition_heal", "", names=sorted(healed))
+    def heal_partition(self) -> None:
+        """Remove the partition: every link works again."""
+        self._partition_groups = []
+        self.sim.trace.record("partition_heal", "")
 
     def _partitioned(self, source: str, destination: str) -> bool:
         # Blocked only when both endpoints sit in *different* groups: a
@@ -270,10 +241,7 @@ class Network:
                 trace.record_message("msg_drop", destination_name, message.msg_type,
                                      message.sender, message.msg_id, "destination_down")
             return
-        stats = self.stats
-        stats.delivered += 1
-        by_type = stats.by_type_delivered
-        by_type[message.msg_type] = by_type.get(message.msg_type, 0) + 1
+        self.stats.delivered += 1
         if trace.wants("msg_deliver"):
             trace.record_message("msg_deliver", destination_name, message.msg_type,
                                  message.sender, message.msg_id, None)

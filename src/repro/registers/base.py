@@ -29,7 +29,8 @@ from repro.sim.waits import SimFuture
 
 
 class _Bottom:
-    """The initial register value ⊥ (distinct from ``None`` and falsy)."""
+    """The initial register value ⊥: a singleton distinct from ``None`` and
+    from every written value, so a reader tests ``value is BOTTOM``."""
 
     _instance: Optional["_Bottom"] = None
 
@@ -40,9 +41,6 @@ class _Bottom:
 
     def __repr__(self) -> str:
         return "⊥"
-
-    def __bool__(self) -> bool:
-        return False
 
 
 BOTTOM = _Bottom()

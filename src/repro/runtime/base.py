@@ -3,7 +3,7 @@
 :class:`Kernel` names the exact surface that :class:`repro.sim.process.Process`,
 :class:`repro.sim.process.Thread`, the network/transport layer and the
 workload generators consume: a clock (``now``), one-shot timers
-(``schedule``/``schedule_at``/``call_soon``), run loops (``run``/``run_until``),
+(``schedule``/``schedule_at``/``call_soon_call``), run loops (``run``/``run_until``),
 deterministic per-stream RNGs (``rng``) and the shared trace bus
 (``trace``).  Protocol generators never see anything below this surface,
 which is what lets the *same* generator code run on either backend:
@@ -54,8 +54,8 @@ class Kernel:
     """Abstract runtime kernel: clock, timers, RNG streams, trace bus.
 
     Subclasses must provide ``now`` (a float attribute or property, in
-    virtual milliseconds), ``schedule``, ``schedule_at``, ``call_soon``,
-    ``run``, ``run_until``, ``pending_events`` and ``events_processed``.
+    virtual milliseconds), ``schedule``, ``schedule_at``, ``call_soon`` (or
+    ``call_soon_call``), ``run``, ``run_until`` and ``events_processed``.
     The RNG plumbing is shared here so both backends draw identical
     deterministic streams for a given seed.
     """

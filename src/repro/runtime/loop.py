@@ -123,7 +123,6 @@ class AsyncioKernel(Kernel):
         self._loop = _new_event_loop()
         self._epoch = self._loop.time()
         self._events_processed = 0
-        self._pending = 0
         self._tasks: set[asyncio.Task] = set()
         #: The ``(predicate, future)`` a ``run_until`` call is parked on.
         self._parked: Optional[tuple[Callable[[], bool], asyncio.Future]] = None
@@ -145,11 +144,6 @@ class AsyncioKernel(Kernel):
     # ------------------------------------------------------------ scheduling
 
     @property
-    def pending_events(self) -> int:
-        """Number of scheduled-but-not-fired kernel timers."""
-        return self._pending
-
-    @property
     def events_processed(self) -> int:
         """Number of kernel timer callbacks executed so far."""
         return self._events_processed
@@ -162,14 +156,12 @@ class AsyncioKernel(Kernel):
         event: WallEvent
 
         def fire() -> None:
-            self._pending -= 1
             if event.cancelled:
                 return
             self._events_processed += 1
             callback()
             self.notify()
 
-        self._pending += 1
         handle = self._loop.call_later(self._wall_delay(delay), fire)
         event = WallEvent(self.now + delay, name, handle)
         return event

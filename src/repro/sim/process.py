@@ -337,7 +337,6 @@ class Process:
         self.name = name
         self.trace = sim.trace
         self.up = True
-        self.crash_count = 0
         # The node's stable storage: the one place state survives a crash.
         self.disk = StableStorage(f"{name}.disk")
         # The inbox holds what no receive took yet, by message type and then
@@ -380,11 +379,6 @@ class Process:
     def now(self) -> float:
         """Current virtual time."""
         return self.sim.now
-
-    @property
-    def threads(self) -> list[Thread]:
-        """The live threads, in spawn order (a finished one has left)."""
-        return list(self._threads.values())
 
     @property
     def mailbox_size(self) -> int:
@@ -521,14 +515,9 @@ class Process:
         There is no atomicity guarantee (matching the paper's model); each copy
         is an independent message with its own identifier.
         """
-        copier = getattr(message, "copy", None)
-        if copier is None or not callable(copier):
-            for destination in destinations:
-                self.send(destination, message)
-            return
-        send = self.send
+        send, copy = self.send, message.copy
         for destination in destinations:
-            send(destination, copier())
+            send(destination, copy())
 
     def _register_waiter(self, thread: Thread, keys: Sequence[tuple]) -> None:
         """File a thread that just blocked on a receive under its keys."""
@@ -663,7 +652,6 @@ class Process:
         if not self.up:
             return
         self.up = False
-        self.crash_count += 1
         for thread in list(self._threads.values()):
             thread.kill()
         self._threads.clear()

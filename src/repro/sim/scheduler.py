@@ -33,24 +33,17 @@ _EVENT_POOL_MAX = 512
 busy run without pinning an unbounded pile of dead handles."""
 
 
-def _after_one_event() -> bool:
-    """The predicate that turns the run loop into :meth:`Simulator.step`."""
-    return True
-
-
 class ScheduledEvent:
     """Handle to a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "callback", "name", "cancelled", "arg", "_sim")
+    __slots__ = ("time", "callback", "name", "cancelled", "arg")
 
-    def __init__(self, time: float, callback: Callable, name: str,
-                 sim: "Simulator", arg=_NO_ARG):
+    def __init__(self, time: float, callback: Callable, name: str, arg=_NO_ARG):
         self.time = time
         self.callback = callback
         self.name = name
         self.cancelled = False
         self.arg = arg
-        self._sim = sim
 
     def cancel(self) -> bool:
         """Prevent the callback from firing.
@@ -66,7 +59,6 @@ class ScheduledEvent:
             return False
         self.callback = None
         self.cancelled = True
-        self._sim._cancelled += 1
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -99,7 +91,6 @@ class Simulator(Kernel):
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._events_processed = 0
-        self._cancelled = 0
         # Free list of fired argument-carrying events (see schedule_call).  A
         # cancelled one is never recycled: its tombstone may still be queued.
         self._event_pool: list[ScheduledEvent] = []
@@ -114,7 +105,7 @@ class Simulator(Kernel):
         if delay < 0:
             raise InvalidScheduling(f"negative delay {delay!r} for event {name!r}")
         time = self.now + delay
-        event = ScheduledEvent(time, callback, name, self)
+        event = ScheduledEvent(time, callback, name)
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (time, seq, event))
@@ -144,7 +135,7 @@ class Simulator(Kernel):
             event.name = name
             event.arg = arg
         else:
-            event = ScheduledEvent(time, callback, name, self, arg)
+            event = ScheduledEvent(time, callback, name, arg)
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (time, seq, event))
@@ -156,30 +147,17 @@ class Simulator(Kernel):
             raise InvalidScheduling(f"cannot schedule {name!r} in the past ({time} < {self.now})")
         return self.schedule(time - self.now, callback, name)
 
-    def call_soon(self, callback: Callable[[], None], name: str = "soon") -> ScheduledEvent:
-        """Schedule ``callback`` at the current timestamp (after pending same-time events)."""
-        return self.schedule(0.0, callback, name)
-
     def call_soon_call(self, callback: Callable, arg, name: str = "soon") -> ScheduledEvent:
-        """Run ``callback(arg)`` at the current timestamp, pool-recycled.
+        """Run ``callback(arg)`` at the current timestamp (after pending
+        same-time events), pool-recycled.
 
-        :meth:`call_soon` with the :meth:`schedule_call` event free list:
-        the thread wake-up path (mailbox hits, resolved futures) burns one
-        of these per delivery, and like delivery events their handles are
-        dropped before dispatch completes.
+        :meth:`schedule_call` at delay 0: the thread wake-up path (mailbox
+        hits, resolved futures) burns one of these per delivery, and like
+        delivery events their handles are dropped before dispatch completes.
         """
         return self.schedule_call(0.0, callback, arg, name)
 
     # --------------------------------------------------------------- running
-
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled, not-yet-fired events (O(1)).
-
-        Derived from counters the hot paths maintain anyway: everything ever
-        scheduled, minus fired, minus cancelled.
-        """
-        return self._seq - self._events_processed - self._cancelled
 
     @property
     def events_processed(self) -> int:
@@ -234,10 +212,6 @@ class Simulator(Kernel):
             if predicate is not None and predicate():
                 return True
         return False
-
-    def step(self) -> bool:
-        """Run the next scheduled event.  Returns ``False`` if the queue is empty."""
-        return self._dispatch(_after_one_event, None, 1)
 
     def run(self, until: Optional[float] = None, max_events: int = 5_000_000) -> float:
         """Run events until the queue drains or virtual time reaches ``until``.

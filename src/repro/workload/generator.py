@@ -5,8 +5,8 @@ back to back -- and that is the :class:`ClosedLoop` generator with one client.
 The traffic engine generalises it to every client of a deployment at once:
 
 * :class:`ClosedLoop` drives *every* client concurrently in virtual time; each
-  client issues its next request as soon as the previous one delivered (plus
-  an optional think time).  Offered load adapts to the system's speed.
+  client issues its next request as soon as the previous one delivered.
+  Offered load adapts to the system's speed.
 * :class:`OpenLoop` injects requests at a target arrival rate (Poisson or
   uniform arrivals) independent of completions, round-robined over the
   clients.  Offered load is fixed; queueing shows up as response time.
@@ -292,22 +292,8 @@ class _Tally:
 
 
 class ClosedLoop(LoadGenerator):
-    """Every driven client issues its next request when the previous delivered.
-
-    ``think_time`` inserts a virtual-time pause between a delivery and the
-    next issue (the classic interactive-user model); ``0`` reproduces the
-    paper's back-to-back measurement loop.
-    """
-
-    def __init__(self, clients: Union[None, int, Sequence[str]] = None,
-                 think_time: float = 0.0,
-                 horizon_per_request: float = 1_000_000.0,
-                 max_events: int = 5_000_000):
-        super().__init__(clients=clients, horizon_per_request=horizon_per_request,
-                         max_events=max_events)
-        if think_time < 0:
-            raise ValueError(f"negative think time: {think_time}")
-        self.think_time = think_time
+    """Every driven client issues its next request when the previous delivered:
+    the paper's back-to-back measurement loop."""
 
     def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
             request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
@@ -328,12 +314,8 @@ class ClosedLoop(LoadGenerator):
                 tally.done += len(queue)
                 queue.clear()
                 return
-            tally.track(client, deployment.issue(queue.popleft(), client), then=then)
+            tally.track(client, deployment.issue(queue.popleft(), client), then=issue_next)
 
-        def think(client: str) -> None:
-            sim.schedule_call(self.think_time, issue_next, client, name="think")
-
-        then = think if self.think_time > 0 else issue_next
         for client in queues:
             issue_next(client)
         if total:

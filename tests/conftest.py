@@ -26,3 +26,12 @@ def sim() -> Simulator:
 def network(sim: Simulator) -> Network:
     """A lossless network bound to the ``sim`` fixture."""
     return Network(sim)
+
+
+def idle(kernel: Simulator) -> bool:
+    """Whether nothing is scheduled on ``kernel``: running it fires no event.
+
+    An idle kernel is left exactly as it was; a busy one fires one event.
+    """
+    fired = kernel.events_processed
+    return not kernel.run_until(lambda: kernel.events_processed > fired)

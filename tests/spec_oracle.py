@@ -289,6 +289,11 @@ def monitor_verdict(trace: TraceRecorder, db_server_names: list[str],
         check_termination=check_termination)
 
 
+def violated(report: SpecReport, property_name: str) -> list[PropertyViolation]:
+    """The report's violations of one property."""
+    return [v for v in report.violations if v.property_name == property_name]
+
+
 def verdict(report: SpecReport) -> tuple:
     """A report as comparable plain data: checked properties, then violations in order."""
     return (report.checked_properties,

@@ -7,7 +7,8 @@ figures), so the kernel is single-stepped and each event is charged the
 growth of ``sys.getallocatedblocks()`` it caused: an event that allocates five
 blocks and frees five *older* ones scores zero net but its churn still
 surfaces, because allocation and release of one object almost never land in
-the same step.  With the GC disabled and the workload deterministic the
+the same step (``run_until`` checks its predicate after every event, so the
+predicate is the sampler).  With the GC disabled and the workload deterministic the
 figure is reproducible to a fraction of a percent and, being a count, needs
 no machine-speed calibration.
 
@@ -18,9 +19,9 @@ scenarios are deterministic, so any drift means behaviour changed and the
 block figures are incomparable -- re-pin both only for an intended change.
 
 What a run retains is budgeted too, as the objects the cyclic collector must
-walk: ``len(gc.get_objects())`` after a ``gc.collect()`` is an exact count,
-taken once the system is built and its load laid out and again after the
-run, per delivered request.  So are the calls into ``sim/process.py`` per request, counted by
+walk: ``len(gc.get_objects())`` once collecting frees nothing more is an exact
+count, taken once the system is built and its load laid out and again after
+the run, per delivered request.  So are the calls into ``sim/process.py`` per request, counted by
 ``cProfile`` over the same deterministic runs: a count, exact for a given tree.
 A stored trace event is budgeted in bytes: sealed under ``full``, and alive in
 a ``ring:N`` (``tracemalloc``, beyond the same run at ``off``).
@@ -33,6 +34,7 @@ import sys
 import tracemalloc
 
 from repro import api
+from repro.experiments.soak import tracked_objects
 from repro.sim.tracing import BLOCK_ROWS, TraceRecorder
 from repro.workload.generator import ClosedLoop
 
@@ -53,8 +55,10 @@ HEADROOM = 1.3
 CALLS_HEADROOM = 1.1
 
 #: More than 20 % above the pinned GC-tracked objects retained per request
-#: (measured with no client history and a WAL checkpointed every 256 rows:
-#: 2.89 traffic, 0.93 soak, 2.51 2pc; 6.83, 4.99 and 6.89 with each client's
+#: (measured with no client history and a WAL checkpointed every 256 rows,
+#: collecting until the count stops falling: 2.77 traffic, 0.85 soak, 2.36
+#: 2pc; 2.89, 0.93 and 2.51 after a single collection, which also counts
+#: what that pass happened to leave; 6.83, 4.99 and 6.89 with each client's
 #: delivered handles kept and every WAL row; 13.96, 12.30 and 15.34 with a
 #: LogRecord, a Transaction and a monitor set per fact) fails.
 RETAINED_HEADROOM = 1.2
@@ -68,13 +72,18 @@ def _stepped_alloc_blocks(sim, is_done) -> tuple[int, int]:
     gc.collect()
     grown = 0
     fired_before = sim.events_processed
+
+    def sample() -> bool:
+        nonlocal before, grown
+        after = blocks()
+        if after > before:
+            grown += after - before
+        before = after
+        return is_done()
+
     try:
         before = blocks()
-        while not is_done() and sim.step():
-            after = blocks()
-            if after > before:
-                grown += after - before
-            before = after
+        sim.run_until(sample)
     finally:
         if was_enabled:
             gc.enable()
@@ -87,8 +96,7 @@ def _process_calls(sim, is_done) -> tuple[int, int]:
     fired_before = sim.events_processed
     profile.enable()
     try:
-        while not is_done() and sim.step():
-            pass
+        sim.run_until(is_done)
     finally:
         profile.disable()
     calls = sum(entry[1] for (filename, _line, _name), entry
@@ -99,13 +107,10 @@ def _process_calls(sim, is_done) -> tuple[int, int]:
 
 def _retained_objects(sim, is_done) -> tuple[int, int]:
     """(GC-tracked objects alive after the run minus before it, events fired)."""
-    gc.collect()
-    before = len(gc.get_objects())
+    before = tracked_objects()
     fired_before = sim.events_processed
-    while not is_done() and sim.step():
-        pass
-    gc.collect()
-    return len(gc.get_objects()) - before, sim.events_processed - fired_before
+    sim.run_until(is_done)
+    return tracked_objects() - before, sim.events_processed - fired_before
 
 
 def _closed_loop(dsn: str, requests_per_client: int,
@@ -195,7 +200,7 @@ def test_traffic_shape_retained_objects_per_request():
                                                 sample=_retained_objects)
     print(f"\ntraffic: {retained_per_request:.2f} retained objects/request")
     assert events == 1911
-    assert retained_per_request <= RETAINED_HEADROOM * 2.89
+    assert retained_per_request <= RETAINED_HEADROOM * 2.77
 
 
 def test_soak_shape_retained_objects_per_request():
@@ -203,7 +208,7 @@ def test_soak_shape_retained_objects_per_request():
                                               sample=_retained_objects)
     print(f"\nsoak: {retained_per_request:.2f} retained objects/request")
     assert events == 9360
-    assert retained_per_request <= RETAINED_HEADROOM * 0.93
+    assert retained_per_request <= RETAINED_HEADROOM * 0.85
 
 
 def test_2pc_closed_loop_retained_objects_per_request():
@@ -211,7 +216,7 @@ def test_2pc_closed_loop_retained_objects_per_request():
                                                 sample=_retained_objects)
     print(f"\n2pc: {retained_per_request:.2f} retained objects/request")
     assert events == 1119
-    assert retained_per_request <= RETAINED_HEADROOM * 2.51
+    assert retained_per_request <= RETAINED_HEADROOM * 2.36
 
 
 def test_a_full_trace_leaves_the_collector_nothing_to_walk():

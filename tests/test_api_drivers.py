@@ -140,7 +140,7 @@ def test_run_scenario_accepts_dsn_strings_and_reports():
     assert result.delivered == 2
     assert result.total_messages > 0
     assert result.message_counts.get("Prepare", 0) >= 2
-    assert result.breakdown.protocol == "2pc"
+    assert result.scenario.protocol == "2pc"
     summary = result.summary()
     assert "2pc://" in summary and "spec" in summary
 

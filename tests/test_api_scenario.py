@@ -21,7 +21,6 @@ ROUND_TRIP_SCENARIOS = [
     Scenario(protocol="etx", num_app_servers=5, num_clients=2,
              failure_detector="heartbeat", register_mode="local",
              detection_delay=10.0, heartbeat_interval=2.5, heartbeat_timeout=40.0,
-             client_app_latency=12.0, app_app_latency=1.0, app_db_latency=0.25,
              client_backoff=40.0, workload="bank", timing="paper"),
     Scenario(protocol="etx", faults=(
         FaultSpec("crash", 244.0, "a1"),
@@ -32,7 +31,7 @@ ROUND_TRIP_SCENARIOS = [
     Scenario(protocol="2pc", coordinator_log_latency=25.0, timing="paper"),
     Scenario(protocol="etx", num_clients=8, rate=50.0, seed=7),
     Scenario(protocol="etx", num_clients=4, rate=12.5, arrival="uniform"),
-    Scenario(protocol="pb", num_clients=4, think_time=250.0),
+    Scenario(protocol="pb", num_clients=4),
     Scenario(protocol="etx", num_db_servers=4, num_clients=8, rate=6.0,
              seed=7, placement="hash", mailbox=8,
              faults=(FaultSpec("reshard", 5000.0, from_shards=4, to_shards=8),)),
@@ -124,25 +123,18 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://c0", "at least one process"),
     # Values the build would refuse with a bare ValueError are refused by
     # their parameter's row at parse time ...
-    ("etx://a3?lat_ca=-1", "bad value for 'lat_ca'"),
-    ("etx://a3?lat_aa=-0.5", "bad value for 'lat_aa'"),
-    ("etx://a3?lat_ad=-2", "bad value for 'lat_ad'"),
     ("2pc://a1?log=-3", "bad value for 'log'"),
     ("etx://a3?detect=-1", "bad value for 'detect'"),
     ("etx://a3?hb_interval=0", "bad value for 'hb_interval'"),
     ("etx://a3?hb_timeout=-20", "bad value for 'hb_timeout'"),
     # ... and a NaN, which would break the round trip (nan != nan).
     ("etx://a3?rate=nan", "bad value for 'rate'"),
-    ("etx://a3?think=nan", "bad value for 'think'"),
     ("etx://a3?backoff=nan", "bad value for 'backoff'"),
     ("etx://a3?runtime=asyncio&pace=nan", "bad value for 'pace'"),
     ("etx://a3?hb_interval=nan", "bad value for 'hb_interval'"),
-    ("etx://a3?lat_aa=nan", "bad value for 'lat_aa'"),
     # ... and an infinity, which a run divides by or waits for forever.
     ("etx://a3.d1.c1?rate=inf&seed=1", "bad value for 'rate'"),
     ("etx://a3.d1.c1?hb_interval=inf&fd=heartbeat", "bad value for 'hb_interval'"),
-    ("etx://a3.d1.c1?lat_ca=inf", "bad value for 'lat_ca'"),
-    ("etx://a3.d1.c1?think=inf", "bad value for 'think'"),
 ])
 def test_clear_errors_on_bad_dsns(dsn, fragment):
     with pytest.raises(ScenarioError) as excinfo:
@@ -258,18 +250,21 @@ def test_parse_the_open_loop_issue_example():
     assert Scenario.from_dsn(scenario.to_dsn()) == scenario
 
 
-def test_clients_query_parameter_is_an_alternative_host_spelling():
-    scenario = Scenario.from_dsn("etx://a3.d1?clients=4&think=100")
-    assert scenario.num_clients == 4
-    assert scenario.think_time == 100.0
-    # Serialisation always uses the host token, never the parameter.
-    assert ".c4" in scenario.to_dsn() and "clients=" not in scenario.to_dsn()
-    assert Scenario.from_dsn(scenario.to_dsn()) == scenario
+@pytest.mark.parametrize("query", ["clients=4", "think=1", "lat_ca=1", "lat_aa=1",
+                                   "lat_ad=1"])
+def test_removed_knobs_are_unknown_dsn_parameters(query):
+    # The host's c<N> counts the clients, a closed loop never pauses, and the
+    # three-tier latencies are the paper's constants (net/latency.py).
+    key = query.split("=")[0]
+    with pytest.raises(ScenarioError, match=f"unknown DSN parameter '{key}'"):
+        Scenario.from_dsn(f"etx://a3?{query}")
 
 
-def test_clients_parameter_conflicting_with_host_is_ambiguous():
-    with pytest.raises(ScenarioError, match="host token"):
-        Scenario.from_dsn("etx://a3.d1.c8?clients=8")
+def test_clients_stays_a_sweep_axis():
+    sweep = api.Sweep.over("etx://a3.d1", clients=[1, 4])
+    assert [scenario.num_clients for scenario in sweep.expand()] == [1, 4]
+    assert [scenario.to_dsn() for scenario in sweep.expand()] == [
+        "etx://a3.d1.c1", "etx://a3.d1.c4"]
 
 
 def test_load_shape_validation():
@@ -277,10 +272,6 @@ def test_load_shape_validation():
         Scenario(rate=-1.0)
     with pytest.raises(ScenarioError, match="arrival"):
         Scenario(rate=5.0, arrival="bursty")
-    with pytest.raises(ScenarioError, match="think time"):
-        Scenario(think_time=-2.0)
-    with pytest.raises(ScenarioError, match="closed-loop"):
-        Scenario(rate=5.0, think_time=10.0)
 
 
 def test_an_int_row_accepts_an_int_too_big_for_a_float():
@@ -297,8 +288,7 @@ def test_describe_mentions_the_load_shape():
         return next(line for line in summary.splitlines() if line.startswith("load"))
 
     assert "open loop @ 50/s poisson" in load_line("etx://a3.d1.c1?rate=50")
-    assert "closed loop" in load_line("etx://a3.d1.c1")
-    assert "think 250 ms" in load_line("etx://a3.d1.c1?think=250")
+    assert "closed loop over 2 client(s)" in load_line("etx://a3.d1.c2")
 
 
 # ----------------------------------------------------------- runtime backend
@@ -450,9 +440,6 @@ def _scenarios(draw):
     kwargs["rate"] = rate
     if rate > 0:
         kwargs["arrival"] = draw(st.sampled_from(["poisson", "uniform"]))
-    else:
-        kwargs["think_time"] = draw(st.floats(min_value=0.0, max_value=1e4,
-                                              allow_nan=False))
     placement = draw(st.sampled_from(["replicate", "hash", "mod"]))
     kwargs["placement"] = placement
     if placement != "replicate":

@@ -13,6 +13,7 @@ tests reproduce the paper's *qualitative* claims about them:
 """
 
 import pytest
+from spec_oracle import violated
 
 from repro import api
 from repro.api import FaultSpec, Scenario, ScenarioError
@@ -58,7 +59,7 @@ def test_baseline_client_hangs_when_app_server_crashes():
     deployment.run(until=100_000.0)
     assert not issued.delivered  # no T.1 without replication
     report = deployment.check_spec()
-    assert report.violated("T.1")
+    assert violated(report, "T.1")
 
 
 def test_baseline_two_databases_commit_independently():

@@ -12,6 +12,8 @@ runs over both register implementations.
 
 import pytest
 
+from conftest import idle
+
 from repro.consensus.synod import ConsensusHost
 from repro import api
 from repro.api import FaultSpec
@@ -212,7 +214,7 @@ def test_nobody_suspected_means_the_feed_is_not_even_opened(register_mode):
     for _ in range(3):
         assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     # Nothing is left scheduled once the requests are delivered, for anybody.
-    assert deployment.sim.pending_events == 0
+    assert idle(deployment.sim)
     deployment.run(until=deployment.sim.now + QUIET)
     for reg_a, reg_d in counters.values():
         assert reg_a.calls == [] and reg_d.calls == []
@@ -283,7 +285,7 @@ def test_a_crash_undone_within_the_detection_delay_wakes_the_cleaners_to_nothing
         (down + DETECT / 2, "a3"),
         (down + DETECT, "a1"), (down + DETECT, "a2"), (down + DETECT, "a3")]
     assert deployment.trace.count("as_clean") == 0
-    assert deployment.sim.pending_events == 0
+    assert idle(deployment.sim)
 
 
 # ------------------------------------------------------------ late replies

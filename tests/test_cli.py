@@ -186,7 +186,7 @@ def test_sweep_command_rejects_unknown_axes(capsys):
     ("trace=5", "bad value for 'trace'"),
     ("workload=1", "unknown workload '1'"),
     ("seed=1.5", "bad value for sweep axis 'seed'"),
-    ("lat_ca=-1", "bad value for 'lat_ca'"),
+    ("detect=-1", "bad value for 'detect'"),
     ("rate=inf", "bad value for 'rate'"),
 ])
 def test_sweep_command_parses_axis_values_with_the_keys_parser(axis, fragment, capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import idle
+
 from repro.consensus.synod import ConsensusHost
 from repro.net.latency import FixedLatency, PerLinkLatency
 from repro.net.network import Network
@@ -169,12 +171,12 @@ def test_single_member_group_decides_inside_propose():
     assert future.resolved and future.value == "solo"
     assert hosts["a1"].decision("x") == "solo"
     assert network.stats.sent == 0
-    assert sim.pending_events == 0
+    assert idle(sim)
     # The slow (prepare) path of a non-owner is just as synchronous.
     sim, network, hosts = build_group(n=1, fast_path_owner=None)
     future = hosts["a1"].propose("y", "solo")
     assert future.resolved and future.value == "solo"
-    assert network.stats.sent == 0 and sim.pending_events == 0
+    assert network.stats.sent == 0 and idle(sim)
 
 
 def test_nack_from_own_acceptor_cancels_the_attempt_timeout():
@@ -185,8 +187,10 @@ def test_nack_from_own_acceptor_cancels_the_attempt_timeout():
     network.partition(["a1"], ["a2", "a3"])
     hosts["a1"]._acceptor("inst").promised = (3, 1)
     hosts["a1"].propose("inst", "v")
-    assert sim.pending_events == 1  # the scheduled retry, not the timeout too
     assert hosts["a1"]._attempts["inst"].retry_timer.cancelled
+    # The retry is the one live event: the first to fire launches it.
+    assert sim.run_until(lambda: sim.events_processed == 1)
+    assert [event.process for event in sim.trace.select("consensus_retry")] == ["a1"]
 
 
 def test_non_owner_proposer_uses_prepare_phase_and_decides():

@@ -6,7 +6,7 @@ require identical verdicts, to make sure each property check can fail when it
 should (a checker that always passes is worthless).
 """
 
-from spec_oracle import DifferentialChecker, replayed_monitor, verdict
+from spec_oracle import DifferentialChecker, replayed_monitor, verdict, violated
 from repro.core.spec import _a2_violation, _a3_violation
 from repro.core.types import ABORT, COMMIT
 from repro.sim.tracing import TraceRecorder
@@ -41,7 +41,7 @@ def test_t1_detects_undelivered_request():
     trace = TraceRecorder()
     trace.record("client_issue", "c1", request_id="req-1", operation="pay")
     report = make_checker(trace).check()
-    assert report.violated("T.1")
+    assert violated(report, "T.1")
 
 
 def test_t1_excuses_crashed_client():
@@ -49,7 +49,7 @@ def test_t1_excuses_crashed_client():
     trace.record("client_issue", "c1", request_id="req-1", operation="pay")
     trace.record("crash", "c1")
     report = make_checker(trace).check()
-    assert not report.violated("T.1")
+    assert not violated(report, "T.1")
 
 
 def test_t1_does_not_excuse_recovered_client():
@@ -58,14 +58,14 @@ def test_t1_does_not_excuse_recovered_client():
     trace.record("crash", "c1")
     trace.record("recover", "c1")
     report = make_checker(trace).check()
-    assert report.violated("T.1")
+    assert violated(report, "T.1")
 
 
 def test_t2_detects_vote_without_decision():
     trace = base_commit_trace()
     trace.record("db_vote", "d1", j=("c1", 2), vote="yes")
     report = make_checker(trace).check()
-    assert report.violated("T.2")
+    assert violated(report, "T.2")
 
 
 def test_a1_detects_delivery_without_commit_at_every_database():
@@ -78,7 +78,7 @@ def test_a1_detects_delivery_without_commit_at_every_database():
     trace.record("client_deliver", "c1", j=1, request_id="req-1",
                  result_request_id="req-1", computed_by="a1", value="{}")
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("A.1")
+    assert violated(report, "A.1")
 
 
 def test_a2_detects_two_committed_results_for_one_request():
@@ -87,7 +87,7 @@ def test_a2_detects_two_committed_results_for_one_request():
     trace.record("db_vote", "d1", j=("c1", 2), vote="yes")
     trace.record("db_decide", "d1", j=("c1", 2), outcome=COMMIT)
     report = make_checker(trace, dbs=("d1",)).check(check_termination=False)
-    assert report.violated("A.2")
+    assert violated(report, "A.2")
 
 
 def test_a2_allows_one_commit_per_distinct_request():
@@ -99,7 +99,7 @@ def test_a2_allows_one_commit_per_distinct_request():
     trace.record("client_deliver", "c1", j=2, request_id="req-2",
                  result_request_id="req-2", computed_by="a1", value="{}")
     report = make_checker(trace, dbs=("d1",)).check()
-    assert not report.violated("A.2")
+    assert not violated(report, "A.2")
 
 
 def test_a3_detects_conflicting_final_outcomes():
@@ -110,7 +110,7 @@ def test_a3_detects_conflicting_final_outcomes():
     trace.record("db_decide", "d1", j=("c1", 1), outcome=COMMIT)
     trace.record("db_decide", "d2", j=("c1", 1), outcome=ABORT)
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("A.3")
+    assert violated(report, "A.3")
 
 
 def test_v1_detects_invented_result():
@@ -119,7 +119,7 @@ def test_v1_detects_invented_result():
     trace.record("client_deliver", "c1", j=1, request_id="req-1",
                  result_request_id="req-unknown", computed_by="a1", value="{}")
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("V.1")
+    assert violated(report, "V.1")
 
 
 def test_v1_detects_result_for_never_issued_request():
@@ -128,7 +128,7 @@ def test_v1_detects_result_for_never_issued_request():
     trace.record("client_deliver", "c1", j=1, request_id="req-9",
                  result_request_id="req-9", computed_by="a1", value="{}")
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("V.1")
+    assert violated(report, "V.1")
 
 
 def test_v2_detects_commit_without_unanimous_yes_votes():
@@ -138,7 +138,7 @@ def test_v2_detects_commit_without_unanimous_yes_votes():
     # d2 never voted yes but d1 commits.
     trace.record("db_decide", "d1", j=("c1", 1), outcome=COMMIT)
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("V.2")
+    assert violated(report, "V.2")
 
 
 def test_report_summary_mentions_violations():
@@ -182,7 +182,7 @@ def test_s1_detects_participant_outside_its_epochs_universe():
     # not know.
     trace = epoch_stamped_trace(("d1", "d2"), universe=("d1",))
     report = make_checker(trace).check(check_termination=False)
-    assert report.violated("S.1")
+    assert violated(report, "S.1")
     assert any("epoch 0" in str(v) for v in report.violations)
 
 
@@ -209,7 +209,7 @@ def test_s1_epoch_universe_updates_at_commit():
     stale.record("as_compute", "a1", client="c1", j=2, request_id="req-2",
                  result="{}", epoch=0, participants=["d2"])
     report = make_checker(stale).check(check_termination=False)
-    assert report.violated("S.1")
+    assert violated(report, "S.1")
 
 
 # -------------------------------------- compact monitor state vs the oracle
@@ -242,7 +242,7 @@ def test_a2_one_key_per_request_promotes_to_a_set_as_the_oracle_orders_it():
     for j in (2, 2, 1):
         _commit(trace, "d2", j)
     report = DifferentialChecker(trace, list(dbs), ["c1"]).check(check_termination=False)
-    assert [str(v) for v in report.violated("A.2")] == [
+    assert [str(v) for v in violated(report, "A.2")] == [
         str(_a2_violation("d1", {("c1", 4), ("c1", 5)}, "req-2")),
         str(_a2_violation("d1", {("c1", 1), ("c1", 2), ("c1", 3)}, "req-1")),
         str(_a2_violation("d2", {("c1", 1), ("c1", 2)}, "req-1")),
@@ -271,7 +271,7 @@ def test_a2_commit_before_its_computation_is_still_counted():
     _commit(trace, "d1", 3)                     # never computed: no request, no A.2
     trace.record("as_compute", "a2", client="c1", j=1, request_id="req-1", result="{}")
     report = DifferentialChecker(trace, ["d1"], ["c1"]).check(check_termination=False)
-    assert [str(v) for v in report.violated("A.2")] == [
+    assert [str(v) for v in violated(report, "A.2")] == [
         str(_a2_violation("d1", {("c1", 1), ("c1", 2)}, "req-1"))]
 
 
@@ -296,7 +296,7 @@ def test_a3_commit_then_abort_at_one_database_with_interned_outcomes():
     _commit(trace, "d2", 4)
     _commit(trace, "d1", 4)
     report = DifferentialChecker(trace, list(dbs), ["c1"]).check(check_termination=False)
-    assert [str(v) for v in report.violated("A.3")] == [
+    assert [str(v) for v in violated(report, "A.3")] == [
         str(_a3_violation(("c1", 1), ["d1", "d3"], ["d2"])),
         str(_a3_violation(("c1", 2), ["d1"], ["d2", "d3"])),
     ]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import idle
+
 from repro.failure.detectors import (
     EventuallyPerfectFailureDetector,
     HeartbeatFailureDetector,
@@ -89,12 +91,12 @@ def test_ep_fd_wakes_observers_when_a_suspicion_starts_and_schedules_nothing_els
         fd.on_suspicion(observer, lambda observer=observer: woken.append((sim.now, observer)))
     fd.inject_false_suspicion("b", "a", start=3.0, duration=4.0)
     sim.schedule(5.0, procs["c"].crash)
-    assert sim.pending_events == 2  # the window's start and the crash itself
     sim.run(until=100.0)
     # One event per window (its observer alone) and one per crash (everybody); the
     # slot stays armed until overwritten, and the last armed wake-up is the one called.
     assert woken == [(3.0, "b"), (15.0, "a"), (15.0, "b")]
-    assert fd.suspect("a", "c") and sim.pending_events == 0
+    assert sim.events_processed == 3  # the window's start, the crash, its suspicion
+    assert fd.suspect("a", "c") and idle(sim)
     fd.on_suspicion("a", lambda: woken.append("rearmed"))
     procs["b"].crash()
     sim.run(until=200.0)
@@ -183,7 +185,7 @@ def test_heartbeat_fd_idle_group_sends_nothing_and_arms_no_timer():
     """Nobody holds a claim: no heartbeat, no timer, whatever the run's length."""
     sim, network, procs, fd = heartbeat_group(heartbeat_interval=5.0, initial_timeout=15.0)
     follow_all(fd)
-    assert sim.pending_events == 0
+    assert idle(sim)
     sim.run(until=10_000.0)
     assert sim.trace.count("msg_send") == 0 and sim.events_processed == 0
     assert suspicions(sim) == []
@@ -305,7 +307,7 @@ def test_heartbeat_fd_beats_while_holding_a_claim_and_announces_its_terminations
     assert heartbeats_sent(sim, "c") == [17.5, 20.0, 25.0, 30.0, 35.0]
     assert heard == [(), (), (("c1", 1),), (), (("c2", 1),)]
     assert pending["a"]["c"] == pending["b"]["c"] == {}
-    assert suspicions(sim) == [] and sim.pending_events == 0
+    assert suspicions(sim) == [] and idle(sim)
 
 
 def test_heartbeat_fd_a_done_notice_ahead_of_its_claim_leaves_a_tombstone():
@@ -326,7 +328,7 @@ def test_heartbeat_fd_a_done_notice_ahead_of_its_claim_leaves_a_tombstone():
     fd.learned("a", "c", key)
     assert pending["a"]["c"] == {} and fd._members["a"].tombstones == {}
     sim.run(until=500.0)
-    assert suspicions(sim) == [] and sim.pending_events == 0
+    assert suspicions(sim) == [] and idle(sim)
 
 
 def test_heartbeat_fd_crashed_member_sends_no_heartbeat_while_down():
@@ -355,7 +357,7 @@ def test_heartbeat_fd_observer_suspecting_everybody_holds_no_timer():
     procs["b"].crash(), procs["c"].crash()
     sim.run(until=200.0)
     # a holds no claim, so it sends nothing; its monitor is parked on the trust edge.
-    assert sim.pending_events == 0
+    assert idle(sim)
     network.heal_partition()
     procs["b"].recover()
     fd.reinstall("b")
@@ -384,4 +386,4 @@ def test_heartbeat_fd_drops_the_suspicion_of_a_peer_whose_claims_are_cleaned():
     trust, = sim.trace.select("fd_trust", process="a")
     assert trust.data == {"target": "c", "new_timeout": 12.0} and trust.time == 100.0
     sim.run(until=1_000.0)
-    assert not fd.suspect("a", "c") and sim.pending_events == 0
+    assert not fd.suspect("a", "c") and idle(sim)

@@ -152,9 +152,10 @@ def test_step_comparison_table():
                              total_messages=14, consensus_messages=12),
     ]
     columns = ["Request", "Prepare", "Consensus", "protocol msgs", "messages"]
+    measured = [catalog.Measured(None, profile, None, None) for profile in profiles]
     rows = [["run", *columns]] + [
-        [profile.label, *(str(catalog.COLUMNS[column][0](None, profile, None))
-                          for column in columns)] for profile in profiles]
+        [m.profile.label, *(str(catalog.COLUMNS[column][0](m)) for column in columns)]
+        for m in measured]
     header, *lines = render_table(rows).splitlines()
     # Every column is as wide as its widest cell: no two names run together.
     assert header.split() == ["run", "Request", "Prepare", "Consensus", "protocol",

@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.core.client import IssuedRequest
 from repro.core.types import Request
+from repro.experiments import catalog
 from repro.sim.errors import ProcessNotRunning
 from repro.workload.generator import ClosedLoop, OpenLoop
 
@@ -144,13 +145,14 @@ def test_a_down_client_refuses_to_issue():
 
 def test_open_loop_breakdown_uses_service_latency_not_sojourn():
     """Client-side queueing is load, not protocol cost: the latency
-    breakdown of a saturating open loop must not absorb the queueing delay
-    into the 'other' component."""
+    breakdown the experiment executor builds for a saturating open loop must
+    not absorb the queueing delay into the 'other' component."""
     scenario = _scenario("etx", clients=1).with_(rate=50.0, arrival="uniform")
-    result = api.run_scenario(scenario, requests=4)
-    stats = result.statistics
+    figure8 = catalog.EXPERIMENTS["figure8"]
+    stats = api.run_scenario(scenario, requests=figure8.requests).statistics
+    row = catalog._execute(("figure8", catalog.Run("open loop", scenario.to_dsn()), scenario))
     assert stats.mean_latency > stats.mean_service_latency + 50.0  # queueing
-    assert result.breakdown.total == pytest.approx(stats.mean_service_latency)
+    assert row["total"] == pytest.approx(stats.mean_service_latency)
 
 
 def _alive(cls) -> int:

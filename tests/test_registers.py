@@ -80,10 +80,9 @@ def test_local_register_negative_latency_rejected():
         LocalRegisterStore(sim, "regA", operation_latency=-1.0)
 
 
-def test_bottom_is_falsy_and_singleton():
+def test_bottom_is_a_singleton():
     from repro.registers.base import _Bottom
 
-    assert not BOTTOM
     assert _Bottom() is BOTTOM
     assert repr(BOTTOM) == "⊥"
 

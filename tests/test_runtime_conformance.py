@@ -19,6 +19,8 @@ with ``realtime == False`` only.
 
 import pytest
 
+from conftest import idle
+
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.runtime.base import RUNTIME_ASYNCIO, RUNTIME_SIM
@@ -381,7 +383,7 @@ def test_crash_mid_sleep_drops_the_step_and_its_queue(kernel):
     assert answers == [3] and backlog == [1, 0]
     if not kernel.realtime:
         assert kernel.now == 72.0
-        assert kernel.pending_events == 0
+        assert idle(kernel)
 
 
 def test_serve_is_registered_again_on_recovery(kernel):

@@ -49,14 +49,15 @@ class FakeNet:
         self._inbound: dict[str, set] = {}
         self.kernel = self.sim = self
         self.trace = TraceRecorder()
-        self.delivered: list[Message] = []
+        # What was delivered, as frames: a ``Message`` compares by identity.
+        self.delivered: list[bytes] = []
         self.notified = 0
 
     def hosts(self, name: str) -> bool:
         return name in LOCAL
 
     def _deliver(self, message: Message) -> None:
-        self.delivered.append(message)
+        self.delivered.append(message.to_wire())
 
     def notify(self) -> None:
         self.notified += 1
@@ -88,6 +89,10 @@ def drive(receiver: _Receiver, chunks: list[bytes], limit: int = tcp._MAX_FRAME)
     finally:
         loop.close()
     assert seen == []
+
+
+def wires(messages: list[Message]) -> list[bytes]:
+    return [message.to_wire() for message in messages]
 
 
 def frame(body: bytes) -> bytes:
@@ -136,7 +141,7 @@ def test_any_split_delivers_exactly_the_messages_in_order(sent, sizes):
     bodies = [message.to_wire() for message in sent]
     chunks = split(b"".join(map(frame, bodies)), sizes)
     drive(receiver, chunks, limit=max(map(len, bodies), default=0))
-    assert net.delivered == sent
+    assert net.delivered == wires(sent)
     assert not transport.closed
     assert len(receiver._buffer) == 0
     assert net.notified == len(chunks)   # one predicate check per batch, not per frame
@@ -148,7 +153,7 @@ def test_misrouted_frames_are_dropped_and_the_connection_lives():
     elsewhere = Message("Ping", "c1", "a9", {"n": 1})
     here = Message("Ping", "c1", "a2", {"n": 2})
     drive(receiver, [frame(elsewhere.to_wire()) + frame(here.to_wire())])
-    assert net.delivered == [here]
+    assert net.delivered == wires([here])
     assert not transport.closed
 
 
@@ -222,7 +227,7 @@ def test_a_bad_frame_closes_the_connection_and_ends_delivery(bad, before, after,
     stream = b"".join([*(frame(message.to_wire()) for message in before), frame(bad),
                        *(frame(message.to_wire()) for message in after)])
     drive(receiver, split(stream, sizes))
-    assert net.delivered == before
+    assert net.delivered == wires(before)
     assert transport.closed
     assert len(receiver._buffer) == 0
     # The refusal is on the trace bus, once, at the process that refused.
@@ -230,7 +235,7 @@ def test_a_bad_frame_closes_the_connection_and_ends_delivery(bad, before, after,
     assert rejected.process == "a1" and rejected.data["reason"]
     # A peer that keeps talking after the close is not listened to.
     drive(receiver, [frame(message.to_wire()) for message in after])
-    assert net.delivered == before
+    assert net.delivered == wires(before)
     assert len(net.trace.select("wire_reject")) == 1
 
 
@@ -251,10 +256,10 @@ def test_the_frame_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(tcp, "_MAX_FRAME", len(wire))
     net, receiver, transport = connect()
     drive(receiver, [frame(wire)], limit=len(wire))
-    assert net.delivered == [message] and not transport.closed
+    assert net.delivered == [wire] and not transport.closed
     monkeypatch.setattr(tcp, "_MAX_FRAME", len(wire) - 1)
     drive(receiver, [frame(wire)], limit=len(wire))
-    assert net.delivered == [message] and transport.closed
+    assert net.delivered == [wire] and transport.closed
 
 
 @settings(max_examples=50, deadline=None)
@@ -263,9 +268,9 @@ def test_a_truncated_tail_at_close_delivers_nothing_more(whole, cut, keep):
     net, receiver, transport = connect()
     tail = frame(cut.to_wire())
     drive(receiver, [frame(whole.to_wire()) + tail[:min(keep, len(tail) - 1)]])
-    assert net.delivered == [whole]
+    assert net.delivered == wires([whole])
     # The peer hangs up mid-frame: asyncio reports EOF, then the loss.
     assert not receiver.eof_received()   # falsy: let the transport close itself
     receiver.connection_lost(None)
-    assert net.delivered == [whole]
+    assert net.delivered == wires([whole])
     assert net._inbound == {"a1": set()}

@@ -15,6 +15,7 @@ transaction's participant set -- clean:
 """
 
 from hypothesis import given, settings, strategies as st
+from spec_oracle import violated
 
 from repro import api
 from repro.campaign.adversarial import RandomFaultPlan
@@ -113,7 +114,7 @@ def test_unreliable_baseline_confinement_holds_under_db_faults(seed):
     confinement (S.1), at-most-once per database (A.2) and validity (V.1)."""
     report = _run_under_db_faults("baseline", seed)
     for always_held in ("S.1", "A.2", "V.1"):
-        assert not report.violated(always_held), \
+        assert not violated(report, always_held), \
             f"seed={seed}: {report.summary()}"
 
 

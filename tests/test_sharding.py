@@ -8,6 +8,7 @@ the serial-vs-parallel sweep determinism contract.
 """
 
 import pytest
+from spec_oracle import violated
 
 from repro import api
 from repro.core.sharding import (
@@ -219,7 +220,7 @@ def test_spec_flags_commits_outside_the_participant_set():
     trace.record("db_decide", "d2", j=("c1", 1), outcome="commit")
     leaked = monitor.report(check_termination=False)
     assert not leaked.ok
-    assert leaked.violated("S.1")
+    assert violated(leaked, "S.1")
 
 
 def test_etx_concurrent_requests_from_many_clients_stay_spec_clean():

@@ -5,6 +5,8 @@ import weakref
 
 import pytest
 
+from conftest import idle
+
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.errors import ProcessNotRunning, ThreadError
@@ -138,13 +140,13 @@ def test_crash_kills_threads_and_clears_mailbox(sim):
         yield b.sleep(50.0)
         resumed.append(True)
 
-    b.spawn(body())
+    thread = b.spawn(body())
     a.send("b", Message("Ping"))
     sim.run(until=10.0)
     b.crash()
     assert not b.up
     assert b.mailbox_size == 0
-    assert b.threads == []
+    assert not thread.alive
     sim.run()
     assert resumed == []
 
@@ -220,7 +222,7 @@ def test_finished_threads_leave_the_table_and_are_freed_without_the_collector(si
             process.spawn(generator, name="short")
         del generators, generator
         sim.run()
-        assert process.threads == [live] and process.mailbox_size == 0
+        assert live.alive and process.mailbox_size == 0
         assert all(ref() is None for ref in refs)  # the finished threads are gone
     finally:
         gc.enable()
@@ -237,10 +239,10 @@ def test_ticker_runs_its_first_step_inside_tick_and_none_arms_nothing(sim):
         steps.append(sim.now)
 
     ticker = process.tick(step)
-    assert steps == [0.0] and sim.pending_events == 0  # parked: like a never-resolved future
+    assert steps == [0.0] and idle(sim)  # parked: like a never-resolved future
     sim.run(until=10.0)
     ticker.poke()
-    assert steps == [0.0, 10.0] and sim.pending_events == 0
+    assert steps == [0.0, 10.0] and idle(sim)
 
 
 def test_ticker_delay_arms_exactly_one_kernel_event(sim):
@@ -252,10 +254,9 @@ def test_ticker_delay_arms_exactly_one_kernel_event(sim):
         return 5.0 if len(steps) < 4 else None
 
     process.tick(step)
-    assert sim.pending_events == 1
     sim.run()
     assert steps == [0.0, 5.0, 10.0, 15.0]
-    assert sim.events_processed == 3 and sim.pending_events == 0
+    assert sim.events_processed == 3
 
 
 def test_ticker_poke_cancels_the_armed_timer_and_steps_now(sim):
@@ -269,9 +270,9 @@ def test_ticker_poke_cancels_the_armed_timer_and_steps_now(sim):
     ticker = process.tick(step)
     sim.run(until=3.0)
     ticker.poke()
-    assert steps == [0.0, 3.0] and sim.pending_events == 1
+    assert steps == [0.0, 3.0]
     sim.run(until=25.0)
-    assert steps == [0.0, 3.0, 13.0, 23.0]
+    assert steps == [0.0, 3.0, 13.0, 23.0] and sim.events_processed == 2
 
 
 def test_crash_stops_a_ticker_for_good(sim):
@@ -285,12 +286,12 @@ def test_crash_stops_a_ticker_for_good(sim):
     ticker = process.tick(step)
     sim.run(until=7.0)
     process.crash()
-    assert sim.pending_events == 0
+    assert idle(sim)
     ticker.poke()
     process.recover()
     ticker.poke()
     sim.run(until=50.0)
-    assert steps == [0.0, 5.0] and sim.pending_events == 0
+    assert steps == [0.0, 5.0] and idle(sim)
     process.crash()
     with pytest.raises(ProcessNotRunning):
         process.tick(step)
@@ -304,7 +305,7 @@ def test_a_step_that_crashes_its_process_arms_nothing(sim):
         return 5.0
 
     process.tick(step)
-    assert not process.up and sim.pending_events == 0
+    assert not process.up and idle(sim)
 
 
 # ------------------------------------------------------- message handlers

@@ -63,18 +63,19 @@ def test_cancel_after_fire_is_a_documented_noop():
 
     This is the contract a stale handle relies on: an ack racing the
     retransmit timer it is trying to stop may arrive after the timer fired,
-    and the late ``cancel()`` must neither error nor perturb counters.
+    and the late ``cancel()`` must neither error nor perturb the kernel.
     """
     sim = Simulator()
     fired = []
     handle = sim.schedule(1.0, lambda: fired.append("x"))
     sim.run()
     assert fired == ["x"]
-    before = sim.pending_events
     assert handle.cancel() is False
     assert handle.cancel() is False
     assert not handle.cancelled  # it fired; it was never cancelled
-    assert sim.pending_events == before
+    sim.schedule(1.0, lambda: fired.append("y"))
+    sim.run()
+    assert fired == ["x", "y"]
 
 
 def test_cancel_inside_same_timestamp_batch():
@@ -96,15 +97,13 @@ def test_cancel_inside_same_timestamp_batch():
     assert fired == ["early", "killer", "tail"]
 
 
-def test_pending_events_counts_live_events_only():
+def test_only_live_events_fire():
     sim = Simulator()
     handles = [sim.schedule(float(i % 7), lambda: None) for i in range(20)]
-    assert sim.pending_events == 20
     for handle in handles[:5]:
         handle.cancel()
-    assert sim.pending_events == 15
     sim.run()
-    assert sim.pending_events == 0
+    assert sim.events_processed == 15
 
 
 def test_far_future_events_fire_and_cancel():
@@ -195,10 +194,9 @@ def test_max_events_guard_leaves_the_refused_event_queued():
         sim.run(max_events=2)
     assert fired == ["a", "b"]
     assert sim.events_processed == 2
-    assert sim.pending_events == 1
     sim.run()
     assert fired == ["a", "b", "c"]
-    assert sim.pending_events == 0
+    assert sim.events_processed == 3
 
 
 def test_max_events_guard_in_run_until_leaves_the_refused_event_queued():
@@ -208,9 +206,8 @@ def test_max_events_guard_in_run_until_leaves_the_refused_event_queued():
         sim.run_until(lambda: False, max_events=2)
     assert fired == ["a", "b"]
     assert sim.events_processed == 2
-    assert sim.pending_events == 1
     assert sim.run_until(lambda: len(fired) == 3)
-    assert sim.pending_events == 0
+    assert sim.events_processed == 3
 
 
 def test_max_events_equal_to_the_work_left_is_enough():
@@ -242,7 +239,7 @@ def test_events_processed_counter():
 def test_call_soon_runs_at_current_time():
     sim = Simulator()
     times = []
-    sim.schedule(5.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
+    sim.schedule(5.0, lambda: sim.call_soon_call(lambda _: times.append(sim.now), None))
     sim.run()
     assert times == [pytest.approx(5.0)]
 
@@ -295,7 +292,7 @@ def test_rng_streams_identical_across_interpreter_invocations():
 
 LIVE, CANCELLED, FIRED = "live", "cancelled", "fired"
 POOLED = ("schedule_call", "call_soon_call")
-ARMS = ("schedule", "schedule_at", "call_soon") + POOLED
+ARMS = ("schedule", "schedule_at") + POOLED
 
 
 class _Record:
@@ -321,7 +318,6 @@ class _KernelModel:
 
     def check(self):
         assert self.sim.now == self.now
-        assert self.sim.pending_events == len(self.live())
         assert self.sim.events_processed == len(self.fired)
 
     def apply(self, op):
@@ -332,7 +328,7 @@ class _KernelModel:
 
     def arm(self, kind, delay, body):
         sim = self.sim
-        if kind.startswith("call_soon"):
+        if kind == "call_soon_call":
             delay = 0.0
         index = len(self.records)
         record = _Record(index, sim.now + delay, kind in POOLED)
@@ -340,8 +336,6 @@ class _KernelModel:
             handle = sim.schedule(delay, lambda: self.on_fire((index, body)))
         elif kind == "schedule_at":
             handle = sim.schedule_at(sim.now + delay, lambda: self.on_fire((index, body)))
-        elif kind == "call_soon":
-            handle = sim.call_soon(lambda: self.on_fire((index, body)))
         elif kind == "schedule_call":
             handle = sim.schedule_call(delay, self.on_fire, (index, body))
         else:
@@ -381,8 +375,9 @@ class _KernelModel:
     # ----------------------------------------------------------- the drivers
 
     def step(self):
+        """One event: ``run_until`` checks its predicate after every event."""
         count, expected = len(self.fired), bool(self.live())
-        assert self.sim.step() is expected
+        assert self.sim.run_until(lambda: len(self.fired) > count) is expected
         assert len(self.fired) == count + expected
 
     def run(self, span):

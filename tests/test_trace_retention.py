@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.metrics.latency import LatencyComponentStream
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.process import Process
@@ -439,20 +440,35 @@ def test_transport_rows_read_back_across_a_retention_switch(retention, switch_to
 # -------------------------------------------------------------- deployments
 
 
+_COMPONENT_BUCKETS = ("phase:regA_write", "phase:regD_write", "log:start", "log:outcome")
+
+
+def _run_with_components(retention: str):
+    """A sharded run at ``retention`` with the Figure 8 component stream
+    attached: its result and the stream's mean per bucket."""
+    system = api.build(api.Scenario.from_dsn(f"{SHARDED}&trace={retention}"))
+    components = LatencyComponentStream(system.trace)
+    try:
+        result = api.drive(system, 3)
+    finally:
+        system.close()
+    return result, {bucket: components.mean(bucket) for bucket in _COMPONENT_BUCKETS}
+
+
 @pytest.mark.parametrize("retention", ["ring:400", "off"])
 def test_spec_and_statistics_work_with_truncated_trace(retention):
     """A sharded multi-client run under bounded retention still gets the
-    full online verdict, per-database statistics and latency breakdown."""
-    result = api.run_scenario(f"{SHARDED}&trace={retention}", requests=3)
+    full online verdict, per-database statistics and latency components."""
+    result, components = _run_with_components(retention)
     assert result.delivered == 6
     assert result.spec.ok, result.spec.summary()
     assert result.spec.checked_properties  # the monitor really checked
     assert set(result.statistics.by_database) == {"d1", "d2"}
     assert sum(db.commits for db in result.statistics.by_database.values()) \
         >= result.delivered
-    # The regA/regD component means stream off the bus, so the breakdown is
-    # populated even though the events backing it were never stored.
-    assert result.breakdown.component("log-start") > 0
+    # The regA/regD component means stream off the bus, so they are
+    # populated even though the events backing them were never stored.
+    assert components["phase:regA_write"] > 0
 
 
 def test_ring_retention_bounds_stored_events_mid_run():
@@ -471,14 +487,24 @@ def test_off_retention_stores_no_events_at_all():
     assert system.check_spec().ok
 
 
+def test_a_built_deployment_does_not_watch_the_latency_components():
+    """Only the experiment executor reads the Figure 8 components, so only it
+    subscribes to them: at ``off`` a plain build leaves their categories
+    unwatched, and recording them costs nothing."""
+    system = api.build(api.Scenario.from_dsn("etx://a3.d1.c1?trace=off"))
+    assert not any(system.trace.wants(category)
+                   for category in ("as_phase", "as_prepare", "tm_log"))
+    LatencyComponentStream(system.trace)
+    assert all(system.trace.wants(category)
+               for category in ("as_phase", "as_prepare", "tm_log"))
+
+
 def test_retention_does_not_change_the_verdict_or_the_numbers():
     """full vs ring vs off: same deliveries, same verdict, same statistics."""
-    results = {}
-    for retention in ("full", "ring:300", "off"):
-        result = api.run_scenario(f"{SHARDED}&trace={retention}", requests=3)
-        results[retention] = result
-    baseline = results["full"]
-    for retention, result in results.items():
+    results = {retention: _run_with_components(retention)
+               for retention in ("full", "ring:300", "off")}
+    baseline, baseline_components = results["full"]
+    for retention, (result, components) in results.items():
         assert result.delivered == baseline.delivered, retention
         assert result.spec.summary() == baseline.spec.summary(), retention
         assert result.statistics.latencies == baseline.statistics.latencies, retention
@@ -486,7 +512,7 @@ def test_retention_does_not_change_the_verdict_or_the_numbers():
                 for name, db in result.statistics.by_database.items()} == \
             {name: (db.commits, db.aborts)
              for name, db in baseline.statistics.by_database.items()}, retention
-        assert result.breakdown == baseline.breakdown, retention
+        assert components == baseline_components, retention
 
 
 def test_database_counts_match_the_traced_decides():

@@ -1,4 +1,5 @@
-"""Which functions of ``src/repro`` no real scenario calls.
+"""Which functions of ``src/repro`` no real scenario calls, and which DSN
+parameters no real scenario sets.
 
 A function earns its place by being reached from a scenario the repository
 treats as real: the golden traces and corpus replays, the end-to-end
@@ -11,17 +12,24 @@ entered::
 
     python tools/reachability.py
 
-That file is the allowlist: each line is one unreached def and, after
-``#``, the one-line reason it stays -- a reference implementation tests
-compare against, a debug repr, a monitor verdict for a violation no
-scenario commits, a guard that fires only on a bug or a hang, or a function
-only tests call from a test about it.  A rewrite keeps the reasons of the
-defs still unreached, drops the entries a scenario now reaches (or whose def
-is gone), and adds a newly unreached def with no reason.  The run exits 1
-when it dropped an entry or when an entry has no reason: an unreached
-function is deleted, given a scenario that needs it, or given a reason.  A
-def whose body only declares an interface (``raise NotImplementedError``)
-is not counted.
+A DSN parameter earns its place the same way.  The runs also record every
+:class:`~repro.api.scenario.Scenario` they build (and that passed its
+checks): a row of ``PARAMS`` that none of them sets to anything but its
+default is listed as ``param <key>``, and a value of a row that accepts one
+of a fixed set (``register``, ``timing``, ...) that none of them holds as
+``param <key>=<value>``.
+
+That file is the allowlist: each line is one unreached def or unset
+parameter and, after ``#``, the one-line reason it stays -- a reference
+implementation tests compare against, a debug repr, a monitor verdict for a
+violation no scenario commits, a guard that fires only on a bug or a hang, a
+deployment setting.  "Only tests call it" is not a reason.  A rewrite keeps
+the reasons of the entries still unreached, drops the entries a scenario now
+reaches (or whose def or row is gone), and adds a newly unreached one with
+no reason.  The run exits 1 when it dropped an entry or when an entry has no
+reason: an unreached function or parameter is deleted, given a scenario that
+needs it, or given a reason.  A def whose body only declares an interface
+(``raise NotImplementedError``) is not counted.
 """
 
 from __future__ import annotations
@@ -39,17 +47,21 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 REPORT = Path(__file__).resolve().with_suffix(".txt")
 HEADER = """\
-# The src/repro functions no real scenario reaches, each with the reason it
-# stays.  python tools/reachability.py rewrites this file; see its docstring.
+# The src/repro functions no real scenario reaches and the DSN parameters
+# (param lines) none sets, each with the reason it stays.
+# python tools/reachability.py rewrites this file; see its docstring.
 """
 
 _seen: set = set()
+_set_rows: set[str] = set()             # PARAMS keys some scenario set off default
+_held: set[tuple[str, Any]] = set()     # (key, value) of the fixed-choice rows
 
 
 def _tracer(frame, event, arg):
@@ -121,6 +133,45 @@ def _defs() -> dict[tuple[str, int], str]:
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return defs
+
+
+# ----------------------------------------------------------- parameters
+
+
+def _record_scenarios() -> None:
+    """Note the parameters of every Scenario built from now on (once it
+    passed its checks: a refused one sets nothing)."""
+    from repro.api.scenario import PARAMS, Scenario
+
+    checked = Scenario.__post_init__
+
+    def recorded(scenario: Scenario) -> None:
+        checked(scenario)
+        for row in PARAMS:
+            value = getattr(scenario, row.field)
+            if value != row.default:
+                _set_rows.add(row.key)
+            if hasattr(row.check, "choices"):
+                _held.add((row.key, value))
+
+    Scenario.__post_init__ = recorded
+
+
+def _unset_params() -> list[str]:
+    """``param <key>`` for every row no scenario set off its default, and
+    ``param <key>=<value>`` for every fixed choice no scenario held."""
+    from repro.api.scenario import PARAMS
+
+    unset = []
+    for row in PARAMS:
+        choices = getattr(row.check, "choices", None)
+        if choices is None:
+            if row.key not in _set_rows:
+                unset.append(f"param {row.key}")
+        else:
+            unset += [f"param {row.key}={value}" for value in choices
+                      if (row.key, value) not in _held]
+    return sorted(unset)
 
 
 # ------------------------------------------------------------ scenarios
@@ -230,7 +281,7 @@ def refusals(out: str) -> None:
         ("run", "etx://a3.d1.c1", "--only", "a1"),
         ("sweep", "etx://d1", "--axis", "clients"),
         # Each parameter row's check refuses its bad values at parse time.
-        ("run", "etx://a3.d1.c1?lat_ca=-1"),
+        ("run", "etx://a3.d1.c1?detect=-1"),
         ("run", "2pc://a1.d1.c1?log=-3"),
         ("run", "etx://a3.d1.c1?rate=nan"),
         ("run", "etx://a3.d1.c1?hb_interval=0"),
@@ -351,6 +402,7 @@ def main(argv: list[str]) -> int:
             json.dump(sorted(_entered()), handle)
         return status
 
+    _record_scenarios()
     started = time.monotonic()
     with tempfile.TemporaryDirectory() as out:
         for scenario in SCENARIOS:
@@ -360,10 +412,13 @@ def main(argv: list[str]) -> int:
     sys.settrace(None)
     defs = _defs()
     reached = {defs[key] for key in _entered() | _child_seen if key in defs}
-    unreached = sorted(set(defs.values()) - reached)
+    unreached_defs = sorted(set(defs.values()) - reached)
+    unset = _unset_params()
+    unreached = unreached_defs + unset
     allowlist = read_allowlist()
     REPORT.write_text(report_text(unreached, allowlist), encoding="utf-8")
-    print(f"{len(unreached)} of {len(defs)} defs unreached", file=sys.stderr)
+    print(f"{len(unreached_defs)} of {len(defs)} defs unreached, {len(unset)} "
+          "parameter rows or values unset", file=sys.stderr)
     problems = [f"reached now (or gone), entry dropped: {key}" for key in allowlist
                 if key not in unreached]
     problems += [f"unreached, with no reason to stay: {key}" for key in unreached
