@@ -12,13 +12,13 @@ examples, CLI, tests) gets the same run surface: ``issue`` / ``run`` /
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.api.scenario import PARAMS, PROTOCOLS, Scenario, ScenarioError
 from repro.api.workloads import ShardContext, bind_workload
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.timing import DatabaseTiming, ProtocolTiming
-from repro.core.types import Request, reset_request_counter
+from repro.core.types import reset_request_counter
 from repro.runtime.base import RUNTIME_SIM
 
 
@@ -50,20 +50,18 @@ def _refuse_unsupported(scenario: Scenario, deployment: type[ThreeTierDeployment
 
 def build(scenario: Scenario, *,
           workload: Any = None,
-          business_logic: Optional[Callable[[Request], Callable[[Any], Any]]] = None,
           initial_data: Optional[dict[str, Any]] = None,
-          protocol_timing: Optional[ProtocolTiming] = None,
           only: Sequence[str] = ()) -> ThreeTierDeployment:
     """Build (and start) the system a scenario describes.
 
     The keyword overrides exist for programmatic callers that need objects a
-    DSN cannot carry -- a custom workload instance, business logic, initial
-    data or protocol timing; anything omitted comes from the scenario
-    itself.  ``only`` names the processes this OS process hosts in a
-    distributed ``runtime=asyncio`` run.  The scenario's fault schedule is
-    applied before returning.  Request numbering restarts at 1, so a run's
-    request ids depend on its scenario alone, not on what ran before it in
-    this process.
+    DSN cannot carry -- a workload instance (anything with
+    ``business_logic(request)`` and ``initial_data()``) or initial data;
+    anything omitted comes from the scenario itself.  ``only`` names the
+    processes this OS process hosts in a distributed ``runtime=asyncio`` run.
+    The scenario's fault schedule is applied before returning.  Request
+    numbering restarts at 1, so a run's request ids depend on its scenario
+    alone, not on what ran before it in this process.
     """
     deployment = PROTOCOLS[scenario.protocol]
     _refuse_unsupported(scenario, deployment)
@@ -76,14 +74,11 @@ def build(scenario: Scenario, *,
                                  seed=scenario.seed)
     binding = bind_workload(workload if workload is not None else scenario.workload,
                             context=shard_context)
-    if business_logic is not None:
-        binding = replace(binding, business_logic=business_logic)
     if initial_data is not None:
         binding = replace(binding, initial_data=initial_data)
     system = deployment(
         scenario, binding, db_timing=DatabaseTiming(),
-        protocol_timing=protocol_timing if protocol_timing is not None
-        else ProtocolTiming(client_backoff=scenario.client_backoff),
+        protocol_timing=ProtocolTiming(client_backoff=scenario.client_backoff),
         only=tuple(only))
     system.apply_faults(scenario.faults)
     return system

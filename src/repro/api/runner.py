@@ -99,11 +99,12 @@ class ScenarioResult:
                          f"   peak backlog {sat['mailbox_peak']}")
         return "\n".join(lines)
 
-    def _top_message_types(self, limit: int = 4) -> str:
+    def _top_message_types(self) -> str:
+        """The four most-sent message types."""
         ranked = sorted(self.message_counts.items(),
                         key=lambda item: (-item[1], item[0]))
-        head = ", ".join(f"{name}={count}" for name, count in ranked[:limit])
-        return head + (", ..." if len(ranked) > limit else "")
+        head = ", ".join(f"{name}={count}" for name, count in ranked[:4])
+        return head + (", ..." if len(ranked) > 4 else "")
 
 
 @dataclass(frozen=True)
@@ -156,23 +157,18 @@ def drive(system: ThreeTierDeployment, requests: int, *,
 
 
 def run_scenario(scenario: Union[Scenario, str], requests: int = 1,
-                 horizon_per_request: float = 1_000_000.0,
-                 settle: float = 5_000.0,
-                 check_termination: Optional[bool] = None,
-                 max_events: int = 5_000_000,
-                 **build_overrides: Any) -> ScenarioResult:
+                 settle: float = 5_000.0, **build_overrides: Any) -> ScenarioResult:
     """Build ``scenario`` (a :class:`Scenario` or DSN string), drive it, close it.
 
-    The run arguments are :func:`drive`'s; extra keyword arguments are
-    forwarded to :func:`repro.api.build` (workload / timing overrides).
+    ``requests`` and ``settle`` are :func:`drive`'s; extra keyword arguments
+    are forwarded to :func:`repro.api.build` (a workload object, initial
+    data, the local processes of a distributed run).
     """
     if isinstance(scenario, str):
         scenario = Scenario.from_dsn(scenario)
     system = build(scenario, **build_overrides)
     try:
-        return drive(system, requests, horizon_per_request=horizon_per_request,
-                     settle=settle, check_termination=check_termination,
-                     max_events=max_events)
+        return drive(system, requests, settle=settle)
     finally:
         # Real-runtime backends hold OS resources (sockets, an event loop);
         # the sim backend's close() is a no-op, so this is safe everywhere.

@@ -145,8 +145,7 @@ def map_jobs(worker: Callable[[_JobT], _RowT], jobs: Sequence[_JobT],
 
 def _execute_scenario(job: RunJob) -> ScenarioResult:
     """Run one grid point (in whatever process the pool put it)."""
-    return run_scenario(job.scenario, requests=job.requests,
-                        horizon_per_request=job.horizon, settle=job.settle)
+    return run_scenario(job.scenario, requests=job.requests)
 
 
 @dataclass
@@ -186,9 +185,7 @@ class SweepResult:
 
 
 def run_sweep(sweep: Union[Sweep, Sequence[Scenario]], requests: int = 1,
-              workers: Optional[int] = None,
-              horizon_per_request: float = 1_000_000.0,
-              settle: float = 5_000.0) -> SweepResult:
+              workers: Optional[int] = None) -> SweepResult:
     """Execute a sweep (or an explicit scenario list) and collect the rows.
 
     ``requests`` is per client, as in :func:`repro.api.run_scenario`.
@@ -197,6 +194,5 @@ def run_sweep(sweep: Union[Sweep, Sequence[Scenario]], requests: int = 1,
     regardless of which worker finished first.
     """
     scenarios = sweep.expand() if isinstance(sweep, Sweep) else list(sweep)
-    jobs = [RunJob(scenario, requests, horizon_per_request, settle)
-            for scenario in scenarios]
+    jobs = [RunJob(scenario, requests) for scenario in scenarios]
     return SweepResult(rows=map_jobs(_execute_scenario, jobs, workers=workers))

@@ -17,7 +17,7 @@ decision through the write-once registers.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.baselines.common import ETX_ONLY_FAULTS, SerialTransactionManager
 from repro.core import messages as msg
@@ -63,16 +63,19 @@ class PrimaryServer(SerialTransactionManager):
 
 
 class BackupServer(Process):
-    """The backup: mirrors the primary's state and takes over on suspicion."""
+    """The backup: mirrors the primary's state and takes over on suspicion.
 
-    def __init__(self, sim, name: str, primary_name: str, db_server_names: list[str],
-                 failure_detector: Optional[FailureDetector] = None,
-                 check_interval: float = 25.0):
+    Every ``CHECK_INTERVAL`` it asks ``failure_detector`` (the deployment's,
+    installed before the backup starts) whether the primary is suspected.
+    """
+
+    CHECK_INTERVAL = 25.0
+    failure_detector: FailureDetector
+
+    def __init__(self, sim, name: str, primary_name: str, db_server_names: list[str]):
         super().__init__(sim, name)
         self.primary_name = primary_name
         self.db_server_names = list(db_server_names)
-        self.failure_detector = failure_detector
-        self.check_interval = check_interval
 
     def on_start(self, recovery: bool) -> None:
         # Volatile, like every baseline's memory: (client, j) ->
@@ -97,9 +100,7 @@ class BackupServer(Process):
 
     def _monitor(self):
         while True:
-            yield self.sleep(self.check_interval)
-            if self.failure_detector is None:
-                continue
+            yield self.sleep(self.CHECK_INTERVAL)
             if not self.failure_detector.suspect(self.name, self.primary_name):
                 continue
             for key, entry in list(self._state.items()):

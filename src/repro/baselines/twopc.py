@@ -32,14 +32,14 @@ class TwoPCCoordinator(SerialTransactionManager):
     def _transact(self, key, request: Request, participants: list[str]):
         client, j = key
         # Presumed nothing: force a start record before doing anything.
-        cost = self.log.append_prepare(key, {"request": request.request_id}, forced=True)
+        cost = self.log.append_prepare(key, {"request": request.request_id})
         yield self.sleep(cost)
         self.trace.record("tm_log", self.name, which="start", j=j, client=client,
                           duration=cost)
         result = yield from self._execute(key, request, participants)
         outcome = yield from self._prepare(key, participants)
         # Force the outcome record before telling anyone.
-        cost = self.log.append_commit(key, forced=True) if outcome == COMMIT \
+        cost = self.log.append_commit(key) if outcome == COMMIT \
             else self.log.append_abort(key, forced=True)
         yield self.sleep(cost)
         self.trace.record("tm_log", self.name, which="outcome", j=j, client=client,

@@ -21,9 +21,10 @@
    delta-debugged down to a minimal schedule that still violates, then
    packaged as a replayable :class:`~repro.campaign.artifacts.Counterexample`.
 
-Determinism is the contract, exactly as for sweeps: the master seed fixes
-every generation byte-for-byte, parallel evaluation equals serial
-evaluation, and a saved counterexample replays to the same violations.
+Determinism is the contract, exactly as for sweeps: the master seed
+(:data:`MASTER_SEED`) and the scenario fix every generation byte-for-byte,
+parallel evaluation equals serial evaluation, and a saved counterexample
+replays to the same violations.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from repro.campaign.shrink import atom_reducers, shrink_sequence
 from repro.campaign.windows import FaultWindowObserver, PhaseTransition
 from repro.core.spec import _key_of_value
 from repro.core.types import VOTE_YES
+
+MASTER_SEED = 0
+"""Seed of the schedule search, mixed with the scenario's DSN."""
 
 
 @dataclass(frozen=True)
@@ -158,14 +162,14 @@ def evaluate_schedule(job: api.RunJob) -> EvaluatedRun:
     )
 
 
-def probe_windows(scenario: Scenario, requests: int = 1,
-                  horizon: float = 120_000.0,
-                  settle: float = 5_000.0) -> tuple[PhaseTransition, ...]:
-    """Probe run of the scenario as given; returns the recorded injection
-    windows (the campaign passes its base: the scenario's reshards only)."""
+def probe_windows(scenario: Scenario, budget: CampaignBudget) -> tuple[PhaseTransition, ...]:
+    """Probe run of the scenario as given, with the requests, horizon and
+    settle time of ``budget``; returns the recorded injection windows (the
+    campaign passes its base: the scenario's reshards only)."""
     system = api.build(scenario)
     observer = FaultWindowObserver.attach(system.trace)
-    api.drive(system, requests, horizon_per_request=horizon, settle=settle)
+    api.drive(system, budget.requests, horizon_per_request=budget.horizon,
+              settle=budget.settle)
     observer.detach()
     return tuple(observer.transitions)
 
@@ -185,7 +189,6 @@ class CampaignReport:
     """Everything one campaign produced."""
 
     dsn: str
-    seed: int
     budget: CampaignBudget
     windows: int
     runs: int = 0
@@ -204,7 +207,7 @@ class CampaignReport:
         lines = [
             f"campaign    {self.dsn}",
             f"budget      {self.budget.max_runs} runs max, population "
-            f"{self.budget.population}, master seed {self.seed}",
+            f"{self.budget.population}, master seed {MASTER_SEED}",
             f"windows     {self.windows} injection windows from the probe run",
             f"search      {self.runs} schedules evaluated over "
             f"{len(self.generations)} generation(s), "
@@ -235,26 +238,23 @@ def _signature(row: EvaluatedRun) -> tuple[str, ...]:
 
 def run_campaign(scenario: Union[Scenario, str],
                  budget: Optional[CampaignBudget] = None,
-                 seed: int = 0, workers: Optional[int] = 1,
-                 plan: Optional[AdversarialFaultPlan] = None) -> CampaignReport:
+                 workers: Optional[int] = 1) -> CampaignReport:
     """Adversarially search ``scenario``'s fault space within ``budget``.
 
     Returns a :class:`CampaignReport` whose counterexamples are shrunk and
-    replay-ready.  Fully deterministic for a given ``(scenario, budget,
-    seed)`` -- including under ``workers > 1``.
+    replay-ready.  Fully deterministic for a given ``(scenario, budget)``
+    -- including under ``workers > 1``.
     """
     if isinstance(scenario, str):
         scenario = Scenario.from_dsn(scenario)
     reshards = tuple(fault for fault in scenario.faults if fault.kind == "reshard")
     base = scenario.with_(faults=reshards)
     budget = budget if budget is not None else CampaignBudget()
-    windows = probe_windows(base, requests=budget.requests,
-                            horizon=budget.horizon, settle=budget.settle)
-    if plan is None:
-        plan = AdversarialFaultPlan.for_scenario(base, anchors=windows)
-    report = CampaignReport(dsn=base.to_dsn(), seed=seed, budget=budget,
+    windows = probe_windows(base, budget)
+    plan = AdversarialFaultPlan.for_scenario(base, anchors=windows)
+    report = CampaignReport(dsn=base.to_dsn(), budget=budget,
                             windows=len(windows))
-    rng = random.Random(zlib.crc32(f"campaign:{base.to_dsn()}:{seed}".encode()))
+    rng = random.Random(zlib.crc32(f"campaign:{base.to_dsn()}:{MASTER_SEED}".encode()))
 
     def job_for(atoms: Sequence[FaultAtom]) -> api.RunJob:
         return api.RunJob(base.with_(faults=atoms_to_specs(atoms, reshards)),
@@ -305,7 +305,7 @@ def run_campaign(scenario: Union[Scenario, str],
             settle=budget.settle,
             provenance={
                 "base_dsn": base.to_dsn(),
-                "campaign_seed": seed,
+                "campaign_seed": MASTER_SEED,
                 "search_runs": report.runs,
                 "original_actions": len(atoms_to_specs(atoms)),
                 "shrink_checks": checks,
@@ -361,7 +361,7 @@ def _certificates(all_rows, base, report, budget):
             requests=budget.requests, horizon=budget.horizon,
             settle=budget.settle,
             provenance={"base_dsn": base.to_dsn(),
-                        "campaign_seed": report.seed,
+                        "campaign_seed": MASTER_SEED,
                         "search_runs": report.runs}))
         if len(certificates) >= budget.certificates:
             break

@@ -219,8 +219,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         scenario = _scenario(args, dsn)
         report = _profiled(
             args.profile, "soak",
-            lambda: soak.run(scenario, requests=args.requests,
-                             checkpoints=args.checkpoints))
+            lambda: soak.run(scenario, requests=args.requests))
     except (api.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -242,13 +241,8 @@ def _artifact_name(example: campaign.Counterexample, index: int) -> str:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         scenario = _scenario(args, args.dsn)
-        budget = campaign.CampaignBudget(
-            max_runs=args.budget, population=args.population,
-            stop_after=args.stop_after, shrink_checks=args.shrink_checks,
-            horizon=args.horizon, settle=args.settle)
-        report = campaign.run_campaign(scenario, budget=budget,
-                                       seed=args.campaign_seed,
-                                       workers=args.workers)
+        budget = campaign.CampaignBudget(max_runs=args.budget)
+        report = campaign.run_campaign(scenario, budget=budget, workers=args.workers)
     except (api.ScenarioError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -281,10 +275,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if "://" in args.source:
             # A scenario DSN (possibly referencing a faults=@sidecar): treat
             # it as a certificate claim -- the run must be spec-clean.
-            example = campaign.Counterexample(
-                dsn=args.source, kind="certificate",
-                requests=args.requests, horizon=args.horizon,
-                settle=args.settle)
+            example = campaign.Counterexample(dsn=args.source, kind="certificate")
             result = campaign.replay(example)
         else:
             result = campaign.replay(args.source)
@@ -371,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "sharded soak deployment)")
     soak_cmd.add_argument("--requests", type=int, default=100_000,
                           help="total offered requests (default 100000)")
-    soak_cmd.add_argument("--checkpoints", type=int, default=20,
-                          help="observability samples taken during the run")
     soak_cmd.add_argument("--json", default=None, metavar="PATH",
                           help="also write the machine-readable report here")
     soak_cmd.add_argument("--profile", nargs="?", const="", default=None,
@@ -390,21 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "lays its own on top)")
     camp.add_argument("--budget", type=int, default=200,
                       help="max search evaluations (default 200)")
-    camp.add_argument("--population", type=int, default=12,
-                      help="schedules per generation (default 12)")
-    camp.add_argument("--stop-after", type=int, default=2,
-                      help="distinct violation signatures before the search "
-                           "stops early (default 2)")
-    camp.add_argument("--shrink-checks", type=int, default=60,
-                      help="oracle re-runs allowed per counterexample shrink")
-    camp.add_argument("--horizon", type=float, default=120_000.0,
-                      help="virtual-ms horizon per request (default 120000)")
-    camp.add_argument("--settle", type=float, default=20_000.0,
-                      help="virtual ms of cleanup time after the last delivery")
     camp.add_argument("--workers", type=int, default=1,
                       help="worker processes for each generation (default 1)")
-    camp.add_argument("--campaign-seed", type=int, default=0,
-                      help="master seed of the schedule search (default 0)")
     camp.add_argument("--out", default=None, metavar="DIR",
                       help="write counterexample/certificate artifacts here")
     camp.add_argument("--expect", choices=["violation", "clean"], default=None,
@@ -417,15 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "runs spec-clean) deterministically")
     rep.add_argument("source", help="a .json artifact path, or a scenario DSN "
                                     "to assert clean")
-    rep.add_argument("--requests", type=int, default=1,
-                     help="requests per client (bare-DSN replays only; an "
-                          "artifact replays with its recorded parameters)")
-    rep.add_argument("--horizon", type=float, default=120_000.0,
-                     help="virtual-ms horizon per request (bare-DSN replays "
-                          "only)")
-    rep.add_argument("--settle", type=float, default=20_000.0,
-                     help="virtual ms of post-delivery cleanup time "
-                          "(bare-DSN replays only)")
     rep.set_defaults(func=_cmd_replay)
     return parser
 

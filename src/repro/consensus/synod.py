@@ -64,16 +64,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Hashable, Optional
 
-from repro.consensus.interfaces import ConsensusProtocol, InstanceId
 from repro.net.message import IDS, IDS_OR_RECORD, Message, declare_message
 from repro.sim.process import Process
 from repro.sim.scheduler import ScheduledEvent
 from repro.sim.waits import SimFuture
 
+InstanceId = Hashable
+"""Identifier of one consensus instance (one wo-register cell)."""
+
 Ballot = tuple[int, int]
 """(round number, proposer index); compared lexicographically."""
+
+RETRY_BACKOFF = 8.0
+"""Base backoff (virtual ms) between proposal attempts; the actual delay is
+randomised and grows linearly with the attempt number."""
+
+ATTEMPT_TIMEOUT = 40.0
+"""Virtual ms after which an attempt that gathered no quorum is abandoned and
+retried with a higher ballot."""
 
 _NO_BALLOT: Ballot = (-1, -1)
 
@@ -104,7 +114,7 @@ class _ProposalAttempt:
     refused_by: tuple[str, ...] = ()  # peers that answered this ballot's accept with a nack
 
 
-class ConsensusHost(ConsensusProtocol):
+class ConsensusHost:
     """Multi-instance consensus endpoint hosted on one application server.
 
     Parameters
@@ -116,26 +126,17 @@ class ConsensusHost(ConsensusProtocol):
     fast_path_owner:
         The server allowed to use the reserved ballot 0 (the default primary);
         ``None`` disables the fast path entirely.
-    retry_backoff:
-        Base backoff (virtual time) between proposal attempts; the actual
-        delay is randomised and grows linearly with the attempt number.
-    attempt_timeout:
-        Time after which an attempt that gathered no quorum is abandoned and
-        retried with a higher ballot.
     """
 
     MSG_TYPE = "Consensus"
 
     def __init__(self, process: Process, members: list[str],
-                 fast_path_owner: Optional[str] = None,
-                 retry_backoff: float = 8.0, attempt_timeout: float = 40.0):
+                 fast_path_owner: Optional[str] = None):
         if process.name not in members:
             raise ValueError(f"host {process.name!r} must be one of the members {members!r}")
         self.process = process
         self.members = list(members)
         self.fast_path_owner = fast_path_owner
-        self.retry_backoff = retry_backoff
-        self.attempt_timeout = attempt_timeout
         self._index = self.members.index(process.name)
         self._peers = [member for member in self.members if member != process.name]
         self._rng = process.rng(f"consensus:{process.name}")
@@ -170,6 +171,12 @@ class ConsensusHost(ConsensusProtocol):
         return len(self.members) // 2 + 1
 
     def propose(self, instance: InstanceId, value: Any) -> SimFuture:
+        """Propose ``value`` for ``instance``.
+
+        Returns a future that resolves to the *decided* value, which is either
+        ``value`` or a value proposed by another process.  Proposing again for
+        a decided instance resolves immediately with the decision.
+        """
         if instance in self._decisions:
             # Already decided: hand back a pre-resolved future without
             # parking it in ``_futures`` (``_learn`` already drained the
@@ -186,9 +193,11 @@ class ConsensusHost(ConsensusProtocol):
         return future
 
     def decision(self, instance: InstanceId) -> Optional[Any]:
+        """The locally-known decision for ``instance``, or ``None``."""
         return self._decisions.get(instance)
 
     def learned_since(self, cursor: int) -> list[InstanceId]:
+        """Instances decided and learned here after the first ``cursor``, in learn order."""
         return self._learned[cursor:]
 
     # -------------------------------------------------------------- proposer
@@ -231,7 +240,7 @@ class ConsensusHost(ConsensusProtocol):
             self._retry(instance, attempt)
 
         attempt.retry_timer = self.process.after(
-            self.attempt_timeout, timeout, name=f"consensus-timeout:{self.process.name}"
+            ATTEMPT_TIMEOUT, timeout, name=f"consensus-timeout:{self.process.name}"
         )
 
     def _retry(self, instance: InstanceId, failed: _ProposalAttempt) -> None:
@@ -242,7 +251,7 @@ class ConsensusHost(ConsensusProtocol):
         counter = max(self._attempt_counters.get(instance, 0), failed.highest_rejection) + 1
         self._attempt_counters[instance] = counter
         self._disk.write(forced=False)
-        delay = self._rng.uniform(0.5, 1.5) * self.retry_backoff * max(1, failed.attempt_number)
+        delay = self._rng.uniform(0.5, 1.5) * RETRY_BACKOFF * max(1, failed.attempt_number)
 
         def launch() -> None:
             if instance in self._decisions or self._attempts.get(instance) is not failed:

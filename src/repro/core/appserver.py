@@ -131,10 +131,6 @@ class ApplicationServer(Process):
         The (eventually perfect) failure detector used by the cleaning thread.
     timing:
         Protocol-level retransmission intervals.
-    consensus_host:
-        Optional consensus endpoint backing the registers; when present it is
-        installed as every incarnation starts, and its durable tables live on
-        this server's :attr:`disk`.
     directory:
         Optional live :class:`~repro.core.sharding.ShardDirectory` (online
         resharding).  When present, requests that carry their key set are
@@ -148,7 +144,6 @@ class ApplicationServer(Process):
                  db_server_names: list[str], registers: RegisterPair,
                  failure_detector: FailureDetector,
                  timing: Optional[ProtocolTiming] = None,
-                 consensus_host: Any = None,
                  directory: Optional[Any] = None):
         super().__init__(sim, name)
         self.app_server_names = list(app_server_names)
@@ -156,7 +151,10 @@ class ApplicationServer(Process):
         self.registers = registers
         self.failure_detector = failure_detector
         self.timing = timing if timing is not None else ProtocolTiming()
-        self.consensus_host = consensus_host
+        # The consensus endpoint backing consensus registers, set by the
+        # deployment: installed as every incarnation starts, its durable
+        # tables live on this server's :attr:`disk`.
+        self.consensus_host: Any = None
         self.directory = directory
         # An interning cache of values, not state, so a crash may leave it: one
         # shared regA entry per participant set (every consensus host keeps the

@@ -222,9 +222,9 @@ class DatabaseServer(Process):
 
     # ------------------------------------------------------------------- query
 
-    def committed_value(self, key: str, default: Any = None) -> Any:
+    def committed_value(self, key: str) -> Any:
         """Committed database contents (used by tests and invariant checks)."""
-        return self.store.get_committed(key, default)
+        return self.store.get_committed(key)
 
     def in_doubt(self) -> list[Any]:
         """Prepared-but-undecided transactions currently holding locks."""

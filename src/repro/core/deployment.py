@@ -239,11 +239,11 @@ class ThreeTierDeployment:
         """Run the simulation (until the event queue drains or ``until``)."""
         return self.sim.run(until=until)
 
-    def run_request(self, request: Request, client: Optional[str] = None,
-                    horizon: float = 1_000_000.0) -> IssuedRequest:
-        """Issue ``request`` and run until its result is delivered (or the horizon)."""
-        issued = self.issue(request, client)
-        self.sim.run_until(lambda: issued.delivered, until=horizon)
+    def run_request(self, request: Request) -> IssuedRequest:
+        """Issue ``request`` from the first client and run until its result
+        is delivered (or a million virtual ms have passed)."""
+        issued = self.issue(request)
+        self.sim.run_until(lambda: issued.delivered, until=1_000_000.0)
         return issued
 
     def check_spec(self, check_termination: bool = True) -> SpecReport:

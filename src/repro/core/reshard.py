@@ -68,9 +68,8 @@ class ReshardCoordinator(Process):
 
     def __init__(self, sim: Simulator, directory: ShardDirectory,
                  db_server_names: Sequence[str],
-                 retry_interval: float = 5.0,
-                 name: str = RESHARD_COORDINATOR):
-        super().__init__(sim, name)
+                 retry_interval: float = 5.0):
+        super().__init__(sim, RESHARD_COORDINATOR)
         self.directory = directory
         self.db_server_names = list(db_server_names)
         self.retry_interval = retry_interval

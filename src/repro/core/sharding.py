@@ -224,7 +224,6 @@ class ShardDirectory:
     def __init__(self, initial: Sharding):
         self.current = initial
         self.pending: Optional[Sharding] = None
-        self.reshard_count = 0
         # Keys of transactions currently in flight at the application tier
         # (a refcount per key).  The migration snapshot refuses to run while
         # a *moving* key is retained, so a transaction that routed against
@@ -251,7 +250,6 @@ class ShardDirectory:
         if self.pending is None:
             raise ValueError("no reconfiguration in progress")
         self.current, self.pending = self.pending, None
-        self.reshard_count += 1
         return self.current
 
     # -------------------------------------------------------------- routing

@@ -57,7 +57,7 @@ databases eventually up); the caller states this with ``check_termination``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.types import ABORT, COMMIT, VOTE_YES
 from repro.sim.tracing import TraceEvent, TraceRecorder
@@ -227,17 +227,15 @@ class SpecMonitor:
 
     Violations that are already certain mid-run (a second commit for the same
     request, work outside the participant set, a delivery of an uncomputed
-    result) are appended to :attr:`live_violations` and passed to the
-    ``on_violation`` callback the moment the offending event arrives.  The
-    authoritative verdict is :meth:`report`, which evaluates every property
-    exactly as the post-hoc oracle would over the full trace.
+    result) are appended to :attr:`live_violations` the moment the offending
+    event arrives.  The authoritative verdict is :meth:`report`, which
+    evaluates every property exactly as the post-hoc oracle would over the
+    full trace.
     """
 
-    def __init__(self, db_server_names: list[str], client_names: list[str],
-                 on_violation: Optional[Callable[[PropertyViolation], None]] = None):
+    def __init__(self, db_server_names: list[str], client_names: list[str]):
         self.db_server_names = list(db_server_names)
         self.client_names = list(client_names)
-        self.on_violation = on_violation
         self.live_violations: list[PropertyViolation] = []
         # crash / recover ---------------------------------------------------
         self._last_crash: dict[str, float] = {}
@@ -279,11 +277,9 @@ class SpecMonitor:
 
     @classmethod
     def attach(cls, trace: TraceRecorder, db_server_names: list[str],
-               client_names: list[str],
-               on_violation: Optional[Callable[[PropertyViolation], None]] = None
-               ) -> "SpecMonitor":
+               client_names: list[str]) -> "SpecMonitor":
         """Create a monitor and subscribe it to ``trace``'s event bus."""
-        monitor = cls(db_server_names, client_names, on_violation=on_violation)
+        monitor = cls(db_server_names, client_names)
         handlers = {
             "crash": monitor._on_crash,
             "recover": monitor._on_recover,
@@ -334,8 +330,6 @@ class SpecMonitor:
 
     def _emit(self, violation: PropertyViolation) -> None:
         self.live_violations.append(violation)
-        if self.on_violation is not None:
-            self.on_violation(violation)
 
     def _on_crash(self, event: TraceEvent) -> None:
         self._last_crash[event.process] = event.time

@@ -27,8 +27,8 @@ VOTE_NO = "no"
 _request_counter = itertools.count(1)
 
 
-def reset_request_counter(start: int = 1) -> None:
-    """Restart the auto-assigned ``request_id`` sequence at ``start``.
+def reset_request_counter() -> None:
+    """Restart the auto-assigned ``request_id`` sequence at 1.
 
     Request identifiers only need to be unique within one deployment's trace;
     :func:`repro.api.build` resets the counter before every deployment, so a
@@ -37,7 +37,7 @@ def reset_request_counter(start: int = 1) -> None:
     scenario, and a serial and a process-pool sweep of one grid, identical.
     """
     global _request_counter
-    _request_counter = itertools.count(start)
+    _request_counter = itertools.count(1)
 
 
 @dataclass(frozen=True, slots=True)

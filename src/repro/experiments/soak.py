@@ -40,6 +40,10 @@ from repro.sim.tracing import RETENTION_RING, parse_retention
 DEFAULT_SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
                     "&workload=bank&placement=hash&xshard=0.1&trace=off")
 
+#: Observability samples taken during a run, evenly spaced over its expected
+#: duration (one more follows the drain).
+CHECKPOINTS = 20
+
 
 @dataclass
 class SoakSample:
@@ -186,9 +190,10 @@ def tracked_objects() -> int:
         count = alive
 
 
-def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
-        checkpoints: int = 20) -> SoakReport:
-    """Soak one scenario with ``requests`` total open-loop arrivals.
+def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN,
+        requests: int = 100_000) -> SoakReport:
+    """Soak one scenario with ``requests`` total open-loop arrivals, sampled
+    at :data:`CHECKPOINTS` evenly spaced points of the expected duration.
 
     ``requests`` is the total offered load, dealt round-robin over the
     scenario's clients; the scenario must be an open loop (``rate > 0``) --
@@ -209,7 +214,7 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
     samples: list[SoakSample] = []
     start_virtual = sim.now
     expected_duration = total / scenario.rate * 1000.0  # virtual ms
-    interval = expected_duration / max(checkpoints, 1)
+    interval = expected_duration / CHECKPOINTS
 
     processes = system.network.processes
 
@@ -223,7 +228,7 @@ def run(dsn: Union[str, Scenario] = DEFAULT_SOAK_DSN, requests: int = 100_000,
             mailbox_backlog=sum(p.mailbox_size for p in processes.values()),
         ))
 
-    for checkpoint in range(1, checkpoints + 1):
+    for checkpoint in range(1, CHECKPOINTS + 1):
         sim.schedule(checkpoint * interval, sample, name="soak:sample")
 
     wall_start = time.perf_counter()

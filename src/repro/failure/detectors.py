@@ -188,6 +188,11 @@ class EventuallyPerfectFailureDetector(FailureDetector):
         return False
 
 
+TIMEOUT_INCREMENT = 5.0
+"""Virtual ms a heartbeat detector adds to a peer's time-out each time a beat
+contradicts its suspicion of that peer."""
+
+
 class HeartbeatFailureDetector(FailureDetector):
     """Message-based adaptive ◇P detector that watches claim holders only.
 
@@ -198,7 +203,7 @@ class HeartbeatFailureDetector(FailureDetector):
     armed at the earliest ``last heard + time-out`` among the trusted peers
     whose claims its cleaner holds pending (:meth:`follow`, :meth:`learned`);
     when it fires, whoever is overdue is suspected.  A beat that contradicts a
-    suspicion raises the time-out by ``timeout_increment`` (eventual accuracy
+    suspicion raises the time-out by :data:`TIMEOUT_INCREMENT` (eventual accuracy
     under bounded but unknown message delay); an observer that has cleaned
     every pending claim of a suspect drops the suspicion (:meth:`cleaned`).
     Sender and monitor are :meth:`~repro.sim.process.Process.tick` tickers,
@@ -211,7 +216,7 @@ class HeartbeatFailureDetector(FailureDetector):
 
     def __init__(self, network: Network, members: Iterable[str],
                  heartbeat_interval: float = 5.0, initial_timeout: float = 15.0,
-                 timeout_increment: float = 5.0, install_on: Optional[Iterable[str]] = None):
+                 install_on: Optional[Iterable[str]] = None):
         if heartbeat_interval <= 0 or initial_timeout <= 0:
             raise ValueError("intervals must be positive")
         self.network = network
@@ -222,8 +227,6 @@ class HeartbeatFailureDetector(FailureDetector):
         # remote members run their own detector in their own OS process.
         self.install_on = list(install_on) if install_on is not None else self.members
         self.heartbeat_interval = heartbeat_interval
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
         # observer -> target -> current timeout
         self._timeouts: dict[str, dict[str, float]] = {}
         # observer -> set of currently suspected targets
@@ -350,7 +353,7 @@ class _Member:
             # False suspicion detected: trust again and adapt the timeout.
             self.suspected.remove(origin)
             timeouts = self.timeouts
-            timeouts[origin] += self.detector.timeout_increment
+            timeouts[origin] += TIMEOUT_INCREMENT
             self.sim.trace.record("fd_trust", self.name, target=origin,
                                   new_timeout=timeouts[origin])
             self.monitor.poke()  # a deadline its timer does not cover

@@ -18,7 +18,6 @@ The paper attributes the client-observed response time to the components
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.timing import DatabaseTiming
 from repro.sim.tracing import TraceRecorder
@@ -85,8 +84,8 @@ class LatencyComponentStream:
         return self._sums.get(bucket, 0.0) / count if count else 0.0
 
 def breakdown_from_run(protocol: str, components: LatencyComponentStream,
-                       timing: DatabaseTiming, mean_latency: float, samples: int,
-                       committed_requests: Optional[int] = None) -> LatencyBreakdown:
+                       timing: DatabaseTiming, mean_latency: float,
+                       samples: int) -> LatencyBreakdown:
     """Build a :class:`LatencyBreakdown` for one protocol run.
 
     Parameters
@@ -102,11 +101,7 @@ def breakdown_from_run(protocol: str, components: LatencyComponentStream,
         Mean client-observed latency over the run's committed requests.
     samples:
         Number of committed requests measured.
-    committed_requests:
-        Denominator for per-request averaging of trace durations; defaults to
-        ``samples``.
     """
-    denominator = committed_requests if committed_requests else max(samples, 1)
     reg_a = components.mean("phase:regA_write")
     reg_d = components.mean("phase:regD_write")
     breakdown_components = {
@@ -122,5 +117,5 @@ def breakdown_from_run(protocol: str, components: LatencyComponentStream,
     named = sum(breakdown_components.values())
     breakdown_components["other"] = max(mean_latency - named, 0.0)
     return LatencyBreakdown(protocol=protocol, components=breakdown_components,
-                            total=mean_latency, samples=denominator)
+                            total=mean_latency, samples=max(samples, 1))
 

@@ -13,7 +13,6 @@ Figures 1 and 7 are message-sequence diagrams.  We regenerate their content as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from repro.sim.tracing import TraceRecorder
 
@@ -52,11 +51,10 @@ class CommunicationProfile:
         """Number of messages of one type."""
         return sum(1 for step in self.steps if step.msg_type == msg_type)
 
-    def sequence_diagram(self, limit: Optional[int] = None) -> str:
+    def sequence_diagram(self) -> str:
         """Multi-line text rendering of the message sequence."""
-        steps = self.steps if limit is None else self.steps[:limit]
         lines = [f"== {self.label} =="]
-        lines.extend(step.render() for step in steps)
+        lines.extend(step.render() for step in self.steps)
         for time, server, register in self.register_writes:
             lines.append(f"t={time:8.1f}  {server:>4} writes {register}")
         return "\n".join(lines)
@@ -71,9 +69,7 @@ class StreamingProfile:
     and :meth:`detach` after it.
     """
 
-    def __init__(self, trace: TraceRecorder, label: str,
-                 include_types: Iterable[str] = PROTOCOL_MESSAGE_TYPES):
-        self._allowed = set(include_types)
+    def __init__(self, trace: TraceRecorder, label: str):
         self.profile = CommunicationProfile(label=label)
         self._unsubscribers = [
             trace.subscribe("msg_send", self._on_send),
@@ -86,7 +82,7 @@ class StreamingProfile:
         profile.total_messages += 1
         if msg_type == "Consensus":
             profile.consensus_messages += 1
-        if msg_type in self._allowed:
+        if msg_type in PROTOCOL_MESSAGE_TYPES:
             profile.steps.append(Step(time=event.time, sender=event.process,
                                       receiver=event.data.get("destination", "?"),
                                       msg_type=msg_type))

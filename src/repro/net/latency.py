@@ -10,7 +10,7 @@ and timing sweeps).
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 Sampler = Callable[[], float]
 """A zero-argument latency sampler bound to one directed link (see
@@ -105,9 +105,9 @@ class PerLinkLatency(LatencyModel):
     stay inside the cluster.
     """
 
-    def __init__(self, default: LatencyModel, overrides: Optional[dict[tuple[str, str], LatencyModel]] = None):
+    def __init__(self, default: LatencyModel):
         self.default = default
-        self.overrides: dict[tuple[str, str], LatencyModel] = dict(overrides or {})
+        self.overrides: dict[tuple[str, str], LatencyModel] = {}
 
     def set_link(self, source: str, destination: str, model: LatencyModel) -> None:
         """Override the latency model for one directed link."""

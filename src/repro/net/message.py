@@ -249,9 +249,9 @@ class Message:
         self.msg_id = msg_id
         self.send_time = send_time
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """The payload's value for ``key``, or ``default``."""
-        return self._payload.get(key, default)
+    def get(self, key: str) -> Any:
+        """The payload's value for ``key``, or ``None``."""
+        return self._payload.get(key)
 
     def copy(self) -> "Message":
         """A fresh, unstamped message with the same type and payload.

@@ -39,21 +39,16 @@ class LocalRegisterStore:
         self._cells: dict[int, Any] = {}
         self._log: list[tuple[int, Any]] = []  # the items of _cells, sliceable
         self.wakes: dict[Any, Optional[Callable[[], None]]] = {}  # view -> armed wake-up
-        self.write_attempts = 0
-        self.lost_writes = 0
 
     def write(self, index: int, value: Any) -> SimFuture:
         """Write-once semantics: the first write wins, later writes observe it."""
         future = SimFuture()
-        self.write_attempts += 1
 
         def apply() -> None:
             grew = index not in self._cells
             if grew:
                 self._cells[index] = value
                 self._log.append((index, value))
-            else:
-                self.lost_writes += 1
             self.sim.trace.record("woregister_write", "", register=self.name, index=index,
                                   requested=_short(value), stored=_short(self._cells[index]))
             future.resolve(self._cells[index])

@@ -168,7 +168,7 @@ class Thread:
                 f"thread {self.name!r} yielded unsupported wait object {wait!r}"
             )
 
-    def _fire(self, _arg: Any = None) -> None:
+    def _fire(self, _arg: Any) -> None:
         """Prebound timer/mailbox wake-up: resume with the armed result.
 
         Dropping the handle *first* is what lets the wake-up events come
@@ -224,8 +224,6 @@ class Thread:
         self._armed_token = self._wait_token
         self._pending_future = wait.future
         wait.future.on_resolve(self._future_cb)
-        if wait.timeout is not None:
-            self._arm_timer(wait.timeout, result=TIMEOUT)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else ("finished" if self.finished else "dead")
@@ -252,11 +250,11 @@ class _Server:
     def offer(self, message: Any) -> None:
         if self.running is None:
             self.running = self.step(message)
-            self._resume()
+            self._resume(None)
         elif self.process._admit(message.msg_type):
             self.queue.append(message)
 
-    def _resume(self, _arg: Any = None) -> None:
+    def _resume(self, _arg: Any) -> None:
         self.timer = None
         process = self.process
         try:
@@ -295,7 +293,7 @@ class _Ticker:
         self.name = f"{process.name}/{step.__name__}"
         self._fire_cb = self._fire
 
-    def _fire(self, _arg: Any = None) -> None:
+    def _fire(self, _arg: Any) -> None:
         self.timer = None  # pooled: dropped as it fires
         delay = self.step()
         if delay is not None and self._fire_cb is not None:  # a crash in the step stops it
@@ -306,7 +304,7 @@ class _Ticker:
         if self.timer is not None:
             self.timer.cancel()
         if self._fire_cb is not None:
-            self._fire()
+            self._fire(None)
 
     def stop(self) -> None:
         if self.timer is not None:
@@ -355,7 +353,6 @@ class Process:
         self.mailbox_limit = 0
         self.shed_messages = 0
         self.mailbox_peak = 0
-        self.unhandled_messages = 0
         self._threads: dict[int, Thread] = {}  # live ones, by id: spawn order
         # Threads blocked on a receive, under each key they wait on: a
         # delivery looks up its own key and ``(msg_type, ANY)``.  An entry is
@@ -487,9 +484,9 @@ class Process:
         without ``j``, or ``(msg_type, ANY)``."""
         return Receive(keys, timeout)
 
-    def wait_for(self, future: SimFuture, timeout: Optional[float] = None) -> WaitFuture:
+    def wait_for(self, future: SimFuture) -> WaitFuture:
         """``yield self.wait_for(f)`` waits for ``f`` to resolve."""
-        return WaitFuture(future, timeout)
+        return WaitFuture(future)
 
     # ------------------------------------------------------------- messaging
 
@@ -558,7 +555,6 @@ class Process:
             handler(message)
             return
         if self.pure_server:
-            self.unhandled_messages += 1
             self.trace.record("unhandled", self.name, msg_type=msg_type)
             return
         payload = message._payload

@@ -197,9 +197,9 @@ class TraceEvent:
         return (f"TraceEvent(time={self.time!r}, category={self.category!r}, "
                 f"process={self.process!r}, data={self.data!r})")
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Shorthand for ``event.data.get(key, default)``."""
-        return self.data.get(key, default)
+    def get(self, key: str) -> Any:
+        """Shorthand for ``event.data.get(key)``."""
+        return self.data.get(key)
 
 
 Subscriber = Callable[[TraceEvent], None]
@@ -229,7 +229,8 @@ class TraceRecorder:
 
     ``clock`` is any object with a ``now`` attribute or property in virtual
     milliseconds -- the kernel that owns the recorder; without one every
-    event is stamped 0.0.
+    event is stamped 0.0.  It stores every event until
+    :meth:`set_retention` says otherwise.
     """
 
     #: ``wants(category)``: whether recording ``category`` has any effect
@@ -239,14 +240,14 @@ class TraceRecorder:
     #: (non-empty) category.
     wants: Callable[[str], bool]
 
-    def __init__(self, clock: Any = None, retention: str = RETENTION_FULL):
+    def __init__(self, clock: Any = None):
         self._clock = clock if clock is not None else SimpleNamespace(now=0.0)
         self._blocks: list[bytes] = []  # sealed rows, oldest first (full/off)
         self._sealed = 0  # rows in self._blocks
         self._rows: Union[list[StoredRow], deque[StoredRow]] = []  # the live rows after them
         self._pickler = _BlockPickler()  # seals self._rows into self._blocks
         self._subscribers: dict[str, list[Subscriber]] = {}
-        self.set_retention(retention)
+        self.set_retention(RETENTION_FULL)
 
     # ------------------------------------------------------------- retention
 

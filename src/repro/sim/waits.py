@@ -8,8 +8,7 @@ by *yielding* one of the wait objects defined here:
 * :class:`Receive` -- resume when a message filed under one of its keys
   arrives (optionally with a timeout, in which case the coroutine receives the
   :data:`TIMEOUT` sentinel).
-* :class:`WaitFuture` -- resume when a :class:`SimFuture` is resolved (again
-  optionally bounded by a timeout).
+* :class:`WaitFuture` -- resume when a :class:`SimFuture` is resolved.
 
 These map directly onto the paper's pseudo-code: ``wait until (receive ...)``
 becomes ``msg = yield self.receive(...)``, and the ``set-timeout-to`` /
@@ -146,15 +145,12 @@ class SimFuture:
 
 
 class WaitFuture(Wait):
-    """Wait for a :class:`SimFuture` to resolve (optionally with a timeout)."""
+    """Wait for a :class:`SimFuture` to resolve."""
 
-    __slots__ = ("future", "timeout")
+    __slots__ = ("future",)
 
-    def __init__(self, future: SimFuture, timeout: Optional[float] = None):
-        if timeout is not None and timeout < 0:
-            raise ValueError(f"negative future timeout: {timeout}")
+    def __init__(self, future: SimFuture):
         self.future = future
-        self.timeout = timeout
 
     def __repr__(self) -> str:
-        return f"WaitFuture(resolved={self.future.resolved}, timeout={self.timeout})"
+        return f"WaitFuture(resolved={self.future.resolved})"

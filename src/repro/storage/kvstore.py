@@ -147,9 +147,10 @@ class TransactionalKVStore:
             raise LockConflict(key, self.locks.holder(key), transaction_id)
         transaction.writes[key] = value
 
-    def get_committed(self, key: str, default: Any = None) -> Any:
-        """Read the committed (durable) value of ``key`` outside any transaction."""
-        return self._committed.get(key, default)
+    def get_committed(self, key: str) -> Any:
+        """Read the committed (durable) value of ``key`` outside any
+        transaction (``None`` when it has none)."""
+        return self._committed.get(key)
 
     def committed_snapshot(self) -> dict[str, Any]:
         """Copy of the whole committed state (tests and invariant checks)."""
@@ -166,13 +167,13 @@ class TransactionalKVStore:
         it survives a crash and replays in order against later commits.
         Re-installing the same epoch's data is harmless (same values).
         """
-        cost = self.wal.append_migrate_in(epoch, data, forced=True)
+        cost = self.wal.append_migrate_in(epoch, data)
         self._committed.update(data)
         return cost
 
     def migrate_release(self, epoch: int, keys: tuple[str, ...]) -> float:
         """Durably drop committed keys that migrated off this shard."""
-        cost = self.wal.append_migrate_out(epoch, tuple(keys), forced=True)
+        cost = self.wal.append_migrate_out(epoch, tuple(keys))
         for key in keys:
             self._committed.pop(key, None)
         return cost
@@ -193,7 +194,7 @@ class TransactionalKVStore:
             return "yes", 0.0
         if transaction.status == COMMITTED:
             raise TransactionError(f"cannot prepare committed transaction {transaction_id!r}")
-        cost = self.wal.append_prepare(transaction_id, transaction.writes, forced=True)
+        cost = self.wal.append_prepare(transaction_id, transaction.writes)
         transaction.status = PREPARED
         return "yes", cost
 
@@ -215,7 +216,7 @@ class TransactionalKVStore:
                 f"transaction {transaction_id!r} must be prepared before commit"
             )
         writes = transaction.writes if transaction.status == ACTIVE else None
-        cost = self.wal.append_commit(transaction_id, writes, forced=True)
+        cost = self.wal.append_commit(transaction_id, writes)
         self._committed.update(transaction.writes)
         self._transactions[transaction_id] = COMMITTED_TOMBSTONE
         self.locks.release_all(transaction_id)

@@ -31,7 +31,6 @@ class LockManager:
     def __init__(self) -> None:
         self._holders: dict[str, TransactionId] = {}
         self._held_by_txn: dict[TransactionId, set[str]] = {}
-        self.conflicts = 0
 
     # ---------------------------------------------------------------- acquire
 
@@ -46,10 +45,7 @@ class LockManager:
             self._holders[key] = transaction_id
             self._held_by_txn.setdefault(transaction_id, set()).add(key)
             return True
-        if holder == transaction_id:
-            return True
-        self.conflicts += 1
-        return False
+        return holder == transaction_id
 
     # ---------------------------------------------------------------- release
 

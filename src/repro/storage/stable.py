@@ -26,8 +26,6 @@ class StorageStats:
     def __init__(self) -> None:
         self.forced_writes = 0
         self.lazy_writes = 0
-        self.reads = 0
-        self.total_write_cost = 0.0
 
 class StableStorage:
     """A durable key/value device with forced and lazy writes.
@@ -38,18 +36,15 @@ class StableStorage:
         Device name, used in traces (e.g. ``"oracle-1.disk"``).
     forced_write_latency:
         Cost (virtual milliseconds) of a synchronous write that must reach the
-        platter before the call returns -- the paper's "eager IO".
-    lazy_write_latency:
-        Cost of a buffered write (defaults to 0: it only hits the OS cache).
+        platter before the call returns -- the paper's "eager IO".  A lazy
+        (buffered) write only hits the OS cache and costs nothing.
     """
 
-    def __init__(self, name: str, forced_write_latency: float = 12.5,
-                 lazy_write_latency: float = 0.0):
-        if forced_write_latency < 0 or lazy_write_latency < 0:
+    def __init__(self, name: str, forced_write_latency: float = 12.5):
+        if forced_write_latency < 0:
             raise ValueError("write latencies must be non-negative")
         self.name = name
         self.forced_write_latency = forced_write_latency
-        self.lazy_write_latency = lazy_write_latency
         self.stats = StorageStats()
         self._data: dict[str, Any] = {}
 
@@ -65,10 +60,10 @@ class StableStorage:
         self._data.setdefault(key, []).append(entry)
         return self.write(forced)
 
-    def delete(self, key: str, forced: bool = False) -> float:
-        """Remove ``key`` if present and return the I/O cost."""
+    def delete(self, key: str) -> float:
+        """Remove ``key`` if present (a lazy write) and return the I/O cost."""
         self._data.pop(key, None)
-        return self.write(forced)
+        return self.write(forced=False)
 
     def table(self, key: str, factory: Callable[[], Any] = dict) -> Any:
         """The table stored under ``key`` (created empty: no write).  Its owner
@@ -83,18 +78,14 @@ class StableStorage:
         caller waits for the platter) or lazy."""
         if forced:
             self.stats.forced_writes += 1
-            cost = self.forced_write_latency
-        else:
-            self.stats.lazy_writes += 1
-            cost = self.lazy_write_latency
-        self.stats.total_write_cost += cost
-        return cost
+            return self.forced_write_latency
+        self.stats.lazy_writes += 1
+        return 0.0
 
     # ------------------------------------------------------------------- read
 
     def get(self, key: str, default: Any = None) -> Any:
         """Read the value stored under ``key`` (no cost model for reads)."""
-        self.stats.reads += 1
         return self._data.get(key, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -116,33 +116,31 @@ class WriteAheadLog:
 
     # ----------------------------------------------------------------- append
 
-    def append_prepare(self, transaction_id: Any, writes: dict[str, Any],
-                       forced: bool = True) -> float:
-        """Log the write set of a prepared transaction; returns the I/O cost."""
-        return self._append(PREPARE, transaction_id, writes, (), forced)
+    def append_prepare(self, transaction_id: Any, writes: dict[str, Any]) -> float:
+        """Log the write set of a prepared transaction (forced); returns the
+        I/O cost."""
+        return self._append(PREPARE, transaction_id, writes, (), True)
 
-    def append_commit(self, transaction_id: Any, writes: Optional[dict[str, Any]] = None,
-                      forced: bool = True) -> float:
-        """Log a commit decision.
+    def append_commit(self, transaction_id: Any,
+                      writes: Optional[dict[str, Any]] = None) -> float:
+        """Log a commit decision (forced).
 
         ``writes`` is only needed for one-phase commits (no prior prepare
         record); two-phase commits reference the prepare record's write set.
         """
-        return self._append(COMMIT, transaction_id, writes, (), forced)
+        return self._append(COMMIT, transaction_id, writes, (), True)
 
     def append_abort(self, transaction_id: Any, forced: bool = False) -> float:
         """Log an abort decision (lazily by default: aborts need no durability)."""
         return self._append(ABORT, transaction_id, None, (), forced)
 
-    def append_migrate_in(self, epoch: int, data: dict[str, Any],
-                          forced: bool = True) -> float:
-        """Log committed values installed by an epoch-``epoch`` migration."""
-        return self._append(MIGRATE_IN, ("migrate", epoch), data, (), forced)
+    def append_migrate_in(self, epoch: int, data: dict[str, Any]) -> float:
+        """Log committed values installed by an epoch-``epoch`` migration (forced)."""
+        return self._append(MIGRATE_IN, ("migrate", epoch), data, (), True)
 
-    def append_migrate_out(self, epoch: int, keys: tuple[str, ...],
-                           forced: bool = True) -> float:
-        """Log keys released to another shard by an epoch-``epoch`` migration."""
-        return self._append(MIGRATE_OUT, ("migrate", epoch), None, tuple(keys), forced)
+    def append_migrate_out(self, epoch: int, keys: tuple[str, ...]) -> float:
+        """Log keys released to another shard by an epoch-``epoch`` migration (forced)."""
+        return self._append(MIGRATE_OUT, ("migrate", epoch), None, tuple(keys), True)
 
     def _append(self, kind: str, transaction_id: Any, writes: Optional[dict[str, Any]],
                 removes: tuple[str, ...], forced: bool) -> float:
@@ -160,7 +158,7 @@ class WriteAheadLog:
         whose cost nobody waits for."""
         checkpoint = self.storage.get(self.CHECKPOINT_KEY) or ReplayResult()
         self.storage.put(self.CHECKPOINT_KEY, checkpoint.apply(tail), forced=False)
-        self.storage.delete(self.LOG_KEY, forced=False)
+        self.storage.delete(self.LOG_KEY)
 
     # ------------------------------------------------------------------- read
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional
 
 from repro.core.types import Request
 from repro.metrics.percentiles import percentile as _interpolated_percentile
@@ -59,7 +59,7 @@ class RunStatistics:
     itself cost, the right input for latency-component breakdowns.  For a
     closed loop the two coincide.  ``elapsed`` is the virtual time the
     measurement covered; ``by_client`` holds one leaf :class:`RunStatistics`
-    per driven client.
+    per client.
     """
 
     latencies: list[float] = field(default_factory=list)
@@ -147,9 +147,6 @@ class LoadGenerator:
 
     Parameters
     ----------
-    clients:
-        Which clients to drive: ``None`` for every client of the deployment,
-        an ``int`` for the first N, or an explicit sequence of names.
     horizon_per_request:
         Virtual-time budget per planned request; the run stops at
         ``start + horizon_per_request * total_requests`` even if some
@@ -159,62 +156,25 @@ class LoadGenerator:
         with hundreds of thousands of requests need more than the default.
     """
 
-    def __init__(self, clients: Union[None, int, Sequence[str]] = None,
-                 horizon_per_request: float = 1_000_000.0,
+    def __init__(self, horizon_per_request: float = 1_000_000.0,
                  max_events: int = 5_000_000):
-        self.clients = clients
         self.horizon_per_request = horizon_per_request
         self.max_events = max_events
 
-    # ------------------------------------------------------------------ plan
+    def _plan(self, deployment: Any, requests: int) -> dict[str, deque[Request]]:
+        """``requests`` of the deployment's ``standard_request`` per client,
+        one queue each, created client by client.  The shapes pop each
+        request off its queue when they issue it, so a request is referenced
+        here only until then."""
+        if requests < 0:
+            raise ValueError(f"negative request count: {requests}")
+        factory = deployment.standard_request
+        return {name: deque(factory() for _ in range(requests))
+                for name in deployment.clients}
 
-    def _client_names(self, deployment: Any) -> list[str]:
-        names = list(deployment.clients)
-        if self.clients is None:
-            return names
-        if isinstance(self.clients, int):
-            if not 1 <= self.clients <= len(names):
-                raise ValueError(f"deployment has {len(names)} client(s), "
-                                 f"cannot drive {self.clients}")
-            return names[:self.clients]
-        unknown = [name for name in self.clients if name not in deployment.clients]
-        if unknown:
-            raise ValueError(f"unknown client(s) {unknown} "
-                             f"(deployment has {names})")
-        return list(self.clients)
-
-    def _plan(self, deployment: Any, requests: Union[int, Sequence[Request]],
-              request_factory: Optional[Callable[[], Request]] = None
-              ) -> dict[str, deque[Request]]:
-        """Assign concrete requests to clients, one queue each.
-
-        An ``int`` means that many requests *per client*, created by
-        ``request_factory`` (default: the deployment's ``standard_request``)
-        client by client.  An explicit sequence is dealt round-robin over the
-        driven clients.  The shapes pop each request off its queue when they
-        issue it, so a request is referenced here only until then.
-        """
-        names = self._client_names(deployment)
-        if isinstance(requests, int):
-            if requests < 0:
-                raise ValueError(f"negative request count: {requests}")
-            factory = request_factory
-            if factory is None:
-                factory = getattr(deployment, "standard_request", None)
-            if factory is None and requests > 0:
-                raise ValueError("an int request count needs a request_factory "
-                                 "(or a deployment with standard_request)")
-            return {name: deque(factory() for _ in range(requests)) for name in names}
-        plan: dict[str, deque[Request]] = {name: deque() for name in names}
-        for index, request in enumerate(requests):
-            plan[names[index % len(names)]].append(request)
-        return plan
-
-    # ------------------------------------------------------------------- run
-
-    def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
-            request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
-        """Drive ``deployment`` with this traffic shape and collect statistics."""
+    def run(self, deployment: Any, requests: int) -> RunStatistics:
+        """Drive every client of ``deployment`` with ``requests`` requests
+        each in this traffic shape and collect statistics."""
         raise NotImplementedError
 
     def _latency_of(self, issued: Any) -> Optional[float]:
@@ -292,13 +252,12 @@ class _Tally:
 
 
 class ClosedLoop(LoadGenerator):
-    """Every driven client issues its next request when the previous delivered:
+    """Every client issues its next request when the previous delivered:
     the paper's back-to-back measurement loop."""
 
-    def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
-            request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
+    def run(self, deployment: Any, requests: int) -> RunStatistics:
         sim = deployment.sim
-        queues = self._plan(deployment, requests, request_factory)
+        queues = self._plan(deployment, requests)
         tally = _Tally(queues, self._latency_of)
         total = tally.total
         start = sim.now
@@ -337,12 +296,10 @@ class OpenLoop(LoadGenerator):
         (evenly spaced).  Arrival draws come from the simulator's
         deterministic ``load.arrivals`` stream, so a given deployment seed
         always produces the same arrival process.
-    drain:
-        Whether to keep running (up to the horizon) after the last arrival so
-        in-flight requests can finish; ``False`` cuts the measurement at the
-        last arrival.
 
-    Arrivals are assigned to the driven clients round-robin.  A client
+    Arrivals are assigned to the clients round-robin.  After the last
+    arrival the run goes on (up to the horizon) so in-flight requests can
+    finish.  A client
     processes its requests one at a time, so when arrivals outpace service
     the surplus queues at the client and the measured response time
     (arrival to delivery, :attr:`IssuedRequest.sojourn`) grows -- exactly the
@@ -350,12 +307,9 @@ class OpenLoop(LoadGenerator):
     """
 
     def __init__(self, rate: float, arrival: str = ARRIVAL_POISSON,
-                 clients: Union[None, int, Sequence[str]] = None,
-                 drain: bool = True,
                  horizon_per_request: float = 1_000_000.0,
                  max_events: int = 5_000_000):
-        super().__init__(clients=clients, horizon_per_request=horizon_per_request,
-                         max_events=max_events)
+        super().__init__(horizon_per_request=horizon_per_request, max_events=max_events)
         if rate <= 0:
             raise ValueError(f"open-loop rate must be positive, got {rate}")
         if arrival not in ARRIVAL_PROCESSES:
@@ -363,12 +317,10 @@ class OpenLoop(LoadGenerator):
                              f"expected one of {ARRIVAL_PROCESSES}")
         self.rate = rate
         self.arrival = arrival
-        self.drain = drain
 
-    def run(self, deployment: Any, requests: Union[int, Sequence[Request]],
-            request_factory: Optional[Callable[[], Request]] = None) -> RunStatistics:
+    def run(self, deployment: Any, requests: int) -> RunStatistics:
         sim = deployment.sim
-        plan = self._plan(deployment, requests, request_factory)
+        plan = self._plan(deployment, requests)
         tally = _Tally(plan, self._latency_of)
         total = tally.total
         start = sim.now
@@ -396,9 +348,8 @@ class OpenLoop(LoadGenerator):
                     sim.schedule_call(clock, arrive, (client, queue.popleft()),
                                       name="arrival")
         if total:
-            deadline = (start + self.horizon_per_request * total) if self.drain \
-                else start + clock
-            sim.run_until(lambda: tally.done >= total, until=deadline,
+            sim.run_until(lambda: tally.done >= total,
+                          until=start + self.horizon_per_request * total,
                           max_events=self.max_events)
         return tally.collect(deployment, start)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.latency import LatencyModel, PerLinkLatency
 from repro.net.message import INT, STR, declare_message
 from repro.net.network import Network
 from repro.sim.scheduler import Simulator
@@ -35,3 +36,12 @@ def idle(kernel: Simulator) -> bool:
     """
     fired = kernel.events_processed
     return not kernel.run_until(lambda: kernel.events_processed > fired)
+
+
+def per_link(default: LatencyModel,
+             links: dict[tuple[str, str], LatencyModel]) -> PerLinkLatency:
+    """A :class:`PerLinkLatency` over ``default`` with ``links`` set."""
+    model = PerLinkLatency(default)
+    for (source, destination), link in links.items():
+        model.set_link(source, destination, link)
+    return model

@@ -274,7 +274,8 @@ def replayed_monitor(trace: TraceRecorder, db_server_names: list[str],
                      client_names: list[str]) -> SpecMonitor:
     """A fresh :class:`SpecMonitor` that has seen every event of ``trace``."""
     clock = SimpleNamespace(now=0.0)
-    bus = TraceRecorder(clock, retention="off")
+    bus = TraceRecorder(clock)
+    bus.set_retention("off")
     monitor = SpecMonitor.attach(bus, db_server_names, client_names)
     for event in trace:
         clock.now = event.time

@@ -141,7 +141,7 @@ def test_primary_backup_failover_after_outcome_replication_commits():
     # The outcome replication lands around t=240 ms; crash the primary after it
     # so the backup finishes the commit and answers the client.
     deployment.apply_faults((FaultSpec("crash", 243.0, "a1"),))
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=300_000.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
     assert deployment.trace.count("pb_takeover", "a2") >= 1
@@ -177,7 +177,7 @@ def test_primary_backup_false_suspicion_breaks_agreement():
     unreliable_fd = EventuallyPerfectFailureDetector(deployment.network, detection_delay=5.0)
     deployment.backup.failure_detector = unreliable_fd
     unreliable_fd.inject_false_suspicion("a2", "a1", start=195.0, duration=20.0)
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=300_000.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     deployment.run(until=deployment.sim.now + 10_000.0)
     assert issued.delivered
     # The primary claimed commit for the first intermediate result...

@@ -100,8 +100,7 @@ def test_window_observer_retires_protocols_without_terminate_events():
 
 
 def test_probe_windows_returns_transitions_without_faults():
-    windows = probe_windows(api.Scenario.from_dsn(TWOPC_DSN),
-                            horizon=60_000.0, settle=5_000.0)
+    windows = probe_windows(api.Scenario.from_dsn(TWOPC_DSN), CampaignBudget())
     assert windows
     assert {t.phase for t in windows} >= {PHASE_EXECUTING, PHASE_VOTING,
                                           PHASE_DECIDING}
@@ -112,7 +111,7 @@ def test_probe_windows_returns_transitions_without_faults():
 
 def make_plan(**overrides):
     scenario = api.Scenario.from_dsn(ETX_DSN)
-    windows = probe_windows(scenario, horizon=60_000.0, settle=5_000.0)
+    windows = probe_windows(scenario, CampaignBudget())
     return AdversarialFaultPlan.for_scenario(scenario, anchors=windows,
                                              **overrides)
 
@@ -222,7 +221,7 @@ def test_false_suspicion_only_offered_where_injectable():
 
 
 def test_campaign_finds_and_shrinks_a_baseline_violation():
-    report = run_campaign(BASELINE_DSN, budget=CampaignBudget(**SMALL), seed=1)
+    report = run_campaign(BASELINE_DSN, budget=CampaignBudget(**SMALL))
     assert report.counterexamples, "the unreliable baseline must violate"
     for example in report.counterexamples:
         assert example.kind == "violation"
@@ -232,7 +231,7 @@ def test_campaign_finds_and_shrinks_a_baseline_violation():
 
 
 def test_campaign_finds_the_2pc_blocking_counterexample():
-    report = run_campaign(TWOPC_DSN, budget=CampaignBudget(**SMALL), seed=1)
+    report = run_campaign(TWOPC_DSN, budget=CampaignBudget(**SMALL))
     assert report.counterexamples
     signatures = {tuple(e.provenance["signature"])
                   for e in report.counterexamples}
@@ -244,7 +243,7 @@ def test_campaign_finds_the_2pc_blocking_counterexample():
 
 
 def test_campaign_certifies_etx_clean_within_the_same_budget():
-    report = run_campaign(ETX_DSN, budget=CampaignBudget(**SMALL), seed=1)
+    report = run_campaign(ETX_DSN, budget=CampaignBudget(**SMALL))
     assert report.clean, (
         "etx violated under an assumption-respecting schedule: "
         + "; ".join(v for e in report.counterexamples for v in e.violations))
@@ -261,8 +260,7 @@ def test_campaign_artifacts_round_trip_through_json(tmp_path):
                           budget=CampaignBudget(max_runs=8, population=8,
                                                 stop_after=1, shrink_checks=20,
                                                 horizon=60_000.0,
-                                                settle=10_000.0),
-                          seed=1)
+                                                settle=10_000.0))
     example = report.counterexamples[0]
     path = str(tmp_path / "example.json")
     example.save(path)

@@ -105,7 +105,7 @@ def test_soak_json_creates_the_missing_directory(tmp_path, capsys):
 
     path = tmp_path / "no" / "such" / "dir" / "soak.json"
     status = main(["soak", "etx://a3.d1.c2?rate=20&trace=off", "--requests", "8",
-                   "--checkpoints", "1", "--json", str(path)])
+                   "--json", str(path)])
     assert status == 0
     assert f"BENCH json written to {path}" in capsys.readouterr().out
     assert json.loads(path.read_text())["delivered"] == 8
@@ -207,9 +207,7 @@ def test_sweep_command_applies_the_global_seed(capsys):
 
 def test_campaign_command_finds_and_writes_artifacts(tmp_path, capsys):
     status = main(["campaign", "baseline://a1.d1.c1?workload=bank&timing=paper&seed=3",
-                   "--budget", "8", "--population", "8", "--stop-after", "1",
-                   "--shrink-checks", "20", "--horizon", "60000",
-                   "--settle", "10000", "--out", str(tmp_path),
+                   "--budget", "8", "--out", str(tmp_path),
                    "--expect", "violation"])
     captured = capsys.readouterr().out
     assert status == 0
@@ -224,17 +222,14 @@ def test_campaign_command_finds_and_writes_artifacts(tmp_path, capsys):
 
 def test_campaign_command_expect_clean_gates_on_violations(capsys):
     status = main(["campaign", "etx://a3.d1.c1?workload=bank&timing=paper&seed=3&detect=10",
-                   "--budget", "6", "--population", "6",
-                   "--horizon", "60000", "--settle", "10000",
-                   "--expect", "clean"])
+                   "--budget", "6", "--expect", "clean"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "none found" in captured
 
 
 def test_replay_command_asserts_a_bare_dsn_is_clean(capsys):
-    status = main(["replay", "etx://a3.d1.c1?workload=bank&seed=7",
-                   "--horizon", "60000", "--settle", "5000"])
+    status = main(["replay", "etx://a3.d1.c1?workload=bank&seed=7"])
     captured = capsys.readouterr().out
     assert status == 0
     assert "clean pass confirmed" in captured
@@ -258,7 +253,7 @@ def test_replay_command_routes_sidecar_dsns_to_the_scenario_path(tmp_path, capsy
         "&faults=partition@250:c1,heal@300")
     dsn = write_sidecar(scenario, str(tmp_path / "x.faults.json"))
     assert dsn.endswith(".json")
-    status = main(["replay", dsn, "--horizon", "60000", "--settle", "5000"])
+    status = main(["replay", dsn])
     captured = capsys.readouterr().out
     assert status == 0
     assert "clean pass confirmed" in captured

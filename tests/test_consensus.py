@@ -2,10 +2,10 @@
 
 import pytest
 
-from conftest import idle
+from conftest import idle, per_link
 
 from repro.consensus.synod import ConsensusHost
-from repro.net.latency import FixedLatency, PerLinkLatency
+from repro.net.latency import FixedLatency
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -106,7 +106,7 @@ def test_refusing_peer_is_sent_decide(nack_delay):
     ``accept`` and cannot learn alone; the proposer sends it ``decide``
     whether the nack lands before the decision (recorded on the attempt) or
     after it (answered on arrival)."""
-    latency = PerLinkLatency(FixedLatency(1.75), {("a3", "a1"): FixedLatency(nack_delay)})
+    latency = per_link(FixedLatency(1.75), {("a3", "a1"): FixedLatency(nack_delay)})
     sim, network, hosts = build_group(latency=latency)
     hosts["a3"]._acceptor("x").promised = (5, 2)
     kinds = spy_kinds(network)

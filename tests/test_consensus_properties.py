@@ -2,10 +2,11 @@
 
 import itertools
 
+from conftest import per_link
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus.synod import ConsensusHost
-from repro.net.latency import FixedLatency, PerLinkLatency, UniformLatency
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.network import Network
 from repro.registers.local import LocalRegisterArray, LocalRegisterStore
 from repro.sim.process import Process
@@ -50,7 +51,7 @@ def link_latencies(draw, names):
     for link in itertools.permutations(names, 2):
         low = draw(st.floats(min_value=0.1, max_value=8.0))
         links[link] = UniformLatency(low, low + draw(st.floats(min_value=0.0, max_value=1.0)))
-    return PerLinkLatency(FixedLatency(1.75), links)
+    return per_link(FixedLatency(1.75), links)
 
 
 @given(consensus_scenarios())
@@ -84,7 +85,7 @@ def test_late_owner_agrees_on_every_fast_or_slow_link_layout():
     names = ["a1", "a2", "a3"]
     links = list(itertools.permutations(names, 2))
     for layout in itertools.product([0.5, 8.0], repeat=len(links)):
-        latency = PerLinkLatency(FixedLatency(1.75), {
+        latency = per_link(FixedLatency(1.75), {
             link: FixedLatency(delay) for link, delay in zip(links, layout)})
         for owner_start in (1.0, 3.0, 6.0):
             check_consensus(names, ["a2", "a1"], {"a2": 0.0, "a1": owner_start}, {},

@@ -227,6 +227,11 @@ class _OneClientStub:
         self.sim, _network, client, _servers = build(script=script, servers=("a1",))
         self.clients = {"c1": client}
         self.db_servers = {}
+        self._made = 0
+
+    def standard_request(self):
+        self._made += 1
+        return Request(f"op-{self._made}", {})
 
     def issue(self, request, client):
         return self.clients[client].issue(request)
@@ -241,8 +246,7 @@ def test_a_crashed_clients_requests_count_as_undelivered_with_their_aborts():
     deployment = _OneClientStub(["commit", "abort", "abort"] + ["ignore"] * 100)
     client = deployment.clients["c1"]
     deployment.sim.schedule(20_000.0, client.crash)
-    requests = [Request(f"op-{n}", {}) for n in range(3)]
-    stats = ClosedLoop().run(deployment, requests)
+    stats = ClosedLoop().run(deployment, 3)
     assert not client.up
     assert stats.count == 1 and stats.attempts == [1]
     assert stats.undelivered == 2

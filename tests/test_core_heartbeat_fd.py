@@ -40,7 +40,7 @@ def test_heartbeat_mode_failure_free_commit():
 def test_heartbeat_mode_failover_after_primary_crash():
     deployment = make_deployment()
     deployment.apply_faults((FaultSpec("crash", 50.0, "a1"),))
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     # The crash was detected through missed heartbeats, not an oracle.
     assert deployment.trace.count("fd_suspect", target="a1") >= 1

@@ -23,6 +23,16 @@ def bank_logic(request):
     return logic
 
 
+class PayWorkload:
+    """One balance of 100; a ``pay`` request debits its ``amount``."""
+
+    def initial_data(self):
+        return {"balance": 100}
+
+    def business_logic(self, request):
+        return bank_logic(request)
+
+
 def run_scenario(seed: int, register_mode: str, num_db_servers: int,
                  with_client_crash: bool) -> None:
     scenario = api.Scenario(
@@ -32,8 +42,7 @@ def run_scenario(seed: int, register_mode: str, num_db_servers: int,
         seed=seed,
         detection_delay=10.0,
     )
-    deployment = api.build(scenario, business_logic=bank_logic,
-                           initial_data={"balance": 100})
+    deployment = api.build(scenario, workload=PayWorkload())
     plan = RandomFaultPlan(
         app_servers=scenario.app_server_names,
         db_servers=scenario.db_server_names,

@@ -24,9 +24,19 @@ def bank_logic(request):
     return logic
 
 
+class PayWorkload:
+    """One balance of 100; a ``pay`` request debits its ``amount``."""
+
+    def initial_data(self):
+        return {"balance": 100}
+
+    def business_logic(self, request):
+        return bank_logic(request)
+
+
 def make_deployment(**fields):
     scenario = Scenario(**{"num_app_servers": 3, "detection_delay": 10.0, **fields})
-    return api.build(scenario, business_logic=bank_logic, initial_data={"balance": 100})
+    return api.build(scenario, workload=PayWorkload())
 
 
 # --------------------------------------------------------------- failure-free

@@ -9,15 +9,14 @@ retransmission layer underneath: the protocol's own retries carry delivery.
 
 from repro import api
 from repro.api import FaultSpec
-from repro.core.timing import ProtocolTiming
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=1, initial_balance=100)
 
 
-def make_deployment(protocol_timing=None, **fields):
+def make_deployment(**fields):
     scenario = api.Scenario(**{"num_app_servers": 3, "detection_delay": 10.0, **fields})
-    return api.build(scenario, workload=BANK, protocol_timing=protocol_timing)
+    return api.build(scenario, workload=BANK)
 
 
 def test_client_crash_and_recovery_gives_at_most_once():
@@ -53,7 +52,7 @@ def test_temporary_partition_of_a_backup_does_not_block_the_run():
     deployment.apply_faults(
         (FaultSpec("partition", 10.0, groups=(["a3"], ["a1", "a2", "d1", "c1"])),
          FaultSpec("heal", 800.0)))
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
     assert deployment.check_spec().ok
@@ -65,11 +64,10 @@ def test_partition_isolating_the_primary_triggers_failover():
     # the result; because it cannot reach a register quorum it cannot decide,
     # and the others -- who suspect nothing -- only take over once the client
     # rebroadcasts.  The partition never heals: a1 is effectively dead.
-    timing = ProtocolTiming(client_backoff=300.0)
-    deployment = make_deployment(protocol_timing=timing)
+    deployment = make_deployment(client_backoff=300.0)
     deployment.apply_faults((FaultSpec("partition", 30.0, groups=(["a1"],)),))
     deployment.apply_faults((FaultSpec("crash", 500.0, "a1"),))
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=2_000_000.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
     report = deployment.check_spec(check_termination=False)
@@ -79,10 +77,8 @@ def test_partition_isolating_the_primary_triggers_failover():
 def test_lossy_network_without_reliable_channels_still_safe():
     # No layer retransmits underneath the protocol: the client's periodic
     # rebroadcast and the application server's retry loops carry delivery.
-    timing = ProtocolTiming(client_backoff=500.0, client_rebroadcast=500.0,
-                            decide_retry=100.0, prepare_retry=100.0, execute_retry=100.0)
-    deployment = make_deployment(loss_probability=0.03, seed=21, protocol_timing=timing)
-    issued = deployment.run_request(BANK.debit(0, 10), horizon=3_000_000.0)
+    deployment = make_deployment(loss_probability=0.03, seed=21, client_backoff=500.0)
+    issued = deployment.run_request(BANK.debit(0, 10))
     assert issued.delivered
     assert deployment.db_servers["d1"].committed_value("account:0") == 90
     report = deployment.check_spec(check_termination=False)

@@ -241,7 +241,7 @@ def test_heartbeat_fd_suspects_exactly_at_last_heard_plus_timeout_and_never_befo
 
 def test_heartbeat_fd_timeout_grows_by_the_increment_per_false_suspicion():
     sim, network, procs, fd = heartbeat_group(
-        names=("a", "b"), heartbeat_interval=5.0, initial_timeout=12.0, timeout_increment=3.0)
+        names=("a", "b"), heartbeat_interval=5.0, initial_timeout=12.0)
     pending = follow_all(fd)
     hold(fd, pending, "a"), hold(fd, pending, "b")
     for start in (30.0, 230.0):  # silenced twice, long enough to be suspected
@@ -249,11 +249,11 @@ def test_heartbeat_fd_timeout_grows_by_the_increment_per_false_suspicion():
         sim.schedule(start + 50.0, network.heal_partition)
     sim.run(until=400.0)
     assert len(suspicions(sim)) == 4 and not fd.suspect("a", "b") and not fd.suspect("b", "a")
-    assert [e.get("new_timeout") for e in sim.trace.select("fd_trust", process="a")] == [15.0, 18.0]
-    assert fd._timeouts["a"]["b"] == fd._timeouts["b"]["a"] == 18.0
+    assert [e.get("new_timeout") for e in sim.trace.select("fd_trust", process="a")] == [17.0, 22.0]
+    assert fd._timeouts["a"]["b"] == fd._timeouts["b"]["a"] == 22.0
     # The second suspicion waited for the adapted time-out.
     (first, _, _), _, (second, _, _), _ = suspicions(sim)
-    assert second - 230.0 == pytest.approx(first - 30.0 + 3.0, abs=5.0)
+    assert second - 230.0 == pytest.approx(first - 30.0 + 5.0, abs=5.0)
 
 
 def test_heartbeat_fd_idle_cost_is_one_monitor_wakeup_per_timeout_minus_interval():

@@ -69,14 +69,6 @@ def test_multi_client_money_is_conserved(protocol):
     assert system.check_spec().ok
 
 
-def test_closed_loop_can_drive_a_subset_of_clients():
-    system = api.build(_scenario("etx", clients=3))
-    stats = ClosedLoop(clients=["c2", "c3"]).run(system, 1)
-    assert set(stats.by_client) == {"c2", "c3"}
-    assert stats.count == 2
-    assert system.check_spec().ok
-
-
 def test_open_loop_round_robins_arrivals_over_clients():
     system = api.build(_scenario("etx", clients=2))
     stats = OpenLoop(rate=20.0, arrival="uniform").run(system, 2)

@@ -147,4 +147,4 @@ def test_message_payload_access():
     message = Message("Vote", payload={"j": 1, "vote": "yes"})
     assert message["j"] == 1
     assert message.get("vote") == "yes"
-    assert message.get("missing", "default") == "default"
+    assert message.get("missing") is None

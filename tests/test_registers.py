@@ -33,8 +33,6 @@ def test_local_register_write_once_semantics():
     assert f1.value == "a1"
     assert f2.value == "a1"  # the second writer observes the first value
     assert first.read(1) == "a1"
-    assert store.lost_writes == 1
-    assert store.write_attempts == 2
 
 
 def test_local_register_independent_indices():

@@ -83,14 +83,14 @@ def test_reshard_is_invisible_to_clients_and_its_window_survives_faults(growth):
     assert grown["tput/s"] / flat["tput/s"] >= 0.85
     # The campaign keeps the reshard under every schedule it lays on top.
     dsn = f"{catalog.RESHARD_DSN}&fault=reshard@500:d4->d8"
-    report = run_campaign(dsn, CampaignBudget(max_runs=12, certificates=12), seed=0)
+    report = run_campaign(dsn, CampaignBudget(max_runs=12, certificates=12))
     assert report.runs == 12
     assert report.clean, report.summary()
     assert report.dsn == api.Scenario.from_dsn(dsn).to_dsn()  # the probe's base
     assert len(report.certificates) == 12
     assert all("reshard@500:d4->d8" in example.dsn for example in report.certificates)
     # Its probe records a migration window while a transaction is in flight.
-    windows = probe_windows(api.Scenario.from_dsn(dsn))
+    windows = probe_windows(api.Scenario.from_dsn(dsn), CampaignBudget())
     migration = [t.time for t in windows if t.phase == PHASE_RESHARDING and t.time > 0]
     issued = {t.request_id: t.time for t in windows if t.event == "client_issue"}
     delivered = {t.request_id: t.time for t in windows if t.event == "client_deliver"}

@@ -59,7 +59,7 @@ def test_the_network_really_is_tcp():
     try:
         assert isinstance(system.network, TcpTransport)
         assert system.sim.realtime
-        issued = system.run_request(system.standard_request(), horizon=60_000.0)
+        issued = system.run_request(system.standard_request())
         assert issued.delivered
         # Every hop crossed a socket: the transport counts frames it wrote,
         # and an etx request takes several protocol messages.
@@ -127,7 +127,7 @@ def test_a_send_during_teardown_spawns_nothing(capfd):
     # connect task spawned then was destroyed pending, with a warning each.
     system = api.build(api.Scenario.from_dsn(asyncio_dsn("etx://a3.d1.c1?seed=7&fd=heartbeat")))
     try:
-        assert system.run_request(system.standard_request(), horizon=60_000.0).delivered
+        assert system.run_request(system.standard_request()).delivered
     finally:
         system.close()
     kernel, network = system.sim, system.network

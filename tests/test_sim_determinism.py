@@ -78,7 +78,7 @@ def _campaign_fingerprint(workers: int) -> tuple:
         budget=CampaignBudget(max_runs=12, population=6, stop_after=2,
                               shrink_checks=25, horizon=60_000.0,
                               settle=10_000.0),
-        seed=5, workers=workers)
+        workers=workers)
     return (
         report.runs,
         report.shrink_runs,

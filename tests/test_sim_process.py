@@ -509,20 +509,6 @@ def test_a_resolved_future_holds_no_callback_list():
     assert waited._callbacks == () and never._callbacks == ()
 
 
-def test_wait_for_future_timeout(sim):
-    process = Process(sim, "p")
-    future = SimFuture()
-    got = []
-
-    def body():
-        value = yield process.wait_for(future, timeout=3.0)
-        got.append(value)
-
-    process.spawn(body())
-    sim.run()
-    assert got == [TIMEOUT]
-
-
 def test_multicast_sends_to_every_destination(sim):
     network = Network(sim)
     a = network.register(Process(sim, "a"))

@@ -31,7 +31,7 @@ def test_select_filters_by_category_process_and_data():
 def test_event_get_helper():
     event = TraceEvent(0.0, "cat", "p", {"k": "v"})
     assert event.get("k") == "v"
-    assert event.get("missing", 7) == 7
+    assert event.get("missing") is None
 
 
 def test_event_is_a_slotted_value():

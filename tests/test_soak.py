@@ -16,7 +16,7 @@ SOAK_DSN = ("etx://a3.d4.c16?rate=16&arrival=poisson&seed=3&workload=bank"
 
 
 def test_soak_ring_retention_flat_memory_and_online_spec():
-    report = soak.run(SOAK_DSN, requests=2_000, checkpoints=8)
+    report = soak.run(SOAK_DSN, requests=2_000)
     run = report.run
     assert run.requested >= 2_000
     assert run.statistics.undelivered == 0
@@ -39,9 +39,8 @@ def test_a_soak_is_the_scenario_run_with_its_checkpoints_watching():
     """The soak drives its scenario like any other run: the checkpoints and
     the GC count watch it without changing a latency or the verdict."""
     scenario = api.Scenario.from_dsn(SOAK_DSN)
-    watched = soak.run(scenario, requests=320, checkpoints=4).run
-    plain = api.run_scenario(scenario, requests=320 // scenario.num_clients,
-                             max_events=5_000_000)
+    watched = soak.run(scenario, requests=320).run
+    plain = api.run_scenario(scenario, requests=320 // scenario.num_clients)
     assert watched.statistics.latencies == plain.statistics.latencies
     assert watched.statistics.undelivered == plain.statistics.undelivered == 0
     assert watched.spec.summary() == plain.spec.summary()

@@ -26,14 +26,13 @@ def test_get_missing_returns_default():
 
 
 def test_forced_write_costs_forced_latency():
-    storage = StableStorage("disk", forced_write_latency=12.5, lazy_write_latency=0.5)
+    storage = StableStorage("disk", forced_write_latency=12.5)
     forced_cost = storage.put("a", 1, forced=True)
     lazy_cost = storage.put("b", 2, forced=False)
     assert forced_cost == pytest.approx(12.5)
-    assert lazy_cost == pytest.approx(0.5)
+    assert lazy_cost == 0.0
     assert storage.stats.forced_writes == 1
     assert storage.stats.lazy_writes == 1
-    assert storage.stats.total_write_cost == pytest.approx(13.0)
 
 
 def test_append_creates_and_extends_list():
@@ -73,7 +72,7 @@ def test_wal_append_and_records_order():
 
 
 def test_wal_prepare_is_forced_and_abort_is_lazy_by_default():
-    storage = StableStorage("disk", forced_write_latency=10.0, lazy_write_latency=0.0)
+    storage = StableStorage("disk", forced_write_latency=10.0)
     wal = WriteAheadLog(storage)
     prepare_cost = wal.append_prepare(1, {"x": 1})
     abort_cost = wal.append_abort(1)
@@ -199,7 +198,7 @@ def _random_log(rng: random.Random, length: int) -> list:
 def _replayed(appends: list, checkpoint_rows: int) -> tuple:
     """Replay of ``appends`` checkpointed every ``checkpoint_rows``, as plain
     data (dict order included), with the I/O the appends reported."""
-    storage = StableStorage("disk", forced_write_latency=10.0, lazy_write_latency=0.5)
+    storage = StableStorage("disk", forced_write_latency=10.0)
     wal = WriteAheadLog(storage)
     wal.CHECKPOINT_ROWS = checkpoint_rows
     costs = [append(wal) for append in appends]

@@ -45,7 +45,8 @@ def test_parse_retention_accepts_the_three_policies():
 
 
 def test_ring_retention_keeps_only_the_suffix():
-    trace = TraceRecorder(retention="ring:3")
+    trace = TraceRecorder()
+    trace.set_retention("ring:3")
     for n in range(10):
         trace.record("tick", n=n)
     assert len(trace) == 3
@@ -54,7 +55,8 @@ def test_ring_retention_keeps_only_the_suffix():
 
 
 def test_off_retention_stores_nothing_and_skips_event_construction():
-    trace = TraceRecorder(retention="off")
+    trace = TraceRecorder()
+    trace.set_retention("off")
     trace.record("tick", n=1)
     assert len(trace) == 0
     assert not trace.wants("tick")
@@ -62,7 +64,8 @@ def test_off_retention_stores_nothing_and_skips_event_construction():
 
 def test_subscribers_see_events_under_any_retention():
     for retention in ("full", "ring:2", "off"):
-        trace = TraceRecorder(retention=retention)
+        trace = TraceRecorder()
+        trace.set_retention(retention)
         seen = []
         unsubscribe = trace.subscribe("tick", lambda e: seen.append(e.get("n")))
         for n in range(5):
@@ -76,7 +79,8 @@ def test_subscribers_see_events_under_any_retention():
 
 
 def test_wants_reflects_storage_and_subscription():
-    trace = TraceRecorder(retention="off")
+    trace = TraceRecorder()
+    trace.set_retention("off")
     for retention, stored in (("off", False), ("ring:3", True), ("off", False),
                               ("full", True)):
         trace.set_retention(retention)

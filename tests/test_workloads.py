@@ -156,7 +156,7 @@ def test_run_statistics_throughput():
 def test_closed_loop_runs_requests_sequentially():
     bank = BankWorkload(num_accounts=1, initial_balance=100)
     deployment = api.build(api.Scenario(), workload=bank)
-    stats = ClosedLoop().run(deployment, [bank.debit(0, 10) for _ in range(3)])
+    stats = ClosedLoop().run(deployment, 3)    # the standard request debits 10
     assert stats.count == 3
     assert stats.undelivered == 0
     assert deployment.db_servers["d1"].committed_value("account:0") == 70
@@ -170,7 +170,7 @@ def test_open_loop_uniform_arrivals_inject_at_rate():
     bank = BankWorkload(num_accounts=1, initial_balance=1_000)
     deployment = api.build(api.Scenario(), workload=bank)
     generator = OpenLoop(rate=10.0, arrival="uniform")  # one every 100 ms
-    stats = generator.run(deployment, [bank.debit(0, 10) for _ in range(4)])
+    stats = generator.run(deployment, 4)
     assert stats.count == 4
     assert stats.undelivered == 0
     # Four uniform arrivals at 10/s span 400 ms plus the last service time.
@@ -191,6 +191,6 @@ def test_serial_run_emits_full_parallel_and_saturation_schema():
     # The sharded kernel's ``parallel`` counters left with the kernel.
     bank = BankWorkload(num_accounts=1, initial_balance=100)
     deployment = api.build(api.Scenario(), workload=bank)
-    stats = ClosedLoop().run(deployment, [bank.debit(0, 10) for _ in range(2)])
+    stats = ClosedLoop().run(deployment, 2)
     assert not hasattr(stats, "parallel")
     assert stats.saturation == {"shed_messages": 0, "mailbox_peak": 0}

@@ -1,5 +1,5 @@
 """Which functions of ``src/repro`` no real scenario calls, and which DSN
-parameters no real scenario sets.
+parameters, keyword parameters and CLI flags no real scenario sets.
 
 A function earns its place by being reached from a scenario the repository
 treats as real: the golden traces and corpus replays, the end-to-end
@@ -19,11 +19,22 @@ default is listed as ``param <key>``, and a value of a row that accepts one
 of a fixed set (``register``, ``timing``, ...) that none of them holds as
 ``param <key>=<value>``.
 
+So does every option.  The tracer compares each defaulted parameter of a
+``src/repro`` def, as bound on entry, with its default, and a wrapper on
+``cli.build_parser().parse_args`` compares each flag of the parsed command
+with its default.  A parameter no run passes another value is listed as
+``kwarg <file>::<qualname>(<name>)``, a flag no argv sets off its default as
+``flag <command> --<name>``: an option with one value in use is a constant
+unless it passes a DSN row through, guards against a hang, is a deployment
+setting, or is set by a call site no run reaches.  The run prints how many
+defaulted parameters and flags there are and how many some run sets.
+
 That file is the allowlist: each line is one unreached def or unset
-parameter and, after ``#``, the one-line reason it stays -- a reference
-implementation tests compare against, a debug repr, a monitor verdict for a
-violation no scenario commits, a guard that fires only on a bug or a hang, a
-deployment setting.  "Only tests call it" is not a reason.  A rewrite keeps
+parameter, option or flag and, after ``#``, the one-line reason it stays --
+a reference implementation tests compare against, a debug repr, a monitor
+verdict for a violation no scenario commits, a guard that fires only on a
+bug or a hang, a deployment setting.  "Only tests call it", or set it, or
+pass it, is not a reason.  A rewrite keeps
 the reasons of the entries still unreached, drops the entries a scenario now
 reaches (or whose def or row is gone), and adds a newly unreached one with
 no reason.  The run exits 1 when it dropped an entry or when an entry has no
@@ -37,6 +48,8 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
+import inspect
 import io
 import json
 import os
@@ -46,6 +59,7 @@ import sys
 import tempfile
 import threading
 import time
+import types
 from pathlib import Path
 from typing import Any
 
@@ -54,30 +68,139 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 REPORT = Path(__file__).resolve().with_suffix(".txt")
 HEADER = """\
-# The src/repro functions no real scenario reaches and the DSN parameters
-# (param lines) none sets, each with the reason it stays.
+# The src/repro functions no real scenario reaches, and the DSN parameters
+# (param lines), defaulted keyword parameters (kwarg lines) and CLI flags
+# (flag lines) none sets, each with the reason it stays.
 # python tools/reachability.py rewrites this file; see its docstring.
 """
 
-_seen: set = set()
 _set_rows: set[str] = set()             # PARAMS keys some scenario set off default
 _held: set[tuple[str, Any]] = set()     # (key, value) of the fixed-choice rows
 
-
-def _tracer(frame, event, arg):
-    # A global trace function sees one ``call`` per new frame (and per
-    # generator resume); returning None skips line events inside it.
-    _seen.add(frame.f_code)
+_GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
 
-def _install() -> None:
-    sys.settrace(_tracer)
-    threading.settrace(_tracer)
+class OptionRecorder:
+    """Which defaulted parameters, and which CLI flags, some call sets.
+
+    :meth:`tracer` is the global trace function.  It notes every code object
+    entered; for a def listed in ``defaulted`` (``(file, first line)`` ->
+    its defaulted parameter names) it also compares each such argument, as
+    bound on entry, with the function's default, and keeps
+    ``(file, first line, name)`` of each one passed with another value.  A
+    generator's arguments are read on its first entry only: a resume sees
+    locals the body may have rebound.  :meth:`wrap_parser` does the same for
+    the flags of an :mod:`argparse` parser.
+    """
+
+    def __init__(self, defaulted: dict[tuple[str, int], tuple[str, ...]]):
+        self.defaulted = defaulted
+        self.seen: set = set()
+        self.set_kwargs: set[tuple[str, int, str]] = set()
+        self.set_flags: set[str] = set()
+        self._watch: dict[Any, list[tuple[str, Any]]] = {}   # code -> unset (name, default)
+        self._entry: dict[Any, int] = {}                     # generator code -> first f_lasti
+
+    def tracer(self, frame, event, arg):
+        # A global trace function sees one ``call`` per new frame (and per
+        # generator resume); returning None skips line events inside it.
+        code = frame.f_code
+        if code not in self.seen:
+            self.seen.add(code)
+            self._first_sight(frame)
+        watch = self._watch.get(code)
+        if watch is not None and self._entry.get(code, frame.f_lasti) == frame.f_lasti:
+            self._note(frame, watch)
+
+    def _first_sight(self, frame) -> None:
+        code = frame.f_code
+        names = self.defaulted.get((code.co_filename, code.co_firstlineno))
+        if not names:
+            return
+        function = next((referrer for referrer in gc.get_referrers(code)
+                         if isinstance(referrer, types.FunctionType)
+                         and referrer.__code__ is code), None)
+        if function is None:
+            return
+        defaults = dict(function.__kwdefaults__ or {})
+        positional = code.co_varnames[:code.co_argcount]
+        defaults.update(zip(positional[len(positional) - len(function.__defaults__ or ()):],
+                            function.__defaults__ or ()))
+        self._watch[code] = [(name, defaults[name]) for name in names]
+        if code.co_flags & _GENERATOR_FLAGS:
+            self._entry[code] = frame.f_lasti
+
+    def _note(self, frame, watch: list[tuple[str, Any]]) -> None:
+        code = frame.f_code
+        arguments = frame.f_locals
+        unset = []
+        for name, default in watch:
+            if _same(arguments.get(name, default), default):
+                unset.append((name, default))
+            else:
+                self.set_kwargs.add((code.co_filename, code.co_firstlineno, name))
+        if len(unset) == len(watch):
+            return
+        if unset:
+            self._watch[code] = unset
+        else:
+            del self._watch[code]
+
+    def wrap_parser(self, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        """Make ``parser.parse_args`` note each flag its argv sets off the
+        flag's default; returns ``parser``."""
+        parse = parser.parse_args
+
+        def parse_args(args=None, namespace=None):
+            parsed = parse(args, namespace)
+            command = getattr(parsed, "command", None)
+            for owner, action in _flags(parser):
+                if owner in (parser.prog, command) and not _same(
+                        getattr(parsed, action.dest, action.default), action.default):
+                    self.set_flags.add(_flag_key(owner, action))
+            return parsed
+
+        parser.parse_args = parse_args
+        return parser
+
+    def unset_kwargs(self, keys: dict[tuple[str, int], str]) -> list[str]:
+        """``kwarg <def key>(<name>)`` for every defaulted parameter of a def
+        in ``keys`` that no call set."""
+        return sorted(f"kwarg {keys[place]}({name})"
+                      for place, names in self.defaulted.items() if place in keys
+                      for name in names if (*place, name) not in self.set_kwargs)
+
+    def unset_flags(self, parser: argparse.ArgumentParser) -> list[str]:
+        """``flag <command> --<name>`` for every flag of ``parser`` no parse set."""
+        return sorted(key for key in (_flag_key(owner, action)
+                                      for owner, action in _flags(parser))
+                      if key not in self.set_flags)
 
 
-def _entered() -> set[tuple[str, int]]:
-    """``(file, first line)`` of every function entered so far."""
-    return {(code.co_filename, code.co_firstlineno) for code in _seen}
+def _same(value: Any, default: Any) -> bool:
+    """Whether an argument holds its parameter's default value."""
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except Exception:   # an argument whose == refuses the default differs from it
+        return False
+
+
+def _flags(parser: argparse.ArgumentParser):
+    """``(command, action)`` for every optional flag of ``parser`` (command
+    is its ``prog``) and of each of its sub-commands (the command name)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                yield from ((command, flag) for owner, flag in _flags(sub)
+                            if owner == sub.prog)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield parser.prog, action
+
+
+def _flag_key(command: str, action: argparse.Action) -> str:
+    return f"flag {command} {max(action.option_strings, key=len)}"
 
 
 # ----------------------------------------------------------------- defs
@@ -103,17 +226,30 @@ def _declaration(node: ast.AST) -> bool:
     return False
 
 
-def _defs() -> dict[tuple[str, int], str]:
-    """``(file, first line)`` -> report key, for every def under ``src/repro``
-    that is not a :func:`_declaration`.
+def _defaulted(node: ast.FunctionDef) -> tuple[str, ...]:
+    """The names of a def's parameters that have a default."""
+    arguments = node.args
+    positional = arguments.posonlyargs + arguments.args
+    return tuple([argument.arg for argument in positional[len(positional)
+                                                          - len(arguments.defaults):]]
+                 + [argument.arg for argument, default
+                    in zip(arguments.kwonlyargs, arguments.kw_defaults) if default is not None])
+
+
+def _defs(package: Path = PACKAGE) -> tuple[dict[tuple[str, int], str],
+                                            dict[tuple[str, int], tuple[str, ...]]]:
+    """``(file, first line)`` -> report key, for every def under ``package``
+    that is not a :func:`_declaration`, and -> its defaulted parameter names
+    for those that have any.
 
     The first line is the first decorator's, as in ``co_firstlineno``.  A
     qualname defined twice in one file (two branches of an ``if``) gets
     ``#2``, ``#3`` in source order.
     """
     defs: dict[tuple[str, int], str] = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        relative = path.relative_to(ROOT).as_posix()
+    defaulted: dict[tuple[str, int], tuple[str, ...]] = {}
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package.parent.parent).as_posix()
         counts: dict[str, int] = {}
 
         def visit(node: ast.AST, prefix: str) -> None:
@@ -125,6 +261,9 @@ def _defs() -> dict[tuple[str, int], str]:
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     if not _declaration(child):
                         defs[(str(path), first)] = f"{relative}::{name}{suffix}"
+                        names = _defaulted(child)
+                        if names:
+                            defaulted[(str(path), first)] = names
                     visit(child, name + ".")
                 elif isinstance(child, ast.ClassDef):
                     visit(child, prefix + child.name + ".")
@@ -132,7 +271,7 @@ def _defs() -> dict[tuple[str, int], str]:
                     visit(child, prefix)
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    return defs
+    return defs, defaulted
 
 
 # ----------------------------------------------------------- parameters
@@ -222,11 +361,11 @@ def experiments(out: str) -> None:
         ("soak", "--requests", "2000", "--json", os.path.join(out, "soak.json")),
         ("sweep", "etx://d1?workload=bank", "--axis", "protocol=etx,2pc,pb",
          "--axis", "clients=1,4", "--workers", "1"),
-        ("sweep", "etx://d1?workload=bank", "--axis", "clients=2"),
+        ("sweep", "etx://d1?workload=bank", "--axis", "clients=2", "--requests", "2"),
         ("campaign", "baseline://a1.d1.c1?workload=bank&timing=paper&seed=3",
-         "--budget", "48", "--population", "12", "--out", out, "--expect", "violation"),
+         "--budget", "48", "--out", out, "--expect", "violation"),
         ("campaign", "etx://a3.d1.c1?workload=bank&timing=paper&seed=3&detect=10",
-         "--budget", "48", "--population", "12", "--expect", "clean"),
+         "--budget", "48", "--expect", "clean"),
         ("campaign", "etx://a3.d4.c8?rate=6&seed=7&workload=bank&placement=hash"
          "&fault=reshard@500:d4->d8", "--budget", "12", "--expect", "clean"),
         ("replay", "etx://a3.d1.c1?workload=bank&seed=3"),
@@ -336,7 +475,10 @@ def tcp_steps(out: str) -> None:
             server.kill()
             server.wait()
     with open(seen_file, encoding="utf-8") as handle:
-        _child_seen.update(tuple(key) for key in json.load(handle))
+        child = json.load(handle)
+    _child_seen.update(tuple(key) for key in child["entered"])
+    _recorder.set_kwargs.update(tuple(key) for key in child["kwargs"])
+    _recorder.set_flags.update(child["flags"])
 
 
 def _send_frame(port: int, body: bytes) -> None:
@@ -359,6 +501,7 @@ def _free_port() -> int:
 
 
 _child_seen: set[tuple[str, int]] = set()
+_recorder = OptionRecorder({})
 
 SCENARIOS = (golden_traces, benchmark_workloads, experiments, examples, refusals, tcp_steps)
 
@@ -383,23 +526,45 @@ def report_text(unreached: list[str], allowlist: dict[str, str]) -> str:
     return HEADER + "".join(line + "\n" for line in lines)
 
 
+def _entered() -> set[tuple[str, int]]:
+    """``(file, first line)`` of every function entered so far."""
+    return {(code.co_filename, code.co_firstlineno) for code in _recorder.seen}
+
+
+def _record_flags() -> None:
+    """Note the flags of every CLI command parsed from now on."""
+    from repro import cli
+
+    build_parser = cli.build_parser
+    cli.build_parser = lambda: _recorder.wrap_parser(build_parser())
+
+
 def main(argv: list[str]) -> int:
+    global _recorder
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--child", metavar="OUT", help=argparse.SUPPRESS)
     parser.add_argument("cli", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    _install()
+    defs, defaulted = _defs()
+    _recorder = OptionRecorder(defaulted)
+    sys.settrace(_recorder.tracer)
+    threading.settrace(_recorder.tracer)
     sys.path.insert(0, str(SRC))
+    _record_flags()
     if args.child:
-        # One CLI command in this process; the reached (file, line) pairs go
-        # to OUT.  SIGINT stops it even when started with SIGINT ignored.
+        # One CLI command in this process; the reached (file, line) pairs and
+        # the arguments and flags it set go to OUT.  SIGINT stops it even
+        # when started with SIGINT ignored.
         from repro import cli
 
         signal.signal(signal.SIGINT, signal.default_int_handler)
         status = cli.main(args.cli)
         sys.settrace(None)
         with open(args.child, "w", encoding="utf-8") as handle:
-            json.dump(sorted(_entered()), handle)
+            json.dump({"entered": sorted(_entered()),
+                       "kwargs": sorted(_recorder.set_kwargs),
+                       "flags": sorted(_recorder.set_flags)}, handle)
         return status
 
     _record_scenarios()
@@ -410,15 +575,24 @@ def main(argv: list[str]) -> int:
             print(f"{scenario.__name__:<20} {time.monotonic() - started:6.1f} s",
                   file=sys.stderr)
     sys.settrace(None)
-    defs = _defs()
+    threading.settrace(None)
     reached = {defs[key] for key in _entered() | _child_seen if key in defs}
     unreached_defs = sorted(set(defs.values()) - reached)
     unset = _unset_params()
-    unreached = unreached_defs + unset
+    from repro import cli
+
+    kwargs = _recorder.unset_kwargs(defs)
+    flags = _recorder.unset_flags(cli.build_parser())
+    unreached = unreached_defs + unset + kwargs + flags
     allowlist = read_allowlist()
     REPORT.write_text(report_text(unreached, allowlist), encoding="utf-8")
+    every_kwarg = sum(len(names) for names in defaulted.values())
+    every_flag = len(list(_flags(cli.build_parser())))
     print(f"{len(unreached_defs)} of {len(defs)} defs unreached, {len(unset)} "
           "parameter rows or values unset", file=sys.stderr)
+    print(f"{every_kwarg - len(kwargs)} of {every_kwarg} defaulted keyword parameters "
+          f"set off their default, {every_flag - len(flags)} of {every_flag} CLI flags",
+          file=sys.stderr)
     problems = [f"reached now (or gone), entry dropped: {key}" for key in allowlist
                 if key not in unreached]
     problems += [f"unreached, with no reason to stay: {key}" for key in unreached
