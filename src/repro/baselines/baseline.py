@@ -15,7 +15,7 @@ from repro.baselines.common import (
     COMMIT_ONE_PHASE,
     ETX_ONLY_FAULTS,
     OnePhaseDatabaseServer,
-    SerialTransactionManager,
+    TransactionManager,
 )
 from repro.core.appserver import participant_round
 from repro.core.deployment import ThreeTierDeployment
@@ -23,7 +23,7 @@ from repro.core.types import COMMIT, Decision, Request
 from repro.net.message import Message
 
 
-class BaselineAppServer(SerialTransactionManager):
+class BaselineAppServer(TransactionManager):
     """A stateless application server offering no reliability guarantee."""
 
     def _transact(self, key, request: Request, participants: list[str]):

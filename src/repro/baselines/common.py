@@ -20,7 +20,6 @@ from repro.core.sharding import merge_participant_values, request_participants
 from repro.core.types import ABORT, COMMIT, VOTE_YES, Decision, Request, Result
 from repro.net.message import IDS, Message, declare_message
 from repro.sim.process import Process
-from repro.sim.waits import ANY
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
@@ -34,11 +33,13 @@ ETX_ONLY_FAULTS = {"reshard": "online resharding",
                    "false_suspicion": "injected false suspicions"}
 
 
-class SerialTransactionManager(Process):
-    """The comparators' middle tier: one thread serves requests one at a time.
+class TransactionManager(Process):
+    """The comparators' middle tier: one thread per transaction.
 
-    It takes the next ``Request``, routes it to the same participant set as
-    the e-Transaction application server
+    A ``Request`` handler dispatches each new result key to a thread of its
+    own, as the e-Transaction application server does, so transactions from
+    different clients overlap here and queue only at the databases.  The
+    thread routes the request to the same participant set as that server
     (:attr:`repro.core.types.Request.participants`, empty = every database)
     so partitioned-tier comparisons stay apples-to-apples, runs the
     subclass's :meth:`_transact` to its decision and answers the client.  A
@@ -47,13 +48,13 @@ class SerialTransactionManager(Process):
     retries and no recovery.
 
     A client that waits longer than its back-off re-broadcasts the *same*
-    result identifier -- routine once many clients queue at one server.  A
-    transaction manager that re-executed the duplicate would re-run a
-    committed transaction (and crash the database's prepare), so completed
-    decisions are remembered and replayed for duplicates.  The memory is
-    volatile -- each incarnation starts it empty -- so a retry that races a
-    server crash still double-executes on the unreliable baseline: exactly
-    the at-most-once violation the paper's comparison is about.
+    result identifier.  A transaction manager that re-executed the duplicate
+    would re-run the transaction (and crash the database's prepare), so a
+    duplicate of a running transaction is dropped -- the original's answer
+    serves it -- and completed decisions are remembered and replayed.  The
+    memory is volatile -- each incarnation starts it empty -- so a retry that
+    races a server crash still double-executes on the unreliable baseline:
+    exactly the at-most-once violation the paper's comparison is about.
     """
 
     def __init__(self, sim, name: str, db_server_names: list[str]):
@@ -62,29 +63,35 @@ class SerialTransactionManager(Process):
 
     def on_start(self, recovery: bool) -> None:
         self._completed_decisions: dict[Any, Decision] = {}
-        self.spawn(self._serve(), name="serve")
+        self._inflight: set[Any] = set()
+        self.on_message(msg.REQUEST, self._on_request)
 
-    def _serve(self):
-        while True:
-            message = yield self.receive([(msg.REQUEST, ANY)])
-            client = message.sender
-            j = message["j"]
-            request: Request = message["request"]
-            key = (client, j)
-            decision = self._completed_decisions.get(key)
-            if decision is not None:
-                self.trace.record("as_result_resent", self.name, client=client, j=j,
-                                  outcome=decision.outcome)
-                self.send(client, msg.result_message(j, decision))
-                continue
-            participants = request_participants(request, self.db_server_names)
-            self.trace.record("as_request", self.name, client=client, j=j,
-                              request_id=request.request_id)
-            decision = yield from self._transact(key, request, participants)
-            self._completed_decisions[key] = decision
-            self.trace.record("as_result_sent", self.name, client=client, j=j,
+    def _on_request(self, message) -> None:
+        client = message.sender
+        j = message["j"]
+        key = (client, j)
+        decision = self._completed_decisions.get(key)
+        if decision is not None:
+            self.trace.record("as_result_resent", self.name, client=client, j=j,
                               outcome=decision.outcome)
             self.send(client, msg.result_message(j, decision))
+            return
+        if key in self._inflight:
+            return
+        self._inflight.add(key)
+        self.spawn(self._serve(key, message["request"]), name="serve")
+
+    def _serve(self, key, request: Request):
+        client, j = key
+        participants = request_participants(request, self.db_server_names)
+        self.trace.record("as_request", self.name, client=client, j=j,
+                          request_id=request.request_id)
+        decision = yield from self._transact(key, request, participants)
+        self._completed_decisions[key] = decision
+        self._inflight.discard(key)
+        self.trace.record("as_result_sent", self.name, client=client, j=j,
+                          outcome=decision.outcome)
+        self.send(client, msg.result_message(j, decision))
 
     def _transact(self, key, request: Request, participants: list[str]):
         """Run one transaction; returns the :class:`Decision` for the client."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.baselines.common import ETX_ONLY_FAULTS, SerialTransactionManager
+from repro.baselines.common import ETX_ONLY_FAULTS, TransactionManager
 from repro.core import messages as msg
 from repro.core.appserver import participant_round
 from repro.core.deployment import ThreeTierDeployment
@@ -39,7 +39,7 @@ declare_message(PB_OUTCOME, j=IDS, outcome=STR, result=RESULT_REC, client=STR)
 declare_message(PB_OUTCOME_ACK, j=IDS)
 
 
-class PrimaryServer(SerialTransactionManager):
+class PrimaryServer(TransactionManager):
     """The primary application server of the primary-backup scheme."""
 
     def __init__(self, sim, name: str, backup_name: str, db_server_names: list[str]):
@@ -84,6 +84,9 @@ class BackupServer(Process):
         self._taken_over: set[Any] = set()
         self.on_message(PB_START, self._mirror)
         self.on_message(PB_OUTCOME, self._mirror)
+        # A client's re-broadcast reaches the backup too; it answers only
+        # through a take-over, so a request is dropped, never buffered.
+        self.on_message(msg.REQUEST, lambda message: None)
         self.spawn(self._monitor(), name="pb-backup-monitor")
 
     def _mirror(self, message):

@@ -1,9 +1,12 @@
 """Presumed-nothing two-phase commit (the paper's Figure 7b).
 
-The application server plays transaction manager: it force-writes a *start*
-record to its local disk before sending prepare messages, collects votes,
-force-writes the *outcome* record, then sends the decision and finally answers
-the client.  This gives at-most-once semantics, but
+The application server plays transaction manager: for each transaction, on a
+thread of its own, it force-writes a *start* record to its local disk before
+sending prepare messages, collects votes, force-writes the *outcome* record,
+then sends the decision and finally answers the client.  Transactions of
+different clients overlap at the coordinator -- each forced write delays only
+its own transaction -- and queue at the databases.  This gives at-most-once
+semantics, but
 
 * the two forced log writes cost ~25 ms (the 2PC column of Figure 8), and
 * the protocol is *blocking*: if the coordinator crashes after the databases
@@ -13,14 +16,14 @@ the client.  This gives at-most-once semantics, but
 
 from __future__ import annotations
 
-from repro.baselines.common import ETX_ONLY_FAULTS, SerialTransactionManager
+from repro.baselines.common import ETX_ONLY_FAULTS, TransactionManager
 from repro.core.deployment import ThreeTierDeployment
 from repro.core.types import COMMIT, Decision, Request
 from repro.storage.stable import StableStorage
 from repro.storage.wal import WriteAheadLog
 
 
-class TwoPCCoordinator(SerialTransactionManager):
+class TwoPCCoordinator(TransactionManager):
     """Application server acting as a classic 2PC transaction manager."""
 
     def __init__(self, sim, name: str, db_server_names: list[str],

@@ -12,6 +12,8 @@ tests reproduce the paper's *qualitative* claims about them:
   which is exactly why the paper's protocol goes through wo-registers.
 """
 
+from collections import Counter
+
 import pytest
 from spec_oracle import violated
 
@@ -19,6 +21,7 @@ from repro import api
 from repro.api import FaultSpec, Scenario, ScenarioError
 from repro.failure.detectors import EventuallyPerfectFailureDetector
 from repro.workload.bank import BankWorkload
+from repro.workload.generator import ClosedLoop
 
 BANK = BankWorkload(num_accounts=2, initial_balance=100)
 
@@ -193,6 +196,79 @@ def test_primary_backup_false_suspicion_breaks_agreement():
 def test_primary_backup_requires_two_app_servers():
     with pytest.raises(ScenarioError, match="at least 2 application server"):
         deploy("pb", num_app_servers=1)
+
+
+# -------------------------------------------------------- concurrent dispatch
+
+# Each comparator's middle tier at its default size: PB needs its backup.
+MIDDLE_TIER = {"2pc": "a1", "pb": "a2", "baseline": "a1"}
+
+
+def _closed_loop(dsn, requests):
+    system = api.build(Scenario.from_dsn(dsn))
+    return system, ClosedLoop().run(system, requests)
+
+
+@pytest.mark.parametrize("protocol, c1", [("2pc", 264.4), ("pb", 248.4), ("baseline", 219.4)])
+def test_comparators_are_bound_by_the_database_at_four_clients(protocol, c1):
+    """Transactions overlap at the middle tier and queue only at the one
+    database, as the e-Transaction server's do; one client still reads the
+    Figure 8 latency."""
+    shape = "://{}.d1.c{}?workload=bank&timing=paper"
+    _, etx = _closed_loop("etx" + shape.format("a1", 4), 5)
+    _, four = _closed_loop(protocol + shape.format(MIDDLE_TIER[protocol], 4), 5)
+    _, one = _closed_loop(protocol + shape.format(MIDDLE_TIER[protocol], 1), 5)
+    assert etx.p50 == pytest.approx(761.6)
+    assert four.p50 == pytest.approx(etx.p50)
+    assert one.p50 == pytest.approx(c1)
+
+
+@pytest.mark.parametrize("protocol", ["2pc", "pb", "baseline"])
+def test_a_duplicate_of_a_running_transaction_never_runs_twice(protocol):
+    """A 100 ms back-off makes every client re-send each request while its
+    transaction still runs; the duplicate is dropped, and the original's
+    answer is the only one."""
+    system, stats = _closed_loop(
+        f"{protocol}://{MIDDLE_TIER[protocol]}.d1.c4?workload=bank&timing=paper&backoff=100", 5)
+    trace = system.trace
+    assert stats.undelivered == 0
+    assert sum(1 for event in trace.select("client_send") if event.get("broadcast")) == 20
+    executes = Counter(event.get("j") for event in trace.select("db_execute"))
+    assert len(executes) == 20 and set(executes.values()) == {1}
+    if protocol == "2pc":
+        starts = Counter((event.get("client"), event.get("j"))
+                         for event in trace.select("tm_log", "a1")
+                         if event.get("which") == "start")
+        assert starts.keys() == executes.keys() and set(starts.values()) == {1}
+    assert trace.count("as_result_resent") == 0
+    assert trace.count("msg_send", msg_type="Result") == trace.count("client_deliver") == 20
+
+
+def test_a_blocked_2pc_transaction_stops_only_its_own_client():
+    """With d1 crashed for good, each client's closed loop runs until its own
+    first request that needs d1: ``c1``'s d2-only request is delivered while
+    ``c2``'s d1 request waits at the coordinator."""
+    system = api.build(Scenario.from_dsn(
+        "2pc://a1.d2.c2?workload=bank&placement=hash&xshard=0&fault=crash@700:d1"))
+    issued = {}
+    issue = system.issue
+
+    def recording_issue(request, client):
+        handle = issue(request, client)
+        issued.setdefault(client, []).append(handle)
+        return handle
+
+    system.issue = recording_issue
+    ClosedLoop(horizon_per_request=1_000.0).run(system, 6)
+    for handles in issued.values():
+        *done, blocked = handles
+        assert all(handle.delivered for handle in done)
+        assert not blocked.delivered and blocked.request.participants == ("d1",)
+    c1, c2 = issued["c1"], issued["c2"]
+    assert [len(c1), len(c2)] == [4, 2]
+    assert c1[2].request.participants == ("d2",)
+    assert c2[1].issued_at < c1[2].delivered_at
+    assert sum(handle.delivered for handle in c1 + c2) == 4
 
 
 # ----------------------------------------------------------------- validation

@@ -13,7 +13,9 @@ import os
 
 import pytest
 
+from repro import api
 from repro.campaign import Counterexample, replay
+from repro.core import messages as msg
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 ARTIFACTS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -54,3 +56,21 @@ def test_corpus_violations_are_small_and_well_formed(path):
     else:
         assert not example.violations
     assert example.provenance.get("campaign_seed") is not None
+
+
+COMPARATOR_ARTIFACTS = ("2pc-t1.json", "2pc-t1-t2.json", "baseline-t1.json",
+                        "pb-t1.json", "pb-t1-t2.json")
+
+
+@pytest.mark.parametrize("name", COMPARATOR_ARTIFACTS)
+def test_a_blocked_comparator_buffers_no_request(name):
+    """A crashed or blocked transaction stops only its own thread: the
+    clients' re-broadcasts reach a ``Request`` handler, which drops a
+    duplicate, and never pile up in a middle tier's inbox."""
+    example = Counterexample.load(os.path.join(CORPUS_DIR, name))
+    system = api.build(example.scenario(CORPUS_DIR))
+    api.drive(system, example.requests, horizon_per_request=example.horizon,
+              settle=example.settle, check_termination=True)
+    assert system.trace.count("client_send") > example.requests
+    for server in system.app_servers.values():
+        assert not any(server._inbox.get(msg.REQUEST, {}).values()), server.name

@@ -7,8 +7,8 @@ behaviour alone -- a new event queue included -- can prove it did.
 
 * the four protocol ``SCHEMES``, seeds 0-19, so the FIFO-within-timestamp
   contract is pinned for each protocol's own scheduling mix,
-* the three serial comparators at four clients (``QUEUED``), where requests
-  queue at the one transaction manager,
+* the three comparators at four clients (``QUEUED``), where the
+  transactions overlap at the transaction manager and queue at the database,
 * one sharded open-loop shape with cross-shard transactions,
 * one ``failover_hb``-shaped run (heartbeat detector; a database crash, a
   partition during which ``a2`` crashes -- so the recovered ``a2`` cleans with
