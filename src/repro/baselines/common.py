@@ -33,6 +33,12 @@ ETX_ONLY_FAULTS = {"reshard": "online resharding",
                    "false_suspicion": "injected false suspicions"}
 
 
+def ignore_message(message) -> None:
+    """Handler of a message a comparator takes no action on: it is dropped,
+    never buffered.  One function, so a fresh and a recovered incarnation
+    register the same handler."""
+
+
 class TransactionManager(Process):
     """The comparators' middle tier: one thread per transaction.
 
@@ -65,6 +71,9 @@ class TransactionManager(Process):
         self._completed_decisions: dict[Any, Decision] = {}
         self._inflight: set[Any] = set()
         self.on_message(msg.REQUEST, self._on_request)
+        # A database's recovery ``Ready``: the comparators neither retry nor
+        # recover a round, so no thread ever waits for one.
+        self.on_message(msg.READY, ignore_message)
 
     def _on_request(self, message) -> None:
         client = message.sender

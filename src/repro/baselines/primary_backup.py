@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.baselines.common import ETX_ONLY_FAULTS, TransactionManager
+from repro.baselines.common import ETX_ONLY_FAULTS, TransactionManager, ignore_message
 from repro.core import messages as msg
 from repro.core.appserver import participant_round
 from repro.core.deployment import ThreeTierDeployment
@@ -85,8 +85,10 @@ class BackupServer(Process):
         self.on_message(PB_START, self._mirror)
         self.on_message(PB_OUTCOME, self._mirror)
         # A client's re-broadcast reaches the backup too; it answers only
-        # through a take-over, so a request is dropped, never buffered.
-        self.on_message(msg.REQUEST, lambda message: None)
+        # through a take-over, so a request is dropped, never buffered, and
+        # so is a database's recovery ``Ready``.
+        self.on_message(msg.REQUEST, ignore_message)
+        self.on_message(msg.READY, ignore_message)
         self.spawn(self._monitor(), name="pb-backup-monitor")
 
     def _mirror(self, message):

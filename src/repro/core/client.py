@@ -2,11 +2,17 @@
 
 The client's one durable value is its result counter, on its device: counting
 from 1 again, a recovered client would be handed its old decisions.
-``issue(request)`` sends the request to the default primary application
+``issue(request)`` sends the request to the client's primary application
 server, falls back to broadcasting it to every application server after a
 back-off period, and loops through intermediate result identifiers ``j`` until
 one of them comes back *committed* -- at which point the result is delivered
 (the future returned by :meth:`Client.issue` resolves).
+
+The primary starts at the first application server and moves only to the
+server that answered a broadcast, so after a primary's crash later requests
+stop waiting out the back-off.  Any server may claim a result (Figure 5's
+``regA``), so the first target only affects speed, never safety.  The
+primary is volatile: a recovered client starts at the first server again.
 
 The client keeps no history either: once a request is delivered it drops its
 :class:`IssuedRequest`, and whoever needs the outcome keeps the handle
@@ -82,26 +88,21 @@ class Client(Process):
     sim, name:
         Simulator and process name.
     app_server_names:
-        All application servers; the first entry (or ``default_primary``) is
-        the one the request is initially sent to.
+        All application servers; each incarnation first sends to the first
+        entry, then to whichever server last answered a broadcast
+        (``primary``).
     timing:
         Protocol timing; only the client back-off and re-broadcast intervals
         are used here.
-    default_primary:
-        Name of the default primary application server.
     """
 
     def __init__(self, sim: Simulator, name: str, app_server_names: list[str],
-                 timing: Optional[ProtocolTiming] = None,
-                 default_primary: Optional[str] = None):
+                 timing: Optional[ProtocolTiming] = None):
         super().__init__(sim, name)
         if not app_server_names:
             raise ValueError("a client needs at least one application server")
         self.app_server_names = list(app_server_names)
         self.timing = timing if timing is not None else ProtocolTiming()
-        self.default_primary = default_primary or self.app_server_names[0]
-        if self.default_primary not in self.app_server_names:
-            raise ValueError(f"default primary {self.default_primary!r} not in server list")
 
     # ------------------------------------------------------------------ issue
 
@@ -150,6 +151,7 @@ class Client(Process):
         # at-most-once, nothing more.
         self._queue: deque[IssuedRequest] = deque()
         self._worker_running = False
+        self.primary = self.app_server_names[0]
 
     def _issue_loop(self):
         while self._queue:
@@ -170,7 +172,7 @@ class Client(Process):
             if self.trace.wants("client_send"):
                 self.trace.record("client_send", self.name, j=j,
                                   request_id=request.request_id, broadcast=False)
-            self.send(self.default_primary, msg.request_message(request, j))
+            self.send(self.primary, msg.request_message(request, j))
             keys = [(msg.RESULT, j)]
             reply = yield self.receive(keys, timeout=self.timing.client_backoff)
             if reply is TIMEOUT:
@@ -186,6 +188,10 @@ class Client(Process):
                     # channels -- re-broadcasting is the practical equivalent.
                     self.multicast(self.app_server_names, msg.request_message(request, j))
                     reply = yield self.receive(keys, timeout=self.timing.client_rebroadcast)
+                # Follow the server that answered; a TCP frame's sender is
+                # unchecked, so only a known server may become the target.
+                if reply.sender in self.app_server_names:
+                    self.primary = reply.sender
             decision: Decision = reply["decision"]
             # Delivered or retried, ``j`` is finished: drop its duplicates.
             self.discard_buffered(j)

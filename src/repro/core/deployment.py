@@ -147,8 +147,7 @@ class ThreeTierDeployment:
             self.db_servers[name] = server
         self._build_app_servers()
         for name in scenario.client_names:
-            client = Client(self.sim, name, app_names, timing=self.protocol_timing,
-                            default_primary=app_names[0])
+            client = Client(self.sim, name, app_names, timing=self.protocol_timing)
             self.network.register(client)
             self.clients[name] = client
 

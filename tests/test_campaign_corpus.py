@@ -66,7 +66,8 @@ COMPARATOR_ARTIFACTS = ("2pc-t1.json", "2pc-t1-t2.json", "baseline-t1.json",
 def test_a_blocked_comparator_buffers_no_request(name):
     """A crashed or blocked transaction stops only its own thread: the
     clients' re-broadcasts reach a ``Request`` handler, which drops a
-    duplicate, and never pile up in a middle tier's inbox."""
+    duplicate, and never pile up in a middle tier's inbox -- nor does a
+    recovered database's ``Ready``, which no comparator waits for."""
     example = Counterexample.load(os.path.join(CORPUS_DIR, name))
     system = api.build(example.scenario(CORPUS_DIR))
     api.drive(system, example.requests, horizon_per_request=example.horizon,
@@ -74,3 +75,4 @@ def test_a_blocked_comparator_buffers_no_request(name):
     assert system.trace.count("client_send") > example.requests
     for server in system.app_servers.values():
         assert not any(server._inbox.get(msg.REQUEST, {}).values()), server.name
+        assert not any(server._inbox.get(msg.READY, {}).values()), server.name

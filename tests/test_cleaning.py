@@ -263,6 +263,7 @@ def test_a_false_suspicion_wakes_its_observer_only_and_claims_are_cleaned_as_lea
     # A claim a1 makes while a2 suspects it is cleaned at the instant a2 learns it
     # (so the client retries until the window closes, and a1 claims again each time).
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
+    assert deployment.client.primary == "a1"  # a2's aborts came within the back-off
     learned = learn_times(deployment, register_mode, "a2")[1:]
     assert learned[0] < end < learned[-1] == max(learned)
     assert clean_times(deployment, "a2")[1:] == [time for time in learned if time < end]
@@ -316,7 +317,7 @@ def test_a_late_reply_for_a_terminated_result_is_dropped_and_handlers_still_run(
     stray.sender = "d1"
     server.deliver(stray)
     assert server.mailbox_size == before + 1
-    deployment.client.default_primary = "a2"
+    deployment.client.primary = "a2"
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     assert server.name == "a1" and set(reached) == {"Heartbeat", "Consensus"}
     assert deployment.check_spec().ok

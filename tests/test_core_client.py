@@ -216,8 +216,42 @@ def test_client_requires_servers_and_valid_primary():
     sim = Simulator()
     with pytest.raises(ValueError):
         Client(sim, "c1", [])
-    with pytest.raises(ValueError):
-        Client(sim, "c1", ["a1"], default_primary="a9")
+
+
+PRIMARY_CRASH = "etx://a3.d1.c2?seed=3&workload=bank&timing=paper&fault=crash@600:a1"
+
+
+def test_a_client_follows_the_server_that_answered_its_broadcast():
+    """a1 dies for good: each client waits out one back-off, and the server
+    that answers its broadcast becomes its primary, which then serves every
+    later result at the first send."""
+    system = api.build(api.Scenario.from_dsn(PRIMARY_CRASH))
+    report = api.drive(system, 10)
+    trace = system.trace
+    for client in system.clients.values():
+        (broadcast,) = trace.select("client_send", client.name, broadcast=True)
+        later = [event.get("computed_by") for event in trace.select("client_deliver", client.name)
+                 if event.time > broadcast.time]
+        assert later and set(later) == {client.primary}, client.name
+    assert report.ok, report.summary()
+
+
+def test_a_reply_from_an_unknown_sender_does_not_move_the_primary():
+    """Over TCP a frame's sender is unchecked: a ``Result`` that answers the
+    broadcast from outside the server list is delivered, but the client keeps
+    sending to a known server."""
+    timing = ProtocolTiming(client_backoff=50.0, client_rebroadcast=50.0)
+    sim, network, client, servers = build(script=["ignore"] * 10, timing=timing,
+                                          servers=("a1",))
+    stranger = ScriptedAppServer(sim, "x9", [])
+    network.register(stranger)
+    stranger.start()
+    issued = client.issue(Request("pay", {}))
+    decision = Decision(Result({"ok": True}, issued.request.request_id, "x9"), COMMIT)
+    sim.schedule(75.0, lambda: stranger.send("c1", msg.result_message(1, decision)))
+    sim.run_until(lambda: issued.delivered, until=1_000.0)
+    assert issued.delivered and sim.trace.count("client_send", "c1", broadcast=True) == 1
+    assert client.primary == "a1"
 
 
 class _OneClientStub:

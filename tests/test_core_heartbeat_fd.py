@@ -79,7 +79,7 @@ def test_heartbeat_detector_survives_app_server_recovery():
     assert deployment.run_request(BANK.debit(0, 10)).delivered  # a1 claims and beats
     assert deployment.trace.count("msg_deliver", "a2", msg_type="Heartbeat") > 0
     assert a2.mailbox_size == 0
-    deployment.client.default_primary = "a2"
+    deployment.client.primary = "a2"
     start = deployment.sim.now
     assert deployment.run_request(BANK.debit(0, 10)).delivered  # now a2 claims
     assert any(event.get("sender") == "a2" and event.time > start
@@ -150,7 +150,13 @@ def test_client_progress_is_not_termination():
     """a1 dies holding a decided but unterminated result: it wrote ``regD`` and
     died as it was about to send ``Decide``.  The client gets the decision from a
     backup (which resends it, terminating nothing) and moves on to its next
-    result -- and the claim is still cleaned, by both observers, against d1."""
+    result -- and the claim is still cleaned, by both observers, against d1.
+
+    The second request goes straight to a2, the backup that answered the first
+    broadcast.  a3 learns a2's claim and re-arms its monitor at a1's deadline
+    then; a2, the claimant, learns nothing and re-arms there only when its
+    first timer fires.  Both suspect a1 at the same instant, and a3, armed
+    first, cleans first."""
     bank = BankWorkload(num_accounts=2, initial_balance=100)
     deployment = make_deployment(heartbeat_timeout=10_000.0,  # detection after the client moved on
                                  workload=bank)
@@ -173,7 +179,7 @@ def test_client_progress_is_not_termination():
     assert [(e.process, e.get("j")) for e in trace.select("client_deliver")] == [
         ("c1", 1), ("c1", 2)]
     cleans = [(e.time, e.process, e.get("j")) for e in trace.select("as_clean")]
-    assert [(p, j) for _, p, j in cleans] == [("a2", 1), ("a3", 1)]
+    assert [(p, j) for _, p, j in cleans] == [("a3", 1), ("a2", 1)]
     assert all(time > moved_on for time, _, _ in cleans)
     decided = [e.time for e in trace.select("db_decide", process="d1") if e.get("j") == ("c1", 1)]
     assert decided and min(decided) > moved_on > crashed

@@ -229,5 +229,5 @@ def test_deployment_exposes_trace_and_names():
     assert scenario.client_names == ["c1"]
     assert scenario.app_server_names == ["a1", "a2", "a3"]
     assert scenario.db_server_names == ["d1"]
-    assert deployment.client.default_primary == "a1"
+    assert deployment.client.primary == "a1"
     assert deployment.trace is deployment.sim.trace

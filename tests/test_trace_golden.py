@@ -174,14 +174,15 @@ def test_failover_serves_while_the_recovered_server_watches_and_only_claim_holde
     """The recovered ``a2`` rejoins the detector at 3 600 with no suspicion, so
     ``a1`` serves until its crash at 7 000 (16 results delivered in between; none
     when ``a2`` kept suspecting ``a1`` and aborted each of its claims).  Only a
-    server holding a claim beats: 3 806 ``Heartbeat`` sends, 23 226 when every
-    server beat every peer all the time."""
+    server holding a claim beats: 3 332 ``Heartbeat`` sends.  While each
+    request's first send still went to ``a1`` after its crash, the run sent
+    3 806, and 23 226 when every server beat every peer all the time."""
     scenario = api.Scenario.from_dsn(FAILOVER)
     system = api.build(scenario)
     load_generator_for(scenario).run(system, 10)
     delivered = [event.time for event in system.trace.select("client_deliver")]
     assert len([time for time in delivered if 3_600.0 <= time < 7_000.0]) == 16
-    assert system.network.stats.by_type_sent["Heartbeat"] == 3_806
+    assert system.network.stats.by_type_sent["Heartbeat"] == 3_332
     system.close()
 
 
