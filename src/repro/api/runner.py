@@ -93,10 +93,6 @@ class ScenarioResult:
                 + (f"/{db.in_doubt}?" if db.in_doubt else "")
                 for name, db in stats.by_database.items())
             lines.insert(5, f"databases  {per_db}")
-        if stats.saturation.get("shed_messages"):
-            sat = stats.saturation
-            lines.append(f"saturation {sat['shed_messages']} message(s) shed"
-                         f"   peak backlog {sat['mailbox_peak']}")
         return "\n".join(lines)
 
     def _top_message_types(self) -> str:

@@ -494,13 +494,6 @@ class Scenario:
                        asyncio_only=True, indirect=True)
     pace: float = _param("pace", float, 1.0, check=_positive("pace"),
                          asyncio_only=True)
-    # Admission control: ``mailbox`` bounds every application server's inbox
-    # to that many buffered messages; a message arriving at a full inbox is
-    # shed with a traced ``overload`` event (fair-lossy channels make a shed
-    # indistinguishable from a network loss, so safety is unaffected).
-    # 0 = unbounded, the historical behaviour.
-    mailbox: int = _param("mailbox", int, 0, check=_non_negative("mailbox bound"),
-                          protocols=_ETX)
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:

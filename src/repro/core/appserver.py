@@ -164,9 +164,8 @@ class ApplicationServer(Process):
     # --------------------------------------------------------------- lifecycle
 
     def on_start(self, recovery: bool) -> None:
-        # Volatile: the results this incarnation works on and has terminated.
+        # Volatile: the results this incarnation works on.
         self._inflight: set[ResultKey] = set()
-        self._terminated: set[ResultKey] = set()
         if self.consensus_host is not None:
             self.consensus_host.install()
         self.on_message(msg.REQUEST, self._on_request)
@@ -181,13 +180,6 @@ class ApplicationServer(Process):
         if entry is None:
             entry = self._claims[participants] = claim_entry(self.name, participants)
         return entry
-
-    # Retransmissions (execute/prepare/decide retries) keep producing duplicate
-    # replies that can land long after ``terminate()`` finished; no receive
-    # will ever consume them, so ``Process.deliver`` drops them as if lost (the
-    # fair-lossy channel model).  Without this a long run's mailbox grows with
-    # its history.
-    _stale_types = frozenset((msg.EXECUTE_RESULT, msg.VOTE, msg.ACK_DECIDE))
 
     # ----------------------------------------------------- computation handler
 
@@ -355,12 +347,6 @@ class ApplicationServer(Process):
         if self.trace.wants("as_result_sent"):
             self.trace.record("as_result_sent", self.name, client=client, j=j,
                               outcome=decision.outcome)
-        # The result is terminated: any retransmitted votes / execute results /
-        # acknowledgements still buffered under its key are dead weight now
-        # (client requests are keyed by the bare ``j``, so they are untouched),
-        # and late arrivals for it are dropped at delivery (``_stale_types``).
-        self._terminated.add(key)
-        self.discard_buffered(key)
         if self.failure_detector.watches_claims:
             self.failure_detector.terminated(self.name, key)
 

@@ -208,19 +208,6 @@ class ThreeTierDeployment:
         schedule_faults(faults, self.sim, self.network, self.failure_detector,
                         reshard=reshard)
 
-    def saturation_stats(self) -> dict[str, int]:
-        """Admission-control counters of the application tier.
-
-        ``shed_messages`` counts messages refused at a full mailbox across all
-        application servers; ``mailbox_peak`` is the highest backlog any one
-        of them reached.  Both are zero when no bound is configured.
-        """
-        return {
-            "shed_messages": sum(s.shed_messages for s in self.app_servers.values()),
-            "mailbox_peak": max((s.mailbox_peak for s in self.app_servers.values()),
-                                default=0),
-        }
-
     def close(self) -> None:
         """Release runtime resources (TCP sockets, event loop); idempotent."""
         self.network.close()
@@ -329,7 +316,6 @@ class EtxDeployment(ThreeTierDeployment):
                 process.registers = RegisterPair(
                     LocalRegisterArray(stores["regA"], owner=name),
                     LocalRegisterArray(stores["regD"], owner=name))
-            process.mailbox_limit = scenario.mailbox
             self.app_servers[name] = process
 
     def _build_failure_detector(self) -> FailureDetector:

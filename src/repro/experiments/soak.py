@@ -54,7 +54,7 @@ class SoakSample:
     trace_stored: int           # events currently held by the recorder
     spec_in_flight: int         # transactions the monitor has not retired
     spec_retired: int           # transactions whose state machines were freed
-    mailbox_backlog: int        # buffered messages across every process
+    mailbox_backlog: int        # messages queued at served steps, every process
 
 
 @dataclass

@@ -25,8 +25,8 @@ cannot be written (peer never listening, connection reset, crashed
 destination) is *dropped*, never buffered indefinitely -- recovering the
 message is the job of the protocol's retransmission logic, exactly as under
 simulated loss.  For the same reason a link is bounded: a frame that would
-take the bytes waiting for one peer past ``_LINK_LIMIT`` is shed with the
-``overload`` event a full mailbox records.  A process crash closes its live
+take the bytes waiting for one peer past ``_LINK_LIMIT`` is shed with a
+traced ``overload`` event.  A process crash closes its live
 connections (the TCP analogue of losing volatile state); reconnection is
 lazy on the next send.
 """

@@ -16,7 +16,7 @@ from repro.sim.errors import (
 from repro.sim.process import Process, Thread
 from repro.sim.scheduler import ScheduledEvent, Simulator
 from repro.sim.tracing import TraceEvent, TraceRecorder
-from repro.sim.waits import ANY, TIMEOUT, Receive, SimFuture, Sleep, WaitFuture
+from repro.sim.waits import TIMEOUT, Receive, SimFuture, Sleep, WaitFuture
 
 __all__ = [
     "Simulator",
@@ -30,7 +30,6 @@ __all__ = [
     "WaitFuture",
     "SimFuture",
     "TIMEOUT",
-    "ANY",
     "SimulationError",
     "SimulationLimitExceeded",
     "ProcessNotRunning",

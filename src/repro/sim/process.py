@@ -22,18 +22,20 @@ Processes exchange messages through a transport installed by ``repro.net``,
 crash and recover.  A process keeps its durable state on its device
 (:attr:`Process.disk`); everything else is volatile.  :meth:`Process.crash`
 is the only code that runs at a crash -- it stops all the activity above and
-drops the mailbox -- and :meth:`Process.on_start` builds every incarnation's
-volatile state, so a recovered process starts as a fresh one does.
+drops the served queues -- and :meth:`Process.on_start` builds every
+incarnation's volatile state, so a recovered process starts as a fresh one
+does.  A process keeps no inbox: a message goes to its handler, or to every
+thread waiting on its key, or is dropped as a fair-lossy channel may drop it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Container, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.runtime.base import Kernel
 from repro.sim.errors import ProcessNotRunning, ThreadError
-from repro.sim.waits import ANY, TIMEOUT, Receive, SimFuture, Sleep, Wait, WaitFuture
+from repro.sim.waits import TIMEOUT, Receive, SimFuture, Sleep, Wait, WaitFuture
 from repro.storage.stable import StableStorage
 
 ProtocolGenerator = Generator[Wait, Any, Any]
@@ -50,7 +52,7 @@ class Thread:
     __slots__ = ("id", "process", "generator", "name", "alive", "finished",
                  "_pending_timer", "_pending_receive", "_pending_future",
                  "_wait_token", "_armed_token", "_armed_result", "_fire_cb",
-                 "_future_cb", "_timer_name", "_mailbox_name", "_future_name")
+                 "_future_cb", "_timer_name", "_future_name")
 
     def __init__(self, process: "Process", generator: ProtocolGenerator, name: str):
         # Thread ids are scoped to the hosting process: waiter ordering only
@@ -68,7 +70,7 @@ class Thread:
         self._pending_receive: Optional[Receive] = None
         self._pending_future: Optional[SimFuture] = None
         self._wait_token = 0
-        # Timer/mailbox wake-ups reuse one prebound callback plus these two
+        # Timer/future wake-ups reuse one prebound callback plus these two
         # slots instead of allocating a capturing closure per wait: a thread
         # has at most one armed wake-up at a time, and the token check makes
         # a stale callback (cancel raced the fire) a no-op.
@@ -76,22 +78,19 @@ class Thread:
         self._armed_result: Any = None
         self._fire_cb = self._fire
         self._future_cb = self._on_future
-        # Event names are only read by humans debugging a run; building them
-        # per wait with f-strings was measurable on the hot path, so they are
-        # rendered once per (process, thread-name) pair and shared by every
-        # short-lived thread reusing the same name.  Per-request names
-        # ("as-handle:c1:37") would grow the cache by one entry per
-        # transaction for the rest of the run, so it is cleared when it
-        # outgrows the stable name set.
+        # Event names are rendered once per (process, thread-name) pair, not
+        # per wait (an f-string per wait was measurable on the hot path);
+        # per-request names ("as-handle:c1:37") would grow the cache with the
+        # run, so it is cleared when it outgrows the stable names.
         cache = process._thread_names
         names = cache.get(name)
         if names is None:
             base = f"{process.name}/{name}"
-            names = (base + ":timer", base + ":mailbox", base + ":future")
+            names = (base + ":timer", base + ":future")
             if len(cache) >= 64:
                 cache.clear()
             cache[name] = names
-        self._timer_name, self._mailbox_name, self._future_name = names
+        self._timer_name, self._future_name = names
 
     # ----------------------------------------------------------------- state
 
@@ -169,7 +168,7 @@ class Thread:
             )
 
     def _fire(self, _arg: Any) -> None:
-        """Prebound timer/mailbox wake-up: resume with the armed result.
+        """Prebound timer wake-up: resume with the armed result.
 
         Dropping the handle *first* is what lets the wake-up events come
         from the kernel's recycled pool (``schedule_call``): once an event
@@ -198,16 +197,6 @@ class Thread:
         )
 
     def _handle_receive(self, wait: Receive) -> None:
-        message = self.process._take(wait.keys)
-        if message is not None:
-            # Resume via the scheduler to keep same-time ordering deterministic
-            # and to avoid unbounded recursion through long message chains.
-            self._armed_token = self._wait_token
-            self._armed_result = message
-            self._pending_timer = self.process.sim.call_soon_call(
-                self._fire_cb, None, name=self._mailbox_name
-            )
-            return
         self._pending_receive = wait
         self.process._register_waiter(self, wait.keys)
         if wait.timeout is not None:
@@ -233,9 +222,9 @@ class Thread:
 class _Server:
     """A serial FIFO server (:meth:`Process.serve`).
 
-    It schedules exactly the events of a thread looping on ``receive``: each
-    sleep is one timer, and a step that ends with messages queued starts the
-    next one from a ``call_soon`` hop, the thread's mailbox-hit wake-up.
+    Each sleep is one timer, and a step that ends with messages queued starts
+    the next one from a ``call_soon`` hop.  The queue counts in
+    :attr:`Process.mailbox_size`.
     """
 
     __slots__ = ("process", "step", "name", "queue", "running", "timer", "_resume_cb")
@@ -251,8 +240,12 @@ class _Server:
         if self.running is None:
             self.running = self.step(message)
             self._resume(None)
-        elif self.process._admit(message.msg_type):
+        else:
             self.queue.append(message)
+            process = self.process
+            process._mailbox_count = count = process._mailbox_count + 1
+            if count > process.mailbox_peak:
+                process.mailbox_peak = count
 
     def _resume(self, _arg: Any) -> None:
         self.timer = None
@@ -322,13 +315,8 @@ class Process:
 
     #: A pure server hosts no thread, so nothing could ever ``receive`` a
     #: message its handlers do not take: such a message is dropped, traced
-    #: as ``unhandled`` and counted instead of buffered for ever.
+    #: as ``unhandled``.
     pure_server = False
-
-    #: Reply types that :meth:`deliver` drops, as if lost, once their ``j`` is
-    #: in ``_terminated``: late retransmitted replies nobody will receive.
-    _stale_types: frozenset[str] = frozenset()
-    _terminated: Container[Any] = frozenset()
 
     def __init__(self, sim: Kernel, name: str):
         self.sim = sim
@@ -337,32 +325,18 @@ class Process:
         self.up = True
         # The node's stable storage: the one place state survives a crash.
         self.disk = StableStorage(f"{name}.disk")
-        # The inbox holds what no receive took yet, by message type and then
-        # by correlation -- the ``j`` payload, or the sender for a message
-        # without one -- as a deque of (arrival number, message).  Every
-        # message of a deque matches the same keys, so a take pops the oldest
-        # head across the wait's keys; a deque emptied by a take is deleted.
-        self._inbox: dict[str, dict[Any, deque[tuple[int, Any]]]] = {}
-        self._mailbox_seq = 0
+        # Messages queued at the serve() servers, now and at most.
         self._mailbox_count = 0
-        # Admission control: with a non-zero limit, a message that would grow
-        # the buffered backlog past it is shed (with an ``overload`` trace
-        # event) instead of buffered.  Shedding is safe under the paper's
-        # fair-lossy channel model -- senders cannot distinguish a shed from a
-        # network loss -- and keeps a saturated process's memory bounded.
-        self.mailbox_limit = 0
-        self.shed_messages = 0
         self.mailbox_peak = 0
         self._threads: dict[int, Thread] = {}  # live ones, by id: spawn order
-        # Threads blocked on a receive, under each key they wait on: a
-        # delivery looks up its own key and ``(msg_type, ANY)``.  An entry is
-        # deleted once it empties (correlations are transaction scoped).
+        # Threads blocked on a receive, under each key they wait on.  An entry
+        # is deleted once it empties (correlations are transaction scoped).
         self._waiters: dict[tuple, dict[int, Thread]] = {}
         # Synchronous handlers by message type (``on_message``); volatile.
         self._handlers: dict[str, Callable[[Any], None]] = {}
         self._servers: list[_Server | _Ticker] = []  # stopped by a crash
         self._timers: set[Any] = set()  # armed by after(), not yet fired: cancelled by a crash
-        self._thread_names: dict[str, tuple[str, str, str]] = {}
+        self._thread_names: dict[str, tuple[str, str]] = {}
         self._thread_ids = 0
         self._transport: Optional[Any] = None  # installed by repro.net.Network
 
@@ -379,8 +353,8 @@ class Process:
 
     @property
     def mailbox_size(self) -> int:
-        """Number of buffered, not-yet-consumed messages (queued at a
-        :meth:`serve` server included)."""
+        """Number of messages queued at this process's :meth:`serve` servers
+        behind the step they are running."""
         return self._mailbox_count
 
     def rng(self, stream: Optional[str] = None):
@@ -446,8 +420,8 @@ class Process:
         """Run ``handler(message)`` inside :meth:`deliver` for every ``msg_type``.
 
         For traffic whose processing never blocks: no pump thread to resume
-        and re-index per message.  A handled type is never buffered and never
-        offered to ``receive`` waiters.  Handlers are volatile like threads (a
+        and re-index per message.  A handled type is never offered to
+        ``receive`` waiters.  Handlers are volatile like threads (a
         crash drops them, ``on_start`` registers them again) and an exception
         they raise propagates out of ``deliver``.
         """
@@ -479,9 +453,10 @@ class Process:
 
     def receive(self, keys: Sequence[tuple[str, Any]],
                 timeout: Optional[float] = None) -> Receive:
-        """``yield self.receive(keys)`` waits for a message filed under one of
-        ``keys``: ``(msg_type, j)``, ``(msg_type, sender)`` for a message
-        without ``j``, or ``(msg_type, ANY)``."""
+        """``yield self.receive(keys)`` waits for the next message filed under
+        one of ``keys``: ``(msg_type, j)``, or ``(msg_type, sender)`` for a
+        message without ``j``.  One that arrived before the wait began is
+        gone (see :meth:`deliver`)."""
         return Receive(keys, timeout)
 
     def wait_for(self, future: SimFuture) -> WaitFuture:
@@ -538,14 +513,14 @@ class Process:
     def deliver(self, message: Any) -> None:
         """Deliver a message to this process (called by the network).
 
-        Messages arriving at a crashed process are dropped and a type with a
-        handler (:meth:`on_message`, :meth:`serve`) goes to it alone; a
-        :attr:`pure_server` drops any other type; a reply of ``_stale_types``
-        whose ``j`` is in ``_terminated`` is dropped as if lost; otherwise the
-        message is filed under ``(msg_type, j)`` -- ``(msg_type, sender)``
-        without a ``j`` -- and either resumes a thread waiting on that key or
-        on ``(msg_type, ANY)``, the earliest spawned one if several are, or
-        is buffered in the inbox.
+        A crashed process drops every message.  A type with a handler
+        (:meth:`on_message`, :meth:`serve`) goes to it alone, and a
+        :attr:`pure_server` drops any other type.  Otherwise the message is
+        filed under ``(msg_type, j)`` -- ``(msg_type, sender)`` without a
+        ``j`` -- and resumes every thread waiting on that key, in spawn order.
+        With none waiting it is dropped: nothing is kept for a later receive,
+        which the fair-lossy channels of the paper's model cannot tell from
+        a loss, and which the retransmitting rounds already survive.
         """
         if not self.up:
             return
@@ -558,93 +533,26 @@ class Process:
             self.trace.record("unhandled", self.name, msg_type=msg_type)
             return
         payload = message._payload
-        correlation = payload["j"] if "j" in payload else message.sender
-        if msg_type in self._stale_types and correlation in self._terminated:
+        threads = self._waiters.get(
+            (msg_type, payload["j"] if "j" in payload else message.sender))
+        if not threads:
             return
-        waiters = self._waiters
-        if waiters:
-            threads = waiters.get((msg_type, correlation))
-            wild = waiters.get((msg_type, ANY))
-            if wild:
-                threads = {**threads, **wild} if threads else wild
-            if threads:
-                threads[min(threads)].resume(message)
-                return
-        if not self._admit(msg_type):
+        if len(threads) == 1:
+            (thread,) = threads.values()
+            thread.resume(message)
             return
-        self._mailbox_seq += 1
-        by_corr = self._inbox.get(msg_type)
-        if by_corr is None:
-            by_corr = self._inbox[msg_type] = {}
-        queue = by_corr.get(correlation)
-        if queue is None:
-            queue = by_corr[correlation] = deque()
-        queue.append((self._mailbox_seq, message))
-
-    def _admit(self, msg_type: Any) -> bool:
-        """Count one more buffered message, or shed it at ``mailbox_limit``."""
-        count = self._mailbox_count
-        limit = self.mailbox_limit
-        if limit and count >= limit:
-            self.shed_messages += 1
-            trace = self.trace
-            if trace.wants("overload"):
-                trace.record("overload", self.name, msg_type=msg_type, backlog=count)
-            return False
-        self._mailbox_count = count = count + 1
-        if count > self.mailbox_peak:
-            self.mailbox_peak = count
-        return True
-
-    def discard_buffered(self, correlation: Any) -> int:
-        """Drop every buffered message whose ``j`` payload equals ``correlation``.
-
-        Protocol code calls this when a transaction terminates: retransmitted
-        replies (votes, acknowledgements, execute results) keyed by a result
-        that is already terminated can never be consumed again, and dropping
-        a buffered message is indistinguishable from network loss in the
-        paper's fair-lossy channel model.  Keeps long runs' mailbox memory
-        proportional to the in-flight work instead of the run's history.
-        """
-        dropped = 0
-        for by_corr in self._inbox.values():
-            queue = by_corr.pop(correlation, None)
-            if queue:
-                dropped += len(queue)
-        self._mailbox_count -= dropped
-        return dropped
-
-    def _take(self, keys: Sequence[tuple]) -> Optional[Any]:
-        """Remove and return the oldest buffered message filed under one of ``keys``."""
-        if not self._mailbox_count:
-            return None
-        inbox = self._inbox
-        best: Optional[deque] = None
-        for msg_type, correlation in keys:
-            by_corr = inbox.get(msg_type)
-            if not by_corr:
-                continue
-            if correlation is ANY:
-                for corr, queue in by_corr.items():
-                    if best is None or queue[0][0] < best[0][0]:
-                        best, best_corr, best_by_corr = queue, corr, by_corr
-            else:
-                queue = by_corr.get(correlation)
-                if queue is not None and (best is None or queue[0][0] < best[0][0]):
-                    best, best_corr, best_by_corr = queue, correlation, by_corr
-        if best is None:
-            return None
-        message = best.popleft()[1]
-        if not best:
-            del best_by_corr[best_corr]
-        self._mailbox_count -= 1
-        return message
+        # Resuming one waiter may end another's wait (a crash, a kill): each
+        # resumes only if it still waits the wait it was filed under.
+        woken = [(thread, thread._wait_token) for _, thread in sorted(threads.items())]
+        for thread, token in woken:
+            if thread._wait_token == token:
+                thread.resume(message)
 
     # ------------------------------------------------------- crash / recover
 
     def crash(self) -> None:
-        """Crash the process: stop all its activity and drop its mailbox (a
-        subclass's volatile state waits for the next :meth:`on_start`)."""
+        """Crash the process: stop all its activity and drop its served queues
+        (a subclass's volatile state waits for the next :meth:`on_start`)."""
         if not self.up:
             return
         self.up = False
@@ -659,7 +567,6 @@ class Process:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        self._inbox.clear()
         self._mailbox_count = 0
         self._notify_transport("on_process_crash")
         self.trace.record("crash", self.name)

@@ -151,8 +151,8 @@ class Simulator(Kernel):
         """Run ``callback(arg)`` at the current timestamp (after pending
         same-time events), pool-recycled.
 
-        :meth:`schedule_call` at delay 0: the thread wake-up path (mailbox
-        hits, resolved futures) burns one of these per delivery, and like
+        :meth:`schedule_call` at delay 0: a served step's next message and a
+        wait on a resolved future burn one of these each, and like
         delivery events their handles are dropped before dispatch completes.
         """
         return self.schedule_call(0.0, callback, arg, name)

@@ -6,8 +6,8 @@ by *yielding* one of the wait objects defined here:
 
 * :class:`Sleep` -- resume after a virtual-time delay.
 * :class:`Receive` -- resume when a message filed under one of its keys
-  arrives (optionally with a timeout, in which case the coroutine receives the
-  :data:`TIMEOUT` sentinel).
+  arrives while it waits (optionally with a timeout, in which case the
+  coroutine receives the :data:`TIMEOUT` sentinel).
 * :class:`WaitFuture` -- resume when a :class:`SimFuture` is resolved.
 
 These map directly onto the paper's pseudo-code: ``wait until (receive ...)``
@@ -37,19 +37,6 @@ TIMEOUT = _TimeoutSentinel()
 """Sentinel value a coroutine receives when a timed wait expires."""
 
 
-class _AnyCorrelation:
-    """Type of :data:`ANY`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ANY"
-
-
-ANY = _AnyCorrelation()
-"""Receive-key correlation that accepts any: ``(msg_type, ANY)``."""
-
-
 class Wait:
     """Base class for everything a protocol coroutine may yield."""
 
@@ -71,12 +58,14 @@ class Sleep(Wait):
 
 
 class Receive(Wait):
-    """Wait for a message filed under one of ``keys``.
+    """Wait for the next message filed under one of ``keys``.
 
     A delivered message is filed under ``(msg_type, payload["j"])``, or under
-    ``(msg_type, sender)`` when its payload has no ``j``; a key is such a pair,
-    or ``(msg_type, ANY)`` for any correlation.  When ``timeout`` is given and
-    expires first, the coroutine is resumed with :data:`TIMEOUT` instead.
+    ``(msg_type, sender)`` when its payload has no ``j``; a key is such a pair.
+    It resumes every coroutine waiting on its key when it arrives; one that
+    arrives while none waits is dropped, never kept for a later receive.
+    When ``timeout`` is given and expires first, the coroutine is resumed with
+    :data:`TIMEOUT` instead.
     """
 
     __slots__ = ("keys", "timeout")

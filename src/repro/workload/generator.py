@@ -70,10 +70,6 @@ class RunStatistics:
     elapsed: float = 0.0
     by_client: dict[str, "RunStatistics"] = field(default_factory=dict)
     by_database: dict[str, DatabaseStatistics] = field(default_factory=dict)
-    #: Admission-control counters of the application tier: ``shed_messages``
-    #: (messages refused at a full mailbox) and ``mailbox_peak`` (highest
-    #: backlog any one server reached).  Zeros when no bound is configured.
-    saturation: dict[str, int] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -247,7 +243,6 @@ class _Tally:
             commits, aborts = deployment.spec_monitor.outcome_counts(name)
             stats.by_database[name] = DatabaseStatistics(
                 commits=commits, aborts=aborts, in_doubt=len(server.in_doubt()))
-        stats.saturation = deployment.saturation_stats()
         return stats
 
 

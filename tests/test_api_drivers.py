@@ -155,7 +155,7 @@ def test_protocols_reject_parameters_they_do_not_consume():
     with pytest.raises(api.ScenarioError, match="does not support"):
         api.build(api.Scenario.from_dsn("2pc://?fd=heartbeat"))
     with pytest.raises(api.ScenarioError, match="does not support"):
-        api.build(api.Scenario.from_dsn("baseline://?mailbox=8"))
+        api.build(api.Scenario.from_dsn("baseline://?register=local"))
     with pytest.raises(api.ScenarioError, match="does not support"):
         api.build(api.Scenario.from_dsn("etx://?log=25"))
     # ... but the parameter is fine on a protocol that consumes it

@@ -33,7 +33,7 @@ ROUND_TRIP_SCENARIOS = [
     Scenario(protocol="etx", num_clients=4, rate=12.5, arrival="uniform"),
     Scenario(protocol="pb", num_clients=4),
     Scenario(protocol="etx", num_db_servers=4, num_clients=8, rate=6.0,
-             seed=7, placement="hash", mailbox=8,
+             seed=7, placement="hash",
              faults=(FaultSpec("reshard", 5000.0, from_shards=4, to_shards=8),)),
     Scenario(protocol="etx", runtime="asyncio", host="localhost", port=7450,
              pace=0.05),
@@ -276,8 +276,8 @@ def test_load_shape_validation():
 
 def test_an_int_row_accepts_an_int_too_big_for_a_float():
     # The finite-value rule must not overflow converting it to a float.
-    scenario = Scenario.from_dsn("etx://a3?mailbox=1" + "0" * 400)
-    assert scenario.mailbox == 10 ** 400
+    scenario = Scenario.from_dsn("etx://a3?seed=1" + "0" * 400)
+    assert scenario.seed == 10 ** 400
     assert Scenario.from_dsn(scenario.to_dsn()) == scenario
 
 
@@ -431,7 +431,6 @@ def _scenarios(draw):
         "num_db_servers": dbs,
         "num_clients": clients,
         "seed": draw(st.integers(min_value=0, max_value=2**31)),
-        "mailbox": draw(st.integers(min_value=0, max_value=64)),
         "trace": draw(st.sampled_from(["full", "off"])
                       | st.integers(min_value=1, max_value=10**6)
                         .map(lambda n: f"ring:{n}")),

@@ -294,29 +294,27 @@ def test_a_crash_undone_within_the_detection_delay_wakes_the_cleaners_to_nothing
 
 def test_a_late_reply_for_a_terminated_result_is_dropped_and_handlers_still_run():
     """``Process.deliver`` drops a retransmitted reply whose result the server
-    already terminated -- before any waiter lookup, without buffering it --
-    while handled types (heartbeats, consensus) never meet that check.  a1 is
-    the claimant, so it hears heartbeats only while a peer holds a claim: a2
-    claims the second result."""
+    already terminated -- no thread waits on its key any more, and nothing
+    keeps it -- while handled types (heartbeats, consensus) still reach their
+    handlers.  a1 is the claimant, so it hears heartbeats only while a peer
+    holds a claim: a2 claims the second result."""
     deployment = make_deployment(REGISTER_CONSENSUS, num_clients=1,
                                  failure_detector=FD_HEARTBEAT)
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     done = ("c1", 1)
-    server = next(s for s in deployment.app_servers.values() if done in s._terminated)
+    server = next(s for s in deployment.app_servers.values()
+                  if deployment.trace.count("as_result_sent", s.name, j=1))
     reached = []
     for msg_type in (HeartbeatFailureDetector.HEARTBEAT, ConsensusHost.MSG_TYPE):
         handler = server._handlers[msg_type]
         server._handlers[msg_type] = lambda m, h=handler: (reached.append(m.msg_type), h(m))
-    before = server.mailbox_size
+    waiting, threads = set(server._waiters), set(server._threads)
     for late in (msg.vote_message(done, "yes"), msg.ack_decide_message(done),
                  msg.execute_result_message(done, 0)):
         late.sender = "d1"
         server.deliver(late)
-    assert server.mailbox_size == before
-    stray = msg.vote_message(("c9", 1), "yes")  # not terminated here: buffered
-    stray.sender = "d1"
-    server.deliver(stray)
-    assert server.mailbox_size == before + 1
+    assert (set(server._waiters), set(server._threads)) == (waiting, threads)
+    assert not [key for key in waiting if key[1] == done]
     deployment.client.primary = "a2"
     assert deployment.run_request(routed(deployment, BANK.debit, 0)).delivered
     assert server.name == "a1" and set(reached) == {"Heartbeat", "Consensus"}

@@ -13,7 +13,6 @@ from repro.core.types import ABORT, COMMIT, Decision, Request, Result
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
-from repro.sim.waits import ANY
 from repro.workload.generator import ClosedLoop
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
@@ -28,22 +27,20 @@ class ScriptedAppServer(Process):
         self.seen = []
 
     def on_start(self, recovery):
-        self.spawn(self._serve(), name="scripted")
+        self.on_message(msg.REQUEST, self._on_request)
 
-    def _serve(self):
-        while True:
-            message = yield self.receive([(msg.REQUEST, ANY)])
-            j = message["j"]
-            request = message["request"]
-            self.seen.append((message.sender, j))
-            action = self.script.pop(0) if self.script else "commit"
-            if action == "ignore":
-                continue
-            if action == "commit":
-                decision = Decision(Result({"ok": True}, request.request_id, self.name), COMMIT)
-            else:
-                decision = Decision(None, ABORT)
-            self.send(message.sender, msg.result_message(j, decision))
+    def _on_request(self, message):
+        j = message["j"]
+        request = message["request"]
+        self.seen.append((message.sender, j))
+        action = self.script.pop(0) if self.script else "commit"
+        if action == "ignore":
+            return
+        if action == "commit":
+            decision = Decision(Result({"ok": True}, request.request_id, self.name), COMMIT)
+        else:
+            decision = Decision(None, ABORT)
+        self.send(message.sender, msg.result_message(j, decision))
 
 
 def build(script, timing=None, servers=("a1", "a2", "a3")):
@@ -97,14 +94,11 @@ def test_backoff_broadcasts_to_all_servers():
 
 def test_client_delivers_exactly_once_even_with_duplicate_results():
     class DuplicatingServer(ScriptedAppServer):
-        def _serve(self):
-            while True:
-                message = yield self.receive([(msg.REQUEST, ANY)])
-                j = message["j"]
-                request = message["request"]
-                decision = Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)
-                for _ in range(3):
-                    self.send(message.sender, msg.result_message(j, decision))
+        def _on_request(self, message):
+            request = message["request"]
+            decision = Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)
+            for _ in range(3):
+                self.send(message.sender, msg.result_message(message["j"], decision))
 
     sim = Simulator(seed=0)
     network = Network(sim)
@@ -123,18 +117,19 @@ def test_client_delivers_exactly_once_even_with_duplicate_results():
 
 def test_late_duplicates_of_an_aborted_result_are_dropped():
     """A client is done with a ``j`` it retried as much as with one it
-    delivered: neither leaves a duplicate ``Result`` in its mailbox."""
+    delivered: the late duplicates of either reach it and change nothing."""
     class DuplicatingServer(ScriptedAppServer):
-        def _serve(self):
-            while True:
-                message = yield self.receive([(msg.REQUEST, ANY)])
-                j = message["j"]
-                request = message["request"]
-                decision = Decision(None, ABORT) if j == 1 else \
-                    Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)
-                for delay in (0.0, 5_000.0, 5_000.0):
-                    yield self.sleep(delay)
-                    self.send(message.sender, msg.result_message(j, decision))
+        def _on_request(self, message):
+            self.spawn(self._answer(message), name="answer")
+
+        def _answer(self, message):
+            j = message["j"]
+            request = message["request"]
+            decision = Decision(None, ABORT) if j == 1 else \
+                Decision(Result({"ok": 1}, request.request_id, self.name), COMMIT)
+            for delay in (0.0, 5_000.0, 5_000.0):
+                yield self.sleep(delay)
+                self.send(message.sender, msg.result_message(j, decision))
 
     sim = Simulator(seed=0)
     network = Network(sim)
@@ -147,7 +142,8 @@ def test_late_duplicates_of_an_aborted_result_are_dropped():
     issued = client.issue(Request("pay", {}))
     sim.run(until=100_000.0)
     assert issued.aborted_results == [1] and issued.delivered
-    assert client.mailbox_size == 0
+    assert network.stats.delivered == 2 + 6  # both requests, every Result copy
+    assert sim.trace.count("client_deliver", "c1") == 1 and not client._waiters
 
 
 FAILOVER_HB = ("etx://a3.d2.c16?rate=4&arrival=uniform&fd=heartbeat&workload=bank"
@@ -171,10 +167,11 @@ def _fail_over_systems():
 
 def test_no_result_stays_buffered_at_a_client_after_fail_overs():
     """Fail-overs answer one ``j`` from several servers (a broadcast, a
-    cleaner): every late duplicate is dropped, whatever became of the ``j``."""
+    cleaner): once its requests are delivered, a client waits on no ``j``, so
+    every late duplicate finds nobody and is dropped."""
     for system in _fail_over_systems():
-        assert {client.name: client.mailbox_size for client in system.clients.values()
-                if client.up and client.mailbox_size} == {}
+        assert {client.name: list(client._waiters) for client in system.clients.values()
+                if client.up and client._waiters} == {}
 
 
 def test_requests_are_processed_one_at_a_time_in_order():
@@ -269,9 +266,6 @@ class _OneClientStub:
 
     def issue(self, request, client):
         return self.clients[client].issue(request)
-
-    def saturation_stats(self):
-        return {}
 
 
 def test_a_crashed_clients_requests_count_as_undelivered_with_their_aborts():

@@ -16,7 +16,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
-from repro.sim.waits import ANY
 
 
 def bank_logic(request):
@@ -56,7 +55,7 @@ def test_execute_runs_business_logic_and_replies():
 
     def script(p, out):
         p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 30})))
-        reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        reply = yield p.receive([(msg.EXECUTE_RESULT, ("c1", 1))])
         out.append(reply)
 
     drive(driver, responses, script)
@@ -75,7 +74,7 @@ def test_execute_charges_start_plus_sql_time():
 
     def script(p, out):
         p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 1})))
-        reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        reply = yield p.receive([(msg.EXECUTE_RESULT, ("c1", 1))])
         out.append(sim.now)
 
     drive(driver, responses, script)
@@ -91,7 +90,7 @@ def test_execute_is_idempotent_for_same_result_key():
     def script(p, out):
         for _ in range(2):
             p.send("d1", msg.execute_message(("c1", 1), Request("pay", {"amount": 30})))
-            reply = yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+            reply = yield p.receive([(msg.EXECUTE_RESULT, ("c1", 1))])
             out.append(reply["value"])
 
     drive(driver, responses, script)
@@ -107,12 +106,12 @@ def test_vote_yes_then_commit_applies_writes():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         p.send("d1", msg.prepare_message(key))
-        vote = yield p.receive([(msg.VOTE, ANY)])
+        vote = yield p.receive([(msg.VOTE, key)])
         out.append(("vote", vote["vote"]))
         p.send("d1", msg.decide_message(key, COMMIT))
-        ack = yield p.receive([(msg.ACK_DECIDE, ANY)])
+        ack = yield p.receive([(msg.ACK_DECIDE, key)])
         out.append(("ack", ack["j"]))
 
     drive(driver, log, script)
@@ -128,7 +127,7 @@ def test_vote_no_for_unknown_result():
 
     def script(p, out):
         p.send("d1", msg.prepare_message(("c1", 99)))
-        vote = yield p.receive([(msg.VOTE, ANY)])
+        vote = yield p.receive([(msg.VOTE, ("c1", 99))])
         out.append(vote["vote"])
 
     drive(driver, log, script)
@@ -142,11 +141,11 @@ def test_decide_abort_discards_writes():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive([(msg.VOTE, ANY)])
+        yield p.receive([(msg.VOTE, key)])
         p.send("d1", msg.decide_message(key, ABORT))
-        yield p.receive([(msg.ACK_DECIDE, ANY)])
+        yield p.receive([(msg.ACK_DECIDE, key)])
 
     drive(driver, [], script)
     sim.run(until=10_000.0)
@@ -161,10 +160,10 @@ def test_decide_commit_without_yes_vote_is_refused():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         # No Prepare: straight to Decide(commit).
         p.send("d1", msg.decide_message(key, COMMIT))
-        yield p.receive([(msg.ACK_DECIDE, ANY)])
+        yield p.receive([(msg.ACK_DECIDE, key)])
 
     drive(driver, outcomes, script)
     sim.run(until=10_000.0)
@@ -180,12 +179,12 @@ def test_duplicate_decide_is_acknowledged_idempotently():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 10})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive([(msg.VOTE, ANY)])
+        yield p.receive([(msg.VOTE, key)])
         for _ in range(3):
             p.send("d1", msg.decide_message(key, COMMIT))
-            ack = yield p.receive([(msg.ACK_DECIDE, ANY)])
+            ack = yield p.receive([(msg.ACK_DECIDE, key)])
             out.append(ack["j"])
 
     drive(driver, acks, script)
@@ -201,16 +200,16 @@ def test_recovery_sends_ready_and_restores_in_doubt():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         p.send("d1", msg.prepare_message(key))
-        yield p.receive([(msg.VOTE, ANY)])
+        yield p.receive([(msg.VOTE, key)])
         # Crash the database after the yes vote and bring it back.
         db.crash_for(50.0)
-        ready = yield p.receive([(msg.READY, ANY)])
+        ready = yield p.receive([(msg.READY, "d1")])
         out.append(("ready", ready.sender))
         # The in-doubt transaction can still be committed after recovery.
         p.send("d1", msg.decide_message(key, COMMIT))
-        yield p.receive([(msg.ACK_DECIDE, ANY)])
+        yield p.receive([(msg.ACK_DECIDE, key)])
 
     drive(driver, observed, script)
     sim.run(until=20_000.0)
@@ -221,6 +220,8 @@ def test_recovery_sends_ready_and_restores_in_doubt():
 def test_a_busy_database_counts_the_queued_execute_in_its_mailbox():
     """The served steps' queue is the backlog the mailbox used to hold."""
     sim, network, driver, db = build(timing=DatabaseTiming(start=3.4, sql=187.0))
+    answered = []
+    driver.on_message(msg.EXECUTE_RESULT, lambda reply: answered.append(reply["j"]))
     for j in (1, 2):
         driver.send("d1", msg.execute_message(("c1", j), Request("pay", {"amount": 1})))
     sim.run(until=100.0)  # both delivered; the first still executes
@@ -229,7 +230,7 @@ def test_a_busy_database_counts_the_queued_execute_in_its_mailbox():
     assert db.mailbox_size == 0
     assert [event.get("j") for event in sim.trace.select("db_execute", "d1")] == [
         ("c1", 1), ("c1", 2)]
-    assert driver.mailbox_size == 2  # both answered
+    assert answered == [("c1", 1), ("c1", 2)]
 
 
 def test_a_type_no_step_serves_is_a_traced_counted_drop():
@@ -248,9 +249,9 @@ def test_crash_loses_unprepared_transaction():
     def script(p, out):
         key = ("c1", 1)
         p.send("d1", msg.execute_message(key, Request("pay", {"amount": 30})))
-        yield p.receive([(msg.EXECUTE_RESULT, ANY)])
+        yield p.receive([(msg.EXECUTE_RESULT, key)])
         db.crash_for(10.0)
-        yield p.receive([(msg.READY, ANY)])
+        yield p.receive([(msg.READY, "d1")])
 
     drive(driver, [], script)
     sim.run(until=20_000.0)

@@ -24,8 +24,7 @@ from repro.sim.scheduler import ScheduledEvent
 #: What a crash leaves in memory on purpose: kernel counters a run reports, a
 #: cache of event names, and the application server's interning cache of
 #: claim values.
-_KEPT = {"mailbox_peak", "shed_messages",
-         "_thread_ids", "_mailbox_seq", "_thread_names", "_claims"}
+_KEPT = {"mailbox_peak", "_thread_ids", "_thread_names", "_claims"}
 
 
 def _on_device(process: Process) -> set[int]:

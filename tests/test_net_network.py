@@ -18,10 +18,11 @@ def build(sim, names, **kwargs):
 def test_message_delivered_with_fixed_latency():
     sim = Simulator()
     network, procs = build(sim, ["a", "b"], latency=FixedLatency(4.0))
+    arrivals = []
+    procs["b"].on_message("Ping", lambda message: arrivals.append((message.sender, sim.now)))
     procs["a"].send("b", Message("Ping"))
     sim.run()
-    assert procs["b"].mailbox_size == 1
-    assert sim.now == pytest.approx(4.0)
+    assert arrivals == [("a", pytest.approx(4.0))]
 
 
 def test_duplicate_registration_rejected():

@@ -25,7 +25,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.runtime.base import RUNTIME_ASYNCIO, RUNTIME_SIM
 from repro.sim.process import Process
-from repro.sim.waits import ANY, TIMEOUT
+from repro.sim.waits import TIMEOUT
 
 PACE = 0.002
 
@@ -190,7 +190,7 @@ def test_receive_matchers_route_by_type(kernel):
 
     def listener(msg_type: str):
         while True:
-            message = yield receiver.receive([(msg_type, ANY)])
+            message = yield receiver.receive([(msg_type, "s")])
             seen[msg_type].append(message["n"])
 
     receiver.spawn(listener("Ping"), name="ping-listener")
@@ -214,7 +214,7 @@ def test_receive_timeout_resumes_with_sentinel(kernel):
     outcomes: list[object] = []
 
     def waiter():
-        message = yield process.receive([("Never", ANY)], timeout=30.0)
+        message = yield process.receive([("Never", "p")], timeout=30.0)
         outcomes.append(TIMEOUT if message is TIMEOUT else message.msg_type)
 
     process.spawn(waiter(), name="waiter")
@@ -285,12 +285,7 @@ class Echo(Process):
 
 
 def collect(process, msg_type, into):
-    def listener():
-        while True:
-            message = yield process.receive([(msg_type, ANY)])
-            into.append(message["n"])
-
-    process.spawn(listener(), name="listener")
+    process.on_message(msg_type, lambda message: into.append(message["n"]))
 
 
 def test_serve_runs_one_step_at_a_time_in_arrival_order(kernel):
@@ -415,7 +410,7 @@ def test_multicast_reaches_every_destination_once(kernel):
 
         def listener(receiver=receiver):
             while True:
-                message = yield receiver.receive([("Gossip", ANY)])
+                message = yield receiver.receive([("Gossip", "s")])
                 received[receiver.name] = received.get(receiver.name, 0) + message["n"]
 
         receiver.spawn(listener(), name="listener")

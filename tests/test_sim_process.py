@@ -11,7 +11,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.errors import ProcessNotRunning, ThreadError
 from repro.sim.process import Process
-from repro.sim.waits import ANY, TIMEOUT, SimFuture
+from repro.sim.waits import TIMEOUT, SimFuture
 
 
 def make_pair(sim):
@@ -41,7 +41,7 @@ def test_receive_delivers_matching_message(sim):
     got = []
 
     def receiver():
-        message = yield b.receive([("Ping", ANY)])
+        message = yield b.receive([("Ping", "a")])
         got.append((message.msg_type, message.sender, sim.now))
 
     b.spawn(receiver())
@@ -53,12 +53,12 @@ def test_receive_delivers_matching_message(sim):
     assert time > 0.0  # network latency elapsed
 
 
-def test_receive_buffers_unmatched_messages(sim):
+def test_receive_drops_unmatched_messages(sim):
     network, a, b = make_pair(sim)
     got = []
 
     def receiver():
-        message = yield b.receive([("Wanted", ANY)])
+        message = yield b.receive([("Wanted", "a")])
         got.append(message.msg_type)
 
     b.spawn(receiver())
@@ -66,24 +66,23 @@ def test_receive_buffers_unmatched_messages(sim):
     a.send("b", Message("Wanted"))
     sim.run()
     assert got == ["Wanted"]
-    assert b.mailbox_size == 1  # the unwanted message stays buffered
+    assert b.mailbox_size == 0 and not b._waiters  # nothing kept for later
 
 
-def test_receive_consumes_from_mailbox_first(sim):
+def test_a_message_no_thread_awaits_is_gone_before_a_later_receive(sim):
+    """Nothing is kept for a receive that begins after the message arrived:
+    the message is dropped like a lost one, and the receive times out."""
     network, a, b = make_pair(sim)
     got = []
-    a.send("b", Message("Early"))
+    a.send("b", Message("Early", payload={"j": 4}))
     sim.run()
-    assert b.mailbox_size == 1
 
     def receiver():
-        message = yield b.receive([("Early", ANY)])
-        got.append(message.msg_type)
+        got.append((yield b.receive([("Early", 4)], timeout=50.0)))
 
     b.spawn(receiver())
     sim.run()
-    assert got == ["Early"]
-    assert b.mailbox_size == 0
+    assert got == [TIMEOUT]
 
 
 def test_receive_timeout_returns_sentinel(sim):
@@ -105,7 +104,7 @@ def test_timeout_cancelled_when_message_arrives_first(sim):
     results = []
 
     def receiver():
-        result = yield b.receive([("Ping", ANY)], timeout=100.0)
+        result = yield b.receive([("Ping", "a")], timeout=100.0)
         results.append(result)
 
     b.spawn(receiver())
@@ -121,7 +120,7 @@ def test_two_threads_with_different_matchers_get_their_own_messages(sim):
     got = {"x": None, "y": None}
 
     def wants(msg_type, key):
-        message = yield b.receive([(msg_type, ANY)])
+        message = yield b.receive([(msg_type, "a")])
         got[key] = message.msg_type
 
     b.spawn(wants("X", "x"))
@@ -140,9 +139,15 @@ def test_crash_kills_threads_and_clears_mailbox(sim):
         yield b.sleep(50.0)
         resumed.append(True)
 
+    def step(message):
+        yield b.sleep(50.0)
+
     thread = b.spawn(body())
+    b.serve("Ping", step)
+    a.send("b", Message("Ping"))
     a.send("b", Message("Ping"))
     sim.run(until=10.0)
+    assert b.mailbox_size == 1  # the second Ping queues behind the first step
     b.crash()
     assert not b.up
     assert b.mailbox_size == 0
@@ -211,7 +216,7 @@ def test_finished_threads_leave_the_table_and_are_freed_without_the_collector(si
         yield process.sleep(1.0)
 
     def forever():
-        yield process.receive([("Never", ANY)])
+        yield process.receive([("Never", 0)])
 
     live = process.spawn(forever(), name="live")
     gc.disable()
@@ -325,23 +330,21 @@ def test_handler_runs_synchronously_at_delivery_time(sim):
 
 def test_handled_type_never_enters_the_mailbox_or_wakes_a_receive(sim):
     process = Process(sim, "p")
-    process.mailbox_limit = 1
     handled, woken = [], []
 
     def waiter(keys, label):
         message = yield process.receive(keys)
         woken.append((label, message.msg_type))
 
-    process.spawn(waiter([("Ping", ANY)], "ping"))
-    process.spawn(waiter([("Ping", ANY), ("Pong", ANY)], "either"))
+    process.spawn(waiter([("Ping", "x")], "ping"))
+    process.spawn(waiter([("Ping", "x"), ("Pong", "x")], "either"))
     process.on_message("Ping", handled.append)
     for _ in range(5):
-        process.deliver(Message("Ping"))
+        process.deliver(Message("Ping", sender="x"))
     sim.run()
     assert len(handled) == 5 and woken == []
     assert process.mailbox_size == 0 and process.mailbox_peak == 0
-    assert process.shed_messages == 0
-    process.deliver(Message("Pong"))  # an unhandled type still takes the old road
+    process.deliver(Message("Pong", sender="x"))  # an unhandled type goes to its waiters
     sim.run()
     assert woken == [("either", "Pong")]
 
@@ -371,13 +374,14 @@ def test_crash_drops_handlers_and_on_start_registers_them_again(sim):
     assert p.pings == 2 and p.mailbox_size == 0
 
 
-def test_crash_without_reregistration_falls_back_to_the_mailbox(sim):
+def test_crash_without_reregistration_drops_the_type(sim):
     process = Process(sim, "p")
-    process.on_message("Ping", lambda message: None)
+    seen = []
+    process.on_message("Ping", seen.append)
     process.crash()
     process.recover()
-    process.deliver(Message("Ping"))
-    assert process.mailbox_size == 1
+    process.deliver(Message("Ping"))  # no handler and no waiter: dropped
+    assert seen == [] and process.mailbox_size == 0 and not process._waiters
 
 
 def test_second_handler_for_a_type_is_rejected(sim):
@@ -431,7 +435,7 @@ def test_served_step_may_only_sleep(sim):
     process = Process(sim, "p")
 
     def step(message):
-        yield process.receive([("Pong", ANY)])
+        yield process.receive([("Pong", "x")])
 
     process.serve("Ping", step)
     with pytest.raises(ThreadError):
@@ -513,10 +517,13 @@ def test_multicast_sends_to_every_destination(sim):
     network = Network(sim)
     a = network.register(Process(sim, "a"))
     targets = [network.register(Process(sim, f"t{i}")) for i in range(3)]
+    got = []
+    for target in targets:
+        target.on_message("Hello", lambda message, name=target.name: got.append(name))
     a.multicast([t.name for t in targets], Message("Hello"))
     sim.run()
     assert network.stats.delivered == 3
-    assert all(t.mailbox_size == 1 for t in targets)
+    assert got == ["t0", "t1", "t2"]
 
 
 def test_send_without_transport_raises(sim):
@@ -525,26 +532,64 @@ def test_send_without_transport_raises(sim):
         process.send("nowhere", Message("Ping"))
 
 
-# ------------------------------------------------- waiter / mailbox indexing
+# ---------------------------------------------------------- waiter indexing
 
 
 def test_delivery_prefers_earlier_spawned_thread_on_tie(sim):
-    """Two threads waiting on the same key: spawn order breaks the tie."""
+    """Two threads waiting on the same key both resume, in spawn order, though
+    the earlier one filed its wait last."""
     network, a, b = make_pair(sim)
     got = []
 
-    def wants(label):
-        message = yield b.receive([("Ping", ANY)])
+    def wants(label, first_wait):
+        yield b.sleep(first_wait)
+        message = yield b.receive([("Ping", "a")])
         got.append((label, message["n"]))
 
-    b.spawn(wants("first"))
-    b.spawn(wants("second"))
-    # The second thread re-blocks "after" the first in wall-clock terms, but
-    # spawn order must still win for the first message.
+    b.spawn(wants("first", 1.0))
+    b.spawn(wants("second", 0.5))
     a.send("b", Message("Ping", payload={"n": 1}))
     a.send("b", Message("Ping", payload={"n": 2}))
     sim.run()
-    assert got == [("first", 1), ("second", 2)]
+    assert got == [("first", 1), ("second", 1)]
+    assert not b._waiters  # the second Ping found nobody: dropped
+
+
+def test_one_ready_resumes_every_round_waiting_on_its_database(sim):
+    """Two rounds wait on their own reply key and on ``("Ready", "d1")``: one
+    ``Ready`` from d1 restarts both, in spawn order."""
+    process = Process(sim, "p")
+    got = []
+
+    def round_(label, reply_key):
+        message = yield process.receive([reply_key, ("Ready", "d1")])
+        got.append((label, message.msg_type, message.sender))
+
+    process.spawn(round_("x", ("X", "k1")))
+    process.spawn(round_("y", ("Y", "k2")))
+    process.deliver(Message("Ready", sender="d1"))
+    assert got == [("x", "Ready", "d1"), ("y", "Ready", "d1")]
+    assert not process._waiters
+
+
+def test_a_waiter_ended_by_an_earlier_one_is_not_resumed(sim):
+    """Resuming one waiter may end another's wait; that one stays ended."""
+    process = Process(sim, "p")
+    got = []
+
+    def killer():
+        yield process.receive([("Ready", "d1")])
+        got.append("killer")
+        victim.kill()
+
+    def victim_body():
+        yield process.receive([("Ready", "d1")])
+        got.append("victim")
+
+    process.spawn(killer())
+    victim = process.spawn(victim_body())
+    process.deliver(Message("Ready", sender="d1"))
+    assert got == ["killer"] and not victim.alive and not process._waiters
 
 
 def test_correlated_receive_only_gets_its_own_key(sim):
@@ -565,31 +610,9 @@ def test_correlated_receive_only_gets_its_own_key(sim):
     assert got == {"k1": 1, "k2": 2, "k3": 3}
 
 
-def test_mailbox_preserves_arrival_order_across_type_buckets(sim):
-    """A wait on several keys takes the oldest message across them, though
-    the inbox files each key apart."""
-    network, a, b = make_pair(sim)
-    a.send("b", Message("Beta", payload={"j": 9, "n": 1}))
-    a.send("b", Message("Alpha", payload={"j": 9, "n": 2}))
-    a.send("b", Message("Beta", payload={"j": 9, "n": 3}))
-    sim.run()
-    assert b.mailbox_size == 3
-    taken = []
-
-    def drain():
-        for _ in range(3):
-            message = yield b.receive([("Alpha", 9), ("Beta", 9)])
-            taken.append((message.msg_type, message["n"]))
-
-    b.spawn(drain())
-    sim.run()
-    assert taken == [("Beta", 1), ("Alpha", 2), ("Beta", 3)]
-    assert b.mailbox_size == 0
-
-
 def test_a_message_without_j_is_filed_under_its_sender(sim):
     """``Ready`` carries no ``j``: it is filed under ``("Ready", sender)``, so a
-    wait on one sender's key neither takes nor wakes on another's."""
+    wait on one sender's key never wakes on another's."""
     process = Process(sim, "p")
     got = []
 
@@ -600,6 +623,6 @@ def test_a_message_without_j_is_filed_under_its_sender(sim):
     process.deliver(Message("Ready", sender="d1"))
     process.spawn(waiter())
     process.deliver(Message("Ready", sender="d3"))
-    assert got == [] and process.mailbox_size == 2
+    assert got == []
     process.deliver(Message("Ready", sender="d2"))
-    assert got == ["d2"] and process.mailbox_size == 2
+    assert got == ["d2"] and not process._waiters
